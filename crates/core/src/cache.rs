@@ -10,18 +10,27 @@
 //!   ([`CacheCounters`]). Keys are [`ExprId`] / [`AggExprId`], which are canonical
 //!   under commutative operand reordering, so structurally-equal provenance compiled
 //!   under *different renderings* shares one entry.
-//! * [`CachedEvaluator`] — the cache-aware evaluation driver: it consults the cache
-//!   at every independent sub-d-tree (mirroring the compiler's rule 2 split), so a
-//!   large annotation whose independent components recur elsewhere reuses their
-//!   distributions without recompiling, and newly computed sub-distributions are
-//!   inserted on the way out.
 //! * [`SharedArtifacts`] — the **thread-safe, `Arc`-shareable** pairing of an
-//!   [`Interner`] and a [`CompilationCache`] behind mutexes, with the same
-//!   independence-splitting evaluation as [`CachedEvaluator`] but **lock-granular**:
-//!   locks are held only around intern/lookup/insert operations, never across a
-//!   d-tree compilation, so parallel tuple workers share artifacts without
-//!   serialising their compilations. One `Arc<SharedArtifacts>` can also back
-//!   several engines (multi-tenant serving over one database).
+//!   [`Interner`] and a [`CompilationCache`] behind mutexes, and the cache-aware
+//!   evaluation driver: it consults the cache at every independent sub-d-tree
+//!   (mirroring the compiler's rule 2 split), so a large annotation whose
+//!   independent components recur elsewhere reuses their distributions without
+//!   recompiling, and newly computed sub-distributions are inserted on the way
+//!   out. It is **lock-granular**: locks are held only around
+//!   intern/lookup/insert operations, never across a d-tree compilation, so
+//!   parallel tuple workers share artifacts without serialising their
+//!   compilations. One `Arc<SharedArtifacts>` can also back several engines
+//!   (multi-tenant serving over one database).
+//!
+//! What is memoised: every independent component with **two or more variables or
+//! a non-variable coefficient**. A component that is a single bare variable `x`
+//! (or one aggregate term `x ⊗ m`) is a *leaf component*: its distribution is
+//! `P_x` (or `P_x` mapped through the scalar action), which the [`VarTable`]
+//! already holds — reading it is cheaper than the intern → lookup → compile →
+//! flatten → insert round trip a cache entry costs, so leaves are evaluated
+//! inline and leave no trace in the interner, the cache or the counters. The
+//! enclosing expression's own entry still carries every leaf's variable in its
+//! var-set, so [`SharedArtifacts::evict_touching`] is unaffected.
 //!
 //! Caching distributions (rather than bare confidences) is what makes sub-d-tree
 //! composition possible: independent sums/products combine cached distributions by
@@ -36,9 +45,9 @@ use crate::arena::DTreeArena;
 use crate::compile::{BudgetExceeded, CompileOptions, Compiler};
 use crate::node::DTreeError;
 use pvc_algebra::{AggOp, SemiringKind};
-use pvc_expr::independence::connected_components;
+use pvc_expr::independence::connected_components_by;
 use pvc_expr::intern::{AggExprId, ExprId, InternedExpr, Interner};
-use pvc_expr::{SemimoduleExpr, SemiringExpr, VarSet, VarTable};
+use pvc_expr::{SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
 use pvc_prob::{convolve_additive_chained, ChainVal, MonoidDist, SemiringDist};
 use std::collections::HashMap;
 use std::fmt;
@@ -540,182 +549,6 @@ impl From<DTreeError> for EvalError {
     }
 }
 
-/// Cache-aware evaluation of interned expressions: get-or-compute distributions,
-/// splitting on independence so that every independent sub-d-tree is memoised
-/// individually.
-///
-/// This is the single-threaded variant working on exclusive borrows;
-/// [`SharedArtifacts`] implements the same splitting strategy over mutex-guarded
-/// state for parallel workers. The two must stay in lockstep — the test
-/// `shared_artifacts_match_cached_evaluator` pins their equivalence.
-pub struct CachedEvaluator<'a> {
-    interner: &'a mut Interner,
-    cache: &'a mut CompilationCache,
-    vars: &'a VarTable,
-    kind: SemiringKind,
-    options: CompileOptions,
-    scope: u64,
-}
-
-impl<'a> CachedEvaluator<'a> {
-    /// Create an evaluator over an arena, a cache and a variable table. `scope`
-    /// tags inserts for cross-scope hit accounting (use a per-query value).
-    pub fn new(
-        interner: &'a mut Interner,
-        cache: &'a mut CompilationCache,
-        vars: &'a VarTable,
-        kind: SemiringKind,
-        options: CompileOptions,
-        scope: u64,
-    ) -> Self {
-        CachedEvaluator {
-            interner,
-            cache,
-            vars,
-            kind,
-            options,
-            scope,
-        }
-    }
-
-    /// The probability that the expression does not evaluate to `0_S` (the tuple
-    /// confidence), via the cached distribution (reduced under the borrow on the
-    /// warm path — no clone).
-    pub fn confidence(&mut self, id: ExprId) -> Result<f64, EvalError> {
-        if let Some(c) = self.cache.map_semiring(id, self.scope, confidence_of) {
-            return Ok(c);
-        }
-        let dist = self.fill_semiring(id)?;
-        Ok(confidence_of(&dist))
-    }
-
-    /// Get-or-compute the distribution of an interned semiring expression.
-    pub fn semiring_distribution(&mut self, id: ExprId) -> Result<SemiringDist, EvalError> {
-        if let Some(d) = self.cache.get_semiring(id, self.scope) {
-            return Ok(d);
-        }
-        self.fill_semiring(id)
-    }
-
-    /// Compute the distribution of `id` (assuming the caller already observed a
-    /// cache miss) and insert it. Independent sub-expressions are evaluated through
-    /// [`semiring_distribution`](Self::semiring_distribution), so recurring
-    /// components hit the cache even when the whole expression is new.
-    pub fn fill_semiring(&mut self, id: ExprId) -> Result<SemiringDist, EvalError> {
-        let dist = self.compute_semiring(id)?;
-        self.cache.insert_semiring(id, self.scope, &dist);
-        Ok(dist)
-    }
-
-    /// Get-or-compute the distribution of an interned semimodule expression.
-    pub fn aggregate_distribution(&mut self, id: AggExprId) -> Result<MonoidDist, EvalError> {
-        if let Some(d) = self.cache.get_aggregate(id, self.scope) {
-            return Ok(d);
-        }
-        self.fill_aggregate(id)
-    }
-
-    /// As [`fill_semiring`](Self::fill_semiring), for semimodule expressions.
-    pub fn fill_aggregate(&mut self, id: AggExprId) -> Result<MonoidDist, EvalError> {
-        let dist = self.compute_aggregate(id)?;
-        self.cache.insert_aggregate(id, self.scope, &dist);
-        Ok(dist)
-    }
-
-    fn compute_semiring(&mut self, id: ExprId) -> Result<SemiringDist, EvalError> {
-        if self.options.independence {
-            let node = self.interner.node(id).clone();
-            match node {
-                InternedExpr::Add(children) if children.len() > 1 => {
-                    if let Some(groups) = self.independent_groups(&children) {
-                        let mut acc: Option<SemiringDist> = None;
-                        for group in groups {
-                            let gid = self.interner.intern_add(group);
-                            let d = self.semiring_distribution(gid)?;
-                            acc = Some(match acc {
-                                None => d,
-                                Some(a) => a.convolve(&d, |x, y| x.add(y)),
-                            });
-                        }
-                        return Ok(acc.expect("at least one group"));
-                    }
-                }
-                InternedExpr::Mul(children) if children.len() > 1 => {
-                    if let Some(groups) = self.independent_groups(&children) {
-                        let mut acc: Option<SemiringDist> = None;
-                        for group in groups {
-                            let gid = self.interner.intern_mul(group);
-                            let d = self.semiring_distribution(gid)?;
-                            acc = Some(match acc {
-                                None => d,
-                                Some(a) => a.convolve(&d, |x, y| x.mul(y)),
-                            });
-                        }
-                        return Ok(acc.expect("at least one group"));
-                    }
-                }
-                _ => {}
-            }
-        }
-        // No independent split: get-or-compile the flattened d-tree, then run the
-        // (cheap) arena evaluation.
-        let arena = match self.cache.get_semiring_arena(id) {
-            Some(a) => a,
-            None => {
-                let mut compiler =
-                    Compiler::with_options(self.vars, self.kind, self.options.clone());
-                let tree = compiler.compile_semiring_id(self.interner, id)?;
-                let arena = Arc::new(DTreeArena::from_tree(&tree));
-                self.cache.insert_semiring_arena(id, self.scope, &arena);
-                arena
-            }
-        };
-        Ok(arena.semiring_distribution(self.vars, self.kind)?)
-    }
-
-    fn compute_aggregate(&mut self, id: AggExprId) -> Result<MonoidDist, EvalError> {
-        let node = self.interner.agg_node(id).clone();
-        if self.options.independence && node.terms.len() > 1 {
-            let sets: Vec<VarSet> = node
-                .terms
-                .iter()
-                .map(|(c, _)| self.interner.var_set(*c).clone())
-                .collect();
-            let components = connected_components(&sets);
-            if components.len() > 1 {
-                let op = node.op;
-                return fold_components(
-                    op,
-                    components.into_iter().map(|component| {
-                        let terms = component.iter().map(|&i| node.terms[i]).collect();
-                        let gid = self.interner.intern_agg(op, terms);
-                        self.aggregate_distribution(gid)
-                    }),
-                );
-            }
-        }
-        let arena = match self.cache.get_aggregate_arena(id) {
-            Some(a) => a,
-            None => {
-                let mut compiler =
-                    Compiler::with_options(self.vars, self.kind, self.options.clone());
-                let tree = compiler.compile_semimodule_id(self.interner, id)?;
-                let arena = Arc::new(DTreeArena::from_tree(&tree));
-                self.cache.insert_aggregate_arena(id, self.scope, &arena);
-                arena
-            }
-        };
-        Ok(arena.monoid_distribution(self.vars, self.kind)?)
-    }
-
-    /// Split children into groups of pairwise variable-disjoint sub-expressions
-    /// (connected components of the co-occurrence graph); `None` when everything is
-    /// one component (no split possible).
-    fn independent_groups(&self, children: &[ExprId]) -> Option<Vec<Vec<ExprId>>> {
-        independent_groups(self.interner, children)
-    }
-}
-
 /// Fold the distributions of pairwise-independent aggregate components into
 /// one. For the additive operators (SUM, COUNT) the accumulator is threaded
 /// through the chained dense kernel: it stays in offset-indexed dense form
@@ -765,8 +598,9 @@ pub fn confidence_of(dist: &SemiringDist) -> f64 {
 /// engines via `Arc<SharedArtifacts>`.
 ///
 /// The evaluation entry points ([`evaluate_semiring`](Self::evaluate_semiring),
-/// [`evaluate_aggregate`](Self::evaluate_aggregate)) replicate the
-/// independence-splitting strategy of [`CachedEvaluator`], but take each lock only
+/// [`evaluate_aggregate`](Self::evaluate_aggregate)) split on independence and
+/// memoise every non-leaf component (see the [module documentation](self)),
+/// taking each lock only
 /// around the individual intern / lookup / insert steps. The expensive part — d-tree
 /// compilation of a component with no further independent split — runs with **no
 /// lock held**, so concurrent workers only contend for microseconds at the cache
@@ -1143,30 +977,38 @@ impl SharedArtifacts {
         scope: u64,
     ) -> Result<SemiringDist, EvalError> {
         if options.independence {
-            // Identify an independent split and intern the group ids under the
-            // interner lock; the recursive evaluations below run unlocked.
-            let split: Option<(bool, Vec<ExprId>)> = {
+            // Identify an independent split and intern the non-leaf group ids
+            // under the interner lock; the recursive evaluations below run
+            // unlocked.
+            let split = {
                 let mut interner = self.interner();
                 match interner.node(id).clone() {
-                    InternedExpr::Add(children) if children.len() > 1 => {
-                        independent_groups(&interner, &children).map(|groups| {
-                            let ids = groups.into_iter().map(|g| interner.intern_add(g)).collect();
-                            (true, ids)
-                        })
-                    }
-                    InternedExpr::Mul(children) if children.len() > 1 => {
-                        independent_groups(&interner, &children).map(|groups| {
-                            let ids = groups.into_iter().map(|g| interner.intern_mul(g)).collect();
-                            (false, ids)
-                        })
-                    }
+                    InternedExpr::Add(children) => independent_components(
+                        &mut interner,
+                        &children,
+                        |c| c,
+                        Interner::intern_add,
+                    )
+                    .map(|groups| (true, groups)),
+                    InternedExpr::Mul(children) => independent_components(
+                        &mut interner,
+                        &children,
+                        |c| c,
+                        Interner::intern_mul,
+                    )
+                    .map(|groups| (false, groups)),
                     _ => None,
                 }
             };
-            if let Some((is_add, group_ids)) = split {
+            if let Some((is_add, groups)) = split {
                 let mut acc: Option<SemiringDist> = None;
-                for gid in group_ids {
-                    let d = self.evaluate_semiring(gid, vars, kind, options, scope)?;
+                for group in groups {
+                    let d = match group {
+                        Component::Leaf { var, .. } => vars.dist(var).clone(),
+                        Component::Memo(gid) => {
+                            self.evaluate_semiring(gid, vars, kind, options, scope)?
+                        }
+                    };
                     acc = Some(match acc {
                         None => d,
                         Some(a) if is_add => a.convolve(&d, |x, y| x.add(y)),
@@ -1214,38 +1056,35 @@ impl SharedArtifacts {
         options: &CompileOptions,
         scope: u64,
     ) -> Result<MonoidDist, EvalError> {
-        let split: Option<(AggOp, Vec<AggExprId>)> = {
+        let split = if options.independence {
             let mut interner = self.interner();
             let node = interner.agg_node(id).clone();
-            if options.independence && node.terms.len() > 1 {
-                let sets: Vec<VarSet> = node
-                    .terms
-                    .iter()
-                    .map(|(c, _)| interner.var_set(*c).clone())
-                    .collect();
-                let components = connected_components(&sets);
-                if components.len() > 1 {
-                    let ids = components
-                        .into_iter()
-                        .map(|component| {
-                            let terms = component.iter().map(|&i| node.terms[i]).collect();
-                            interner.intern_agg(node.op, terms)
-                        })
-                        .collect();
-                    Some((node.op, ids))
-                } else {
-                    None
-                }
-            } else {
-                None
-            }
+            independent_components(
+                &mut interner,
+                &node.terms,
+                |(coeff, _)| coeff,
+                |interner, terms| interner.intern_agg(node.op, terms),
+            )
+            .map(|parts| (node, parts))
+        } else {
+            None
         };
-        if let Some((op, group_ids)) = split {
+        if let Some((node, parts)) = split {
+            let op = node.op;
             return fold_components(
                 op,
-                group_ids
-                    .into_iter()
-                    .map(|gid| self.evaluate_aggregate(gid, vars, kind, options, scope)),
+                parts.into_iter().map(|part| match part {
+                    // What the arena's `Tensor(VarLeaf(x), MConst(m))` yields: a
+                    // convolution with the point distribution on `m` multiplies
+                    // every probability by 1.0 and coalesces in the same order.
+                    Component::Leaf { var, index } => {
+                        let m = node.terms[index].1;
+                        Ok(vars.dist(var).map(|s| op.scalar_action(s, &m)))
+                    }
+                    Component::Memo(gid) => {
+                        self.evaluate_aggregate(gid, vars, kind, options, scope)
+                    }
+                }),
             );
         }
         let span = crate::obs::span("compile");
@@ -1384,22 +1223,44 @@ impl SharedArtifacts {
     }
 }
 
-/// Split children into groups of pairwise variable-disjoint sub-expressions
-/// (connected components of the co-occurrence graph); `None` when everything is one
-/// component.
-fn independent_groups(interner: &Interner, children: &[ExprId]) -> Option<Vec<Vec<ExprId>>> {
-    let sets: Vec<VarSet> = children
-        .iter()
-        .map(|c| interner.var_set(*c).clone())
-        .collect();
-    let components = connected_components(&sets);
+/// One independent component of a sum, product or aggregate, as planned under the
+/// interner lock.
+enum Component<I> {
+    /// A single bare variable `x` — item `index` of the split node is `x` itself,
+    /// or the aggregate term `x ⊗ m`: read off the [`VarTable`], never interned
+    /// or cached.
+    Leaf { var: Var, index: usize },
+    /// Anything else, memoised under its canonical id.
+    Memo(I),
+}
+
+/// Split `items` — the children of a sum or product, or the terms of an
+/// aggregate, `coeff` naming the semiring expression an item's variables come
+/// from — into groups of pairwise variable-disjoint items (connected components
+/// of the co-occurrence graph), interning every non-leaf group with
+/// `intern_group`; `None` when everything is one component.
+fn independent_components<T: Copy, I>(
+    interner: &mut Interner,
+    items: &[T],
+    coeff: impl Fn(T) -> ExprId,
+    mut intern_group: impl FnMut(&mut Interner, Vec<T>) -> I,
+) -> Option<Vec<Component<I>>> {
+    let components = connected_components_by(items.len(), |i| interner.var_set(coeff(items[i])));
     if components.len() <= 1 {
         return None;
     }
     Some(
         components
             .into_iter()
-            .map(|idxs| idxs.into_iter().map(|i| children[i]).collect())
+            .map(|idxs| {
+                if let [index] = idxs[..] {
+                    if let InternedExpr::Var(var) = *interner.node(coeff(items[index])) {
+                        return Component::Leaf { var, index };
+                    }
+                }
+                let group = idxs.into_iter().map(|i| items[i]).collect();
+                Component::Memo(intern_group(interner, group))
+            })
             .collect(),
     )
 }
@@ -1407,7 +1268,7 @@ fn independent_groups(interner: &Interner, children: &[ExprId]) -> Option<Vec<Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvc_algebra::{AggOp, MonoidValue::Fin, SemiringValue};
+    use pvc_algebra::{AggOp, MonoidValue, MonoidValue::Fin, SemiringValue};
     use pvc_expr::{oracle, SemimoduleExpr, SemiringExpr, Var};
 
     fn v(x: Var) -> SemiringExpr {
@@ -1422,44 +1283,49 @@ mod tests {
         (vt, vars)
     }
 
+    fn sem(shared: &SharedArtifacts, id: ExprId, vt: &VarTable, scope: u64) -> SemiringDist {
+        shared
+            .evaluate_semiring(
+                id,
+                vt,
+                SemiringKind::Bool,
+                &CompileOptions::default(),
+                scope,
+            )
+            .unwrap()
+    }
+
+    fn agg(
+        shared: &SharedArtifacts,
+        id: AggExprId,
+        vt: &VarTable,
+        kind: SemiringKind,
+        scope: u64,
+    ) -> MonoidDist {
+        shared
+            .evaluate_aggregate(id, vt, kind, &CompileOptions::default(), scope)
+            .unwrap()
+    }
+
     #[test]
     fn cached_distribution_matches_oracle_and_hits_on_repeat() {
         let (vt, xs) = setup();
         let expr = v(xs[0]) * (v(xs[1]) + v(xs[2])) + v(xs[3]) * v(xs[4]);
-        let mut interner = Interner::new();
-        let mut cache = CompilationCache::default();
-        let id = interner.intern(&expr);
-        let dist = {
-            let mut eval = CachedEvaluator::new(
-                &mut interner,
-                &mut cache,
-                &vt,
-                SemiringKind::Bool,
-                CompileOptions::default(),
-                1,
-            );
-            eval.semiring_distribution(id).unwrap()
-        };
+        let shared = SharedArtifacts::default();
+        let id = shared.intern(&expr);
+        let dist = sem(&shared, id, &vt, 1);
         let oracle_dist = oracle::semiring_dist_by_enumeration(&expr, &vt, SemiringKind::Bool);
         assert!(dist.approx_eq(&oracle_dist, 1e-9));
-        let misses_after_first = cache.counters().misses;
-        assert!(cache.semiring_entries() >= 1);
+        let misses_after_first = shared.counters().misses;
+        // Sub-d-tree memoisation happened: the independent halves are cached
+        // beside the whole.
+        assert!(shared.semiring_entries() >= 3);
         // Second evaluation under another scope: pure hit, counted as cross-scope.
-        let again = {
-            let mut eval = CachedEvaluator::new(
-                &mut interner,
-                &mut cache,
-                &vt,
-                SemiringKind::Bool,
-                CompileOptions::default(),
-                2,
-            );
-            eval.semiring_distribution(id).unwrap()
-        };
-        assert!(again.approx_eq(&dist, 1e-12));
-        assert_eq!(cache.counters().misses, misses_after_first);
-        assert!(cache.counters().hits >= 1);
-        assert!(cache.counters().cross_scope_hits >= 1);
+        let again = sem(&shared, id, &vt, 2);
+        assert_eq!(again, dist);
+        assert_eq!(shared.counters().misses, misses_after_first);
+        assert!(shared.counters().hits >= 1);
+        assert!(shared.counters().cross_scope_hits >= 1);
     }
 
     #[test]
@@ -1469,37 +1335,16 @@ mod tests {
         let left = v(xs[0]) * v(xs[1]);
         let right = v(xs[2]) * v(xs[3]);
         let whole = left.clone() + right.clone();
-        let mut interner = Interner::new();
-        let mut cache = CompilationCache::default();
-        let whole_id = interner.intern(&whole);
-        {
-            let mut eval = CachedEvaluator::new(
-                &mut interner,
-                &mut cache,
-                &vt,
-                SemiringKind::Bool,
-                CompileOptions::default(),
-                1,
-            );
-            eval.semiring_distribution(whole_id).unwrap();
-        }
+        let shared = SharedArtifacts::default();
+        let whole_id = shared.intern(&whole);
+        sem(&shared, whole_id, &vt, 1);
         // The groups were cached on the way: evaluating just `a·b` now hits.
-        let hits_before = cache.counters().hits;
-        let left_id = interner.intern(&left);
-        {
-            let mut eval = CachedEvaluator::new(
-                &mut interner,
-                &mut cache,
-                &vt,
-                SemiringKind::Bool,
-                CompileOptions::default(),
-                1,
-            );
-            let d = eval.semiring_distribution(left_id).unwrap();
-            let oracle_dist = oracle::semiring_dist_by_enumeration(&left, &vt, SemiringKind::Bool);
-            assert!(d.approx_eq(&oracle_dist, 1e-9));
-        }
-        assert!(cache.counters().hits > hits_before);
+        let hits_before = shared.counters().hits;
+        let left_id = shared.intern(&left);
+        let d = sem(&shared, left_id, &vt, 1);
+        let oracle_dist = oracle::semiring_dist_by_enumeration(&left, &vt, SemiringKind::Bool);
+        assert!(d.approx_eq(&oracle_dist, 1e-9));
+        assert!(shared.counters().hits > hits_before);
     }
 
     #[test]
@@ -1513,48 +1358,28 @@ mod tests {
                 (v(xs[0]) * v(xs[2]), Fin(5)),
             ],
         );
-        let mut interner = Interner::new();
-        let mut cache = CompilationCache::default();
-        let id = interner.intern_semimodule(&alpha);
-        let dist = {
-            let mut eval = CachedEvaluator::new(
-                &mut interner,
-                &mut cache,
-                &vt,
-                SemiringKind::Bool,
-                CompileOptions::default(),
-                7,
-            );
-            eval.aggregate_distribution(id).unwrap()
-        };
+        let shared = SharedArtifacts::default();
+        let id = shared.intern_semimodule(&alpha);
+        let dist = agg(&shared, id, &vt, SemiringKind::Bool, 7);
         let oracle_dist = oracle::semimodule_dist_by_enumeration(&alpha, &vt, SemiringKind::Bool);
         assert!(dist.approx_eq(&oracle_dist, 1e-9));
-        assert!(cache.aggregate_entries() >= 1);
+        assert!(shared.aggregate_entries() >= 1);
     }
 
     #[test]
     fn lru_evicts_beyond_entry_bound() {
         let (vt, xs) = setup();
-        let mut interner = Interner::new();
-        let mut cache = CompilationCache::new(CacheConfig {
+        let shared = SharedArtifacts::new(CacheConfig {
             max_entries: 2,
             max_bytes: usize::MAX,
         });
         for &x in xs.iter().take(5) {
             let expr = v(x) + SemiringExpr::Const(SemiringValue::Bool(false));
-            let id = interner.intern(&(v(x) * expr.clone() + expr));
-            let mut eval = CachedEvaluator::new(
-                &mut interner,
-                &mut cache,
-                &vt,
-                SemiringKind::Bool,
-                CompileOptions::default(),
-                1,
-            );
-            eval.semiring_distribution(id).unwrap();
+            let id = shared.intern(&(v(x) * expr.clone() + expr));
+            sem(&shared, id, &vt, 1);
         }
-        assert!(cache.semiring_entries() <= 2);
-        assert!(cache.counters().evictions > 0);
+        assert!(shared.semiring_entries() <= 2);
+        assert!(shared.counters().evictions > 0);
     }
 
     #[test]
@@ -1658,65 +1483,203 @@ mod tests {
         assert!(d.approx_eq(&expected, 1e-9));
     }
 
+    fn bits(d: &MonoidDist) -> Vec<(MonoidValue, u64)> {
+        d.iter().map(|(v, p)| (*v, p.to_bits())).collect()
+    }
+
+    /// The distribution of `alpha` through plain compilation of its canonical
+    /// rendering: compile → flatten → evaluate, no cache, no inline leaves.
+    fn compiled(alpha: &SemimoduleExpr, vt: &VarTable, kind: SemiringKind) -> MonoidDist {
+        let mut interner = Interner::new();
+        let id = interner.intern_semimodule(alpha);
+        let canonical = interner.resolve_semimodule(id);
+        let tree = Compiler::new(vt, kind)
+            .compile_semimodule(&canonical)
+            .unwrap();
+        DTreeArena::from_tree(&tree)
+            .monoid_distribution(vt, kind)
+            .unwrap()
+    }
+
+    #[test]
+    fn leaf_components_are_evaluated_inline_and_match_compilation_bit_for_bit() {
+        for kind in [SemiringKind::Bool, SemiringKind::Nat] {
+            let mut vt = VarTable::new();
+            let xs: Vec<Var> = (0..9)
+                .map(|i| {
+                    let step = 0.05 * i as f64;
+                    match kind {
+                        SemiringKind::Bool => vt.boolean(format!("x{i}"), 0.15 + step),
+                        SemiringKind::Nat => vt.natural(
+                            format!("n{i}"),
+                            &[(0, 0.1 + step), (1, 0.3), (3, 0.6 - step)],
+                        ),
+                    }
+                })
+                .collect();
+            for op in [AggOp::Count, AggOp::Sum, AggOp::Min, AggOp::Max] {
+                // Repeated values, and the monoid's identity (±∞ for MIN/MAX).
+                let values = [3, 3, 7, 1, 7, 12, 1, 5].map(Fin);
+                let alpha = SemimoduleExpr::from_terms(
+                    op,
+                    xs.iter()
+                        .zip(values.into_iter().chain([op.identity()]))
+                        .map(|(x, m)| (v(*x), m))
+                        .collect(),
+                );
+                let shared = SharedArtifacts::default();
+                let id = shared.intern_semimodule(&alpha);
+                let interned = shared.interned_nodes();
+                let dist = agg(&shared, id, &vt, kind, 1);
+                assert_eq!(
+                    bits(&dist),
+                    bits(&compiled(&alpha, &vt, kind)),
+                    "{op:?}/{kind:?}"
+                );
+                // Nothing but the aggregate's own entry: no arena, no
+                // per-component entry, no singleton aggregate interned, and one
+                // miss (the aggregate itself) with no arena lookup at all.
+                assert_eq!(shared.arena_entries(), 0);
+                assert_eq!(shared.aggregate_entries(), 1);
+                assert_eq!(shared.semiring_entries(), 0);
+                assert_eq!(shared.interned_nodes(), interned);
+                let counters = shared.counters();
+                assert_eq!(
+                    counters,
+                    CacheCounters {
+                        misses: 1,
+                        ..CacheCounters::default()
+                    }
+                );
+                // The entry serves the next query whole.
+                assert_eq!(bits(&agg(&shared, id, &vt, kind, 2)), bits(&dist));
+                assert_eq!(shared.counters().hits, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_summands_and_factors_read_the_variable_table() {
+        let (vt, xs) = setup();
+        let shared = SharedArtifacts::default();
+        for expr in [
+            SemiringExpr::sum(xs.iter().map(|x| v(*x)).collect()),
+            SemiringExpr::product(xs.iter().map(|x| v(*x)).collect()),
+        ] {
+            let id = shared.intern(&expr);
+            let interned = shared.interned_nodes();
+            let dist = sem(&shared, id, &vt, 1);
+            let tree = Compiler::new(&vt, SemiringKind::Bool)
+                .compile_semiring(&expr)
+                .unwrap();
+            let reference = DTreeArena::from_tree(&tree)
+                .semiring_distribution(&vt, SemiringKind::Bool)
+                .unwrap();
+            assert!(dist.approx_eq(&reference, 1e-12));
+            assert_eq!(shared.interned_nodes(), interned);
+        }
+        assert_eq!(shared.arena_entries(), 0);
+        assert_eq!(shared.semiring_entries(), 2);
+        assert_eq!(shared.counters().misses, 2);
+    }
+
+    #[test]
+    fn mixed_aggregate_memoises_only_its_non_leaf_component() {
+        let (vt, xs) = setup();
+        let shared = SharedArtifacts::default();
+        // x2·x3 ⊗ 5 and x3 ⊗ 7 share x3: one two-variable component among leaves.
+        let entangled = [(v(xs[2]) * v(xs[3]), Fin(5)), (v(xs[3]), Fin(7))];
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Sum,
+            [(v(xs[0]), Fin(2)), (v(xs[1]), Fin(3))]
+                .into_iter()
+                .chain(entangled.clone())
+                .collect(),
+        );
+        let id = shared.intern_semimodule(&alpha);
+        let dist = agg(&shared, id, &vt, SemiringKind::Bool, 1);
+        assert_eq!(
+            bits(&dist),
+            bits(&compiled(&alpha, &vt, SemiringKind::Bool))
+        );
+        let expected = oracle::semimodule_dist_by_enumeration(&alpha, &vt, SemiringKind::Bool);
+        assert!(dist.approx_eq(&expected, 1e-9));
+        // The whole and the component; one compiled arena, for the component.
+        assert_eq!(shared.aggregate_entries(), 2);
+        assert_eq!(shared.arena_entries(), 1);
+        assert_eq!(shared.counters().misses, 2);
+        // Another query over the same component and a different leaf: the
+        // component is a hit, nothing is compiled.
+        let beta = SemimoduleExpr::from_terms(
+            AggOp::Sum,
+            [(v(xs[4]), Fin(1))].into_iter().chain(entangled).collect(),
+        );
+        let bid = shared.intern_semimodule(&beta);
+        let dist = agg(&shared, bid, &vt, SemiringKind::Bool, 2);
+        let expected = oracle::semimodule_dist_by_enumeration(&beta, &vt, SemiringKind::Bool);
+        assert!(dist.approx_eq(&expected, 1e-9));
+        let counters = shared.counters();
+        assert_eq!((counters.hits, counters.cross_scope_hits), (1, 1));
+        assert_eq!((counters.arena_hits, counters.arena_misses), (0, 1));
+        assert_eq!(shared.arena_entries(), 1);
+    }
+
+    #[test]
+    fn touching_a_leaf_variable_evicts_the_enclosing_aggregate() {
+        let (vt, xs) = setup();
+        let shared = SharedArtifacts::default();
+        let count = |vars: &[Var]| {
+            SemimoduleExpr::from_terms(AggOp::Count, vars.iter().map(|x| (v(*x), Fin(1))).collect())
+        };
+        let (left, right) = (count(&xs[..3]), count(&xs[3..]));
+        let lid = shared.intern_semimodule(&left);
+        let rid = shared.intern_semimodule(&right);
+        agg(&shared, lid, &vt, SemiringKind::Bool, 1);
+        agg(&shared, rid, &vt, SemiringKind::Bool, 1);
+        // The leaves left no entries of their own, yet the aggregate over x1 is
+        // found through its var-set and dropped; the other one survives.
+        let stats = shared.evict_touching(&VarSet::singleton(xs[1]));
+        assert_eq!(
+            stats,
+            EvictionStats {
+                evicted: 1,
+                kept: 1
+            }
+        );
+        let mut updated = vt.clone();
+        updated.set_dist(xs[1], pvc_prob::make::bernoulli(0.95));
+        let warm = agg(&shared, lid, &updated, SemiringKind::Bool, 2);
+        assert_eq!(
+            bits(&warm),
+            bits(&compiled(&left, &updated, SemiringKind::Bool))
+        );
+        assert_eq!(
+            shared.counters().misses,
+            3,
+            "the evicted aggregate recomputes"
+        );
+        agg(&shared, rid, &updated, SemiringKind::Bool, 2);
+        assert_eq!(
+            shared.counters().hits,
+            1,
+            "the untouched aggregate is a hit"
+        );
+    }
+
     #[test]
     fn byte_bound_evicts() {
         let (vt, xs) = setup();
-        let mut interner = Interner::new();
         // A bound small enough that only one distribution fits.
-        let mut cache = CompilationCache::new(CacheConfig {
+        let shared = SharedArtifacts::new(CacheConfig {
             max_entries: usize::MAX,
             max_bytes: 100,
         });
         for i in 0..3 {
-            let id = interner.intern(&(v(xs[i]) + v(xs[i + 1])));
-            let mut eval = CachedEvaluator::new(
-                &mut interner,
-                &mut cache,
-                &vt,
-                SemiringKind::Bool,
-                CompileOptions::default(),
-                1,
-            );
-            eval.semiring_distribution(id).unwrap();
+            let id = shared.intern(&(v(xs[i]) + v(xs[i + 1])));
+            sem(&shared, id, &vt, 1);
         }
-        assert!(cache.counters().evictions > 0);
-        assert!(cache.bytes() > 0);
-    }
-
-    #[test]
-    fn shared_artifacts_match_cached_evaluator() {
-        // The lock-granular shared evaluator must produce the same distributions as
-        // the single-threaded CachedEvaluator (both split on independence).
-        let (vt, xs) = setup();
-        let expr = v(xs[0]) * (v(xs[1]) + v(xs[2])) + v(xs[3]) * v(xs[4]);
-        let shared = SharedArtifacts::default();
-        let sid = shared.intern(&expr);
-        let shared_dist = shared
-            .evaluate_semiring(sid, &vt, SemiringKind::Bool, &CompileOptions::default(), 1)
-            .unwrap();
-        let mut interner = Interner::new();
-        let mut cache = CompilationCache::default();
-        let id = interner.intern(&expr);
-        let mut eval = CachedEvaluator::new(
-            &mut interner,
-            &mut cache,
-            &vt,
-            SemiringKind::Bool,
-            CompileOptions::default(),
-            1,
-        );
-        let reference = eval.semiring_distribution(id).unwrap();
-        assert!(shared_dist.approx_eq(&reference, 1e-12));
-        // Sub-d-tree memoisation happened: the independent halves are cached.
-        assert!(shared.semiring_entries() >= 2);
-        let alpha =
-            SemimoduleExpr::from_terms(AggOp::Min, vec![(v(xs[0]), Fin(10)), (v(xs[1]), Fin(20))]);
-        let aid = shared.intern_semimodule(&alpha);
-        let agg = shared
-            .evaluate_aggregate(aid, &vt, SemiringKind::Bool, &CompileOptions::default(), 1)
-            .unwrap();
-        let oracle_dist = oracle::semimodule_dist_by_enumeration(&alpha, &vt, SemiringKind::Bool);
-        assert!(agg.approx_eq(&oracle_dist, 1e-9));
+        assert!(shared.counters().evictions > 0);
+        assert!(shared.bytes() > 0);
     }
 
     #[test]
@@ -1825,21 +1788,11 @@ mod tests {
 
     #[test]
     fn clear_resets_everything() {
-        let (vt, xs) = setup();
         let mut interner = Interner::new();
         let mut cache = CompilationCache::default();
-        let id = interner.intern(&(v(xs[0]) + v(xs[1])));
-        {
-            let mut eval = CachedEvaluator::new(
-                &mut interner,
-                &mut cache,
-                &vt,
-                SemiringKind::Bool,
-                CompileOptions::default(),
-                1,
-            );
-            eval.semiring_distribution(id).unwrap();
-        }
+        let id = interner.intern(&(v(Var(0)) + v(Var(1))));
+        cache.insert_semiring(id, 1, &pvc_prob::make::bernoulli(0.5));
+        assert!(cache.get_semiring(id, 1).is_some());
         assert!(cache.semiring_entries() > 0);
         cache.clear();
         assert_eq!(cache.semiring_entries(), 0);

@@ -141,11 +141,13 @@ pub struct Compiler<'a> {
     /// Scratch for occurrence collection during `⊔`-variable choice (reused across
     /// the tens of thousands of Shannon expansions a hard compilation performs).
     occ_buf: Vec<Var>,
-    /// Per-variable occurrence counters, indexed by `Var` id; entries touched by a
-    /// choice are reset afterwards, so the vector stays allocated once.
+    /// Per-variable occurrence counters, indexed by `Var` id. Starts empty and
+    /// grows to the largest id a choice touches (never to the table's size: most
+    /// compilations see a handful of variables of a table of thousands); entries
+    /// touched by a choice are reset afterwards.
     occ_counts: Vec<u32>,
     /// First-seen table for independence splitting
-    /// ([`components_of_occurrences_with`]), likewise allocated once and reset
+    /// ([`components_of_occurrences_with`]), likewise grown on demand and reset
     /// per use.
     first_seen: Vec<usize>,
 }
@@ -165,14 +167,20 @@ impl<'a> Compiler<'a> {
             stats: CompileStats::default(),
             nodes_produced: 0,
             occ_buf: Vec::new(),
-            occ_counts: vec![0; table.len()],
-            first_seen: vec![usize::MAX; table.len()],
+            occ_counts: Vec::new(),
+            first_seen: Vec::new(),
         }
     }
 
     /// Statistics of the rules applied so far.
     pub fn stats(&self) -> &CompileStats {
         &self.stats
+    }
+
+    /// Lengths of the id-indexed scratch tables `(occ_counts, first_seen)`.
+    #[cfg(test)]
+    fn scratch_lens(&self) -> (usize, usize) {
+        (self.occ_counts.len(), self.first_seen.len())
     }
 
     fn charge(&mut self, nodes: usize) -> Result<(), BudgetExceeded> {
@@ -472,7 +480,15 @@ impl<'a> Compiler<'a> {
         self.occ_buf.clear();
         collect(&mut self.occ_buf);
         for v in &self.occ_buf {
-            self.occ_counts[v.0 as usize] += 1;
+            let slot = v.0 as usize;
+            // The hit path is the one bounds check plain indexing would make.
+            match self.occ_counts.get_mut(slot) {
+                Some(n) => *n += 1,
+                None => {
+                    self.occ_counts.resize(slot + 1, 0);
+                    self.occ_counts[slot] = 1;
+                }
+            }
         }
         let mut best: Option<(u32, Var)> = None;
         for &v in &self.occ_buf {
@@ -776,6 +792,35 @@ mod tests {
         let dist = tree.semiring_distribution(&vt, SemiringKind::Nat).unwrap();
         let oracle_dist = oracle::semiring_dist_by_enumeration(&expr, &vt, SemiringKind::Nat);
         assert!(dist.approx_eq(&oracle_dist, 1e-9));
+    }
+
+    #[test]
+    fn scratch_grows_with_the_variables_touched_not_with_the_table() {
+        // A compilation must not pay for the size of the probability space: at
+        // TPC-H scale the table has thousands of variables and a typical
+        // component mentions one.
+        let mut vt = VarTable::new();
+        let vars: Vec<Var> = (0..1_000_000).map(|_| vt.boolean("", 0.5)).collect();
+        let mut compiler = Compiler::new(&vt, SemiringKind::Bool);
+        let last = *vars.last().expect("non-empty table");
+        let leaf = SemimoduleExpr::tensor(AggOp::Count, v(last), Fin(1));
+        let tree = compiler.compile_semimodule(&leaf).unwrap();
+        assert!(matches!(tree, DTree::Tensor(..)));
+        assert_eq!(compiler.scratch_lens(), (0, 0));
+        // x0·x1 + x1·x2 + x2·x9 shares variables across summands without a
+        // common factor: independence analysis runs and a ⊔ expansion follows.
+        let entangled = SemiringExpr::sum(vec![
+            v(vars[0]) * v(vars[1]),
+            v(vars[1]) * v(vars[2]),
+            v(vars[2]) * v(vars[9]),
+        ]);
+        let tree = compiler.compile_semiring(&entangled).unwrap();
+        assert!(compiler.stats().exclusive_expansions >= 1);
+        let (occ_counts, first_seen) = compiler.scratch_lens();
+        assert!((1..=10).contains(&occ_counts), "{occ_counts}");
+        assert!((1..=10).contains(&first_seen), "{first_seen}");
+        let dist = tree.semiring_distribution(&vt, SemiringKind::Bool).unwrap();
+        assert!((dist.total_mass() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub mod prune;
 
 pub use arena::DTreeArena;
 pub use cache::{
-    confidence_of, CacheConfig, CacheCounters, CachedEvaluator, CompactionStats, CompilationCache,
-    EvalError, EvictionStats, SharedArtifacts,
+    confidence_of, CacheConfig, CacheCounters, CompactionStats, CompilationCache, EvalError,
+    EvictionStats, SharedArtifacts,
 };
 pub use compile::{
     compile_semimodule, compile_semiring, BudgetExceeded, CompileOptions, CompileStats, Compiler,

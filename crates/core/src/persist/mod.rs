@@ -1077,7 +1077,7 @@ pub fn read_snapshot_file_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{CacheConfig, CachedEvaluator, CompilationCache};
+    use crate::cache::{CacheConfig, CompilationCache, SharedArtifacts};
     use crate::compile::CompileOptions;
     use pvc_algebra::{MonoidValue::Fin, SemiringKind};
     use pvc_expr::{SemimoduleExpr, SemiringExpr, VarTable};
@@ -1086,13 +1086,13 @@ mod tests {
         SemiringExpr::Var(Var(i))
     }
 
-    fn populated() -> (VarTable, Interner, CompilationCache) {
+    fn populated() -> (VarTable, SharedArtifacts) {
         let mut vt = VarTable::new();
         let xs: Vec<_> = (0..6)
             .map(|i| vt.boolean(format!("x{i}"), 0.25 + 0.1 * i as f64))
             .collect();
-        let mut interner = Interner::new();
-        let mut cache = CompilationCache::default();
+        let shared = SharedArtifacts::default();
+        let options = CompileOptions::default();
         let exprs = [
             SemiringExpr::Var(xs[0]) * (SemiringExpr::Var(xs[1]) + SemiringExpr::Var(xs[2])),
             SemiringExpr::Var(xs[3]) * SemiringExpr::Var(xs[4])
@@ -1110,16 +1110,10 @@ mod tests {
             ),
         ];
         for (scope, expr) in exprs.iter().enumerate() {
-            let id = interner.intern(expr);
-            let mut eval = CachedEvaluator::new(
-                &mut interner,
-                &mut cache,
-                &vt,
-                SemiringKind::Bool,
-                CompileOptions::default(),
-                scope as u64,
-            );
-            eval.semiring_distribution(id).unwrap();
+            let id = shared.intern(expr);
+            shared
+                .evaluate_semiring(id, &vt, SemiringKind::Bool, &options, scope as u64)
+                .unwrap();
         }
         let alpha = SemimoduleExpr::from_terms(
             pvc_algebra::AggOp::Sum,
@@ -1128,17 +1122,11 @@ mod tests {
                 (SemiringExpr::Var(xs[1]) * SemiringExpr::Var(xs[0]), Fin(5)),
             ],
         );
-        let aid = interner.intern_semimodule(&alpha);
-        let mut eval = CachedEvaluator::new(
-            &mut interner,
-            &mut cache,
-            &vt,
-            SemiringKind::Bool,
-            CompileOptions::default(),
-            7,
-        );
-        eval.aggregate_distribution(aid).unwrap();
-        (vt, interner, cache)
+        let aid = shared.intern_semimodule(&alpha);
+        shared
+            .evaluate_aggregate(aid, &vt, SemiringKind::Bool, &options, 7)
+            .unwrap();
+        (vt, shared)
     }
 
     #[test]
@@ -1147,9 +1135,9 @@ mod tests {
         // single-bit flip — body, header or the checksum itself — must turn
         // into a typed error, never a silently-wrong snapshot. This pins the
         // corruption-detection guarantee `docs/DURABILITY.md` documents.
-        let (_vt, interner, cache) = populated();
+        let (_vt, shared) = populated();
         let tables = vec![("S".to_string(), 0x1111)];
-        let bytes = encode_snapshot(&interner, &cache, 0xfeed, &tables, Some(b"extra"));
+        let (bytes, _) = shared.snapshot_bytes(0xfeed, &tables, Some(b"extra"));
         decode_snapshot(&bytes).expect("pristine snapshot must decode");
         let mut rng = pvc_prob::SeededRng::seed_from_u64(0xf1ee7);
         for trial in 0..300 {
@@ -1165,8 +1153,8 @@ mod tests {
 
     #[test]
     fn fuzz_snapshot_truncations_are_typed_errors() {
-        let (_vt, interner, cache) = populated();
-        let bytes = encode_snapshot(&interner, &cache, 1, &[], None);
+        let (_vt, shared) = populated();
+        let (bytes, _) = shared.snapshot_bytes(1, &[], None);
         let mut rng = pvc_prob::SeededRng::seed_from_u64(0x7a11);
         // Sample truncation points (plus the edges) instead of all lengths:
         // decode cost is linear, the property is identical at each cut.
@@ -1218,80 +1206,62 @@ mod tests {
 
     #[test]
     fn roundtrip_into_fresh_store_is_identity() {
-        let (_vt, interner, cache) = populated();
+        let (_vt, shared) = populated();
         let tables = vec![("S".to_string(), 0x1111), ("PS".to_string(), 0x2222)];
-        let bytes = encode_snapshot(&interner, &cache, 0xfeed, &tables, Some(b"hello"));
+        let (bytes, counts) = shared.snapshot_bytes(0xfeed, &tables, Some(b"hello"));
         let snap = decode_snapshot(&bytes).unwrap();
         assert_eq!(snap.fingerprint(), 0xfeed);
         assert_eq!(snap.table_fingerprints(), &tables[..]);
         assert_eq!(snap.extra(), Some(&b"hello"[..]));
-        snap.verify_fingerprint(0xfeed).unwrap();
         assert!(matches!(
-            snap.verify_fingerprint(0xbeef),
+            SharedArtifacts::from_snapshot(&snap, 0xbeef),
             Err(PersistError::Fingerprint { .. })
         ));
-        let mut interner2 = Interner::new();
-        let mut cache2 = CompilationCache::new(snap.config());
-        let stats = snap.restore_into(&mut interner2, &mut cache2).unwrap();
-        assert_eq!(stats.interned_exprs, interner.len());
-        assert_eq!(stats.interned_aggs, interner.agg_len());
+        let (fresh, stats) = SharedArtifacts::from_snapshot(&snap, 0xfeed).unwrap();
+        assert_eq!(stats.interned_exprs, counts.interned_exprs);
+        assert_eq!(stats.interned_aggs, counts.interned_aggs);
         // A fresh replay assigns identical ids, so the second snapshot is
         // byte-identical (counters are not persisted).
-        let bytes2 = encode_snapshot(&interner2, &cache2, 0xfeed, &tables, Some(b"hello"));
+        let (bytes2, _) = fresh.snapshot_bytes(0xfeed, &tables, Some(b"hello"));
         assert_eq!(bytes, bytes2);
-        assert_eq!(cache2.semiring_entries(), cache.semiring_entries());
-        assert_eq!(cache2.aggregate_entries(), cache.aggregate_entries());
-        assert_eq!(cache2.arena_entries(), cache.arena_entries());
+        assert_eq!(fresh.semiring_entries(), shared.semiring_entries());
+        assert_eq!(fresh.aggregate_entries(), shared.aggregate_entries());
+        assert_eq!(fresh.arena_entries(), shared.arena_entries());
     }
 
     #[test]
     fn restore_composes_with_a_live_arena() {
-        let (vt, interner, cache) = populated();
-        let bytes = encode_snapshot(&interner, &cache, 1, &[], None);
+        let (vt, shared) = populated();
+        let (bytes, _) = shared.snapshot_bytes(1, &[], None);
         // The live store already interned something unrelated, shifting ids.
-        let mut live_interner = Interner::new();
-        let mut live_cache = CompilationCache::default();
-        live_interner.intern(&(v(40) + v(41) * v(42)));
-        let offset = live_interner.len();
+        let live = SharedArtifacts::default();
+        live.intern(&(v(40) + v(41) * v(42)));
+        let offset = live.interned_nodes();
         let snap = decode_snapshot(&bytes).unwrap();
-        snap.restore_into(&mut live_interner, &mut live_cache)
-            .unwrap();
-        assert!(live_interner.len() > offset);
+        live.restore_snapshot(&snap, 1).unwrap();
+        assert!(live.interned_nodes() > offset);
         // A live re-intern of a snapshotted expression lands on a cache entry.
         let expr =
             SemiringExpr::Var(Var(0)) * (SemiringExpr::Var(Var(1)) + SemiringExpr::Var(Var(2)));
-        let id = live_interner.intern(&expr);
-        let mut eval = CachedEvaluator::new(
-            &mut live_interner,
-            &mut live_cache,
-            &vt,
-            SemiringKind::Bool,
-            CompileOptions::default(),
-            99,
-        );
-        let restored = eval.semiring_distribution(id).unwrap();
-        assert_eq!(live_cache.counters().hits, 1);
-        assert_eq!(live_cache.counters().misses, 0);
-        // And the value equals the one the original cache held.
-        let mut original_interner = Interner::new();
-        let mut original_cache = CompilationCache::default();
-        let oid = original_interner.intern(&expr);
-        let mut oeval = CachedEvaluator::new(
-            &mut original_interner,
-            &mut original_cache,
-            &vt,
-            SemiringKind::Bool,
-            CompileOptions::default(),
-            99,
-        );
-        let reference = oeval.semiring_distribution(oid).unwrap();
+        let options = CompileOptions::default();
+        let id = live.intern(&expr);
+        let restored = live
+            .evaluate_semiring(id, &vt, SemiringKind::Bool, &options, 99)
+            .unwrap();
+        assert_eq!(live.counters().hits, 1);
+        assert_eq!(live.counters().misses, 0);
+        // And the value equals the one the original store held.
+        let oid = shared.intern(&expr);
+        let reference = shared
+            .evaluate_semiring(oid, &vt, SemiringKind::Bool, &options, 99)
+            .unwrap();
         assert_eq!(restored, reference);
     }
 
     #[test]
     fn corrupted_snapshots_surface_typed_errors() {
-        let (_vt, interner, cache) = populated();
-        let bytes = encode_snapshot(&interner, &cache, 7, &[], None);
+        let (_vt, shared) = populated();
+        let (bytes, _) = shared.snapshot_bytes(7, &[], None);
         // Not a snapshot at all.
         assert!(matches!(
             decode_snapshot(b"short"),
@@ -1332,8 +1302,8 @@ mod tests {
 
     #[test]
     fn out_of_range_variables_are_refused() {
-        let (vt, interner, cache) = populated();
-        let bytes = encode_snapshot(&interner, &cache, 7, &[], None);
+        let (vt, shared) = populated();
+        let (bytes, _) = shared.snapshot_bytes(7, &[], None);
         let snap = decode_snapshot(&bytes).unwrap();
         // The populated store uses 6 variables (ids 0..=5).
         snap.verify_variables(vt.len()).unwrap();
@@ -1346,17 +1316,16 @@ mod tests {
 
     #[test]
     fn restore_honours_target_lru_bounds() {
-        let (_vt, interner, cache) = populated();
-        let bytes = encode_snapshot(&interner, &cache, 7, &[], None);
+        let (_vt, shared) = populated();
+        let (bytes, _) = shared.snapshot_bytes(7, &[], None);
         let snap = decode_snapshot(&bytes).unwrap();
-        let mut interner2 = Interner::new();
-        let mut cache2 = CompilationCache::new(CacheConfig {
+        let bounded = SharedArtifacts::new(CacheConfig {
             max_entries: 1,
             max_bytes: usize::MAX,
         });
-        snap.restore_into(&mut interner2, &mut cache2).unwrap();
-        assert!(cache2.semiring_entries() <= 1);
-        assert!(cache2.counters().evictions > 0);
+        bounded.restore_snapshot(&snap, 7).unwrap();
+        assert!(bounded.semiring_entries() <= 1);
+        assert!(bounded.counters().evictions > 0);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! co-occurrence graph* over its summands, implemented here with a union–find.
 
 use crate::vars::{Var, VarSet};
-use std::collections::BTreeMap;
 
 /// A classic union–find (disjoint-set) structure over `0..n`.
 #[derive(Debug, Clone)]
@@ -51,15 +50,17 @@ impl UnionFind {
         }
     }
 
-    /// Group the elements `0..n` by representative.
+    /// Group the elements `0..n` by representative: groups in ascending order of
+    /// their representative, members ascending.
     pub fn groups(&mut self) -> Vec<Vec<usize>> {
         let n = self.parent.len();
-        let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut by_root: Vec<Vec<usize>> = vec![Vec::new(); n];
         for i in 0..n {
             let root = self.find(i);
-            by_root.entry(root).or_default().push(i);
+            by_root[root].push(i);
         }
-        by_root.into_values().collect()
+        by_root.retain(|group| !group.is_empty());
+        by_root
     }
 }
 
@@ -67,23 +68,39 @@ impl UnionFind {
 /// co-occurrence graph: indices `i` and `j` are connected if `sets[i]` and `sets[j]`
 /// share a variable (possibly transitively).
 ///
-/// Runs in `O(Σ|sets[i]| · α)` — each variable links its occurrences together — rather
-/// than comparing all pairs of sets.
+/// Runs in `O(N log N)` for `N = Σ|sets[i]|` — each variable links its occurrences
+/// together — rather than comparing all pairs of sets. Components are ordered by
+/// their union–find representative (see [`UnionFind::groups`]); members are
+/// ascending.
 pub fn connected_components(sets: &[VarSet]) -> Vec<Vec<usize>> {
-    let n = sets.len();
-    if n == 0 {
-        return vec![];
+    connected_components_by(sets.len(), |i| &sets[i])
+}
+
+/// As [`connected_components`], over `n` borrowed sets handed out by `set_of` —
+/// for callers whose sets live in another structure (the interner's precomputed
+/// var-sets) and would otherwise have to be cloned into a slice first.
+pub fn connected_components_by<'a>(
+    n: usize,
+    set_of: impl Fn(usize) -> &'a VarSet,
+) -> Vec<Vec<usize>> {
+    // Every `(variable, set index)` occurrence, in set order; sorted and cut down
+    // to the first pair per variable it doubles as the variable → first-seeing-set
+    // map, in one flat allocation.
+    let mut occurrences: Vec<(Var, usize)> = Vec::new();
+    for i in 0..n {
+        occurrences.extend(set_of(i).iter().map(|v| (v, i)));
     }
+    let mut first_seen = occurrences.clone();
+    first_seen.sort_unstable();
+    first_seen.dedup_by_key(|(v, _)| *v);
     let mut uf = UnionFind::new(n);
-    let mut first_seen: BTreeMap<Var, usize> = BTreeMap::new();
-    for (i, set) in sets.iter().enumerate() {
-        for v in set.iter() {
-            match first_seen.get(&v) {
-                Some(&j) => uf.union(i, j),
-                None => {
-                    first_seen.insert(v, i);
-                }
-            }
+    for &(v, i) in &occurrences {
+        let at = first_seen
+            .binary_search_by_key(&v, |&(w, _)| w)
+            .expect("every occurrence's variable was collected");
+        let j = first_seen[at].1;
+        if j != i {
+            uf.union(i, j);
         }
     }
     uf.groups()
@@ -270,5 +287,18 @@ mod tests {
     fn no_items() {
         let comps = connected_components(&[]);
         assert!(comps.is_empty());
+    }
+
+    #[test]
+    fn components_are_ordered_by_representative() {
+        // The cache layer folds component distributions in this order, so it is
+        // part of the bit-identity contract: union by rank makes the *later* of
+        // two equal-rank sets the representative, so {0, 2} (representative 2)
+        // comes after the singleton {1}.
+        let sets = vec![vs(&[1]), vs(&[2]), vs(&[1, 3]), vs(&[4])];
+        let comps = connected_components(&sets);
+        assert_eq!(comps, vec![vec![1], vec![0, 2], vec![3]]);
+        let borrowed = connected_components_by(sets.len(), |i| &sets[i]);
+        assert_eq!(borrowed, comps);
     }
 }

@@ -309,10 +309,13 @@ impl Interner {
                 }
             }
         }
+        // Every term's variables collected once, then one sort and one dedup:
+        // folding pairwise unions re-sorts the growing set per term.
         let vars = node
             .terms
             .iter()
-            .fold(VarSet::new(), |acc, (c, _)| acc.union(self.var_set(*c)));
+            .flat_map(|(c, _)| self.var_set(*c).iter())
+            .collect();
         let id = AggExprId(self.agg_nodes.len() as u32);
         self.agg_nodes.push(node);
         self.agg_hashes.push(hash);
@@ -389,9 +392,9 @@ impl Interner {
         let vars = match &node {
             InternedExpr::Var(v) => VarSet::singleton(*v),
             InternedExpr::Const(_) => VarSet::new(),
-            InternedExpr::Add(cs) | InternedExpr::Mul(cs) => cs
-                .iter()
-                .fold(VarSet::new(), |acc, c| acc.union(self.var_set(*c))),
+            InternedExpr::Add(cs) | InternedExpr::Mul(cs) => {
+                cs.iter().flat_map(|c| self.var_set(*c).iter()).collect()
+            }
             InternedExpr::CmpSS(_, a, b) => self.var_set(*a).union(self.var_set(*b)),
             InternedExpr::CmpMM(_, a, b) => self.agg_var_set(*a).union(self.agg_var_set(*b)),
         };
@@ -549,5 +552,36 @@ mod tests {
         let alpha = SemimoduleExpr::from_terms(AggOp::Sum, vec![(v(7), Fin(1))]);
         let aid = it.intern_semimodule(&alpha);
         assert_eq!(it.agg_var_set(aid).as_slice(), &[Var(7)]);
+    }
+
+    #[test]
+    fn interning_a_wide_aggregate_is_not_quadratic() {
+        // The var-set of an n-term node is built with one sort, not n unions of a
+        // growing set. Octupling n must cost well under the 64× of a quadratic
+        // construction (n log n predicts ≈ 9×); each side is the best of three.
+        fn best_of_three(n: u32) -> std::time::Duration {
+            let alpha =
+                SemimoduleExpr::from_terms(AggOp::Count, (0..n).map(|i| (v(i), Fin(1))).collect());
+            (0..3)
+                .map(|_| {
+                    let mut it = Interner::new();
+                    let start = std::time::Instant::now();
+                    let id = it.intern_semimodule(&alpha);
+                    let elapsed = start.elapsed();
+                    assert_eq!(it.agg_var_set(id).len(), n as usize);
+                    elapsed
+                })
+                .min()
+                .expect("three runs")
+        }
+        let n = 4_000;
+        let small = best_of_three(n);
+        let large = best_of_three(8 * n);
+        let ratio = large.as_secs_f64() / small.as_secs_f64();
+        assert!(
+            ratio < 24.0,
+            "interning {} terms took {large:?}, {n} terms {small:?}: ratio {ratio:.1}",
+            8 * n
+        );
     }
 }

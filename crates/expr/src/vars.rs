@@ -215,13 +215,30 @@ impl VarSet {
         }
     }
 
-    /// Set union.
+    /// Set union: a linear two-pointer merge of the two sorted vectors.
     pub fn union(&self, other: &VarSet) -> VarSet {
-        let mut out = Vec::with_capacity(self.0.len() + other.0.len());
-        out.extend_from_slice(&self.0);
-        out.extend_from_slice(&other.0);
-        out.sort_unstable();
-        out.dedup();
+        let (a, b) = (&self.0, &other.0);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    out.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
         VarSet(out)
     }
 
@@ -339,6 +356,25 @@ mod tests {
         let c = VarSet::from_iter_of([Var(10)]);
         assert!(a.is_disjoint(&c));
         assert!(VarSet::new().is_disjoint(&a));
+    }
+
+    #[test]
+    fn union_equals_sort_and_dedup_of_both() {
+        let cases: [(&[u32], &[u32]); 6] = [
+            (&[], &[]),
+            (&[], &[4, 9]),
+            (&[1, 3, 5], &[2, 4, 6]),
+            (&[1, 2, 3], &[1, 2, 3]),
+            (&[7, 8], &[1, 8, 20, 21]),
+            (&[0, 5, 6, 30], &[5]),
+        ];
+        for (a, b) in cases {
+            let sa = VarSet::from_iter_of(a.iter().map(|i| Var(*i)));
+            let sb = VarSet::from_iter_of(b.iter().map(|i| Var(*i)));
+            let expected = VarSet::from_iter_of(sa.iter().chain(sb.iter()));
+            assert_eq!(sa.union(&sb), expected, "{a:?} ∪ {b:?}");
+            assert_eq!(sb.union(&sa), expected, "{b:?} ∪ {a:?}");
+        }
     }
 
     #[test]

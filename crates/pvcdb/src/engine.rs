@@ -3017,6 +3017,32 @@ mod tests {
     }
 
     #[test]
+    fn set_probability_on_a_leaf_variable_evicts_its_group_aggregate() {
+        // Every term of these per-supplier SUMs is a single-variable component,
+        // evaluated inline with no cache entry of its own: the delta must still
+        // find the group's aggregate through its var-set.
+        let mut engine = Engine::new(figure1_db());
+        let q = Query::table("PS")
+            .group_agg(["ps_sid"], vec![AggSpec::new(AggOp::Sum, "price", "total")]);
+        let options = EvalOptions::default();
+        engine.prepare(&q).unwrap().execute(&options).unwrap();
+        let stats = engine
+            .apply_delta(Delta::new().set_probability("PS", 0, 0.9))
+            .unwrap();
+        assert!(stats.evicted_artifacts >= 1, "{stats:?}");
+        assert!(stats.kept_artifacts >= 1, "{stats:?}");
+        let warm = engine.prepare(&q).unwrap().execute(&options).unwrap();
+        let cold = Engine::new(engine.database().clone());
+        let reference = cold.prepare(&q).unwrap().execute(&options).unwrap();
+        assert_eq!(warm.tuples.len(), reference.tuples.len());
+        for (a, b) in warm.tuples.iter().zip(&reference.tuples) {
+            assert_eq!(a.values, b.values);
+            assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+            assert_eq!(a.aggregate_distributions, b.aggregate_distributions);
+        }
+    }
+
+    #[test]
     fn engine_stats_consolidates_the_scattered_getters() {
         let mut engine = Engine::new(figure1_db());
         assert_eq!(engine.stats(), EngineStats::default());
