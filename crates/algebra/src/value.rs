@@ -84,6 +84,12 @@ impl SemiringValue {
         matches!(self, SemiringValue::Bool(true) | SemiringValue::Nat(1))
     }
 
+    /// True if this value absorbs addition, `s + a = a` for every `s` of its
+    /// semiring: `⊤` in `B`. `N` has no such element.
+    pub fn absorbs_add(&self) -> bool {
+        matches!(self, SemiringValue::Bool(true))
+    }
+
     /// Semiring addition. Panics if the operands come from different semirings.
     pub fn add(&self, other: &SemiringValue) -> SemiringValue {
         match (self, other) {

@@ -46,7 +46,8 @@ use crate::compile::{BudgetExceeded, CompileOptions, Compiler};
 use crate::node::DTreeError;
 use pvc_algebra::{AggOp, SemiringKind};
 use pvc_expr::independence::connected_components_by;
-use pvc_expr::intern::{AggExprId, ExprId, InternedExpr, Interner};
+use pvc_expr::intern::{AggExprId, ExprId, ImportMemo, InternedExpr, Interner};
+use pvc_expr::vars::sorted_disjoint;
 use pvc_expr::{SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
 use pvc_prob::{convolve_additive_chained, ChainVal, MonoidDist, SemiringDist};
 use std::collections::HashMap;
@@ -719,26 +720,25 @@ impl SharedArtifacts {
         let config = cache.config;
         let mut entries_kept = 0usize;
         // Re-insert oldest-first so the new maps reproduce the recency order —
-        // the same replay discipline the snapshot codec uses.
+        // the same replay discipline the snapshot codec uses. One memo across all
+        // entries: what several of them share is copied once.
+        let mut memo = ImportMemo::default();
         for (key, scope, dist) in cache.semiring.entries_oldest_first() {
-            let expr = interner.resolve(ExprId(key));
-            let id = fresh_interner.intern(&expr);
+            let id = fresh_interner.import(&interner, ExprId(key), &mut memo);
             fresh_cache
                 .semiring
                 .insert(id.0, dist.clone(), dist_bytes(dist), scope, &config);
             entries_kept += 1;
         }
         for (key, scope, dist) in cache.aggregate.entries_oldest_first() {
-            let expr = interner.resolve_semimodule(AggExprId(key));
-            let id = fresh_interner.intern_semimodule(&expr);
+            let id = fresh_interner.import_agg(&interner, AggExprId(key), &mut memo);
             fresh_cache
                 .aggregate
                 .insert(id.0, dist.clone(), dist_bytes(dist), scope, &config);
             entries_kept += 1;
         }
         for (key, scope, arena) in cache.sem_arenas.entries_oldest_first() {
-            let expr = interner.resolve(ExprId(key));
-            let id = fresh_interner.intern(&expr);
+            let id = fresh_interner.import(&interner, ExprId(key), &mut memo);
             fresh_cache.sem_arenas.insert(
                 id.0,
                 Arc::clone(arena),
@@ -749,8 +749,7 @@ impl SharedArtifacts {
             entries_kept += 1;
         }
         for (key, scope, arena) in cache.agg_arenas.entries_oldest_first() {
-            let expr = interner.resolve_semimodule(AggExprId(key));
-            let id = fresh_interner.intern_semimodule(&expr);
+            let id = fresh_interner.import_agg(&interner, AggExprId(key), &mut memo);
             fresh_cache.agg_arenas.insert(
                 id.0,
                 Arc::clone(arena),
@@ -806,7 +805,9 @@ impl SharedArtifacts {
                 .map(|(k, _, _)| k)
                 .collect();
             for k in keys {
-                if !interner.var_set(ExprId(k)).is_disjoint(touched) && cache.semiring.remove(k) {
+                if !sorted_disjoint(interner.var_set(ExprId(k)), touched.as_slice())
+                    && cache.semiring.remove(k)
+                {
                     evicted += 1;
                 }
             }
@@ -817,7 +818,9 @@ impl SharedArtifacts {
                 .map(|(k, _, _)| k)
                 .collect();
             for k in keys {
-                if !interner.var_set(ExprId(k)).is_disjoint(touched) && cache.sem_arenas.remove(k) {
+                if !sorted_disjoint(interner.var_set(ExprId(k)), touched.as_slice())
+                    && cache.sem_arenas.remove(k)
+                {
                     evicted += 1;
                 }
             }
@@ -828,7 +831,7 @@ impl SharedArtifacts {
                 .map(|(k, _, _)| k)
                 .collect();
             for k in keys {
-                if !interner.agg_var_set(AggExprId(k)).is_disjoint(touched)
+                if !sorted_disjoint(interner.agg_var_set(AggExprId(k)), touched.as_slice())
                     && cache.aggregate.remove(k)
                 {
                     evicted += 1;
@@ -841,7 +844,7 @@ impl SharedArtifacts {
                 .map(|(k, _, _)| k)
                 .collect();
             for k in keys {
-                if !interner.agg_var_set(AggExprId(k)).is_disjoint(touched)
+                if !sorted_disjoint(interner.agg_var_set(AggExprId(k)), touched.as_slice())
                     && cache.agg_arenas.remove(k)
                 {
                     evicted += 1;
@@ -982,23 +985,23 @@ impl SharedArtifacts {
             // unlocked.
             let split = {
                 let mut interner = self.interner();
-                match interner.node(id).clone() {
-                    InternedExpr::Add(children) => independent_components(
-                        &mut interner,
-                        &children,
-                        |c| c,
-                        Interner::intern_add,
-                    )
-                    .map(|groups| (true, groups)),
-                    InternedExpr::Mul(children) => independent_components(
-                        &mut interner,
-                        &children,
-                        |c| c,
-                        Interner::intern_mul,
-                    )
-                    .map(|groups| (false, groups)),
+                let sum_or_product = match interner.node(id) {
+                    InternedExpr::Add(children) => Some((true, children.to_vec())),
+                    InternedExpr::Mul(children) => Some((false, children.to_vec())),
                     _ => None,
-                }
+                };
+                sum_or_product.and_then(|(is_add, children)| {
+                    independent_components(
+                        &mut interner,
+                        &children,
+                        |c| c,
+                        |interner, group| match is_add {
+                            true => interner.intern_add(group),
+                            false => interner.intern_mul(group),
+                        },
+                    )
+                    .map(|groups| (is_add, groups))
+                })
             };
             if let Some((is_add, groups)) = split {
                 let mut acc: Option<SemiringDist> = None;
@@ -1019,9 +1022,10 @@ impl SharedArtifacts {
             }
         }
         // No further split: reuse the cached compiled arena if one exists;
-        // otherwise materialise the canonical tree under the interner lock, then
-        // compile and flatten it with no lock held. The lookup result is bound
-        // first so its guard drops before the miss path re-locks the cache.
+        // otherwise copy the expression's DAG into the compiler's own arena under
+        // the interner lock, then compile and flatten it with no lock held. The
+        // lookup result is bound first so its guard drops before the miss path
+        // re-locks the cache.
         let span = crate::obs::span("compile");
         let cached = self.cache().get_semiring_arena(id);
         let arena = match cached {
@@ -1032,9 +1036,9 @@ impl SharedArtifacts {
                 a
             }
             None => {
-                let expr = self.interner().resolve(id);
                 let mut compiler = Compiler::with_options(vars, kind, options.clone());
-                let tree = compiler.compile_semiring(&expr)?;
+                let root = compiler.load_semiring(&self.interner(), id);
+                let tree = compiler.compile_loaded_semiring(root)?;
                 let arena = Arc::new(DTreeArena::from_tree(&tree));
                 self.cache().insert_semiring_arena(id, scope, &arena);
                 if let Some(s) = &span {
@@ -1058,19 +1062,19 @@ impl SharedArtifacts {
     ) -> Result<MonoidDist, EvalError> {
         let split = if options.independence {
             let mut interner = self.interner();
-            let node = interner.agg_node(id).clone();
+            let node = interner.agg_node(id);
+            let (op, terms) = (node.op, node.terms.to_vec());
             independent_components(
                 &mut interner,
-                &node.terms,
+                &terms,
                 |(coeff, _)| coeff,
-                |interner, terms| interner.intern_agg(node.op, terms),
+                |interner, group| interner.intern_agg(op, group),
             )
-            .map(|parts| (node, parts))
+            .map(|parts| (op, terms, parts))
         } else {
             None
         };
-        if let Some((node, parts)) = split {
-            let op = node.op;
+        if let Some((op, terms, parts)) = split {
             return fold_components(
                 op,
                 parts.into_iter().map(|part| match part {
@@ -1078,7 +1082,7 @@ impl SharedArtifacts {
                     // convolution with the point distribution on `m` multiplies
                     // every probability by 1.0 and coalesces in the same order.
                     Component::Leaf { var, index } => {
-                        let m = node.terms[index].1;
+                        let m = terms[index].1;
                         Ok(vars.dist(var).map(|s| op.scalar_action(s, &m)))
                     }
                     Component::Memo(gid) => {
@@ -1097,9 +1101,9 @@ impl SharedArtifacts {
                 a
             }
             None => {
-                let expr = self.interner().resolve_semimodule(id);
                 let mut compiler = Compiler::with_options(vars, kind, options.clone());
-                let tree = compiler.compile_semimodule(&expr)?;
+                let root = compiler.load_semimodule(&self.interner(), id);
+                let tree = compiler.compile_loaded_semimodule(root)?;
                 let arena = Arc::new(DTreeArena::from_tree(&tree));
                 self.cache().insert_aggregate_arena(id, scope, &arena);
                 if let Some(s) = &span {
@@ -1243,7 +1247,7 @@ fn independent_components<T: Copy, I>(
     interner: &mut Interner,
     items: &[T],
     coeff: impl Fn(T) -> ExprId,
-    mut intern_group: impl FnMut(&mut Interner, Vec<T>) -> I,
+    mut intern_group: impl FnMut(&mut Interner, &[T]) -> I,
 ) -> Option<Vec<Component<I>>> {
     let components = connected_components_by(items.len(), |i| interner.var_set(coeff(items[i])));
     if components.len() <= 1 {
@@ -1254,12 +1258,12 @@ fn independent_components<T: Copy, I>(
             .into_iter()
             .map(|idxs| {
                 if let [index] = idxs[..] {
-                    if let InternedExpr::Var(var) = *interner.node(coeff(items[index])) {
+                    if let InternedExpr::Var(var) = interner.node(coeff(items[index])) {
                         return Component::Leaf { var, index };
                     }
                 }
-                let group = idxs.into_iter().map(|i| items[i]).collect();
-                Component::Memo(intern_group(interner, group))
+                let group: Vec<T> = idxs.into_iter().map(|i| items[i]).collect();
+                Component::Memo(intern_group(interner, &group))
             })
             .collect(),
     )
@@ -1490,12 +1494,7 @@ mod tests {
     /// The distribution of `alpha` through plain compilation of its canonical
     /// rendering: compile → flatten → evaluate, no cache, no inline leaves.
     fn compiled(alpha: &SemimoduleExpr, vt: &VarTable, kind: SemiringKind) -> MonoidDist {
-        let mut interner = Interner::new();
-        let id = interner.intern_semimodule(alpha);
-        let canonical = interner.resolve_semimodule(id);
-        let tree = Compiler::new(vt, kind)
-            .compile_semimodule(&canonical)
-            .unwrap();
+        let tree = Compiler::new(vt, kind).compile_semimodule(alpha).unwrap();
         DTreeArena::from_tree(&tree)
             .monoid_distribution(vt, kind)
             .unwrap()

@@ -18,13 +18,26 @@
 //! 6. **Mutually exclusive case split** — otherwise a variable is chosen (the one with
 //!    the most occurrences, as in the paper's implementation) and the expression is
 //!    expanded into a `⊔` node with one branch per support value.
+//!
+//! The compiler's working representation is the hash-consed DAG of
+//! [`pvc_expr::intern`], held in a compile-local [`ResidualArena`]: the expression
+//! is interned (or imported from a shared [`Interner`]) once, every rule reads ids,
+//! precomputed var-sets and per-id occurrence counts instead of walking trees, and
+//! rule 6's residuals `Φ|x←s` cost one memoised substitution per distinct
+//! sub-expression and branch. The arena shrinks each residual by three laws of
+//! `S` and `S ⊗ M` (absorption in `B`, merging of equal coefficients, MIN / MAX
+//! dominance). Only the d-tree that comes out is a tree.
 
 use crate::node::DTree;
-use crate::prune::prune_conditional;
-use pvc_algebra::SemiringKind;
-use pvc_expr::factor::{common_factor_vars_of, divide_by_vars, factor_sum};
-use pvc_expr::independence::components_of_occurrences_with;
-use pvc_expr::{SemimoduleExpr, SemiringExpr, SmTerm, Var, VarSet, VarTable};
+use crate::prune::{verdict, Verdict};
+use pvc_algebra::{AggOp, CmpOp, SemiringKind, SemiringValue};
+use pvc_expr::factor::{common_factor_vars, divide_by_vars};
+use pvc_expr::independence::ComponentLabels;
+use pvc_expr::vars::sorted_disjoint;
+use pvc_expr::{
+    AggExprId, AggTerm, ExprId, InternedExpr, Interner, ResidualArena, SemimoduleExpr,
+    SemiringExpr, Var, VarSet, VarTable,
+};
 
 /// Options controlling which decomposition rules the compiler may use.
 ///
@@ -110,6 +123,16 @@ pub struct CompileStats {
     pub exclusive_expansions: usize,
     /// Conditional expressions decided entirely by pruning.
     pub pruned_conditionals: usize,
+    /// Sums folded to `⊤` because a summand was `⊤` (Boolean semiring only).
+    pub absorbed_sums: usize,
+    /// Semimodule terms merged into a term with the same coefficient
+    /// (`Φ⊗a +op Φ⊗b = Φ⊗(a +op b)`).
+    pub merged_terms: usize,
+    /// MIN / MAX terms dropped next to a constant term that dominates them.
+    pub dominated_terms: usize,
+    /// Distinct sub-expressions rebuilt by the substitutions of `⊔` expansions
+    /// (those mentioning the substituted variable, once per branch).
+    pub rebuilt_nodes: usize,
 }
 
 /// Error raised when the node budget of [`CompileOptions`] is exceeded.
@@ -138,18 +161,23 @@ pub struct Compiler<'a> {
     options: CompileOptions,
     stats: CompileStats,
     nodes_produced: usize,
-    /// Scratch for occurrence collection during `⊔`-variable choice (reused across
-    /// the tens of thousands of Shannon expansions a hard compilation performs).
-    occ_buf: Vec<Var>,
-    /// Per-variable occurrence counters, indexed by `Var` id. Starts empty and
-    /// grows to the largest id a choice touches (never to the table's size: most
-    /// compilations see a handful of variables of a table of thousands); entries
-    /// touched by a choice are reset afterwards.
+    /// The expression being compiled and every residual derived from it; emptied,
+    /// not freed, between compilations.
+    work: ResidualArena,
+    /// Scratch of the independence splits, reused across the thousands a hard
+    /// compilation performs.
+    components: ComponentLabels,
+    /// Per-variable occurrence counters of the `⊔`-variable choice, indexed by
+    /// `Var` id. Starts empty and grows to the largest id a choice touches (never
+    /// to the table's size: most compilations see a handful of variables of a
+    /// table of thousands); entries touched by a choice are reset afterwards.
     occ_counts: Vec<u32>,
-    /// First-seen table for independence splitting
-    /// ([`components_of_occurrences_with`]), likewise grown on demand and reset
-    /// per use.
-    first_seen: Vec<usize>,
+    touched: Vec<Var>,
+    /// Emptied term, child and boundary lists waiting for their next use: every
+    /// recursion level needs a few and none needs them for long.
+    term_bufs: Vec<Vec<AggTerm>>,
+    id_bufs: Vec<Vec<ExprId>>,
+    end_bufs: Vec<Vec<usize>>,
 }
 
 impl<'a> Compiler<'a> {
@@ -166,9 +194,13 @@ impl<'a> Compiler<'a> {
             options,
             stats: CompileStats::default(),
             nodes_produced: 0,
-            occ_buf: Vec::new(),
+            work: ResidualArena::new(kind),
+            components: ComponentLabels::default(),
             occ_counts: Vec::new(),
-            first_seen: Vec::new(),
+            touched: Vec::new(),
+            term_bufs: Vec::new(),
+            id_bufs: Vec::new(),
+            end_bufs: Vec::new(),
         }
     }
 
@@ -177,10 +209,11 @@ impl<'a> Compiler<'a> {
         &self.stats
     }
 
-    /// Lengths of the id-indexed scratch tables `(occ_counts, first_seen)`.
+    /// Lengths of the variable-indexed scratch tables (occurrence counters,
+    /// first-seen table of the independence splits).
     #[cfg(test)]
     fn scratch_lens(&self) -> (usize, usize) {
-        (self.occ_counts.len(), self.first_seen.len())
+        (self.occ_counts.len(), self.components.var_table_len())
     }
 
     fn charge(&mut self, nodes: usize) -> Result<(), BudgetExceeded> {
@@ -195,347 +228,494 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    /// Compile a semiring expression into a d-tree.
+    /// Compile a semiring expression into a d-tree. Expressions that differ only
+    /// in the order of `+` / `·` operands or of semimodule terms compile to the
+    /// same tree.
     pub fn compile_semiring(&mut self, expr: &SemiringExpr) -> Result<DTree, BudgetExceeded> {
-        let expr = expr.simplify(self.kind);
-        self.compile_semiring_inner(&expr)
+        self.work.reset();
+        let root = self.work.arena_mut().intern(expr);
+        self.compile_loaded_semiring(root)
     }
 
     /// Compile a semimodule expression into a d-tree.
     pub fn compile_semimodule(&mut self, expr: &SemimoduleExpr) -> Result<DTree, BudgetExceeded> {
-        let expr = expr.simplify(self.kind);
-        self.compile_semimodule_inner(&expr)
+        self.work.reset();
+        let root = self.work.arena_mut().intern_semimodule(expr);
+        self.compile_loaded_semimodule(root)
     }
 
     /// Compile an interned semiring expression (see [`pvc_expr::intern`]) into a
-    /// d-tree. The id is resolved to its canonical rendering first, so compiling
-    /// either of two commutatively-reordered expressions produces the same tree.
+    /// d-tree. Its DAG is copied into the compiler's own arena first; `interner`
+    /// is not read after that.
     pub fn compile_semiring_id(
         &mut self,
-        interner: &pvc_expr::Interner,
-        id: pvc_expr::ExprId,
+        interner: &Interner,
+        id: ExprId,
     ) -> Result<DTree, BudgetExceeded> {
-        self.compile_semiring(&interner.resolve(id))
+        let root = self.load_semiring(interner, id);
+        self.compile_loaded_semiring(root)
     }
 
     /// Compile an interned semimodule expression into a d-tree.
     pub fn compile_semimodule_id(
         &mut self,
-        interner: &pvc_expr::Interner,
-        id: pvc_expr::AggExprId,
+        interner: &Interner,
+        id: AggExprId,
     ) -> Result<DTree, BudgetExceeded> {
-        self.compile_semimodule(&interner.resolve_semimodule(id))
+        let root = self.load_semimodule(interner, id);
+        self.compile_loaded_semimodule(root)
     }
 
-    fn compile_semiring_inner(&mut self, expr: &SemiringExpr) -> Result<DTree, BudgetExceeded> {
+    /// The half of [`compile_semiring_id`](Self::compile_semiring_id) that reads
+    /// `interner`, for callers that hold it under a lock.
+    pub(crate) fn load_semiring(&mut self, interner: &Interner, id: ExprId) -> ExprId {
+        self.work.reset();
+        self.work.import(interner, id)
+    }
+
+    /// The half of [`compile_semimodule_id`](Self::compile_semimodule_id) that
+    /// reads `interner`.
+    pub(crate) fn load_semimodule(&mut self, interner: &Interner, id: AggExprId) -> AggExprId {
+        self.work.reset();
+        self.work.import_agg(interner, id)
+    }
+
+    /// Compile what [`load_semiring`](Self::load_semiring) returned.
+    pub(crate) fn compile_loaded_semiring(
+        &mut self,
+        root: ExprId,
+    ) -> Result<DTree, BudgetExceeded> {
+        let root = self.work.simplify(root);
+        let tree = self.compile_semiring_inner(root);
+        self.record_residual_counts();
+        tree
+    }
+
+    /// Compile what [`load_semimodule`](Self::load_semimodule) returned.
+    pub(crate) fn compile_loaded_semimodule(
+        &mut self,
+        root: AggExprId,
+    ) -> Result<DTree, BudgetExceeded> {
+        let root = self.work.simplify_agg(root);
+        let tree = self.compile_agg(root);
+        self.record_residual_counts();
+        tree
+    }
+
+    fn record_residual_counts(&mut self) {
+        let counts = self.work.counts();
+        self.stats.absorbed_sums = counts.absorbed_sums;
+        self.stats.merged_terms = counts.merged_terms;
+        self.stats.dominated_terms = counts.dominated_terms;
+        self.stats.rebuilt_nodes = counts.rebuilt_nodes;
+    }
+
+    fn compile_semiring_inner(&mut self, id: ExprId) -> Result<DTree, BudgetExceeded> {
         self.charge(1)?;
-        match expr {
-            SemiringExpr::Const(c) => Ok(DTree::SConst(*c)),
-            SemiringExpr::Var(v) => Ok(DTree::VarLeaf(*v)),
-            SemiringExpr::Add(children) => self.compile_sum(children),
-            SemiringExpr::Mul(children) => self.compile_product(children),
-            SemiringExpr::CmpSS(theta, lhs, rhs) => {
-                if self.options.independence && lhs.vars().is_disjoint(&rhs.vars()) {
+        let arena = self.work.arena();
+        match arena.node(id) {
+            InternedExpr::Const(c) => Ok(DTree::SConst(c)),
+            InternedExpr::Var(v) => Ok(DTree::VarLeaf(v)),
+            InternedExpr::Add(children) => {
+                let list = filled(&mut self.id_bufs, children);
+                let tree = self.compile_sum(&list)?;
+                recycle(&mut self.id_bufs, list);
+                Ok(tree)
+            }
+            InternedExpr::Mul(children) => {
+                let list = filled(&mut self.id_bufs, children);
+                let tree = self.compile_product(&list)?;
+                recycle(&mut self.id_bufs, list);
+                Ok(tree)
+            }
+            InternedExpr::CmpSS(theta, lhs, rhs) => {
+                if self.options.independence
+                    && sorted_disjoint(arena.var_set(lhs), arena.var_set(rhs))
+                {
                     self.stats.comparison_splits += 1;
                     let l = self.compile_semiring_inner(lhs)?;
                     let r = self.compile_semiring_inner(rhs)?;
-                    Ok(DTree::Cmp(*theta, Box::new(l), Box::new(r)))
+                    Ok(DTree::Cmp(theta, Box::new(l), Box::new(r)))
                 } else {
-                    self.shannon_semiring(expr)
+                    self.shannon_semiring(id)
                 }
             }
-            SemiringExpr::CmpMM(..) => {
+            InternedExpr::CmpMM(theta, lhs, rhs) => {
                 let pruned = if self.options.pruning {
-                    let p = prune_conditional(expr, self.kind);
-                    if p.as_const().is_some() {
-                        self.stats.pruned_conditionals += 1;
-                    }
-                    p
+                    self.prune_conditional(id, theta, lhs, rhs)
                 } else {
-                    expr.clone()
+                    id
                 };
-                match &pruned {
-                    SemiringExpr::Const(c) => Ok(DTree::SConst(*c)),
-                    SemiringExpr::CmpMM(theta, lhs, rhs) => {
-                        if self.options.independence && lhs.vars().is_disjoint(&rhs.vars()) {
+                let arena = self.work.arena();
+                match arena.node(pruned) {
+                    InternedExpr::Const(c) => {
+                        self.stats.pruned_conditionals += 1;
+                        Ok(DTree::SConst(c))
+                    }
+                    InternedExpr::CmpMM(theta, lhs, rhs) => {
+                        if self.options.independence
+                            && sorted_disjoint(arena.agg_var_set(lhs), arena.agg_var_set(rhs))
+                        {
                             self.stats.comparison_splits += 1;
-                            let l = self.compile_semimodule_inner(&lhs.simplify(self.kind))?;
-                            let r = self.compile_semimodule_inner(&rhs.simplify(self.kind))?;
-                            Ok(DTree::Cmp(*theta, Box::new(l), Box::new(r)))
+                            let l = self.compile_agg(lhs)?;
+                            let r = self.compile_agg(rhs)?;
+                            Ok(DTree::Cmp(theta, Box::new(l), Box::new(r)))
                         } else {
-                            self.shannon_semiring(&pruned)
+                            self.shannon_semiring(pruned)
                         }
                     }
-                    other => self.compile_semiring_inner(other),
+                    _ => unreachable!("pruning a conditional leaves a conditional or a constant"),
                 }
             }
         }
     }
 
+    /// Prune the conditional `id = [lhs θ rhs]` if one side is a constant (§5,
+    /// the rules of [`verdict`]): `1_S` / `0_S` if that decides it, otherwise the
+    /// conditional over the terms that can still decide it, constant on the
+    /// right. Conditionals without a constant side are left untouched.
+    fn prune_conditional(
+        &mut self,
+        id: ExprId,
+        theta: CmpOp,
+        lhs: AggExprId,
+        rhs: AggExprId,
+    ) -> ExprId {
+        let (alpha, theta, bound) = if let Some(m) = self.work.agg_const(rhs) {
+            (lhs, theta, m)
+        } else if let Some(m) = self.work.agg_const(lhs) {
+            (rhs, theta.flip(), m)
+        } else {
+            return id;
+        };
+        let arena = self.work.arena();
+        let node = arena.agg_node(alpha);
+        let op = node.op;
+        let view = |&(coeff, value): &AggTerm| {
+            let guaranteed = arena.as_const(coeff).is_some_and(|c| !c.is_zero());
+            (guaranteed, value)
+        };
+        let kept = match verdict(op, theta, bound, node.terms, view) {
+            Verdict::AlwaysTrue => return self.constant(self.kind.one()),
+            Verdict::AlwaysFalse => return self.constant(self.kind.zero()),
+            Verdict::KeepAll => alpha,
+            Verdict::Keep(keep) => {
+                let mut terms = self.term_bufs.pop().unwrap_or_default();
+                terms.extend(node.terms.iter().filter(|(_, v)| keep.eval(v, &bound)));
+                let kept = self.work.arena_mut().intern_agg(op, &terms);
+                recycle(&mut self.term_bufs, terms);
+                kept
+            }
+        };
+        let one = self.constant(self.kind.one());
+        let arena = self.work.arena_mut();
+        let bound = arena.intern_agg(op, &[(one, bound)]);
+        arena.intern_node(InternedExpr::CmpMM(theta, kept, bound))
+    }
+
+    fn constant(&mut self, value: SemiringValue) -> ExprId {
+        self.work
+            .arena_mut()
+            .intern_node(InternedExpr::Const(value))
+    }
+
     /// Rule 2 + rule 3 on an n-ary semiring sum.
-    fn compile_sum(&mut self, children: &[SemiringExpr]) -> Result<DTree, BudgetExceeded> {
+    fn compile_sum(&mut self, children: &[ExprId]) -> Result<DTree, BudgetExceeded> {
         if children.is_empty() {
             return Ok(DTree::SConst(self.kind.zero()));
         }
-        if children.len() == 1 {
-            return self.compile_semiring_inner(&children[0]);
+        if let [only] = children {
+            return self.compile_semiring_inner(*only);
         }
         if self.options.independence {
-            // Components are computed over borrowed variable occurrences; children
-            // are only cloned when an actual split happens (the common no-split case
-            // used to deep-clone the whole child list every recursion level).
-            let components =
-                self.split_components(children.len(), |i, buf| children[i].collect_vars(buf));
-            if components.len() > 1 {
-                self.stats.independent_sums += components.len() - 1;
-                let mut trees = Vec::with_capacity(components.len());
-                for comp in &components {
-                    let group: Vec<SemiringExpr> =
-                        comp.iter().map(|&i| children[i].clone()).collect();
-                    trees.push(self.compile_sum(&group)?);
-                }
-                return Ok(fold_binary(trees, |a, b| {
-                    DTree::SumS(Box::new(a), Box::new(b))
-                }));
+            let split = self.compile_components(
+                children,
+                |c| *c,
+                |compiler| &mut compiler.id_bufs,
+                Self::compile_sum,
+                |a, b| DTree::SumS(Box::new(a), Box::new(b)),
+            )?;
+            if let Some((groups, tree)) = split {
+                self.stats.independent_sums += groups - 1;
+                return Ok(tree);
             }
         }
         if self.options.factoring {
-            if let Some((common, quotients)) = factor_sum(children) {
-                let quotient_children: Vec<SemiringExpr> = quotients
-                    .into_iter()
-                    .map(|q| q.unwrap_or_else(|| SemiringExpr::one(self.kind)))
-                    .collect();
+            let common = common_factor_vars(self.work.arena(), children.iter().copied());
+            if !common.is_empty() {
+                let mut quotients = self.id_bufs.pop().unwrap_or_default();
+                for &child in children {
+                    let quotient = divide_by_vars(self.work.arena_mut(), child, &common);
+                    quotients.push(quotient.unwrap_or_else(|| self.constant(self.kind.one())));
+                }
                 // The ⊙ node requires independent children: factoring is only sound
                 // when the quotients no longer mention the extracted variables (they
                 // still would if a variable occurred twice within one summand).
-                let disjoint = quotient_children
+                let arena = self.work.arena();
+                let disjoint = quotients
                     .iter()
-                    .all(|q| q.vars().is_disjoint(&common));
+                    .all(|q| sorted_disjoint(arena.var_set(*q), common.as_slice()));
+                let quotient = self.work.arena_mut().intern_add(&quotients);
+                recycle(&mut self.id_bufs, quotients);
                 if disjoint {
                     self.stats.factorings += 1;
-                    let factor_tree = self.compile_var_product(&common)?;
-                    let quotient_tree = self.compile_sum(&quotient_children)?;
                     self.stats.independent_products += 1;
+                    // Folding the quotient sum lets a unit quotient absorb it in
+                    // `B`: x + x·y = x·(1 + y) = x.
+                    let quotient = self.work.simplify(quotient);
+                    let factor_tree = self.compile_var_product(&common)?;
+                    let quotient_tree = self.compile_semiring_inner(quotient)?;
                     return Ok(DTree::Prod(Box::new(factor_tree), Box::new(quotient_tree)));
                 }
             }
         }
-        self.shannon_semiring(&SemiringExpr::Add(children.to_vec()))
+        let sum = self.work.arena_mut().intern_add(children);
+        self.shannon_semiring(sum)
     }
 
     /// Independent-product split on an n-ary semiring product.
-    fn compile_product(&mut self, children: &[SemiringExpr]) -> Result<DTree, BudgetExceeded> {
+    fn compile_product(&mut self, children: &[ExprId]) -> Result<DTree, BudgetExceeded> {
         if children.is_empty() {
             return Ok(DTree::SConst(self.kind.one()));
         }
-        if children.len() == 1 {
-            return self.compile_semiring_inner(&children[0]);
+        if let [only] = children {
+            return self.compile_semiring_inner(*only);
         }
         if self.options.independence {
-            let components =
-                self.split_components(children.len(), |i, buf| children[i].collect_vars(buf));
-            if components.len() > 1 {
-                self.stats.independent_products += components.len() - 1;
-                let mut trees = Vec::with_capacity(components.len());
-                for comp in &components {
-                    let group: Vec<SemiringExpr> =
-                        comp.iter().map(|&i| children[i].clone()).collect();
-                    trees.push(self.compile_product(&group)?);
-                }
-                return Ok(fold_binary(trees, |a, b| {
-                    DTree::Prod(Box::new(a), Box::new(b))
-                }));
+            let split = self.compile_components(
+                children,
+                |c| *c,
+                |compiler| &mut compiler.id_bufs,
+                Self::compile_product,
+                |a, b| DTree::Prod(Box::new(a), Box::new(b)),
+            )?;
+            if let Some((groups, tree)) = split {
+                self.stats.independent_products += groups - 1;
+                return Ok(tree);
             }
         }
-        self.shannon_semiring(&SemiringExpr::Mul(children.to_vec()))
+        let product = self.work.arena_mut().intern_mul(children);
+        self.shannon_semiring(product)
     }
 
     /// Compile a product of distinct variables (the common factor pulled out of a
     /// sum). Distinct variables are pairwise independent by definition.
     fn compile_var_product(&mut self, vars: &VarSet) -> Result<DTree, BudgetExceeded> {
-        let trees: Vec<DTree> = vars.iter().map(DTree::VarLeaf).collect();
-        self.charge(trees.len())?;
-        if trees.is_empty() {
-            return Ok(DTree::SConst(self.kind.one()));
-        }
-        if trees.len() > 1 {
-            self.stats.independent_products += trees.len() - 1;
-        }
-        Ok(fold_binary(trees, |a, b| {
-            DTree::Prod(Box::new(a), Box::new(b))
-        }))
+        self.charge(vars.len())?;
+        self.stats.independent_products += vars.len().saturating_sub(1);
+        Ok(vars
+            .iter()
+            .map(DTree::VarLeaf)
+            .reduce(|a, b| DTree::Prod(Box::new(a), Box::new(b)))
+            .unwrap_or(DTree::SConst(self.kind.one())))
     }
 
-    fn compile_semimodule_inner(&mut self, expr: &SemimoduleExpr) -> Result<DTree, BudgetExceeded> {
+    fn compile_agg(&mut self, id: AggExprId) -> Result<DTree, BudgetExceeded> {
+        let node = self.work.arena().agg_node(id);
+        let terms = filled(&mut self.term_bufs, node.terms);
+        let tree = self.compile_terms(node.op, &terms)?;
+        recycle(&mut self.term_bufs, terms);
+        Ok(tree)
+    }
+
+    /// Compile the semimodule expression `Σ_op terms`. The list is normalised
+    /// ([`ResidualArena::normalize_terms`]): at most one term has a constant
+    /// coefficient, and no two terms share one.
+    fn compile_terms(&mut self, op: AggOp, terms: &[AggTerm]) -> Result<DTree, BudgetExceeded> {
         self.charge(1)?;
         // Rule 1: ground expressions fold to a monoid constant.
-        if let Some(c) = expr.as_const() {
+        let arena = self.work.arena();
+        let ground = terms.iter().try_fold(op.identity(), |acc, (coeff, value)| {
+            let c = arena.as_const(*coeff)?;
+            Some(op.combine(&acc, &op.scalar_action(&c, value)))
+        });
+        if let Some(c) = ground {
             return Ok(DTree::MConst(c));
         }
-        let op = expr.op;
         // Rule 2: split the +op sum by independence of the terms' coefficients.
-        // Variable sets are computed over borrowed terms; the term list is only
-        // cloned (piecewise) when a split actually happens.
-        if self.options.independence && expr.terms.len() > 1 {
-            let components = self.split_components(expr.terms.len(), |i, buf| {
-                expr.terms[i].coeff.collect_vars(buf)
-            });
-            if components.len() > 1 {
-                self.stats.independent_sums += components.len() - 1;
-                let mut trees = Vec::with_capacity(components.len());
-                for comp in &components {
-                    let sub = SemimoduleExpr {
-                        op,
-                        terms: comp.iter().map(|&i| expr.terms[i].clone()).collect(),
-                    };
-                    trees.push(self.compile_semimodule_inner(&sub)?);
-                }
-                return Ok(fold_binary(trees, |a, b| {
-                    DTree::SumM(op, Box::new(a), Box::new(b))
-                }));
+        if self.options.independence && terms.len() > 1 {
+            let split = self.compile_components(
+                terms,
+                |t| t.0,
+                |compiler| &mut compiler.term_bufs,
+                |compiler, group| compiler.compile_terms(op, group),
+                |a, b| DTree::SumM(op, Box::new(a), Box::new(b)),
+            )?;
+            if let Some((groups, tree)) = split {
+                self.stats.independent_sums += groups - 1;
+                return Ok(tree);
             }
         }
         // Single term Φ ⊗ m: rule 4 (the coefficient and the constant are trivially
-        // independent).
-        if expr.terms.len() == 1 {
-            let SmTerm { coeff, value } = &expr.terms[0];
-            match coeff.as_const() {
-                Some(c) => return Ok(DTree::MConst(op.scalar_action(&c, value))),
-                None => {
-                    self.stats.tensor_splits += 1;
-                    let scalar = self.compile_semiring_inner(coeff)?;
-                    self.charge(1)?;
-                    return Ok(DTree::Tensor(
-                        op,
-                        Box::new(scalar),
-                        Box::new(DTree::MConst(*value)),
-                    ));
-                }
-            }
+        // independent; a constant coefficient was rule 1's).
+        if let [(coeff, value)] = terms {
+            self.stats.tensor_splits += 1;
+            let scalar = self.compile_semiring_inner(*coeff)?;
+            self.charge(1)?;
+            return Ok(DTree::Tensor(
+                op,
+                Box::new(scalar),
+                Box::new(DTree::MConst(*value)),
+            ));
         }
         // Rule 3/4 combined: pull a semiring factor common to every term out of the
         // sum, producing Φ ⊗ (Σ quotients).
         if self.options.factoring {
-            let common = common_factor_vars_of(expr.terms.iter().map(|t| &t.coeff));
+            let common = common_factor_vars(self.work.arena(), terms.iter().map(|t| t.0));
             if !common.is_empty() {
-                let quotient = SemimoduleExpr {
-                    op,
-                    terms: expr
-                        .terms
-                        .iter()
-                        .map(|t| SmTerm {
-                            coeff: divide_by_vars(&t.coeff, &common)
-                                .unwrap_or_else(|| SemiringExpr::one(self.kind)),
-                            value: t.value,
-                        })
-                        .collect(),
-                };
+                let mut quotient = self.term_bufs.pop().unwrap_or_default();
+                for &(coeff, value) in terms {
+                    let q = divide_by_vars(self.work.arena_mut(), coeff, &common);
+                    quotient.push((q.unwrap_or_else(|| self.constant(self.kind.one())), value));
+                }
                 // As for sums, the ⊗ node requires the scalar and the residual
                 // semimodule expression to be variable-disjoint.
-                if quotient.vars().is_disjoint(&common) {
+                let arena = self.work.arena();
+                let disjoint = quotient
+                    .iter()
+                    .all(|(q, _)| sorted_disjoint(arena.var_set(*q), common.as_slice()));
+                if disjoint {
                     self.stats.factorings += 1;
                     self.stats.tensor_splits += 1;
+                    // A coefficient that was the common factor itself is the
+                    // constant 1_S now.
+                    self.work.normalize_terms(op, &mut quotient, 0);
                     let scalar_tree = self.compile_var_product(&common)?;
-                    let value_tree = self.compile_semimodule_inner(&quotient)?;
+                    let value_tree = self.compile_terms(op, &quotient)?;
+                    recycle(&mut self.term_bufs, quotient);
                     return Ok(DTree::Tensor(
                         op,
                         Box::new(scalar_tree),
                         Box::new(value_tree),
                     ));
                 }
+                recycle(&mut self.term_bufs, quotient);
             }
         }
         // Rule 6: mutually exclusive case split on the most frequent variable.
-        self.shannon_semimodule(expr)
+        self.shannon_terms(op, terms)
     }
 
-    /// Partition `n` items into independence components of the variable
-    /// co-occurrence graph. `collect(i, buf)` pushes item `i`'s variable
-    /// occurrences; the shared scratch buffer avoids building a sorted `VarSet`
-    /// per item per recursion level (rule 2's former dominant cost).
-    fn split_components(
+    /// Split `items` — `coeff` naming the expression an item's variables come
+    /// from, `pool` the buffer pool for lists of such items — into independence
+    /// components of the variable co-occurrence graph (components by smallest
+    /// member, members in order), compile each with `compile` and combine the
+    /// trees into a left-deep chain. Returns the number of components with the
+    /// chain, or `None` if everything is one component.
+    fn compile_components<T: Copy>(
         &mut self,
-        n: usize,
-        mut collect: impl FnMut(usize, &mut Vec<Var>),
-    ) -> Vec<Vec<usize>> {
-        let mut buf = std::mem::take(&mut self.occ_buf);
-        buf.clear();
-        let mut spans = Vec::with_capacity(n);
-        for i in 0..n {
-            let start = buf.len();
-            collect(i, &mut buf);
-            spans.push((start, buf.len()));
+        items: &[T],
+        coeff: impl Fn(&T) -> ExprId,
+        pool: fn(&mut Self) -> &mut Vec<Vec<T>>,
+        mut compile: impl FnMut(&mut Self, &[T]) -> Result<DTree, BudgetExceeded>,
+        combine: impl Fn(DTree, DTree) -> DTree,
+    ) -> Result<Option<(usize, DTree)>, BudgetExceeded> {
+        // Taken first: `pool` wants all of `self`, the labels borrow a part of it.
+        let mut groups = pool(self).pop().unwrap_or_default();
+        let arena = self.work.arena();
+        let (count, labels) = self
+            .components
+            .label(items.len(), |i| arena.var_set(coeff(&items[i])));
+        if count <= 1 {
+            pool(self).push(groups);
+            return Ok(None);
         }
-        let components = components_of_occurrences_with(&spans, &buf, &mut self.first_seen);
-        self.occ_buf = buf;
-        components
+        // A counting sort by label: every group's size, then its start, which
+        // moves to its end as the group fills.
+        let mut ends = self.end_bufs.pop().unwrap_or_default();
+        ends.resize(count, 0);
+        for &label in labels {
+            ends[label as usize] += 1;
+        }
+        let mut start = 0;
+        for end in ends.iter_mut() {
+            start += std::mem::replace(end, start);
+        }
+        groups.resize(items.len(), items[0]);
+        for (item, &label) in items.iter().zip(labels) {
+            let at = &mut ends[label as usize];
+            groups[*at] = *item;
+            *at += 1;
+        }
+        let mut chain: Option<DTree> = None;
+        let mut start = 0;
+        for &end in &ends {
+            let tree = compile(self, &groups[start..end])?;
+            chain = Some(match chain {
+                None => tree,
+                Some(acc) => combine(acc, tree),
+            });
+            start = end;
+        }
+        recycle(pool(self), groups);
+        recycle(&mut self.end_bufs, ends);
+        Ok(chain.map(|tree| (count, tree)))
     }
 
-    /// Choose the variable with the most occurrences (ties broken by smallest id,
-    /// for determinism) — the heuristic used in the paper's implementation.
+    /// Choose the variable with the most occurrences in the given expressions
+    /// (ties broken by smallest id, for determinism) — the heuristic used in the
+    /// paper's implementation.
     ///
-    /// Occurrences are tallied in a reusable id-indexed counter vector instead of a
-    /// fresh `BTreeMap` per expansion; only the touched entries are reset.
-    fn choose_split_var(&mut self, collect: impl FnOnce(&mut Vec<Var>)) -> Var {
-        self.occ_buf.clear();
-        collect(&mut self.occ_buf);
-        for v in &self.occ_buf {
-            let slot = v.0 as usize;
-            // The hit path is the one bounds check plain indexing would make.
-            match self.occ_counts.get_mut(slot) {
-                Some(n) => *n += 1,
-                None => {
+    /// Each expression's occurrences come from the arena's per-id memo; they are
+    /// tallied in a reusable id-indexed counter vector of which only the touched
+    /// entries are reset.
+    fn choose_split_var(&mut self, exprs: impl Iterator<Item = ExprId>) -> Var {
+        self.touched.clear();
+        for id in exprs {
+            for &(v, n) in self.work.occurrences(id) {
+                let slot = v.0 as usize;
+                if slot >= self.occ_counts.len() {
                     self.occ_counts.resize(slot + 1, 0);
-                    self.occ_counts[slot] = 1;
                 }
+                if self.occ_counts[slot] == 0 {
+                    self.touched.push(v);
+                }
+                self.occ_counts[slot] += n;
             }
         }
-        let mut best: Option<(u32, Var)> = None;
-        for &v in &self.occ_buf {
-            let n = self.occ_counts[v.0 as usize];
-            best = Some(match best {
-                None => (n, v),
-                Some((bn, bv)) if n > bn || (n == bn && v < bv) => (n, v),
-                Some(b) => b,
-            });
-        }
-        for v in &self.occ_buf {
+        let counts = &self.occ_counts;
+        let best = self
+            .touched
+            .iter()
+            .copied()
+            .max_by_key(|v| (counts[v.0 as usize], std::cmp::Reverse(*v)))
+            .expect("expression with no variables reached Shannon expansion");
+        for v in &self.touched {
             self.occ_counts[v.0 as usize] = 0;
         }
-        best.map(|(_, v)| v)
-            .expect("expression with no variables reached Shannon expansion")
+        best
     }
 
-    fn shannon_semiring(&mut self, expr: &SemiringExpr) -> Result<DTree, BudgetExceeded> {
-        let var = self.choose_split_var(|buf| expr.collect_vars(buf));
+    fn shannon_semiring(&mut self, id: ExprId) -> Result<DTree, BudgetExceeded> {
+        let var = self.choose_split_var(std::iter::once(id));
         self.stats.exclusive_expansions += 1;
-        let kind = self.kind;
         let table = self.table;
         let dist = table.dist(var);
         let mut branches = Vec::with_capacity(dist.support_size());
         for (value, _) in dist.iter() {
-            let child_expr = expr.substitute_simplify(var, *value, kind);
-            let child = self.compile_semiring_inner(&child_expr)?;
-            branches.push((*value, child));
+            self.work.begin_branch(var, *value);
+            let residual = self.work.substitute(id);
+            branches.push((*value, self.compile_semiring_inner(residual)?));
         }
         self.charge(1)?;
         Ok(DTree::Exclusive(var, branches))
     }
 
-    fn shannon_semimodule(&mut self, expr: &SemimoduleExpr) -> Result<DTree, BudgetExceeded> {
-        let var = self.choose_split_var(|buf| {
-            for t in &expr.terms {
-                t.coeff.collect_vars(buf);
-            }
-        });
+    fn shannon_terms(&mut self, op: AggOp, terms: &[AggTerm]) -> Result<DTree, BudgetExceeded> {
+        let var = self.choose_split_var(terms.iter().map(|t| t.0));
         self.stats.exclusive_expansions += 1;
-        let kind = self.kind;
         let table = self.table;
         let dist = table.dist(var);
         let mut branches = Vec::with_capacity(dist.support_size());
         for (value, _) in dist.iter() {
-            let child_expr = expr.substitute_simplify(var, *value, kind);
-            let child = self.compile_semimodule_inner(&child_expr)?;
+            self.work.begin_branch(var, *value);
+            let mut residual = self.term_bufs.pop().unwrap_or_default();
+            for &(coeff, m) in terms {
+                residual.push((self.work.substitute(coeff), m));
+            }
+            self.work.normalize_terms(op, &mut residual, 0);
+            let child = self.compile_terms(op, &residual)?;
+            recycle(&mut self.term_bufs, residual);
             branches.push((*value, child));
         }
         self.charge(1)?;
@@ -543,14 +723,17 @@ impl<'a> Compiler<'a> {
     }
 }
 
-/// Fold a non-empty list of trees into a left-deep binary tree.
-fn fold_binary(mut trees: Vec<DTree>, combine: impl Fn(DTree, DTree) -> DTree) -> DTree {
-    debug_assert!(!trees.is_empty());
-    let mut acc = trees.remove(0);
-    for t in trees {
-        acc = combine(acc, t);
-    }
-    acc
+/// A list from the pool (or a new one) holding a copy of `items`.
+fn filled<T: Copy>(pool: &mut Vec<Vec<T>>, items: &[T]) -> Vec<T> {
+    let mut list = pool.pop().unwrap_or_default();
+    list.extend_from_slice(items);
+    list
+}
+
+/// Empty `list` and put it back for the next taker.
+fn recycle<T>(pool: &mut Vec<Vec<T>>, mut list: Vec<T>) {
+    list.clear();
+    pool.push(list);
 }
 
 /// Compile a semiring expression and return its d-tree (default options).
@@ -821,6 +1004,268 @@ mod tests {
         assert!((1..=10).contains(&first_seen), "{first_seen}");
         let dist = tree.semiring_distribution(&vt, SemiringKind::Bool).unwrap();
         assert!((dist.total_mass() - 1.0).abs() < 1e-12);
+    }
+
+    /// Compile `alpha`, check its distribution against enumeration, and return the
+    /// statistics of the compilation.
+    fn checked(alpha: &SemimoduleExpr, vt: &VarTable, kind: SemiringKind) -> (DTree, CompileStats) {
+        let mut compiler = Compiler::new(vt, kind);
+        let tree = compiler.compile_semimodule(alpha).unwrap();
+        let dist = tree.monoid_distribution(vt, kind).unwrap();
+        let expected = oracle::semimodule_dist_by_enumeration(alpha, vt, kind);
+        assert!(
+            dist.approx_eq(&expected, 1e-9),
+            "{alpha}: {dist:?} vs {expected:?}"
+        );
+        (tree, compiler.stats().clone())
+    }
+
+    #[test]
+    fn equal_coefficients_merge_in_every_monoid_and_both_semirings() {
+        let mut vt = VarTable::new();
+        let x = vt.boolean("x", 0.3);
+        let y = vt.boolean("y", 0.6);
+        let z = vt.boolean("z", 0.8);
+        for op in pvc_algebra::ALL_AGG_OPS {
+            let values = if op.is_count() { [1, 1, 1] } else { [3, 4, 5] };
+            // x·y⊗a + y·x⊗b + z⊗c: the first two coefficients are one node.
+            let alpha = SemimoduleExpr::from_terms(
+                op,
+                vec![
+                    (v(x) * v(y), Fin(values[0])),
+                    (v(y) * v(x), Fin(values[1])),
+                    (v(z), Fin(values[2])),
+                ],
+            );
+            let (tree, stats) = checked(&alpha, &vt, SemiringKind::Bool);
+            assert_eq!(stats.merged_terms, 1, "{op}");
+            assert_eq!(stats.dominated_terms, 0, "{op}");
+            // Two independent terms are left: x·y⊗(a +op b) ⊕ z⊗c, no ⊔.
+            assert_eq!(tree.num_exclusive_nodes(), 0, "{op}");
+            assert_eq!(stats.independent_sums, 1, "{op}");
+            // Distinct coefficients do not merge.
+            let apart = SemimoduleExpr::from_terms(
+                op,
+                vec![(v(x), Fin(values[0])), (v(y), Fin(values[0]))],
+            );
+            assert_eq!(checked(&apart, &vt, SemiringKind::Bool).1.merged_terms, 0);
+        }
+        // Over N: x⊗3 + x⊗4 = x⊗7 is 0, 7 or 14 under SUM; a repeated factor is a
+        // different coefficient.
+        let mut vt = VarTable::new();
+        let x = vt.natural("x", &[(0, 0.2), (1, 0.3), (2, 0.5)]);
+        for op in pvc_algebra::ALL_AGG_OPS {
+            let values = if op.is_count() { [1, 1] } else { [3, 4] };
+            let alpha = SemimoduleExpr::from_terms(
+                op,
+                vec![(v(x), Fin(values[0])), (v(x), Fin(values[1]))],
+            );
+            let (tree, stats) = checked(&alpha, &vt, SemiringKind::Nat);
+            assert_eq!(stats.merged_terms, 1, "{op}");
+            assert!(matches!(tree, DTree::Tensor(..)), "{op}: {tree:?}");
+        }
+        let squared = SemimoduleExpr::from_terms(
+            AggOp::Sum,
+            vec![
+                (v(x), Fin(3)),
+                (SemiringExpr::Mul(vec![v(x), v(x)]), Fin(4)),
+            ],
+        );
+        let (tree, stats) = checked(&squared, &vt, SemiringKind::Nat);
+        assert_eq!(stats.merged_terms, 0);
+        assert_eq!(tree.num_exclusive_nodes(), 1);
+    }
+
+    #[test]
+    fn a_constant_term_dominates_under_min_and_max_only() {
+        use pvc_algebra::MonoidValue::{NegInf, PosInf};
+        let mut vt = VarTable::new();
+        let x = vt.boolean("x", 0.3);
+        let y = vt.boolean("y", 0.6);
+        let z = vt.boolean("z", 0.8);
+        let top = SemiringExpr::one(SemiringKind::Bool);
+        // Independent terms: no ⊔ expansion, so what is counted is the root's.
+        let terms = |constant| {
+            vec![
+                (v(x), Fin(2)),
+                (v(y), Fin(5)),
+                (v(z), Fin(8)),
+                (top.clone(), constant),
+            ]
+        };
+        // (monoid, constant, terms the constant dominates)
+        for (op, constant, dominated) in [
+            (AggOp::Min, Fin(5), 2),
+            (AggOp::Min, Fin(9), 0),
+            (AggOp::Min, NegInf, 3),
+            (AggOp::Min, PosInf, 0),
+            (AggOp::Max, Fin(5), 2),
+            (AggOp::Max, Fin(1), 0),
+            (AggOp::Max, PosInf, 3),
+            (AggOp::Max, NegInf, 0),
+            (AggOp::Sum, Fin(5), 0),
+            (AggOp::Count, Fin(5), 0),
+            (AggOp::Prod, Fin(5), 0),
+        ] {
+            let alpha = SemimoduleExpr::from_terms(op, terms(constant));
+            let (tree, stats) = checked(&alpha, &vt, SemiringKind::Bool);
+            assert_eq!(stats.dominated_terms, dominated, "{op} {constant}");
+            assert_eq!(stats.merged_terms, 0, "{op} {constant}");
+            if dominated == 3 {
+                assert_eq!(tree, DTree::MConst(constant));
+            }
+        }
+        // The constant that dominates may appear only inside a ⊔ branch: no term
+        // below is constant at the root, and z ← ⊤ leaves 5 next to y⊗7.
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Min,
+            vec![
+                (v(x) * v(z), Fin(4)),
+                (v(x) * v(y), Fin(2)),
+                (v(y) * v(z), Fin(7)),
+                (v(z), Fin(5)),
+            ],
+        );
+        let (tree, stats) = checked(&alpha, &vt, SemiringKind::Bool);
+        assert!(tree.num_exclusive_nodes() >= 1);
+        assert!(stats.dominated_terms >= 1);
+        // Over N a constant coefficient 2 still contributes its value once to a MIN.
+        let mut vt = VarTable::new();
+        let n = vt.natural("n", &[(0, 0.5), (2, 0.5)]);
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Min,
+            vec![
+                (SemiringExpr::Const(SemiringValue::Nat(2)), Fin(6)),
+                (v(n), Fin(6)),
+                (v(n), Fin(3)),
+            ],
+        );
+        let (_, stats) = checked(&alpha, &vt, SemiringKind::Nat);
+        assert_eq!((stats.merged_terms, stats.dominated_terms), (1, 0));
+    }
+
+    #[test]
+    fn a_satisfied_clause_absorbs_its_sum_in_b_and_not_in_n() {
+        // (x·y + z)⊗5 +sum (x + w)⊗7: once z ← ⊤ the first coefficient is ⊤,
+        // whatever x and y are.
+        let mut vt = VarTable::new();
+        let [x, y, z, w] = ["x", "y", "z", "w"].map(|name| vt.boolean(name, 0.4));
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Sum,
+            vec![
+                (v(x) * v(y) + v(z) * v(w), Fin(5)),
+                (v(x) * v(w) + v(z), Fin(7)),
+                (v(y) + v(w) * v(x), Fin(9)),
+            ],
+        );
+        let (_, stats) = checked(&alpha, &vt, SemiringKind::Bool);
+        assert!(stats.absorbed_sums >= 1, "{stats:?}");
+        // The same shape over N-valued variables: x·y + 1 is not a constant.
+        let mut vt = VarTable::new();
+        let [x, y, z, w] =
+            ["x", "y", "z", "w"].map(|name| vt.natural(name, &[(0, 0.3), (1, 0.4), (2, 0.3)]));
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Sum,
+            vec![
+                (v(x) * v(y) + v(z) * v(w), Fin(5)),
+                (v(x) * v(w) + v(z), Fin(7)),
+                (v(y) + v(w) * v(x), Fin(9)),
+            ],
+        );
+        let (_, stats) = checked(&alpha, &vt, SemiringKind::Nat);
+        assert_eq!(stats.absorbed_sums, 0);
+        // A factored sum is absorbed by its unit quotient: x + x·y = x in B.
+        let mut vt = VarTable::new();
+        let x = vt.boolean("x", 0.4);
+        let y = vt.boolean("y", 0.7);
+        let e = SemiringExpr::sum(vec![v(x), v(x) * v(y)]);
+        let mut compiler = Compiler::new(&vt, SemiringKind::Bool);
+        let tree = compiler.compile_semiring(&e).unwrap();
+        assert_eq!(compiler.stats().absorbed_sums, 1);
+        assert_eq!(tree.num_exclusive_nodes(), 0);
+        let dist = tree.semiring_distribution(&vt, SemiringKind::Bool).unwrap();
+        let expected = oracle::semiring_dist_by_enumeration(&e, &vt, SemiringKind::Bool);
+        assert!(dist.approx_eq(&expected, 1e-9));
+    }
+
+    #[test]
+    fn commuted_renderings_compile_to_the_same_tree() {
+        let mut vt = VarTable::new();
+        let xs: Vec<Var> = (0..6)
+            .map(|i| vt.boolean(format!("x{i}"), 0.2 + 0.1 * i as f64))
+            .collect();
+        let clause = |a: usize, b: usize| v(xs[a]) * v(xs[b]);
+        let terms = vec![
+            (clause(0, 1) + clause(2, 3), Fin(4)),
+            (clause(1, 2) + clause(4, 5), Fin(9)),
+            (clause(3, 4) + clause(0, 5), Fin(6)),
+            (clause(2, 5) + clause(1, 3), Fin(2)),
+        ];
+        let commuted = vec![
+            (clause(3, 1) + clause(5, 2), Fin(2)),
+            (clause(5, 0) + clause(4, 3), Fin(6)),
+            (clause(5, 4) + clause(2, 1), Fin(9)),
+            (clause(3, 2) + clause(1, 0), Fin(4)),
+        ];
+        let condition = |terms: Vec<(SemiringExpr, pvc_algebra::MonoidValue)>| {
+            SemiringExpr::cmp_mm(
+                CmpOp::Le,
+                SemimoduleExpr::from_terms(AggOp::Sum, terms),
+                SemimoduleExpr::constant(AggOp::Sum, Fin(10)),
+            )
+        };
+        let (a, b) = (condition(terms), condition(commuted));
+        assert_ne!(a, b);
+        let mut compiler = Compiler::new(&vt, SemiringKind::Bool);
+        let tree = compiler.compile_semiring(&a).unwrap();
+        assert!(tree.num_exclusive_nodes() >= 1);
+        // The other rendering, the same rendering again on a used compiler, and
+        // the route through a shared interner with a history of its own.
+        assert_eq!(compiler.compile_semiring(&b).unwrap(), tree);
+        assert_eq!(compiler.compile_semiring(&a).unwrap(), tree);
+        let mut interner = Interner::new();
+        interner.intern(&(clause(4, 2) + clause(0, 3)));
+        let id = interner.intern(&b);
+        let by_id = Compiler::new(&vt, SemiringKind::Bool)
+            .compile_semiring_id(&interner, id)
+            .unwrap();
+        assert_eq!(by_id, tree);
+        let p = confidence_of_tree(&tree, &vt);
+        let expected = oracle::confidence_by_enumeration(&a, &vt, SemiringKind::Bool);
+        assert!((p - expected).abs() < 1e-9);
+    }
+
+    fn confidence_of_tree(tree: &DTree, vt: &VarTable) -> f64 {
+        tree.semiring_distribution(vt, SemiringKind::Bool)
+            .unwrap()
+            .iter()
+            .filter(|(v, _)| !v.is_zero())
+            .map(|(_, p)| p)
+            .sum()
+    }
+
+    #[test]
+    fn one_compiler_fills_its_arena_tables_once() {
+        // A thousand independent three-variable annotations: after the first, the
+        // compile-local arena has the room every later one needs.
+        let mut vt = VarTable::new();
+        let vars: Vec<Var> = (0..3000).map(|_| vt.boolean("", 0.5)).collect();
+        let annotation = |i: usize| {
+            let [a, b, c] = [vars[3 * i], vars[3 * i + 1], vars[3 * i + 2]];
+            SemiringExpr::sum(vec![v(a) * v(b), v(b) * v(c), v(c) * v(a)])
+        };
+        let mut compiler = Compiler::new(&vt, SemiringKind::Bool);
+        compiler.compile_semiring(&annotation(0)).unwrap();
+        let expansions = compiler.stats().exclusive_expansions;
+        assert!(expansions >= 1);
+        let capacity = compiler.work.arena().capacity();
+        for i in 1..1000 {
+            compiler.compile_semiring(&annotation(i)).unwrap();
+            assert_eq!(compiler.work.arena().capacity(), capacity, "annotation {i}");
+        }
+        assert_eq!(compiler.stats().exclusive_expansions, 1000 * expansions);
+        // And the arena holds one annotation's nodes, not a thousand's.
+        assert!(compiler.work.arena().len() < 40);
     }
 
     #[test]

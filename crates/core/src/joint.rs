@@ -61,7 +61,7 @@ fn joint_rec(
     for (value, p) in dist.iter() {
         let substituted: Vec<SemimoduleExpr> = exprs
             .iter()
-            .map(|e| e.substitute_simplify(var, *value, kind))
+            .map(|e| e.substitute(var, *value).simplify(kind))
             .collect();
         let branch = joint_rec(&substituted, table, kind, depth + 1);
         acc = acc.mix(&branch.scale(p));

@@ -46,7 +46,7 @@ pub mod wal;
 use crate::arena::DTreeArena;
 use crate::cache::{CacheConfig, CompilationCache};
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringValue};
-use pvc_expr::intern::{AggExprId, ExprId, InternedExpr, Interner};
+use pvc_expr::intern::{AggExprId, AggTerm, ExprId, InternedExpr, Interner};
 use pvc_expr::Var;
 use pvc_prob::{Dist, MonoidDist, SemiringDist};
 use std::fmt;
@@ -449,7 +449,7 @@ fn put_interner(w: &mut Writer, interner: &Interner) {
             }
             InternedExpr::Const(c) => {
                 w.put_u8(EXPR_CONST);
-                put_semiring_value(w, c);
+                put_semiring_value(w, &c);
             }
             InternedExpr::Add(children) => {
                 w.put_u8(EXPR_ADD);
@@ -467,13 +467,13 @@ fn put_interner(w: &mut Writer, interner: &Interner) {
             }
             InternedExpr::CmpSS(op, a, b) => {
                 w.put_u8(EXPR_CMP_SS);
-                put_cmp_op(w, *op);
+                put_cmp_op(w, op);
                 w.put_u32(a.0);
                 w.put_u32(b.0);
             }
             InternedExpr::CmpMM(op, a, b) => {
                 w.put_u8(EXPR_CMP_MM);
-                put_cmp_op(w, *op);
+                put_cmp_op(w, op);
                 w.put_u32(a.0);
                 w.put_u32(b.0);
             }
@@ -484,7 +484,7 @@ fn put_interner(w: &mut Writer, interner: &Interner) {
     for agg in aggs {
         put_agg_op(w, agg.op);
         w.put_u64(agg.terms.len() as u64);
-        for (coeff, value) in &agg.terms {
+        for (coeff, value) in agg.terms {
             w.put_u32(coeff.0);
             put_monoid_value(w, value);
         }
@@ -934,14 +934,17 @@ impl Snapshot {
             map[id as usize].expect("validated child ordering")
         };
         for (i, raw) in self.exprs.iter().enumerate() {
+            let remapped: Vec<ExprId>;
             let node = match raw {
                 RawExpr::Var(v) => InternedExpr::Var(Var(*v)),
                 RawExpr::Const(c) => InternedExpr::Const(*c),
                 RawExpr::Add(children) => {
-                    InternedExpr::Add(children.iter().map(|c| mapped(&expr_map, *c)).collect())
+                    remapped = children.iter().map(|c| mapped(&expr_map, *c)).collect();
+                    InternedExpr::Add(&remapped)
                 }
                 RawExpr::Mul(children) => {
-                    InternedExpr::Mul(children.iter().map(|c| mapped(&expr_map, *c)).collect())
+                    remapped = children.iter().map(|c| mapped(&expr_map, *c)).collect();
+                    InternedExpr::Mul(&remapped)
                 }
                 RawExpr::CmpSS(op, a, b) => {
                     InternedExpr::CmpSS(*op, mapped(&expr_map, *a), mapped(&expr_map, *b))
@@ -999,7 +1002,7 @@ impl Snapshot {
 }
 
 fn remap_agg(raw: &RawAgg, expr_map: &[Option<ExprId>], interner: &mut Interner) -> AggExprId {
-    let terms = raw
+    let terms: Vec<AggTerm> = raw
         .terms
         .iter()
         .map(|(coeff, value)| {
@@ -1009,7 +1012,7 @@ fn remap_agg(raw: &RawAgg, expr_map: &[Option<ExprId>], interner: &mut Interner)
             )
         })
         .collect();
-    interner.intern_agg(raw.op, terms)
+    interner.intern_agg(raw.op, &terms)
 }
 
 /// Write snapshot bytes to a file **atomically**: the bytes go to a sibling

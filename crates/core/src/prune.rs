@@ -24,7 +24,168 @@ pub enum PruneResult {
     Simplified(SemimoduleExpr),
 }
 
-/// Prune a conditional `[α θ m]` whose right-hand side is the constant `m`.
+/// What the rules conclude about `[α θ m]`, whatever `α`'s terms are stored as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// The conditional is always true.
+    AlwaysTrue,
+    /// The conditional is always false.
+    AlwaysFalse,
+    /// No rule applies: `α` stays as it is.
+    KeepAll,
+    /// Only the terms whose value `v` satisfies `v κ m` for this `κ` can decide
+    /// the comparison; the others are dropped.
+    Keep(CmpOp),
+}
+
+/// Decide `[α θ bound]` for `α = Σ_op terms` by the rules listed at
+/// [`prune_against_constant`], `view` giving each term's value and whether the term
+/// is *guaranteed* — its coefficient is a non-zero constant (`1_S` after
+/// simplification), so it contributes its value in every possible world and can
+/// decide a comparison outright.
+pub(crate) fn verdict<T>(
+    op: AggOp,
+    theta: CmpOp,
+    bound: MonoidValue,
+    terms: &[T],
+    view: impl Fn(&T) -> (bool, MonoidValue),
+) -> Verdict {
+    if terms.is_empty() {
+        // The empty sum is the monoid's neutral element; the comparison is ground.
+        return if theta.eval(&op.identity(), &bound) {
+            Verdict::AlwaysTrue
+        } else {
+            Verdict::AlwaysFalse
+        };
+    }
+    match op {
+        // MIN and MAX mirror each other: MAX under θ is MIN under θ flipped, with
+        // the order of the values reversed.
+        AggOp::Min => selective(theta, false, bound, terms, view),
+        AggOp::Max => selective(theta, true, bound, terms, view),
+        AggOp::Sum | AggOp::Count => additive(theta, bound, terms, view),
+        AggOp::Prod => Verdict::KeepAll,
+    }
+}
+
+/// The MIN rules; `is_max` reads every comparison mirrored, which gives the MAX
+/// rules.
+fn selective<T>(
+    theta: CmpOp,
+    is_max: bool,
+    bound: MonoidValue,
+    terms: &[T],
+    view: impl Fn(&T) -> (bool, MonoidValue),
+) -> Verdict {
+    let mirrored = |op: CmpOp| if is_max { op.flip() } else { op };
+    let any_guaranteed = |keep: CmpOp| {
+        terms.iter().any(|t| {
+            let (guaranteed, v) = view(t);
+            guaranteed && keep.eval(&v, &bound)
+        })
+    };
+    let none_kept = |keep: CmpOp| !terms.iter().any(|t| keep.eval(&view(t).1, &bound));
+    // Written for MIN; `mirrored` turns each operator into its MAX counterpart.
+    match mirrored(theta) {
+        // min ≤ m: only terms with value ≤ m can witness the comparison; the others
+        // never lower the minimum below themselves. A guaranteed term that already
+        // satisfies the bound decides the comparison; if every term exceeds the
+        // bound, so does the minimum (or the group is empty and it is +∞).
+        CmpOp::Le | CmpOp::Lt => {
+            if any_guaranteed(theta) {
+                Verdict::AlwaysTrue
+            } else if none_kept(theta) {
+                Verdict::AlwaysFalse
+            } else {
+                Verdict::Keep(theta)
+            }
+        }
+        // min ≥ m (resp. >): holds iff no term whose value violates the bound is
+        // present; terms that satisfy it can never decide the comparison and are
+        // dropped. A guaranteed violator decides the comparison outright; with no
+        // violator at all the minimum is over satisfying values only (or +∞).
+        CmpOp::Ge | CmpOp::Gt => {
+            let violates = theta.negate();
+            if any_guaranteed(violates) {
+                Verdict::AlwaysFalse
+            } else if none_kept(violates) {
+                Verdict::AlwaysTrue
+            } else {
+                Verdict::Keep(violates)
+            }
+        }
+        // min = m: a guaranteed term strictly below m forces the minimum below m.
+        // Terms above m are irrelevant.
+        CmpOp::Eq => {
+            if any_guaranteed(mirrored(CmpOp::Lt)) {
+                Verdict::AlwaysFalse
+            } else {
+                Verdict::Keep(mirrored(CmpOp::Le))
+            }
+        }
+        CmpOp::Ne => Verdict::KeepAll,
+    }
+}
+
+fn additive<T>(
+    theta: CmpOp,
+    bound: MonoidValue,
+    terms: &[T],
+    view: impl Fn(&T) -> (bool, MonoidValue),
+) -> Verdict {
+    // Only applicable when every term value is a non-negative finite number, so that
+    // the sum over any subset of terms lies between 0 and the total. The baseline —
+    // the sum of the guaranteed terms' values — is a lower bound on the sum in
+    // every possible world.
+    let mut total: i64 = 0;
+    let mut baseline: i64 = 0;
+    for t in terms {
+        match view(t) {
+            (guaranteed, MonoidValue::Fin(v)) if v >= 0 => {
+                total += v;
+                if guaranteed {
+                    baseline += v;
+                }
+            }
+            _ => return Verdict::KeepAll,
+        }
+    }
+    let bound_v = match bound {
+        MonoidValue::Fin(v) => v,
+        MonoidValue::PosInf => {
+            return match theta {
+                CmpOp::Le | CmpOp::Lt | CmpOp::Ne => Verdict::AlwaysTrue,
+                CmpOp::Ge | CmpOp::Gt | CmpOp::Eq => Verdict::AlwaysFalse,
+            }
+        }
+        MonoidValue::NegInf => {
+            return match theta {
+                CmpOp::Ge | CmpOp::Gt | CmpOp::Ne => Verdict::AlwaysTrue,
+                CmpOp::Le | CmpOp::Lt | CmpOp::Eq => Verdict::AlwaysFalse,
+            }
+        }
+    };
+    match theta {
+        CmpOp::Le if total <= bound_v => Verdict::AlwaysTrue,
+        CmpOp::Lt if total < bound_v => Verdict::AlwaysTrue,
+        CmpOp::Ge if total < bound_v => Verdict::AlwaysFalse,
+        CmpOp::Gt if total <= bound_v => Verdict::AlwaysFalse,
+        CmpOp::Eq if total < bound_v => Verdict::AlwaysFalse,
+        CmpOp::Ge if baseline >= bound_v => Verdict::AlwaysTrue,
+        CmpOp::Gt if baseline > bound_v => Verdict::AlwaysTrue,
+        CmpOp::Le if baseline > bound_v => Verdict::AlwaysFalse,
+        CmpOp::Lt if baseline >= bound_v => Verdict::AlwaysFalse,
+        CmpOp::Eq if baseline > bound_v => Verdict::AlwaysFalse,
+        CmpOp::Ge if bound_v <= 0 => Verdict::AlwaysTrue,
+        CmpOp::Gt if bound_v < 0 => Verdict::AlwaysTrue,
+        CmpOp::Lt if bound_v <= 0 => Verdict::AlwaysFalse,
+        CmpOp::Le if bound_v < 0 => Verdict::AlwaysFalse,
+        _ => Verdict::KeepAll,
+    }
+}
+
+/// Prune a conditional `[α θ m]` whose right-hand side is the constant `m` (the
+/// compiler applies the same rules to interned term lists).
 ///
 /// Rules implemented (symmetric MAX variants mirror the MIN ones):
 ///
@@ -36,7 +197,7 @@ pub enum PruneResult {
 ///   already satisfying the bound are dropped
 ///   (`[Σ_i Φ_i⊗m_i ≥ m] ≡ [Σ_{i: m_i < m} Φ_i⊗m_i ≥ m]`); if no violating term
 ///   remains the conditional is constantly true, and a *guaranteed* violator
-///   (constant non-zero coefficient) makes it constantly false.
+///   makes it constantly false.
 /// * **MAX, θ ∈ {≥, >, =}**: dually to MIN/≤, terms below the bound are dropped.
 /// * **MAX, θ ∈ {≤, <}**: dually to MIN/≥, terms at or below the bound are
 ///   dropped; no remaining violator ⇒ constantly true.
@@ -48,175 +209,23 @@ pub fn prune_against_constant(
     theta: CmpOp,
     bound: MonoidValue,
 ) -> PruneResult {
-    if alpha.terms.is_empty() {
-        // The empty sum is the monoid's neutral element; the comparison is ground.
-        return if theta.eval(&alpha.op.identity(), &bound) {
-            PruneResult::AlwaysTrue
-        } else {
-            PruneResult::AlwaysFalse
-        };
-    }
-    match alpha.op {
-        AggOp::Min => prune_min(alpha, theta, bound),
-        AggOp::Max => prune_max(alpha, theta, bound),
-        AggOp::Sum | AggOp::Count => prune_sum(alpha, theta, bound),
-        AggOp::Prod => PruneResult::Simplified(alpha.clone()),
-    }
-}
-
-fn keep_terms(alpha: &SemimoduleExpr, keep: impl Fn(&MonoidValue) -> bool) -> SemimoduleExpr {
-    SemimoduleExpr {
-        op: alpha.op,
-        terms: alpha
-            .terms
-            .iter()
-            .filter(|t| keep(&t.value))
-            .cloned()
-            .collect(),
-    }
-}
-
-/// The values of terms whose coefficient is a non-zero constant (`1_S` after
-/// simplification): these terms contribute their value in *every* possible world and
-/// can therefore decide a comparison outright.
-fn guaranteed_values(alpha: &SemimoduleExpr) -> Vec<MonoidValue> {
-    alpha
-        .terms
-        .iter()
-        .filter(|t| t.coeff.as_const().map(|c| !c.is_zero()).unwrap_or(false))
-        .map(|t| t.value)
-        .collect()
-}
-
-fn prune_min(alpha: &SemimoduleExpr, theta: CmpOp, bound: MonoidValue) -> PruneResult {
-    let guaranteed = guaranteed_values(alpha);
-    match theta {
-        // min ≤ m: only terms with value ≤ m can witness the comparison; the others
-        // never lower the minimum below themselves. Equivalent per the paper's rule.
-        // A guaranteed term that already satisfies the bound decides the comparison.
-        CmpOp::Le | CmpOp::Lt => {
-            if guaranteed.iter().any(|v| theta.eval(v, &bound)) {
-                return PruneResult::AlwaysTrue;
-            }
-            let kept = keep_terms(alpha, |v| theta.eval(v, &bound));
-            if kept.terms.is_empty() {
-                // Every remaining term exceeds the bound, so the minimum does too
-                // (or the group is empty and the minimum is +∞).
-                return PruneResult::AlwaysFalse;
-            }
-            PruneResult::Simplified(kept)
-        }
-        // min ≥ m (resp. >): holds iff no term whose value violates the bound is
-        // present; terms that satisfy it can never decide the comparison and are
-        // dropped. A guaranteed violator decides the comparison outright.
-        CmpOp::Ge | CmpOp::Gt => {
-            let violates = |v: &MonoidValue| !theta.eval(v, &bound);
-            if guaranteed.iter().any(violates) {
-                return PruneResult::AlwaysFalse;
-            }
-            let kept = keep_terms(alpha, violates);
-            if kept.terms.is_empty() {
-                // No violating term exists: the minimum is over satisfying values
-                // only (or +∞ for the empty group), so the comparison always holds.
-                return PruneResult::AlwaysTrue;
-            }
-            PruneResult::Simplified(kept)
-        }
-        // min = m: a guaranteed term strictly below m forces the minimum below m.
-        // Terms above m are irrelevant.
-        CmpOp::Eq => {
-            if guaranteed.iter().any(|v| *v < bound) {
-                return PruneResult::AlwaysFalse;
-            }
-            PruneResult::Simplified(keep_terms(alpha, |v| *v <= bound))
-        }
-        CmpOp::Ne => PruneResult::Simplified(alpha.clone()),
-    }
-}
-
-fn prune_max(alpha: &SemimoduleExpr, theta: CmpOp, bound: MonoidValue) -> PruneResult {
-    let guaranteed = guaranteed_values(alpha);
-    match theta {
-        CmpOp::Ge | CmpOp::Gt => {
-            if guaranteed.iter().any(|v| theta.eval(v, &bound)) {
-                return PruneResult::AlwaysTrue;
-            }
-            let kept = keep_terms(alpha, |v| theta.eval(v, &bound));
-            if kept.terms.is_empty() {
-                return PruneResult::AlwaysFalse;
-            }
-            PruneResult::Simplified(kept)
-        }
-        // max ≤ m (resp. <): dual of min ≥ — only violating terms (above the
-        // bound) matter.
-        CmpOp::Le | CmpOp::Lt => {
-            let violates = |v: &MonoidValue| !theta.eval(v, &bound);
-            if guaranteed.iter().any(violates) {
-                return PruneResult::AlwaysFalse;
-            }
-            let kept = keep_terms(alpha, violates);
-            if kept.terms.is_empty() {
-                return PruneResult::AlwaysTrue;
-            }
-            PruneResult::Simplified(kept)
-        }
-        CmpOp::Eq => {
-            if guaranteed.iter().any(|v| *v > bound) {
-                return PruneResult::AlwaysFalse;
-            }
-            PruneResult::Simplified(keep_terms(alpha, |v| *v >= bound))
-        }
-        CmpOp::Ne => PruneResult::Simplified(alpha.clone()),
-    }
-}
-
-fn prune_sum(alpha: &SemimoduleExpr, theta: CmpOp, bound: MonoidValue) -> PruneResult {
-    // Only applicable when every term value is a non-negative finite number, so that
-    // the sum over any subset of terms lies between 0 and the total.
-    let mut total: i64 = 0;
-    for t in &alpha.terms {
-        match t.value {
-            MonoidValue::Fin(v) if v >= 0 => total += v,
-            _ => return PruneResult::Simplified(alpha.clone()),
-        }
-    }
-    let bound_v = match bound {
-        MonoidValue::Fin(v) => v,
-        MonoidValue::PosInf => {
-            return match theta {
-                CmpOp::Le | CmpOp::Lt | CmpOp::Ne => PruneResult::AlwaysTrue,
-                CmpOp::Ge | CmpOp::Gt | CmpOp::Eq => PruneResult::AlwaysFalse,
-            }
-        }
-        MonoidValue::NegInf => {
-            return match theta {
-                CmpOp::Ge | CmpOp::Gt | CmpOp::Ne => PruneResult::AlwaysTrue,
-                CmpOp::Le | CmpOp::Lt | CmpOp::Eq => PruneResult::AlwaysFalse,
-            }
-        }
+    let view = |t: &pvc_expr::SmTerm| {
+        let guaranteed = t.coeff.as_const().is_some_and(|c| !c.is_zero());
+        (guaranteed, t.value)
     };
-    // Baseline: the sum of the values of guaranteed terms (non-zero constant
-    // coefficients); it is a lower bound on the sum in every possible world.
-    let baseline: i64 = guaranteed_values(alpha)
-        .iter()
-        .filter_map(|v| v.finite())
-        .sum();
-    match theta {
-        CmpOp::Le if total <= bound_v => PruneResult::AlwaysTrue,
-        CmpOp::Lt if total < bound_v => PruneResult::AlwaysTrue,
-        CmpOp::Ge if total < bound_v => PruneResult::AlwaysFalse,
-        CmpOp::Gt if total <= bound_v => PruneResult::AlwaysFalse,
-        CmpOp::Eq if total < bound_v => PruneResult::AlwaysFalse,
-        CmpOp::Ge if baseline >= bound_v => PruneResult::AlwaysTrue,
-        CmpOp::Gt if baseline > bound_v => PruneResult::AlwaysTrue,
-        CmpOp::Le if baseline > bound_v => PruneResult::AlwaysFalse,
-        CmpOp::Lt if baseline >= bound_v => PruneResult::AlwaysFalse,
-        CmpOp::Eq if baseline > bound_v => PruneResult::AlwaysFalse,
-        CmpOp::Ge if bound_v <= 0 => PruneResult::AlwaysTrue,
-        CmpOp::Gt if bound_v < 0 => PruneResult::AlwaysTrue,
-        CmpOp::Lt if bound_v <= 0 => PruneResult::AlwaysFalse,
-        CmpOp::Le if bound_v < 0 => PruneResult::AlwaysFalse,
-        _ => PruneResult::Simplified(alpha.clone()),
+    match verdict(alpha.op, theta, bound, &alpha.terms, view) {
+        Verdict::AlwaysTrue => PruneResult::AlwaysTrue,
+        Verdict::AlwaysFalse => PruneResult::AlwaysFalse,
+        Verdict::KeepAll => PruneResult::Simplified(alpha.clone()),
+        Verdict::Keep(keep) => PruneResult::Simplified(SemimoduleExpr {
+            op: alpha.op,
+            terms: alpha
+                .terms
+                .iter()
+                .filter(|t| keep.eval(&t.value, &bound))
+                .cloned()
+                .collect(),
+        }),
     }
 }
 

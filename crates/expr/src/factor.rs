@@ -3,121 +3,94 @@
 //! expressions (and the provenance of hierarchical queries, Example 14 of the paper)
 //! are decomposed without Shannon expansion.
 
+use crate::intern::{ExprId, InternedExpr, Interner};
 use crate::semiring_expr::SemiringExpr;
 use crate::vars::{Var, VarSet};
-use std::collections::BTreeSet;
 
-/// The variables that appear as *top-level multiplicative factors* of an expression.
+/// The variables that appear as *top-level multiplicative factors* of an interned
+/// expression (a repeated factor is reported once per occurrence).
 ///
-/// For `Var(x)` this is `{x}`; for a product it is the union of the factor variables
-/// of its children that are plain variables; for anything else it is empty. Only such
-/// "guaranteed factors" can be pulled out of a sum without algebraic rewriting beyond
+/// For `Var(x)` this is `{x}`; for a product it is the children that are plain
+/// variables; for anything else it is empty. Only such "guaranteed factors" can be
+/// pulled out of a sum without algebraic rewriting beyond
 /// associativity/commutativity/distributivity.
-pub fn top_level_factor_vars(expr: &SemiringExpr) -> BTreeSet<Var> {
-    match expr {
-        SemiringExpr::Var(v) => std::iter::once(*v).collect(),
-        SemiringExpr::Mul(children) => children
-            .iter()
-            .filter_map(|c| match c {
-                SemiringExpr::Var(v) => Some(*v),
-                _ => None,
-            })
-            .collect(),
-        _ => BTreeSet::new(),
-    }
+pub fn top_level_factor_vars(arena: &Interner, id: ExprId) -> impl Iterator<Item = Var> + '_ {
+    let (itself, children) = match arena.node(id) {
+        InternedExpr::Var(v) => (Some(v), &[][..]),
+        InternedExpr::Mul(children) => (None, children),
+        _ => (None, &[][..]),
+    };
+    itself
+        .into_iter()
+        .chain(children.iter().filter_map(|&c| match arena.node(c) {
+            InternedExpr::Var(v) => Some(v),
+            _ => None,
+        }))
 }
 
 /// The set of variables that occur as a top-level factor in *every* one of the given
 /// expressions. Pulling these out of a sum `Σ_i Φ_i` yields the factorisation
-/// `(Π common) · Σ_i (Φ_i / common)`.
-pub fn common_factor_vars(exprs: &[SemiringExpr]) -> VarSet {
-    common_factor_vars_of(exprs.iter())
-}
-
-/// As [`common_factor_vars`], over any iterator of borrowed expressions — lets the
-/// compiler intersect the coefficient factors of a semimodule sum without cloning
-/// the coefficients into a temporary vector. Short-circuits once the running
-/// intersection is empty.
-pub fn common_factor_vars_of<'a>(exprs: impl Iterator<Item = &'a SemiringExpr>) -> VarSet {
-    let mut common: Option<BTreeSet<Var>> = None;
+/// `(Π common) · Σ_i (Φ_i / common)`. Stops reading once the running intersection
+/// is empty — for a sum of sums, after the first expression.
+pub fn common_factor_vars(arena: &Interner, mut exprs: impl Iterator<Item = ExprId>) -> VarSet {
+    let Some(first) = exprs.next() else {
+        return VarSet::new();
+    };
+    let mut common: Vec<Var> = top_level_factor_vars(arena, first).collect();
     for e in exprs {
-        let fv = top_level_factor_vars(e);
-        common = Some(match common {
-            None => fv,
-            Some(acc) => acc.intersection(&fv).copied().collect(),
-        });
-        if matches!(&common, Some(c) if c.is_empty()) {
-            return VarSet::new();
+        if common.is_empty() {
+            break;
         }
+        common.retain(|v| top_level_factor_vars(arena, e).any(|w| w == *v));
     }
-    common.map(|c| c.into_iter().collect()).unwrap_or_default()
+    VarSet::from_iter_of(common)
 }
 
 /// Divide an expression by a set of variables that are known to be top-level factors
-/// of it (one occurrence each is removed). Returns `None` when nothing remains, i.e.
-/// the quotient is the constant `1_S`.
+/// of it (one occurrence each is removed), interning the quotient. Returns `None`
+/// when nothing remains, i.e. the quotient is the constant `1_S`.
 ///
-/// Precondition: every variable of `divisors` is a top-level factor of `expr`
+/// Precondition: every variable of `divisors` is a top-level factor of `id`
 /// (as reported by [`top_level_factor_vars`]); this is checked with a debug assertion.
-pub fn divide_by_vars(expr: &SemiringExpr, divisors: &VarSet) -> Option<SemiringExpr> {
+pub fn divide_by_vars(arena: &mut Interner, id: ExprId, divisors: &VarSet) -> Option<ExprId> {
     if divisors.is_empty() {
-        return Some(expr.clone());
+        return Some(id);
     }
-    match expr {
-        SemiringExpr::Var(v) => {
-            debug_assert!(divisors.contains(*v), "divisor {v:?} is not a factor");
+    match arena.node(id) {
+        InternedExpr::Var(v) => {
+            debug_assert!(divisors.contains(v), "divisor {v:?} is not a factor");
             None
         }
-        SemiringExpr::Mul(children) => {
-            let mut remaining: Vec<SemiringExpr> = Vec::with_capacity(children.len());
+        InternedExpr::Mul(children) => {
             let mut to_remove: Vec<Var> = divisors.iter().collect();
-            for c in children {
-                match c {
-                    SemiringExpr::Var(v) => {
-                        if let Some(pos) = to_remove.iter().position(|d| d == v) {
+            let remaining: Vec<ExprId> = children
+                .iter()
+                .copied()
+                .filter(|&c| match arena.node(c) {
+                    InternedExpr::Var(v) => match to_remove.iter().position(|d| *d == v) {
+                        Some(pos) => {
                             to_remove.swap_remove(pos);
-                        } else {
-                            remaining.push(c.clone());
+                            false
                         }
-                    }
-                    _ => remaining.push(c.clone()),
-                }
-            }
+                        None => true,
+                    },
+                    _ => true,
+                })
+                .collect();
             debug_assert!(
                 to_remove.is_empty(),
                 "divisors {to_remove:?} were not factors"
             );
             match remaining.len() {
                 0 => None,
-                1 => Some(remaining.pop().unwrap()),
-                _ => Some(SemiringExpr::Mul(remaining)),
+                _ => Some(arena.intern_mul(&remaining)),
             }
         }
         _ => {
             debug_assert!(false, "divide_by_vars called on a non-product expression");
-            Some(expr.clone())
+            Some(id)
         }
     }
-}
-
-/// Factor a sum's children by their common variables: returns `(common, quotients)`
-/// where `common` is the set of variables occurring as a factor in every child and
-/// `quotients[i]` is `children[i]` with those factors removed (`None` = `1_S`).
-///
-/// Returns `None` if there is no common factor (the sum cannot be factored this way).
-pub fn factor_sum(children: &[SemiringExpr]) -> Option<(VarSet, Vec<Option<SemiringExpr>>)> {
-    if children.len() < 2 {
-        return None;
-    }
-    let common = common_factor_vars(children);
-    if common.is_empty() {
-        return None;
-    }
-    let quotients = children
-        .iter()
-        .map(|c| divide_by_vars(c, &common))
-        .collect();
-    Some((common, quotients))
 }
 
 /// A conservative syntactic read-once check: an expression is *read-once* if every
@@ -137,72 +110,60 @@ mod tests {
         SemiringExpr::Var(Var(i))
     }
 
+    fn interned(exprs: &[SemiringExpr]) -> (Interner, Vec<ExprId>) {
+        let mut arena = Interner::new();
+        let ids = exprs.iter().map(|e| arena.intern(e)).collect();
+        (arena, ids)
+    }
+
+    fn factors(arena: &Interner, id: ExprId) -> Vec<Var> {
+        let mut vars: Vec<Var> = top_level_factor_vars(arena, id).collect();
+        vars.sort();
+        vars
+    }
+
     #[test]
     fn top_level_factors() {
-        assert_eq!(top_level_factor_vars(&v(1)), [Var(1)].into());
-        let prod = v(1) * v(2) * (v(3) + v(4));
-        assert_eq!(top_level_factor_vars(&prod), [Var(1), Var(2)].into());
-        let sum = v(1) + v(2);
-        assert!(top_level_factor_vars(&sum).is_empty());
+        let (arena, ids) = interned(&[v(1), v(1) * v(2) * (v(3) + v(4)), v(1) + v(2)]);
+        assert_eq!(factors(&arena, ids[0]), [Var(1)]);
+        assert_eq!(factors(&arena, ids[1]), [Var(1), Var(2)]);
+        assert!(factors(&arena, ids[2]).is_empty());
     }
 
     #[test]
     fn common_factors_across_summands() {
         // x1·y11 and x1·y12 share the factor x1 (Example 14 shape).
-        let children = vec![v(1) * v(11), v(1) * v(12)];
-        let common = common_factor_vars(&children);
+        let (arena, ids) = interned(&[v(1) * v(11), v(1) * v(12), v(2) * v(21)]);
+        let common = common_factor_vars(&arena, ids[..2].iter().copied());
         assert_eq!(common.as_slice(), &[Var(1)]);
-
-        // No factor shared by all three.
-        let children = vec![v(1) * v(11), v(1) * v(12), v(2) * v(21)];
-        assert!(common_factor_vars(&children).is_empty());
+        // No factor shared by all three, and none of no expression at all.
+        assert!(common_factor_vars(&arena, ids.iter().copied()).is_empty());
+        assert!(common_factor_vars(&arena, std::iter::empty()).is_empty());
     }
 
     #[test]
     fn divide_removes_one_occurrence() {
-        let prod = v(1) * v(2) * v(3);
-        let quot = divide_by_vars(&prod, &VarSet::singleton(Var(2))).unwrap();
-        assert_eq!(quot.vars().as_slice(), &[Var(1), Var(3)]);
+        let (mut arena, ids) = interned(&[v(1) * v(2) * v(3), v(5), v(1) * v(3)]);
+        let quot = divide_by_vars(&mut arena, ids[0], &VarSet::singleton(Var(2)));
+        assert_eq!(quot, Some(ids[2]));
         // Dividing a single variable by itself leaves nothing.
-        assert!(divide_by_vars(&v(5), &VarSet::singleton(Var(5))).is_none());
+        assert!(divide_by_vars(&mut arena, ids[1], &VarSet::singleton(Var(5))).is_none());
         // Dividing by the empty set is the identity.
-        assert_eq!(divide_by_vars(&prod, &VarSet::new()), Some(prod));
+        assert_eq!(
+            divide_by_vars(&mut arena, ids[0], &VarSet::new()),
+            Some(ids[0])
+        );
     }
 
     #[test]
     fn divide_keeps_repeated_variables() {
-        // x·x divided by x leaves x.
-        let prod = SemiringExpr::Mul(vec![v(1), v(1)]);
-        let quot = divide_by_vars(&prod, &VarSet::singleton(Var(1))).unwrap();
-        assert_eq!(quot, v(1));
-    }
-
-    #[test]
-    fn factor_sum_factors_read_once_provenance() {
-        // x1·y11 + x1·y12  ⇒  x1 · (y11 + y12).
-        let children = vec![v(1) * v(11), v(1) * v(12)];
-        let (common, quotients) = factor_sum(&children).unwrap();
-        assert_eq!(common.as_slice(), &[Var(1)]);
-        assert_eq!(quotients.len(), 2);
-        assert_eq!(quotients[0], Some(v(11)));
-        assert_eq!(quotients[1], Some(v(12)));
-    }
-
-    #[test]
-    fn factor_sum_none_when_unfactorable() {
-        let children = vec![v(1) * v(11), v(2) * v(12)];
-        assert!(factor_sum(&children).is_none());
-        assert!(factor_sum(&[v(1)]).is_none());
-    }
-
-    #[test]
-    fn factor_sum_with_unit_quotient() {
-        // x + x·y ⇒ x · (1 + y): first quotient is None (the unit).
-        let children = vec![v(1), v(1) * v(2)];
-        let (common, quotients) = factor_sum(&children).unwrap();
-        assert_eq!(common.as_slice(), &[Var(1)]);
-        assert_eq!(quotients[0], None);
-        assert_eq!(quotients[1], Some(v(2)));
+        // x·x divided by x leaves x; x + x·y divided by x leaves 1 and y.
+        let (mut arena, ids) =
+            interned(&[SemiringExpr::Mul(vec![v(1), v(1)]), v(1), v(1) * v(2), v(2)]);
+        let x = VarSet::singleton(Var(1));
+        assert_eq!(divide_by_vars(&mut arena, ids[0], &x), Some(ids[1]));
+        assert_eq!(divide_by_vars(&mut arena, ids[1], &x), None);
+        assert_eq!(divide_by_vars(&mut arena, ids[2], &x), Some(ids[3]));
     }
 
     #[test]

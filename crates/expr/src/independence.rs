@@ -73,7 +73,7 @@ impl UnionFind {
 /// their union–find representative (see [`UnionFind::groups`]); members are
 /// ascending.
 pub fn connected_components(sets: &[VarSet]) -> Vec<Vec<usize>> {
-    connected_components_by(sets.len(), |i| &sets[i])
+    connected_components_by(sets.len(), |i| sets[i].as_slice())
 }
 
 /// As [`connected_components`], over `n` borrowed sets handed out by `set_of` —
@@ -81,14 +81,14 @@ pub fn connected_components(sets: &[VarSet]) -> Vec<Vec<usize>> {
 /// var-sets) and would otherwise have to be cloned into a slice first.
 pub fn connected_components_by<'a>(
     n: usize,
-    set_of: impl Fn(usize) -> &'a VarSet,
+    set_of: impl Fn(usize) -> &'a [Var],
 ) -> Vec<Vec<usize>> {
     // Every `(variable, set index)` occurrence, in set order; sorted and cut down
     // to the first pair per variable it doubles as the variable → first-seeing-set
     // map, in one flat allocation.
     let mut occurrences: Vec<(Var, usize)> = Vec::new();
     for i in 0..n {
-        occurrences.extend(set_of(i).iter().map(|v| (v, i)));
+        occurrences.extend(set_of(i).iter().map(|&v| (v, i)));
     }
     let mut first_seen = occurrences.clone();
     first_seen.sort_unstable();
@@ -112,73 +112,87 @@ pub fn all_independent(sets: &[VarSet]) -> bool {
     connected_components(sets).len() == sets.len()
 }
 
-/// Connected components over flat variable-*occurrence* lists: item `i`'s
-/// occurrences are `occurrences[spans[i].0 .. spans[i].1]`, unsorted and possibly
-/// with duplicates.
-///
-/// Equivalent partition to [`connected_components`] on the deduplicated sets, but
-/// without materialising a sorted [`VarSet`] per item — the compiler calls this at
-/// every recursion level of a hard compilation, where per-item set construction
-/// used to dominate. `num_vars` bounds the variable ids (a `Var(id)` with
-/// `id >= num_vars` is tolerated via a slow path growing the seen-table).
-///
-/// Components are ordered by their smallest member index; members are ascending.
-pub fn components_of_occurrences(
-    spans: &[(usize, usize)],
-    occurrences: &[Var],
-    num_vars: usize,
-) -> Vec<Vec<usize>> {
-    let mut first_seen = vec![OCC_UNSEEN; num_vars];
-    components_of_occurrences_with(spans, occurrences, &mut first_seen)
+/// Reusable state of [`ComponentLabels::label`]: the compiler partitions a term
+/// list at every recursion level of a hard compilation, tens of items over a
+/// handful of variables each time, so nothing here is allocated per call and
+/// nothing is sized by the number of variables that *exist*.
+#[derive(Debug, Default)]
+pub struct ComponentLabels {
+    /// Union–find forest over the items of the current call; a root is the
+    /// smallest member of its set.
+    parent: Vec<u32>,
+    /// Indexed by `Var` id: the first item seen mentioning the variable. Grown to
+    /// the largest id a call touches; entries touched by a call are reset before
+    /// it returns.
+    first_seen: Vec<u32>,
+    labels: Vec<u32>,
 }
 
-const OCC_UNSEEN: usize = usize::MAX;
+const UNSEEN: u32 = u32::MAX;
 
-/// As [`components_of_occurrences`], with a caller-provided `first_seen` scratch
-/// table (indexed by `Var` id, grown on demand, entries reset to unseen before
-/// returning). Reusing one table across calls makes the per-call cost
-/// `O(occurrences)` instead of `O(num_vars + occurrences)` — the compiler calls
-/// this at every recursion level, where deep sub-expressions touch only a
-/// handful of variables.
-pub fn components_of_occurrences_with(
-    spans: &[(usize, usize)],
-    occurrences: &[Var],
-    first_seen: &mut Vec<usize>,
-) -> Vec<Vec<usize>> {
-    let n = spans.len();
-    if n == 0 {
-        return vec![];
-    }
-    debug_assert!(first_seen.iter().all(|&s| s == OCC_UNSEEN));
-    let mut uf = UnionFind::new(n);
-    for (i, &(start, end)) in spans.iter().enumerate() {
-        for v in &occurrences[start..end] {
-            let slot = v.0 as usize;
-            if slot >= first_seen.len() {
-                first_seen.resize(slot + 1, OCC_UNSEEN);
-            }
-            match first_seen[slot] {
-                OCC_UNSEEN => first_seen[slot] = i,
-                j => uf.union(i, j),
+impl ComponentLabels {
+    /// Partition the items `0..n`, item `i` mentioning the variables `set_of(i)`,
+    /// into connected components of the variable co-occurrence graph (as
+    /// [`connected_components`]). Returns the number of components and, per item,
+    /// the number of its component; components are numbered by their smallest
+    /// member.
+    pub fn label<'a>(&mut self, n: usize, set_of: impl Fn(usize) -> &'a [Var]) -> (usize, &[u32]) {
+        debug_assert!(self.first_seen.iter().all(|&s| s == UNSEEN));
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        for i in 0..n {
+            for v in set_of(i) {
+                let slot = v.0 as usize;
+                if slot >= self.first_seen.len() {
+                    self.first_seen.resize(slot + 1, UNSEEN);
+                }
+                match self.first_seen[slot] {
+                    UNSEEN => self.first_seen[slot] = i as u32,
+                    j => self.union(i as u32, j),
+                }
             }
         }
-    }
-    // Reset only the touched entries so the table can be reused.
-    for v in occurrences {
-        first_seen[v.0 as usize] = OCC_UNSEEN;
-    }
-    // Group by representative, ordering components by smallest member.
-    let mut comp_of = vec![OCC_UNSEEN; n];
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for i in 0..n {
-        let root = uf.find(i);
-        if comp_of[root] == OCC_UNSEEN {
-            comp_of[root] = groups.len();
-            groups.push(Vec::new());
+        for i in 0..n {
+            for v in set_of(i) {
+                self.first_seen[v.0 as usize] = UNSEEN;
+            }
         }
-        groups[comp_of[root]].push(i);
+        // Roots are smallest members, so they are met in component order.
+        self.labels.clear();
+        let mut count = 0;
+        for i in 0..n {
+            let root = self.find(i as u32) as usize;
+            if root == i {
+                self.labels.push(count);
+                count += 1;
+            } else {
+                let label = self.labels[root];
+                self.labels.push(label);
+            }
+        }
+        (count as usize, &self.labels)
     }
-    groups
+
+    /// Length of the variable-indexed table: one more than the largest variable
+    /// id any call has touched.
+    pub fn var_table_len(&self) -> usize {
+        self.first_seen.len()
+    }
+
+    fn find(&mut self, mut i: u32) -> u32 {
+        while self.parent[i as usize] != i {
+            let up = self.parent[i as usize];
+            self.parent[i as usize] = self.parent[up as usize];
+            i = up;
+        }
+        i
+    }
+
+    fn union(&mut self, a: u32, b: u32) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        let (low, high) = (ra.min(rb), ra.max(rb));
+        self.parent[high as usize] = low;
+    }
 }
 
 /// Split a list of items into independent groups according to their variable sets.
@@ -284,6 +298,40 @@ mod tests {
     }
 
     #[test]
+    fn labels_agree_with_connected_components() {
+        let mut scratch = ComponentLabels::default();
+        let cases: Vec<Vec<VarSet>> = vec![
+            vec![],
+            vec![vs(&[1, 2]), vs(&[3]), vs(&[4, 5])],
+            vec![vs(&[1, 2]), vs(&[2, 3]), vs(&[3, 4]), vs(&[9])],
+            vec![
+                vs(&[]),
+                vs(&[1]),
+                vs(&[]),
+                vs(&[1, 7]),
+                vs(&[8]),
+                vs(&[7, 8]),
+            ],
+            vec![vs(&[5]), vs(&[4]), vs(&[3]), vs(&[3, 5]), vs(&[4, 5])],
+        ];
+        for sets in cases {
+            let (count, labels) = scratch.label(sets.len(), |i| sets[i].as_slice());
+            let labels = labels.to_vec();
+            // Components numbered by smallest member, members ascending.
+            let mut by_label: Vec<Vec<usize>> = vec![Vec::new(); count];
+            for (i, &l) in labels.iter().enumerate() {
+                by_label[l as usize].push(i);
+            }
+            assert!(by_label.windows(2).all(|w| w[0][0] < w[1][0]), "{sets:?}");
+            let mut expected = connected_components(&sets);
+            expected.sort();
+            assert_eq!(by_label, expected, "{sets:?}");
+        }
+        // The variable-indexed table grew to the largest id touched, no further.
+        assert_eq!(scratch.var_table_len(), 10);
+    }
+
+    #[test]
     fn no_items() {
         let comps = connected_components(&[]);
         assert!(comps.is_empty());
@@ -298,7 +346,7 @@ mod tests {
         let sets = vec![vs(&[1]), vs(&[2]), vs(&[1, 3]), vs(&[4])];
         let comps = connected_components(&sets);
         assert_eq!(comps, vec![vec![1], vec![0, 2], vec![3]]);
-        let borrowed = connected_components_by(sets.len(), |i| &sets[i]);
+        let borrowed = connected_components_by(sets.len(), |i| sets[i].as_slice());
         assert_eq!(borrowed, comps);
     }
 }

@@ -22,15 +22,24 @@
 //!   instances) and its [variable set](Interner::var_set) (so independence analyses
 //!   need not re-walk the tree).
 //!
-//! The arena only ever grows; it is intended to live alongside a bounded
-//! `CompilationCache` (see `pvc-core`) which stores the expensive artifacts and can
-//! evict freely, while ids stay valid for the lifetime of the interner.
+//! The same type serves two roles. The **shared** arena only ever grows; it lives
+//! alongside a bounded `CompilationCache` (see `pvc-core`) which stores the
+//! expensive artifacts and can evict freely, while ids stay valid for the lifetime
+//! of the interner. A **compile-local** arena is the compiler's working
+//! representation: one root is [imported](Interner::import) from the shared arena
+//! (or interned from a tree), every residual of a Shannon expansion is interned
+//! beside it, and [`clear`](Interner::clear) empties it for the next compilation
+//! without giving its tables back. Both want the same thing from the storage: no
+//! allocation per node. Children, semimodule terms and variable sets therefore
+//! live in flat pools that nodes point into, and the dedup index is one
+//! open-addressing table of ids probed by the canonical hash.
 
-use crate::semimodule_expr::{SemimoduleExpr, SmTerm};
+use crate::semimodule_expr::SemimoduleExpr;
 use crate::semiring_expr::SemiringExpr;
-use crate::vars::{Var, VarSet};
+use crate::vars::Var;
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringValue};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Id of an interned [`SemiringExpr`] (index into the [`Interner`] arena).
 ///
@@ -43,18 +52,23 @@ pub struct ExprId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AggExprId(pub u32);
 
+/// One term `Φ ⊗ m` of an interned semimodule expression: the coefficient's id and
+/// the monoid value.
+pub type AggTerm = (ExprId, MonoidValue);
+
 /// An interned semiring-expression node: the same shape as [`SemiringExpr`] with
-/// child subtrees replaced by arena ids.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum InternedExpr {
+/// child subtrees replaced by arena ids. N-ary children are borrowed from the
+/// arena's pool (reading) or from the caller (see [`Interner::intern_node`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InternedExpr<'a> {
     /// A random variable.
     Var(Var),
     /// A semiring constant.
     Const(SemiringValue),
     /// An n-ary sum; children in canonical order.
-    Add(Vec<ExprId>),
+    Add(&'a [ExprId]),
     /// An n-ary product; children in canonical order.
-    Mul(Vec<ExprId>),
+    Mul(&'a [ExprId]),
     /// A conditional comparing two semiring expressions.
     CmpSS(CmpOp, ExprId, ExprId),
     /// A conditional comparing two semimodule expressions.
@@ -63,12 +77,12 @@ pub enum InternedExpr {
 
 /// An interned semimodule expression: a `+op` sum of `(coefficient, value)` terms in
 /// canonical order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct InternedAgg {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InternedAgg<'a> {
     /// The aggregation monoid.
     pub op: AggOp,
     /// The terms `Φ ⊗ m` with interned coefficients, in canonical order.
-    pub terms: Vec<(ExprId, MonoidValue)>,
+    pub terms: &'a [AggTerm],
 }
 
 // ---------------------------------------------------------------------------
@@ -126,6 +140,118 @@ fn commutative_fold(tag: u64, hashes: impl Iterator<Item = u64>) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
+// Storage
+// ---------------------------------------------------------------------------
+
+/// A run of one of the arena's flat pools.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn new(start: usize, end: usize) -> Self {
+        let fit = |n: usize| u32::try_from(n).expect("expression arena pool exceeds u32 range");
+        Span {
+            start: fit(start),
+            len: fit(end - start),
+        }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A node as stored: n-ary children are a run of [`Interner::children`].
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Var(Var),
+    Const(SemiringValue),
+    Add(Span),
+    Mul(Span),
+    CmpSS(CmpOp, ExprId, ExprId),
+    CmpMM(CmpOp, AggExprId, AggExprId),
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ExprEntry {
+    shape: Shape,
+    hash: u64,
+    /// Run of [`Interner::var_pool`], ascending and duplicate-free.
+    vars: Span,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct AggEntry {
+    op: AggOp,
+    /// Run of [`Interner::agg_terms`].
+    terms: Span,
+    hash: u64,
+    vars: Span,
+}
+
+/// The dedup index: an open-addressing table of node ids, probed linearly from the
+/// canonical hash. Every node is in the table exactly once, so growing re-inserts
+/// ids `0..len` from their stored hashes and nothing is ever removed but by
+/// [`clear`](IdTable::clear).
+#[derive(Debug, Default)]
+struct IdTable {
+    slots: Vec<u32>,
+    len: usize,
+}
+
+const EMPTY_SLOT: u32 = u32::MAX;
+
+impl IdTable {
+    /// The id stored under `hash` that `matches`, if any.
+    fn find(&self, hash: u64, mut matches: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            match self.slots[at] {
+                EMPTY_SLOT => return None,
+                id if matches(id) => return Some(id),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Add `id` (not present yet) under `hash`; `hash_of` recovers the hash of an
+    /// id already stored, for growing.
+    fn insert(&mut self, hash: u64, id: u32, hash_of: impl Fn(u32) -> u64) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            let capacity = (self.slots.len() * 2).max(16);
+            self.slots.clear();
+            self.slots.resize(capacity, EMPTY_SLOT);
+            for old in 0..self.len as u32 {
+                self.place(hash_of(old), old);
+            }
+        }
+        self.place(hash, id);
+        self.len += 1;
+    }
+
+    fn place(&mut self, hash: u64, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while self.slots[at] != EMPTY_SLOT {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = id;
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(EMPTY_SLOT);
+        self.len = 0;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The arena
 // ---------------------------------------------------------------------------
 
@@ -134,18 +260,18 @@ fn commutative_fold(tag: u64, hashes: impl Iterator<Item = u64>) -> u64 {
 /// See the [module documentation](self) for the canonicalisation contract.
 #[derive(Debug, Default)]
 pub struct Interner {
-    nodes: Vec<InternedExpr>,
-    hashes: Vec<u64>,
-    var_sets: Vec<VarSet>,
-    // Dedup index keyed by the canonical hash; candidates are compared against the
-    // arena, so every node is stored exactly once (the bucket list absorbs the
-    // rare structural hash collision).
-    dedup: HashMap<u64, Vec<ExprId>>,
+    exprs: Vec<ExprEntry>,
+    /// Children of every `Add` / `Mul` node, one run per node.
+    children: Vec<ExprId>,
+    /// Variable sets of every node (semiring and semimodule), one run per node;
+    /// a node whose set equals a child's shares the child's run.
+    var_pool: Vec<Var>,
+    table: IdTable,
 
-    agg_nodes: Vec<InternedAgg>,
-    agg_hashes: Vec<u64>,
-    agg_var_sets: Vec<VarSet>,
-    agg_dedup: HashMap<u64, Vec<AggExprId>>,
+    aggs: Vec<AggEntry>,
+    /// Terms of every semimodule node, one run per node.
+    agg_terms: Vec<AggTerm>,
+    agg_table: IdTable,
 }
 
 // The interner is shared across worker threads (behind a mutex in
@@ -164,63 +290,108 @@ impl Interner {
         Self::default()
     }
 
+    /// Forget every node but keep the tables' allocations: how a compile-local
+    /// arena is reused from one compilation to the next. Every id handed out
+    /// before the call is invalid after it.
+    pub fn clear(&mut self) {
+        self.exprs.clear();
+        self.children.clear();
+        self.var_pool.clear();
+        self.table.clear();
+        self.aggs.clear();
+        self.agg_terms.clear();
+        self.agg_table.clear();
+    }
+
+    /// Allocated room of the seven tables, in elements — moves only when one of
+    /// them reallocates.
+    pub fn capacity(&self) -> usize {
+        self.exprs.capacity()
+            + self.children.capacity()
+            + self.var_pool.capacity()
+            + self.table.slots.capacity()
+            + self.aggs.capacity()
+            + self.agg_terms.capacity()
+            + self.agg_table.slots.capacity()
+    }
+
     /// Number of distinct interned semiring nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.exprs.len()
     }
 
     /// Number of distinct interned semimodule nodes.
     pub fn agg_len(&self) -> usize {
-        self.agg_nodes.len()
+        self.aggs.len()
     }
 
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty() && self.agg_nodes.is_empty()
+        self.exprs.is_empty() && self.aggs.is_empty()
     }
 
     /// The interned node behind an id.
-    pub fn node(&self, id: ExprId) -> &InternedExpr {
-        &self.nodes[id.0 as usize]
+    pub fn node(&self, id: ExprId) -> InternedExpr<'_> {
+        match self.exprs[id.0 as usize].shape {
+            Shape::Var(v) => InternedExpr::Var(v),
+            Shape::Const(c) => InternedExpr::Const(c),
+            Shape::Add(span) => InternedExpr::Add(&self.children[span.range()]),
+            Shape::Mul(span) => InternedExpr::Mul(&self.children[span.range()]),
+            Shape::CmpSS(op, a, b) => InternedExpr::CmpSS(op, a, b),
+            Shape::CmpMM(op, a, b) => InternedExpr::CmpMM(op, a, b),
+        }
     }
 
     /// The interned semimodule node behind an id.
-    pub fn agg_node(&self, id: AggExprId) -> &InternedAgg {
-        &self.agg_nodes[id.0 as usize]
+    pub fn agg_node(&self, id: AggExprId) -> InternedAgg<'_> {
+        let entry = &self.aggs[id.0 as usize];
+        InternedAgg {
+            op: entry.op,
+            terms: &self.agg_terms[entry.terms.range()],
+        }
+    }
+
+    /// The constant an interned expression *is* (not: folds to), if it is one.
+    pub fn as_const(&self, id: ExprId) -> Option<SemiringValue> {
+        match self.exprs[id.0 as usize].shape {
+            Shape::Const(c) => Some(c),
+            _ => None,
+        }
     }
 
     /// The canonical structural hash of an interned expression. Stable across
     /// interner instances and processes; invariant under commutative reordering.
     pub fn hash(&self, id: ExprId) -> u64 {
-        self.hashes[id.0 as usize]
+        self.exprs[id.0 as usize].hash
     }
 
     /// The canonical structural hash of an interned semimodule expression.
     pub fn agg_hash(&self, id: AggExprId) -> u64 {
-        self.agg_hashes[id.0 as usize]
+        self.aggs[id.0 as usize].hash
     }
 
-    /// The set of variables occurring in an interned expression (precomputed).
-    pub fn var_set(&self, id: ExprId) -> &VarSet {
-        &self.var_sets[id.0 as usize]
+    /// The variables occurring in an interned expression (precomputed), ascending
+    /// and duplicate-free.
+    pub fn var_set(&self, id: ExprId) -> &[Var] {
+        &self.var_pool[self.exprs[id.0 as usize].vars.range()]
     }
 
-    /// The set of variables occurring in an interned semimodule expression.
-    pub fn agg_var_set(&self, id: AggExprId) -> &VarSet {
-        &self.agg_var_sets[id.0 as usize]
+    /// The variables occurring in an interned semimodule expression.
+    pub fn agg_var_set(&self, id: AggExprId) -> &[Var] {
+        &self.var_pool[self.aggs[id.0 as usize].vars.range()]
     }
 
-    /// All interned semiring nodes in id order (`nodes()[i]` is the node behind
-    /// `ExprId(i)`). Children always have smaller ids than their parents, so the
-    /// slice is a valid bottom-up replay order — the property the snapshot codec
-    /// of `pvc-core::persist` relies on.
-    pub fn nodes(&self) -> &[InternedExpr] {
-        &self.nodes
+    /// All interned semiring nodes in id order (item `i` is the node behind
+    /// `ExprId(i)`). Children always have smaller ids than their parents, so this
+    /// is a valid bottom-up replay order — the property the snapshot codec of
+    /// `pvc-core::persist` relies on.
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = InternedExpr<'_>> {
+        (0..self.exprs.len() as u32).map(|i| self.node(ExprId(i)))
     }
 
     /// All interned semimodule nodes in id order (see [`nodes`](Self::nodes)).
-    pub fn agg_nodes(&self) -> &[InternedAgg] {
-        &self.agg_nodes
+    pub fn agg_nodes(&self) -> impl ExactSizeIterator<Item = InternedAgg<'_>> {
+        (0..self.aggs.len() as u32).map(|i| self.agg_node(AggExprId(i)))
     }
 
     /// Intern an already-structured node whose children are ids of **this**
@@ -228,189 +399,344 @@ impl Interner {
     /// [`intern`](Self::intern), so replaying another interner's nodes (with
     /// remapped child ids) through this method reproduces canonical structures —
     /// the load half of the snapshot codec.
-    pub fn intern_node(&mut self, node: InternedExpr) -> ExprId {
+    pub fn intern_node(&mut self, node: InternedExpr<'_>) -> ExprId {
         match node {
+            InternedExpr::Var(v) => self.insert_leaf(Shape::Var(v)),
+            InternedExpr::Const(c) => self.insert_leaf(Shape::Const(c)),
             InternedExpr::Add(children) => self.intern_add(children),
             InternedExpr::Mul(children) => self.intern_mul(children),
-            other => self.insert_node(other),
+            InternedExpr::CmpSS(op, a, b) => self.insert_leaf(Shape::CmpSS(op, a, b)),
+            InternedExpr::CmpMM(op, a, b) => self.insert_leaf(Shape::CmpMM(op, a, b)),
         }
     }
 
     /// Intern a semiring expression tree, returning its canonical id.
     pub fn intern(&mut self, expr: &SemiringExpr) -> ExprId {
         match expr {
-            SemiringExpr::Var(v) => self.insert_node(InternedExpr::Var(*v)),
-            SemiringExpr::Const(c) => self.insert_node(InternedExpr::Const(*c)),
+            SemiringExpr::Var(v) => self.insert_leaf(Shape::Var(*v)),
+            SemiringExpr::Const(c) => self.insert_leaf(Shape::Const(*c)),
             SemiringExpr::Add(children) => {
                 let ids: Vec<ExprId> = children.iter().map(|c| self.intern(c)).collect();
-                self.intern_add(ids)
+                self.intern_add(&ids)
             }
             SemiringExpr::Mul(children) => {
                 let ids: Vec<ExprId> = children.iter().map(|c| self.intern(c)).collect();
-                self.intern_mul(ids)
+                self.intern_mul(&ids)
             }
             SemiringExpr::CmpSS(op, a, b) => {
                 let ia = self.intern(a);
                 let ib = self.intern(b);
-                self.insert_node(InternedExpr::CmpSS(*op, ia, ib))
+                self.insert_leaf(Shape::CmpSS(*op, ia, ib))
             }
             SemiringExpr::CmpMM(op, a, b) => {
                 let ia = self.intern_semimodule(a);
                 let ib = self.intern_semimodule(b);
-                self.insert_node(InternedExpr::CmpMM(*op, ia, ib))
+                self.insert_leaf(Shape::CmpMM(*op, ia, ib))
             }
         }
     }
 
     /// Intern a semimodule expression, returning its canonical id.
     pub fn intern_semimodule(&mut self, expr: &SemimoduleExpr) -> AggExprId {
-        let terms: Vec<(ExprId, MonoidValue)> = expr
+        let terms: Vec<AggTerm> = expr
             .terms
             .iter()
             .map(|t| (self.intern(&t.coeff), t.value))
             .collect();
-        self.intern_agg(expr.op, terms)
+        self.intern_agg(expr.op, &terms)
     }
 
     /// Intern an n-ary sum from already-interned children (canonicalising order).
     /// A singleton sum collapses to its only child, mirroring
     /// [`SemiringExpr::sum`]'s builder behaviour.
-    pub fn intern_add(&mut self, mut children: Vec<ExprId>) -> ExprId {
-        if children.len() == 1 {
-            return children[0];
-        }
-        self.sort_canonical(&mut children);
-        self.insert_node(InternedExpr::Add(children))
+    pub fn intern_add(&mut self, children: &[ExprId]) -> ExprId {
+        self.insert_nary(true, children)
     }
 
     /// Intern an n-ary product from already-interned children (canonicalising order).
-    pub fn intern_mul(&mut self, mut children: Vec<ExprId>) -> ExprId {
-        if children.len() == 1 {
-            return children[0];
-        }
-        self.sort_canonical(&mut children);
-        self.insert_node(InternedExpr::Mul(children))
+    pub fn intern_mul(&mut self, children: &[ExprId]) -> ExprId {
+        self.insert_nary(false, children)
     }
 
     /// Intern a semimodule sum from already-interned terms (canonicalising order).
-    pub fn intern_agg(&mut self, op: AggOp, mut terms: Vec<(ExprId, MonoidValue)>) -> AggExprId {
-        terms.sort_by_key(|(coeff, value)| (self.hash(*coeff), *coeff, *value));
-        let node = InternedAgg { op, terms };
+    pub fn intern_agg(&mut self, op: AggOp, terms: &[AggTerm]) -> AggExprId {
+        let start = self.agg_terms.len();
+        self.agg_terms.extend_from_slice(terms);
+        let exprs = &self.exprs;
+        self.agg_terms[start..]
+            .sort_unstable_by_key(|(coeff, value)| (exprs[coeff.0 as usize].hash, *coeff, *value));
+        let own = &self.agg_terms[start..];
         let hash = commutative_fold(
             chain(TAG_AGG, op as u64),
-            node.terms
-                .iter()
-                .map(|(c, v)| chain(self.hash(*c), hash_monoid_value(v))),
+            own.iter()
+                .map(|(c, v)| chain(exprs[c.0 as usize].hash, hash_monoid_value(v))),
         );
-        if let Some(candidates) = self.agg_dedup.get(&hash) {
-            for &c in candidates {
-                if self.agg_nodes[c.0 as usize] == node {
-                    return c;
-                }
-            }
+        let found = self.agg_table.find(hash, |cand| {
+            let entry = &self.aggs[cand as usize];
+            entry.hash == hash && entry.op == op && self.agg_terms[entry.terms.range()] == *own
+        });
+        if let Some(id) = found {
+            self.agg_terms.truncate(start);
+            return AggExprId(id);
         }
-        // Every term's variables collected once, then one sort and one dedup:
-        // folding pairwise unions re-sorts the growing set per term.
-        let vars = node
-            .terms
-            .iter()
-            .flat_map(|(c, _)| self.var_set(*c).iter())
-            .collect();
-        let id = AggExprId(self.agg_nodes.len() as u32);
-        self.agg_nodes.push(node);
-        self.agg_hashes.push(hash);
-        self.agg_var_sets.push(vars);
-        self.agg_dedup.entry(hash).or_default().push(id);
-        id
+        let terms = Span::new(start, self.agg_terms.len());
+        let vars = union_vars(
+            &mut self.var_pool,
+            self.agg_terms[start..]
+                .iter()
+                .map(|(c, _)| self.exprs[c.0 as usize].vars),
+        );
+        let id = self.aggs.len() as u32;
+        self.aggs.push(AggEntry {
+            op,
+            terms,
+            hash,
+            vars,
+        });
+        let aggs = &self.aggs;
+        self.agg_table
+            .insert(hash, id, |old| aggs[old as usize].hash);
+        AggExprId(id)
     }
 
-    /// Materialise the owned expression tree behind an id (in canonical operand
-    /// order — a deterministic rendering of the equivalence class).
-    pub fn resolve(&self, id: ExprId) -> SemiringExpr {
-        match self.node(id) {
-            InternedExpr::Var(v) => SemiringExpr::Var(*v),
-            InternedExpr::Const(c) => SemiringExpr::Const(*c),
+    /// Copy the DAG below `id` of `src` into this arena and return its id here.
+    /// Ids are assigned in first-visit order of a walk through `src`'s canonical
+    /// child order, so what the copy looks like is a function of the expression's
+    /// structure alone, not of how `src` numbered it. `memo` remembers what it
+    /// has copied: share one across several roots of the same `src` and nothing
+    /// is visited twice.
+    pub fn import(&mut self, src: &Interner, id: ExprId, memo: &mut ImportMemo) -> ExprId {
+        if let Some(&done) = memo.exprs.get(&id.0) {
+            return done;
+        }
+        let copy = match src.node(id) {
+            InternedExpr::Var(v) => self.insert_leaf(Shape::Var(v)),
+            InternedExpr::Const(c) => self.insert_leaf(Shape::Const(c)),
             InternedExpr::Add(children) => {
-                SemiringExpr::Add(children.iter().map(|c| self.resolve(*c)).collect())
+                let mine = self.import_all(src, children, memo);
+                self.intern_add(&mine)
             }
             InternedExpr::Mul(children) => {
-                SemiringExpr::Mul(children.iter().map(|c| self.resolve(*c)).collect())
+                let mine = self.import_all(src, children, memo);
+                self.intern_mul(&mine)
             }
             InternedExpr::CmpSS(op, a, b) => {
-                SemiringExpr::CmpSS(*op, Box::new(self.resolve(*a)), Box::new(self.resolve(*b)))
+                let a = self.import(src, a, memo);
+                let b = self.import(src, b, memo);
+                self.insert_leaf(Shape::CmpSS(op, a, b))
             }
-            InternedExpr::CmpMM(op, a, b) => SemiringExpr::CmpMM(
-                *op,
-                Box::new(self.resolve_semimodule(*a)),
-                Box::new(self.resolve_semimodule(*b)),
-            ),
-        }
-    }
-
-    /// Materialise the owned semimodule expression behind an id.
-    pub fn resolve_semimodule(&self, id: AggExprId) -> SemimoduleExpr {
-        let node = self.agg_node(id);
-        SemimoduleExpr {
-            op: node.op,
-            terms: node
-                .terms
-                .iter()
-                .map(|(c, v)| SmTerm::new(self.resolve(*c), *v))
-                .collect(),
-        }
-    }
-
-    /// Sort children into canonical order: by canonical hash, ties broken by id
-    /// (within one interner, equal structure ⇒ equal id, so the order is total on
-    /// distinct structures and permutations of a multiset sort identically).
-    fn sort_canonical(&self, children: &mut [ExprId]) {
-        children.sort_by_key(|c| (self.hash(*c), *c));
-    }
-
-    fn insert_node(&mut self, node: InternedExpr) -> ExprId {
-        let hash = match &node {
-            InternedExpr::Var(v) => mix(TAG_VAR ^ v.0 as u64),
-            InternedExpr::Const(c) => hash_semiring_value(c),
-            InternedExpr::Add(cs) => commutative_fold(TAG_ADD, cs.iter().map(|c| self.hash(*c))),
-            InternedExpr::Mul(cs) => commutative_fold(TAG_MUL, cs.iter().map(|c| self.hash(*c))),
-            InternedExpr::CmpSS(op, a, b) => chain(
-                chain(chain(TAG_CMP_SS, *op as u64), self.hash(*a)),
-                self.hash(*b),
-            ),
-            InternedExpr::CmpMM(op, a, b) => chain(
-                chain(chain(TAG_CMP_MM, *op as u64), self.agg_hash(*a)),
-                self.agg_hash(*b),
-            ),
+            InternedExpr::CmpMM(op, a, b) => {
+                let a = self.import_agg(src, a, memo);
+                let b = self.import_agg(src, b, memo);
+                self.insert_leaf(Shape::CmpMM(op, a, b))
+            }
         };
-        if let Some(candidates) = self.dedup.get(&hash) {
-            for &c in candidates {
-                if self.nodes[c.0 as usize] == node {
-                    return c;
+        memo.exprs.insert(id.0, copy);
+        copy
+    }
+
+    /// [`import`](Self::import) for a semimodule expression.
+    pub fn import_agg(
+        &mut self,
+        src: &Interner,
+        id: AggExprId,
+        memo: &mut ImportMemo,
+    ) -> AggExprId {
+        if let Some(&done) = memo.aggs.get(&id.0) {
+            return done;
+        }
+        let node = src.agg_node(id);
+        let terms: Vec<AggTerm> = node
+            .terms
+            .iter()
+            .map(|&(coeff, value)| (self.import(src, coeff, memo), value))
+            .collect();
+        let copy = self.intern_agg(node.op, &terms);
+        memo.aggs.insert(id.0, copy);
+        copy
+    }
+
+    fn import_all(
+        &mut self,
+        src: &Interner,
+        children: &[ExprId],
+        memo: &mut ImportMemo,
+    ) -> Vec<ExprId> {
+        children
+            .iter()
+            .map(|&c| self.import(src, c, memo))
+            .collect()
+    }
+
+    fn insert_nary(&mut self, is_add: bool, children: &[ExprId]) -> ExprId {
+        if let [only] = children {
+            return *only;
+        }
+        // The candidate's children go to the end of the pool first: a hit takes
+        // them off again, a miss leaves them where the new node needs them.
+        let start = self.children.len();
+        self.children.extend_from_slice(children);
+        let exprs = &self.exprs;
+        // Canonical order: by canonical hash, ties broken by id (within one
+        // interner, equal structure ⇒ equal id, so the order is total on distinct
+        // structures and permutations of a multiset sort identically).
+        self.children[start..].sort_unstable_by_key(|c| (exprs[c.0 as usize].hash, *c));
+        let own = &self.children[start..];
+        let tag = if is_add { TAG_ADD } else { TAG_MUL };
+        let hash = commutative_fold(tag, own.iter().map(|c| exprs[c.0 as usize].hash));
+        let found = self.table.find(hash, |cand| {
+            let entry = &exprs[cand as usize];
+            entry.hash == hash
+                && match entry.shape {
+                    Shape::Add(span) if is_add => self.children[span.range()] == *own,
+                    Shape::Mul(span) if !is_add => self.children[span.range()] == *own,
+                    _ => false,
                 }
-            }
+        });
+        if let Some(id) = found {
+            self.children.truncate(start);
+            return ExprId(id);
         }
-        let vars = match &node {
-            InternedExpr::Var(v) => VarSet::singleton(*v),
-            InternedExpr::Const(_) => VarSet::new(),
-            InternedExpr::Add(cs) | InternedExpr::Mul(cs) => {
-                cs.iter().flat_map(|c| self.var_set(*c).iter()).collect()
-            }
-            InternedExpr::CmpSS(_, a, b) => self.var_set(*a).union(self.var_set(*b)),
-            InternedExpr::CmpMM(_, a, b) => self.agg_var_set(*a).union(self.agg_var_set(*b)),
+        let span = Span::new(start, self.children.len());
+        let vars = union_vars(
+            &mut self.var_pool,
+            self.children[start..]
+                .iter()
+                .map(|c| self.exprs[c.0 as usize].vars),
+        );
+        let shape = if is_add {
+            Shape::Add(span)
+        } else {
+            Shape::Mul(span)
         };
-        let id = ExprId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        self.hashes.push(hash);
-        self.var_sets.push(vars);
-        self.dedup.entry(hash).or_default().push(id);
-        id
+        self.push_expr(shape, hash, vars)
+    }
+
+    /// Intern a node without n-ary children.
+    fn insert_leaf(&mut self, shape: Shape) -> ExprId {
+        let hash = match shape {
+            Shape::Var(v) => mix(TAG_VAR ^ v.0 as u64),
+            Shape::Const(c) => hash_semiring_value(&c),
+            Shape::CmpSS(op, a, b) => chain(
+                chain(chain(TAG_CMP_SS, op as u64), self.hash(a)),
+                self.hash(b),
+            ),
+            Shape::CmpMM(op, a, b) => chain(
+                chain(chain(TAG_CMP_MM, op as u64), self.agg_hash(a)),
+                self.agg_hash(b),
+            ),
+            Shape::Add(_) | Shape::Mul(_) => unreachable!("n-ary nodes go through insert_nary"),
+        };
+        let found = self.table.find(hash, |cand| {
+            let entry = &self.exprs[cand as usize];
+            entry.hash == hash
+                && match (entry.shape, shape) {
+                    (Shape::Var(a), Shape::Var(b)) => a == b,
+                    (Shape::Const(a), Shape::Const(b)) => a == b,
+                    (Shape::CmpSS(o, a, b), Shape::CmpSS(p, c, d)) => (o, a, b) == (p, c, d),
+                    (Shape::CmpMM(o, a, b), Shape::CmpMM(p, c, d)) => (o, a, b) == (p, c, d),
+                    _ => false,
+                }
+        });
+        if let Some(id) = found {
+            return ExprId(id);
+        }
+        let vars = match shape {
+            Shape::Var(v) => {
+                self.var_pool.push(v);
+                Span::new(self.var_pool.len() - 1, self.var_pool.len())
+            }
+            Shape::CmpSS(_, a, b) => {
+                let sides = [self.exprs[a.0 as usize].vars, self.exprs[b.0 as usize].vars];
+                union_vars(&mut self.var_pool, sides.into_iter())
+            }
+            Shape::CmpMM(_, a, b) => {
+                let sides = [self.aggs[a.0 as usize].vars, self.aggs[b.0 as usize].vars];
+                union_vars(&mut self.var_pool, sides.into_iter())
+            }
+            _ => Span::default(),
+        };
+        self.push_expr(shape, hash, vars)
+    }
+
+    fn push_expr(&mut self, shape: Shape, hash: u64, vars: Span) -> ExprId {
+        let id = u32::try_from(self.exprs.len()).expect("expression arena exceeds u32 ids");
+        self.exprs.push(ExprEntry { shape, hash, vars });
+        let exprs = &self.exprs;
+        self.table.insert(hash, id, |old| exprs[old as usize].hash);
+        ExprId(id)
+    }
+}
+
+/// Append the union of the given runs of `pool` to it — every run's variables
+/// collected once, then one sort and one dedup (folding pairwise unions re-sorts
+/// the growing set per run) — and return where it is. A union no larger than its
+/// widest operand *is* that operand, whose run is returned instead.
+fn union_vars(pool: &mut Vec<Var>, sets: impl Iterator<Item = Span>) -> Span {
+    let start = pool.len();
+    let mut widest = Span::default();
+    for set in sets {
+        if set.len > widest.len {
+            widest = set;
+        }
+        pool.extend_from_within(set.range());
+    }
+    pool[start..].sort_unstable();
+    let mut end = start;
+    for at in start..pool.len() {
+        if end == start || pool[end - 1] != pool[at] {
+            pool[end] = pool[at];
+            end += 1;
+        }
+    }
+    if end - start == widest.len as usize {
+        pool.truncate(start);
+        return widest;
+    }
+    pool.truncate(end);
+    Span::new(start, end)
+}
+
+/// What an [`Interner::import`] has copied so far, by source id.
+#[derive(Debug, Default)]
+pub struct ImportMemo {
+    exprs: HashMap<u32, ExprId, BuildHasherDefault<IdHasher>>,
+    aggs: HashMap<u32, AggExprId, BuildHasherDefault<IdHasher>>,
+}
+
+impl ImportMemo {
+    /// Forget everything (for importing from another source), keeping the maps'
+    /// allocations.
+    pub fn clear(&mut self) {
+        self.exprs.clear();
+        self.aggs.clear();
+    }
+}
+
+/// Hasher for arena ids — small integers this program handed out itself, so one
+/// round of [`mix`] instead of SipHash.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = mix(id as u64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vars::VarTable;
     use pvc_algebra::MonoidValue::Fin;
 
     fn v(i: u32) -> SemiringExpr {
@@ -508,38 +834,71 @@ mod tests {
     }
 
     #[test]
-    fn resolve_round_trips_semantics() {
-        // The resolved tree may reorder operands but must evaluate identically.
-        let mut vt = VarTable::new();
-        let x = vt.boolean("x", 0.5);
-        let y = vt.boolean("y", 0.5);
-        let z = vt.boolean("z", 0.5);
-        let e = SemiringExpr::Var(z) * (SemiringExpr::Var(y) + SemiringExpr::Var(x));
+    fn import_copies_the_dag_and_numbers_it_by_structure() {
+        // The same condition reaches two source arenas in different renderings
+        // and after different histories; a nested aggregate is shared by two
+        // comparisons.
+        let alpha =
+            SemimoduleExpr::from_terms(AggOp::Min, vec![(v(1) * v(2), Fin(3)), (v(3), Fin(4))]);
+        let beta = SemimoduleExpr::constant(AggOp::Min, Fin(3));
+        let cond = SemiringExpr::cmp_mm(CmpOp::Le, alpha.clone(), beta.clone());
+        let e = (cond.clone() * v(4)) + (cond * v(5)) + v(1);
+        let alpha_commuted =
+            SemimoduleExpr::from_terms(AggOp::Min, vec![(v(3), Fin(4)), (v(2) * v(1), Fin(3))]);
+        let cond_commuted = SemiringExpr::cmp_mm(CmpOp::Le, alpha_commuted, beta);
+        let e_commuted = v(1) + (v(5) * cond_commuted.clone()) + (cond_commuted * v(4));
+        let mut src1 = Interner::new();
+        let id1 = src1.intern(&e);
+        let mut src2 = Interner::new();
+        src2.intern(&(v(9) * v(8) + v(7)));
+        let id2 = src2.intern(&e_commuted);
+
+        let mut dst1 = Interner::new();
+        let copy1 = dst1.import(&src1, id1, &mut ImportMemo::default());
+        let mut dst2 = Interner::new();
+        let mut memo = ImportMemo::default();
+        let copy2 = dst2.import(&src2, id2, &mut memo);
+        // Only what the root reaches is copied, shared nodes once.
+        assert_eq!(dst1.len(), src1.len());
+        assert_eq!(dst1.agg_len(), 2);
+        assert!(dst2.len() < src2.len());
+        assert_eq!(dst1.hash(copy1), src1.hash(id1));
+        assert_eq!(dst1.var_set(copy1), src1.var_set(id1));
+        // Same structure, same numbering: the two copies are node-for-node equal.
+        assert_eq!(copy1, copy2);
+        assert!(dst1.nodes().eq(dst2.nodes()));
+        assert!(dst1.agg_nodes().eq(dst2.agg_nodes()));
+        // Importing again is a lookup, and interning the tree into the copy is a
+        // fixed point.
+        assert_eq!(dst2.import(&src2, id2, &mut memo), copy2);
+        assert_eq!(dst2.intern(&e), copy2);
+    }
+
+    #[test]
+    fn clear_keeps_the_tables() {
+        let e = SemiringExpr::sum((0..40).map(|i| v(i) * v(i + 1) * v(i + 2)).collect());
         let mut it = Interner::new();
         let id = it.intern(&e);
-        let back = it.resolve(id);
-        let worlds = [
-            (false, false, true),
-            (true, false, false),
-            (true, true, true),
-        ];
-        for (xv, yv, zv) in worlds {
-            let val = |v: Var| {
-                SemiringValue::Bool(if v == x {
-                    xv
-                } else if v == y {
-                    yv
-                } else {
-                    zv
-                })
-            };
-            assert_eq!(
-                e.eval(&val, pvc_algebra::SemiringKind::Bool),
-                back.eval(&val, pvc_algebra::SemiringKind::Bool)
-            );
-        }
-        // Re-interning the resolved form is a fixed point.
-        assert_eq!(it.intern(&back), id);
+        let (len, hash, capacity) = (it.len(), it.hash(id), it.capacity());
+        it.clear();
+        assert!(it.is_empty());
+        assert_eq!(it.capacity(), capacity);
+        // Refilling finds everything it needs in place.
+        let again = it.intern(&e);
+        assert_eq!(
+            (it.len(), it.hash(again), it.capacity()),
+            (len, hash, capacity)
+        );
+        assert_eq!(again, id);
+    }
+
+    #[test]
+    fn a_node_as_wide_as_a_child_shares_its_var_set() {
+        let mut it = Interner::new();
+        let inner = it.intern(&(v(1) * v(2) * v(3)));
+        let outer = it.intern(&((v(1) * v(2) * v(3)) + v(2)));
+        assert_eq!(it.var_set(outer), it.var_set(inner));
+        assert!(std::ptr::eq(it.var_set(outer), it.var_set(inner)));
     }
 
     #[test]
@@ -548,10 +907,10 @@ mod tests {
         let id = it.intern(&(v(1) * (v(2) + v(3))));
         let vs = it.var_set(id);
         assert_eq!(vs.len(), 3);
-        assert!(vs.contains(Var(2)));
+        assert!(vs.contains(&Var(2)));
         let alpha = SemimoduleExpr::from_terms(AggOp::Sum, vec![(v(7), Fin(1))]);
         let aid = it.intern_semimodule(&alpha);
-        assert_eq!(it.agg_var_set(aid).as_slice(), &[Var(7)]);
+        assert_eq!(it.agg_var_set(aid), &[Var(7)]);
     }
 
     #[test]

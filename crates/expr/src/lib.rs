@@ -15,6 +15,8 @@
 //! * [`intern`] — the hash-consed expression arena: canonical ids with O(1)
 //!   structural equality and reorder-stable 64-bit hashes (the cache-key substrate
 //!   of the engine's compilation cache);
+//! * [`residual`] — substitution, constant folding and the residual-shrinking laws
+//!   on interned ids (the compiler's working representation);
 //! * [`oracle`] — brute-force possible-world enumeration (the correctness oracle).
 
 #![forbid(unsafe_code)]
@@ -24,11 +26,13 @@ pub mod factor;
 pub mod independence;
 pub mod intern;
 pub mod oracle;
+pub mod residual;
 pub mod semimodule_expr;
 pub mod semiring_expr;
 pub mod vars;
 
-pub use intern::{AggExprId, ExprId, InternedAgg, InternedExpr, Interner};
+pub use intern::{AggExprId, AggTerm, ExprId, ImportMemo, InternedAgg, InternedExpr, Interner};
+pub use residual::{ResidualArena, ResidualCounts};
 pub use semimodule_expr::{SemimoduleExpr, SmTerm};
 pub use semiring_expr::SemiringExpr;
 pub use vars::{Var, VarSet, VarTable};

@@ -218,49 +218,15 @@ impl SemimoduleExpr {
         SemimoduleExpr { op: self.op, terms }
     }
 
-    /// `α|x←s` followed by coefficient simplification, in one term-list rebuild.
-    ///
-    /// Produces exactly the same expression as
-    /// `self.substitute(var, value).simplify(kind)` while visiting every
-    /// coefficient tree once — the hot step of the compiler's `⊔` expansion over
-    /// semimodule expressions.
-    pub fn substitute_simplify(
-        &self,
-        var: Var,
-        value: SemiringValue,
-        kind: SemiringKind,
-    ) -> SemimoduleExpr {
-        let mut const_acc: Option<MonoidValue> = None;
-        let mut terms = Vec::with_capacity(self.terms.len());
-        for t in &self.terms {
-            let coeff = t.coeff.substitute_simplify(var, value, kind);
-            match coeff.as_const() {
-                Some(c) if c.is_zero() => {}
-                Some(c) => {
-                    let v = self.op.scalar_action(&c, &t.value);
-                    const_acc = Some(match const_acc {
-                        None => v,
-                        Some(acc) => self.op.combine(&acc, &v),
-                    });
-                }
-                None => terms.push(SmTerm::new(coeff, t.value)),
-            }
-        }
-        if let Some(c) = const_acc {
-            if c != self.op.identity() || terms.is_empty() {
-                terms.push(SmTerm::new(SemiringExpr::Const(kind.one()), c));
-            }
-        }
-        SemimoduleExpr { op: self.op, terms }
-    }
-
-    /// The single constant value, if the whole expression is ground.
+    /// The single constant value, if the whole expression is ground. Every
+    /// coefficient is folded in its own semiring
+    /// ([`SemiringExpr::ground_value`]), so `(2 + 3) ⊗ 10` is a constant whether
+    /// or not it has been simplified.
     pub fn as_const(&self) -> Option<MonoidValue> {
-        if !self.is_ground() {
-            return None;
-        }
-        // Ground expression: evaluate directly with an empty valuation.
-        Some(self.eval(&|_| SemiringValue::Bool(false), SemiringKind::Bool))
+        self.terms.iter().try_fold(self.op.identity(), |acc, t| {
+            let c = t.coeff.ground_value()?;
+            Some(self.op.combine(&acc, &self.op.scalar_action(&c, &t.value)))
+        })
     }
 }
 
@@ -450,6 +416,40 @@ mod tests {
             SemimoduleExpr::zero(AggOp::Min).as_const(),
             Some(MonoidValue::PosInf)
         );
+    }
+
+    #[test]
+    fn unfolded_ground_coefficients_are_constants_too() {
+        // (2 + 3)⊗10 and (2·3)⊗10: ground, N-valued, not yet simplified.
+        let nat = |n| SemiringExpr::Const(SemiringValue::Nat(n));
+        let sum = SemiringExpr::Add(vec![nat(2), nat(3)]);
+        let product = SemiringExpr::Mul(vec![nat(2), nat(3)]);
+        for (op, coeff, expected) in [
+            (AggOp::Sum, &sum, 50),
+            (AggOp::Sum, &product, 60),
+            (AggOp::Min, &sum, 10),
+            (AggOp::Min, &product, 10),
+        ] {
+            let e = SemimoduleExpr::from_terms(op, vec![(coeff.clone(), Fin(10))]);
+            assert_eq!(e.as_const(), Some(Fin(expected)), "{op} {coeff}");
+            assert_eq!(
+                e.simplify(SemiringKind::Nat).as_const(),
+                Some(Fin(expected))
+            );
+            let vt = VarTable::new();
+            let dist = crate::oracle::semimodule_dist_by_enumeration(&e, &vt, SemiringKind::Nat);
+            assert!((dist.prob(&Fin(expected)) - 1.0).abs() < 1e-12);
+        }
+        // Next to a Boolean-annotated constant, as `SemimoduleExpr::constant` makes.
+        let mixed = SemimoduleExpr::from_terms(AggOp::Sum, vec![(sum, Fin(10))])
+            .add(&SemimoduleExpr::constant(AggOp::Sum, Fin(7)));
+        assert_eq!(mixed.as_const(), Some(Fin(57)));
+        // A variable anywhere: not a constant.
+        let open = SemimoduleExpr::from_terms(
+            AggOp::Sum,
+            vec![(nat(2), Fin(1)), (SemiringExpr::Var(Var(0)), Fin(1))],
+        );
+        assert_eq!(open.as_const(), None);
     }
 
     #[test]

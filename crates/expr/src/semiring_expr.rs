@@ -107,6 +107,35 @@ impl SemiringExpr {
         }
     }
 
+    /// The value of a ground expression, folded in the semiring its own constants
+    /// belong to (`None` if a variable occurs). A ground expression means the same
+    /// in every world, so no valuation is needed — and no ambient semiring either:
+    /// an expression without any constant consists of empty sums, empty products
+    /// and comparisons of such, which denote `0_S` / `1_S` of whichever semiring.
+    pub fn ground_value(&self) -> Option<SemiringValue> {
+        if !self.is_ground() {
+            return None;
+        }
+        let kind = self.first_const().map_or(SemiringKind::Bool, |c| c.kind());
+        Some(self.eval(&|v| unreachable!("ground expression mentions {v}"), kind))
+    }
+
+    fn first_const(&self) -> Option<SemiringValue> {
+        match self {
+            SemiringExpr::Var(_) => None,
+            SemiringExpr::Const(c) => Some(*c),
+            SemiringExpr::Add(cs) | SemiringExpr::Mul(cs) => {
+                cs.iter().find_map(|c| c.first_const())
+            }
+            SemiringExpr::CmpSS(_, a, b) => a.first_const().or_else(|| b.first_const()),
+            SemiringExpr::CmpMM(_, a, b) => a
+                .terms
+                .iter()
+                .chain(&b.terms)
+                .find_map(|t| t.coeff.first_const()),
+        }
+    }
+
     /// Collect the set of variables occurring in the expression.
     pub fn vars(&self) -> VarSet {
         let mut buf = Vec::new();
@@ -239,7 +268,9 @@ impl SemiringExpr {
     }
 
     /// Simplify by constant folding: flatten sums/products, drop neutral elements,
-    /// short-circuit annihilating zeros, and evaluate ground conditional expressions.
+    /// short-circuit on the annihilator of a product (`0_S`) and on the absorbing
+    /// element of a sum (`⊤` in `B`; `N` has none), and evaluate ground conditional
+    /// expressions.
     pub fn simplify(&self, kind: SemiringKind) -> SemiringExpr {
         match self {
             SemiringExpr::Var(_) | SemiringExpr::Const(_) => self.clone(),
@@ -248,7 +279,12 @@ impl SemiringExpr {
                 let mut rest = Vec::new();
                 for c in cs {
                     match c.simplify(kind) {
-                        SemiringExpr::Const(v) => const_acc = const_acc.add(&v),
+                        SemiringExpr::Const(v) => {
+                            const_acc = const_acc.add(&v);
+                            if const_acc.absorbs_add() {
+                                return SemiringExpr::Const(const_acc);
+                            }
+                        }
                         SemiringExpr::Add(grand) => rest.extend(grand),
                         other => rest.push(other),
                     }
@@ -298,85 +334,6 @@ impl SemiringExpr {
             SemiringExpr::CmpMM(op, a, b) => {
                 let sa = a.simplify(kind);
                 let sb = b.simplify(kind);
-                if let (Some(ca), Some(cb)) = (sa.as_const(), sb.as_const()) {
-                    let holds = op.eval(&ca, &cb);
-                    return SemiringExpr::Const(if holds { kind.one() } else { kind.zero() });
-                }
-                SemiringExpr::CmpMM(*op, Box::new(sa), Box::new(sb))
-            }
-        }
-    }
-
-    /// `Φ|x←s` followed by constant folding, in **one** tree rebuild.
-    ///
-    /// Produces exactly the same expression as
-    /// `self.substitute(var, value).simplify(kind)` (the compiler's Shannon
-    /// expansion relies on this equality) while walking and allocating the tree
-    /// once instead of twice — the dominant cost of `⊔` expansion.
-    pub fn substitute_simplify(
-        &self,
-        var: Var,
-        value: SemiringValue,
-        kind: SemiringKind,
-    ) -> SemiringExpr {
-        match self {
-            SemiringExpr::Var(v) if *v == var => SemiringExpr::Const(value),
-            SemiringExpr::Var(_) | SemiringExpr::Const(_) => self.clone(),
-            SemiringExpr::Add(cs) => {
-                let mut const_acc = kind.zero();
-                let mut rest = Vec::new();
-                for c in cs {
-                    match c.substitute_simplify(var, value, kind) {
-                        SemiringExpr::Const(v) => const_acc = const_acc.add(&v),
-                        SemiringExpr::Add(grand) => rest.extend(grand),
-                        other => rest.push(other),
-                    }
-                }
-                if !const_acc.is_zero() || rest.is_empty() {
-                    rest.push(SemiringExpr::Const(const_acc));
-                }
-                if rest.len() == 1 {
-                    rest.pop().unwrap()
-                } else {
-                    SemiringExpr::Add(rest)
-                }
-            }
-            SemiringExpr::Mul(cs) => {
-                let mut const_acc = kind.one();
-                let mut rest = Vec::new();
-                for c in cs {
-                    match c.substitute_simplify(var, value, kind) {
-                        SemiringExpr::Const(v) => {
-                            if v.is_zero() {
-                                return SemiringExpr::Const(kind.zero());
-                            }
-                            const_acc = const_acc.mul(&v);
-                        }
-                        SemiringExpr::Mul(grand) => rest.extend(grand),
-                        other => rest.push(other),
-                    }
-                }
-                if !const_acc.is_one() || rest.is_empty() {
-                    rest.push(SemiringExpr::Const(const_acc));
-                }
-                if rest.len() == 1 {
-                    rest.pop().unwrap()
-                } else {
-                    SemiringExpr::Mul(rest)
-                }
-            }
-            SemiringExpr::CmpSS(op, a, b) => {
-                let sa = a.substitute_simplify(var, value, kind);
-                let sb = b.substitute_simplify(var, value, kind);
-                if let (Some(ca), Some(cb)) = (sa.as_const(), sb.as_const()) {
-                    let holds = op.eval(&ca, &cb);
-                    return SemiringExpr::Const(if holds { kind.one() } else { kind.zero() });
-                }
-                SemiringExpr::CmpSS(*op, Box::new(sa), Box::new(sb))
-            }
-            SemiringExpr::CmpMM(op, a, b) => {
-                let sa = a.substitute_simplify(var, value, kind);
-                let sb = b.substitute_simplify(var, value, kind);
                 if let (Some(ca), Some(cb)) = (sa.as_const(), sb.as_const()) {
                     let holds = op.eval(&ca, &cb);
                     return SemiringExpr::Const(if holds { kind.one() } else { kind.zero() });
@@ -558,6 +515,64 @@ mod tests {
             c.simplify(SemiringKind::Nat),
             SemiringExpr::Const(SemiringValue::Nat(1))
         );
+    }
+
+    #[test]
+    fn top_absorbs_a_boolean_sum_and_nothing_absorbs_a_natural_one() {
+        use crate::oracle::semiring_dist_by_enumeration;
+        let top = SemiringExpr::Const(SemiringValue::Bool(true));
+        let mut vt = VarTable::new();
+        let x = SemiringExpr::Var(vt.boolean("x", 0.3));
+        let y = SemiringExpr::Var(vt.boolean("y", 0.6));
+        let z = SemiringExpr::Var(vt.boolean("z", 0.8));
+        let kind = SemiringKind::Bool;
+        for (e, expected) in [
+            (SemiringExpr::Add(vec![x.clone(), top.clone()]), &top),
+            (
+                SemiringExpr::Add(vec![x.clone() * y.clone(), top.clone(), z.clone()]),
+                &top,
+            ),
+            // Below a product the sum is gone, the product stays.
+            (
+                z.clone() * SemiringExpr::Add(vec![top.clone(), x.clone()]),
+                &z,
+            ),
+        ] {
+            let simple = e.simplify(kind);
+            assert_eq!(&simple, expected, "{e}");
+            let want = semiring_dist_by_enumeration(&e, &vt, kind);
+            assert!(semiring_dist_by_enumeration(&simple, &vt, kind).approx_eq(&want, 1e-12));
+        }
+
+        // In N, x + 1 depends on x: it must stay a sum.
+        let mut vt = VarTable::new();
+        let x = SemiringExpr::Var(vt.natural("x", &[(0, 0.2), (1, 0.3), (2, 0.5)]));
+        let kind = SemiringKind::Nat;
+        let e = SemiringExpr::Add(vec![x, SemiringExpr::Const(SemiringValue::Nat(1))]);
+        let simple = e.simplify(kind);
+        assert!(
+            matches!(&simple, SemiringExpr::Add(cs) if cs.len() == 2),
+            "{simple}"
+        );
+        let want = semiring_dist_by_enumeration(&e, &vt, kind);
+        assert_eq!(want.support_size(), 3);
+        assert!(semiring_dist_by_enumeration(&simple, &vt, kind).approx_eq(&want, 1e-12));
+    }
+
+    #[test]
+    fn ground_values_fold_in_the_constants_own_semiring() {
+        let nat = |n| SemiringExpr::Const(SemiringValue::Nat(n));
+        let e = SemiringExpr::Add(vec![nat(2), nat(3)]) * nat(4);
+        assert_eq!(e.ground_value(), Some(SemiringValue::Nat(20)));
+        let b = SemiringExpr::Add(vec![
+            SemiringExpr::Const(SemiringValue::Bool(true)),
+            SemiringExpr::Const(SemiringValue::Bool(true)),
+        ]);
+        assert_eq!(b.ground_value(), Some(SemiringValue::Bool(true)));
+        // Without any constant: 0_S and 1_S of whichever semiring.
+        assert!(SemiringExpr::Add(vec![]).ground_value().unwrap().is_zero());
+        assert!(SemiringExpr::Mul(vec![]).ground_value().unwrap().is_one());
+        assert_eq!((v(1) + nat(1)).ground_value(), None);
     }
 
     #[test]

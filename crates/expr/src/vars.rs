@@ -266,16 +266,7 @@ impl VarSet {
 
     /// True if the two sets share no variable — the syntactic independence test.
     pub fn is_disjoint(&self, other: &VarSet) -> bool {
-        // Merge-style scan over the two sorted vectors.
-        let (mut i, mut j) = (0, 0);
-        while i < self.0.len() && j < other.0.len() {
-            match self.0[i].cmp(&other.0[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return false,
-            }
-        }
-        true
+        sorted_disjoint(&self.0, &other.0)
     }
 
     /// Iterate over the variables in ascending order.
@@ -287,6 +278,21 @@ impl VarSet {
     pub fn as_slice(&self) -> &[Var] {
         &self.0
     }
+}
+
+/// [`VarSet::is_disjoint`] on two ascending, duplicate-free slices — the form the
+/// interner's flat var-set pool hands out (see [`crate::Interner::var_set`]).
+pub fn sorted_disjoint(a: &[Var], b: &[Var]) -> bool {
+    // Merge-style scan over the two sorted slices.
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return false,
+        }
+    }
+    true
 }
 
 impl FromIterator<Var> for VarSet {

@@ -1,0 +1,224 @@
+//! The compiler on the interned DAG, end to end: every class of generated
+//! condition against possible-world enumeration, conditions whose coefficients
+//! nest further conditions, bit-identity across threads, and count-based guards
+//! on the work a benchmark-sized compilation does (counts repeat exactly; nothing
+//! here looks at a clock).
+
+use pvc_suite::algebra::MonoidValue::Fin;
+use pvc_suite::core::{confidence_of, CacheConfig, CompileOptions, Compiler, SharedArtifacts};
+use pvc_suite::expr::oracle;
+use pvc_suite::prelude::*;
+use pvc_suite::prob::SeededRng;
+use pvc_suite::workload::{ExprGenParams, ExprGenerator, GeneratedExpr};
+
+const KIND: SemiringKind = SemiringKind::Bool;
+const AGGS: [AggOp; 4] = [AggOp::Min, AggOp::Max, AggOp::Count, AggOp::Sum];
+const THETAS: [CmpOp; 3] = [CmpOp::Eq, CmpOp::Le, CmpOp::Ge];
+
+/// The twelve `(aggregate, θ)` conditions the `expr_compile` workload of
+/// `pvc_e2e` draws for `seed`, constant at half the aggregate's range.
+fn conditions(
+    seed: u64,
+    num_vars: usize,
+    minmax_terms: usize,
+    countsum_terms: usize,
+) -> Vec<GeneratedExpr> {
+    let max_value = 200;
+    let mut rng = SeededRng::seed_from_u64(seed);
+    (0..AGGS.len() * THETAS.len())
+        .map(|k| {
+            let agg = AGGS[k % AGGS.len()];
+            let theta = THETAS[(k / AGGS.len()) % THETAS.len()];
+            let (left_terms, top) = match agg {
+                AggOp::Min | AggOp::Max => (minmax_terms, max_value),
+                AggOp::Count => (countsum_terms, countsum_terms as i64),
+                _ => (countsum_terms, countsum_terms as i64 * max_value / 2),
+            };
+            let params = ExprGenParams {
+                left_terms,
+                right_terms: 0,
+                agg_left: agg,
+                theta,
+                constant: top / 2,
+                num_vars,
+                clauses_per_term: 3,
+                literals_per_clause: 3,
+                max_value,
+                ..ExprGenParams::default()
+            };
+            ExprGenerator::new(params, rng.next_u64()).generate()
+        })
+        .collect()
+}
+
+fn compiled_confidence(condition: &SemiringExpr, vars: &VarTable, kind: SemiringKind) -> f64 {
+    let tree = Compiler::new(vars, kind)
+        .compile_semiring(condition)
+        .unwrap();
+    confidence_of(&tree.semiring_distribution(vars, kind).unwrap())
+}
+
+#[test]
+fn every_generated_class_agrees_with_enumeration() {
+    for seed in [1, 7, 11] {
+        for (k, g) in conditions(seed, 8, 24, 16).iter().enumerate() {
+            let expected = oracle::confidence_by_enumeration(&g.condition, &g.vars, KIND);
+            let got = compiled_confidence(&g.condition, &g.vars, KIND);
+            assert!(
+                (got - expected).abs() < 1e-9,
+                "seed {seed} class {k}: {got} vs {expected}"
+            );
+            // With every structural rule off the laws still apply, and still agree.
+            let mut shannon = Compiler::with_options(&g.vars, KIND, CompileOptions::shannon_only());
+            let tree = shannon.compile_semiring(&g.condition).unwrap();
+            let got = confidence_of(&tree.semiring_distribution(&g.vars, KIND).unwrap());
+            assert!(
+                (got - expected).abs() < 1e-9,
+                "seed {seed} class {k}, ⊔ only"
+            );
+        }
+    }
+}
+
+/// `[Σ_i xᵢ·[inner θ' cᵢ] ⊗ vᵢ  θ  c]`: every coefficient holds a condition over one
+/// shared inner aggregate (the shape of TPC-H Q2's nested MIN), so a `⊔` expansion
+/// substitutes into conditions, not only into clauses.
+fn nested_condition(
+    vars: &[Var],
+    outer: AggOp,
+    inner: AggOp,
+    kind: SemiringKind,
+    rng: &mut SeededRng,
+) -> SemiringExpr {
+    let v = |i: usize| SemiringExpr::Var(vars[i]);
+    let inner_alpha = SemimoduleExpr::from_terms(
+        inner,
+        (0..4)
+            .map(|i| (v(i) * v((i + 1) % 4), Fin(rng.gen_range(1..9i64))))
+            .collect(),
+    );
+    let terms = (0..5)
+        .map(|i| {
+            let bound = SemimoduleExpr::constant_in(inner, Fin(rng.gen_range(1..9i64)), kind);
+            let nested = if i % 2 == 0 {
+                SemiringExpr::cmp_mm(CmpOp::Le, inner_alpha.clone(), bound)
+            } else {
+                SemiringExpr::cmp_ss(CmpOp::Ge, v(i % 4) + v(4), v(5) * v((i + 2) % 4))
+            };
+            (v(4 + i % 2) * nested, Fin(rng.gen_range(1..9i64)))
+        })
+        .collect();
+    SemiringExpr::cmp_mm(
+        CmpOp::Ge,
+        SemimoduleExpr::from_terms(outer, terms),
+        SemimoduleExpr::constant_in(outer, Fin(6), kind),
+    )
+}
+
+#[test]
+fn nested_conditions_and_natural_variables_agree_with_enumeration() {
+    let mut rng = SeededRng::seed_from_u64(0x1a75);
+    for round in 0..6 {
+        for kind in [SemiringKind::Bool, SemiringKind::Nat] {
+            let mut vt = VarTable::new();
+            let vars: Vec<Var> = (0..6)
+                .map(|i| match kind {
+                    SemiringKind::Bool => vt.boolean(format!("x{i}"), 0.1 + 0.8 * rng.next_f64()),
+                    SemiringKind::Nat => {
+                        vt.natural(format!("x{i}"), &[(0, 0.3), (1, 0.45), (2, 0.25)])
+                    }
+                })
+                .collect();
+            for (outer, inner) in [
+                (AggOp::Sum, AggOp::Min),
+                (AggOp::Min, AggOp::Max),
+                (AggOp::Max, AggOp::Sum),
+                (AggOp::Count, AggOp::Min),
+            ] {
+                let condition = nested_condition(&vars, outer, inner, kind, &mut rng);
+                let expected = oracle::confidence_by_enumeration(&condition, &vt, kind);
+                let got = compiled_confidence(&condition, &vt, kind);
+                assert!(
+                    (got - expected).abs() < 1e-9,
+                    "round {round} {kind:?} {outer}/{inner}: {got} vs {expected}\n{condition}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn one_and_four_threads_through_shared_artifacts_are_bit_identical() {
+    let inputs = conditions(7, 8, 24, 16);
+    let options = CompileOptions::default();
+    // One fresh store per call, evaluated cold on `threads` threads, then warm.
+    let evaluate = |threads: usize| -> Vec<Vec<(SemiringValue, u64)>> {
+        let store = SharedArtifacts::new(CacheConfig::default());
+        let ids: Vec<_> = inputs.iter().map(|g| store.intern(&g.condition)).collect();
+        let bits_of = |k: usize| -> Vec<(SemiringValue, u64)> {
+            let dist = store
+                .evaluate_semiring(ids[k], &inputs[k].vars, KIND, &options, 0)
+                .unwrap();
+            dist.iter().map(|(v, p)| (*v, p.to_bits())).collect()
+        };
+        let mut cold = vec![Vec::new(); inputs.len()];
+        std::thread::scope(|scope| {
+            let per_thread = inputs.len().div_ceil(threads);
+            for (t, chunk) in cold.chunks_mut(per_thread).enumerate() {
+                let bits_of = &bits_of;
+                scope.spawn(move || {
+                    for (slot, k) in chunk.iter_mut().zip(t * per_thread..) {
+                        *slot = bits_of(k);
+                    }
+                });
+            }
+        });
+        let warm: Vec<_> = (0..inputs.len()).map(bits_of).collect();
+        assert_eq!(warm, cold, "{threads} threads: warm differs from cold");
+        cold
+    };
+    let single = evaluate(1);
+    assert_eq!(evaluate(4), single);
+    // All of it equal, bit for bit, to compiling the tree with no store at all.
+    for (g, bits) in inputs.iter().zip(&single) {
+        let tree = Compiler::new(&g.vars, KIND)
+            .compile_semiring(&g.condition)
+            .unwrap();
+        let dist = tree.semiring_distribution(&g.vars, KIND).unwrap();
+        let direct: Vec<_> = dist.iter().map(|(v, p)| (*v, p.to_bits())).collect();
+        assert_eq!(&direct, bits);
+    }
+}
+
+#[test]
+fn a_benchmark_sized_compilation_stays_within_its_work_bounds() {
+    // The seed-1 conditions of `expr_compile` at full size: 10 variables, 3 × 3
+    // clauses, 200 (MIN / MAX) or 100 (COUNT / SUM) terms. The tree compiler this
+    // replaced needed ≈ 850 `⊔` expansions and ≈ 3 460 d-tree nodes for each and
+    // walked ≈ 200 000 tree nodes substituting.
+    for (k, g) in conditions(1, 10, 200, 100).iter().enumerate() {
+        let mut compiler = Compiler::new(&g.vars, KIND);
+        let tree = compiler.compile_semiring(&g.condition).unwrap();
+        let stats = compiler.stats();
+        let (max_expansions, max_nodes) = match AGGS[k % AGGS.len()] {
+            AggOp::Min | AggOp::Max => (300, 1_500),
+            _ => (720, 3_000),
+        };
+        assert!(
+            stats.exclusive_expansions <= max_expansions,
+            "condition {k}: {} ⊔ expansions",
+            stats.exclusive_expansions
+        );
+        assert!(
+            tree.num_nodes() <= max_nodes,
+            "condition {k}: {} d-tree nodes",
+            tree.num_nodes()
+        );
+        assert!(
+            stats.rebuilt_nodes <= 20_000,
+            "condition {k}: {} nodes rebuilt by substitution",
+            stats.rebuilt_nodes
+        );
+        assert!(tree.num_nodes() > 1, "condition {k} pruned to a constant");
+    }
+}
