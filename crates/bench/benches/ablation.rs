@@ -1,5 +1,5 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md: the structural
-//! decomposition rules vs pure Shannon expansion, and pruning on vs off.
+//! Ablation benchmarks for two compiler design choices: the structural decomposition
+//! rules vs pure Shannon expansion, and pruning on vs off.
 //!
 //! A plain `fn main()` timing harness (`cargo bench --bench ablation`).
 

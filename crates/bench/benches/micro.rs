@@ -6,14 +6,28 @@
 use pvc_algebra::{AggOp, MonoidValue, SemiringKind};
 use pvc_bench::bench_case;
 use pvc_expr::{SemimoduleExpr, SemiringExpr, VarTable};
-use pvc_prob::Dist;
+use pvc_prob::{convolve_additive_chained, ChainVal, Dist, MonoidDist};
 
 fn bench_convolution() {
-    for size in [16usize, 64, 256] {
-        let a: Dist<i64> = Dist::from_pairs((0..size as i64).map(|v| (v, 1.0 / size as f64)));
-        let b = a.clone();
-        bench_case(&format!("convolution/sum/{size}"), 10, || {
-            a.convolve(&b, |x, y| x + y);
+    let uniform = |cells: i64, stride: i64| -> MonoidDist {
+        let p = 1.0 / cells as f64;
+        Dist::from_pairs((0..cells).map(|v| (MonoidValue::Fin(v * stride), p)))
+    };
+    // The three shapes the adaptive dispatcher tells apart: a contiguous COUNT-style
+    // support (dense direct indexing), as many values spread too far apart to
+    // densify (sparse sort-and-coalesce), and operands past the FFT crossover.
+    for (label, dist) in [
+        ("contiguous/65", uniform(65, 1)),
+        ("scattered/65", uniform(65, 1_000_003)),
+        ("contiguous/2048", uniform(2048, 1)),
+    ] {
+        let mut scratch = Vec::new();
+        bench_case(&format!("convolution/sum/{label}"), 10, || {
+            std::hint::black_box(convolve_additive_chained(
+                ChainVal::Sparse(dist.clone()),
+                ChainVal::Sparse(dist.clone()),
+                &mut scratch,
+            ));
         });
     }
 }

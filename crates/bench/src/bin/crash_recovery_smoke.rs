@@ -20,10 +20,10 @@
 //! 2000 — roughly a second of appends, so the seeded kills land mid-stream),
 //! `PVC_CRASH_SEED` (default 0xC0FFEE).
 
-use pvc_bench::cache_workload_db;
 use pvc_core::persist::storage::sweep_stale_temps;
 use pvc_db::{Database, Delta, Durability, Engine, EvalOptions, Query, RecoverOptions};
 use pvc_prob::SeededRng;
+use pvc_serve::loadgen::workload_db;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -31,7 +31,7 @@ use std::sync::Arc;
 const SNAPSHOT_EVERY: u64 = 25;
 
 fn base_db() -> Database {
-    cache_workload_db(12, 3)
+    workload_db(12, 3)
 }
 
 /// The deterministic delta stream: `seq` is 1-based (WAL numbering).

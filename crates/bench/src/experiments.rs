@@ -1,20 +1,14 @@
 //! Drivers for the paper's Experiments A–F (Figures 7–11).
 //!
 //! Each `experiment_*` function runs the corresponding parameter sweep and returns one
-//! row per plotted point; the `exp_*` binaries print these rows. The sweeps come in
-//! two sizes: `Scale::quick()` (default; finishes in minutes) and `Scale::full()`
-//! (closer to the paper's parameters; enable with `PVC_BENCH_FULL=1`).
+//! row per plotted point; the `all_experiments` binary prints these rows. The sweeps
+//! come in two sizes: [`Scale::Quick`] (default; finishes in minutes) and
+//! [`Scale::Full`] (closer to the paper's parameters; enable with `PVC_BENCH_FULL=1`).
 
 use crate::stats::{timed_over_seeds, Measurement};
-use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind};
-use pvc_core::{obs, CompileOptions, Compiler};
+use pvc_algebra::{AggOp, CmpOp, SemiringKind};
+use pvc_core::{CompileOptions, Compiler};
 use pvc_db::{try_evaluate, Engine, EvalOptions};
-use pvc_prob::{
-    convolve_additive, convolve_additive_chained, fft_would_run, ChainVal, DenseDist, Dist,
-    DistRepr, MonoidDist,
-};
-use pvc_serve::loadgen::{LoadConfig, LoadReport};
-use pvc_serve::ServeConfig;
 use pvc_tpch::{deterministic_copy, generate, TpchConfig};
 use pvc_workload::{ExprGenParams, ExprGenerator};
 
@@ -444,1501 +438,9 @@ pub fn experiment_f(scale: Scale) -> Vec<TpchRow> {
     rows
 }
 
-/// The report of the repeated-workload cache experiment: wall-clock of the cold,
-/// warm and cross-rendering executions plus the engine's [`pvc_db::CacheStats`]
-/// counters at the end of the run.
-#[derive(Debug, Clone)]
-pub struct CacheHitReport {
-    /// First execution of the prepared query (cold caches).
-    pub cold_s: f64,
-    /// Mean of the subsequent executions of the same prepared query.
-    pub warm_s: f64,
-    /// Execution of a *structurally equal query under a different rendering*
-    /// (commuted union operands) — served by cross-query cache hits.
-    pub cross_s: f64,
-    /// `cold_s / warm_s`.
-    pub warm_speedup: f64,
-    /// Artifact-cache hits.
-    pub hits: u64,
-    /// Artifact-cache misses.
-    pub misses: u64,
-    /// Hits whose entry was inserted by a different query.
-    pub cross_query_hits: u64,
-    /// LRU evictions.
-    pub evictions: u64,
-    /// Cached artifact entries (confidences + aggregates) at the end of the run.
-    pub entries: usize,
-    /// Cached compiled d-tree arenas at the end of the run.
-    pub arenas: usize,
-    /// True when the warm and cross-rendering executions performed **no** new
-    /// arena compilations (arena misses unchanged after the cold run) while at
-    /// least one arena artifact is cached — i.e. compiled arenas were reused.
-    pub arena_reused: bool,
-}
-
-impl CacheHitReport {
-    /// The report as `(field name, JSON-ready value)` pairs — the single source of
-    /// truth for both the smoke table and the `BENCH_baseline.json` object.
-    pub fn fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("cold_s", format!("{:.6}", self.cold_s)),
-            ("warm_s", format!("{:.6}", self.warm_s)),
-            ("cross_s", format!("{:.6}", self.cross_s)),
-            ("warm_speedup", format!("{:.2}", self.warm_speedup)),
-            ("hits", format!("{}", self.hits)),
-            ("misses", format!("{}", self.misses)),
-            ("cross_query_hits", format!("{}", self.cross_query_hits)),
-            ("evictions", format!("{}", self.evictions)),
-            ("entries", format!("{}", self.entries)),
-            ("arenas", format!("{}", self.arenas)),
-            ("arena_reused", format!("{}", u8::from(self.arena_reused))),
-        ]
-    }
-
-    /// Format as a table row (same order as [`fields`](Self::fields)).
-    pub fn cells(&self) -> Vec<String> {
-        self.fields().into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .fields()
-            .into_iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Header of the cache experiment table.
-pub const CACHE_HEADER: [&str; 11] = [
-    "cold_s",
-    "warm_s",
-    "cross_s",
-    "speedup",
-    "hits",
-    "misses",
-    "x_query_hits",
-    "evictions",
-    "entries",
-    "arenas",
-    "arena_reuse",
-];
-
-/// The shop/offer/product database of the repeated-workload scenario: `shops` shops
-/// with `per_shop` offers each, every product listed in both product tables so that
-/// annotations carry non-trivial sums. Deterministic, so two calls build
-/// fingerprint-identical databases (which the warm-restart scenario and the
-/// `snapshot_roundtrip` smoke bin rely on).
-pub fn cache_workload_db(shops: usize, per_shop: usize) -> pvc_db::Database {
-    use pvc_db::{Database, Schema};
-    let mut db = Database::new();
-    db.create_table("S", Schema::new(["sid", "shop"]));
-    db.create_table("PS", Schema::new(["ps_sid", "ps_pid", "price"]));
-    db.create_table("P1", Schema::new(["pid", "weight"]));
-    db.create_table("P2", Schema::new(["pid", "weight"]));
-    let num_products = (shops * per_shop / 2).max(1);
-    {
-        let (s, vars) = db.table_and_vars_mut("S").unwrap();
-        for i in 0..shops {
-            s.push_independent(
-                vec![(i as i64).into(), format!("shop{i}").as_str().into()],
-                0.6,
-                vars,
-            );
-        }
-    }
-    {
-        let (ps, vars) = db.table_and_vars_mut("PS").unwrap();
-        for i in 0..shops {
-            for j in 0..per_shop {
-                let pid = (i * 31 + j * 7) % num_products;
-                let price = 10 + ((i * 13 + j * 29) % 90) as i64;
-                ps.push_independent(
-                    vec![(i as i64).into(), (pid as i64).into(), price.into()],
-                    0.5,
-                    vars,
-                );
-            }
-        }
-    }
-    for table in ["P1", "P2"] {
-        let (p, vars) = db.table_and_vars_mut(table).unwrap();
-        for pid in 0..num_products {
-            p.push_independent(
-                vec![(pid as i64).into(), ((pid % 17) as i64).into()],
-                0.7,
-                vars,
-            );
-        }
-    }
-    db
-}
-
-/// The paper's Q2 shape (shops whose maximal price is bounded), parameterised by the
-/// union rendering: `P1 ∪ P2` when `swapped` is false, `P2 ∪ P1` otherwise. Both
-/// renderings produce structurally equal provenance up to summand order.
-pub fn cache_workload_query(swapped: bool) -> pvc_db::Query {
-    use pvc_db::{AggSpec, Predicate, Query};
-    let products = if swapped {
-        Query::table("P2").union(Query::table("P1"))
-    } else {
-        Query::table("P1").union(Query::table("P2"))
-    };
-    Query::table("S")
-        .join(Query::table("PS"), &[("sid", "ps_sid")])
-        .join(
-            products.rename(&[("pid", "p_pid"), ("weight", "p_weight")]),
-            &[("ps_pid", "p_pid")],
-        )
-        .group_agg(["shop"], vec![AggSpec::new(AggOp::Max, "price", "P")])
-        .select(Predicate::AggCmpConst("P".into(), CmpOp::Le, 60))
-        .project(["shop"])
-}
-
-/// **Cache experiment** (not in the paper): the repeated/serving workload. One
-/// prepared query is executed once cold and several times warm; then a second,
-/// structurally-equal query under a *different rendering* is executed and must be
-/// served by cross-query cache hits thanks to canonical interning.
-pub fn experiment_cache(scale: Scale) -> CacheHitReport {
-    experiment_cache_threads(scale, 1)
-}
-
-/// The cache experiment with an explicit worker-thread count (`threads > 1`
-/// regression-guards **cross-thread** cache sharing: workers fill the shared
-/// store, warm runs and the commuted rendering must still be served from it).
-pub fn experiment_cache_threads(scale: Scale, threads: usize) -> CacheHitReport {
-    let full = scale == Scale::Full;
-    let (shops, per_shop) = if full { (60, 8) } else { (24, 5) };
-    let warm_runs = 5;
-    let options = EvalOptions::default().with_threads(threads);
-    let db = cache_workload_db(shops, per_shop);
-    let engine = Engine::new(db);
-    let qa = cache_workload_query(false);
-    let qb = cache_workload_query(true);
-
-    let pa = engine.prepare(&qa).expect("workload query prepares");
-    let start = std::time::Instant::now();
-    let cold = pa.execute(&options).expect("cold run");
-    let cold_s = start.elapsed().as_secs_f64();
-    assert!(!cold.tuples.is_empty(), "workload must produce tuples");
-    let arena_misses_after_cold = engine.cache_stats().arena_misses;
-
-    let start = std::time::Instant::now();
-    for _ in 0..warm_runs {
-        pa.execute(&options).expect("warm run");
-    }
-    let warm_s = start.elapsed().as_secs_f64() / warm_runs as f64;
-
-    let pb = engine.prepare(&qb).expect("swapped rendering prepares");
-    let start = std::time::Instant::now();
-    pb.execute(&options).expect("cross run");
-    let cross_s = start.elapsed().as_secs_f64();
-
-    let stats = engine.cache_stats();
-    CacheHitReport {
-        cold_s,
-        warm_s,
-        cross_s,
-        // Clamp the divisor so the ratio stays finite (and JSON-serialisable) even
-        // when the warm runs measure below the clock resolution.
-        warm_speedup: cold_s / warm_s.max(1e-9),
-        hits: stats.hits,
-        misses: stats.misses,
-        cross_query_hits: stats.cross_query_hits,
-        evictions: stats.evictions,
-        entries: stats.confidences + stats.aggregates,
-        arenas: stats.arenas,
-        // Warm and cross executions must be served without compiling any new
-        // arena: the miss counter may not move after the cold run.
-        arena_reused: stats.arenas > 0 && stats.arena_misses == arena_misses_after_cold,
-    }
-}
-
-/// The report of the warm-restart experiment: first-query latency of a cold
-/// engine, of an in-process warm engine, and of a fresh engine restored
-/// **from a disk snapshot** (`Engine::save_artifacts` →
-/// `Engine::with_artifacts_from`), plus behavioural counters proving the
-/// restored engine recompiled nothing.
-#[derive(Debug, Clone)]
-pub struct WarmRestartReport {
-    /// First execution on a cold engine (nothing cached).
-    pub cold_first_s: f64,
-    /// The same query re-executed on the warm in-process engine (mean of 5).
-    pub warm_live_s: f64,
-    /// Wall-clock of `Engine::save_artifacts` (serialise + write).
-    pub save_s: f64,
-    /// Wall-clock of `Engine::with_artifacts_from` (read + decode + replay).
-    pub load_s: f64,
-    /// First execution on the warm-from-disk engine.
-    pub warm_disk_first_s: f64,
-    /// Snapshot file size in bytes.
-    pub snapshot_bytes: usize,
-    /// `warm_disk_first_s / warm_live_s` — the CI gate requires ≤ 2× (after a
-    /// noise floor).
-    pub disk_vs_live: f64,
-    /// `cold_first_s / warm_disk_first_s` — how far below cold the restored
-    /// engine starts.
-    pub cold_vs_disk: f64,
-    /// Artifact-cache hits during the warm-from-disk first query.
-    pub warm_disk_hits: u64,
-    /// Distribution + arena (re)compilations during the warm-from-disk first
-    /// query — must be 0: everything is served from the snapshot.
-    pub warm_disk_rebuilds: u64,
-}
-
-impl WarmRestartReport {
-    /// The report as `(field name, JSON-ready value)` pairs.
-    pub fn fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("cold_first_s", format!("{:.6}", self.cold_first_s)),
-            ("warm_live_s", format!("{:.6}", self.warm_live_s)),
-            ("save_s", format!("{:.6}", self.save_s)),
-            ("load_s", format!("{:.6}", self.load_s)),
-            (
-                "warm_disk_first_s",
-                format!("{:.6}", self.warm_disk_first_s),
-            ),
-            ("snapshot_bytes", format!("{}", self.snapshot_bytes)),
-            ("disk_vs_live", format!("{:.2}", self.disk_vs_live)),
-            ("cold_vs_disk", format!("{:.2}", self.cold_vs_disk)),
-            ("warm_disk_hits", format!("{}", self.warm_disk_hits)),
-            ("warm_disk_rebuilds", format!("{}", self.warm_disk_rebuilds)),
-        ]
-    }
-
-    /// Format as a table row (same order as [`fields`](Self::fields)).
-    pub fn cells(&self) -> Vec<String> {
-        self.fields().into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .fields()
-            .into_iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Header of the warm-restart experiment table.
-pub const WARM_RESTART_HEADER: [&str; 10] = [
-    "cold_first_s",
-    "warm_live_s",
-    "save_s",
-    "load_s",
-    "warm_disk_first_s",
-    "snapshot_bytes",
-    "disk_vs_live",
-    "cold_vs_disk",
-    "disk_hits",
-    "disk_rebuilds",
-];
-
-/// **Warm-restart experiment** (not in the paper): the serving-system restart
-/// scenario. One engine runs the repeated workload cold, snapshots its compile
-/// artifacts to disk, and a *fresh* engine (same deterministically rebuilt
-/// database, new process in spirit) restores them and answers its first query
-/// warm — the ROADMAP's "persist the arena + artifacts for warm restarts" loop,
-/// measured end to end.
-pub fn experiment_warm_restart(scale: Scale) -> WarmRestartReport {
-    let full = scale == Scale::Full;
-    let (shops, per_shop) = if full { (60, 8) } else { (24, 5) };
-    let warm_runs = 5;
-    let options = EvalOptions::default();
-    let query = cache_workload_query(false);
-    let path = std::env::temp_dir().join(format!(
-        "pvc-warm-restart-{}-{shops}x{per_shop}.snap",
-        std::process::id()
-    ));
-
-    let engine = Engine::new(cache_workload_db(shops, per_shop));
-    let prepared = engine.prepare(&query).expect("workload query prepares");
-    let start = std::time::Instant::now();
-    let cold = prepared.execute(&options).expect("cold run");
-    let cold_first_s = start.elapsed().as_secs_f64();
-    assert!(!cold.tuples.is_empty(), "workload must produce tuples");
-
-    let start = std::time::Instant::now();
-    for _ in 0..warm_runs {
-        prepared.execute(&options).expect("warm run");
-    }
-    let warm_live_s = start.elapsed().as_secs_f64() / warm_runs as f64;
-
-    let start = std::time::Instant::now();
-    let stats = engine.save_artifacts(&path).expect("snapshot saves");
-    let save_s = start.elapsed().as_secs_f64();
-    drop(engine);
-
-    // The "restarted process": an identical database rebuilt from scratch, a
-    // fresh engine warmed from the snapshot.
-    let db = cache_workload_db(shops, per_shop);
-    let start = std::time::Instant::now();
-    let restarted = Engine::with_artifacts_from(db, &path).expect("snapshot loads");
-    let load_s = start.elapsed().as_secs_f64();
-    std::fs::remove_file(&path).ok();
-
-    let prepared = restarted.prepare(&query).expect("workload query prepares");
-    let start = std::time::Instant::now();
-    let warm = prepared.execute(&options).expect("warm-from-disk run");
-    let warm_disk_first_s = start.elapsed().as_secs_f64();
-    let disk_stats = restarted.cache_stats();
-    assert_eq!(
-        cold.tuples.len(),
-        warm.tuples.len(),
-        "warm-from-disk result must have every tuple"
-    );
-    for (a, b) in cold.tuples.iter().zip(&warm.tuples) {
-        assert_eq!(
-            a.confidence.to_bits(),
-            b.confidence.to_bits(),
-            "warm-from-disk results must be bit-identical"
-        );
-    }
-
-    WarmRestartReport {
-        cold_first_s,
-        warm_live_s,
-        save_s,
-        load_s,
-        warm_disk_first_s,
-        snapshot_bytes: stats.bytes,
-        // Clamp divisors so the ratios stay finite below clock resolution.
-        disk_vs_live: warm_disk_first_s / warm_live_s.max(1e-9),
-        cold_vs_disk: cold_first_s / warm_disk_first_s.max(1e-9),
-        warm_disk_hits: disk_stats.hits,
-        warm_disk_rebuilds: disk_stats.misses + disk_stats.arena_misses,
-    }
-}
-
-/// The report of the incremental-update experiment: latency of a prepared
-/// query over *untouched* tables before and after a 1-tuple `Engine::apply_delta`
-/// insert into a different table, plus the counters proving the delta evicted
-/// nothing the query needed.
-#[derive(Debug, Clone)]
-pub struct IncrementalReport {
-    /// First execution on a cold engine.
-    pub cold_first_s: f64,
-    /// Mean of the subsequent fully-warm executions (mean of 5).
-    pub warm_s: f64,
-    /// Wall-clock of `Engine::apply_delta` (validate + mutate + selective evict).
-    pub delta_apply_s: f64,
-    /// First execution after the delta (the query's tables are untouched).
-    pub warm_after_delta_s: f64,
-    /// `warm_after_delta_s / warm_s` — the CI gate requires ≤ 2× (after a
-    /// noise floor): a delta to an unrelated table must not cool the caches.
-    pub after_vs_warm: f64,
-    /// `cold_first_s / warm_after_delta_s` — how far below cold the post-delta
-    /// query stays.
-    pub cold_vs_after: f64,
-    /// Artifact-cache entries the delta evicted — 0 for an insert-only delta.
-    pub evicted_artifacts: u64,
-    /// Artifact-cache entries the delta kept (must be > 0: the warm state
-    /// survived).
-    pub kept_artifacts: u64,
-    /// Distribution + arena (re)compilations during the post-delta execution —
-    /// must be 0: everything is served from the surviving cache entries.
-    pub recompiles_after_delta: u64,
-}
-
-impl IncrementalReport {
-    /// The report as `(field name, JSON-ready value)` pairs.
-    pub fn fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("cold_first_s", format!("{:.6}", self.cold_first_s)),
-            ("warm_s", format!("{:.6}", self.warm_s)),
-            ("delta_apply_s", format!("{:.6}", self.delta_apply_s)),
-            (
-                "warm_after_delta_s",
-                format!("{:.6}", self.warm_after_delta_s),
-            ),
-            ("after_vs_warm", format!("{:.2}", self.after_vs_warm)),
-            ("cold_vs_after", format!("{:.2}", self.cold_vs_after)),
-            ("evicted_artifacts", format!("{}", self.evicted_artifacts)),
-            ("kept_artifacts", format!("{}", self.kept_artifacts)),
-            (
-                "recompiles_after_delta",
-                format!("{}", self.recompiles_after_delta),
-            ),
-        ]
-    }
-
-    /// Format as a table row (same order as [`fields`](Self::fields)).
-    pub fn cells(&self) -> Vec<String> {
-        self.fields().into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .fields()
-            .into_iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Header of the incremental-update experiment table.
-pub const INCREMENTAL_HEADER: [&str; 9] = [
-    "cold_first_s",
-    "warm_s",
-    "delta_apply_s",
-    "after_delta_s",
-    "after_vs_warm",
-    "cold_vs_after",
-    "evicted",
-    "kept",
-    "recompiles",
-];
-
-/// **Incremental-update experiment** (not in the paper): the delta-aware
-/// serving scenario. A prepared aggregation query over `S ⋈ PS` runs cold,
-/// then fully warm; a 1-tuple [`pvc_db::Delta`] insert lands in the unrelated
-/// `P1`; the same query then re-runs and must still be answered from the
-/// surviving cache entries — warm-after-delta within ~2× of fully-warm, zero
-/// recompilations, bit-identical results — versus today's detach-everything
-/// cold cliff.
-pub fn experiment_incremental(scale: Scale) -> IncrementalReport {
-    use pvc_db::{AggSpec, Delta, Predicate, Query};
-    let full = scale.is_full();
-    let (shops, per_shop) = if full { (60, 8) } else { (24, 5) };
-    let warm_runs = 5;
-    let options = EvalOptions::default();
-    // Touches S and PS only; the delta below lands in P1.
-    let query = Query::table("S")
-        .join(Query::table("PS"), &[("sid", "ps_sid")])
-        .group_agg(["shop"], vec![AggSpec::new(AggOp::Max, "price", "P")])
-        .select(Predicate::AggCmpConst("P".into(), CmpOp::Le, 60))
-        .project(["shop"]);
-
-    let mut engine = Engine::new(cache_workload_db(shops, per_shop));
-    let prepared = engine.prepare(&query).expect("workload query prepares");
-    let start = std::time::Instant::now();
-    let cold = prepared.execute(&options).expect("cold run");
-    let cold_first_s = start.elapsed().as_secs_f64();
-    assert!(!cold.tuples.is_empty(), "workload must produce tuples");
-
-    let start = std::time::Instant::now();
-    for _ in 0..warm_runs {
-        prepared.execute(&options).expect("warm run");
-    }
-    let warm_s = start.elapsed().as_secs_f64() / warm_runs as f64;
-    drop(prepared);
-
-    let before = engine.cache_stats();
-    let start = std::time::Instant::now();
-    let delta_stats = engine
-        .apply_delta(Delta::new().insert("P1", vec![10_000i64.into(), 1i64.into()], 0.7))
-        .expect("delta applies");
-    let delta_apply_s = start.elapsed().as_secs_f64();
-
-    let prepared = engine.prepare(&query).expect("query re-prepares");
-    let start = std::time::Instant::now();
-    let after = prepared.execute(&options).expect("post-delta run");
-    let warm_after_delta_s = start.elapsed().as_secs_f64();
-    let stats = engine.cache_stats();
-
-    // The query's tables are untouched: results must be bit-identical.
-    assert_eq!(cold.tuples.len(), after.tuples.len());
-    for (a, b) in cold.tuples.iter().zip(&after.tuples) {
-        assert_eq!(
-            a.confidence.to_bits(),
-            b.confidence.to_bits(),
-            "post-delta results over untouched tables must be bit-identical"
-        );
-    }
-
-    IncrementalReport {
-        cold_first_s,
-        warm_s,
-        delta_apply_s,
-        warm_after_delta_s,
-        // Clamp divisors so the ratios stay finite below clock resolution.
-        after_vs_warm: warm_after_delta_s / warm_s.max(1e-9),
-        cold_vs_after: cold_first_s / warm_after_delta_s.max(1e-9),
-        evicted_artifacts: delta_stats.evicted_artifacts as u64,
-        kept_artifacts: delta_stats.kept_artifacts as u64,
-        recompiles_after_delta: (stats.misses - before.misses)
-            + (stats.arena_misses - before.arena_misses),
-    }
-}
-
-/// **Serving experiment** (not in the paper): sustained throughput and tail
-/// latency of the long-lived `pvc-serve` runtime under a closed-loop mixed
-/// workload — persistent worker pool, cross-query batching, admission control
-/// and periodic compaction all engaged at once. The report is
-/// [`pvc_serve::loadgen::LoadReport`]; the regression gate checks `qps > 0`,
-/// `rejected == 0` at the default queue depth, and the p99 latency against the
-/// committed baseline (`PVC_MAX_P99_RATIO`).
-pub fn experiment_serve(scale: Scale) -> LoadReport {
-    let full = scale.is_full();
-    let config = LoadConfig {
-        tenants: 2,
-        clients: if full { 8 } else { 4 },
-        requests_per_client: if full { 100 } else { 25 },
-        shops: if full { 24 } else { 12 },
-        per_shop: 3,
-        serve: ServeConfig::default().with_compact_every(4),
-        timeout: None,
-    };
-    pvc_serve::loadgen::run(&config).expect("load run completes")
-}
-
-/// The report of the parallel-execution experiment: cold wall-clock of the scale
-/// workload at 1/2/4 worker threads (fresh engine per measurement), plus streaming
-/// latency-to-first-tuple at the highest thread count.
-#[derive(Debug, Clone)]
-pub struct ParallelReport {
-    /// Result tuples of the workload query.
-    pub tuples: usize,
-    /// `std::thread::available_parallelism()` on the machine that produced the
-    /// report (speedups are only meaningful when this is > 1).
-    pub cores: usize,
-    /// Cold execution, `threads = 1`.
-    pub cold_1t_s: f64,
-    /// Cold execution, `threads = 2`.
-    pub cold_2t_s: f64,
-    /// Cold execution, `threads = 4`.
-    pub cold_4t_s: f64,
-    /// `cold_1t_s / cold_2t_s`.
-    pub speedup_2v1: f64,
-    /// `cold_1t_s / cold_4t_s`.
-    pub speedup_4v1: f64,
-    /// Cold streaming at `threads = 4`: seconds until the first tuple arrived.
-    pub first_tuple_s: f64,
-    /// Cold streaming at `threads = 4`: seconds until the stream was exhausted.
-    pub full_stream_s: f64,
-    /// Why the regression gate's parallel-speedup check will stay dormant for
-    /// this report (`None` on machines with >= 4 cores, where the check is
-    /// live). Recorded explicitly so a baseline produced on a small container
-    /// says so in the JSON instead of silently arming nothing.
-    pub skipped_reason: Option<String>,
-}
-
-impl ParallelReport {
-    /// The report as `(field name, JSON-ready value)` pairs.
-    pub fn fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("tuples", format!("{}", self.tuples)),
-            ("cores", format!("{}", self.cores)),
-            ("cold_1t_s", format!("{:.6}", self.cold_1t_s)),
-            ("cold_2t_s", format!("{:.6}", self.cold_2t_s)),
-            ("cold_4t_s", format!("{:.6}", self.cold_4t_s)),
-            ("speedup_2v1", format!("{:.2}", self.speedup_2v1)),
-            ("speedup_4v1", format!("{:.2}", self.speedup_4v1)),
-            ("first_tuple_s", format!("{:.6}", self.first_tuple_s)),
-            ("full_stream_s", format!("{:.6}", self.full_stream_s)),
-            (
-                "skipped_reason",
-                match &self.skipped_reason {
-                    Some(reason) => {
-                        format!("\"{}\"", reason.replace('\\', "\\\\").replace('"', "\\\""))
-                    }
-                    None => "null".to_string(),
-                },
-            ),
-        ]
-    }
-
-    /// Format as a table row (same order as [`fields`](Self::fields)).
-    pub fn cells(&self) -> Vec<String> {
-        self.fields().into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .fields()
-            .into_iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Header of the parallel experiment table.
-pub const PARALLEL_HEADER: [&str; 10] = [
-    "tuples",
-    "cores",
-    "cold_1t_s",
-    "cold_2t_s",
-    "cold_4t_s",
-    "speedup_2v1",
-    "speedup_4v1",
-    "first_tuple_s",
-    "full_stream_s",
-    "skipped_reason",
-];
-
-/// **Parallel experiment** (not in the paper): per-tuple d-tree compilation fanned
-/// out over worker threads. The workload is the repeated-workload query (general
-/// compilation — every tuple carries a conditional expression that needs a d-tree),
-/// executed **cold** (fresh engine) once per thread count so no cache warmth leaks
-/// between measurements. Results are verified bit-identical across thread counts
-/// before any timing is reported.
-pub fn experiment_parallel(scale: Scale) -> ParallelReport {
-    let full = scale == Scale::Full;
-    let (shops, per_shop) = if full { (96, 10) } else { (36, 6) };
-    let query = cache_workload_query(false);
-
-    let cold_run = |threads: usize| {
-        let engine = Engine::new(cache_workload_db(shops, per_shop));
-        let prepared = engine.prepare(&query).expect("workload query prepares");
-        let options = EvalOptions::default().with_threads(threads);
-        let start = std::time::Instant::now();
-        let result = prepared.execute(&options).expect("cold run");
-        (start.elapsed().as_secs_f64(), result)
-    };
-
-    let (cold_1t_s, reference) = cold_run(1);
-    let (cold_2t_s, r2) = cold_run(2);
-    let (cold_4t_s, r4) = cold_run(4);
-    for (result, threads) in [(&r2, 2), (&r4, 4)] {
-        assert_eq!(result.tuples.len(), reference.tuples.len());
-        for (a, b) in result.tuples.iter().zip(&reference.tuples) {
-            assert_eq!(
-                a.confidence.to_bits(),
-                b.confidence.to_bits(),
-                "threads={threads} must be bit-identical to sequential"
-            );
-        }
-    }
-
-    // Streaming latency: cold engine, time to first tuple vs. full drain.
-    let engine = Engine::new(cache_workload_db(shops, per_shop));
-    let prepared = engine.prepare(&query).expect("workload query prepares");
-    let start = std::time::Instant::now();
-    let mut stream = prepared
-        .execute_streaming(&EvalOptions::default().with_threads(4))
-        .expect("streaming run");
-    let first = stream
-        .next()
-        .expect("at least one tuple")
-        .expect("tuple ok");
-    let first_tuple_s = start.elapsed().as_secs_f64();
-    assert_eq!(
-        first.confidence.to_bits(),
-        reference.tuples[0].confidence.to_bits()
-    );
-    for item in &mut stream {
-        item.expect("tuple ok");
-    }
-    let full_stream_s = start.elapsed().as_secs_f64();
-
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    ParallelReport {
-        tuples: reference.tuples.len(),
-        cores,
-        cold_1t_s,
-        cold_2t_s,
-        cold_4t_s,
-        speedup_2v1: cold_1t_s / cold_2t_s.max(1e-9),
-        speedup_4v1: cold_1t_s / cold_4t_s.max(1e-9),
-        first_tuple_s,
-        full_stream_s,
-        skipped_reason: (cores < 4)
-            .then(|| format!("machine has {cores} core(s); the speedup gate needs >= 4")),
-    }
-}
-
-/// The report of the distribution-kernel experiment: convolution
-/// micro-throughput of the sparse (sorted-vector) and dense (offset-indexed)
-/// representations, plus cold first-tuple latency for a threshold MIN query
-/// (which exercises pruning, the arena evaluator and the one-sided CDF fold
-/// end-to-end).
-#[derive(Debug, Clone)]
-pub struct KernelReport {
-    /// Support size of the convolved operands.
-    pub support: usize,
-    /// Seconds per convolution on a *scattered* integer support (the sparse
-    /// generate–sort–coalesce kernel).
-    pub sparse_conv_s: f64,
-    /// Seconds per convolution on a *contiguous* COUNT-style support through the
-    /// adaptive kernel (dense direct indexing).
-    pub dense_conv_s: f64,
-    /// Seconds per convolution on the same contiguous support through the generic
-    /// sparse kernel (what the dense path replaces).
-    pub dense_input_sparse_s: f64,
-    /// `dense_input_sparse_s / dense_conv_s` — the dense fast path's win on
-    /// dense-friendly input.
-    pub dense_speedup: f64,
-    /// Whether [`DistRepr::of`] chose the dense representation for the contiguous
-    /// operand (behavioural regression guard).
-    pub dense_chosen: bool,
-    /// Cell count of each operand in the FFT crossover probe.
-    pub fft_support: usize,
-    /// Seconds per convolution of the FFT-probe operands through the adaptive
-    /// kernel (the spectral path past the crossover).
-    pub fft_conv_s: f64,
-    /// Seconds per convolution of the same operands through the exact chunked
-    /// kernel (what the spectral path replaces).
-    pub fft_naive_s: f64,
-    /// `fft_naive_s / fft_conv_s` — the spectral path's win past the crossover.
-    pub fft_speedup: f64,
-    /// Whether [`fft_would_run`] selects the spectral path for the probe
-    /// operands (behavioural regression guard).
-    pub fft_chosen: bool,
-    /// Number of terms in the dense-chain fold scenario.
-    pub chain_len: usize,
-    /// Seconds per full fold with the accumulator threaded through the chained
-    /// kernel (dense end to end, one materialisation at the root).
-    pub chain_chained_s: f64,
-    /// Seconds per full fold with a dense→sparse round-trip after every step
-    /// (the pre-chaining behaviour).
-    pub chain_stepwise_s: f64,
-    /// `chain_stepwise_s / chain_chained_s` — what staying dense buys.
-    pub chain_speedup: f64,
-    /// Cold streaming latency to the first tuple of the threshold MIN query.
-    pub min_first_tuple_s: f64,
-    /// Cold wall-clock of the full threshold MIN query.
-    pub min_total_s: f64,
-    /// Why the FFT speedup gate is dormant for this run (operands below the
-    /// crossover), or `None` when the gate should be enforced.
-    pub skipped_reason: Option<String>,
-}
-
-impl KernelReport {
-    /// The report as `(field name, JSON-ready value)` pairs.
-    pub fn fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("support", format!("{}", self.support)),
-            ("sparse_conv_s", format!("{:.9}", self.sparse_conv_s)),
-            ("dense_conv_s", format!("{:.9}", self.dense_conv_s)),
-            (
-                "dense_input_sparse_s",
-                format!("{:.9}", self.dense_input_sparse_s),
-            ),
-            ("dense_speedup", format!("{:.2}", self.dense_speedup)),
-            ("dense_chosen", format!("{}", u8::from(self.dense_chosen))),
-            ("fft_support", format!("{}", self.fft_support)),
-            ("fft_conv_s", format!("{:.9}", self.fft_conv_s)),
-            ("fft_naive_s", format!("{:.9}", self.fft_naive_s)),
-            ("fft_speedup", format!("{:.2}", self.fft_speedup)),
-            ("fft_chosen", format!("{}", u8::from(self.fft_chosen))),
-            ("chain_len", format!("{}", self.chain_len)),
-            ("chain_chained_s", format!("{:.9}", self.chain_chained_s)),
-            ("chain_stepwise_s", format!("{:.9}", self.chain_stepwise_s)),
-            ("chain_speedup", format!("{:.2}", self.chain_speedup)),
-            (
-                "min_first_tuple_s",
-                format!("{:.6}", self.min_first_tuple_s),
-            ),
-            ("min_total_s", format!("{:.6}", self.min_total_s)),
-            (
-                "skipped_reason",
-                match &self.skipped_reason {
-                    Some(reason) => format!("{:?}", reason),
-                    None => "null".to_string(),
-                },
-            ),
-        ]
-    }
-
-    /// Format as a table row (same order as [`fields`](Self::fields)).
-    pub fn cells(&self) -> Vec<String> {
-        self.fields().into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .fields()
-            .into_iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Header of the kernel experiment table.
-pub const KERNEL_HEADER: [&str; 18] = [
-    "support",
-    "sparse_conv_s",
-    "dense_conv_s",
-    "dense_in_sparse_s",
-    "dense_speedup",
-    "dense_chosen",
-    "fft_support",
-    "fft_conv_s",
-    "fft_naive_s",
-    "fft_speedup",
-    "fft_chosen",
-    "chain_len",
-    "chain_chained_s",
-    "chain_stepwise_s",
-    "chain_speedup",
-    "min_first_s",
-    "min_total_s",
-    "skipped_reason",
-];
-
-/// A uniform COUNT-style distribution over the contiguous range `0..=n`.
-fn contiguous_dist(n: i64) -> MonoidDist {
-    let p = 1.0 / (n + 1) as f64;
-    Dist::from_pairs((0..=n).map(|v| (MonoidValue::Fin(v), p)))
-}
-
-/// A scattered integer distribution: `n + 1` values spread so far apart that the
-/// adaptive kernel must stay sparse.
-fn scattered_dist(n: i64) -> MonoidDist {
-    let p = 1.0 / (n + 1) as f64;
-    Dist::from_pairs((0..=n).map(|v| (MonoidValue::Fin(v * 1_000_003), p)))
-}
-
-fn time_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / iters as f64
-}
-
-/// The shop/offer database used by the threshold-MIN latency probe, and the
-/// query: the minimum offered price per shop, filtered by `MIN ≥ c` — the exact
-/// shape whose evaluation the one-sided CDF fold accelerates.
-fn kernel_min_query() -> pvc_db::Query {
-    use pvc_db::{AggSpec, Predicate, Query};
-    Query::table("S")
-        .join(Query::table("PS"), &[("sid", "ps_sid")])
-        .group_agg(["shop"], vec![AggSpec::new(AggOp::Min, "price", "P")])
-        .select(Predicate::AggCmpConst("P".into(), CmpOp::Ge, 20))
-        .project(["shop"])
-}
-
-/// **Kernel experiment** (not in the paper): micro-throughput of the convolution
-/// kernel in its sparse and dense representations, plus cold first-tuple latency
-/// of a threshold MIN query. Guards the flat-kernel rewrite against regressions.
-pub fn experiment_kernel(scale: Scale) -> KernelReport {
-    let full = scale == Scale::Full;
-    let n: i64 = if full { 256 } else { 64 };
-    let iters = if full { 2000 } else { 300 };
-
-    let contiguous = contiguous_dist(n);
-    let scattered = scattered_dist(n);
-    assert!(
-        DistRepr::of(&contiguous).is_dense(),
-        "contiguous COUNT support must pick the dense representation"
-    );
-    assert!(
-        !DistRepr::of(&scattered).is_dense(),
-        "scattered support must stay sparse"
-    );
-
-    let sparse_conv_s = time_per_iter(iters, || {
-        std::hint::black_box(convolve_additive(&scattered, &scattered));
-    });
-    let dense_conv_s = time_per_iter(iters, || {
-        std::hint::black_box(convolve_additive(&contiguous, &contiguous));
-    });
-    let dense_input_sparse_s = time_per_iter(iters, || {
-        std::hint::black_box(contiguous.convolve(&contiguous, |x, y| x.saturating_add(y)));
-    });
-
-    // FFT crossover probe: operands long enough that the adaptive kernel takes
-    // the spectral path, timed against the exact chunked loop on the same
-    // input. Lengths are scale-independent floors — below the crossover the
-    // comparison would measure two runs of the same code.
-    let fft_n: i64 = if full { 4096 } else { 2048 };
-    let fft_iters = if full { 40 } else { 60 };
-    let fft_operand =
-        DenseDist::from_dist(&contiguous_dist(fft_n - 1)).expect("contiguous support is dense");
-    let fft_chosen = fft_would_run(fft_operand.len(), fft_operand.len());
-    let fft_conv_s = time_per_iter(fft_iters, || {
-        std::hint::black_box(fft_operand.convolve_add(&fft_operand));
-    });
-    let fft_naive_s = time_per_iter(fft_iters, || {
-        std::hint::black_box(fft_operand.convolve_add_exact(&fft_operand));
-    });
-
-    // Dense-chain fold: many small additive convolutions in sequence — the
-    // aggregate-evaluation shape — with the accumulator either kept dense end
-    // to end or round-tripped through the sparse form after every step.
-    let chain_len = if full { 96 } else { 48 };
-    let term = contiguous_dist(3);
-    let chain_chained_s = time_per_iter(iters, || {
-        let mut scratch = Vec::new();
-        let mut acc = ChainVal::Sparse(term.clone());
-        for _ in 1..chain_len {
-            acc = convolve_additive_chained(acc, ChainVal::Sparse(term.clone()), &mut scratch);
-        }
-        std::hint::black_box(acc.into_dist());
-    });
-    let chain_stepwise_s = time_per_iter(iters, || {
-        let mut acc = term.clone();
-        for _ in 1..chain_len {
-            acc = convolve_additive(&acc, &term);
-        }
-        std::hint::black_box(acc);
-    });
-
-    // Threshold MIN query: cold engine, streaming first-tuple latency plus the
-    // full cold execution.
-    let (shops, per_shop) = if full { (60, 8) } else { (24, 5) };
-    let engine = Engine::new(cache_workload_db(shops, per_shop));
-    let prepared = engine.prepare(&kernel_min_query()).expect("query prepares");
-    let start = std::time::Instant::now();
-    let mut stream = prepared
-        .execute_streaming(&EvalOptions::default())
-        .expect("streaming run");
-    stream
-        .next()
-        .expect("at least one tuple")
-        .expect("tuple ok");
-    let min_first_tuple_s = start.elapsed().as_secs_f64();
-    drop(stream);
-
-    let engine = Engine::new(cache_workload_db(shops, per_shop));
-    let prepared = engine.prepare(&kernel_min_query()).expect("query prepares");
-    let start = std::time::Instant::now();
-    let result = prepared.execute(&EvalOptions::default()).expect("cold run");
-    let min_total_s = start.elapsed().as_secs_f64();
-    assert!(
-        !result.tuples.is_empty(),
-        "threshold query must return rows"
-    );
-
-    KernelReport {
-        support: (n + 1) as usize,
-        sparse_conv_s,
-        dense_conv_s,
-        dense_input_sparse_s,
-        dense_speedup: dense_input_sparse_s / dense_conv_s.max(1e-12),
-        dense_chosen: DistRepr::of(&contiguous).is_dense(),
-        fft_support: fft_n as usize,
-        fft_conv_s,
-        fft_naive_s,
-        fft_speedup: fft_naive_s / fft_conv_s.max(1e-12),
-        fft_chosen,
-        chain_len,
-        chain_chained_s,
-        chain_stepwise_s,
-        chain_speedup: chain_stepwise_s / chain_chained_s.max(1e-12),
-        min_first_tuple_s,
-        min_total_s,
-        skipped_reason: (!fft_chosen).then(|| {
-            format!(
-                "probe operands ({fft_n} cells) sit below the FFT crossover; \
-                 the fft_speedup gate needs the spectral path"
-            )
-        }),
-    }
-}
-
-/// The report of the observability-overhead experiment: warm wall-clock of the
-/// repeated workload with observability fully disabled, with the metrics
-/// registry enabled, and with full span tracing + per-query profiles — plus the
-/// raw span ring-buffer push throughput.
-#[derive(Debug, Clone)]
-pub struct ObsReport {
-    /// Warm execution with metrics and tracing both disabled (the default).
-    pub disabled_s: f64,
-    /// Warm execution with the metrics registry enabled (counters, gauges,
-    /// histograms; no span tracing).
-    pub metrics_s: f64,
-    /// Warm execution with metrics + span tracing + per-query profile
-    /// collection all enabled.
-    pub tracing_s: f64,
-    /// `metrics_s / disabled_s`.
-    pub metrics_overhead: f64,
-    /// `tracing_s / disabled_s`.
-    pub tracing_overhead: f64,
-    /// Nanoseconds per `start`/`finish` pair pushed through a [`obs::Trace`]
-    /// ring buffer (the raw cost floor of one traced span).
-    pub span_push_ns: f64,
-}
-
-impl ObsReport {
-    /// The report as `(field name, JSON-ready value)` pairs.
-    pub fn fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("disabled_s", format!("{:.6}", self.disabled_s)),
-            ("metrics_s", format!("{:.6}", self.metrics_s)),
-            ("tracing_s", format!("{:.6}", self.tracing_s)),
-            ("metrics_overhead", format!("{:.3}", self.metrics_overhead)),
-            ("tracing_overhead", format!("{:.3}", self.tracing_overhead)),
-            ("span_push_ns", format!("{:.1}", self.span_push_ns)),
-        ]
-    }
-
-    /// Format as a table row (same order as [`fields`](Self::fields)).
-    pub fn cells(&self) -> Vec<String> {
-        self.fields().into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .fields()
-            .into_iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Header of the observability experiment table.
-pub const OBS_HEADER: [&str; 6] = [
-    "disabled_s",
-    "metrics_s",
-    "tracing_s",
-    "metrics_overhead",
-    "tracing_overhead",
-    "span_push_ns",
-];
-
-/// **Observability experiment** (not in the paper): what does watching cost?
-/// One engine is warmed on the repeated workload, then the same warm execution
-/// is timed under three global modes: observability fully disabled, metrics
-/// only, and metrics + tracing + per-query profiles. Results are asserted
-/// bit-identical across modes before any timing is reported. Mutates the
-/// process-wide observability flags; they are restored to disabled on return
-/// (run it last, and never concurrently with other measurements).
-pub fn experiment_obs(scale: Scale) -> ObsReport {
-    let full = scale == Scale::Full;
-    let (shops, per_shop) = if full { (60, 8) } else { (24, 5) };
-    let warm_runs = if full { 10 } else { 5 };
-    let engine = Engine::new(cache_workload_db(shops, per_shop));
-    let prepared = engine
-        .prepare(&cache_workload_query(false))
-        .expect("workload query prepares");
-    let options = EvalOptions::default();
-    // Warm the caches once so every timed run measures the same warm path.
-    let reference = prepared.execute(&options).expect("warm-up run");
-
-    let timed = |options: &EvalOptions| -> f64 {
-        let start = std::time::Instant::now();
-        for _ in 0..warm_runs {
-            let result = prepared.execute(options).expect("warm run");
-            for (a, b) in result.tuples.iter().zip(&reference.tuples) {
-                assert_eq!(
-                    a.confidence.to_bits(),
-                    b.confidence.to_bits(),
-                    "observability must not change results"
-                );
-            }
-        }
-        start.elapsed().as_secs_f64() / warm_runs as f64
-    };
-
-    obs::set_metrics_enabled(false);
-    obs::set_tracing_enabled(false);
-    let disabled_s = timed(&options);
-
-    obs::set_metrics_enabled(true);
-    let metrics_s = timed(&options);
-
-    obs::set_tracing_enabled(true);
-    let profile_options = options.clone().with_profile();
-    let tracing_s = timed(&profile_options);
-
-    obs::set_metrics_enabled(false);
-    obs::set_tracing_enabled(false);
-    obs::reset();
-
-    // Raw span-buffer throughput: start/finish pairs against a live ring.
-    let pushes = if full { 1_000_000u64 } else { 200_000u64 };
-    let trace = obs::Trace::new(1024);
-    let start = std::time::Instant::now();
-    for _ in 0..pushes {
-        let seq = trace.start("tuple");
-        trace.finish(seq);
-    }
-    let span_push_ns = start.elapsed().as_nanos() as f64 / pushes as f64;
-
-    ObsReport {
-        disabled_s,
-        metrics_s,
-        tracing_s,
-        metrics_overhead: metrics_s / disabled_s.max(1e-9),
-        tracing_overhead: tracing_s / disabled_s.max(1e-9),
-        span_push_ns,
-    }
-}
-
-/// The report of the durability experiment: per-delta apply cost without a
-/// log and under each WAL fsync discipline, the resulting overhead ratios,
-/// full-log replay time and the recovery-to-first-warm-query latency of a
-/// journalled snapshot restore.
-#[derive(Debug, Clone)]
-pub struct DurabilityReport {
-    /// Deltas applied per mode (`PVC_BENCH_FULL=1` uses 1000).
-    pub deltas: u64,
-    /// Total wall-clock of applying every delta with no WAL attached.
-    pub no_wal_total_s: f64,
-    /// Same deltas with a WAL under `Durability::None` (append, never fsync).
-    pub wal_none_total_s: f64,
-    /// Under `Durability::Batch` (one fsync at the end of the run).
-    pub wal_batch_total_s: f64,
-    /// Under `Durability::Always` (fsync per acknowledged delta).
-    pub wal_always_total_s: f64,
-    /// `wal_none_total_s / no_wal_total_s` — pure logging overhead; the CI
-    /// gate bounds this (`PVC_MAX_WAL_OVERHEAD_RATIO`).
-    pub overhead_none: f64,
-    /// `wal_always_total_s / no_wal_total_s` — the price of per-delta fsync.
-    pub overhead_always: f64,
-    /// Bytes in the WAL after the `Always` run.
-    pub wal_bytes: u64,
-    /// Records replayed by recovery (must equal [`deltas`](Self::deltas)).
-    pub replayed: u64,
-    /// Wall-clock of cold recovery: open + replay the full log.
-    pub replay_s: f64,
-    /// Wall-clock from `Engine::recover_with` on a post-delta snapshot
-    /// (journal restore, rotated log) through the first warm query.
-    pub recover_first_query_s: f64,
-}
-
-impl DurabilityReport {
-    /// The report as `(field name, JSON-ready value)` pairs.
-    pub fn fields(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("deltas", format!("{}", self.deltas)),
-            ("no_wal_total_s", format!("{:.6}", self.no_wal_total_s)),
-            ("wal_none_total_s", format!("{:.6}", self.wal_none_total_s)),
-            (
-                "wal_batch_total_s",
-                format!("{:.6}", self.wal_batch_total_s),
-            ),
-            (
-                "wal_always_total_s",
-                format!("{:.6}", self.wal_always_total_s),
-            ),
-            ("overhead_none", format!("{:.2}", self.overhead_none)),
-            ("overhead_always", format!("{:.2}", self.overhead_always)),
-            ("wal_bytes", format!("{}", self.wal_bytes)),
-            ("replayed", format!("{}", self.replayed)),
-            ("replay_s", format!("{:.6}", self.replay_s)),
-            (
-                "recover_first_query_s",
-                format!("{:.6}", self.recover_first_query_s),
-            ),
-        ]
-    }
-
-    /// Format as a table row (same order as [`fields`](Self::fields)).
-    pub fn cells(&self) -> Vec<String> {
-        self.fields().into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
-        let body: Vec<String> = self
-            .fields()
-            .into_iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-}
-
-/// Header of the durability experiment table.
-pub const DURABILITY_HEADER: [&str; 11] = [
-    "deltas",
-    "no_wal_s",
-    "wal_none_s",
-    "wal_batch_s",
-    "wal_always_s",
-    "ovh_none",
-    "ovh_always",
-    "wal_bytes",
-    "replayed",
-    "replay_s",
-    "recover_q1_s",
-];
-
-/// **Durability experiment** (not in the paper): what crash safety costs. The
-/// same insert stream is applied four times — no WAL, then logged under each
-/// fsync discipline — on fresh engines; the `Always` log is then recovered
-/// twice: cold (full replay, timing `replay_s`) and warm from a post-delta
-/// snapshot whose embedded journal re-derives the mutated state against the
-/// base database, through the first query (`recover_first_query_s`).
-pub fn experiment_durability(scale: Scale) -> DurabilityReport {
-    use pvc_db::{Delta, DeltaWal, Durability, RecoverOptions};
-    use std::sync::Arc;
-    let full = scale.is_full();
-    let n: u64 = if full { 1000 } else { 200 };
-    let (shops, per_shop) = if full { (24, 5) } else { (12, 3) };
-    let dir = std::env::temp_dir().join(format!("pvc-durability-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let storage = pvc_core::FsStorage::shared();
-
-    let deltas: Vec<Delta> = (0..n)
-        .map(|i| {
-            Delta::new().insert(
-                "P1",
-                vec![(100_000 + i as i64).into(), ((i % 7) as i64).into()],
-                0.25 + (i % 50) as f64 / 100.0,
-            )
-        })
-        .collect();
-
-    // Baseline: the same applies with no log attached.
-    let mut engine = Engine::new(cache_workload_db(shops, per_shop));
-    let start = std::time::Instant::now();
-    for delta in &deltas {
-        engine.apply_delta(delta.clone()).expect("delta applies");
-    }
-    let no_wal_total_s = start.elapsed().as_secs_f64();
-    drop(engine);
-
-    let run_mode = |mode: Durability, name: &str| -> (f64, u64) {
-        let path = dir.join(format!("{name}.wal"));
-        let mut engine = Engine::new(cache_workload_db(shops, per_shop));
-        let (wal, logged) =
-            DeltaWal::open(Arc::clone(&storage), &path, String::new(), mode).expect("wal opens");
-        assert!(logged.is_empty(), "fresh log must be empty");
-        engine.attach_wal(wal);
-        let start = std::time::Instant::now();
-        for delta in &deltas {
-            engine.apply_delta(delta.clone()).expect("delta applies");
-        }
-        // Under Batch this is the end-of-run fsync the serve layer issues per
-        // mutation batch; under None/Always it is a no-op.
-        engine.sync_wal().expect("wal syncs");
-        let total = start.elapsed().as_secs_f64();
-        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        (total, bytes)
-    };
-    let (wal_none_total_s, _) = run_mode(Durability::None, "none");
-    let (wal_batch_total_s, _) = run_mode(Durability::Batch, "batch");
-    let (wal_always_total_s, wal_bytes) = run_mode(Durability::Always, "always");
-
-    // Cold recovery: open the full log and replay every record.
-    let options = RecoverOptions::new(dir.join("always.wal")).with_durability(Durability::Always);
-    let start = std::time::Instant::now();
-    let (mut engine, report) = Engine::recover_with(
-        Arc::clone(&storage),
-        cache_workload_db(shops, per_shop),
-        &options,
-    )
-    .expect("cold recovery");
-    let replay_s = start.elapsed().as_secs_f64();
-    let replayed = report.wal_replayed as u64;
-    assert_eq!(replayed, n, "every logged delta must replay");
-
-    // Warm the workload query, snapshot (journal included), rotate the log.
-    let query = cache_workload_query(false);
-    let eval = EvalOptions::default();
-    let reference = engine
-        .prepare(&query)
-        .expect("workload query prepares")
-        .execute(&eval)
-        .expect("warm-up run");
-    let snap = dir.join("always.snap");
-    engine
-        .save_artifacts_with(storage.as_ref(), &snap)
-        .expect("snapshot saves");
-    let hwm = engine.wal_high_water();
-    engine
-        .wal_mut()
-        .expect("wal attached")
-        .rotate(hwm)
-        .expect("log rotates");
-    drop(engine);
-
-    // Recovery-to-first-warm-query: journalled snapshot restore, empty log.
-    let options = options.with_snapshot(&snap);
-    let start = std::time::Instant::now();
-    let (engine, report) = Engine::recover_with(
-        Arc::clone(&storage),
-        cache_workload_db(shops, per_shop),
-        &options,
-    )
-    .expect("warm recovery");
-    let first = engine
-        .prepare(&query)
-        .expect("workload query re-prepares")
-        .execute(&eval)
-        .expect("first warm query");
-    let recover_first_query_s = start.elapsed().as_secs_f64();
-    assert!(
-        report.snapshot_restored,
-        "post-delta snapshot must restore against the base db: {report:?}"
-    );
-    assert_eq!(report.wal_replayed, 0, "rotated log must be empty");
-    assert_eq!(first.tuples.len(), reference.tuples.len());
-    for (a, b) in first.tuples.iter().zip(&reference.tuples) {
-        assert_eq!(
-            a.confidence.to_bits(),
-            b.confidence.to_bits(),
-            "recovered results must be bit-identical"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    DurabilityReport {
-        deltas: n,
-        no_wal_total_s,
-        wal_none_total_s,
-        wal_batch_total_s,
-        wal_always_total_s,
-        // Clamp divisors so the ratios stay finite below clock resolution.
-        overhead_none: wal_none_total_s / no_wal_total_s.max(1e-9),
-        overhead_always: wal_always_total_s / no_wal_total_s.max(1e-9),
-        wal_bytes,
-        replayed,
-        replay_s,
-        recover_first_query_s,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cache_header_matches_report_fields() {
-        let report = CacheHitReport {
-            cold_s: 1.0,
-            warm_s: 0.5,
-            cross_s: 0.25,
-            warm_speedup: 2.0,
-            hits: 1,
-            misses: 2,
-            cross_query_hits: 3,
-            evictions: 4,
-            entries: 5,
-            arenas: 6,
-            arena_reused: true,
-        };
-        let names: Vec<&str> = report.fields().into_iter().map(|(k, _)| k).collect();
-        // The smoke-table header labels one column per field, in the same order
-        // (the header may abbreviate, so compare counts and spot-check keys).
-        assert_eq!(names.len(), CACHE_HEADER.len());
-        assert_eq!(names[0], CACHE_HEADER[0]);
-        assert!(report.to_json().contains("\"cross_query_hits\": 3"));
-    }
-
-    #[test]
-    fn cache_experiment_reports_cross_query_hits() {
-        // A miniature run of the repeated-workload scenario: the commuted rendering
-        // must be served by cross-query hits.
-        let db = cache_workload_db(4, 3);
-        let engine = Engine::new(db);
-        let pa = engine.prepare(&cache_workload_query(false)).unwrap();
-        pa.execute(&EvalOptions::default()).unwrap();
-        let pb = engine.prepare(&cache_workload_query(true)).unwrap();
-        pb.execute(&EvalOptions::default()).unwrap();
-        let stats = engine.cache_stats();
-        assert!(stats.cross_query_hits >= 1, "{stats:?}");
-    }
-
-    #[test]
-    fn cache_experiment_shares_across_threads() {
-        // A miniature multi-threaded run: the cross-rendering reuse must survive
-        // workers filling the cache concurrently.
-        let db = cache_workload_db(4, 3);
-        let engine = Engine::new(db);
-        let options = EvalOptions::default().with_threads(3);
-        let pa = engine.prepare(&cache_workload_query(false)).unwrap();
-        pa.execute(&options).unwrap();
-        let pb = engine.prepare(&cache_workload_query(true)).unwrap();
-        pb.execute(&options).unwrap();
-        let stats = engine.cache_stats();
-        assert!(stats.cross_query_hits >= 1, "{stats:?}");
-    }
-
-    #[test]
-    fn parallel_header_matches_report_fields() {
-        let report = ParallelReport {
-            tuples: 10,
-            cores: 4,
-            cold_1t_s: 1.0,
-            cold_2t_s: 0.6,
-            cold_4t_s: 0.4,
-            speedup_2v1: 1.67,
-            speedup_4v1: 2.5,
-            first_tuple_s: 0.05,
-            full_stream_s: 0.4,
-            skipped_reason: None,
-        };
-        let names: Vec<&str> = report.fields().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(names.len(), PARALLEL_HEADER.len());
-        assert_eq!(names[0], PARALLEL_HEADER[0]);
-        assert!(report.to_json().contains("\"speedup_4v1\": 2.50"));
-        assert!(report.to_json().contains("\"skipped_reason\": null"));
-        let mut skipped = report.clone();
-        skipped.skipped_reason = Some("machine has 1 core(s)".to_string());
-        assert!(skipped
-            .to_json()
-            .contains("\"skipped_reason\": \"machine has 1 core(s)\""));
-    }
-
-    #[test]
-    fn kernel_header_matches_report_fields() {
-        let report = KernelReport {
-            support: 65,
-            sparse_conv_s: 1e-5,
-            dense_conv_s: 1e-6,
-            dense_input_sparse_s: 5e-6,
-            dense_speedup: 5.0,
-            dense_chosen: true,
-            fft_support: 2048,
-            fft_conv_s: 2e-4,
-            fft_naive_s: 1e-3,
-            fft_speedup: 5.0,
-            fft_chosen: true,
-            chain_len: 48,
-            chain_chained_s: 1e-4,
-            chain_stepwise_s: 3e-4,
-            chain_speedup: 3.0,
-            min_first_tuple_s: 0.01,
-            min_total_s: 0.05,
-            skipped_reason: None,
-        };
-        let names: Vec<&str> = report.fields().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(names.len(), KERNEL_HEADER.len());
-        assert_eq!(names[0], KERNEL_HEADER[0]);
-        assert!(report.to_json().contains("\"dense_chosen\": 1"));
-        assert!(report.to_json().contains("\"fft_chosen\": 1"));
-        assert!(report.to_json().contains("\"skipped_reason\": null"));
-        let mut skipped = report.clone();
-        skipped.skipped_reason = Some("below the crossover".to_string());
-        assert!(skipped
-            .to_json()
-            .contains("\"skipped_reason\": \"below the crossover\""));
-    }
-
-    #[test]
-    fn kernel_fft_probe_shapes_cross_the_cutoff() {
-        // Both scales' probe operands must actually reach the spectral path,
-        // or the fft_speedup gate silently compares the exact kernel to itself.
-        for n in [2048usize, 4096] {
-            assert!(fft_would_run(n, n), "{n}-cell probe fell below the cutoff");
-        }
-    }
-
-    #[test]
-    fn kernel_representation_choices() {
-        assert!(DistRepr::of(&contiguous_dist(16)).is_dense());
-        assert!(!DistRepr::of(&scattered_dist(16)).is_dense());
-        // The adaptive and generic kernels agree on both shapes.
-        for d in [contiguous_dist(8), scattered_dist(8)] {
-            let adaptive = convolve_additive(&d, &d);
-            let generic = d.convolve(&d, |x, y| x.saturating_add(y));
-            assert!(adaptive.approx_eq(&generic, 0.0));
-        }
-    }
-
-    #[test]
-    fn kernel_min_query_runs() {
-        let engine = Engine::new(cache_workload_db(4, 3));
-        let prepared = engine.prepare(&kernel_min_query()).unwrap();
-        let result = prepared.execute(&EvalOptions::default()).unwrap();
-        assert!(!result.tuples.is_empty());
-    }
-
-    #[test]
-    fn cache_experiment_reports_arena_reuse() {
-        let report = experiment_cache_threads(Scale::Quick, 1);
-        assert!(report.arenas > 0, "{report:?}");
-        assert!(report.arena_reused, "{report:?}");
-    }
 
     #[test]
     fn scale_from_env_defaults_to_quick() {

@@ -1,10 +1,10 @@
-//! A minimal JSON reader — just enough to load `BENCH_baseline.json` in the
-//! `bench_regression` gate without adding an external dependency (the workspace is
+//! A minimal JSON reader — just enough for `pvc_e2e` to load `BENCHMARK.json` and
+//! its own result lines without adding an external dependency (the workspace is
 //! zero-dependency by policy).
 //!
 //! Supports the full JSON value grammar (objects, arrays, strings with the common
 //! escapes, numbers, booleans, null). Numbers are parsed as `f64`, which is exact
-//! for every counter the baseline stores (they are far below 2^53).
+//! for every counter those documents store (they are far below 2^53).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -229,7 +229,7 @@ impl Parser<'_> {
                                 .ok_or_else(|| self.error("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.error("invalid \\u escape"))?;
-                            // Surrogate pairs are not needed for the baseline file;
+                            // Surrogate pairs are not needed for the documents read here;
                             // map unpaired surrogates to the replacement character.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos = end - 1;

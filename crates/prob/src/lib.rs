@@ -24,8 +24,8 @@ pub mod values;
 pub use dist::{Dist, PROB_EPS};
 pub use moments::{cdf, expectation, moments, quantile, Moments};
 pub use repr::{
-    convolve_additive, convolve_additive_chained, fft_would_run, mix_dense_chained,
-    record_chain_break, ChainVal, DenseDist, DistRepr, FFT_MIN_LEN, FFT_RELATIVE_EPS,
+    convolve_additive_chained, fft_would_run, mix_dense_chained, ChainVal, DenseDist, FFT_MIN_LEN,
+    FFT_RELATIVE_EPS,
 };
 pub use rng::SeededRng;
 pub use space::{ProbabilitySpace, World};
@@ -33,4 +33,4 @@ pub use stats::{
     begin_tuple_capture, kernel_stats, kernel_stats_enabled, record_dense_chain,
     reset_kernel_stats, set_kernel_stats_enabled, take_tuple_capture, KernelStats, SUPPORT_BUCKETS,
 };
-pub use values::{make, ops, DistValue, MixedDist, MonoidDist, SemiringDist};
+pub use values::{make, DistValue, MixedDist, MonoidDist, SemiringDist};

@@ -4,7 +4,7 @@
 //! The paper argues (following Ré & Suciu) that expected values alone can be
 //! misleading for skewed distributions; the engine therefore returns *entire*
 //! distributions, and this module derives summaries from them when the user wants
-//! them. It is an extension beyond the paper's minimum (listed in DESIGN.md §7).
+//! them. It is an extension beyond the paper's minimum.
 
 use crate::dist::Dist;
 use pvc_algebra::MonoidValue;

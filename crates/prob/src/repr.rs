@@ -10,26 +10,25 @@
 //! indexing** (`out[i + j] += p_a[i] · p_b[j]`) in `O(|p|·|q| + range)` with no
 //! comparisons at all.
 //!
-//! [`DistRepr`] is the adaptive pairing of the two: [`DistRepr::of`] inspects the
-//! support and picks the dense form exactly when the support is all-finite and the
-//! spanned range is no larger than the work a convolution does anyway (so dense is
-//! never asymptotically worse). [`convolve_additive`] is the drop-in convolution
-//! used by the SUM/COUNT paths of `ops::add_monoid` and the d-tree evaluators; it is
+//! [`convolve_additive_chained`] is the one adaptive dispatcher, called by the d-tree
+//! arena and the independent-component fold for every SUM/COUNT `⊕`: it takes the
+//! dense pass exactly when both supports are all-finite and the output range is no
+//! larger than the work a convolution does anyway (so dense is never asymptotically
+//! worse), and the sparse kernel otherwise. Below the FFT crossover the dense pass is
 //! **bit-identical** to the sparse kernel because equal-valued products accumulate
 //! in the same (outer-operand-major) order and the same [`PROB_EPS`] drop rule
-//! applies on the way out.
+//! applies on the way out; debug builds assert this on every dense dispatch.
 //!
 //! # Chained dense evaluation
 //!
-//! A SUM/COUNT `⊕` chain used to round-trip dense → sparse → dense at every node
-//! exit. [`convolve_additive_chained`] keeps the dense form alive across node
-//! boundaries: its operands and result are [`ChainVal`]s, and it applies exactly
-//! the same pairwise eligibility rule as [`convolve_additive`] (computed from
-//! bounds and support sizes that the trimmed dense form carries natively), so a
-//! chained evaluation is bit-identical to the round-tripping one. Dense results
-//! are **trimmed** — leading and trailing zero cells are removed and the offset
-//! adjusted — so a dense value's bounds always equal its true support bounds and
-//! every later eligibility decision matches the sparse path's. Chain fates are
+//! Operands and result are [`ChainVal`]s, so a SUM/COUNT `⊕` chain keeps the dense
+//! form alive across node boundaries instead of round-tripping dense → sparse →
+//! dense at every node exit. Eligibility is computed from bounds and support sizes
+//! that the trimmed dense form carries natively, so a chained evaluation is
+//! bit-identical to one that materialises the sparse form after every step. Dense
+//! results are **trimmed** — leading and trailing zero cells are removed and the
+//! offset adjusted — so a dense value's bounds always equal its true support bounds
+//! and every later eligibility decision matches the sparse path's. Chain fates are
 //! counted by [`stats::record_dense_chain`](crate::stats::record_dense_chain)
 //! (`kernel.dense_chain.extends` / `.breaks` after the obs bridge).
 //!
@@ -301,17 +300,8 @@ impl DenseDist {
     }
 }
 
-/// Which representation [`DistRepr::of`] chose (also exposed for diagnostics).
-#[derive(Debug, Clone, PartialEq)]
-pub enum DistRepr {
-    /// Sorted-vector sparse form — scattered or non-finite supports.
-    Sparse(MonoidDist),
-    /// Offset-indexed dense form — all-finite supports spanning a small range.
-    Dense(DenseDist),
-}
-
-/// Minimum spanned range below which the dense form is always chosen (the vector is
-/// so small that direct indexing beats any sort regardless of density).
+/// Minimum spanned range below which the dense form is always eligible (the vector
+/// is so small that direct indexing beats any sort regardless of density).
 const DENSE_ALWAYS_RANGE: usize = 64;
 
 /// Minimum dense length on **both** operands before the spectral kernel is
@@ -358,52 +348,6 @@ pub fn dense_mix_bounded(len_a: usize, len_b: usize, union_range: usize) -> bool
             .max(DENSE_ALWAYS_RANGE)
 }
 
-impl DistRepr {
-    /// Choose a representation adaptively by support density: dense when the
-    /// support is all-finite and the spanned range is at most
-    /// `max(4 × support, 64)` (i.e. at least a quarter of the cells are occupied,
-    /// or the range is trivially small).
-    pub fn of(dist: &MonoidDist) -> DistRepr {
-        if let Some((lo, hi)) = finite_bounds(dist) {
-            if let Some(range) = hi
-                .checked_sub(lo)
-                .and_then(|d| usize::try_from(d).ok())
-                .and_then(|d| d.checked_add(1))
-            {
-                if range <= (4 * dist.support_size()).max(DENSE_ALWAYS_RANGE) {
-                    if let Some(dense) = DenseDist::from_dist(dist) {
-                        crate::stats::record_repr(true);
-                        return DistRepr::Dense(dense);
-                    }
-                }
-            }
-        }
-        crate::stats::record_repr(false);
-        DistRepr::Sparse(dist.clone())
-    }
-
-    /// True if the dense form was chosen.
-    pub fn is_dense(&self) -> bool {
-        matches!(self, DistRepr::Dense(_))
-    }
-
-    /// Convert (back) to the sparse form.
-    pub fn to_dist(&self) -> MonoidDist {
-        match self {
-            DistRepr::Sparse(d) => d.clone(),
-            DistRepr::Dense(d) => d.to_dist(),
-        }
-    }
-
-    /// Number of values with probability above [`PROB_EPS`].
-    pub fn support_size(&self) -> usize {
-        match self {
-            DistRepr::Sparse(d) => d.support_size(),
-            DistRepr::Dense(d) => d.support_size(),
-        }
-    }
-}
-
 /// The `(min, max)` finite values of the support; `None` when the support is empty
 /// or contains `±∞`. Entries are sorted and `−∞ < Fin(_) < +∞`, so only the two
 /// ends need checking: if both are finite, everything between is.
@@ -436,65 +380,15 @@ fn operand_profile(v: &ChainVal) -> Option<(i64, i64, usize)> {
     }
 }
 
-/// The pairwise dense-eligibility rule shared by [`convolve_additive`] and the
-/// chained evaluator: the output range must not exceed the candidate-pair
-/// count (so the dense pass is never more work than the sparse sort), with the
-/// [`DENSE_ALWAYS_RANGE`] floor.
+/// The pairwise dense-eligibility rule: the output range must not exceed the
+/// candidate-pair count (so the dense pass is never more work than the sparse
+/// sort), with the [`DENSE_ALWAYS_RANGE`] floor.
 fn pair_eligible(a: (i64, i64, usize), b: (i64, i64, usize)) -> Option<()> {
     let lo = a.0.checked_add(b.0)?;
     let hi = a.1.checked_add(b.1)?;
     let range = usize::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1)?;
     let candidates = a.2.checked_mul(b.2)?;
     (range <= candidates.max(DENSE_ALWAYS_RANGE)).then_some(())
-}
-
-/// Additive (SUM/COUNT) convolution with adaptive representation choice:
-/// direct-index dense convolution when both supports are all-finite and the output
-/// range is no larger than the candidate-pair count (so the dense pass is never
-/// more work than the sparse sort), sparse generate–sort–coalesce otherwise. Past
-/// the [`fft_would_run`] crossover the dense pass runs spectrally under the
-/// accuracy policy (see the [module docs](self)).
-///
-/// Below the FFT crossover, bit-identical to
-/// `a.convolve(&b, |x, y| x.saturating_add(y))` on every input.
-pub fn convolve_additive(a: &MonoidDist, b: &MonoidDist) -> MonoidDist {
-    if let Some(out) = try_convolve_dense(a, b) {
-        crate::stats::record_conv(true, a.support_size(), b.support_size());
-        return out;
-    }
-    crate::stats::record_conv(false, a.support_size(), b.support_size());
-    a.convolve(b, |x, y| x.saturating_add(y))
-}
-
-/// As [`convolve_additive`], reusing a scratch buffer on the sparse fallback path.
-pub fn convolve_additive_with_scratch(
-    a: &MonoidDist,
-    b: &MonoidDist,
-    scratch: &mut Vec<(MonoidValue, f64)>,
-) -> MonoidDist {
-    if let Some(out) = try_convolve_dense(a, b) {
-        crate::stats::record_conv(true, a.support_size(), b.support_size());
-        return out;
-    }
-    crate::stats::record_conv(false, a.support_size(), b.support_size());
-    a.convolve_with_scratch(b, |x, y| x.saturating_add(y), scratch)
-}
-
-fn try_convolve_dense(a: &MonoidDist, b: &MonoidDist) -> Option<MonoidDist> {
-    let (la, ha) = finite_bounds(a)?;
-    let (lb, hb) = finite_bounds(b)?;
-    pair_eligible((la, ha, a.support_size()), (lb, hb, b.support_size()))?;
-    let da = DenseDist::from_dist(a)?;
-    let db = DenseDist::from_dist(b)?;
-    let out = da.convolve_add(&db);
-    #[cfg(debug_assertions)]
-    if !fft_would_run(da.len(), db.len()) {
-        debug_assert!(
-            bit_equal(&out.to_dist(), &a.convolve(b, |x, y| x.saturating_add(y))),
-            "dense convolution diverged from the sparse kernel"
-        );
-    }
-    Some(out.to_dist())
 }
 
 /// One operand or result of a chained adaptive convolution: a dense value kept
@@ -526,13 +420,17 @@ impl ChainVal {
     }
 }
 
-/// Additive convolution for chained dense evaluation: applies the same pairwise
-/// eligibility rule as [`convolve_additive`], but keeps an eligible result in
-/// dense form for the next node instead of materialising it sparse — and
-/// accepts operands that are still dense from the previous node. Bit-identical
-/// to materialising both operands and calling
-/// [`convolve_additive_with_scratch`] (below the FFT crossover; ε-close above
-/// it, with identical path selection either way).
+/// Additive (SUM/COUNT) convolution with adaptive representation choice:
+/// direct-index dense convolution when both supports are all-finite and the
+/// output range is no larger than the candidate-pair count, sparse
+/// generate–sort–coalesce otherwise. An eligible result stays dense for the next
+/// node instead of being materialised sparse, and operands may still be dense
+/// from the previous node. Past the [`fft_would_run`] crossover the dense pass
+/// runs spectrally under the accuracy policy (see the [module docs](self)).
+///
+/// Below the FFT crossover, bit-identical to materialising both operands and
+/// calling `a.convolve(&b, |x, y| x.saturating_add(y))`; ε-close above it, with
+/// path selection a pure function of the operands either way.
 ///
 /// Chain bookkeeping: a dense result records one *extend*; a dense **operand**
 /// forced sparse because the pair is ineligible records one *break* (see
@@ -543,8 +441,7 @@ pub fn convolve_additive_chained(
     scratch: &mut Vec<(MonoidValue, f64)>,
 ) -> ChainVal {
     if a.is_empty() || b.is_empty() {
-        // Counter parity with the non-chained kernel, which records a sparse
-        // dispatch for empty operands too.
+        // An empty operand still counts as one (sparse) dispatch.
         let size = |v: &ChainVal| match v {
             ChainVal::Dense(d) => d.support_size(),
             ChainVal::Sparse(d) => d.support_size(),
@@ -564,6 +461,17 @@ pub fn convolve_additive_chained(
             };
             crate::stats::record_conv(true, pa.2, pb.2);
             let out = da.convolve_add(&db);
+            #[cfg(debug_assertions)]
+            if !fft_would_run(da.len(), db.len()) {
+                let sparse = a
+                    .clone()
+                    .into_dist()
+                    .convolve(&b.clone().into_dist(), |x, y| x.saturating_add(y));
+                debug_assert!(
+                    bit_equal(&out.to_dist(), &sparse),
+                    "dense convolution diverged from the sparse kernel"
+                );
+            }
             crate::stats::record_dense_chain(true);
             return ChainVal::Dense(out);
         }
@@ -591,15 +499,6 @@ pub fn mix_dense_chained(a: &DenseDist, b: &DenseDist) -> Option<DenseDist> {
     Some(out)
 }
 
-/// Record a forced dense→sparse demotion at a chain boundary — for evaluator
-/// layers that materialise a dense intermediate outside
-/// [`convolve_additive_chained`] (comparisons, tensor operands, mixed `⊔`
-/// sorts). Root materialisation at the end of an evaluation is *not* a break
-/// and must not be recorded.
-pub fn record_chain_break() {
-    crate::stats::record_dense_chain(false);
-}
-
 #[cfg(debug_assertions)]
 fn bit_equal(a: &MonoidDist, b: &MonoidDist) -> bool {
     a.support_size() == b.support_size()
@@ -618,6 +517,16 @@ mod tests {
         Dist::from_pairs((lo..=hi).map(|v| (Fin(v), 1.0 / n)))
     }
 
+    /// The dispatcher on sparse operands, with the result materialised sparse.
+    fn additive(a: &MonoidDist, b: &MonoidDist) -> MonoidDist {
+        convolve_additive_chained(
+            ChainVal::Sparse(a.clone()),
+            ChainVal::Sparse(b.clone()),
+            &mut Vec::new(),
+        )
+        .into_dist()
+    }
+
     #[test]
     fn dense_round_trip() {
         let d = Dist::from_pairs([(Fin(3), 0.25), (Fin(5), 0.75)]);
@@ -632,24 +541,13 @@ mod tests {
     fn dense_rejects_infinite_support() {
         let d = Dist::from_pairs([(Fin(3), 0.5), (PosInf, 0.5)]);
         assert!(DenseDist::from_dist(&d).is_none());
-        assert!(!DistRepr::of(&d).is_dense());
-    }
-
-    #[test]
-    fn repr_choice_is_adaptive() {
-        // Contiguous COUNT-style support: dense.
-        assert!(DistRepr::of(&uniform(0, 10)).is_dense());
-        // Scattered SUM support spanning a huge range: sparse.
-        let scattered = Dist::from_pairs((0..40).map(|i| (Fin(i * 1_000_000), 1.0 / 40.0)));
-        assert!(!DistRepr::of(&scattered).is_dense());
-        assert_eq!(DistRepr::of(&scattered).support_size(), 40);
     }
 
     #[test]
     fn dense_convolution_matches_sparse_bitwise() {
         let a = uniform(0, 12);
         let b = Dist::from_pairs([(Fin(0), 0.5), (Fin(1), 0.3), (Fin(2), 0.2)]);
-        let dense = convolve_additive(&a, &b);
+        let dense = additive(&a, &b);
         let sparse = a.convolve(&b, |x, y| x.saturating_add(y));
         assert_eq!(dense.support_size(), sparse.support_size());
         for ((dv, dp), (sv, sp)) in dense.iter().zip(sparse.iter()) {
@@ -662,10 +560,8 @@ mod tests {
     fn dense_repr_convolve_matches() {
         let a = uniform(0, 8);
         let b = uniform(2, 6);
-        let (DistRepr::Dense(da), DistRepr::Dense(db)) = (DistRepr::of(&a), DistRepr::of(&b))
-        else {
-            panic!("expected dense representations")
-        };
+        let da = DenseDist::from_dist(&a).unwrap();
+        let db = DenseDist::from_dist(&b).unwrap();
         let dense = da.convolve_add(&db).to_dist();
         let sparse = a.convolve(&b, |x, y| x.saturating_add(y));
         assert!(dense.approx_eq(&sparse, 0.0));
@@ -675,7 +571,7 @@ mod tests {
     fn infinite_values_fall_back_to_sparse() {
         let a = Dist::from_pairs([(Fin(1), 0.5), (PosInf, 0.5)]);
         let b = uniform(0, 3);
-        let out = convolve_additive(&a, &b);
+        let out = additive(&a, &b);
         let expected = a.convolve(&b, |x, y| x.saturating_add(y));
         assert!(out.approx_eq(&expected, 0.0));
         assert!(out.prob(&PosInf) > 0.0);
@@ -685,8 +581,8 @@ mod tests {
     fn empty_operands() {
         let a = MonoidDist::empty();
         let b = uniform(0, 3);
-        assert!(convolve_additive(&a, &b).is_empty());
-        assert!(convolve_additive(&b, &a).is_empty());
+        assert!(additive(&a, &b).is_empty());
+        assert!(additive(&b, &a).is_empty());
     }
 
     #[test]
@@ -739,7 +635,7 @@ mod tests {
         for i in 1..20 {
             let p = 0.05 + 0.04 * i as f64;
             chained = convolve_additive_chained(chained, ChainVal::Sparse(term(p)), &mut scratch);
-            stepwise = convolve_additive_with_scratch(&stepwise, &term(p), &mut scratch);
+            stepwise = additive(&stepwise, &term(p));
         }
         let chained = chained.into_dist();
         assert!(bit_equal_pub(&chained, &stepwise));
@@ -755,7 +651,7 @@ mod tests {
     #[test]
     fn chained_convolution_demotes_on_ineligible_pairs() {
         // A scattered operand forces the sparse path; the result must still
-        // match the plain adaptive kernel bitwise.
+        // match the generic sparse kernel bitwise.
         let mut scratch = Vec::new();
         let contiguous = uniform(0, 10);
         let scattered = Dist::from_pairs((0..40).map(|i| (Fin(i * 1_000_000), 1.0 / 40.0)));
@@ -766,7 +662,7 @@ mod tests {
             &mut scratch,
         );
         assert!(matches!(out, ChainVal::Sparse(_)));
-        let expected = convolve_additive(&contiguous, &scattered);
+        let expected = contiguous.convolve(&scattered, |x, y| x.saturating_add(y));
         assert!(bit_equal_pub(&out.into_dist(), &expected));
     }
 

@@ -1,11 +1,11 @@
-//! Kernel dispatch statistics: which convolution / representation path ran,
-//! and how wide the convolved supports were.
+//! Kernel dispatch statistics: which convolution path ran, and how wide the
+//! convolved supports were.
 //!
 //! `pvc-prob` sits below the observability layer (`pvc_core::obs`), so it
 //! cannot push into the metrics registry directly. Instead it keeps its own
 //! process-wide atomics here, and `pvc_core::obs` bridges them into metric
-//! names (`kernel.conv.dense`, `kernel.conv.sparse`, `kernel.repr.dense`,
-//! `kernel.repr.sparse`, `kernel.conv.support`) at snapshot time.
+//! names (`kernel.conv.dense`, `kernel.conv.sparse`, `kernel.conv.support`, …)
+//! at snapshot time.
 //!
 //! Everything is disabled by default: the hot-path cost is one relaxed
 //! `AtomicBool` load per dispatch. A second, thread-local capture channel
@@ -26,8 +26,6 @@ static CONV_DENSE: AtomicU64 = AtomicU64::new(0);
 static CONV_SPARSE: AtomicU64 = AtomicU64::new(0);
 static CONV_FFT: AtomicU64 = AtomicU64::new(0);
 static FFT_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-static REPR_DENSE: AtomicU64 = AtomicU64::new(0);
-static REPR_SPARSE: AtomicU64 = AtomicU64::new(0);
 static CHAIN_EXTENDS: AtomicU64 = AtomicU64::new(0);
 static CHAIN_BREAKS: AtomicU64 = AtomicU64::new(0);
 static SUPPORT_COUNT: AtomicU64 = AtomicU64::new(0);
@@ -58,8 +56,6 @@ pub fn reset_kernel_stats() {
     CONV_SPARSE.store(0, Ordering::Relaxed);
     CONV_FFT.store(0, Ordering::Relaxed);
     FFT_FALLBACKS.store(0, Ordering::Relaxed);
-    REPR_DENSE.store(0, Ordering::Relaxed);
-    REPR_SPARSE.store(0, Ordering::Relaxed);
     CHAIN_EXTENDS.store(0, Ordering::Relaxed);
     CHAIN_BREAKS.store(0, Ordering::Relaxed);
     SUPPORT_COUNT.store(0, Ordering::Relaxed);
@@ -88,10 +84,6 @@ pub struct KernelStats {
     /// Dense intermediates forced back to the sparse form mid-chain because the
     /// consuming node could not use them (root materialisation not counted).
     pub dense_chain_breaks: u64,
-    /// [`DistRepr::of`](crate::DistRepr::of) choices that picked the dense form.
-    pub repr_dense: u64,
-    /// [`DistRepr::of`](crate::DistRepr::of) choices that picked the sparse form.
-    pub repr_sparse: u64,
     /// Number of support-size samples (two per convolution: each input).
     pub support_count: u64,
     /// Sum of all sampled support sizes.
@@ -114,8 +106,6 @@ pub fn kernel_stats() -> KernelStats {
         fft_fallbacks: FFT_FALLBACKS.load(Ordering::Relaxed),
         dense_chain_extends: CHAIN_EXTENDS.load(Ordering::Relaxed),
         dense_chain_breaks: CHAIN_BREAKS.load(Ordering::Relaxed),
-        repr_dense: REPR_DENSE.load(Ordering::Relaxed),
-        repr_sparse: REPR_SPARSE.load(Ordering::Relaxed),
         support_count: SUPPORT_COUNT.load(Ordering::Relaxed),
         support_sum: SUPPORT_SUM.load(Ordering::Relaxed),
         support_buckets,
@@ -159,15 +149,6 @@ pub(crate) fn record_conv(dense: bool, support_a: usize, support_b: usize) {
     if TUPLE_CAPTURE.with(Cell::get) {
         let cell = if dense { &TUPLE_DENSE } else { &TUPLE_SPARSE };
         cell.with(|c| c.set(c.get() + 1));
-    }
-}
-
-/// Record one [`DistRepr::of`](crate::DistRepr::of) choice (called from `repr`).
-#[inline]
-pub(crate) fn record_repr(dense: bool) {
-    if ENABLED.load(Ordering::Relaxed) {
-        let counter = if dense { &REPR_DENSE } else { &REPR_SPARSE };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -219,7 +200,7 @@ mod tests {
         // Not enabled in this test binary: counters must stay untouched.
         let before = kernel_stats();
         record_conv(true, 4, 4);
-        record_repr(false);
+        record_fft(false);
         let after = kernel_stats();
         assert_eq!(before, after);
     }

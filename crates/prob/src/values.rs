@@ -2,7 +2,7 @@
 //! produced when computing the distribution of a decomposition tree.
 
 use crate::dist::Dist;
-use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
+use pvc_algebra::{MonoidValue, SemiringValue};
 use std::fmt;
 
 /// A value drawn from either the annotation semiring or an aggregation monoid.
@@ -96,78 +96,16 @@ pub mod make {
     }
 }
 
-/// Convolution wrappers specialised to the value types, mirroring Eqs. (4)–(9) of the
-/// paper. They exist so that call sites read like the equations.
-pub mod ops {
-    use super::*;
-
-    /// Eq. (4): `P_{Φ+Ψ}` — semiring addition of independent semiring expressions.
-    pub fn add_semiring(a: &SemiringDist, b: &SemiringDist) -> SemiringDist {
-        a.convolve(b, |x, y| x.add(y))
-    }
-
-    /// Eq. (5): `P_{Φ·Ψ}` — semiring multiplication of independent expressions.
-    pub fn mul_semiring(a: &SemiringDist, b: &SemiringDist) -> SemiringDist {
-        a.convolve(b, |x, y| x.mul(y))
-    }
-
-    /// Eq. (6): `P_{α+β}` — monoid sum of independent semimodule expressions.
-    ///
-    /// SUM/COUNT go through the adaptive dense kernel
-    /// ([`crate::repr::convolve_additive`]): contiguous integer supports convolve by
-    /// direct indexing, scattered ones by the sparse kernel — bit-identical either
-    /// way.
-    pub fn add_monoid(op: AggOp, a: &MonoidDist, b: &MonoidDist) -> MonoidDist {
-        match op {
-            AggOp::Sum | AggOp::Count => crate::repr::convolve_additive(a, b),
-            _ => a.convolve(b, |x, y| op.combine(x, y)),
-        }
-    }
-
-    /// Eq. (7): `P_{Φ⊗α}` — scalar action of an independent semiring expression on a
-    /// semimodule expression.
-    pub fn tensor(op: AggOp, scalar: &SemiringDist, value: &MonoidDist) -> MonoidDist {
-        scalar.convolve(value, |s, m| op.scalar_action(s, m))
-    }
-
-    /// Eq. (8): `P_{[αθβ]}` — comparison of independent semimodule expressions,
-    /// yielding a semiring value in the given semiring.
-    pub fn compare_monoid(
-        kind: SemiringKind,
-        theta: CmpOp,
-        a: &MonoidDist,
-        b: &MonoidDist,
-    ) -> SemiringDist {
-        a.convolve(b, |x, y| {
-            if theta.eval(x, y) {
-                kind.one()
-            } else {
-                kind.zero()
-            }
-        })
-    }
-
-    /// Eq. (9): `P_{[ΦθΨ]}` — comparison of independent semiring expressions.
-    pub fn compare_semiring(
-        kind: SemiringKind,
-        theta: CmpOp,
-        a: &SemiringDist,
-        b: &SemiringDist,
-    ) -> SemiringDist {
-        a.convolve(b, |x, y| {
-            if theta.eval(x, y) {
-                kind.one()
-            } else {
-                kind.zero()
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pvc_algebra::MonoidValue::Fin;
+    use pvc_algebra::{AggOp, CmpOp, SemiringKind};
+
+    /// Eq. (7): `P_{Φ⊗α}` for the SUM monoid.
+    fn tensor(scalar: &SemiringDist, value: &MonoidDist) -> MonoidDist {
+        scalar.convolve(value, |s, m| AggOp::Sum.scalar_action(s, m))
+    }
 
     #[test]
     fn bernoulli_is_normalised() {
@@ -198,12 +136,12 @@ mod tests {
             (SemiringValue::Nat(2), 0.4),
             (SemiringValue::Nat(3), 0.2),
         ]);
-        let alpha = ops::tensor(AggOp::Sum, &py, &make::certain_monoid(Fin(5)));
+        let alpha = tensor(&py, &make::certain_monoid(Fin(5)));
         assert!((alpha.prob(&Fin(5)) - 0.4).abs() < 1e-12);
         assert!((alpha.prob(&Fin(10)) - 0.4).abs() < 1e-12);
         assert!((alpha.prob(&Fin(15)) - 0.2).abs() < 1e-12);
 
-        let result = ops::tensor(AggOp::Sum, &px, &alpha);
+        let result = tensor(&px, &alpha);
         let expected_10 = 0.3 * 0.4 + 0.4 * 0.4;
         assert!((result.prob(&Fin(10)) - expected_10).abs() < 1e-12);
         // Possible outcomes listed in the paper: 0, 5, 10, 15, 20, 30 (and 45, 60 via
@@ -219,8 +157,8 @@ mod tests {
         // P[5] = Px[⊤]·Py[⊤].
         let px = make::bernoulli(0.3);
         let py = make::bernoulli(0.4);
-        let alpha = ops::tensor(AggOp::Sum, &py, &make::certain_monoid(Fin(5)));
-        let result = ops::tensor(AggOp::Sum, &px, &alpha);
+        let alpha = tensor(&py, &make::certain_monoid(Fin(5)));
+        let result = tensor(&px, &alpha);
         assert!((result.prob(&Fin(5)) - 0.3 * 0.4).abs() < 1e-12);
         assert!((result.prob(&Fin(0)) - (1.0 - 0.12)).abs() < 1e-12);
         assert_eq!(result.support_size(), 2);
@@ -230,14 +168,15 @@ mod tests {
     fn comparisons_produce_semiring_values() {
         let a = Dist::from_pairs([(Fin(10), 0.5), (Fin(60), 0.5)]);
         let b = make::certain_monoid(Fin(50));
-        let le = ops::compare_monoid(SemiringKind::Bool, CmpOp::Le, &a, &b);
+        let kind = SemiringKind::Bool;
+        let indicator = |holds: bool| if holds { kind.one() } else { kind.zero() };
+        // Eq. (8): comparison of independent semimodule expressions.
+        let le = a.convolve(&b, |x, y| indicator(CmpOp::Le.eval(x, y)));
         assert!((le.prob(&SemiringValue::Bool(true)) - 0.5).abs() < 1e-12);
-        let eq = ops::compare_semiring(
-            SemiringKind::Bool,
-            CmpOp::Eq,
-            &make::bernoulli(0.25),
-            &Dist::point(SemiringValue::Bool(true)),
-        );
+        // Eq. (9): comparison of independent semiring expressions.
+        let eq = make::bernoulli(0.25).convolve(&Dist::point(SemiringValue::Bool(true)), |x, y| {
+            indicator(CmpOp::Eq.eval(x, y))
+        });
         assert!((eq.prob(&SemiringValue::Bool(true)) - 0.25).abs() < 1e-12);
     }
 
@@ -245,7 +184,8 @@ mod tests {
     fn min_monoid_addition_is_selective() {
         let a = Dist::from_pairs([(Fin(10), 0.5), (MonoidValue::PosInf, 0.5)]);
         let b = Dist::from_pairs([(Fin(20), 0.5), (MonoidValue::PosInf, 0.5)]);
-        let min = ops::add_monoid(AggOp::Min, &a, &b);
+        // Eq. (6): monoid sum of independent semimodule expressions.
+        let min = a.convolve(&b, |x, y| AggOp::Min.combine(x, y));
         // Support only holds values from the operand supports.
         assert!(min
             .support()

@@ -7,7 +7,7 @@
 
 use pvc_algebra::MonoidValue;
 use pvc_prob::dist::reference::RefDist;
-use pvc_prob::{convolve_additive, Dist, DistRepr, ProbabilitySpace, SeededRng};
+use pvc_prob::{convolve_additive_chained, ChainVal, Dist, ProbabilitySpace, SeededRng};
 
 const CASES: u64 = 128;
 
@@ -237,13 +237,18 @@ fn dense_and_sparse_additive_convolutions_agree_bitwise() {
         let contiguous = case % 2 == 0;
         let a = monoid_dist(&mut rng, contiguous);
         let b = monoid_dist(&mut rng, contiguous);
+        let adaptive = convolve_additive_chained(
+            ChainVal::Sparse(a.clone()),
+            ChainVal::Sparse(b.clone()),
+            &mut Vec::new(),
+        );
         if contiguous {
             assert!(
-                DistRepr::of(&a).is_dense(),
-                "contiguous support should choose the dense representation"
+                matches!(adaptive, ChainVal::Dense(_)),
+                "contiguous supports should take the dense path"
             );
         }
-        let adaptive = convolve_additive(&a, &b);
+        let adaptive = adaptive.into_dist();
         let sparse = a.convolve(&b, |x, y| x.saturating_add(y));
         assert_eq!(adaptive.support_size(), sparse.support_size());
         for ((av, ap), (sv, sp)) in adaptive.iter().zip(sparse.iter()) {

@@ -50,23 +50,11 @@ impl Database {
     }
 
     /// Look up a table by name, reporting the available names on failure.
-    ///
-    /// This is the fallible lookup used throughout the engine; prefer it over the
-    /// deprecated, panicking [`Database::expect_table`].
     pub fn table_or_err(&self, name: &str) -> Result<&PvcTable, Error> {
         self.tables.get(name).ok_or_else(|| Error::UnknownTable {
             name: name.to_string(),
             available: self.tables.keys().cloned().collect(),
         })
-    }
-
-    /// Look up a table by name, panicking with the available names if absent.
-    #[deprecated(since = "0.2.0", note = "use `table_or_err` (or `table`) instead")]
-    pub fn expect_table(&self, name: &str) -> &PvcTable {
-        match self.table_or_err(name) {
-            Ok(table) => table,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Mutable access to a table.
@@ -154,54 +142,5 @@ mod tests {
         assert!(err.to_string().contains("not found"));
         let err = db.table_and_vars_mut("missing").unwrap_err();
         assert!(matches!(err, Error::UnknownTable { .. }));
-    }
-
-    #[test]
-    #[should_panic(expected = "not found")]
-    fn deprecated_expect_table_still_panics() {
-        #[allow(deprecated)]
-        Database::new().expect_table("missing");
-    }
-
-    /// Coverage for the PR-1/2 shim deprecation: every panicking entry point of the
-    /// public API is `#[deprecated]` and has a fallible replacement that reports the
-    /// failure as a value. The shims exercised here are the complete list —
-    /// `Database::expect_table`, `Schema::{expect_index, concat, project, rename}`
-    /// and `PvcTable::{push, value}`; everything else on the public surface returns
-    /// `Option`/`Result` on bad input.
-    #[test]
-    fn every_panicking_shim_has_a_fallible_replacement() {
-        let mut db = Database::new();
-        db.create_table("S", Schema::new(["sid", "shop"]));
-
-        // Database::expect_table -> Database::table_or_err / Database::table.
-        assert!(db.table_or_err("missing").is_err());
-
-        let schema = db.table("S").unwrap().schema.clone();
-        // Schema::expect_index -> Schema::index_of.
-        assert_eq!(schema.index_of("missing"), None);
-        // Schema::concat -> Schema::try_concat.
-        assert_eq!(schema.try_concat(&schema), Err("sid".to_string()));
-        // Schema::project -> Schema::try_project.
-        assert_eq!(
-            schema.try_project(&["missing".to_string()]),
-            Err("missing".to_string())
-        );
-        // Schema::rename -> Schema::try_rename.
-        assert_eq!(
-            schema.try_rename("missing", "x"),
-            Err("missing".to_string())
-        );
-
-        let table = db.table_mut("S").unwrap();
-        // PvcTable::push -> PvcTable::try_push.
-        assert!(table
-            .try_push(
-                vec![1i64.into()],
-                pvc_expr::SemiringExpr::Const(pvc_algebra::SemiringValue::Bool(true)),
-            )
-            .is_err());
-        // PvcTable::value -> PvcTable::try_value.
-        assert_eq!(table.try_value(0, "shop"), None);
     }
 }

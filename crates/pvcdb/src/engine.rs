@@ -385,8 +385,7 @@ pub struct RecoveryReport {
 
 /// A typed batch of mutations against the engine's database, built with
 /// [`Delta::insert`] / [`Delta::delete`] / [`Delta::set_probability`] and applied
-/// atomically by [`Engine::apply_delta`] — the replacement for the
-/// detach-everything [`Engine::database_mut`] escape hatch.
+/// atomically by [`Engine::apply_delta`].
 ///
 /// Row indices refer to the table **as it is when the delta is applied** (before
 /// any of the delta's own operations): probability updates run first, then
@@ -621,11 +620,6 @@ impl RewriteCache {
         self.bytes
     }
 
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.bytes = 0;
-    }
-
     fn get(&mut self, key: &[u8]) -> Option<Arc<PvcTable>> {
         self.stamp += 1;
         let stamp = self.stamp;
@@ -738,21 +732,6 @@ impl Caches {
     fn rewrites(&self) -> std::sync::MutexGuard<'_, RewriteCache> {
         self.rewrites.lock().expect("rewrite cache lock poisoned")
     }
-
-    /// Drop the rewrites and swap in a **fresh** artifact store (same bounds).
-    ///
-    /// Detaching — rather than clearing the shared store in place — is what keeps
-    /// concurrency sound around database mutation: in-flight [`TupleStream`]
-    /// workers hold the *old* store together with the *old* database snapshot
-    /// (mutually consistent, harmlessly dropped when the streams finish), and
-    /// engines sharing the old store keep artifacts that are still valid for
-    /// their own, unmutated databases. Clearing in place would let those workers
-    /// repopulate the store with distributions computed from the old variable
-    /// table, poisoning post-mutation queries.
-    fn detach(&mut self) {
-        self.rewrites().clear();
-        self.artifacts = Arc::new(SharedArtifacts::new(self.artifacts.config()));
-    }
 }
 
 /// FNV-1a over a byte string: the stable scope tag used to attribute cache entries
@@ -842,9 +821,7 @@ pub struct Engine {
     /// [`Engine::apply_delta`]. Snapshots embed this journal so a restart
     /// handed the base database can re-derive the snapshotted state — without
     /// it, rotating the WAL after a snapshot would discard the only durable
-    /// record of those deltas. Cleared by [`Engine::database_mut`] (direct
-    /// mutation makes delta provenance meaningless; the fingerprint then
-    /// honestly refuses a stale snapshot at recovery).
+    /// record of those deltas.
     journal: Vec<(u64, Delta)>,
 }
 
@@ -881,10 +858,7 @@ impl Engine {
     /// Correctness contract: cached artifacts are functions of (expression
     /// structure, variable distributions, semiring). Sharing is only sound between
     /// engines whose databases agree on the variable table and semiring — e.g.
-    /// clones of one database. [`Engine::database_mut`] **detaches** that engine
-    /// from the shared store (it continues with a fresh, private one); the other
-    /// sharers keep the old store, whose artifacts remain valid for their own,
-    /// unmutated databases.
+    /// clones of one database.
     pub fn with_shared_artifacts(db: Database, artifacts: Arc<SharedArtifacts>) -> Self {
         Engine {
             db: Arc::new(db),
@@ -905,30 +879,6 @@ impl Engine {
     /// The owned database.
     pub fn database(&self) -> &Database {
         &self.db
-    }
-
-    /// Mutable access to the database. Invalidates every cached compile artifact
-    /// of **this engine** by detaching it onto a fresh store, since cached
-    /// rewrites and probabilities are only valid against the data and variable
-    /// distributions they were computed from.
-    ///
-    /// In-flight [`TupleStream`]s keep executing against the pre-mutation snapshot
-    /// of the database *and* the pre-mutation artifact store (they hold their own
-    /// references to both, which stay mutually consistent); engines sharing the
-    /// old store via [`Engine::with_shared_artifacts`] likewise keep it, together
-    /// with their own unmutated databases.
-    ///
-    /// Deprecated: this is the detach-*everything* escape hatch. Prefer
-    /// [`Engine::apply_delta`], which applies a typed batch of mutations and
-    /// keeps every cache entry the delta cannot have invalidated.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Engine::apply_delta`, which invalidates selectively instead of detaching everything"
-    )]
-    pub fn database_mut(&mut self) -> &mut Database {
-        self.caches.detach();
-        self.journal.clear();
-        Arc::make_mut(&mut self.db)
     }
 
     /// Apply a typed batch of mutations — inserts, deletes, probability updates
@@ -1590,8 +1540,8 @@ impl Engine {
     }
 
     /// One-shot evaluation without an engine (no caching): validate, rewrite,
-    /// compute probabilities. This is what the deprecated free-function shims call;
-    /// prefer [`Engine::prepare`] for anything executed more than once.
+    /// compute probabilities. Prefer [`Engine::prepare`] for anything executed
+    /// more than once.
     ///
     /// [`EvalOptions::threads`] is honoured; parallel workers need owning handles,
     /// so the database is cloned once — but only when the execution actually runs
@@ -2820,12 +2770,6 @@ mod tests {
         let after_delta = engine.cache_stats();
         assert_eq!(after_delta.rewrites, 0);
         assert_eq!(after_delta.confidences, warm.confidences);
-
-        // The legacy shim keeps today's detach-everything semantics, counters
-        // included.
-        #[allow(deprecated)]
-        engine.database_mut();
-        assert_eq!(engine.cache_stats(), CacheStats::default());
     }
 
     #[test]
@@ -3591,41 +3535,10 @@ mod tests {
     }
 
     #[test]
-    fn database_mut_detaches_from_the_shared_store() {
-        let db = figure1_db();
-        let mut engine_a = Engine::new(db.clone());
-        let engine_b = Engine::with_shared_artifacts(db, engine_a.shared_artifacts());
-        let q = paper_q1();
-        engine_b
-            .prepare(&q)
-            .unwrap()
-            .execute(&EvalOptions::default())
-            .unwrap();
-        let b_before = engine_b.cache_stats();
-        assert!(b_before.confidences > 0);
-        // Mutating A's database must not invalidate B's artifacts (B's database is
-        // unchanged, so its cached distributions are still correct) — A simply
-        // walks away onto a fresh, empty store.
-        #[allow(deprecated)]
-        engine_a.database_mut();
-        assert_eq!(engine_a.cache_stats(), CacheStats::default());
-        assert_eq!(engine_b.cache_stats(), b_before);
-        // A's post-mutation executions fill the fresh store, not B's.
-        engine_a
-            .prepare(&q)
-            .unwrap()
-            .execute(&EvalOptions::default())
-            .unwrap();
-        assert!(engine_a.cache_stats().confidences > 0);
-        assert_eq!(engine_b.cache_stats(), b_before);
-    }
-
-    #[test]
     fn apply_delta_on_a_shared_store_keeps_disjoint_entries() {
-        // The apply_delta counterpart of the detach test: the store stays
-        // shared, and only intersecting entries are evicted — for an insert-only
-        // delta, none. (Deltas that re-weight or delete run strictly between
-        // batches; see the `apply_delta` concurrency contract.)
+        // The store stays shared, and only intersecting entries are evicted —
+        // for an insert-only delta, none. (Deltas that re-weight or delete run
+        // strictly between batches; see the `apply_delta` concurrency contract.)
         let db = figure1_db();
         let mut engine_a = Engine::new(db.clone());
         let engine_b = Engine::with_shared_artifacts(db, engine_a.shared_artifacts());

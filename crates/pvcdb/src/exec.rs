@@ -43,18 +43,6 @@ pub(crate) fn rewrite_planned(db: &Database, query: &Query) -> Result<PvcTable, 
     evaluate_rec(db, query)
 }
 
-/// Evaluate a query, panicking on invalid input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `try_evaluate`, or `Engine::prepare(..)?.execute(..)?` for the full pipeline"
-)]
-pub fn evaluate(db: &Database, query: &Query) -> PvcTable {
-    match try_evaluate(db, query) {
-        Ok(table) => table,
-        Err(e) => panic!("query evaluation failed: {e}"),
-    }
-}
-
 fn evaluate_rec(db: &Database, query: &Query) -> Result<PvcTable, Error> {
     let kind = db.kind;
     match query {

@@ -74,8 +74,3 @@ pub use schema::{Column, Schema};
 pub use tractable::{classify, flatten_spj, QueryClass, SpjBlock};
 pub use value::{KeyValue, Value};
 pub use wal::{DeltaWal, LoggedDelta};
-
-#[allow(deprecated)]
-pub use exec::evaluate;
-#[allow(deprecated)]
-pub use prob_eval::{evaluate_with_probabilities, tuple_confidences};

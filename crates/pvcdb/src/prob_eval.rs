@@ -7,12 +7,10 @@
 //! the preferred entry point for repeated execution.
 
 use crate::database::Database;
-use crate::engine::{Engine, EvalOptions};
 use crate::error::Error;
-use crate::query::Query;
 use crate::relation::PvcTable;
 use crate::value::Value;
-use pvc_core::{CompileOptions, Compiler};
+use pvc_core::Compiler;
 use pvc_prob::MonoidDist;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -26,7 +24,7 @@ pub struct ProbTuple {
     pub confidence: f64,
     /// For every aggregation column: the exact distribution of the aggregate value.
     /// Empty when the result was requested confidence-only
-    /// (see [`EvalOptions::confidence_only`]).
+    /// (see [`crate::EvalOptions::confidence_only`]).
     pub aggregate_distributions: BTreeMap<String, MonoidDist>,
 }
 
@@ -50,11 +48,11 @@ pub struct QueryResult {
     /// form for MIN/MAX over independent read-once terms (no d-tree built). Zero
     /// when the fast path was disabled or the query was not classified as tractable.
     pub agg_fast_path_hits: usize,
-    /// How many worker threads computed step II (see [`EvalOptions::threads`]; `1`
+    /// How many worker threads computed step II (see [`crate::EvalOptions::threads`]; `1`
     /// means the sequential in-thread path). Purely informational — results are
     /// identical for every thread count.
     pub threads: usize,
-    /// The execution's span tree, collected only when [`EvalOptions::profile`]
+    /// The execution's span tree, collected only when [`crate::EvalOptions::profile`]
     /// is set (`None` otherwise). See `pvc_core::obs` and `docs/OBSERVABILITY.md`.
     pub profile: Option<pvc_core::obs::ExecutionProfile>,
 }
@@ -70,37 +68,6 @@ impl QueryResult {
                     && key.iter().zip(&t.values).all(|(k, v)| v.to_string() == *k)
             })
             .map(|t| t.confidence)
-    }
-}
-
-/// Evaluate a query end-to-end: run the rewriting `⟦·⟧`, then compute the exact
-/// probability of every result tuple and the exact distribution of every aggregate.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine::prepare(..)?.execute(..)?`, which validates instead of panicking"
-)]
-pub fn evaluate_with_probabilities(db: &Database, query: &Query) -> QueryResult {
-    match Engine::execute_once(db, query, &EvalOptions::default()) {
-        Ok(result) => result,
-        Err(e) => panic!("query evaluation failed: {e}"),
-    }
-}
-
-/// As `evaluate_with_probabilities`, with explicit compilation options (used by the
-/// ablation benchmarks).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Engine::prepare(..)?.execute(..)?` with `EvalOptions::with_compile(..)`"
-)]
-pub fn evaluate_with_options(
-    db: &Database,
-    query: &Query,
-    options: &CompileOptions,
-) -> QueryResult {
-    let options = EvalOptions::default().with_compile(options.clone());
-    match Engine::execute_once(db, query, &options) {
-        Ok(result) => result,
-        Err(e) => panic!("query evaluation failed: {e}"),
     }
 }
 
@@ -123,21 +90,13 @@ pub fn try_tuple_confidences(db: &Database, table: &PvcTable) -> Result<Vec<f64>
         .collect()
 }
 
-/// Compute per-tuple confidences, panicking on compilation failure.
-#[deprecated(since = "0.2.0", note = "use `try_tuple_confidences`")]
-pub fn tuple_confidences(db: &Database, table: &PvcTable) -> Vec<f64> {
-    match try_tuple_confidences(db, table) {
-        Ok(confidences) => confidences,
-        Err(e) => panic!("confidence computation failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, EvalOptions};
     use crate::exec::tests::{figure1_db, paper_q1};
     use crate::exec::try_evaluate;
-    use crate::query::{AggSpec, Predicate};
+    use crate::query::{AggSpec, Predicate, Query};
     use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind};
     use pvc_expr::oracle;
 
@@ -228,17 +187,5 @@ mod tests {
         let confs = try_tuple_confidences(&db, &table).unwrap();
         assert_eq!(confs.len(), table.len());
         assert!(confs.iter().all(|p| *p > 0.0 && *p <= 1.0));
-    }
-
-    #[test]
-    fn deprecated_shims_still_work() {
-        let db = figure1_db();
-        #[allow(deprecated)]
-        let result = evaluate_with_probabilities(&db, &paper_q1());
-        assert_eq!(result.tuples.len(), 9);
-        let table = try_evaluate(&db, &paper_q1()).unwrap();
-        #[allow(deprecated)]
-        let confs = tuple_confidences(&db, &table);
-        assert_eq!(confs.len(), 9);
     }
 }

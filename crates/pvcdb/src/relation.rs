@@ -68,18 +68,6 @@ impl PvcTable {
         Ok(())
     }
 
-    /// Append a tuple with an explicit annotation. Panics on an arity mismatch — use
-    /// [`PvcTable::try_push`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `PvcTable::try_push`, which reports arity mismatches instead of panicking"
-    )]
-    pub fn push(&mut self, values: Vec<Value>, annotation: SemiringExpr) {
-        if let Err(message) = self.try_push(values, annotation) {
-            panic!("{message}");
-        }
-    }
-
     /// Append a tuple annotated with a *fresh* Boolean random variable with
     /// probability `p` — the tuple-independent table construction used throughout the
     /// paper's experiments. Returns the created variable's expression.
@@ -111,16 +99,6 @@ impl PvcTable {
     pub fn try_value(&self, row: usize, column: &str) -> Option<&Value> {
         let idx = self.schema.index_of(column)?;
         self.tuples.get(row).map(|t| &t.values[idx])
-    }
-
-    /// The value of a named column in a given tuple. Panics on an unknown column or
-    /// an out-of-range row — use [`PvcTable::try_value`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `PvcTable::try_value`, which returns `None` instead of panicking"
-    )]
-    pub fn value(&self, row: usize, column: &str) -> &Value {
-        &self.tuples[row].values[self.schema.require_index(column)]
     }
 
     /// Iterate over the tuples.
@@ -232,26 +210,6 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("arity 1"), "unexpected message: {err}");
         assert!(t.is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "arity")]
-    fn deprecated_push_still_panics_on_arity_mismatch() {
-        let mut t = PvcTable::new("R", Schema::new(["a", "b"]));
-        t.push(
-            vec![1i64.into()],
-            SemiringExpr::Const(SemiringValue::Bool(true)),
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "not found")]
-    fn deprecated_value_still_panics_on_unknown_column() {
-        let mut t = PvcTable::new("R", Schema::new(["a"]));
-        t.push_certain(vec![1i64.into()]);
-        t.value(0, "nope");
     }
 
     #[test]

@@ -68,17 +68,8 @@ impl Schema {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// The index of a column, panicking with a helpful message if absent.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Schema::index_of` and handle the `None` instead of panicking"
-    )]
-    pub fn expect_index(&self, name: &str) -> usize {
-        self.require_index(name)
-    }
-
-    /// Internal panicking lookup backing the deprecated [`Schema::expect_index`] and
-    /// the paths where the column set was already validated by `Query::output_schema`.
+    /// Internal panicking lookup for the paths where the column set was already
+    /// validated by `Query::output_schema`.
     pub(crate) fn require_index(&self, name: &str) -> usize {
         self.index_of(name).unwrap_or_else(|| {
             panic!(
@@ -113,19 +104,6 @@ impl Schema {
         Ok(Schema { columns })
     }
 
-    /// Concatenate two schemas (for the product operator). Panics on duplicate column
-    /// names — rename columns first, or use [`Schema::try_concat`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Schema::try_concat`, which reports the duplicate column instead of panicking"
-    )]
-    pub fn concat(&self, other: &Schema) -> Schema {
-        match self.try_concat(other) {
-            Ok(schema) => schema,
-            Err(dup) => panic!("duplicate column `{dup}` in product; rename one side first"),
-        }
-    }
-
     /// The schema restricted to the given columns (in the given order), reporting the
     /// first missing column name.
     pub fn try_project(&self, names: &[String]) -> Result<Schema, String> {
@@ -140,39 +118,12 @@ impl Schema {
         Ok(Schema { columns })
     }
 
-    /// The schema restricted to the given columns (in the given order). Panics on a
-    /// missing column — use [`Schema::try_project`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Schema::try_project`, which reports the missing column instead of panicking"
-    )]
-    pub fn project(&self, names: &[String]) -> Schema {
-        Schema {
-            columns: names
-                .iter()
-                .map(|n| self.columns[self.require_index(n)].clone())
-                .collect(),
-        }
-    }
-
     /// Rename a column, reporting the name if it does not exist.
     pub fn try_rename(&self, old: &str, new: &str) -> Result<Schema, String> {
         let idx = self.index_of(old).ok_or_else(|| old.to_string())?;
         let mut columns = self.columns.clone();
         columns[idx].name = new.to_string();
         Ok(Schema { columns })
-    }
-
-    /// Rename a column. Panics if `old` does not exist — use [`Schema::try_rename`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Schema::try_rename`, which reports the missing column instead of panicking"
-    )]
-    pub fn rename(&self, old: &str, new: &str) -> Schema {
-        let mut columns = self.columns.clone();
-        let idx = self.require_index(old);
-        columns[idx].name = new.to_string();
-        Schema { columns }
     }
 }
 
@@ -239,21 +190,5 @@ mod tests {
         );
         assert_eq!(a.try_rename("nope", "x"), Err("nope".to_string()));
         assert_eq!(a.index_of("nope"), None);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "duplicate column")]
-    fn deprecated_concat_with_duplicates_still_panics() {
-        let a = Schema::new(["sid"]);
-        let b = Schema::new(["sid"]);
-        a.concat(&b);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "not found")]
-    fn deprecated_expect_index_still_panics() {
-        Schema::new(["a"]).expect_index("b");
     }
 }

@@ -19,8 +19,7 @@
 //! `{"report": <run report>, "metrics": <Server::metrics_snapshot()>}` — the
 //! CI `obs_smoke` job parses this and checks the metric catalog.
 //!
-//! The report JSON is the `experiment_serve` record of the bench baseline
-//! (see `BENCH_baseline.json`); the CI `serve_smoke` job asserts nonzero QPS,
+//! The CI `serve_smoke` job parses the report JSON and asserts nonzero QPS,
 //! zero rejections at the default depth, and an atomically written snapshot.
 
 use pvc_serve::loadgen::{run, run_with_metrics, LoadConfig};

@@ -7,8 +7,7 @@
 //! aggregates and union renderings, across `tenants` tenants), fully drain
 //! every result stream, and record the submit-to-drained latency. The report
 //! carries throughput, p50/p99, and the server's own counters, and serialises
-//! to the same JSON dialect as the bench baselines (see `experiment_serve` in
-//! `BENCH_baseline.json`).
+//! to the bench JSON dialect (parses with `pvc_bench::json`).
 
 use crate::{ServeConfig, ServeError, Server, ServerStats};
 use pvc_algebra::{AggOp, CmpOp};
@@ -84,7 +83,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Serialise in the bench-baseline JSON dialect.
+    /// Serialise in the bench JSON dialect.
     pub fn to_json(&self) -> String {
         format!(
             concat!(

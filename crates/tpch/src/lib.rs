@@ -6,7 +6,7 @@
 //!
 //! This crate substitutes the official TPC-H `dbgen` and gigabyte-scale data with a
 //! scaled-down synthetic equivalent that preserves the structural properties the
-//! experiment depends on; the substitution is documented in `DESIGN.md`.
+//! experiment depends on; the substitution is documented in the [`gen`] module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

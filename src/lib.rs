@@ -69,8 +69,7 @@
 //! tables keep answering with zero recompilations ([`db::DeltaStats`] counts
 //! exactly what was evicted vs. kept). Under serving,
 //! `serve::Server::apply_delta` applies a delta to an idle tenant between
-//! batches. The old escape hatch `Engine::database_mut` (drop every cache) is
-//! deprecated; see `docs/ARCHITECTURE.md` §"Updates and invalidation".
+//! batches; see `docs/ARCHITECTURE.md` §"Updates and invalidation".
 //!
 //! For tractable plans the engine also skips compilation entirely where closed
 //! forms exist: read-once confidences, and MIN/MAX aggregate distributions over
@@ -119,8 +118,6 @@ pub mod prelude {
         Plan, Predicate, PreparedQuery, ProbTuple, PvcTable, Query, QueryClass, QueryResult,
         Schema, SharedArtifacts, SnapshotStats, SnapshotTotals, Strategy, TupleStream, Value,
     };
-    #[allow(deprecated)]
-    pub use pvc_db::{evaluate, evaluate_with_probabilities, tuple_confidences};
     pub use pvc_expr::{Interner, SemimoduleExpr, SemiringExpr, Var, VarTable};
     pub use pvc_prob::{Dist, MonoidDist, SemiringDist};
     pub use pvc_serve::{ResultStream, ServeConfig, ServeError, Server, ServerStats, Ticket};

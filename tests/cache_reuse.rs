@@ -4,6 +4,8 @@
 //!   across all `Strategy` variants (Q_ind, Q_hie, general compilation);
 //! * canonical interning — structurally-equal queries under *different renderings*
 //!   (commuted operands) share cache entries, observable as cross-query hits;
+//! * arena reuse — warm runs and the commuted rendering compile no d-tree arena a
+//!   second time, with one worker thread or four;
 //! * LRU eviction — a tiny entry bound evicts but never changes results.
 
 use pvc_suite::prelude::*;
@@ -178,6 +180,56 @@ fn commuted_renderings_share_cache_entries() {
     // No new artifact entries were needed for the second rendering's annotations.
     assert_eq!(stats_after_b.confidences, stats_after_a.confidences);
     assert_same_result(&ra, &rb);
+}
+
+/// The paper's Q2 shape (shops whose maximal price is bounded) over `P1 ∪ P2`, or
+/// over `P2 ∪ P1` when `swapped`: equal provenance up to summand order.
+fn max_price_query(swapped: bool) -> Query {
+    let products = if swapped {
+        Query::table("P2").union(Query::table("P1"))
+    } else {
+        Query::table("P1").union(Query::table("P2"))
+    };
+    Query::table("S")
+        .join(Query::table("PS"), &[("sid", "ps_sid")])
+        .join(
+            products.rename(&[("pid", "p_pid"), ("weight", "p_weight")]),
+            &[("ps_pid", "p_pid")],
+        )
+        .group_agg(["shop"], vec![AggSpec::new(AggOp::Max, "price", "P")])
+        .select(Predicate::AggCmpConst("P".into(), CmpOp::Le, 60))
+        .project(["shop"])
+}
+
+#[test]
+fn warm_and_commuted_runs_rebuild_no_arena() {
+    // With several workers filling the shared store the reuse must hold as well.
+    for threads in [1, 4] {
+        let options = EvalOptions::default().with_threads(threads);
+        let engine = Engine::new(shop_db());
+        let prepared = engine.prepare(&max_price_query(false)).unwrap();
+        let cold = prepared.execute(&options).unwrap();
+        assert!(!cold.tuples.is_empty());
+        let after_cold = engine.cache_stats();
+        assert!(after_cold.arenas > 0, "nothing compiled: {after_cold:?}");
+
+        for _ in 0..5 {
+            assert_same_result(&cold, &prepared.execute(&options).unwrap());
+        }
+        let commuted = engine
+            .prepare(&max_price_query(true))
+            .unwrap()
+            .execute(&options)
+            .unwrap();
+        assert_same_result(&cold, &commuted);
+
+        let stats = engine.cache_stats();
+        assert_eq!(
+            stats.arena_misses, after_cold.arena_misses,
+            "threads={threads}: a warm or commuted run compiled an arena again: {stats:?}"
+        );
+        assert!(stats.cross_query_hits >= 1, "threads={threads}: {stats:?}");
+    }
 }
 
 #[test]

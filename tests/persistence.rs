@@ -83,19 +83,22 @@ fn workload() -> Vec<Query> {
         Query::table("S")
             .join(Query::table("PS"), &[("sid", "ps_sid")])
             .group_agg(["shop"], vec![AggSpec::new(AggOp::Max, "price", "P")]),
-        // General compilation: repeated table through a union + a θ-predicate.
-        Query::table("S")
-            .join(Query::table("PS"), &[("sid", "ps_sid")])
-            .join(
-                Query::table("P1")
-                    .union(Query::table("P2"))
-                    .rename(&[("pid", "p_pid"), ("weight", "p_weight")]),
-                &[("ps_pid", "p_pid")],
-            )
-            .group_agg(["shop"], vec![AggSpec::new(AggOp::Max, "price", "P")])
-            .select(Predicate::AggCmpConst("P".into(), CmpOp::Le, 55))
-            .project(["shop"]),
+        general_query(Query::table("P1").union(Query::table("P2"))),
     ]
+}
+
+/// General compilation: repeated table through a union + a θ-predicate. The two
+/// orders of the union's operands are different renderings of one query.
+fn general_query(products: Query) -> Query {
+    Query::table("S")
+        .join(Query::table("PS"), &[("sid", "ps_sid")])
+        .join(
+            products.rename(&[("pid", "p_pid"), ("weight", "p_weight")]),
+            &[("ps_pid", "p_pid")],
+        )
+        .group_agg(["shop"], vec![AggSpec::new(AggOp::Max, "price", "P")])
+        .select(Predicate::AggCmpConst("P".into(), CmpOp::Le, 55))
+        .project(["shop"])
 }
 
 fn run_all(engine: &Engine) -> Vec<QueryResult> {
@@ -163,6 +166,21 @@ fn roundtrip_is_bit_identical_across_all_strategies() {
         "warm-from-disk run must not recompile"
     );
     assert!(after.hits > 0);
+
+    // The general query with its union operands commuted is a different query
+    // scope; restored entries must serve it across scopes.
+    let commuted = general_query(Query::table("P2").union(Query::table("P1")));
+    let result = restarted
+        .prepare(&commuted)
+        .unwrap()
+        .execute(&EvalOptions::default())
+        .unwrap();
+    assert_bit_identical(&reference[2..], &[result]);
+    let cross = restarted.cache_stats();
+    assert!(
+        cross.cross_query_hits >= 1,
+        "scope tags or canonical ids did not survive the round trip: {cross:?}"
+    );
 }
 
 #[test]
