@@ -1686,7 +1686,13 @@ impl PreparedQuery<'_> {
 fn plan_query(db: &Database, query: &Query) -> Result<Plan, Error> {
     let schema = query.output_schema(db).map_err(Error::Validation)?;
     let class = classify(query, db);
-    let tuple_independent_input = query.base_tables().iter().all(|name| {
+    // Once per distinct table: the check scans every tuple, and a query may mention
+    // a table several times.
+    let base_tables = query.base_tables();
+    let mut distinct = base_tables.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let tuple_independent_input = distinct.iter().all(|name| {
         db.table(name)
             .map(PvcTable::is_tuple_independent)
             .unwrap_or(false)
@@ -1700,8 +1706,8 @@ fn plan_query(db: &Database, query: &Query) -> Result<Plan, Error> {
         class,
         strategy,
         schema,
-        base_tables: query.base_tables().iter().map(|s| s.to_string()).collect(),
-        non_repeating: query.is_non_repeating(),
+        non_repeating: distinct.len() == base_tables.len(),
+        base_tables: base_tables.iter().map(|s| s.to_string()).collect(),
         tuple_independent_input,
     })
 }
@@ -2071,9 +2077,52 @@ fn execute_pipeline(
 /// Pooled-mode lifecycle state: how many pool jobs of this stream are currently
 /// running, and whether the stream was cancelled before they started.
 #[derive(Debug, Default)]
-struct StreamGate {
+struct GateState {
     cancelled: bool,
     active: usize,
+}
+
+/// Pooled-mode quiescence gate. Spawned threads are joined by handle; pool
+/// jobs have no handle, so dropping the stream instead waits here until
+/// every started job has exited (queued-but-unstarted jobs observe
+/// `cancelled` under this lock and become no-ops). Checking the flag and
+/// counting the job under **one** lock is what makes the drop race-free: a
+/// job either sees the cancellation or is counted before the drop starts
+/// waiting.
+///
+/// The gate lives in an `Arc` of its own, apart from [`StreamShared`]: a job owns
+/// the gate but only a `Weak` to the shared state, which it upgrades *inside* the
+/// gated scope. Once the stream's drop returns, no job — finished, or still queued
+/// on the pool — keeps the `Arc<Database>` alive, so [`Engine::into_database`]
+/// after a drained stream hands the database back instead of cloning it.
+#[derive(Debug, Default)]
+struct StreamGate {
+    state: Mutex<GateState>,
+    /// Signalled whenever `state.active` reaches zero.
+    quiesced: Condvar,
+}
+
+impl StreamGate {
+    /// Register one pool job as running; `false` means the stream was already
+    /// cancelled and the job must not touch any work.
+    fn enter(&self) -> bool {
+        let mut state = self.state.lock().expect("stream gate poisoned");
+        if state.cancelled {
+            return false;
+        }
+        state.active += 1;
+        true
+    }
+
+    /// Turn queued-but-unstarted jobs into no-ops and wait until every started
+    /// job has exited.
+    fn cancel_and_wait(&self) {
+        let mut state = self.state.lock().expect("stream gate poisoned");
+        state.cancelled = true;
+        while state.active > 0 {
+            state = self.quiesced.wait(state).expect("stream gate poisoned");
+        }
+    }
 }
 
 /// State shared between the consumer of a [`TupleStream`] and its workers.
@@ -2090,41 +2139,18 @@ struct StreamShared {
     cancel: AtomicBool,
     /// The next unclaimed tuple index (dynamic work distribution).
     cursor: AtomicUsize,
-    /// Pooled-mode quiescence gate. Spawned threads are joined by handle; pool
-    /// jobs have no handle, so dropping the stream instead waits here until
-    /// every started job has exited (queued-but-unstarted jobs observe
-    /// `cancelled` under this lock and become no-ops). Checking the flag and
-    /// counting the job under **one** lock is what makes the drop race-free: a
-    /// job either sees the cancellation or is counted before the drop starts
-    /// waiting.
-    gate: Mutex<StreamGate>,
-    /// Signalled whenever `gate.active` reaches zero.
-    quiesced: Condvar,
-}
-
-impl StreamShared {
-    /// Register one pool job as running; `false` means the stream was already
-    /// cancelled and the job must not touch any work.
-    fn gate_enter(&self) -> bool {
-        let mut gate = self.gate.lock().expect("stream gate poisoned");
-        if gate.cancelled {
-            return false;
-        }
-        gate.active += 1;
-        true
-    }
 }
 
 /// Decrements the gate when a pool job exits — by any path, panic included
 /// (the guard lives across the worker loop, so unwinding still releases the
 /// stream's drop from its wait).
-struct GateGuard(Arc<StreamShared>);
+struct GateGuard<'g>(&'g StreamGate);
 
-impl Drop for GateGuard {
+impl Drop for GateGuard<'_> {
     fn drop(&mut self) {
-        let mut gate = self.0.gate.lock().expect("stream gate poisoned");
-        gate.active -= 1;
-        if gate.active == 0 {
+        let mut state = self.0.state.lock().expect("stream gate poisoned");
+        state.active -= 1;
+        if state.active == 0 {
             self.0.quiesced.notify_all();
         }
     }
@@ -2210,9 +2236,8 @@ fn spawn_stream(
         counters: TupleCounters::default(),
         cancel: AtomicBool::new(false),
         cursor: AtomicUsize::new(0),
-        gate: Mutex::new(StreamGate::default()),
-        quiesced: Condvar::new(),
     });
+    let gate = Arc::new(StreamGate::default());
     // Bounded channel: workers run at most a small window ahead of the consumer,
     // so a slow consumer of a huge result does not buffer the whole result set.
     let (sender, receiver) =
@@ -2226,14 +2251,20 @@ fn spawn_stream(
         // ends), so cap at the pool width.
         let jobs = threads.min(pool.threads()).max(1);
         for _ in 0..jobs {
-            let worker_shared = Arc::clone(&shared);
+            let worker_gate = Arc::clone(&gate);
+            let worker_shared = Arc::downgrade(&shared);
             let worker_sender = sender.clone();
             pool.execute(move || {
-                if !worker_shared.gate_enter() {
+                if !worker_gate.enter() {
                     return;
                 }
-                let _guard = GateGuard(Arc::clone(&worker_shared));
-                worker_loop(&worker_shared, &worker_sender);
+                // Declared before the upgrade, so dropped after it: the stream's
+                // drop is released only once this job holds the shared state (and
+                // with it the database) no more.
+                let _guard = GateGuard(&worker_gate);
+                if let Some(shared) = worker_shared.upgrade() {
+                    worker_loop(&shared, &worker_sender);
+                }
             });
         }
         drop(sender);
@@ -2246,6 +2277,7 @@ fn spawn_stream(
             reassembly: OrderedReassembly::new(),
             profiles: Vec::new(),
             shared,
+            gate,
             workers: Vec::new(),
             poisoned: false,
         });
@@ -2283,6 +2315,7 @@ fn spawn_stream(
         reassembly: OrderedReassembly::new(),
         profiles: Vec::new(),
         shared,
+        gate,
         workers,
         poisoned: false,
     })
@@ -2312,6 +2345,7 @@ pub struct TupleStream {
     /// taken.
     profiles: Vec<(usize, TupleProfile)>,
     shared: Arc<StreamShared>,
+    gate: Arc<StreamGate>,
     workers: Vec<JoinHandle<()>>,
     poisoned: bool,
 }
@@ -2418,15 +2452,7 @@ impl Drop for TupleStream {
         // queued-but-unstarted jobs become no-ops) and wait until every started
         // job has exited. Only then is it safe to release the stream's shared
         // state — the pool outlives the stream, the stream's jobs must not.
-        let mut gate = self.shared.gate.lock().expect("stream gate poisoned");
-        gate.cancelled = true;
-        while gate.active > 0 {
-            gate = self
-                .shared
-                .quiesced
-                .wait(gate)
-                .expect("stream gate poisoned");
-        }
+        self.gate.cancel_and_wait();
     }
 }
 
@@ -3440,6 +3466,34 @@ mod tests {
         Arc::try_unwrap(pool)
             .expect("no job may still hold the pool")
             .shutdown();
+    }
+
+    #[test]
+    fn into_database_after_a_drained_pooled_stream_does_not_copy() {
+        // A pool job that still held the stream's `Arc<Database>` once the drained
+        // stream was dropped made `into_database` clone the whole database.
+        let pool = Arc::new(WorkerPool::new(2).unwrap());
+        let options = EvalOptions::default()
+            .with_threads(2)
+            .with_pool(Arc::clone(&pool));
+        let query = paper_q1();
+        let mut db = figure1_db();
+        for iteration in 0..200 {
+            let tuples = db.table("PS").unwrap().tuples.as_ptr();
+            let engine = Engine::new(db);
+            let stream = engine
+                .prepare(&query)
+                .unwrap()
+                .execute_streaming(&options)
+                .unwrap();
+            assert_eq!(stream.map(Result::unwrap).count(), 9);
+            db = engine.into_database();
+            assert_eq!(
+                db.table("PS").unwrap().tuples.as_ptr(),
+                tuples,
+                "iteration {iteration}: the database was deep-copied"
+            );
+        }
     }
 
     #[test]

@@ -9,16 +9,28 @@
 //! * the `$` operator builds semimodule expressions `Σ_AGG Φ_t ⊗ v_t` per group and
 //!   annotates grouped results with the group-non-emptiness condition
 //!   `[(Σ_K Φ_t) ≠ 0_K]`.
+//!
+//! The executor materialises late. A query is first resolved into a [`Node`] tree
+//! (names become column positions, `δ` disappears into the schema, and every data
+//! conjunct of a `σ` sinks to the operand it constrains); the tree is then run over
+//! [`Rel`]s — lists of row ids into tuples *borrowed* from the database — and
+//! `Value`s and annotations are only built where Fig. 4 creates new tuples: at `π`,
+//! `∪`, `$` and the root. The result table is equal — tuple order, values, annotation
+//! trees — to evaluating Fig. 4 one operator at a time over owned tables; that
+//! reference executor is `tests/support/fig4_reference.rs`, and
+//! `tests/step_one_differential.rs` holds this module to it. See "Step I" in
+//! `docs/ARCHITECTURE.md`.
 
 use crate::database::Database;
 use crate::error::Error;
-use crate::query::{AggSpec, Predicate, Query, QueryError};
+use crate::query::{Predicate, Query, QueryError};
 use crate::relation::{PvcTable, Tuple};
 use crate::schema::{Column, Schema};
-use crate::value::{KeyValue, Value};
-use pvc_algebra::{CmpOp, MonoidValue, SemiringKind};
+use crate::value::Value;
+use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind};
 use pvc_expr::{SemimoduleExpr, SemiringExpr};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// Evaluate a query over a pvc-database, producing the result pvc-table (tuples with
 /// annotations and semimodule values, but no probabilities yet).
@@ -29,7 +41,7 @@ use std::collections::BTreeMap;
 /// same query is executed more than once.
 pub fn try_evaluate(db: &Database, query: &Query) -> Result<PvcTable, Error> {
     let schema = query.output_schema(db).map_err(Error::Validation)?;
-    let mut result = evaluate_rec(db, query)?;
+    let mut result = rewrite_planned(db, query)?;
     result.schema = schema;
     result.name = "result".to_string();
     Ok(result)
@@ -40,412 +52,792 @@ pub fn try_evaluate(db: &Database, query: &Query) -> Result<PvcTable, Error> {
 /// result name). Runtime failures (unknown tables raced away, type mismatches) are
 /// still reported as [`Error`] values.
 pub(crate) fn rewrite_planned(db: &Database, query: &Query) -> Result<PvcTable, Error> {
-    evaluate_rec(db, query)
+    Ok(rewrite_counted(db, query)?.0)
 }
 
-fn evaluate_rec(db: &Database, query: &Query) -> Result<PvcTable, Error> {
-    let kind = db.kind;
-    match query {
-        Query::Table(name) => Ok(db.table_or_err(name)?.clone()),
-        Query::Rename(mapping, input) => {
-            let mut table = evaluate_rec(db, input)?;
-            for (old, new) in mapping {
-                table.schema = table
-                    .schema
-                    .try_rename(old, new)
-                    .map_err(|c| Error::Validation(QueryError::UnknownColumn(c)))?;
-            }
-            Ok(table)
+/// [`rewrite_planned`], plus how many `Value`s the executor materialised on the way:
+/// what the count guard in this module's tests bounds.
+fn rewrite_counted(db: &Database, query: &Query) -> Result<(PvcTable, usize), Error> {
+    let root = plan(db, query)?;
+    let mut executor = Executor {
+        kind: db.kind,
+        values_materialised: 0,
+    };
+    let tuples = executor.tuples(&root)?;
+    let table = PvcTable {
+        name: "result".to_string(),
+        schema: root.schema,
+        tuples,
+    };
+    Ok((table, executor.values_materialised))
+}
+
+// ---------------------------------------------------------------------------
+// The plan: names resolved, selections sunk
+// ---------------------------------------------------------------------------
+
+/// A column of a node's output: its position, and the name the query used for it
+/// (kept for error messages only).
+#[derive(Clone, Copy)]
+struct Col<'a> {
+    index: usize,
+    name: &'a str,
+}
+
+impl Col<'_> {
+    /// The same column seen from the right operand of a join whose left operand has
+    /// `by` columns.
+    fn shifted_left(self, by: usize) -> Self {
+        Col {
+            index: self.index - by,
+            ..self
         }
-        Query::Select(pred, input) => {
-            // Peephole optimisation: `σ_{… ∧ A=B ∧ …}(Q1 × Q2)` with `A` from `Q1` and
-            // `B` from `Q2` is executed as a hash equi-join instead of materialising
-            // the full cross product. The produced tuples and annotations are exactly
-            // those of the Fig. 4 rewriting — only the evaluation order changes.
-            if let Query::Product(a, b) = input.as_ref() {
-                let ta = evaluate_rec(db, a)?;
-                let tb = evaluate_rec(db, b)?;
-                if let Some((pairs, rest)) = split_equijoin_predicate(pred, &ta, &tb) {
-                    let joined = eval_hash_join(&ta, &tb, &pairs);
-                    return match rest {
-                        Some(p) => eval_select(&joined, &p, kind),
-                        None => Ok(joined),
-                    };
+    }
+}
+
+/// A constant cell, borrowed, as a comparison / join / grouping key. Orders like
+/// [`crate::KeyValue`] (every integer before every string).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum Key<'a> {
+    Int(i64),
+    Str(&'a str),
+}
+
+/// The key of a cell in a data column. Definition 5 keeps aggregation attributes out
+/// of every key position, so an aggregation value here means a table holds one in a
+/// column its schema declares as data.
+fn key<'v>(value: &'v Value, column: &str) -> Result<Key<'v>, Error> {
+    match value {
+        Value::Int(i) => Ok(Key::Int(*i)),
+        Value::Str(s) => Ok(Key::Str(s)),
+        Value::Agg(_) => Err(Error::TypeMismatch {
+            column: column.to_string(),
+            expected: "constants to compare or group by",
+        }),
+    }
+}
+
+/// A conjunct over data columns, resolved once. It keeps or drops a tuple and never
+/// touches its annotation (the `σ` rule of Fig. 4), which is why it may be applied
+/// to an operand before the `×`, `δ` or `σ` it was written above.
+enum Filter<'a> {
+    /// `A θ c`.
+    Const(Col<'a>, CmpOp, Key<'a>),
+    /// `A = B`, both columns of the same operand.
+    Equal(Col<'a>, Col<'a>),
+}
+
+/// The conjuncts of a `σ` over aggregation attributes. Each row's conditional
+/// expression is built from this; the nesting of `And`s is kept because it decides
+/// how the conditionals are multiplied together.
+enum Cond<'a> {
+    /// `[α θ c]`.
+    AggConst(Col<'a>, CmpOp, i64),
+    /// `[α θ β]`.
+    AggAgg(Col<'a>, CmpOp, Col<'a>),
+    /// `[α θ A]` with `A` an integer data column.
+    AggCol(Col<'a>, CmpOp, Col<'a>),
+    /// The product of the conjuncts' conditionals.
+    All(Vec<Cond<'a>>),
+}
+
+/// One aggregation of a `$`: the monoid, and the aggregated column (`None` when the
+/// constant 1 is aggregated — COUNT).
+struct Agg<'a> {
+    op: AggOp,
+    column: Option<Col<'a>>,
+}
+
+enum Op<'a> {
+    /// A base table, borrowed.
+    Scan(&'a [Tuple]),
+    /// `left × right` restricted to `left.0 = right.1` for every pair of `on`: a hash
+    /// equi-join, or the plain product when `on` is empty.
+    Join {
+        left: Box<Node<'a>>,
+        right: Box<Node<'a>>,
+        on: Vec<(Col<'a>, Col<'a>)>,
+    },
+    /// `σ` over aggregation attributes: multiplies a conditional onto every row.
+    Condition {
+        input: Box<Node<'a>>,
+        cond: Cond<'a>,
+    },
+    Project {
+        input: Box<Node<'a>>,
+        columns: Vec<Col<'a>>,
+    },
+    Union {
+        left: Box<Node<'a>>,
+        right: Box<Node<'a>>,
+    },
+    GroupAgg {
+        input: Box<Node<'a>>,
+        group_by: Vec<Col<'a>>,
+        aggs: Vec<Agg<'a>>,
+    },
+}
+
+/// An operator with its output schema and the data conjuncts applied to its output.
+struct Node<'a> {
+    op: Op<'a>,
+    schema: Schema,
+    filters: Vec<Filter<'a>>,
+}
+
+impl<'a> Node<'a> {
+    fn new(op: Op<'a>, schema: Schema) -> Self {
+        Node {
+            op,
+            schema,
+            filters: Vec::new(),
+        }
+    }
+
+    /// Apply `filter` as deep as it is legal: through `×` to the operand that owns
+    /// its columns (an equality across the operands becomes a join key) and through
+    /// an aggregate-`σ`, which only multiplies annotations. It stops at a base table
+    /// and at `π`, `∪` and `$`, whose tuples exist only after grouping.
+    fn sink(&mut self, filter: Filter<'a>) {
+        match &mut self.op {
+            Op::Join { left, right, on } => {
+                let split = left.schema.arity();
+                match filter {
+                    Filter::Const(c, theta, constant) if c.index < split => {
+                        left.sink(Filter::Const(c, theta, constant))
+                    }
+                    Filter::Const(c, theta, constant) => {
+                        right.sink(Filter::Const(c.shifted_left(split), theta, constant))
+                    }
+                    Filter::Equal(a, b) => match (a.index < split, b.index < split) {
+                        (true, true) => left.sink(Filter::Equal(a, b)),
+                        (false, false) => {
+                            right.sink(Filter::Equal(a.shifted_left(split), b.shifted_left(split)))
+                        }
+                        (true, false) => on.push((a, b.shifted_left(split))),
+                        (false, true) => on.push((b, a.shifted_left(split))),
+                    },
                 }
-                let product = eval_product(&ta, &tb);
-                return eval_select(&product, pred, kind);
             }
-            let table = evaluate_rec(db, input)?;
-            eval_select(&table, pred, kind)
-        }
-        Query::Project(cols, input) => {
-            let table = evaluate_rec(db, input)?;
-            eval_project(&table, cols, kind)
-        }
-        Query::Product(a, b) => {
-            let ta = evaluate_rec(db, a)?;
-            let tb = evaluate_rec(db, b)?;
-            Ok(eval_product(&ta, &tb))
-        }
-        Query::Union(a, b) => {
-            let ta = evaluate_rec(db, a)?;
-            let tb = evaluate_rec(db, b)?;
-            eval_union(&ta, &tb, kind)
-        }
-        Query::GroupAgg {
-            group_by,
-            aggs,
-            input,
-        } => {
-            let table = evaluate_rec(db, input)?;
-            eval_group_agg(&table, group_by, aggs, kind)
+            Op::Condition { input, .. } => input.sink(filter),
+            Op::Scan(_) | Op::Project { .. } | Op::Union { .. } | Op::GroupAgg { .. } => {
+                self.filters.push(filter)
+            }
         }
     }
 }
 
-/// The result of evaluating a predicate on one tuple.
-enum PredOutcome {
-    /// The tuple is kept unchanged.
-    Keep,
-    /// The tuple is dropped.
-    Drop,
-    /// The tuple is kept with its annotation multiplied by a conditional expression.
-    Conditional(SemiringExpr),
-}
-
-fn eval_select(table: &PvcTable, pred: &Predicate, kind: SemiringKind) -> Result<PvcTable, Error> {
-    let mut out = PvcTable::new(table.name.clone(), table.schema.clone());
-    for tuple in &table.tuples {
-        match eval_predicate(table, tuple, pred, kind)? {
-            PredOutcome::Drop => {}
-            PredOutcome::Keep => out.tuples.push(tuple.clone()),
-            PredOutcome::Conditional(cond) => {
-                let annotation = tuple.annotation.clone() * cond;
-                out.tuples
-                    .push(Tuple::new(tuple.values.clone(), annotation));
-            }
-        }
-    }
-    Ok(out)
+fn unknown_column(name: String) -> Error {
+    Error::Validation(QueryError::UnknownColumn(name))
 }
 
 /// Resolve a column name against a schema, reporting unknown columns through the
 /// [`Error`] contract instead of panicking. Queries are validated by
 /// `Engine::prepare`, so a miss here indicates a schema raced away underneath a
 /// prepared query — still an error, never an abort.
-fn col_index(schema: &Schema, column: &str) -> Result<usize, Error> {
-    schema
-        .index_of(column)
-        .ok_or_else(|| Error::Validation(QueryError::UnknownColumn(column.to_string())))
+fn resolve<'a>(schema: &Schema, name: &'a str) -> Result<Col<'a>, Error> {
+    match schema.index_of(name) {
+        Some(index) => Ok(Col { index, name }),
+        None => Err(unknown_column(name.to_string())),
+    }
 }
 
-fn cell<'a>(table: &PvcTable, tuple: &'a Tuple, column: &str) -> Result<&'a Value, Error> {
-    Ok(&tuple.values[col_index(&table.schema, column)?])
+fn resolve_all<'a>(schema: &Schema, names: &'a [String]) -> Result<Vec<Col<'a>>, Error> {
+    names.iter().map(|name| resolve(schema, name)).collect()
 }
 
-/// Fetch a cell that must hold a semimodule expression (an aggregation attribute).
-fn agg_cell(table: &PvcTable, tuple: &Tuple, column: &str) -> Result<SemimoduleExpr, Error> {
-    cell(table, tuple, column)?
-        .as_agg()
-        .cloned()
-        .ok_or_else(|| Error::Validation(QueryError::PredicateSortMismatch(column.to_string())))
-}
-
-fn eval_predicate(
-    table: &PvcTable,
-    tuple: &Tuple,
-    pred: &Predicate,
-    kind: SemiringKind,
-) -> Result<PredOutcome, Error> {
-    Ok(match pred {
+/// Split a predicate over `schema` into its data conjuncts (appended to `filters`)
+/// and what is left over aggregation attributes.
+fn split<'a>(
+    predicate: &'a Predicate,
+    schema: &Schema,
+    filters: &mut Vec<Filter<'a>>,
+) -> Result<Option<Cond<'a>>, Error> {
+    Ok(match predicate {
         Predicate::ColEqCol(a, b) => {
-            let (va, vb) = (cell(table, tuple, a)?, cell(table, tuple, b)?);
-            keep_if(va.key() == vb.key())
+            filters.push(Filter::Equal(resolve(schema, a)?, resolve(schema, b)?));
+            None
         }
-        Predicate::ColCmpConst(a, theta, c) => {
-            let va = cell(table, tuple, a)?;
-            keep_if(theta.eval(&va.key(), &c.key()))
+        Predicate::ColCmpConst(a, theta, constant) => {
+            let a = resolve(schema, a)?;
+            filters.push(Filter::Const(a, *theta, key(constant, a.name)?));
+            None
         }
         Predicate::AggCmpConst(alpha, theta, c) => {
-            let expr = agg_cell(table, tuple, alpha)?;
-            let constant = SemimoduleExpr::constant_in(expr.op, MonoidValue::Fin(*c), kind);
-            PredOutcome::Conditional(SemiringExpr::cmp_mm(*theta, expr, constant))
+            Some(Cond::AggConst(resolve(schema, alpha)?, *theta, *c))
         }
-        Predicate::AggCmpAgg(alpha, theta, beta) => {
-            let lhs = agg_cell(table, tuple, alpha)?;
-            let rhs = agg_cell(table, tuple, beta)?;
-            PredOutcome::Conditional(SemiringExpr::cmp_mm(*theta, lhs, rhs))
-        }
-        Predicate::AggCmpCol(alpha, theta, col) => {
-            let lhs = agg_cell(table, tuple, alpha)?;
-            let c = cell(table, tuple, col)?
-                .as_int()
-                .ok_or_else(|| Error::TypeMismatch {
-                    column: col.to_string(),
-                    expected: "an integer data column",
-                })?;
-            let constant = SemimoduleExpr::constant_in(lhs.op, MonoidValue::Fin(c), kind);
-            PredOutcome::Conditional(SemiringExpr::cmp_mm(*theta, lhs, constant))
-        }
-        Predicate::And(ps) => {
-            let mut conditions: Vec<SemiringExpr> = Vec::new();
-            for p in ps {
-                match eval_predicate(table, tuple, p, kind)? {
-                    PredOutcome::Drop => return Ok(PredOutcome::Drop),
-                    PredOutcome::Keep => {}
-                    PredOutcome::Conditional(c) => conditions.push(c),
-                }
+        Predicate::AggCmpAgg(alpha, theta, beta) => Some(Cond::AggAgg(
+            resolve(schema, alpha)?,
+            *theta,
+            resolve(schema, beta)?,
+        )),
+        Predicate::AggCmpCol(alpha, theta, a) => Some(Cond::AggCol(
+            resolve(schema, alpha)?,
+            *theta,
+            resolve(schema, a)?,
+        )),
+        Predicate::And(conjuncts) => {
+            let mut conds = Vec::new();
+            for conjunct in conjuncts {
+                conds.extend(split(conjunct, schema, filters)?);
             }
-            if conditions.is_empty() {
-                PredOutcome::Keep
+            if conds.is_empty() {
+                None
             } else {
-                PredOutcome::Conditional(SemiringExpr::product(conditions))
+                Some(Cond::All(conds))
             }
         }
     })
 }
 
-fn keep_if(cond: bool) -> PredOutcome {
-    if cond {
-        PredOutcome::Keep
-    } else {
-        PredOutcome::Drop
-    }
-}
-
-fn eval_project(table: &PvcTable, cols: &[String], kind: SemiringKind) -> Result<PvcTable, Error> {
-    let indices: Vec<usize> = cols
-        .iter()
-        .map(|c| col_index(&table.schema, c))
-        .collect::<Result<_, _>>()?;
-    let schema = table
-        .schema
-        .try_project(cols)
-        .map_err(|c| Error::Validation(QueryError::UnknownColumn(c)))?;
-    let mut groups: BTreeMap<Vec<KeyValue>, (Vec<Value>, Vec<SemiringExpr>)> = BTreeMap::new();
-    for tuple in &table.tuples {
-        let projected: Vec<Value> = indices.iter().map(|i| tuple.values[*i].clone()).collect();
-        let key: Vec<KeyValue> = projected.iter().map(Value::key).collect();
-        groups
-            .entry(key)
-            .or_insert_with(|| (projected, Vec::new()))
-            .1
-            .push(tuple.annotation.clone());
-    }
-    let mut out = PvcTable::new(table.name.clone(), schema);
-    for (_, (values, annotations)) in groups {
-        let annotation = SemiringExpr::sum(annotations).simplify(kind);
-        out.tuples.push(Tuple::new(values, annotation));
-    }
-    Ok(out)
-}
-
-/// Split a selection over a product into equi-join pairs `(left index, right index)`
-/// (already resolved against the operand schemas, so the join itself cannot fail)
-/// and the remaining predicate. Returns `None` if no cross-operand equality is found.
-type EquijoinSplit = (Vec<(usize, usize)>, Option<Predicate>);
-
-fn split_equijoin_predicate(
-    pred: &Predicate,
-    left: &PvcTable,
-    right: &PvcTable,
-) -> Option<EquijoinSplit> {
-    let atoms: Vec<Predicate> = match pred {
-        Predicate::And(ps) => ps.clone(),
-        other => vec![other.clone()],
-    };
-    let mut pairs = Vec::new();
-    let mut rest = Vec::new();
-    for atom in atoms {
-        match &atom {
-            Predicate::ColEqCol(a, b) => {
-                match (
-                    left.schema.index_of(a),
-                    right.schema.index_of(b),
-                    left.schema.index_of(b),
-                    right.schema.index_of(a),
-                ) {
-                    (Some(la), Some(rb), _, _) => pairs.push((la, rb)),
-                    (_, _, Some(lb), Some(ra)) => pairs.push((lb, ra)),
-                    _ => rest.push(atom),
+fn plan<'a>(db: &'a Database, query: &'a Query) -> Result<Node<'a>, Error> {
+    Ok(match query {
+        Query::Table(name) => {
+            let table = db.table_or_err(name)?;
+            Node::new(Op::Scan(&table.tuples), table.schema.clone())
+        }
+        Query::Rename(mapping, input) => {
+            let mut node = plan(db, input)?;
+            for (old, new) in mapping {
+                node.schema = node.schema.try_rename(old, new).map_err(unknown_column)?;
+            }
+            node
+        }
+        Query::Select(predicate, input) => {
+            let mut node = plan(db, input)?;
+            let mut filters = Vec::new();
+            let cond = split(predicate, &node.schema, &mut filters)?;
+            for filter in filters {
+                node.sink(filter);
+            }
+            match cond {
+                None => node,
+                Some(cond) => {
+                    let schema = node.schema.clone();
+                    let input = Box::new(node);
+                    Node::new(Op::Condition { input, cond }, schema)
                 }
             }
-            _ => rest.push(atom),
         }
-    }
-    if pairs.is_empty() {
-        return None;
-    }
-    let rest = match rest.len() {
-        0 => None,
-        1 => rest.pop(),
-        _ => Some(Predicate::And(rest)),
-    };
-    Some((pairs, rest))
+        Query::Project(names, input) => {
+            let input = Box::new(plan(db, input)?);
+            let columns = resolve_all(&input.schema, names)?;
+            let schema = input.schema.try_project(names).map_err(unknown_column)?;
+            Node::new(Op::Project { input, columns }, schema)
+        }
+        Query::Product(a, b) => {
+            let (left, right) = (Box::new(plan(db, a)?), Box::new(plan(db, b)?));
+            let schema = left
+                .schema
+                .try_concat(&right.schema)
+                .map_err(|dup| Error::Validation(QueryError::DuplicateColumn(dup)))?;
+            let on = Vec::new();
+            Node::new(Op::Join { left, right, on }, schema)
+        }
+        Query::Union(a, b) => {
+            let (left, right) = (Box::new(plan(db, a)?), Box::new(plan(db, b)?));
+            if left.schema.names() != right.schema.names() {
+                return Err(Error::Validation(QueryError::UnionSchemaMismatch));
+            }
+            let schema = left.schema.clone();
+            Node::new(Op::Union { left, right }, schema)
+        }
+        Query::GroupAgg {
+            group_by,
+            aggs,
+            input,
+        } => {
+            let input = Box::new(plan(db, input)?);
+            let group_by = resolve_all(&input.schema, group_by)?;
+            let mut columns: Vec<Column> = group_by
+                .iter()
+                .map(|c| input.schema.columns()[c.index].clone())
+                .collect();
+            columns.extend(aggs.iter().map(|a| Column::aggregation(a.alias.clone())));
+            let aggs = aggs
+                .iter()
+                .map(|spec| {
+                    let column = match &spec.column {
+                        Some(name) if !spec.op.is_count() => Some(resolve(&input.schema, name)?),
+                        _ => None,
+                    };
+                    Ok(Agg {
+                        op: spec.op,
+                        column,
+                    })
+                })
+                .collect::<Result<_, Error>>()?;
+            let op = Op::GroupAgg {
+                input,
+                group_by,
+                aggs,
+            };
+            Node::new(op, Schema::from_columns(columns))
+        }
+    })
 }
 
-/// Hash equi-join: equivalent to `σ_{⋀ L=R}(left × right)` but in time proportional to
-/// the input plus output size.
-fn eval_hash_join(left: &PvcTable, right: &PvcTable, pairs: &[(usize, usize)]) -> PvcTable {
-    let schema = left
-        .schema
-        .try_concat(&right.schema)
-        .unwrap_or_else(|dup| panic!("duplicate column `{dup}` in validated join"));
-    let left_idx: Vec<usize> = pairs.iter().map(|(l, _)| *l).collect();
-    let right_idx: Vec<usize> = pairs.iter().map(|(_, r)| *r).collect();
-    let mut index: BTreeMap<Vec<KeyValue>, Vec<usize>> = BTreeMap::new();
-    for (row, tuple) in right.tuples.iter().enumerate() {
-        let key: Vec<KeyValue> = right_idx.iter().map(|i| tuple.values[*i].key()).collect();
-        index.entry(key).or_default().push(row);
+// ---------------------------------------------------------------------------
+// Relations as row ids over borrowed tuples
+// ---------------------------------------------------------------------------
+
+/// A relation that has not been materialised: every row is one row id per source,
+/// and every column is a column of one source. A scan has one borrowed source; a
+/// join concatenates the sources of its operands; `π`, `∪` and `$` yield one owned
+/// source. A row's annotation is the product of its sources' annotations in source
+/// order — the order Fig. 4 multiplies them in as the query nests its products.
+struct Rel<'a> {
+    sources: Vec<Cow<'a, [Tuple]>>,
+    /// Row ids, row-major: `sources.len()` per row.
+    rows: Vec<usize>,
+    /// Output column → (source, column of that source).
+    columns: Vec<(usize, usize)>,
+}
+
+impl<'a> Rel<'a> {
+    /// Every tuple of one source, in order, with its first `arity` columns.
+    fn over(tuples: Cow<'a, [Tuple]>, arity: usize) -> Self {
+        Rel {
+            rows: (0..tuples.len()).collect(),
+            columns: (0..arity).map(|c| (0, c)).collect(),
+            sources: vec![tuples],
+        }
     }
-    let mut out = PvcTable::new(format!("{}x{}", left.name, right.name), schema);
-    for ltuple in &left.tuples {
-        let key: Vec<KeyValue> = left_idx.iter().map(|i| ltuple.values[*i].key()).collect();
-        if let Some(rows) = index.get(&key) {
-            for &row in rows {
-                let rtuple = &right.tuples[row];
-                let mut values = ltuple.values.clone();
-                values.extend(rtuple.values.iter().cloned());
-                let annotation = ltuple.annotation.clone() * rtuple.annotation.clone();
-                out.tuples.push(Tuple::new(values, annotation));
+
+    fn width(&self) -> usize {
+        self.sources.len()
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len() / self.width()
+    }
+
+    /// The rows, each as its row ids.
+    fn ids(&self) -> std::slice::ChunksExact<'_, usize> {
+        self.rows.chunks_exact(self.width())
+    }
+
+    fn row(&self, row: usize) -> &[usize] {
+        &self.rows[row * self.width()..(row + 1) * self.width()]
+    }
+
+    fn cell(&self, ids: &[usize], column: usize) -> &Value {
+        let (source, column) = self.columns[column];
+        &self.sources[source][ids[source]].values[column]
+    }
+
+    fn annotation(&self, ids: &[usize]) -> SemiringExpr {
+        if let ([source], [id]) = (&self.sources[..], ids) {
+            return source[*id].annotation.clone();
+        }
+        SemiringExpr::product(
+            self.sources
+                .iter()
+                .zip(ids)
+                .map(|(source, &id)| source[id].annotation.clone())
+                .collect(),
+        )
+    }
+
+    /// The keys of every row over `columns`, row-major.
+    fn keys(&self, columns: &[Col]) -> Result<Vec<Key<'_>>, Error> {
+        let mut keys = Vec::with_capacity(self.len() * columns.len());
+        for ids in self.ids() {
+            for column in columns {
+                keys.push(key(self.cell(ids, column.index), column.name)?);
             }
         }
+        Ok(keys)
     }
-    out
-}
 
-fn eval_product(a: &PvcTable, b: &PvcTable) -> PvcTable {
-    let schema = a
-        .schema
-        .try_concat(&b.schema)
-        .unwrap_or_else(|dup| panic!("duplicate column `{dup}` in validated product"));
-    let mut out = PvcTable::new(format!("{}x{}", a.name, b.name), schema);
-    for ta in &a.tuples {
-        for tb in &b.tuples {
-            let mut values = ta.values.clone();
-            values.extend(tb.values.iter().cloned());
-            let annotation = ta.annotation.clone() * tb.annotation.clone();
-            out.tuples.push(Tuple::new(values, annotation));
+    fn passes(&self, ids: &[usize], filter: &Filter) -> Result<bool, Error> {
+        let key_of = |column: &Col| key(self.cell(ids, column.index), column.name);
+        Ok(match filter {
+            Filter::Const(column, theta, constant) => theta.eval(&key_of(column)?, constant),
+            Filter::Equal(a, b) => key_of(a)? == key_of(b)?,
+        })
+    }
+
+    /// Keep the rows that pass every filter, in order.
+    fn retain(&mut self, filters: &[Filter]) -> Result<(), Error> {
+        if filters.is_empty() {
+            return Ok(());
         }
+        let mut kept = Vec::new();
+        'rows: for ids in self.ids() {
+            for filter in filters {
+                if !self.passes(ids, filter)? {
+                    continue 'rows;
+                }
+            }
+            kept.extend_from_slice(ids);
+        }
+        self.rows = kept;
+        Ok(())
     }
-    out
 }
 
-fn eval_union(a: &PvcTable, b: &PvcTable, kind: SemiringKind) -> Result<PvcTable, Error> {
-    if a.schema.names() != b.schema.names() {
-        return Err(Error::Validation(QueryError::UnionSchemaMismatch));
-    }
-    let mut groups: BTreeMap<Vec<KeyValue>, (Vec<Value>, Vec<SemiringExpr>)> = BTreeMap::new();
-    for tuple in a.tuples.iter().chain(b.tuples.iter()) {
-        let key: Vec<KeyValue> = tuple.values.iter().map(Value::key).collect();
-        groups
-            .entry(key)
-            .or_insert_with(|| (tuple.values.clone(), Vec::new()))
-            .1
-            .push(tuple.annotation.clone());
-    }
-    let mut out = PvcTable::new(format!("{}u{}", a.name, b.name), a.schema.clone());
-    for (_, (values, annotations)) in groups {
-        let annotation = SemiringExpr::sum(annotations).simplify(kind);
-        out.tuples.push(Tuple::new(values, annotation));
-    }
-    Ok(out)
+/// Rows partitioned by key: the rows of a group in input order, the groups either
+/// looked up by key (a join's build side) or walked in ascending key order (the
+/// tuple order of `π`, `∪` and `$`). The hash map is only ever probed, so no output
+/// order depends on it.
+struct Groups<'k> {
+    keys: &'k [Key<'k>],
+    /// Keys per row.
+    width: usize,
+    group_of_key: HashMap<&'k [Key<'k>], usize>,
+    /// Row numbers, grouped: group `g` is `members[starts[g]..starts[g + 1]]`.
+    members: Vec<usize>,
+    starts: Vec<usize>,
 }
 
-fn eval_group_agg(
-    table: &PvcTable,
-    group_by: &[String],
-    aggs: &[AggSpec],
-    kind: SemiringKind,
-) -> Result<PvcTable, Error> {
-    let group_indices: Vec<usize> = group_by
-        .iter()
-        .map(|c| col_index(&table.schema, c))
-        .collect::<Result<_, _>>()?;
-    let mut columns: Vec<Column> = group_indices
-        .iter()
-        .map(|&i| table.schema.columns()[i].clone())
-        .collect();
-    columns.extend(aggs.iter().map(|a| Column::aggregation(a.alias.clone())));
-    let schema = Schema::from_columns(columns);
-    let mut out = PvcTable::new(table.name.clone(), schema);
-
-    // Group tuples by the values of the group-by attributes.
-    let mut groups: BTreeMap<Vec<KeyValue>, (Vec<Value>, Vec<usize>)> = BTreeMap::new();
-    for (row, tuple) in table.tuples.iter().enumerate() {
-        let key_values: Vec<Value> = group_indices
-            .iter()
-            .map(|i| tuple.values[*i].clone())
+impl<'k> Groups<'k> {
+    /// Group `rows` rows by their `width` keys each in `keys` (row-major).
+    fn of(keys: &'k [Key<'k>], width: usize, rows: usize) -> Self {
+        let mut group_of_key: HashMap<&[Key], usize> = HashMap::new();
+        let group_of_row: Vec<usize> = (0..rows)
+            .map(|row| {
+                let next = group_of_key.len();
+                *group_of_key
+                    .entry(&keys[row * width..(row + 1) * width])
+                    .or_insert(next)
+            })
             .collect();
-        let key: Vec<KeyValue> = key_values.iter().map(Value::key).collect();
-        groups
-            .entry(key)
-            .or_insert_with(|| (key_values, Vec::new()))
-            .1
-            .push(row);
-    }
-
-    // With an empty group-by list, there is always exactly one (possibly empty) group;
-    // its annotation is 1_K (Fig. 4, second `$` rule).
-    if group_by.is_empty() && groups.is_empty() {
-        groups.insert(Vec::new(), (Vec::new(), Vec::new()));
-    }
-
-    for (_, (key_values, rows)) in groups {
-        let mut values = key_values;
-        for spec in aggs {
-            values.push(Value::Agg(build_aggregate(table, &rows, spec)?));
+        // Counting sort by group: stable, so each group keeps its input order.
+        let mut starts = vec![0; group_of_key.len() + 1];
+        for &group in &group_of_row {
+            starts[group + 1] += 1;
         }
-        let annotation = if group_by.is_empty() {
-            SemiringExpr::Const(kind.one())
-        } else {
-            // [(Σ_K Φ_t) ≠ 0_K]
-            let sum = SemiringExpr::sum(
-                rows.iter()
-                    .map(|r| table.tuples[*r].annotation.clone())
-                    .collect(),
-            );
-            SemiringExpr::cmp_ss(CmpOp::Ne, sum, SemiringExpr::Const(kind.zero()))
-        };
-        out.tuples.push(Tuple::new(values, annotation));
+        for group in 0..group_of_key.len() {
+            starts[group + 1] += starts[group];
+        }
+        let mut next = starts.clone();
+        let mut members = vec![0; rows];
+        for (row, &group) in group_of_row.iter().enumerate() {
+            members[next[group]] = row;
+            next[group] += 1;
+        }
+        Groups {
+            keys,
+            width,
+            group_of_key,
+            members,
+            starts,
+        }
     }
-    Ok(out)
+
+    fn rows(&self, group: usize) -> &[usize] {
+        &self.members[self.starts[group]..self.starts[group + 1]]
+    }
+
+    /// The rows with this key, in input order.
+    fn get(&self, key: &[Key]) -> &[usize] {
+        match self.group_of_key.get(key) {
+            Some(&group) => self.rows(group),
+            None => &[],
+        }
+    }
+
+    /// Every group's rows, the groups in ascending key order.
+    fn sorted(&self) -> impl Iterator<Item = &[usize]> {
+        let key_of = |group: usize| {
+            let first = self.rows(group)[0];
+            &self.keys[first * self.width..(first + 1) * self.width]
+        };
+        let mut order: Vec<usize> = (0..self.group_of_key.len()).collect();
+        order.sort_unstable_by_key(|&group| key_of(group));
+        order.into_iter().map(|group| self.rows(group))
+    }
 }
 
-/// Build `Γ = Σ_AGG (Φ_t ⊗ v_t)` over the rows of one group (Fig. 4).
-fn build_aggregate(
-    table: &PvcTable,
-    rows: &[usize],
-    spec: &AggSpec,
-) -> Result<SemimoduleExpr, Error> {
-    let mut expr = SemimoduleExpr::zero(spec.op);
-    for &row in rows {
-        let tuple = &table.tuples[row];
-        let value = match &spec.column {
-            None => MonoidValue::Fin(1),
-            Some(col) => {
-                if spec.op.is_count() {
-                    MonoidValue::Fin(1)
-                } else {
-                    cell(table, tuple, col)?.as_monoid_value().ok_or_else(|| {
-                        Error::TypeMismatch {
-                            column: col.clone(),
-                            expected: "integer constants under aggregation",
-                        }
-                    })?
-                }
+// ---------------------------------------------------------------------------
+// Execution
+// ---------------------------------------------------------------------------
+
+struct Executor {
+    kind: SemiringKind,
+    /// `Value`s cloned or created into tuples so far.
+    values_materialised: usize,
+}
+
+impl Executor {
+    /// The result of `node` as owned tuples — the root of a query.
+    fn tuples(&mut self, node: &Node) -> Result<Vec<Tuple>, Error> {
+        let mut rel = self.relation(node)?;
+        // The unfiltered output of a π, ∪ or $ is already the tuples asked for: a
+        // single owned source is only ever narrowed by `retain`, so as many rows as
+        // tuples means every tuple, in order.
+        if let [Cow::Owned(tuples)] = &mut rel.sources[..] {
+            if tuples.len() == rel.rows.len() {
+                return Ok(std::mem::take(tuples));
+            }
+        }
+        Ok(rel
+            .ids()
+            .map(|ids| {
+                let values = self.values(&rel, ids, 0..rel.columns.len());
+                Tuple::new(values, rel.annotation(ids))
+            })
+            .collect())
+    }
+
+    /// Clone the given columns of one row.
+    fn values(
+        &mut self,
+        rel: &Rel,
+        ids: &[usize],
+        columns: impl Iterator<Item = usize>,
+    ) -> Vec<Value> {
+        let values: Vec<Value> = columns.map(|c| rel.cell(ids, c).clone()).collect();
+        self.values_materialised += values.len();
+        values
+    }
+
+    fn relation<'a>(&mut self, node: &Node<'a>) -> Result<Rel<'a>, Error> {
+        let arity = node.schema.arity();
+        let mut rel = match &node.op {
+            Op::Scan(tuples) => Rel::over(Cow::Borrowed(*tuples), arity),
+            Op::Join { left, right, on } => join(self.relation(left)?, self.relation(right)?, on)?,
+            Op::Condition { input, cond } => {
+                let rel = self.relation(input)?;
+                self.condition(rel, cond)?
+            }
+            Op::Project { input, columns } => {
+                let rel = self.relation(input)?;
+                Rel::over(Cow::Owned(self.project(&rel, columns)?), arity)
+            }
+            Op::Union { left, right } => {
+                let (left, right) = (self.relation(left)?, self.relation(right)?);
+                Rel::over(Cow::Owned(self.union(&left, &right, &node.schema)?), arity)
+            }
+            Op::GroupAgg {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let rel = self.relation(input)?;
+                Rel::over(Cow::Owned(self.group_agg(&rel, group_by, aggs)?), arity)
             }
         };
-        expr.push(tuple.annotation.clone(), value);
+        rel.retain(&node.filters)?;
+        Ok(rel)
     }
-    Ok(expr)
+
+    /// `σ` over aggregation attributes: every row's conditional becomes one more
+    /// source (tuples without values), so it is the row's next annotation factor —
+    /// after the sources joined so far, before those of any later join, which is
+    /// where Fig. 4 puts it.
+    fn condition<'a>(&self, mut rel: Rel<'a>, cond: &Cond) -> Result<Rel<'a>, Error> {
+        let conditionals = rel
+            .ids()
+            .map(|ids| Ok(Tuple::new(Vec::new(), self.conditional(cond, &rel, ids)?)))
+            .collect::<Result<Vec<Tuple>, Error>>()?;
+        let mut rows = Vec::with_capacity(rel.rows.len() + conditionals.len());
+        for (row, ids) in rel.ids().enumerate() {
+            rows.extend_from_slice(ids);
+            rows.push(row);
+        }
+        rel.rows = rows;
+        rel.sources.push(Cow::Owned(conditionals));
+        Ok(rel)
+    }
+
+    fn conditional(&self, cond: &Cond, rel: &Rel, ids: &[usize]) -> Result<SemiringExpr, Error> {
+        // Fetch a cell that must hold a semimodule expression (an aggregation attribute).
+        let agg = |column: &Col| {
+            rel.cell(ids, column.index)
+                .as_agg()
+                .cloned()
+                .ok_or_else(|| {
+                    Error::Validation(QueryError::PredicateSortMismatch(column.name.to_string()))
+                })
+        };
+        let against_constant = |theta: &CmpOp, lhs: SemimoduleExpr, c: i64| {
+            let constant = SemimoduleExpr::constant_in(lhs.op, MonoidValue::Fin(c), self.kind);
+            SemiringExpr::cmp_mm(*theta, lhs, constant)
+        };
+        Ok(match cond {
+            Cond::AggConst(alpha, theta, c) => against_constant(theta, agg(alpha)?, *c),
+            Cond::AggAgg(alpha, theta, beta) => {
+                SemiringExpr::cmp_mm(*theta, agg(alpha)?, agg(beta)?)
+            }
+            Cond::AggCol(alpha, theta, column) => {
+                let lhs = agg(alpha)?;
+                let c =
+                    rel.cell(ids, column.index)
+                        .as_int()
+                        .ok_or_else(|| Error::TypeMismatch {
+                            column: column.name.to_string(),
+                            expected: "an integer data column",
+                        })?;
+                against_constant(theta, lhs, c)
+            }
+            Cond::All(conds) => SemiringExpr::product(
+                conds
+                    .iter()
+                    .map(|cond| self.conditional(cond, rel, ids))
+                    .collect::<Result<_, _>>()?,
+            ),
+        })
+    }
+
+    /// `π`: one tuple per distinct key.
+    fn project(&mut self, rel: &Rel, columns: &[Col]) -> Result<Vec<Tuple>, Error> {
+        let keys = rel.keys(columns)?;
+        let groups = Groups::of(&keys, columns.len(), rel.len());
+        Ok(self.merged(&groups, columns, |row| (rel, rel.row(row))))
+    }
+
+    /// `∪`: `π` onto every column over the rows of `left` followed by those of
+    /// `right`.
+    fn union(&mut self, left: &Rel, right: &Rel, schema: &Schema) -> Result<Vec<Tuple>, Error> {
+        let columns: Vec<Col> = (schema.columns().iter().enumerate())
+            .map(|(index, column)| Col {
+                index,
+                name: &column.name,
+            })
+            .collect();
+        let mut keys = left.keys(&columns)?;
+        keys.extend(right.keys(&columns)?);
+        let groups = Groups::of(&keys, columns.len(), left.len() + right.len());
+        Ok(
+            self.merged(&groups, &columns, |row| match row.checked_sub(left.len()) {
+                None => (left, left.row(row)),
+                Some(row) => (right, right.row(row)),
+            }),
+        )
+    }
+
+    /// What `π` and `∪` output: one tuple per group, the groups in key order, with
+    /// the `columns` of the group's first row and the sum of its rows' annotations.
+    /// `ids_of` finds a grouped row: its relation and its row ids.
+    fn merged<'r>(
+        &mut self,
+        groups: &Groups,
+        columns: &[Col],
+        ids_of: impl Fn(usize) -> (&'r Rel<'r>, &'r [usize]),
+    ) -> Vec<Tuple> {
+        groups
+            .sorted()
+            .map(|rows| {
+                let (rel, first) = ids_of(rows[0]);
+                let values = self.values(rel, first, columns.iter().map(|c| c.index));
+                let annotations = rows.iter().map(|&row| {
+                    let (rel, ids) = ids_of(row);
+                    rel.annotation(ids)
+                });
+                let sum = SemiringExpr::sum(annotations.collect());
+                Tuple::new(values, sum.simplify(self.kind))
+            })
+            .collect()
+    }
+
+    /// `$`: one tuple per distinct group-by key.
+    fn group_agg(
+        &mut self,
+        rel: &Rel,
+        group_by: &[Col],
+        aggs: &[Agg],
+    ) -> Result<Vec<Tuple>, Error> {
+        let keys = rel.keys(group_by)?;
+        let groups = Groups::of(&keys, group_by.len(), rel.len());
+        let mut out = Vec::new();
+        for rows in groups.sorted() {
+            out.push(self.group(rel, rows, group_by, aggs)?);
+        }
+        // With an empty group-by list, there is always exactly one (possibly empty)
+        // group (Fig. 4, second `$` rule).
+        if group_by.is_empty() && out.is_empty() {
+            out.push(self.group(rel, &[], group_by, aggs)?);
+        }
+        Ok(out)
+    }
+
+    /// The `$` tuple of one group: its key, `Γ = Σ_AGG (Φ_t ⊗ v_t)` per aggregation
+    /// over the group's rows, and the annotation — `1_K` without group-by columns,
+    /// `[(Σ_K Φ_t) ≠ 0_K]` otherwise (Fig. 4).
+    fn group(
+        &mut self,
+        rel: &Rel,
+        rows: &[usize],
+        group_by: &[Col],
+        aggs: &[Agg],
+    ) -> Result<Tuple, Error> {
+        let annotations: Vec<SemiringExpr> =
+            rows.iter().map(|&r| rel.annotation(rel.row(r))).collect();
+        let mut values = match rows.first() {
+            Some(&first) => self.values(rel, rel.row(first), group_by.iter().map(|c| c.index)),
+            None => Vec::new(),
+        };
+        for agg in aggs {
+            let mut expr = SemimoduleExpr::zero(agg.op);
+            for (&row, annotation) in rows.iter().zip(&annotations) {
+                let value = match &agg.column {
+                    None => MonoidValue::Fin(1),
+                    Some(column) => rel
+                        .cell(rel.row(row), column.index)
+                        .as_monoid_value()
+                        .ok_or_else(|| Error::TypeMismatch {
+                            column: column.name.to_string(),
+                            expected: "integer constants under aggregation",
+                        })?,
+                };
+                expr.push(annotation.clone(), value);
+            }
+            values.push(Value::Agg(expr));
+        }
+        self.values_materialised += aggs.len();
+        let annotation = if group_by.is_empty() {
+            SemiringExpr::Const(self.kind.one())
+        } else {
+            let sum = SemiringExpr::sum(annotations);
+            SemiringExpr::cmp_ss(CmpOp::Ne, sum, SemiringExpr::Const(self.kind.zero()))
+        };
+        Ok(Tuple::new(values, annotation))
+    }
+}
+
+/// `left × right` restricted to equality on the `on` pairs, as row ids: left-major,
+/// and within one left row the matching right rows in their own order — the order of
+/// the filtered product. The right side is the build side of the hash index.
+fn join<'a>(left: Rel<'a>, right: Rel<'a>, on: &[(Col, Col)]) -> Result<Rel<'a>, Error> {
+    let mut rows = Vec::new();
+    if on.is_empty() {
+        for l in left.ids() {
+            for r in right.ids() {
+                rows.extend_from_slice(l);
+                rows.extend_from_slice(r);
+            }
+        }
+    } else {
+        let (probe_columns, build_columns): (Vec<Col>, Vec<Col>) = on.iter().copied().unzip();
+        let build = right.keys(&build_columns)?;
+        let index = Groups::of(&build, on.len(), right.len());
+        let probe = left.keys(&probe_columns)?;
+        for (l, key) in left.ids().zip(probe.chunks_exact(on.len())) {
+            for &r in index.get(key) {
+                rows.extend_from_slice(l);
+                rows.extend_from_slice(right.row(r));
+            }
+        }
+    }
+    let shift = left.width();
+    let mut sources = left.sources;
+    sources.extend(right.sources);
+    let mut columns = left.columns;
+    columns.extend(right.columns.iter().map(|&(s, c)| (s + shift, c)));
+    Ok(Rel {
+        sources,
+        rows,
+        columns,
+    })
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::query::Query;
-    use pvc_algebra::{AggOp, SemiringValue};
+    use crate::query::AggSpec;
+    use pvc_algebra::SemiringValue;
     use pvc_expr::oracle::confidence_by_enumeration;
 
     /// Build the paper's Figure 1 database: suppliers S, product-suppliers PS and the
@@ -659,6 +1051,133 @@ pub(crate) mod tests {
                 .iter()
                 .all(|term| term.value == MonoidValue::Fin(1)));
             assert_eq!(cnt.op, AggOp::Count);
+        }
+    }
+
+    #[test]
+    fn aggregation_values_in_key_positions_are_type_errors() {
+        // Schemas carry no value types, so a table can hold a semimodule expression
+        // in a column declared as data. Comparing, joining or grouping on it is a
+        // typed error (evaluating Fig. 4 operator by operator panics there).
+        let mut db = Database::new();
+        db.create_table("R", Schema::new(["a"]));
+        let certain = SemiringExpr::Const(SemiringValue::Bool(true));
+        let agg = SemimoduleExpr::zero(AggOp::Min);
+        let table = db.table_mut("R").unwrap();
+        table.try_push(vec![agg.into()], certain).unwrap();
+        let r = || Query::table("R");
+        for query in [
+            r().select(Predicate::eq_const("a", 1i64)),
+            r().project(["a"]),
+            r().union(r()),
+            r().group_agg(["a"], vec![AggSpec::count("c")]),
+            r().join(r().rename(&[("a", "a2")]), &[("a", "a2")]),
+        ] {
+            let err = try_evaluate(&db, &query).unwrap_err();
+            assert!(
+                matches!(err, Error::TypeMismatch { ref column, .. } if column.starts_with('a')),
+                "unexpected error for {query:?}: {err}"
+            );
+        }
+    }
+
+    /// A database and query of the shape of TPC-H Q2 (which this crate cannot see):
+    /// a five-way join restricted by region and part size, joined back to the
+    /// per-part minimum supply cost (the paper's Example 3) and projected.
+    fn q2_shaped() -> (Database, Query) {
+        let (parts, suppliers, nations, regions) = (40i64, 10i64, 5i64, 2i64);
+        let mut db = Database::new();
+        let mut fill = |name: &str, columns: &[&str], rows: Vec<Vec<Value>>| {
+            db.create_table(name, Schema::new(columns.iter().copied()));
+            let (table, vars) = db.table_and_vars_mut(name).unwrap();
+            for row in rows {
+                table.push_independent(row, 0.5, vars);
+            }
+        };
+        let ints = |row: &[i64]| row.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+        fill(
+            "part",
+            &["p_partkey", "p_size"],
+            (0..parts).map(|p| ints(&[p, p % 50])).collect(),
+        );
+        fill(
+            "partsupp",
+            &["ps_partkey", "ps_suppkey", "ps_supplycost"],
+            (0..parts * 4)
+                .map(|i| ints(&[i / 4, (i * 7) % suppliers, 100 + (i * 37) % 90]))
+                .collect(),
+        );
+        fill(
+            "supplier",
+            &["s_suppkey", "s_nationkey"],
+            (0..suppliers).map(|s| ints(&[s, s % nations])).collect(),
+        );
+        fill(
+            "nation",
+            &["n_nationkey", "n_regionkey"],
+            (0..nations).map(|n| ints(&[n, n % regions])).collect(),
+        );
+        fill(
+            "region",
+            &["r_regionkey", "r_name"],
+            (0..regions)
+                .map(|r| vec![Value::Int(r), format!("R{r}").into()])
+                .collect(),
+        );
+        let cheapest = Query::table("partsupp")
+            .rename(&[
+                ("ps_partkey", "ps_partkey_i"),
+                ("ps_suppkey", "ps_suppkey_i"),
+                ("ps_supplycost", "ps_supplycost_i"),
+            ])
+            .group_agg(
+                ["ps_partkey_i"],
+                vec![AggSpec::new(AggOp::Min, "ps_supplycost_i", "min_cost")],
+            );
+        let query = Query::table("part")
+            .join(Query::table("partsupp"), &[("p_partkey", "ps_partkey")])
+            .join(Query::table("supplier"), &[("ps_suppkey", "s_suppkey")])
+            .join(Query::table("nation"), &[("s_nationkey", "n_nationkey")])
+            .join(Query::table("region"), &[("n_regionkey", "r_regionkey")])
+            .select(Predicate::And(vec![
+                Predicate::eq_const("r_name", "R1"),
+                Predicate::ColCmpConst("p_size".into(), CmpOp::Le, Value::Int(25)),
+            ]))
+            .join(cheapest, &[("p_partkey", "ps_partkey_i")])
+            .select(Predicate::AggCmpCol(
+                "min_cost".into(),
+                CmpOp::Eq,
+                "ps_supplycost".into(),
+            ))
+            .project(["s_suppkey", "p_partkey", "ps_supplycost"]);
+        (db, query)
+    }
+
+    #[test]
+    fn materialises_values_for_result_rows_and_nested_groups_only() {
+        // Counts, not time: operator at a time, this query copies every column of
+        // four partsupp-sized join results (some 45 values per partsupp row); here
+        // only the tuples Fig. 4 creates get values — the nested `$` groups and the
+        // result.
+        let (db, query) = q2_shaped();
+        let (table, values_materialised) = rewrite_counted(&db, &query).unwrap();
+        let nested_groups = db.table("part").unwrap().len();
+        assert!(table.len() >= 10, "only {} result tuples", table.len());
+        assert!(
+            values_materialised <= 3 * (table.len() + nested_groups),
+            "{values_materialised} values materialised for {} result tuples and \
+             {nested_groups} nested groups",
+            table.len()
+        );
+        let partsupp = db.table("partsupp").unwrap().len();
+        assert!(values_materialised < 2 * partsupp);
+        // Every annotation is the product Fig. 4 prescribes: five joined tuples, the
+        // nested group's non-emptiness and the conditional on its minimum.
+        for tuple in table.iter() {
+            match &tuple.annotation {
+                SemiringExpr::Mul(factors) => assert_eq!(factors.len(), 7),
+                other => panic!("expected a product annotation, got {other}"),
+            }
         }
     }
 }

@@ -109,15 +109,31 @@ impl PvcTable {
     /// True if every tuple value is a constant (no semimodule expressions) and every
     /// annotation is a single, distinct variable — the *tuple-independent* property
     /// required by the tractability results of §6.
+    ///
+    /// Variables in strictly increasing order — what [`push_independent`] produces —
+    /// are distinct without being remembered; any other order is checked by sorting.
+    ///
+    /// [`push_independent`]: Self::push_independent
     pub fn is_tuple_independent(&self) -> bool {
-        let mut seen = std::collections::BTreeSet::new();
-        self.tuples.iter().all(|t| {
-            t.values.iter().all(Value::is_constant)
-                && match &t.annotation {
-                    SemiringExpr::Var(v) => seen.insert(*v),
-                    _ => false,
-                }
-        })
+        let variable = |t: &Tuple| match &t.annotation {
+            SemiringExpr::Var(v) if t.values.iter().all(Value::is_constant) => Some(*v),
+            _ => None,
+        };
+        let mut increasing = true;
+        let mut previous = None;
+        for tuple in &self.tuples {
+            let Some(var) = variable(tuple) else {
+                return false;
+            };
+            increasing &= previous < Some(var);
+            previous = Some(var);
+        }
+        if increasing {
+            return true;
+        }
+        let mut vars: Vec<_> = self.tuples.iter().filter_map(variable).collect();
+        vars.sort_unstable();
+        vars.windows(2).all(|pair| pair[0] != pair[1])
     }
 
     /// Render the table as an aligned text grid (annotation column included), for
@@ -196,6 +212,36 @@ mod tests {
         let mut t = PvcTable::new("R", Schema::new(["a"]));
         t.try_push(vec![1i64.into()], SemiringExpr::Var(x)).unwrap();
         t.try_push(vec![2i64.into()], SemiringExpr::Var(x)).unwrap();
+        assert!(!t.is_tuple_independent());
+    }
+
+    #[test]
+    fn variables_out_of_order_are_still_tuple_independent() {
+        let mut vars = VarTable::new();
+        let [x, y, z] = ["x", "y", "z"].map(|name| vars.boolean(name, 0.5));
+        let mut t = PvcTable::new("R", Schema::new(["a"]));
+        for (a, var) in [(1i64, y), (2, z), (3, x)] {
+            t.try_push(vec![a.into()], SemiringExpr::Var(var)).unwrap();
+        }
+        assert!(t.is_tuple_independent());
+    }
+
+    #[test]
+    fn a_repeat_found_only_after_sorting_breaks_tuple_independence() {
+        let mut vars = VarTable::new();
+        let [x, y, z] = ["x", "y", "z"].map(|name| vars.boolean(name, 0.5));
+        let mut t = PvcTable::new("R", Schema::new(["a"]));
+        // No two neighbours are equal; `y` repeats two rows apart.
+        for (a, var) in [(1i64, y), (2, z), (3, y), (4, x)] {
+            t.try_push(vec![a.into()], SemiringExpr::Var(var)).unwrap();
+        }
+        assert!(!t.is_tuple_independent());
+        // A value that is not a constant still disqualifies a table whose
+        // variables are out of order.
+        let mut t = PvcTable::new("R", Schema::new(["a"]));
+        t.try_push(vec![1i64.into()], SemiringExpr::Var(z)).unwrap();
+        let agg = pvc_expr::SemimoduleExpr::zero(pvc_algebra::AggOp::Min);
+        t.try_push(vec![agg.into()], SemiringExpr::Var(x)).unwrap();
         assert!(!t.is_tuple_independent());
     }
 
