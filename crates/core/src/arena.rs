@@ -1,10 +1,7 @@
 //! Flattened d-trees: an index-based arena representation of [`DTree`] with an
 //! iterative, allocation-light evaluator.
 //!
-//! [`DTree::distribution`] used to recurse through `Box` pointers, lift every
-//! intermediate distribution into the mixed sum type and re-extract it at the
-//! parent — three linear passes per node on top of the convolution itself. The
-//! arena fixes all three costs:
+//! Four things keep an evaluation close to the cost of its convolutions:
 //!
 //! * **layout** — nodes live in one post-order `Vec` (children before parents,
 //!   root last), so evaluation is a single forward loop with an explicit value

@@ -64,7 +64,7 @@ pub use obs::{
     Counter, ExecutionProfile, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ProfileNode,
     SpanGuard, Trace,
 };
-pub use parallel::{parallel_map, resolve_threads, OrderedReassembly, WorkerPool};
+pub use parallel::{resolve_threads, OrderedReassembly, WorkerPool};
 pub use persist::storage::{FaultConfig, FaultyStorage, FsStorage, Storage};
 pub use persist::wal::{Durability, WalRecord, WalRecovery, WalWriter};
 pub use persist::{PersistError, RestoreStats, Snapshot};

@@ -8,24 +8,23 @@
 //!
 //! * [`resolve_threads`] maps a user-facing thread knob (`0` = auto) to a concrete
 //!   worker count;
-//! * [`parallel_map`] fans a slice out over scoped workers and returns results **in
-//!   input order**, so parallel output is bit-identical to sequential output;
 //! * [`OrderedReassembly`] re-establishes input order over an out-of-order stream of
 //!   `(index, item)` pairs — the building block for streaming consumers that must
 //!   observe a deterministic tuple order while workers finish in any order;
-//! * [`WorkerPool`] is the **persistent** counterpart to the per-execution scoped
-//!   workers above: a fixed set of long-lived threads pulling jobs from a shared
-//!   queue, so a serving process pays thread start-up once per process instead of
-//!   once per query (see the `pvc-serve` crate).
+//! * [`WorkerPool`] is a fixed set of long-lived threads pulling jobs from a shared
+//!   queue — the only place this workspace's libraries start threads. A serving
+//!   process creates one and pays thread start-up once instead of once per query
+//!   (see the `pvc-serve` crate); a one-off parallel execution in `pvc-db` starts
+//!   one for itself and joins it when done.
 //!
-//! Determinism contract: as long as the mapped function is a pure function of its
-//! input (which per-tuple compilation is — cache hits only ever substitute a value
-//! that the computation would have produced anyway), the output of `parallel_map`
-//! and of an [`OrderedReassembly`]-driven stream does not depend on the number of
-//! workers or on scheduling.
+//! Determinism contract: as long as a tuple's result is a pure function of the
+//! tuple (which per-tuple compilation is — cache hits only ever substitute a value
+//! that the computation would have produced anyway), the output of an
+//! [`OrderedReassembly`]-driven stream does not depend on the number of workers or
+//! on scheduling.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Resolve a user-facing thread-count knob to a concrete worker count.
@@ -43,56 +42,6 @@ pub fn resolve_threads(requested: usize, work_items: usize) -> usize {
         requested
     };
     n.clamp(1, work_items.max(1))
-}
-
-/// Map `f` over `items` using up to `threads` scoped workers, returning the results
-/// **in input order**. Work is distributed dynamically (an atomic cursor), so
-/// irregular per-item cost balances across workers.
-///
-/// With `threads <= 1` the function degenerates to a plain in-place loop — no
-/// threads are spawned, so cheap workloads pay no overhead.
-///
-/// Errors: the first failing index (in *input* order, not completion order) wins,
-/// mirroring what a sequential loop would report; remaining items may or may not
-/// have been processed. Panics in `f` propagate.
-pub fn parallel_map<T, R, E, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    let threads = resolve_threads(threads, items.len());
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, E>>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = f(item);
-                let failed = result.is_err();
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-                // Later items may depend on nothing, but once an error exists the
-                // caller will discard everything after it; keep going anyway so the
-                // in-order first error is deterministic (another worker may be
-                // processing an *earlier* index that also fails).
-                let _ = failed;
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for slot in slots {
-        match slot.into_inner().expect("result slot poisoned") {
-            Some(Ok(r)) => out.push(r),
-            Some(Err(e)) => return Err(e),
-            None => unreachable!("every index below the cursor was processed"),
-        }
-    }
-    Ok(out)
 }
 
 /// Re-establish input order over an out-of-order stream of `(index, item)` pairs.
@@ -173,19 +122,20 @@ impl std::fmt::Debug for PoolShared {
     }
 }
 
-/// A **persistent** worker pool: a fixed set of long-lived threads executing
-/// submitted jobs in FIFO order.
+/// A worker pool: a fixed set of long-lived threads executing submitted jobs in
+/// FIFO order.
 ///
-/// [`parallel_map`] and the per-execution streaming workers in `pvc-db` spawn (and
-/// join) their threads once per execution — the right trade-off for a library
-/// call, and measurably wrong for a serving process handling thousands of small
-/// requests. A `WorkerPool` is created once, reused by every execution
+/// Starting (and joining) threads once per execution is the right trade-off for a
+/// library call — what `pvc-db` does with a pool of its own when the caller shares
+/// none — and measurably wrong for a serving process handling thousands of small
+/// requests. There a `WorkerPool` is created once, reused by every execution
 /// (`EvalOptions::with_pool` in `pvc-db` routes the per-tuple pipeline onto it),
 /// and joined exactly once at shutdown.
 ///
 /// Determinism: the pool only changes *where* a job runs, never what it computes;
-/// executions routed through a pool are bit-identical to per-call spawning (pinned
-/// by `pool_reuse_is_bit_identical` in `pvc-db`).
+/// executions on a shared pool are bit-identical to executions on a pool of their
+/// own (pinned by `shared_pool_execution_is_bit_identical_to_owned_pool` in
+/// `pvc-db`).
 ///
 /// Panic containment: a panicking job is caught, counted in
 /// [`panicked_jobs`](Self::panicked_jobs), and the worker thread keeps serving —
@@ -342,6 +292,7 @@ fn pool_worker_loop(shared: &PoolShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn resolve_threads_clamps() {
@@ -349,48 +300,6 @@ mod tests {
         assert_eq!(resolve_threads(8, 3), 3);
         assert_eq!(resolve_threads(2, 0), 1);
         assert!(resolve_threads(0, 100) >= 1);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..257).collect();
-        for threads in [1, 2, 4, 8] {
-            let out = parallel_map(threads, &items, |&x| Ok::<_, ()>(x * x)).unwrap();
-            assert_eq!(out.len(), items.len());
-            for (i, v) in out.iter().enumerate() {
-                assert_eq!(*v, (i * i) as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_map_matches_sequential_exactly() {
-        // The determinism contract: identical output for any worker count.
-        let items: Vec<f64> = (0..100).map(|i| 0.1 * i as f64).collect();
-        let f = |x: &f64| Ok::<_, ()>((x.sin() * x.cos()).to_bits());
-        let seq = parallel_map(1, &items, f).unwrap();
-        let par = parallel_map(4, &items, f).unwrap();
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn parallel_map_reports_first_error_in_input_order() {
-        let items: Vec<usize> = (0..64).collect();
-        for threads in [1, 3, 7] {
-            let err = parallel_map(
-                threads,
-                &items,
-                |&x| {
-                    if x % 10 == 7 {
-                        Err(x)
-                    } else {
-                        Ok(x)
-                    }
-                },
-            )
-            .unwrap_err();
-            assert_eq!(err, 7, "threads={threads}");
-        }
     }
 
     #[test]

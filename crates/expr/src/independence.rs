@@ -64,21 +64,17 @@ impl UnionFind {
     }
 }
 
-/// Partition the indices `0..sets.len()` into connected components of the variable
-/// co-occurrence graph: indices `i` and `j` are connected if `sets[i]` and `sets[j]`
-/// share a variable (possibly transitively).
+/// Partition the indices `0..n`, index `i` standing for the variable set
+/// `set_of(i)`, into connected components of the variable co-occurrence graph:
+/// indices `i` and `j` are connected if their sets share a variable (possibly
+/// transitively). The sets are borrowed, so callers whose sets live in another
+/// structure (the interner's precomputed var-sets) need not clone them into a
+/// slice first.
 ///
-/// Runs in `O(N log N)` for `N = Σ|sets[i]|` — each variable links its occurrences
-/// together — rather than comparing all pairs of sets. Components are ordered by
-/// their union–find representative (see [`UnionFind::groups`]); members are
-/// ascending.
-pub fn connected_components(sets: &[VarSet]) -> Vec<Vec<usize>> {
-    connected_components_by(sets.len(), |i| sets[i].as_slice())
-}
-
-/// As [`connected_components`], over `n` borrowed sets handed out by `set_of` —
-/// for callers whose sets live in another structure (the interner's precomputed
-/// var-sets) and would otherwise have to be cloned into a slice first.
+/// Runs in `O(N log N)` for `N = Σ|set_of(i)|` — each variable links its
+/// occurrences together — rather than comparing all pairs of sets. Components are
+/// ordered by their union–find representative (see [`UnionFind::groups`]); members
+/// are ascending.
 pub fn connected_components_by<'a>(
     n: usize,
     set_of: impl Fn(usize) -> &'a [Var],
@@ -109,7 +105,7 @@ pub fn connected_components_by<'a>(
 /// True if the variable sets are pairwise disjoint (i.e. every index is its own
 /// component).
 pub fn all_independent(sets: &[VarSet]) -> bool {
-    connected_components(sets).len() == sets.len()
+    connected_components_by(sets.len(), |i| sets[i].as_slice()).len() == sets.len()
 }
 
 /// Reusable state of [`ComponentLabels::label`]: the compiler partitions a term
@@ -133,7 +129,7 @@ const UNSEEN: u32 = u32::MAX;
 impl ComponentLabels {
     /// Partition the items `0..n`, item `i` mentioning the variables `set_of(i)`,
     /// into connected components of the variable co-occurrence graph (as
-    /// [`connected_components`]). Returns the number of components and, per item,
+    /// [`connected_components_by`]). Returns the number of components and, per item,
     /// the number of its component; components are numbered by their smallest
     /// member.
     pub fn label<'a>(&mut self, n: usize, set_of: impl Fn(usize) -> &'a [Var]) -> (usize, &[u32]) {
@@ -195,36 +191,16 @@ impl ComponentLabels {
     }
 }
 
-/// Split a list of items into independent groups according to their variable sets.
-///
-/// Returns one `Vec` of items per connected component, preserving the original
-/// relative order inside each group.
-pub fn group_by_independence<T>(items: Vec<T>, var_set_of: impl Fn(&T) -> VarSet) -> Vec<Vec<T>> {
-    let sets: Vec<VarSet> = items.iter().map(&var_set_of).collect();
-    let components = connected_components(&sets);
-    if components.len() <= 1 {
-        return vec![items];
-    }
-    // Map index -> component id.
-    let mut comp_of = vec![0usize; items.len()];
-    for (cid, comp) in components.iter().enumerate() {
-        for &i in comp {
-            comp_of[i] = cid;
-        }
-    }
-    let mut out: Vec<Vec<T>> = (0..components.len()).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        out[comp_of[i]].push(item);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn vs(ids: &[u32]) -> VarSet {
         ids.iter().map(|i| Var(*i)).collect()
+    }
+
+    fn connected_components(sets: &[VarSet]) -> Vec<Vec<usize>> {
+        connected_components_by(sets.len(), |i| sets[i].as_slice())
     }
 
     #[test]
@@ -284,20 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn group_by_independence_preserves_items() {
-        let items = vec![(vs(&[1]), "a"), (vs(&[2]), "b"), (vs(&[1, 2]), "c")];
-        let grouped = group_by_independence(items, |(s, _)| s.clone());
-        assert_eq!(grouped.len(), 1);
-        assert_eq!(grouped[0].len(), 3);
-
-        let items = vec![(vs(&[1]), "a"), (vs(&[2]), "b")];
-        let grouped = group_by_independence(items, |(s, _)| s.clone());
-        assert_eq!(grouped.len(), 2);
-        let labels: Vec<&str> = grouped.iter().map(|g| g[0].1).collect();
-        assert_eq!(labels, vec!["a", "b"]);
-    }
-
-    #[test]
     fn labels_agree_with_connected_components() {
         let mut scratch = ComponentLabels::default();
         let cases: Vec<Vec<VarSet>> = vec![
@@ -346,7 +308,5 @@ mod tests {
         let sets = vec![vs(&[1]), vs(&[2]), vs(&[1, 3]), vs(&[4])];
         let comps = connected_components(&sets);
         assert_eq!(comps, vec![vec![1], vec![0, 2], vec![3]]);
-        let borrowed = connected_components_by(sets.len(), |i| sets[i].as_slice());
-        assert_eq!(borrowed, comps);
     }
 }

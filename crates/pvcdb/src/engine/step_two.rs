@@ -1,0 +1,480 @@
+//! Step II for one result tuple (§5): its confidence and the distribution of each
+//! of its aggregation attributes, each through the same three stages — canonical
+//! cache, §6 closed form, d-tree compilation — behind one borrowed [`StepTwo`]
+//! context per execution.
+
+use super::options::EvalOptions;
+use super::Rewritten;
+use crate::database::Database;
+use crate::error::Error;
+use crate::prob_eval::ProbTuple;
+use crate::value::Value;
+use pvc_algebra::{AggOp, MonoidValue, SemiringKind, SemiringValue};
+use pvc_core::{confidence_of, obs, Compiler};
+use pvc_expr::{SemimoduleExpr, SemiringExpr, VarSet, VarTable};
+use pvc_prob::{Dist, MonoidDist, SemiringDist};
+use std::collections::BTreeMap;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Per-execution fast-path counters, shared across workers.
+#[derive(Debug, Default)]
+pub(super) struct TupleCounters {
+    pub(super) fast_path_hits: AtomicUsize,
+    pub(super) agg_fast_path_hits: AtomicUsize,
+}
+
+/// A per-tuple profile fragment: the tuple's span tree plus the number of spans
+/// its bounded ring dropped.
+pub(super) type TupleProfile = (obs::ProfileNode, u64);
+
+/// Everything step II needs to compute any tuple of one execution, borrowed: built
+/// once per execution by the inline loop, lent by a stream to each of its workers.
+/// A tuple is a pure function of this context and its index, so output does not
+/// depend on which thread asks.
+pub(super) struct StepTwo<'a> {
+    pub(super) db: &'a Database,
+    pub(super) options: &'a EvalOptions,
+    pub(super) step: &'a Rewritten,
+    pub(super) counters: &'a TupleCounters,
+}
+
+impl StepTwo<'_> {
+    /// Result tuple `index` wrapped in per-tuple observability: a `tuple` span
+    /// (counted in global tracing mode), and — in profile mode — a thread-local
+    /// [`obs::Trace`] capturing the tuple's full span tree, with the kernel dispatch
+    /// counts (dense/sparse) attributed deterministically via `pvc_prob`'s
+    /// thread-local capture. Per-tuple work is single-threaded regardless of
+    /// `threads`, so the resulting tree does not depend on the worker count.
+    pub(super) fn tuple(&self, index: usize) -> Result<(ProbTuple, Option<TupleProfile>), Error> {
+        if !self.options.profile {
+            let _span = obs::span("tuple");
+            return Ok((self.evaluate(index)?, None));
+        }
+        let trace = Rc::new(obs::Trace::new(obs::DEFAULT_TRACE_CAPACITY));
+        let result = obs::with_trace(Rc::clone(&trace), || {
+            let span = obs::span("tuple");
+            let prior = pvc_prob::begin_tuple_capture();
+            let result = self.evaluate(index);
+            let (dense, sparse) = pvc_prob::take_tuple_capture(prior);
+            if let Some(s) = &span {
+                s.attr("index", index.to_string());
+                s.attr("kernel_dense", dense.to_string());
+                s.attr("kernel_sparse", sparse.to_string());
+            }
+            result
+        });
+        let tuple = result?;
+        let (mut roots, dropped) = obs::profile_nodes(&trace);
+        let node = if roots.len() == 1 {
+            roots.pop().expect("one root")
+        } else {
+            // Ring overflow orphaned some spans: collect them under a synthetic node.
+            let mut node = obs::ProfileNode::new("tuple");
+            node.children = roots;
+            node
+        };
+        Ok((tuple, Some((node, dropped))))
+    }
+
+    /// Compute one result tuple: its confidence and (when requested) the
+    /// distribution of every aggregation attribute.
+    fn evaluate(&self, index: usize) -> Result<ProbTuple, Error> {
+        let table = &self.step.table;
+        let tuple = &table.tuples[index];
+        let confidence = self.confidence(&tuple.annotation)?;
+        let mut aggregate_distributions = BTreeMap::new();
+        if self.options.aggregate_distributions {
+            for (column, value) in table.schema.columns().iter().zip(&tuple.values) {
+                if let Value::Agg(expr) = value {
+                    aggregate_distributions.insert(column.name.clone(), self.aggregate(expr)?);
+                }
+            }
+        }
+        Ok(ProbTuple {
+            values: tuple.values.clone(),
+            confidence,
+            aggregate_distributions,
+        })
+    }
+
+    /// The confidence of one annotation: canonical cache, then read-once fast path,
+    /// then compilation — through the store, or directly when there is none.
+    fn confidence(&self, annotation: &SemiringExpr) -> Result<f64, Error> {
+        let span = obs::span("confidence");
+        let (db, scope) = (self.db, self.step.scope);
+        let store = self.step.artifacts.as_deref().map(|arts| {
+            let _intern_span = obs::span("intern");
+            (arts, arts.intern(annotation))
+        });
+        if let Some((arts, id)) = store {
+            // Warm path: reduce the cached distribution to its confidence under the
+            // lock — no per-tuple clone.
+            if let Some(p) = arts.map_semiring(id, scope, confidence_of) {
+                record_path(&span, "cache");
+                return Ok(p);
+            }
+        }
+        if self.step.try_fast {
+            if let Some(p) = read_once_confidence(annotation, &db.vars) {
+                self.counters.fast_path_hits.fetch_add(1, Ordering::Relaxed);
+                if let Some((arts, id)) = store {
+                    // The fast path only runs over the Boolean semiring, so the
+                    // confidence determines the full distribution — cache it so later
+                    // lookups (and sub-d-tree composition) can reuse it.
+                    let dist: SemiringDist = Dist::from_pairs([
+                        (SemiringValue::Bool(true), p),
+                        (SemiringValue::Bool(false), 1.0 - p),
+                    ]);
+                    arts.insert_semiring(id, scope, &dist);
+                }
+                record_path(&span, "fast");
+                return Ok(p);
+            }
+        }
+        record_path(&span, "compile");
+        let compile = &self.options.compile;
+        let dist = match store {
+            // The lookup above already recorded the miss; fill without re-checking.
+            Some((arts, id)) => arts.fill_semiring(id, &db.vars, db.kind, compile, scope)?,
+            None => Compiler::with_options(&db.vars, db.kind, compile.clone())
+                .compile_semiring(annotation)?
+                .semiring_distribution(&db.vars, db.kind)?,
+        };
+        Ok(confidence_of(&dist))
+    }
+
+    /// The exact distribution of one aggregate: canonical cache, then the MIN/MAX
+    /// read-once closed form, then compilation — through the store, or directly when
+    /// there is none.
+    fn aggregate(&self, expr: &SemimoduleExpr) -> Result<MonoidDist, Error> {
+        let span = obs::span("aggregate");
+        let (db, scope) = (self.db, self.step.scope);
+        let store = self.step.artifacts.as_deref().map(|arts| {
+            let _intern_span = obs::span("intern");
+            (arts, arts.intern_semimodule(expr))
+        });
+        if let Some((arts, id)) = store {
+            if let Some(d) = arts.get_aggregate(id, scope) {
+                record_path(&span, "cache");
+                return Ok(d);
+            }
+        }
+        if self.step.try_fast {
+            if let Some(d) = min_max_read_once_distribution(expr, &db.vars) {
+                self.counters
+                    .agg_fast_path_hits
+                    .fetch_add(1, Ordering::Relaxed);
+                if let Some((arts, id)) = store {
+                    arts.insert_aggregate(id, scope, &d);
+                }
+                record_path(&span, "fast");
+                return Ok(d);
+            }
+        }
+        record_path(&span, "compile");
+        let compile = &self.options.compile;
+        Ok(match store {
+            // The lookup above already recorded the miss; fill without re-checking.
+            Some((arts, id)) => arts.fill_aggregate(id, &db.vars, db.kind, compile, scope)?,
+            None => Compiler::with_options(&db.vars, db.kind, compile.clone())
+                .compile_semimodule(expr)?
+                .monoid_distribution(&db.vars, db.kind)?,
+        })
+    }
+}
+
+/// Record on a `confidence` / `aggregate` span which stage answered: `cache`, `fast`
+/// or `compile`.
+fn record_path(span: &Option<obs::SpanGuard>, path: &str) {
+    if let Some(s) = span {
+        s.attr("path", path.into());
+    }
+}
+
+/// Read-once confidence evaluation over the Boolean semiring: the probability that a
+/// sum/product of *variable-disjoint* subexpressions is non-zero multiplies out
+/// directly, with no d-tree. Returns `None` whenever the expression is not of that
+/// shape (shared variables, comparisons, non-Boolean variables) — the caller then
+/// falls back to full compilation, so this is always sound.
+fn read_once_confidence(expr: &SemiringExpr, vars: &VarTable) -> Option<f64> {
+    match expr {
+        SemiringExpr::Const(c) => Some(if c.is_zero() { 0.0 } else { 1.0 }),
+        SemiringExpr::Var(v) => {
+            if vars.kind(*v) == SemiringKind::Bool {
+                Some(vars.prob_true(*v))
+            } else {
+                None
+            }
+        }
+        SemiringExpr::Mul(children) => {
+            pairwise_var_disjoint(children)?;
+            let mut p = 1.0;
+            for child in children {
+                p *= read_once_confidence(child, vars)?;
+            }
+            Some(p)
+        }
+        SemiringExpr::Add(children) => {
+            pairwise_var_disjoint(children)?;
+            let mut q = 1.0;
+            for child in children {
+                q *= 1.0 - read_once_confidence(child, vars)?;
+            }
+            Some(1.0 - q)
+        }
+        // Comparisons need the full machinery (pruning, convolution).
+        SemiringExpr::CmpSS(..) | SemiringExpr::CmpMM(..) => None,
+    }
+}
+
+/// Read-once fast path for MIN/MAX aggregate distributions (Proposition 1 of the
+/// paper): when the terms `Φ_i ⊗ m_i` of a MIN/MAX semimodule expression have
+/// pairwise variable-disjoint, read-once Boolean coefficients, the terms are
+/// independent and the distribution has the closed form
+///
+/// ```text
+/// P[MIN = v] = Π_{m_i < v} (1 − p_i) · (1 − Π_{m_i = v} (1 − p_i)),
+/// P[MIN = 0_M] = Π_i (1 − p_i)            (no term present)
+/// ```
+///
+/// with `p_i = P[Φ_i ≠ ⊥]` (symmetrically for MAX with `>` in place of `<`). The
+/// result has at most `n + 1` support values and is computed in `O(n log n)` — no
+/// d-tree, no convolution. Returns `None` whenever the expression is not of that
+/// shape (SUM/COUNT/PROD, shared variables, non-read-once coefficients); the caller
+/// then falls back to full compilation, so this is always sound.
+fn min_max_read_once_distribution(expr: &SemimoduleExpr, vars: &VarTable) -> Option<MonoidDist> {
+    if !matches!(expr.op, AggOp::Min | AggOp::Max) {
+        return None;
+    }
+    if expr.terms.is_empty() {
+        return Some(Dist::point(expr.op.identity()));
+    }
+    // Terms must be pairwise variable-disjoint to be independent.
+    pairwise_disjoint_sets(expr.terms.iter().map(|t| t.vars()))?;
+    let mut present: Vec<(MonoidValue, f64)> = Vec::with_capacity(expr.terms.len());
+    for t in &expr.terms {
+        present.push((t.value, read_once_confidence(&t.coeff, vars)?));
+    }
+    // Winning value first: ascending for MIN, descending for MAX.
+    match expr.op {
+        AggOp::Min => present.sort_by_key(|t| t.0),
+        _ => present.sort_by_key(|t| std::cmp::Reverse(t.0)),
+    }
+    let mut pairs = Vec::with_capacity(present.len() + 1);
+    // Probability that every term strictly better than the current value is absent.
+    let mut p_better_absent = 1.0;
+    let mut i = 0;
+    while i < present.len() {
+        let value = present[i].0;
+        let mut p_absent_here = 1.0;
+        while i < present.len() && present[i].0 == value {
+            p_absent_here *= 1.0 - present[i].1;
+            i += 1;
+        }
+        pairs.push((value, p_better_absent * (1.0 - p_absent_here)));
+        p_better_absent *= p_absent_here;
+    }
+    // No term present: the monoid's neutral element.
+    pairs.push((expr.op.identity(), p_better_absent));
+    Some(Dist::from_pairs(pairs))
+}
+
+/// `Some(())` iff the given variable sets are pairwise disjoint (the sum of the
+/// sizes equals the size of the union).
+fn pairwise_disjoint_sets(sets: impl Iterator<Item = VarSet>) -> Option<()> {
+    let mut total = 0usize;
+    let mut all = VarSet::new();
+    for vs in sets {
+        total += vs.len();
+        all = all.union(&vs);
+    }
+    (all.len() == total).then_some(())
+}
+
+/// `Some(())` iff the children mention pairwise disjoint variable sets.
+fn pairwise_var_disjoint(children: &[SemiringExpr]) -> Option<()> {
+    pairwise_disjoint_sets(children.iter().map(|c| c.vars()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::Engine;
+    use crate::exec::tests::{figure1_db, paper_q1};
+    use crate::query::{AggSpec, Predicate, Query};
+    use crate::tractable::QueryClass;
+    use pvc_algebra::CmpOp;
+    use pvc_expr::oracle;
+
+    #[test]
+    fn execute_matches_oracle_and_uses_fast_path() {
+        let db = figure1_db();
+        let engine = Engine::new(db);
+        // π_shop(S) is Q_ind with read-once annotations (x1+x2+x3 per shop).
+        let q = Query::table("S").project(["shop"]);
+        let prepared = engine.prepare(&q).unwrap();
+        assert_eq!(prepared.plan().class, QueryClass::Qind);
+        let result = prepared.execute(&EvalOptions::default()).unwrap();
+        assert_eq!(result.tuples.len(), 2);
+        assert_eq!(result.fast_path_hits, 2);
+        let table = crate::exec::try_evaluate(engine.database(), &q).unwrap();
+        for (prob, tuple) in result.tuples.iter().zip(&table.tuples) {
+            let expected = oracle::confidence_by_enumeration(
+                &tuple.annotation,
+                &engine.database().vars,
+                SemiringKind::Bool,
+            );
+            assert!((prob.confidence - expected).abs() < 1e-9);
+        }
+        // Disabling the fast path must give identical confidences.
+        let slow = prepared
+            .execute(&EvalOptions::default().without_fast_path())
+            .unwrap();
+        for (a, b) in result.tuples.iter().zip(&slow.tuples) {
+            assert!((a.confidence - b.confidence).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn confidence_only_skips_aggregates() {
+        let db = figure1_db();
+        let engine = Engine::new(db);
+        let q = Query::table("P1").group_agg(
+            Vec::<String>::new(),
+            vec![AggSpec::new(AggOp::Min, "weight", "m")],
+        );
+        let prepared = engine.prepare(&q).unwrap();
+        let full = prepared.execute(&EvalOptions::default()).unwrap();
+        assert!(full.tuples[0].aggregate_distributions.contains_key("m"));
+        let slim = prepared.execute(&EvalOptions::confidence_only()).unwrap();
+        assert!(slim.tuples[0].aggregate_distributions.is_empty());
+        assert!((slim.tuples[0].confidence - full.tuples[0].confidence).abs() < 1e-12);
+    }
+
+    #[test]
+    fn node_budget_surfaces_as_compile_error() {
+        let db = figure1_db();
+        let engine = Engine::new(db);
+        let q2 = paper_q1()
+            .group_agg(["shop"], vec![AggSpec::new(AggOp::Max, "price", "P")])
+            .select(Predicate::AggCmpConst("P".into(), CmpOp::Le, 50))
+            .project(["shop"]);
+        let prepared = engine.prepare(&q2).unwrap();
+        let err = prepared
+            .execute(
+                &EvalOptions::default()
+                    .with_node_budget(1)
+                    .without_fast_path(),
+            )
+            .unwrap_err();
+        assert!(matches!(err, Error::Compile(_)));
+        // The budget must also be enforced on a *warm* engine: a prior unbudgeted
+        // success must not be served from the cache in place of the error.
+        prepared.execute(&EvalOptions::default()).unwrap();
+        assert!(engine.cache_stats().confidences > 0);
+        let err = prepared
+            .execute(
+                &EvalOptions::default()
+                    .with_node_budget(1)
+                    .without_fast_path(),
+            )
+            .unwrap_err();
+        assert!(matches!(err, Error::Compile(_)));
+        // Parallel execution reports the same first-in-order error.
+        let err = prepared
+            .execute(
+                &EvalOptions::default()
+                    .with_node_budget(1)
+                    .without_fast_path()
+                    .with_threads(4),
+            )
+            .unwrap_err();
+        assert!(matches!(err, Error::Compile(_)));
+    }
+
+    #[test]
+    fn min_max_aggregate_fast_path_matches_compilation() {
+        let db = figure1_db();
+        let engine = Engine::new(db);
+        // MIN/MAX over P1's four independent weights: Q_ind, disjoint coefficients.
+        for op in [AggOp::Min, AggOp::Max] {
+            let q = Query::table("P1")
+                .group_agg(Vec::<String>::new(), vec![AggSpec::new(op, "weight", "m")]);
+            let prepared = engine.prepare(&q).unwrap();
+            assert!(prepared.plan().strategy.is_tractable());
+            let fast = prepared.execute(&EvalOptions::default()).unwrap();
+            assert_eq!(
+                fast.agg_fast_path_hits, 1,
+                "{op:?} should use the closed form"
+            );
+            // A fresh engine without the fast path must produce the same
+            // distribution via full compilation.
+            let slow_engine = Engine::new(figure1_db());
+            let slow = slow_engine
+                .prepare(&q)
+                .unwrap()
+                .execute(&EvalOptions::default().without_fast_path())
+                .unwrap();
+            assert_eq!(slow.agg_fast_path_hits, 0);
+            let df = &fast.tuples[0].aggregate_distributions["m"];
+            let ds = &slow.tuples[0].aggregate_distributions["m"];
+            assert!(df.approx_eq(ds, 1e-9), "{op:?}: {df} vs {ds}");
+        }
+    }
+
+    #[test]
+    fn min_max_closed_form_agrees_with_oracle() {
+        let mut vars = VarTable::new();
+        let x = vars.boolean("x", 0.3);
+        let y = vars.boolean("y", 0.6);
+        let z = vars.boolean("z", 0.8);
+        // Duplicate values across terms exercise the same-value grouping.
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Min,
+            vec![
+                (SemiringExpr::Var(x), MonoidValue::Fin(10)),
+                (SemiringExpr::Var(y), MonoidValue::Fin(10)),
+                (SemiringExpr::Var(z), MonoidValue::Fin(25)),
+            ],
+        );
+        let dist = min_max_read_once_distribution(&alpha, &vars).unwrap();
+        let expected = oracle::semimodule_dist_by_enumeration(&alpha, &vars, SemiringKind::Bool);
+        assert!(dist.approx_eq(&expected, 1e-9), "{dist} vs {expected}");
+        // Shared variables must bail out.
+        let shared = SemimoduleExpr::from_terms(
+            AggOp::Max,
+            vec![
+                (SemiringExpr::Var(x), MonoidValue::Fin(1)),
+                (
+                    SemiringExpr::Var(x) * SemiringExpr::Var(y),
+                    MonoidValue::Fin(2),
+                ),
+            ],
+        );
+        assert!(min_max_read_once_distribution(&shared, &vars).is_none());
+        // SUM is not covered by Proposition 1's closed form.
+        let sum = SemimoduleExpr::from_terms(
+            AggOp::Sum,
+            vec![(SemiringExpr::Var(x), MonoidValue::Fin(1))],
+        );
+        assert!(min_max_read_once_distribution(&sum, &vars).is_none());
+    }
+
+    #[test]
+    fn read_once_confidence_agrees_with_oracle() {
+        let mut vars = VarTable::new();
+        let x = vars.boolean("x", 0.3);
+        let y = vars.boolean("y", 0.6);
+        let z = vars.boolean("z", 0.8);
+        // x·(y + z): read-once.
+        let expr = SemiringExpr::Var(x) * (SemiringExpr::Var(y) + SemiringExpr::Var(z));
+        let p = read_once_confidence(&expr, &vars).unwrap();
+        let expected = oracle::confidence_by_enumeration(&expr, &vars, SemiringKind::Bool);
+        assert!((p - expected).abs() < 1e-12);
+        // x·y + x·z shares x between summands: not read-once, must bail out.
+        let shared = SemiringExpr::Var(x) * SemiringExpr::Var(y)
+            + SemiringExpr::Var(x) * SemiringExpr::Var(z);
+        assert!(read_once_confidence(&shared, &vars).is_none());
+    }
+}

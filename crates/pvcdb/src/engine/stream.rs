@@ -1,0 +1,500 @@
+//! The streaming executor: step II of one execution as jobs on a [`WorkerPool`] —
+//! the caller's shared one, or one the stream owns — feeding a [`TupleStream`]
+//! that yields tuples in deterministic order and quiesces its jobs when dropped.
+
+use super::options::EvalOptions;
+use super::step_two::{StepTwo, TupleCounters, TupleProfile};
+use super::Rewritten;
+use crate::database::Database;
+use crate::error::Error;
+use crate::prob_eval::ProbTuple;
+use pvc_core::parallel::{OrderedReassembly, WorkerPool};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
+
+/// One streamed worker result: tuple index, outcome, and its profile fragment.
+type StreamedTuple = (usize, Result<ProbTuple, Error>, Option<TupleProfile>);
+
+/// Lifecycle state of one stream's pool jobs: how many are currently running, and
+/// whether the stream was cancelled before they started.
+#[derive(Debug, Default)]
+struct GateState {
+    cancelled: bool,
+    active: usize,
+}
+
+/// The quiescence gate of one stream. Pool jobs have no handle to join, so
+/// dropping the stream waits here until every started job has exited
+/// (queued-but-unstarted jobs observe `cancelled` under this lock and become
+/// no-ops). Checking the flag and counting the job under **one** lock is what
+/// makes the drop race-free: a job either sees the cancellation or is counted
+/// before the drop starts waiting.
+///
+/// The gate lives in an `Arc` of its own, apart from [`StreamShared`]: a job owns
+/// the gate but only a `Weak` to the shared state, which it upgrades *inside* the
+/// gated scope. Once the stream's drop returns, no job — finished, or still queued
+/// on the pool — keeps the `Arc<Database>` alive, so
+/// [`Engine::into_database`](super::Engine::into_database) after a drained stream
+/// hands the database back instead of cloning it.
+#[derive(Debug, Default)]
+struct StreamGate {
+    state: Mutex<GateState>,
+    /// Signalled whenever `state.active` reaches zero.
+    quiesced: Condvar,
+}
+
+impl StreamGate {
+    /// Register one pool job as running; `false` means the stream was already
+    /// cancelled and the job must not touch any work.
+    fn enter(&self) -> bool {
+        let mut state = self.state.lock().expect("stream gate poisoned");
+        if state.cancelled {
+            return false;
+        }
+        state.active += 1;
+        true
+    }
+
+    /// Turn queued-but-unstarted jobs into no-ops and wait until every started
+    /// job has exited.
+    fn cancel_and_wait(&self) {
+        let mut state = self.state.lock().expect("stream gate poisoned");
+        state.cancelled = true;
+        while state.active > 0 {
+            state = self.quiesced.wait(state).expect("stream gate poisoned");
+        }
+    }
+}
+
+/// State shared between the consumer of a [`TupleStream`] and its workers: the
+/// owned parts of the execution's [`StepTwo`] context, and the work distribution.
+#[derive(Debug)]
+struct StreamShared {
+    db: Arc<Database>,
+    options: EvalOptions,
+    step: Rewritten,
+    counters: TupleCounters,
+    /// Set when the stream is dropped: workers stop claiming tuples.
+    cancel: AtomicBool,
+    /// The next unclaimed tuple index (dynamic work distribution).
+    cursor: AtomicUsize,
+}
+
+impl StreamShared {
+    /// Lend a worker the execution's step-II context.
+    fn context(&self) -> StepTwo<'_> {
+        StepTwo {
+            db: &self.db,
+            options: &self.options,
+            step: &self.step,
+            counters: &self.counters,
+        }
+    }
+}
+
+/// Decrements the gate when a pool job exits — by any path, panic included
+/// (the guard lives across the worker loop, so unwinding still releases the
+/// stream's drop from its wait).
+struct GateGuard<'g>(&'g StreamGate);
+
+impl Drop for GateGuard<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.state.lock().expect("stream gate poisoned");
+        state.active -= 1;
+        if state.active == 0 {
+            self.0.quiesced.notify_all();
+        }
+    }
+}
+
+fn worker_loop(shared: &StreamShared, sender: &SyncSender<StreamedTuple>) {
+    let step_two = shared.context();
+    loop {
+        if shared.cancel.load(Ordering::Relaxed) {
+            return;
+        }
+        let index = shared.cursor.fetch_add(1, Ordering::Relaxed);
+        if index >= shared.step.table.tuples.len() {
+            return;
+        }
+        // A panic inside per-tuple evaluation (a bug) must still deliver *some*
+        // item for the claimed index: if it were swallowed, the consumer would
+        // keep buffering every later tuple waiting for this one — unbounded
+        // memory and an arbitrarily late error. Caught here, it surfaces as an
+        // in-order `Error::Worker` instead.
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step_two.tuple(index)))
+                .unwrap_or_else(|panic| {
+                    let detail = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "worker panicked".to_string());
+                    Err(Error::Worker(format!(
+                        "panic while computing tuple {index}: {detail}"
+                    )))
+                });
+        let (result, profile) = match outcome {
+            Ok((tuple, profile)) => (Ok(tuple), profile),
+            Err(e) => (Err(e), None),
+        };
+        // A send error means the consumer dropped the stream: stop quietly.
+        if sender.send((index, result, profile)).is_err() {
+            return;
+        }
+    }
+}
+
+/// Start step II of one execution on a worker pool and wrap it in a
+/// [`TupleStream`]: on [`EvalOptions::pool`] when the caller shares one, otherwise
+/// on a pool of `step.threads` workers that the stream owns and joins when dropped.
+pub(super) fn spawn_stream(
+    db: Arc<Database>,
+    options: &EvalOptions,
+    step: Rewritten,
+) -> Result<TupleStream, Error> {
+    let threads = step.threads;
+    let columns = super::column_names(&step.table);
+    // Take the pool handle *out* of the options the stream retains: jobs hold
+    // `Arc<StreamShared>`, and a pool must never be kept alive (and eventually
+    // dropped, which joins its workers) from one of its own worker threads. An
+    // owned pool stays on the consumer side for the same reason.
+    let mut options = options.clone();
+    let shared_pool = options.pool.take();
+    let owned_pool = match shared_pool {
+        Some(_) => None,
+        None => Some(
+            WorkerPool::new(threads)
+                .map_err(|e| Error::Worker(format!("failed to spawn worker thread: {e}")))?,
+        ),
+    };
+    let pool = shared_pool
+        .as_deref()
+        .or(owned_pool.as_ref())
+        .expect("a stream runs on the shared pool or on its own");
+    let shared = Arc::new(StreamShared {
+        db,
+        options,
+        step,
+        counters: TupleCounters::default(),
+        cancel: AtomicBool::new(false),
+        cursor: AtomicUsize::new(0),
+    });
+    let gate = Arc::new(StreamGate::default());
+    // Bounded channel: workers run at most a small window ahead of the consumer,
+    // so a slow consumer of a huge result does not buffer the whole result set.
+    let (sender, receiver) = std::sync::mpsc::sync_channel::<StreamedTuple>(threads * 2 + 2);
+    // More jobs than pool workers cannot run concurrently (they would only claim
+    // an empty cursor after the loop ends), so cap at the pool width.
+    let jobs = threads.min(pool.threads()).max(1);
+    for _ in 0..jobs {
+        let worker_gate = Arc::clone(&gate);
+        let worker_shared = Arc::downgrade(&shared);
+        let worker_sender = sender.clone();
+        pool.execute(move || {
+            if !worker_gate.enter() {
+                return;
+            }
+            // Declared before the upgrade, so dropped after it: the stream's
+            // drop is released only once this job holds the shared state (and
+            // with it the database) no more.
+            let _guard = GateGuard(&worker_gate);
+            if let Some(shared) = worker_shared.upgrade() {
+                worker_loop(&shared, &worker_sender);
+            }
+        });
+    }
+    drop(sender);
+    Ok(TupleStream {
+        columns,
+        threads: jobs,
+        receiver: Some(receiver),
+        reassembly: OrderedReassembly::new(),
+        profiles: Vec::new(),
+        shared,
+        gate,
+        owned_pool,
+        poisoned: false,
+    })
+}
+
+/// A streaming query result: an iterator over `Result<ProbTuple, Error>` that
+/// yields tuples **in deterministic tuple order** while background workers compute
+/// them (see
+/// [`PreparedQuery::execute_streaming`](super::PreparedQuery::execute_streaming)).
+///
+/// * Partial consumption is safe: dropping the stream sets a cancel flag, closes
+///   the channel and waits until every started pool job has exited (then joins the
+///   pool, when the stream started one of its own) — no work outlives it.
+/// * An `Err` item reports the failure of that specific tuple (e.g. a node-budget
+///   abort); later tuples may still follow.
+/// * After the stream is exhausted, [`fast_path_hits`](Self::fast_path_hits) /
+///   [`agg_fast_path_hits`](Self::agg_fast_path_hits) report the execution's
+///   fast-path counters.
+#[derive(Debug)]
+pub struct TupleStream {
+    columns: Vec<String>,
+    threads: usize,
+    receiver: Option<Receiver<StreamedTuple>>,
+    reassembly: OrderedReassembly<Result<ProbTuple, Error>>,
+    /// Per-tuple profile fragments received so far (profile mode only), keyed by
+    /// tuple index — arrival order is nondeterministic, so they are sorted when
+    /// taken.
+    profiles: Vec<(usize, TupleProfile)>,
+    shared: Arc<StreamShared>,
+    gate: Arc<StreamGate>,
+    /// The pool this stream started for itself because the caller shared none;
+    /// its drop joins the workers.
+    owned_pool: Option<WorkerPool>,
+    poisoned: bool,
+}
+
+impl TupleStream {
+    /// Column names of the result.
+    pub fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    /// Wall-clock time of step I (the rewriting), which ran before the stream was
+    /// returned.
+    pub fn rewrite_time(&self) -> Duration {
+        self.shared.step.rewrite_time
+    }
+
+    /// Total number of result tuples this stream will yield.
+    pub fn total_tuples(&self) -> usize {
+        self.shared.step.table.tuples.len()
+    }
+
+    /// Number of worker threads computing tuples.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Tuple confidences computed by the §6 read-once fast path **so far** (final
+    /// once the stream is exhausted).
+    pub fn fast_path_hits(&self) -> usize {
+        self.shared.counters.fast_path_hits.load(Ordering::Relaxed)
+    }
+
+    /// Aggregate distributions assembled by the Proposition 1 closed form so far.
+    pub fn agg_fast_path_hits(&self) -> usize {
+        self.shared
+            .counters
+            .agg_fast_path_hits
+            .load(Ordering::Relaxed)
+    }
+
+    /// Take the per-tuple profile fragments received so far, in tuple order
+    /// (only populated when the stream runs with `EvalOptions::profile`).
+    pub(super) fn take_profiles(&mut self) -> Vec<TupleProfile> {
+        let mut profiles = std::mem::take(&mut self.profiles);
+        profiles.sort_by_key(|(index, _)| *index);
+        profiles.into_iter().map(|(_, profile)| profile).collect()
+    }
+}
+
+impl Iterator for TupleStream {
+    type Item = Result<ProbTuple, Error>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.poisoned || self.reassembly.next_index() >= self.total_tuples() {
+            return None;
+        }
+        loop {
+            if let Some(item) = self.reassembly.pop() {
+                return Some(item);
+            }
+            let receiver = self.receiver.as_ref()?;
+            match receiver.recv() {
+                Ok((index, result, profile)) => {
+                    if let Some(profile) = profile {
+                        self.profiles.push((index, profile));
+                    }
+                    self.reassembly.push(index, result)
+                }
+                Err(_) => {
+                    // Every sender hung up before all tuples were delivered: a
+                    // worker panicked. Surface it instead of silently truncating.
+                    self.poisoned = true;
+                    return Some(Err(Error::Worker(format!(
+                        "worker thread exited before delivering tuple {} of {}",
+                        self.reassembly.next_index(),
+                        self.total_tuples()
+                    ))));
+                }
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        if self.poisoned {
+            return (0, Some(0));
+        }
+        let remaining = self.total_tuples() - self.reassembly.next_index();
+        (remaining, Some(remaining))
+    }
+}
+
+impl Drop for TupleStream {
+    fn drop(&mut self) {
+        self.shared.cancel.store(true, Ordering::Relaxed);
+        // Closing the receiver unblocks any worker waiting on the bounded channel;
+        // each then observes the send error (or the cancel flag) and exits.
+        self.receiver = None;
+        // Pool jobs have no handles to join: mark the gate cancelled (so
+        // queued-but-unstarted jobs become no-ops) and wait until every started
+        // job has exited. Only then is it safe to release the stream's shared
+        // state — a shared pool outlives the stream, the stream's jobs must not.
+        self.gate.cancel_and_wait();
+        // An owned pool has nothing left to run; dropping it joins its workers.
+        self.owned_pool = None;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::Engine;
+    use crate::exec::tests::{figure1_db, paper_q1};
+
+    #[test]
+    fn streaming_yields_tuples_in_order() {
+        let db = figure1_db();
+        let engine = Engine::new(db);
+        let prepared = engine.prepare(&paper_q1()).unwrap();
+        let reference = prepared.execute(&EvalOptions::default()).unwrap();
+        for threads in [1, 4] {
+            let stream = prepared
+                .execute_streaming(&EvalOptions::default().with_threads(threads))
+                .unwrap();
+            assert_eq!(stream.total_tuples(), reference.tuples.len());
+            assert_eq!(stream.columns(), &reference.columns[..]);
+            let tuples: Vec<ProbTuple> = stream.map(|t| t.unwrap()).collect();
+            assert_eq!(tuples.len(), reference.tuples.len());
+            for (s, r) in tuples.iter().zip(&reference.tuples) {
+                assert_eq!(s.values, r.values);
+                assert_eq!(s.confidence.to_bits(), r.confidence.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_partial_consumption_cancels_cleanly() {
+        let db = figure1_db();
+        let engine = Engine::new(db);
+        let prepared = engine.prepare(&paper_q1()).unwrap();
+        let mut stream = prepared
+            .execute_streaming(&EvalOptions::default().with_threads(2))
+            .unwrap();
+        let first = stream.next().unwrap().unwrap();
+        assert!(first.confidence > 0.0);
+        drop(stream); // must cancel and join workers without deadlocking
+                      // The engine stays fully usable afterwards.
+        let result = prepared.execute(&EvalOptions::default()).unwrap();
+        assert_eq!(result.tuples.len(), 9);
+    }
+
+    #[test]
+    fn shared_pool_execution_is_bit_identical_to_owned_pool() {
+        let db = figure1_db();
+        let engine = Engine::new(db);
+        let prepared = engine.prepare(&paper_q1()).unwrap();
+        // No pool supplied: the execution starts, owns and joins one of its own.
+        let owned = prepared
+            .execute(&EvalOptions::default().with_threads(4))
+            .unwrap();
+        let pool = Arc::new(WorkerPool::new(4).unwrap());
+        // Several executions reuse the same pool — the serving pattern.
+        for _ in 0..3 {
+            let pooled = prepared
+                .execute(
+                    &EvalOptions::default()
+                        .with_threads(4)
+                        .with_pool(Arc::clone(&pool)),
+                )
+                .unwrap();
+            assert_eq!(owned.tuples.len(), pooled.tuples.len());
+            for (a, b) in owned.tuples.iter().zip(&pooled.tuples) {
+                assert_eq!(a.values, b.values);
+                assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+                assert_eq!(a.aggregate_distributions, b.aggregate_distributions);
+            }
+        }
+        assert!(pool.executed_jobs() > 0, "work must run on the pool");
+        assert_eq!(pool.panicked_jobs(), 0);
+    }
+
+    #[test]
+    fn pooled_stream_drop_mid_stream_quiesces_and_pool_survives() {
+        let db = figure1_db();
+        let engine = Engine::new(db);
+        let prepared = engine.prepare(&paper_q1()).unwrap();
+        let pool = Arc::new(WorkerPool::new(2).unwrap());
+        let options = EvalOptions::default()
+            .with_threads(2)
+            .with_pool(Arc::clone(&pool));
+        let mut stream = prepared.execute_streaming(&options).unwrap();
+        let first = stream.next().unwrap().unwrap();
+        assert!(first.confidence > 0.0);
+        // Dropping mid-stream must cancel the pool jobs and wait them out —
+        // without killing the pool, which keeps serving later executions.
+        drop(stream);
+        let result = prepared.execute(&options).unwrap();
+        assert_eq!(result.tuples.len(), 9);
+        assert_eq!(pool.panicked_jobs(), 0);
+        // Pool shutdown drains and joins cleanly afterwards (no leaked jobs;
+        // stream state never retains the pool handle, so dropping the options
+        // leaves this as the only reference).
+        drop(options);
+        Arc::try_unwrap(pool)
+            .expect("no job may still hold the pool")
+            .shutdown();
+    }
+
+    #[test]
+    fn into_database_after_a_drained_pooled_stream_does_not_copy() {
+        // A pool job that still held the stream's `Arc<Database>` once the drained
+        // stream was dropped made `into_database` clone the whole database.
+        let pool = Arc::new(WorkerPool::new(2).unwrap());
+        let shared = EvalOptions::default()
+            .with_threads(2)
+            .with_pool(Arc::clone(&pool));
+        let owned = EvalOptions::default().with_threads(4);
+        let query = paper_q1();
+        let mut db = figure1_db();
+        for (options, owns_its_pool) in [(&shared, false), (&owned, true)] {
+            for iteration in 0..200 {
+                let tuples = db.table("PS").unwrap().tuples.as_ptr();
+                let engine = Engine::new(db);
+                let mut stream = engine
+                    .prepare(&query)
+                    .unwrap()
+                    .execute_streaming(options)
+                    .unwrap();
+                assert_eq!(stream.owned_pool.is_some(), owns_its_pool);
+                let gate = Arc::downgrade(&stream.gate);
+                assert_eq!(stream.by_ref().map(Result::unwrap).count(), 9);
+                drop(stream);
+                // A job's closure holds the gate until the worker that ran it lets
+                // go, which is after the gate released the stream's drop: with the
+                // owned pool's workers joined, none can be left. (A shared pool's
+                // workers live on, and may let go a moment later.)
+                if owns_its_pool {
+                    assert!(
+                        gate.upgrade().is_none(),
+                        "iteration {iteration}: a worker of the owned pool outlived the stream"
+                    );
+                }
+                db = engine.into_database();
+                assert_eq!(
+                    db.table("PS").unwrap().tuples.as_ptr(),
+                    tuples,
+                    "iteration {iteration}: the database was deep-copied"
+                );
+            }
+        }
+    }
+}

@@ -10,10 +10,10 @@
 //!   annotates grouped results with the group-non-emptiness condition
 //!   `[(Σ_K Φ_t) ≠ 0_K]`.
 //!
-//! The executor materialises late. A query is first resolved into a [`Node`] tree
+//! The executor materialises late. A query is first resolved into a `Node` tree
 //! (names become column positions, `δ` disappears into the schema, and every data
 //! conjunct of a `σ` sinks to the operand it constrains); the tree is then run over
-//! [`Rel`]s — lists of row ids into tuples *borrowed* from the database — and
+//! `Rel`s — lists of row ids into tuples *borrowed* from the database — and
 //! `Value`s and annotations are only built where Fig. 4 creates new tuples: at `π`,
 //! `∪`, `$` and the root. The result table is equal — tuple order, values, annotation
 //! trees — to evaluating Fig. 4 one operator at a time over owned tables; that

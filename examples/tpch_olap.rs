@@ -50,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Q2: suppliers offering a qualifying part at its minimum supply cost. Only the
     // confidences are needed here, so skip the aggregate distributions.
-    let q2 = q2("ASIA", 25);
-    println!("\nTPC-H Q2 (minimum-cost suppliers in ASIA)");
+    let q2 = q2("MIDDLE EAST", 25);
+    println!("\nTPC-H Q2 (minimum-cost suppliers in MIDDLE EAST)");
     let prepared = engine.prepare(&q2)?;
     let result = prepared.execute(&EvalOptions::confidence_only())?;
     println!(
@@ -60,6 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.probability_time,
         result.tuples.len()
     );
+    assert!(!result.tuples.is_empty(), "Q2 found no candidate answer");
     let mut best: Vec<&ProbTuple> = result.tuples.iter().collect();
     best.sort_by(|a, b| b.confidence.partial_cmp(&a.confidence).unwrap());
     for tuple in best.iter().take(5) {
