@@ -6,7 +6,7 @@
 use pvc_algebra::{AggOp, MonoidValue, SemiringKind};
 use pvc_bench::bench_case;
 use pvc_expr::{SemimoduleExpr, SemiringExpr, VarTable};
-use pvc_prob::{convolve_additive_chained, ChainVal, Dist, MonoidDist};
+use pvc_prob::{convolve_additive_chained, AdditiveFold, ChainVal, Dist, MonoidDist};
 
 fn bench_convolution() {
     let uniform = |cells: i64, stride: i64| -> MonoidDist {
@@ -28,6 +28,37 @@ fn bench_convolution() {
                 ChainVal::Sparse(dist.clone()),
                 &mut scratch,
             ));
+        });
+    }
+}
+
+/// Whole additive folds through one [`AdditiveFold`]: the two operand shapes
+/// the dense loop orients differently (see `pvc_prob::repr`).
+fn bench_additive_fold() {
+    let two_point = |i: usize, value: i64| -> MonoidDist {
+        let p = 0.1 + 0.8 * (i % 97) as f64 / 97.0;
+        Dist::two_point(MonoidValue::Fin(0), 1.0 - p, MonoidValue::Fin(value), p)
+    };
+    for (label, terms) in [
+        // TPC-H Q1's COUNT: one group's 718 `{0, 1}` operands, two cells each.
+        (
+            "count/718",
+            (0..718).map(|i| two_point(i, 1)).collect::<Vec<_>>(),
+        ),
+        // Group SUM: `{0, v}` operands densify to `v + 1` cells, gaps included.
+        (
+            "sum-gaps/100",
+            (0..100)
+                .map(|i| two_point(i, 1 + (i as i64 * 37) % 200))
+                .collect(),
+        ),
+    ] {
+        let mut fold = AdditiveFold::new();
+        bench_case(&format!("fold/{label}"), 20, || {
+            for term in &terms {
+                fold.push(ChainVal::Sparse(term.clone()));
+            }
+            std::hint::black_box(fold.take().map(ChainVal::into_dist));
         });
     }
 }
@@ -72,6 +103,7 @@ fn bench_min_aggregate_distribution() {
 fn main() {
     println!("micro benchmarks");
     bench_convolution();
+    bench_additive_fold();
     bench_read_once_compilation();
     bench_min_aggregate_distribution();
 }

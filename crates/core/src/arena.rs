@@ -42,7 +42,7 @@ use crate::node::{DTree, DTreeError};
 use crate::persist;
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
 use pvc_expr::{Var, VarTable};
-use pvc_prob::repr::{convolve_additive_chained, dense_mix_bounded, mix_dense_chained, ChainVal};
+use pvc_prob::repr::{dense_mix_bounded, mix_dense_chained, AdditiveFold, ChainVal};
 use pvc_prob::{
     record_dense_chain, DenseDist, Dist, DistValue, MixedDist, MonoidDist, SemiringDist, PROB_EPS,
 };
@@ -230,6 +230,10 @@ struct EvalScratch {
     stack: Vec<Val>,
     s_pairs: Vec<(SemiringValue, f64)>,
     m_pairs: Vec<(MonoidValue, f64)>,
+    /// The additive (SUM / COUNT) `⊕` accumulator: empty between nodes, but
+    /// its buffers persist, so a `⊕` chain recycles the consumed operand's
+    /// cells as the next node's output instead of allocating per node.
+    additive: AdditiveFold,
     /// When set, `eval_from` tracks the value-stack high-water mark in
     /// `max_depth` (observed only when the metrics registry is enabled, so the
     /// disabled hot path pays one local branch per step).
@@ -770,9 +774,10 @@ impl DTreeArena {
                                     other => ChainVal::Sparse(other.into_monoid("⊕(semimodule)")?),
                                 })
                             };
-                            let ca = to_chain(left)?;
-                            let cb = to_chain(right)?;
-                            match convolve_additive_chained(ca, cb, &mut scratch.m_pairs) {
+                            let (ca, cb) = (to_chain(left)?, to_chain(right)?);
+                            scratch.additive.push(ca);
+                            scratch.additive.push(cb);
+                            match scratch.additive.take().expect("two operands were folded") {
                                 ChainVal::Dense(d) => Val::MD(d),
                                 ChainVal::Sparse(d) => Val::M(d),
                             }

@@ -44,12 +44,12 @@
 use crate::arena::DTreeArena;
 use crate::compile::{BudgetExceeded, CompileOptions, Compiler};
 use crate::node::DTreeError;
-use pvc_algebra::{AggOp, SemiringKind};
+use pvc_algebra::{AggOp, MonoidValue, SemiringKind};
 use pvc_expr::independence::connected_components_by;
 use pvc_expr::intern::{AggExprId, ExprId, ImportMemo, InternedExpr, Interner};
 use pvc_expr::vars::sorted_disjoint;
 use pvc_expr::{SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
-use pvc_prob::{convolve_additive_chained, ChainVal, MonoidDist, SemiringDist};
+use pvc_prob::{AdditiveFold, ChainVal, MonoidDist, SemiringDist};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -550,33 +550,50 @@ impl From<DTreeError> for EvalError {
     }
 }
 
+/// One operand of the independence fold over an aggregate's components.
+enum FoldPart<'a> {
+    /// A leaf component `x ⊗ m`: `P_x` (read off the variable table) mapped
+    /// through the scalar action — what the arena's
+    /// `Tensor(VarLeaf(x), MConst(m))` yields, since a convolution with the
+    /// point distribution on `m` multiplies every probability by 1.0 and
+    /// coalesces in the same order.
+    Leaf(&'a SemiringDist, MonoidValue),
+    /// A memoised component's distribution.
+    Memo(MonoidDist),
+}
+
 /// Fold the distributions of pairwise-independent aggregate components into
-/// one. For the additive operators (SUM, COUNT) the accumulator is threaded
-/// through the chained dense kernel: it stays in offset-indexed dense form
-/// across the *whole* fold instead of round-tripping to sorted-vector form
-/// after every component, and materialises exactly once at the end (that final
-/// hand-off is the natural end of the chain, not a demotion — same convention
-/// as the arena's root hand-off). Bit-identical to the stepwise sparse fold
-/// below the FFT crossover; ε-close above it.
-fn fold_components<E>(
+/// one. For the additive operators (SUM, COUNT) the fold runs through one
+/// [`AdditiveFold`]: the accumulator stays in offset-indexed dense form across
+/// the *whole* fold instead of round-tripping to sorted-vector form after every
+/// component, a leaf's cells go in without a distribution being built for
+/// them, every step reuses the accumulator's buffers, and the result
+/// materialises exactly once at the end (that final hand-off is the natural
+/// end of the chain, not a demotion — same convention as the arena's root
+/// hand-off). Bit-identical to the stepwise sparse fold below the FFT
+/// crossover; ε-close above it.
+fn fold_components<'a, E>(
     op: AggOp,
-    dists: impl Iterator<Item = Result<MonoidDist, E>>,
+    parts: impl Iterator<Item = Result<FoldPart<'a>, E>>,
 ) -> Result<MonoidDist, E> {
     if matches!(op, AggOp::Sum | AggOp::Count) {
-        let mut scratch = Vec::new();
-        let mut acc: Option<ChainVal> = None;
-        for d in dists {
-            let d = ChainVal::Sparse(d?);
-            acc = Some(match acc {
-                None => d,
-                Some(a) => convolve_additive_chained(a, d, &mut scratch),
-            });
+        let mut fold = AdditiveFold::new();
+        for part in parts {
+            match part? {
+                FoldPart::Leaf(px, m) => {
+                    fold.push_cells(px.iter().map(|(s, p)| (op.scalar_action(s, &m), p)))
+                }
+                FoldPart::Memo(d) => fold.push(ChainVal::Sparse(d)),
+            }
         }
-        return Ok(acc.expect("at least one component").into_dist());
+        return Ok(fold.take().expect("at least one component").into_dist());
     }
     let mut acc: Option<MonoidDist> = None;
-    for d in dists {
-        let d = d?;
+    for part in parts {
+        let d = match part? {
+            FoldPart::Leaf(px, m) => px.map(|s| op.scalar_action(s, &m)),
+            FoldPart::Memo(d) => d,
+        };
         acc = Some(match acc {
             None => d,
             Some(a) => a.convolve(&d, |x, y| op.combine(x, y)),
@@ -1049,6 +1066,7 @@ impl SharedArtifacts {
             }
         };
         drop(span);
+        let _span = crate::obs::span("evaluate");
         Ok(arena.semiring_distribution(vars, kind)?)
     }
 
@@ -1075,19 +1093,24 @@ impl SharedArtifacts {
             None
         };
         if let Some((op, terms, parts)) = split {
+            let span = crate::obs::span("fold");
+            if let Some(s) = &span {
+                let leaves = parts
+                    .iter()
+                    .filter(|part| matches!(part, Component::Leaf { .. }))
+                    .count();
+                s.attr("components", parts.len().to_string());
+                s.attr("leaves", leaves.to_string());
+            }
             return fold_components(
                 op,
                 parts.into_iter().map(|part| match part {
-                    // What the arena's `Tensor(VarLeaf(x), MConst(m))` yields: a
-                    // convolution with the point distribution on `m` multiplies
-                    // every probability by 1.0 and coalesces in the same order.
                     Component::Leaf { var, index } => {
-                        let m = terms[index].1;
-                        Ok(vars.dist(var).map(|s| op.scalar_action(s, &m)))
+                        Ok(FoldPart::Leaf(vars.dist(var), terms[index].1))
                     }
-                    Component::Memo(gid) => {
-                        self.evaluate_aggregate(gid, vars, kind, options, scope)
-                    }
+                    Component::Memo(gid) => self
+                        .evaluate_aggregate(gid, vars, kind, options, scope)
+                        .map(FoldPart::Memo),
                 }),
             );
         }
@@ -1114,6 +1137,7 @@ impl SharedArtifacts {
             }
         };
         drop(span);
+        let _span = crate::obs::span("evaluate");
         Ok(arena.monoid_distribution(vars, kind)?)
     }
 
@@ -1255,14 +1279,14 @@ fn independent_components<T: Copy, I>(
     }
     Some(
         components
-            .into_iter()
+            .iter()
             .map(|idxs| {
-                if let [index] = idxs[..] {
+                if let [index] = *idxs {
                     if let InternedExpr::Var(var) = interner.node(coeff(items[index])) {
                         return Component::Leaf { var, index };
                     }
                 }
-                let group: Vec<T> = idxs.into_iter().map(|i| items[i]).collect();
+                let group: Vec<T> = idxs.iter().map(|&i| items[i]).collect();
                 Component::Memo(intern_group(interner, &group))
             })
             .collect(),

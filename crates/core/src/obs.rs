@@ -640,6 +640,7 @@ pub const SPAN_NAMES: &[&str] = &[
     "aggregate",
     "intern",
     "subtree",
+    "fold",
     "compile",
 ];
 
@@ -763,6 +764,19 @@ impl Trace {
         }
     }
 
+    /// Whether a span named `name` was opened and finished inside the still-open
+    /// span `seq`. Spans nest, so everything that finished since `seq` opened —
+    /// the tail of the ring with larger sequence numbers — is its descendant.
+    pub fn finished_inside(&self, seq: usize, name: &str) -> bool {
+        let inner = self.inner.borrow();
+        inner
+            .finished
+            .iter()
+            .rev()
+            .take_while(|s| s.seq > seq)
+            .any(|s| s.name == name)
+    }
+
     /// Copy out the finished spans, in finish order.
     pub fn spans(&self) -> Vec<FinishedSpan> {
         self.inner.borrow().finished.iter().cloned().collect()
@@ -795,6 +809,11 @@ impl SpanGuard {
     /// Attach a key/value attribute to this span.
     pub fn attr(&self, key: &'static str, value: String) {
         self.trace.attr(self.seq, key, value);
+    }
+
+    /// Whether a span named `name` has finished inside this one so far.
+    pub fn enclosed(&self, name: &str) -> bool {
+        self.trace.finished_inside(self.seq, name)
     }
 }
 
@@ -1096,6 +1115,24 @@ mod tests {
         let names: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["rewrite", "evaluate"]);
         assert_eq!(root.children[1].children[0].name, "tuple");
+    }
+
+    #[test]
+    fn a_guard_sees_what_finished_inside_it_and_nothing_before() {
+        let trace = Rc::new(Trace::new(64));
+        with_trace(Rc::clone(&trace), || {
+            drop(span("compile")); // an earlier sibling
+            let aggregate = span("aggregate").expect("trace installed");
+            assert!(!aggregate.enclosed("compile"));
+            {
+                let _subtree = span("subtree");
+                let _compile = span("compile");
+                assert!(!aggregate.enclosed("compile"), "still open");
+            }
+            assert!(aggregate.enclosed("compile"));
+            assert!(aggregate.enclosed("subtree"));
+            assert!(!aggregate.enclosed("fold"));
+        });
     }
 
     #[test]

@@ -111,6 +111,21 @@ struct PoolShared {
     panicked: AtomicU64,
 }
 
+impl PoolShared {
+    /// Begin shutdown and wake every idle worker. The flag is set **under the
+    /// queue lock**: a worker checks it under that lock before it waits, so it
+    /// either sees the flag or is already waiting when the notification goes
+    /// out — set outside the lock, the store and the wake-up could both fall
+    /// between a worker's check and its wait, and the join would hang. Runs
+    /// from `Drop`, so a poisoned lock is held as it is rather than unwrapped.
+    fn close(&self) {
+        let queue = self.queue.lock();
+        self.shutdown.store(true, Ordering::SeqCst);
+        drop(queue);
+        self.work_ready.notify_all();
+    }
+}
+
 impl std::fmt::Debug for PoolShared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolShared")
@@ -174,8 +189,7 @@ impl WorkerPool {
             match spawned {
                 Ok(handle) => workers.push(handle),
                 Err(e) => {
-                    shared.shutdown.store(true, Ordering::SeqCst);
-                    shared.work_ready.notify_all();
+                    shared.close();
                     for handle in workers {
                         let _ = handle.join();
                     }
@@ -251,8 +265,7 @@ impl WorkerPool {
     }
 
     fn shutdown_in_place(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work_ready.notify_all();
+        self.shared.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -316,6 +329,26 @@ mod tests {
         // Shutdown drains the queue: every submitted job ran exactly once.
         pool.shutdown();
         assert_eq!(counter.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn shutdown_reaches_a_worker_that_is_about_to_wait() {
+        // A worker that has found the queue empty and checked the flag, but not
+        // yet started waiting, must not miss the shutdown signal (it used to: the
+        // flag was set outside the queue lock, and the join then hung — one
+        // stream drop in a few thousand). Dropping pools whose workers have just
+        // started lands in that window often; a watchdog turns a hang into a
+        // failure.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..3_000 {
+                drop(WorkerPool::new(2).unwrap());
+            }
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a pool's drop never joined its workers");
     }
 
     #[test]

@@ -50,17 +50,60 @@ impl UnionFind {
         }
     }
 
-    /// Group the elements `0..n` by representative: groups in ascending order of
-    /// their representative, members ascending.
-    pub fn groups(&mut self) -> Vec<Vec<usize>> {
+    /// Group the elements `0..n` by representative: components in ascending
+    /// order of their representative, members ascending. A counting sort into
+    /// two flat vectors — no vector per component, so a partition into `n`
+    /// singletons costs what a partition into one set does.
+    pub fn components(&mut self) -> Components {
         let n = self.parent.len();
-        let mut by_root: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for i in 0..n {
-            let root = self.find(i);
-            by_root[root].push(i);
+        let roots: Vec<usize> = (0..n).map(|i| self.find(i)).collect();
+        // `slot[r]`: where the next member of root `r` goes in `members`.
+        let mut slot = vec![0usize; n + 1];
+        for &root in &roots {
+            slot[root + 1] += 1;
         }
-        by_root.retain(|group| !group.is_empty());
-        by_root
+        let mut starts = Vec::new();
+        for root in 0..n {
+            if slot[root + 1] > 0 {
+                starts.push(slot[root]);
+            }
+            slot[root + 1] += slot[root];
+        }
+        starts.push(n);
+        let mut members = vec![0usize; n];
+        for (i, &root) in roots.iter().enumerate() {
+            members[slot[root]] = i;
+            slot[root] += 1;
+        }
+        Components { members, starts }
+    }
+}
+
+/// A partition of `0..n` into components, in a fixed component order: the
+/// members of all components end to end, and where each component starts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Components {
+    members: Vec<usize>,
+    /// `starts[k]..starts[k + 1]` is component `k`'s range in `members`.
+    starts: Vec<usize>,
+}
+
+impl Components {
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// True for the partition of the empty set.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The components in order, each as its ascending member list.
+    pub fn iter(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        self.starts
+            .windows(2)
+            .map(|range| &self.members[range[0]..range[1]])
     }
 }
 
@@ -73,12 +116,9 @@ impl UnionFind {
 ///
 /// Runs in `O(N log N)` for `N = Σ|set_of(i)|` — each variable links its
 /// occurrences together — rather than comparing all pairs of sets. Components are
-/// ordered by their union–find representative (see [`UnionFind::groups`]); members
-/// are ascending.
-pub fn connected_components_by<'a>(
-    n: usize,
-    set_of: impl Fn(usize) -> &'a [Var],
-) -> Vec<Vec<usize>> {
+/// ordered by their union–find representative (see [`UnionFind::components`]);
+/// members are ascending.
+pub fn connected_components_by<'a>(n: usize, set_of: impl Fn(usize) -> &'a [Var]) -> Components {
     // Every `(variable, set index)` occurrence, in set order; sorted and cut down
     // to the first pair per variable it doubles as the variable → first-seeing-set
     // map, in one flat allocation.
@@ -99,7 +139,7 @@ pub fn connected_components_by<'a>(
             uf.union(i, j);
         }
     }
-    uf.groups()
+    uf.components()
 }
 
 /// True if the variable sets are pairwise disjoint (i.e. every index is its own
@@ -201,6 +241,9 @@ mod tests {
 
     fn connected_components(sets: &[VarSet]) -> Vec<Vec<usize>> {
         connected_components_by(sets.len(), |i| sets[i].as_slice())
+            .iter()
+            .map(<[usize]>::to_vec)
+            .collect()
     }
 
     #[test]
@@ -210,8 +253,10 @@ mod tests {
         uf.union(3, 4);
         assert_eq!(uf.find(0), uf.find(1));
         assert_ne!(uf.find(0), uf.find(2));
-        let groups = uf.groups();
-        assert_eq!(groups.len(), 3);
+        let components = uf.components();
+        assert_eq!(components.len(), 3);
+        assert!(!components.is_empty());
+        assert!(UnionFind::new(0).components().is_empty());
     }
 
     #[test]
@@ -297,6 +342,65 @@ mod tests {
     fn no_items() {
         let comps = connected_components(&[]);
         assert!(comps.is_empty());
+    }
+
+    /// The partition as it was built before [`Components`]: one vector per
+    /// element, the empty ones dropped — the order the cache layer's fold (and
+    /// with it every cached bit) was pinned to.
+    fn components_by_per_root_vectors(sets: &[VarSet]) -> Vec<Vec<usize>> {
+        let n = sets.len();
+        let mut first_seen: std::collections::BTreeMap<Var, usize> = Default::default();
+        let mut uf = UnionFind::new(n);
+        for (i, set) in sets.iter().enumerate() {
+            for &v in set.as_slice() {
+                let j = *first_seen.entry(v).or_insert(i);
+                if j != i {
+                    uf.union(i, j);
+                }
+            }
+        }
+        let mut by_root: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for i in 0..n {
+            let root = uf.find(i);
+            by_root[root].push(i);
+        }
+        by_root.retain(|group| !group.is_empty());
+        by_root
+    }
+
+    #[test]
+    fn flat_components_keep_the_per_root_vector_order_on_random_families() {
+        // Families of 1–40 sets over a pool small enough that variables are
+        // shared (chains, stars, isolated and empty sets all occur).
+        let mut seeds = vec![0xC0FFEE_u64];
+        if let Some(extra) = std::env::var("PVC_ORACLE_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+        {
+            seeds.push(extra);
+        }
+        for seed in seeds {
+            let mut rng = pvc_prob::SeededRng::seed_from_u64(seed);
+            let mut merged = 0;
+            for case in 0..1_000 {
+                let n = rng.gen_range(1usize..41);
+                let pool = rng.gen_range(1u32..(3 * n as u32 + 2));
+                let sets: Vec<VarSet> = (0..n)
+                    .map(|_| {
+                        let size = rng.gen_range(0usize..4);
+                        (0..size).map(|_| Var(rng.gen_range(0..pool))).collect()
+                    })
+                    .collect();
+                let expected = components_by_per_root_vectors(&sets);
+                assert_eq!(
+                    connected_components(&sets),
+                    expected,
+                    "seed {seed} case {case}: {sets:?}"
+                );
+                merged += usize::from(expected.len() < n);
+            }
+            assert!(merged > 500, "only {merged} families shared a variable");
+        }
     }
 
     #[test]

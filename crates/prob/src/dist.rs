@@ -118,6 +118,18 @@ impl<T: Ord + Clone> Dist<T> {
         Dist { entries }
     }
 
+    /// Build from pairs in generation order, in place: equal values are summed
+    /// left to right and sums at or below [`PROB_EPS`] dropped.
+    pub(crate) fn coalesced(mut entries: Vec<(T, f64)>) -> Self {
+        coalesce_sorted(&mut entries);
+        Dist { entries }
+    }
+
+    /// Give the entry vector back (to a caller that recycles it).
+    pub(crate) fn into_entries(self) -> Vec<(T, f64)> {
+        self.entries
+    }
+
     /// A Bernoulli-style two-point distribution; useful for Boolean variables.
     pub fn two_point(a: T, pa: f64, b: T, pb: f64) -> Self {
         Self::from_pairs([(a, pa), (b, pb)])
@@ -234,9 +246,7 @@ impl<T: Ord + Clone> Dist<T> {
 
     /// Apply a function to every value, merging collisions.
     pub fn map<U: Ord + Clone>(&self, f: impl Fn(&T) -> U) -> Dist<U> {
-        let mut entries: Vec<(U, f64)> = self.entries.iter().map(|(v, p)| (f(v), *p)).collect();
-        coalesce_sorted(&mut entries);
-        Dist { entries }
+        Dist::coalesced(self.entries.iter().map(|(v, p)| (f(v), *p)).collect())
     }
 
     /// Keep only values satisfying the predicate (a sub-distribution).

@@ -24,8 +24,8 @@ pub mod values;
 pub use dist::{Dist, PROB_EPS};
 pub use moments::{cdf, expectation, moments, quantile, Moments};
 pub use repr::{
-    convolve_additive_chained, fft_would_run, mix_dense_chained, ChainVal, DenseDist, FFT_MIN_LEN,
-    FFT_RELATIVE_EPS,
+    convolve_additive_chained, fft_would_run, mix_dense_chained, AdditiveFold, ChainVal, DenseDist,
+    FFT_MIN_LEN, FFT_RELATIVE_EPS,
 };
 pub use rng::SeededRng;
 pub use space::{ProbabilitySpace, World};

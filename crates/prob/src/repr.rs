@@ -10,14 +10,28 @@
 //! indexing** (`out[i + j] += p_a[i] · p_b[j]`) in `O(|p|·|q| + range)` with no
 //! comparisons at all.
 //!
-//! [`convolve_additive_chained`] is the one adaptive dispatcher, called by the d-tree
-//! arena and the independent-component fold for every SUM/COUNT `⊕`: it takes the
-//! dense pass exactly when both supports are all-finite and the output range is no
-//! larger than the work a convolution does anyway (so dense is never asymptotically
-//! worse), and the sparse kernel otherwise. Below the FFT crossover the dense pass is
-//! **bit-identical** to the sparse kernel because equal-valued products accumulate
-//! in the same (outer-operand-major) order and the same [`PROB_EPS`] drop rule
-//! applies on the way out; debug builds assert this on every dense dispatch.
+//! # One accumulator, one dispatcher, one loop nest
+//!
+//! Every SUM/COUNT `⊕` — the d-tree arena's and the independent-component fold's —
+//! is a step of an [`AdditiveFold`]: an accumulator that owns its value and every
+//! buffer a step needs (spare output cells, the cells a sparse operand is
+//! densified into, a leaf operand's cell buffer, the sparse kernel's candidate
+//! pairs), so a step moves its operands in and allocates nothing.
+//! [`convolve_additive_chained`] is the same step for callers that hold the value
+//! themselves. Inside, exactly one function chooses the kernel (`choose_kernel`)
+//! and exactly one contains the dense multiply-accumulate loop
+//! (`multiply_accumulate`); [`DenseDist::convolve_add`] and
+//! [`DenseDist::convolve_add_exact`] reach the same two.
+//!
+//! The dense pass is taken exactly when both supports are all-finite and the
+//! output range is no larger than the work a convolution does anyway (so dense is
+//! never asymptotically worse), the sparse kernel otherwise; the decision reads
+//! bounds and support counts both forms carry, in `O(1)`. Below the FFT crossover
+//! the dense pass is **bit-identical** to the sparse kernel because equal-valued
+//! products accumulate in the same (outer-operand-major) order — in both
+//! orientations of the loop nest, see `multiply_accumulate` — and the same
+//! [`PROB_EPS`] drop rule applies on the way out; debug builds assert this on
+//! every dense dispatch.
 //!
 //! # Chained dense evaluation
 //!
@@ -35,7 +49,7 @@
 //! # FFT convolution and its accuracy policy
 //!
 //! Past the crossover where the direct dense loop's `O(|p|·|q|)` products exceed
-//! `O(N log N)` butterfly work ([`fft_would_run`]), [`DenseDist::convolve_add`]
+//! `O(N log N)` butterfly work ([`fft_would_run`]), the dispatcher
 //! switches to the spectral kernel of the internal `fft` module. Spectral results
 //! carry rounding error, so they pass an explicit **accuracy policy** before
 //! being accepted:
@@ -47,7 +61,7 @@
 //! 3. the surviving cells are **renormalised** to that exact product mass, and
 //!    the usual [`PROB_EPS`] drop rule is applied.
 //!
-//! Any violation falls back to the exact chunked kernel
+//! Any violation falls back to the exact loop
 //! ([`DenseDist::convolve_add_exact`]) and is counted in
 //! `kernel.conv.fft_fallbacks`. FFT selection is a pure function of the two
 //! dense lengths, so results stay deterministic across runs and thread counts;
@@ -63,28 +77,50 @@ use pvc_algebra::MonoidValue;
 /// [`PROB_EPS`] are kept as `0.0` (absent). Every constructor and combinator
 /// maintains the **trim invariant**: the first and last cells are non-zero (or
 /// the cell vector is empty), so `offset` and `offset + len − 1` are the true
-/// support bounds.
+/// support bounds. The number of cells above [`PROB_EPS`] is carried alongside
+/// (every constructor walks the cells anyway), so dispatch never rescans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseDist {
     offset: i64,
     probs: Vec<f64>,
+    support: usize,
 }
 
 impl DenseDist {
+    fn empty() -> DenseDist {
+        DenseDist {
+            offset: 0,
+            probs: Vec::new(),
+            support: 0,
+        }
+    }
+
     /// Build from a sparse distribution whose support is all finite.
     ///
     /// Returns `None` if the support is empty or contains `±∞`.
     pub fn from_dist(dist: &MonoidDist) -> Option<DenseDist> {
+        Self::from_dist_in(dist, Vec::new())
+    }
+
+    /// As [`from_dist`](Self::from_dist), into a recycled cell buffer.
+    fn from_dist_in(dist: &MonoidDist, mut probs: Vec<f64>) -> Option<DenseDist> {
         let (lo, hi) = finite_bounds(dist)?;
         let range = usize::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1)?;
-        let mut probs = vec![0.0; range];
+        probs.clear();
+        probs.resize(range, 0.0);
+        let mut support = 0;
         for (v, p) in dist.iter() {
             let MonoidValue::Fin(x) = v else {
                 unreachable!("finite_bounds verified an all-finite support")
             };
             probs[(x - lo) as usize] = p;
+            support += usize::from(p > PROB_EPS);
         }
-        Some(DenseDist { offset: lo, probs })
+        Some(DenseDist {
+            offset: lo,
+            probs,
+            support,
+        })
     }
 
     /// The value of the first cell.
@@ -102,9 +138,9 @@ impl DenseDist {
         self.probs.is_empty()
     }
 
-    /// Number of cells holding probability above [`PROB_EPS`].
+    /// Number of cells holding probability above [`PROB_EPS`] (carried, `O(1)`).
     pub fn support_size(&self) -> usize {
-        self.probs.iter().filter(|p| **p > PROB_EPS).count()
+        self.support
     }
 
     /// Total probability mass.
@@ -125,100 +161,95 @@ impl DenseDist {
     /// Convert back to the sparse form (cells at or below [`PROB_EPS`] are dropped).
     /// The cells are scanned in ascending value order, so the output needs no sort.
     pub fn to_dist(&self) -> MonoidDist {
-        Dist::from_sorted_unique(
+        let mut entries = Vec::with_capacity(self.support);
+        entries.extend(
             self.probs
                 .iter()
                 .enumerate()
                 .filter(|(_, p)| **p > PROB_EPS)
-                .map(|(i, p)| (MonoidValue::Fin(self.offset + i as i64), *p))
-                .collect(),
-        )
+                .map(|(i, p)| (MonoidValue::Fin(self.offset + i as i64), *p)),
+        );
+        Dist::from_sorted_unique(entries)
     }
 
-    /// Re-establish the trim invariant on a freshly built cell vector.
-    fn trimmed(offset: i64, mut probs: Vec<f64>) -> DenseDist {
+    fn profile(&self) -> Option<Profile> {
+        (!self.probs.is_empty()).then(|| Profile {
+            lo: self.offset,
+            hi: self.offset + self.probs.len() as i64 - 1,
+            support: self.support,
+        })
+    }
+
+    /// The one epilogue of every kernel that writes fresh cells: apply the
+    /// sparse kernel's drop rule (cells at or below [`PROB_EPS`] become zero, so
+    /// later convolutions see the same support either way) and count the
+    /// survivors in a single branch-free pass, then re-establish the trim
+    /// invariant. The two end scans stop at once on an already-trimmed vector,
+    /// and nothing is moved unless there is a leading gap to close.
+    fn finish(offset: i64, mut probs: Vec<f64>) -> DenseDist {
+        let mut support = 0;
+        for p in &mut probs {
+            let dropped = *p <= PROB_EPS;
+            *p = if dropped { 0.0 } else { *p };
+            support += usize::from(!dropped);
+        }
         let Some(first) = probs.iter().position(|p| *p != 0.0) else {
-            return DenseDist {
-                offset: 0,
-                probs: Vec::new(),
-            };
+            return DenseDist::empty();
         };
         let last = probs.iter().rposition(|p| *p != 0.0).expect("nonzero cell");
         probs.truncate(last + 1);
-        probs.drain(..first);
+        if first > 0 {
+            probs.drain(..first);
+        }
         DenseDist {
             offset: offset + first as i64,
             probs,
+            support,
         }
     }
 
-    /// Adaptive additive convolution: the spectral (FFT) kernel past the
-    /// [`fft_would_run`] crossover (subject to the accuracy policy, see the
-    /// [module docs](self)), the exact chunked kernel otherwise.
+    /// Additive convolution of two operands already in dense form, by the
+    /// kernel `choose_kernel` picks: spectral (FFT) past the [`fft_would_run`]
+    /// crossover (subject to the accuracy policy, see the [module docs](self)),
+    /// the exact loop otherwise. The result is dense either way: a pair the
+    /// dispatcher would send to the *sparse* kernel runs the exact loop (same
+    /// bits).
     pub fn convolve_add(&self, other: &DenseDist) -> DenseDist {
-        if fft_would_run(self.probs.len(), other.probs.len()) {
+        let kernel = choose_kernel(self.profile(), other.profile());
+        self.convolve_by(kernel, other, Vec::new())
+    }
+
+    /// Direct-index additive convolution: `out[i + j] += self[i] · other[j]`,
+    /// bit-identical to the sparse generate–sort–coalesce kernel (see
+    /// `multiply_accumulate` for the accumulation-order argument).
+    pub fn convolve_add_exact(&self, other: &DenseDist) -> DenseDist {
+        self.convolve_by(Kernel::Exact, other, Vec::new())
+    }
+
+    /// Run the chosen dense kernel, writing exact output into the recycled
+    /// buffer `out`. A spectral attempt rejected by the accuracy policy falls
+    /// back to the exact loop (counted in `kernel.conv.fft_fallbacks`).
+    fn convolve_by(&self, kernel: Kernel, other: &DenseDist, mut out: Vec<f64>) -> DenseDist {
+        if self.probs.is_empty() || other.probs.is_empty() {
+            return DenseDist::empty();
+        }
+        if kernel == Kernel::Fft {
             if let Some(out) = self.convolve_add_fft(other) {
                 crate::stats::record_fft(true);
                 return out;
             }
             crate::stats::record_fft(false);
         }
-        self.convolve_add_exact(other)
-    }
-
-    /// Direct-index additive convolution: `out[i + j] += self[i] · other[j]`.
-    ///
-    /// Accumulation at each output cell runs in ascending `self`-index order —
-    /// the same order the sparse generate–sort–coalesce kernel sums equal-valued
-    /// candidates — so the result is bit-identical to the sparse path. The inner
-    /// row update is written as four independent accumulator lanes over
-    /// `chunks_exact(4)`: each output cell is touched exactly once per `i`, so
-    /// the lanes never reassociate a sum and the compiler is free to emit packed
-    /// `mulpd`/`addpd` (or fused) instructions for the whole row.
-    pub fn convolve_add_exact(&self, other: &DenseDist) -> DenseDist {
-        if self.probs.is_empty() || other.probs.is_empty() {
-            return DenseDist {
-                offset: 0,
-                probs: Vec::new(),
-            };
-        }
-        let n = other.probs.len();
-        let mut probs = vec![0.0; self.probs.len() + n - 1];
-        for (i, pa) in self.probs.iter().enumerate() {
-            let pa = *pa;
-            if pa == 0.0 {
-                continue;
-            }
-            let row = &mut probs[i..i + n];
-            let mut rows = row.chunks_exact_mut(4);
-            let mut cols = other.probs.chunks_exact(4);
-            for (r, o) in rows.by_ref().zip(cols.by_ref()) {
-                r[0] += pa * o[0];
-                r[1] += pa * o[1];
-                r[2] += pa * o[2];
-                r[3] += pa * o[3];
-            }
-            for (r, o) in rows.into_remainder().iter_mut().zip(cols.remainder()) {
-                *r += pa * *o;
-            }
-        }
-        // Apply the sparse kernel's drop rule so later convolutions see the same
-        // support either way, then trim so the bounds are true support bounds.
-        for p in &mut probs {
-            if *p <= PROB_EPS {
-                *p = 0.0;
-            }
-        }
-        Self::trimmed(self.offset + other.offset, probs)
+        out.clear();
+        out.resize(self.probs.len() + other.probs.len() - 1, 0.0);
+        multiply_accumulate(&self.probs, &other.probs, &mut out);
+        Self::finish(self.offset + other.offset, out)
     }
 
     /// The spectral convolution attempt: `None` when the transform is
     /// oversized or the result violates the accuracy policy (the caller then
     /// runs the exact kernel).
     fn convolve_add_fft(&self, other: &DenseDist) -> Option<DenseDist> {
-        if self.probs.is_empty() || other.probs.is_empty() {
-            return None;
-        }
         let mut cells = crate::fft::convolve(&self.probs, &other.probs)?;
         let target = self.total_mass() * other.total_mass();
         let mut sum = 0.0;
@@ -239,30 +270,16 @@ impl DenseDist {
         let scale = target / sum;
         for p in cells.iter_mut() {
             *p *= scale;
-            if *p <= PROB_EPS {
-                *p = 0.0;
-            }
         }
-        Some(Self::trimmed(self.offset + other.offset, cells))
+        Some(Self::finish(self.offset + other.offset, cells))
     }
 
     /// Scale every cell by `factor`, applying the sparse kernel's drop rule
     /// (scaled cells at or below [`PROB_EPS`] become zero) and re-trimming —
     /// bit-identical to `to_dist().scale(factor)` re-densified.
     pub fn scale(&self, factor: f64) -> DenseDist {
-        let probs = self
-            .probs
-            .iter()
-            .map(|p| {
-                let scaled = p * factor;
-                if scaled > PROB_EPS {
-                    scaled
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        Self::trimmed(self.offset, probs)
+        let probs = self.probs.iter().map(|p| p * factor).collect();
+        Self::finish(self.offset, probs)
     }
 
     /// Pointwise mixture of two dense distributions (the `⊔` combination),
@@ -287,16 +304,78 @@ impl DenseDist {
         let base = (self.offset - lo) as usize;
         probs[base..base + self.probs.len()].copy_from_slice(&self.probs);
         let base = (other.offset - lo) as usize;
+        let mut support = self.support;
         for (cell, p) in probs[base..base + other.probs.len()]
             .iter_mut()
             .zip(&other.probs)
         {
+            support += usize::from(*cell == 0.0 && *p > PROB_EPS);
             *cell += p;
         }
         // Both sides' cells exceed PROB_EPS individually, so no sum can fall
         // under the drop rule and the union's end cells are non-zero: the trim
         // invariant holds without another pass.
-        Some(DenseDist { offset: lo, probs })
+        Some(DenseDist {
+            offset: lo,
+            probs,
+            support,
+        })
+    }
+}
+
+/// **The** dense loop nest: `out[i + j] += a[i] · b[j]` into a zeroed `out` of
+/// `a.len() + b.len() − 1` cells. Every dense convolution in this crate runs it.
+///
+/// Each output cell `k` receives its products `a[i] · b[k − i]` in ascending
+/// `i` — the order the sparse generate–sort–coalesce kernel sums equal-valued
+/// candidates (`a` is its outer operand) — so the result is bit-identical to
+/// the sparse path. Two orientations keep that order:
+///
+/// * **`b` shorter than one chunk** (`b.len() < 4`, and no longer than `a`;
+///   COUNT's `{0, 1}` operand has two cells): `b` runs outermost in
+///   *descending* index and `a` is the contiguous inner loop, so the row update
+///   is a full-width vector loop over the accumulator instead of a two-cell
+///   scalar remainder per accumulator cell. Cell `k` still meets `i = k − j` in
+///   ascending order because `j` descends. Zero cells of `a` are not skipped
+///   here; they add `+0.0`, which changes no bit of a non-negative sum.
+/// * **every other shape**: `a` outermost, skipping its zero cells (SUM
+///   accumulators have gaps early in a fold), and the row update over `b`
+///   written as four independent lanes over `chunks_exact(4)` plus a scalar
+///   remainder. Each output cell is touched once per `i`, so the lanes never
+///   reassociate a sum and the compiler is free to emit packed `mulpd` /
+///   `addpd`.
+///
+/// The short operand's own zero cells (`{0, v}` densified to `v + 1` cells) are
+/// multiplied through in both orientations: skipping them is the sparse-operand
+/// AXPY of the roadmap, which changes what `sum_kernel` costs by an order of
+/// magnitude and is held back until the benchmark harness's memory stops
+/// scaling with throughput.
+fn multiply_accumulate(a: &[f64], b: &[f64], out: &mut [f64]) {
+    let n = b.len();
+    if n < 4 && n <= a.len() {
+        for (j, &pb) in b.iter().enumerate().rev() {
+            for (cell, &pa) in out[j..j + a.len()].iter_mut().zip(a) {
+                *cell += pa * pb;
+            }
+        }
+        return;
+    }
+    for (i, &pa) in a.iter().enumerate() {
+        if pa == 0.0 {
+            continue;
+        }
+        let row = &mut out[i..i + n];
+        let mut rows = row.chunks_exact_mut(4);
+        let mut cols = b.chunks_exact(4);
+        for (r, o) in rows.by_ref().zip(cols.by_ref()) {
+            r[0] += pa * o[0];
+            r[1] += pa * o[1];
+            r[2] += pa * o[2];
+            r[3] += pa * o[3];
+        }
+        for (r, o) in rows.into_remainder().iter_mut().zip(cols.remainder()) {
+            *r += pa * *o;
+        }
     }
 }
 
@@ -357,38 +436,48 @@ fn finite_bounds(dist: &MonoidDist) -> Option<(i64, i64)> {
     Some((lo, hi))
 }
 
-/// `(lo, hi, support)` of one convolution operand, from whichever form it is
-/// in; `None` when empty or non-finite (dense values are always finite, and
-/// their trim invariant makes the bounds exact).
-fn operand_profile(v: &ChainVal) -> Option<(i64, i64, usize)> {
-    match v {
-        ChainVal::Dense(d) => {
-            if d.probs.is_empty() {
-                None
-            } else {
-                Some((
-                    d.offset,
-                    d.offset + d.probs.len() as i64 - 1,
-                    d.support_size(),
-                ))
-            }
-        }
-        ChainVal::Sparse(d) => {
-            let (lo, hi) = finite_bounds(d)?;
-            Some((lo, hi, d.support_size()))
-        }
-    }
+/// What dispatch needs to know of one non-empty, all-finite operand, in either
+/// form: its support bounds (exact for dense values, by the trim invariant) and
+/// its support size. Reading one is `O(1)`.
+#[derive(Debug, Clone, Copy)]
+struct Profile {
+    lo: i64,
+    hi: i64,
+    support: usize,
 }
 
-/// The pairwise dense-eligibility rule: the output range must not exceed the
-/// candidate-pair count (so the dense pass is never more work than the sparse
-/// sort), with the [`DENSE_ALWAYS_RANGE`] floor.
-fn pair_eligible(a: (i64, i64, usize), b: (i64, i64, usize)) -> Option<()> {
-    let lo = a.0.checked_add(b.0)?;
-    let hi = a.1.checked_add(b.1)?;
-    let range = usize::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1)?;
-    let candidates = a.2.checked_mul(b.2)?;
-    (range <= candidates.max(DENSE_ALWAYS_RANGE)).then_some(())
+/// The kernel one additive convolution runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Sparse generate–sort–coalesce.
+    Sparse,
+    /// The exact dense loop ([`multiply_accumulate`]).
+    Exact,
+    /// The spectral dense kernel, under the accuracy policy.
+    Fft,
+}
+
+/// **The** kernel choice, a pure function of the operands' profiles (`None`
+/// for an empty or non-finite operand). Dense is eligible when the output range
+/// does not exceed the candidate-pair count — so the dense pass is never more
+/// work than the sparse sort — with the [`DENSE_ALWAYS_RANGE`] floor; an
+/// eligible pair past the [`fft_would_run`] crossover runs spectrally.
+fn choose_kernel(a: Option<Profile>, b: Option<Profile>) -> Kernel {
+    let eligible = || {
+        let (a, b) = (a?, b?);
+        let lo = a.lo.checked_add(b.lo)?;
+        let hi = a.hi.checked_add(b.hi)?;
+        let range = usize::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1)?;
+        let candidates = a.support.checked_mul(b.support)?;
+        // Each operand's own range is no wider than the output's, so it fits.
+        let len = |p: Profile| (p.hi - p.lo) as usize + 1;
+        (range <= candidates.max(DENSE_ALWAYS_RANGE)).then(|| (len(a), len(b)))
+    };
+    match eligible() {
+        None => Kernel::Sparse,
+        Some((len_a, len_b)) if fft_would_run(len_a, len_b) => Kernel::Fft,
+        Some(_) => Kernel::Exact,
+    }
 }
 
 /// One operand or result of a chained adaptive convolution: a dense value kept
@@ -418,76 +507,175 @@ impl ChainVal {
             ChainVal::Sparse(d) => d.is_empty(),
         }
     }
+
+    /// Number of values with non-zero probability, `O(1)` in either form.
+    fn support_size(&self) -> usize {
+        match self {
+            ChainVal::Dense(d) => d.support_size(),
+            ChainVal::Sparse(d) => d.support_size(),
+        }
+    }
+
+    fn profile(&self) -> Option<Profile> {
+        match self {
+            ChainVal::Dense(d) => d.profile(),
+            ChainVal::Sparse(d) => {
+                let (lo, hi) = finite_bounds(d)?;
+                Some(Profile {
+                    lo,
+                    hi,
+                    support: d.support_size(),
+                })
+            }
+        }
+    }
+
+    /// The sparse form for the sparse kernel: a dense value breaks its chain.
+    fn demote(self) -> MonoidDist {
+        if matches!(self, ChainVal::Dense(_)) {
+            crate::stats::record_dense_chain(false);
+        }
+        self.into_dist()
+    }
 }
 
-/// Additive (SUM/COUNT) convolution with adaptive representation choice:
-/// direct-index dense convolution when both supports are all-finite and the
-/// output range is no larger than the candidate-pair count, sparse
-/// generate–sort–coalesce otherwise. An eligible result stays dense for the next
-/// node instead of being materialised sparse, and operands may still be dense
-/// from the previous node. Past the [`fft_would_run`] crossover the dense pass
-/// runs spectrally under the accuracy policy (see the [module docs](self)).
+/// The accumulator of an additive (SUM / COUNT) fold, and the one owner of the
+/// buffers a fold step needs — so a step costs the cells it touches and no
+/// allocation:
 ///
-/// Below the FFT crossover, bit-identical to materialising both operands and
-/// calling `a.convolve(&b, |x, y| x.saturating_add(y))`; ε-close above it, with
-/// path selection a pure function of the operands either way.
+/// * the **spare output buffer**: a dense step writes into it and the consumed
+///   accumulator's cell vector becomes the next step's spare (the two
+///   alternate, growing amortised);
+/// * the buffer a **sparse operand is densified into** for the dense kernel;
+/// * the **cell buffer** [`push_cells`](Self::push_cells) coalesces a leaf
+///   operand in — a consumed sparse operand hands its entry vector back here;
+/// * the sparse kernel's **candidate-pair scratch**.
+///
+/// Operands are moved in and consumed; every step goes through the one
+/// dispatcher (`choose_kernel`, with its `record_conv` accounting) and the one
+/// dense loop nest (`multiply_accumulate`). The spectral branch allocates its
+/// own transform buffers.
+///
+/// Below the FFT crossover a fold is bit-identical to materialising every
+/// operand and folding with `acc.convolve(&d, |x, y| x.saturating_add(y))`;
+/// ε-close above it, with path selection a pure function of the operands
+/// either way.
 ///
 /// Chain bookkeeping: a dense result records one *extend*; a dense **operand**
 /// forced sparse because the pair is ineligible records one *break* (see
 /// [`stats::record_dense_chain`](crate::stats::record_dense_chain)).
+#[derive(Debug, Default)]
+pub struct AdditiveFold {
+    acc: Option<ChainVal>,
+    spare: Vec<f64>,
+    operand: Vec<f64>,
+    cells: Vec<(MonoidValue, f64)>,
+    pairs: Vec<(MonoidValue, f64)>,
+}
+
+impl AdditiveFold {
+    /// An empty accumulator with no buffers yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fold one operand in: the first becomes the accumulator as it is, every
+    /// later one is convolved into it.
+    pub fn push(&mut self, operand: ChainVal) {
+        self.acc = Some(match self.acc.take() {
+            None => operand,
+            Some(acc) => self.step(acc, operand),
+        });
+    }
+
+    /// Fold in the operand whose cells are `cells` in generation order —
+    /// equal values are summed left to right and sums at or below
+    /// [`PROB_EPS`] dropped, exactly as [`Dist::map`] coalesces — without
+    /// allocating a distribution for it.
+    pub fn push_cells(&mut self, cells: impl IntoIterator<Item = (MonoidValue, f64)>) {
+        let mut buffer = std::mem::take(&mut self.cells);
+        buffer.clear();
+        buffer.extend(cells);
+        self.push(ChainVal::Sparse(Dist::coalesced(buffer)));
+    }
+
+    /// The accumulated value so far (`None` before the first operand).
+    pub fn value(&self) -> Option<&ChainVal> {
+        self.acc.as_ref()
+    }
+
+    /// Take the accumulated value out, keeping the buffers for the next fold.
+    pub fn take(&mut self) -> Option<ChainVal> {
+        self.acc.take()
+    }
+
+    /// One dispatched convolution step `a ⊕ b`, consuming both.
+    fn step(&mut self, a: ChainVal, b: ChainVal) -> ChainVal {
+        let add = |x: &MonoidValue, y: &MonoidValue| x.saturating_add(y);
+        if a.is_empty() || b.is_empty() {
+            // An empty operand still counts as one (sparse) dispatch.
+            crate::stats::record_conv(false, a.support_size(), b.support_size());
+            return ChainVal::Sparse(Dist::empty());
+        }
+        let kernel = choose_kernel(a.profile(), b.profile());
+        if kernel == Kernel::Sparse {
+            // Any dense operand breaks its chain here.
+            let (da, db) = (a.demote(), b.demote());
+            crate::stats::record_conv(false, da.support_size(), db.support_size());
+            return ChainVal::Sparse(da.convolve_with_scratch(&db, add, &mut self.pairs));
+        }
+        crate::stats::record_conv(true, a.support_size(), b.support_size());
+        #[cfg(debug_assertions)]
+        let sparse = (kernel == Kernel::Exact).then(|| {
+            let (da, db) = (a.clone().into_dist(), b.clone().into_dist());
+            da.convolve(&db, add)
+        });
+        let da = match a {
+            ChainVal::Dense(d) => d,
+            ChainVal::Sparse(d) => DenseDist::from_dist(&d).expect("profiled finite support"),
+        };
+        let db = match b {
+            ChainVal::Dense(d) => d,
+            ChainVal::Sparse(d) => {
+                let dense = DenseDist::from_dist_in(&d, std::mem::take(&mut self.operand))
+                    .expect("profiled finite support");
+                self.cells = d.into_entries();
+                dense
+            }
+        };
+        let out = da.convolve_by(kernel, &db, std::mem::take(&mut self.spare));
+        self.spare = da.probs;
+        self.operand = db.probs;
+        #[cfg(debug_assertions)]
+        if let Some(sparse) = sparse {
+            debug_assert!(
+                bit_equal(&out.to_dist(), &sparse),
+                "dense convolution diverged from the sparse kernel"
+            );
+        }
+        crate::stats::record_dense_chain(true);
+        ChainVal::Dense(out)
+    }
+}
+
+/// One step of an additive (SUM / COUNT) convolution with adaptive
+/// representation choice — [`AdditiveFold`]'s step for callers that thread the
+/// value themselves: same dispatcher, same loop nest, same accounting, but no
+/// buffer survives the call except the sparse kernel's `scratch`. An eligible
+/// result stays dense for the next node instead of being materialised sparse,
+/// and operands may still be dense from the previous node.
 pub fn convolve_additive_chained(
     a: ChainVal,
     b: ChainVal,
     scratch: &mut Vec<(MonoidValue, f64)>,
 ) -> ChainVal {
-    if a.is_empty() || b.is_empty() {
-        // An empty operand still counts as one (sparse) dispatch.
-        let size = |v: &ChainVal| match v {
-            ChainVal::Dense(d) => d.support_size(),
-            ChainVal::Sparse(d) => d.support_size(),
-        };
-        crate::stats::record_conv(false, size(&a), size(&b));
-        return ChainVal::Sparse(Dist::empty());
-    }
-    if let (Some(pa), Some(pb)) = (operand_profile(&a), operand_profile(&b)) {
-        if pair_eligible(pa, pb).is_some() {
-            let da = match &a {
-                ChainVal::Dense(d) => d.clone(),
-                ChainVal::Sparse(d) => DenseDist::from_dist(d).expect("profiled finite support"),
-            };
-            let db = match &b {
-                ChainVal::Dense(d) => d.clone(),
-                ChainVal::Sparse(d) => DenseDist::from_dist(d).expect("profiled finite support"),
-            };
-            crate::stats::record_conv(true, pa.2, pb.2);
-            let out = da.convolve_add(&db);
-            #[cfg(debug_assertions)]
-            if !fft_would_run(da.len(), db.len()) {
-                let sparse = a
-                    .clone()
-                    .into_dist()
-                    .convolve(&b.clone().into_dist(), |x, y| x.saturating_add(y));
-                debug_assert!(
-                    bit_equal(&out.to_dist(), &sparse),
-                    "dense convolution diverged from the sparse kernel"
-                );
-            }
-            crate::stats::record_dense_chain(true);
-            return ChainVal::Dense(out);
-        }
-    }
-    // Sparse fallback: any dense operand breaks its chain here.
-    let demote = |v: ChainVal| match v {
-        ChainVal::Dense(d) => {
-            crate::stats::record_dense_chain(false);
-            d.to_dist()
-        }
-        ChainVal::Sparse(d) => d,
+    let mut fold = AdditiveFold {
+        pairs: std::mem::take(scratch),
+        ..AdditiveFold::default()
     };
-    let da = demote(a);
-    let db = demote(b);
-    crate::stats::record_conv(false, da.support_size(), db.support_size());
-    ChainVal::Sparse(da.convolve_with_scratch(&db, |x, y| x.saturating_add(y), scratch))
+    let out = fold.step(a, b);
+    *scratch = fold.pairs;
+    out
 }
 
 /// `⊔` mixture step for chained dense evaluation: keeps the mixture dense when
@@ -674,6 +862,8 @@ mod tests {
         let db = DenseDist::from_dist(&b).unwrap();
         let mixed = da.mix(&db).expect("bounded union");
         assert!(bit_equal_pub(&mixed.to_dist(), &a.mix(&b)));
+        // 0..=6 and 3..=12 overlap on four cells: the carried count is the union's.
+        assert_eq!(mixed.support_size(), 13);
     }
 
     #[test]
@@ -691,6 +881,7 @@ mod tests {
         // The first cell (1e-10) falls under PROB_EPS: dropped and trimmed.
         assert_eq!(scaled.offset(), 5);
         assert_eq!(scaled.len(), 1);
+        assert_eq!(scaled.support_size(), 1);
         assert!(bit_equal_pub(&scaled.to_dist(), &d.scale(0.01)));
     }
 }

@@ -414,3 +414,268 @@ fn chunked_kernel_conserves_mass_and_stays_finite() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The additive fold accumulator against two references: the one-step
+// dispatcher entry, threaded by hand, and the sparse kernel.
+// ---------------------------------------------------------------------------
+
+use pvc_prob::{AdditiveFold, MonoidDist, PROB_EPS};
+
+/// One operand family of the fold sweeps; each aims at one branch of the
+/// dispatcher or one orientation of the dense loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Family {
+    /// COUNT's `{0, 1}`: two cells, the short-operand orientation.
+    Count,
+    /// SUM's `{0, v}`: `v + 1` cells of which `v − 1` are gaps.
+    SumGaps,
+    /// `len` contiguous cells (1–5: either side of the 4-cell chunk).
+    Short(usize),
+    /// A contiguous operand longer than the accumulator is at that point.
+    Longer,
+    /// 300 contiguous cells: with an accumulator past a few hundred cells the
+    /// pair crosses into the spectral kernel.
+    Wide,
+    /// No cells: the fold is empty from here on.
+    Empty,
+    /// `{0, +∞}` with the infinite mass barely above the drop rule: the
+    /// accumulator stops being finite and falls back to the sparse kernel.
+    Infinite,
+    /// The point `{0}` with mass ½: halves every cell, which drops the `+∞`
+    /// cell `Infinite` left and lets the next step run dense again.
+    Halve,
+    /// A point a million below `i64::MAX`: dense cells at a huge offset.
+    NearMax,
+    /// Two values `2⁶³` apart: the output range overflows `i64`, so the
+    /// eligibility arithmetic (`checked_sub`) must answer "sparse".
+    HugeSpan,
+}
+
+fn contiguous(rng: &mut SeededRng, lo: i64, len: usize) -> MonoidDist {
+    let cells: Vec<f64> = (0..len).map(|_| 0.05 + rng.next_f64()).collect();
+    let total: f64 = cells.iter().sum();
+    Dist::from_pairs(
+        cells
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| (MonoidValue::Fin(lo + i as i64), p / total)),
+    )
+}
+
+fn operand(rng: &mut SeededRng, family: Family, accumulator_span: usize) -> MonoidDist {
+    let fin = MonoidValue::Fin;
+    let p = 0.05 + 0.9 * rng.next_f64();
+    let near_zero = rng.gen_range(-3i64..4);
+    let extra = rng.gen_range(1usize..10);
+    match family {
+        Family::Count => Dist::two_point(fin(0), 1.0 - p, fin(1), p),
+        Family::SumGaps => Dist::two_point(fin(0), 1.0 - p, fin(rng.gen_range(2i64..17)), p),
+        Family::Short(len) => contiguous(rng, near_zero, len),
+        Family::Longer => contiguous(rng, 0, accumulator_span + extra),
+        Family::Wide => contiguous(rng, near_zero, 300),
+        Family::Empty => Dist::empty(),
+        Family::Infinite => Dist::two_point(fin(0), 1.0 - 1.5e-9, MonoidValue::PosInf, 1.5e-9),
+        Family::Halve => Dist::from_pairs([(fin(0), 0.5)]),
+        Family::NearMax => Dist::point(fin(i64::MAX - 1_000_000)),
+        Family::HugeSpan => {
+            Dist::two_point(fin(i64::MIN / 2 - 10), 1.0 - p, fin(i64::MAX / 2 + 10), p)
+        }
+    }
+}
+
+/// A fold's operand families: mostly the two-point shapes of COUNT and SUM,
+/// the short lengths throughout, and the special operands at most once each
+/// (two of `NearMax` / `HugeSpan` would overflow `i64` for real).
+fn fold_script(rng: &mut SeededRng, len: usize) -> Vec<Family> {
+    let mut script: Vec<Family> = (0..len)
+        .map(|_| match rng.gen_range(0u32..12) {
+            0..=4 => Family::Count,
+            5..=7 => Family::SumGaps,
+            8..=10 => Family::Short(rng.gen_range(1usize..6)),
+            _ => Family::Longer,
+        })
+        .collect();
+    let mut place = |rng: &mut SeededRng, family: Family| {
+        let at = rng.gen_range(0..len);
+        script[at] = family;
+    };
+    if len >= 8 {
+        match rng.gen_range(0u32..6) {
+            0 => place(rng, Family::NearMax),
+            1 => place(rng, Family::HugeSpan),
+            2 => {
+                // `+∞` mid-chain, the halving a few operands later.
+                let at = rng.gen_range(0..len - 4);
+                script[at] = Family::Infinite;
+                script[at + 3] = Family::Halve;
+            }
+            // The sparse reference pays |accumulator| × 300 candidate pairs per
+            // wide operand: short folds only.
+            3 if len <= 64 => {
+                for _ in 0..3 {
+                    place(rng, Family::Wide);
+                }
+            }
+            4 => script[len - rng.gen_range(1usize..4)] = Family::Empty,
+            _ => {}
+        }
+    }
+    script
+}
+
+fn dist_bits(d: &MonoidDist) -> Vec<(MonoidValue, u64)> {
+    d.iter().map(|(v, p)| (*v, p.to_bits())).collect()
+}
+
+/// The cell span of an all-finite distribution (`None` when empty or infinite).
+fn finite_span(d: &MonoidDist) -> Option<usize> {
+    let (lo, hi) = (d.min_value()?.finite()?, d.max_value()?.finite()?);
+    usize::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1)
+}
+
+#[derive(Default)]
+struct FoldCoverage {
+    steps: usize,
+    dense_steps: usize,
+    sparse_steps: usize,
+    spectral_steps: usize,
+    dense_after_infinite: usize,
+    emptied: usize,
+}
+
+/// Fold `script` three ways and compare after every step.
+fn check_fold(rng: &mut SeededRng, script: &[Family], coverage: &mut FoldCoverage) {
+    let add = |x: &MonoidValue, y: &MonoidValue| x.saturating_add(y);
+    let mut fold = AdditiveFold::new();
+    let mut stepwise: Option<ChainVal> = None;
+    let mut sparse: Option<MonoidDist> = None;
+    let mut scratch = Vec::new();
+    // Spectral steps so far: each may move a cell by the documented ε, and a
+    // cell next to the drop rule may survive on one side only.
+    let mut spectral = 0usize;
+    let mut seen_infinite = false;
+    for (step, &family) in script.iter().enumerate() {
+        // `Longer` only outgrows a young accumulator: against thousands of
+        // cells the sparse reference would take the test's whole budget.
+        let span = sparse.as_ref().and_then(finite_span).unwrap_or(1);
+        let family = match family {
+            Family::Longer if span > 48 => Family::Count,
+            other => other,
+        };
+        let d = operand(rng, family, span);
+        let accumulated = match fold.value() {
+            Some(ChainVal::Dense(acc)) => Some(acc.len()),
+            Some(ChainVal::Sparse(acc)) => finite_span(acc),
+            None => None,
+        };
+        if let (Some(accumulated), Some(len)) = (accumulated, finite_span(&d)) {
+            spectral += usize::from(fft_would_run(accumulated, len));
+        }
+        seen_infinite |= family == Family::Infinite;
+        // The accumulator takes operands both ways it can be given them.
+        if step % 2 == 0 {
+            fold.push(ChainVal::Sparse(d.clone()));
+        } else {
+            fold.push_cells(d.iter().map(|(v, p)| (*v, p)));
+        }
+        stepwise = Some(match stepwise.take() {
+            None => ChainVal::Sparse(d.clone()),
+            Some(acc) => convolve_additive_chained(acc, ChainVal::Sparse(d.clone()), &mut scratch),
+        });
+        sparse = Some(match sparse.take() {
+            None => d,
+            Some(acc) => acc.convolve(&d, add),
+        });
+        let context = format!("step {step} of {script:?}");
+        let (value, stepwise, sparse) = (
+            fold.value().expect("an operand was pushed"),
+            stepwise.as_ref().expect("an operand was folded"),
+            sparse.as_ref().expect("an operand was folded"),
+        );
+        // Same dispatcher on both routes: same form, same bits, even past
+        // the FFT crossover.
+        match (value, stepwise) {
+            (ChainVal::Dense(a), ChainVal::Dense(b)) => {
+                assert_eq!(a, b, "{context}");
+                assert_trimmed(a);
+                let recount = a.iter().filter(|(_, p)| *p > PROB_EPS).count();
+                assert_eq!(a.support_size(), recount, "{context}");
+                coverage.dense_steps += 1;
+                coverage.dense_after_infinite += usize::from(seen_infinite);
+            }
+            (ChainVal::Sparse(a), ChainVal::Sparse(b)) => {
+                assert_eq!(dist_bits(a), dist_bits(b), "{context}");
+                coverage.sparse_steps += usize::from(step > 0);
+            }
+            _ => panic!("accumulator and one-step entry disagree on the form: {context}"),
+        }
+        let folded = value.clone().into_dist();
+        if spectral == 0 {
+            assert_eq!(dist_bits(&folded), dist_bits(sparse), "{context}");
+        } else {
+            let tolerance = 2.0 * FFT_RELATIVE_EPS * spectral as f64;
+            assert!(folded.approx_eq(sparse, tolerance), "{context}");
+        }
+        coverage.steps += 1;
+    }
+    coverage.spectral_steps += spectral;
+    coverage.emptied += usize::from(fold.value().is_some_and(ChainVal::is_empty));
+}
+
+#[test]
+fn accumulator_one_step_entry_and_sparse_kernel_fold_alike() {
+    let mut seeds = vec![0xF01D, 0xACC];
+    if let Ok(extra) = std::env::var("PVC_ORACLE_SEED") {
+        seeds.push(extra.parse().expect("PVC_ORACLE_SEED must be a u64"));
+    }
+    for seed in seeds {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        let mut coverage = FoldCoverage::default();
+        // Every length 1–12 (the first steps of a chain are where forms
+        // change), then a spread up to the 400 of a wide group.
+        let lengths = (1..=12usize)
+            .chain([16, 25, 40, 64, 100, 150, 250, 400])
+            .chain((0..12).map(|_| rng.gen_range(8usize..120)));
+        for len in lengths.collect::<Vec<_>>() {
+            let script = fold_script(&mut rng, len);
+            check_fold(&mut rng, &script, &mut coverage);
+        }
+        // Every special operand, whatever the seed drew.
+        for special in [
+            vec![
+                Family::Infinite,
+                Family::Count,
+                Family::Count,
+                Family::Halve,
+            ],
+            vec![Family::NearMax],
+            vec![Family::HugeSpan],
+            vec![Family::Wide, Family::Wide, Family::Wide],
+            vec![Family::Empty],
+        ] {
+            let mut script = vec![Family::Count; 10];
+            script.extend(special);
+            script.extend([
+                Family::SumGaps,
+                Family::Short(5),
+                Family::Count,
+                Family::Longer,
+            ]);
+            check_fold(&mut rng, &script, &mut coverage);
+        }
+        assert!(
+            coverage.steps > 1_500,
+            "seed {seed}: {} steps",
+            coverage.steps
+        );
+        assert!(coverage.dense_steps > 1_000, "seed {seed}");
+        assert!(coverage.sparse_steps > 0, "seed {seed}: no sparse fallback");
+        assert!(coverage.spectral_steps > 0, "seed {seed}: FFT never ran");
+        assert!(
+            coverage.dense_after_infinite > 0,
+            "seed {seed}: never dense again after +∞"
+        );
+        assert!(coverage.emptied > 0, "seed {seed}: no fold went empty");
+    }
+}

@@ -132,7 +132,6 @@ impl StepTwo<'_> {
                 return Ok(p);
             }
         }
-        record_path(&span, "compile");
         let compile = &self.options.compile;
         let dist = match store {
             // The lookup above already recorded the miss; fill without re-checking.
@@ -141,6 +140,7 @@ impl StepTwo<'_> {
                 .compile_semiring(annotation)?
                 .semiring_distribution(&db.vars, db.kind)?,
         };
+        record_computed_path(&span, store.is_some());
         Ok(confidence_of(&dist))
     }
 
@@ -172,23 +172,35 @@ impl StepTwo<'_> {
                 return Ok(d);
             }
         }
-        record_path(&span, "compile");
         let compile = &self.options.compile;
-        Ok(match store {
+        let dist = match store {
             // The lookup above already recorded the miss; fill without re-checking.
             Some((arts, id)) => arts.fill_aggregate(id, &db.vars, db.kind, compile, scope)?,
             None => Compiler::with_options(&db.vars, db.kind, compile.clone())
                 .compile_semimodule(expr)?
                 .monoid_distribution(&db.vars, db.kind)?,
-        })
+        };
+        record_computed_path(&span, store.is_some());
+        Ok(dist)
     }
 }
 
-/// Record on a `confidence` / `aggregate` span which stage answered: `cache`, `fast`
-/// or `compile`.
+/// Record on a `confidence` / `aggregate` span which stage answered: `cache`, `fast`,
+/// `fold` or `compile`.
 fn record_path(span: &Option<obs::SpanGuard>, path: &str) {
     if let Some(s) = span {
         s.attr("path", path.into());
+    }
+}
+
+/// The path of an answer that was computed rather than found: `compile` when a
+/// d-tree was compiled (or fetched as a cached arena) for it or for one of its
+/// independent components — always, without an artifact store — and `fold` when the
+/// store answered by folding leaf and cached components alone.
+fn record_computed_path(span: &Option<obs::SpanGuard>, through_store: bool) {
+    if let Some(s) = span {
+        let folded = through_store && !s.enclosed("compile");
+        s.attr("path", if folded { "fold" } else { "compile" }.into());
     }
 }
 

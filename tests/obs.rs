@@ -6,7 +6,9 @@
 //!   across repeated warm runs and across `threads = 1` vs `threads = 4`;
 //! * **coverage** — a Q2-shaped query's profile covers the rewrite, the
 //!   evaluation and every tuple's confidence/compile path, with per-sub-d-tree
-//!   cache outcomes on a cold run;
+//!   cache outcomes on a cold run; a group SUM's profile attributes its time to
+//!   the independence `fold` and the arena's `evaluate` pass, not to a
+//!   compilation that never ran;
 //! * **bounded tracing** — a tiny span ring drops oldest spans, never panics;
 //! * **catalog** — every metric the pipeline emits uses a documented prefix.
 //!
@@ -175,6 +177,53 @@ fn cold_q2_profile_covers_rewrite_compile_and_evaluate() {
         .unwrap();
     let warm_shape = warm.profile.expect("profile requested").shape();
     assert!(warm_shape.contains("path=cache"), "{warm_shape}");
+}
+
+#[test]
+fn group_sum_profile_names_the_fold_and_the_arena_pass() {
+    // Two groups of independent rows: every SUM term is a leaf component, so
+    // the aggregate is answered by the fold alone (nothing compiled, nothing
+    // memoised below it), while the group's confidence is compiled and then
+    // evaluated — two spans, so neither hides in its parent's self time.
+    let mut db = Database::new();
+    db.create_table("T", Schema::new(["g", "v"]));
+    let (t, vars) = db.table_and_vars_mut("T").unwrap();
+    for i in 0..6i64 {
+        let group = if i < 4 { "A" } else { "B" };
+        t.push_independent(vec![group.into(), (i + 1).into()], 0.5, vars);
+    }
+    let query = Query::table("T").group_agg(["g"], vec![AggSpec::new(AggOp::Sum, "v", "m")]);
+    let engine = Engine::new(db);
+    let prepared = engine.prepare(&query).unwrap();
+    let cold = prepared
+        .execute(&EvalOptions::default().with_profile())
+        .unwrap();
+    let shape = cold.profile.expect("profile requested").shape();
+    let tuple = |index: usize, dense: usize, nodes: usize, terms: usize| {
+        format!(
+            "    tuple [index={index} kernel_dense={dense} kernel_sparse=0]
+      confidence [path=compile]
+        intern
+        compile [arena=miss nodes={nodes}]
+        evaluate
+      aggregate [path=fold]
+        intern
+        fold [components={terms} leaves={terms}]
+"
+        )
+    };
+    let (first, second) = (tuple(0, 3, 9, 4), tuple(1, 1, 5, 2));
+    assert!(
+        shape.ends_with(&format!("  rewrite\n  evaluate\n{first}{second}")),
+        "{shape}"
+    );
+    // Warm: both answers come from the cache, and say so.
+    let warm = prepared
+        .execute(&EvalOptions::default().with_profile())
+        .unwrap();
+    let warm_shape = warm.profile.expect("profile requested").shape();
+    assert!(!warm_shape.contains("fold"), "{warm_shape}");
+    assert_eq!(warm_shape.matches("path=cache").count(), 4, "{warm_shape}");
 }
 
 #[test]
