@@ -5,18 +5,17 @@
 
 use pvc_algebra::{AggOp, CmpOp, SemiringKind};
 use pvc_bench::bench_case;
-use pvc_core::{CompileOptions, Compiler};
+use pvc_core::{confidence_of, CompileOptions, Compiler};
 use pvc_workload::{ExprGenParams, ExprGenerator, GeneratedExpr};
 
 fn confidence_with(gen: &GeneratedExpr, options: CompileOptions) -> f64 {
     let mut compiler = Compiler::with_options(&gen.vars, SemiringKind::Bool, options);
-    let tree = compiler.compile_semiring(&gen.condition).unwrap();
-    tree.semiring_distribution(&gen.vars, SemiringKind::Bool)
-        .unwrap()
-        .iter()
-        .filter(|(v, _)| !v.is_zero())
-        .map(|(_, p)| p)
-        .sum()
+    let arena = compiler.emit_semiring(&gen.condition).unwrap();
+    confidence_of(
+        &arena
+            .semiring_distribution(&gen.vars, SemiringKind::Bool)
+            .unwrap(),
+    )
 }
 
 fn bench_rules_vs_shannon() {

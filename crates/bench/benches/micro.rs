@@ -3,8 +3,9 @@
 //!
 //! A plain `fn main()` timing harness (`cargo bench --bench micro`).
 
-use pvc_algebra::{AggOp, MonoidValue, SemiringKind};
+use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind};
 use pvc_bench::bench_case;
+use pvc_core::{confidence_of, CacheConfig, CompileOptions, Compiler, SharedArtifacts};
 use pvc_expr::{SemimoduleExpr, SemiringExpr, VarTable};
 use pvc_prob::{convolve_additive_chained, AdditiveFold, ChainVal, Dist, MonoidDist};
 
@@ -100,8 +101,44 @@ fn bench_min_aggregate_distribution() {
     }
 }
 
+/// The group confidence of TPC-H Q1, `[x₁ + … + x₇₀₅ ≠ 0_B]`: a `[θ]` over a
+/// left-deep `∨` chain, 1 411 d-tree nodes and no `⊔`.
+fn bench_or_705() {
+    let mut vars = VarTable::new();
+    let sum = SemiringExpr::sum(
+        (0..705)
+            .map(|i| SemiringExpr::Var(vars.boolean("", 0.1 + 0.8 * (i % 97) as f64 / 97.0)))
+            .collect(),
+    );
+    let zero = SemiringExpr::zero(SemiringKind::Bool);
+    let condition = SemiringExpr::cmp_ss(CmpOp::Ne, sum, zero);
+    let options = CompileOptions::default();
+    // What the engine does per group on a fresh store: intern, miss, compile
+    // in lent scratch, evaluate, reduce to the confidence.
+    bench_case("confidence/or-705", 400, || {
+        let store = SharedArtifacts::new(CacheConfig::default());
+        let id = store.intern(&condition);
+        let dist = store
+            .evaluate_semiring(id, &vars, SemiringKind::Bool, &options, 0)
+            .expect("no node budget configured");
+        std::hint::black_box(confidence_of(&dist));
+    });
+    // The compiler alone, one reused compiler: the arena it emits, and the
+    // boxed tree on top of it (`compile_semiring` is `emit_semiring` + `to_tree`).
+    let mut compiler = Compiler::new(&vars, SemiringKind::Bool);
+    bench_case("compile/emit-705", 400, || {
+        std::hint::black_box(compiler.emit_semiring(&condition).map(|arena| arena.len()))
+            .expect("no node budget configured");
+    });
+    bench_case("compile/emit-705+to_tree", 400, || {
+        std::hint::black_box(compiler.compile_semiring(&condition))
+            .expect("no node budget configured");
+    });
+}
+
 fn main() {
     println!("micro benchmarks");
+    bench_or_705();
     bench_convolution();
     bench_additive_fold();
     bench_read_once_compilation();

@@ -42,16 +42,12 @@ impl Scale {
 fn compile_and_probability(gen: &pvc_workload::GeneratedExpr) -> f64 {
     let mut compiler =
         Compiler::with_options(&gen.vars, SemiringKind::Bool, CompileOptions::default());
-    let tree = compiler
-        .compile_semiring(&gen.condition)
-        .expect("no node budget configured");
-    let dist = tree
+    let dist = compiler
+        .emit_semiring(&gen.condition)
+        .expect("no node budget configured")
         .semiring_distribution(&gen.vars, SemiringKind::Bool)
         .expect("semiring distribution");
-    dist.iter()
-        .filter(|(v, _)| !v.is_zero())
-        .map(|(_, p)| p)
-        .sum()
+    pvc_core::confidence_of(&dist)
 }
 
 /// One row of an Experiment A/B/C/D/E table.

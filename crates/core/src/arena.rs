@@ -1,7 +1,11 @@
-//! Flattened d-trees: an index-based arena representation of [`DTree`] with an
-//! iterative, allocation-light evaluator.
+//! Flattened d-trees: the index-based arena the compiler emits
+//! ([`Compiler::emit_semiring`](crate::compile::Compiler::emit_semiring) and its
+//! siblings) and an iterative, allocation-light evaluator over it. [`DTree`] is
+//! the same circuit boxed, for reading and for hand-built examples:
+//! [`DTreeArena::from_tree`] and [`DTreeArena::to_tree`] convert, and
+//! `from_tree(&arena.to_tree()) == arena`.
 //!
-//! Four things keep an evaluation close to the cost of its convolutions:
+//! Five things keep an evaluation close to the cost of its convolutions:
 //!
 //! * **layout** — nodes live in one post-order `Vec` (children before parents,
 //!   root last), so evaluation is a single forward loop with an explicit value
@@ -11,6 +15,15 @@
 //!   native sort and values are lifted into the mixed type only where the tree
 //!   itself mixes sorts (the root of a [`DTree::Exclusive`] over conflicting
 //!   branches — which well-formed trees never produce);
+//! * **Boolean cells** — over the semiring `B` a semiring-sorted node has at
+//!   most two outcomes, so its value travels the stack as [`BoolCells`]
+//!   (`[P[⊥], P[⊤]]`) and `∨`, `∧`, `[θ]` and `⊔` over such values are a few
+//!   multiply-adds, bit-identical to the sorted-vector kernel: no entry vector
+//!   cloned per variable leaf, no generate–sort–coalesce per node. A folded
+//!   `[θ]` (below) or a comparison of aggregates enters the cells where it
+//!   produces its two outcomes; an `N`-valued leaf, a `⊗` scalar or the root
+//!   converts to a `Dist` where one is asked for. This is the tuple-confidence
+//!   interpretation of the circuit — one pass, two numbers per node;
 //! * **scratch reuse** — all convolutions run through
 //!   [`Dist::convolve_with_scratch`] against two shared pair buffers instead of
 //!   allocating a candidate buffer per node, and SUM/COUNT `⊕` nodes take the
@@ -23,10 +36,9 @@
 //!   scalars, …) and falling back to a full evaluation plus a linear CDF scan
 //!   only where no decomposition applies (SUM/COUNT sums).
 //!
-//! Build an arena once per compile with [`DTreeArena::from_tree`]; the engine's
-//! [`CompilationCache`](crate::cache::CompilationCache) keeps arenas alongside the
-//! memoised distributions so repeated evaluations skip both compilation and
-//! flattening.
+//! The engine's [`CompilationCache`](crate::cache::CompilationCache) keeps the
+//! emitted arenas alongside the memoised distributions, so a repeated evaluation
+//! skips the compilation.
 //!
 //! # Empty sides of comparisons
 //!
@@ -44,13 +56,14 @@ use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
 use pvc_expr::{Var, VarTable};
 use pvc_prob::repr::{dense_mix_bounded, mix_dense_chained, AdditiveFold, ChainVal};
 use pvc_prob::{
-    record_dense_chain, DenseDist, Dist, DistValue, MixedDist, MonoidDist, SemiringDist, PROB_EPS,
+    record_dense_chain, BoolCells, DenseDist, Dist, DistValue, MixedDist, MonoidDist, SemiringDist,
+    PROB_EPS,
 };
 
 /// One node of the flattened tree. Child fields are indices into the arena's
 /// post-order node vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum ArenaNode {
+pub(crate) enum ArenaNode {
     /// Leaf: a random variable.
     VarLeaf(Var),
     /// Leaf: a semiring constant.
@@ -96,17 +109,18 @@ struct Fold {
 /// A decomposition tree flattened into a post-order arena (see the [module
 /// documentation](self)).
 ///
-/// Construction ([`from_tree`](Self::from_tree)) is a single traversal; the arena
-/// is immutable afterwards and can be evaluated any number of times (and shared
-/// across threads — it contains no interior mutability).
+/// Built node by node by the compiler, or in one traversal of a boxed tree
+/// ([`from_tree`](Self::from_tree)); immutable once handed out, so it can be
+/// evaluated any number of times and shared across threads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DTreeArena {
     /// Post-order nodes; the root is the last entry.
     nodes: Vec<ArenaNode>,
     /// `(branch value, branch child root)` entries of all `⊔` nodes.
     branches: Vec<(SemiringValue, u32)>,
-    /// Fold plan per node (`Some` only on eligible `[θ]` nodes).
-    folds: Vec<Option<Fold>>,
+    /// The fold plans of the eligible `[θ]` nodes as `(node, plan)`, ascending by
+    /// node: a handful per arena at most, so nothing is stored for the rest.
+    folds: Vec<(u32, Fold)>,
     /// Statically inferred sort per node.
     sorts: Vec<Sort>,
 }
@@ -117,6 +131,26 @@ pub struct DTreeArena {
 enum Phase {
     Expand(u32),
     Emit(u32),
+}
+
+/// The form an arena's root value was computed in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Interp {
+    /// Two cells ([`BoolCells`]): the Boolean region under the root ran on the
+    /// two-cell kernel.
+    Cells,
+    /// A [`Dist`] (sparse or dense).
+    Dist,
+}
+
+impl Interp {
+    /// The value of the `evaluate` span's `interp` attribute.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            Interp::Cells => "cells",
+            Interp::Dist => "dist",
+        }
+    }
 }
 
 /// A value on the evaluation stack: a distribution in its native sort.
@@ -133,6 +167,8 @@ enum Phase {
 /// materialisation is the point.
 #[derive(Debug, Clone)]
 enum Val {
+    /// Semiring distribution over `{⊥, ⊤}` on two cells (see [`EvalScratch::cells`]).
+    B(BoolCells),
     S(SemiringDist),
     M(MonoidDist),
     /// Monoid distribution in dense (offset-indexed) form.
@@ -144,6 +180,7 @@ enum Val {
 impl Val {
     fn is_empty(&self) -> bool {
         match self {
+            Val::B(c) => c.is_empty(),
             Val::S(d) => d.is_empty(),
             Val::M(d) => d.is_empty(),
             Val::MD(d) => d.is_empty(),
@@ -157,6 +194,7 @@ impl Val {
     /// monoid or mixed-with-monoid value is a sort error.
     fn into_semiring(self, ctx: &'static str) -> Result<SemiringDist, DTreeError> {
         match self {
+            Val::B(c) => Ok(c.to_dist()),
             Val::S(d) => Ok(d),
             Val::Empty => Ok(Dist::empty()),
             Val::M(d) if d.is_empty() => Ok(Dist::empty()),
@@ -184,7 +222,8 @@ impl Val {
             Val::MD(d) => Ok(d.to_dist()),
             Val::Empty => Ok(Dist::empty()),
             Val::S(d) if d.is_empty() => Ok(Dist::empty()),
-            Val::S(_) => Err(DTreeError::ExpectedMonoid(ctx)),
+            Val::B(c) if c.is_empty() => Ok(Dist::empty()),
+            Val::S(_) | Val::B(_) => Err(DTreeError::ExpectedMonoid(ctx)),
             Val::Mixed(d) => {
                 let mut out = Vec::with_capacity(d.support_size());
                 for (v, p) in d.iter() {
@@ -201,6 +240,7 @@ impl Val {
     /// Lift into the mixed sum type (the recursive evaluator's working type).
     fn into_mixed(self) -> MixedDist {
         match self {
+            Val::B(c) => c.to_dist().map(|v| DistValue::S(*v)),
             Val::S(d) => d.map(|v| DistValue::S(*v)),
             Val::M(d) => d.map(|v| DistValue::M(*v)),
             Val::MD(d) => d.to_dist().map(|v| DistValue::M(*v)),
@@ -234,6 +274,10 @@ struct EvalScratch {
     /// its buffers persist, so a `⊕` chain recycles the consumed operand's
     /// cells as the next node's output instead of allocating per node.
     additive: AdditiveFold,
+    /// Over the semiring `B`: semiring values whose support lies in `{⊥, ⊤}`
+    /// travel as [`Val::B`] and `∨`, `∧`, `[θ]` and `⊔` over them run on the
+    /// two-cell kernel. Bit-identical either way; off, every value is a `Dist`.
+    cells: bool,
     /// When set, `eval_from` tracks the value-stack high-water mark in
     /// `max_depth` (observed only when the metrics registry is enabled, so the
     /// disabled hot path pays one local branch per step).
@@ -248,16 +292,145 @@ impl DTreeArena {
         let mut arena = DTreeArena {
             nodes: Vec::with_capacity(n),
             branches: Vec::new(),
-            folds: Vec::with_capacity(n),
+            folds: Vec::new(),
             sorts: Vec::with_capacity(n),
         };
-        let mut branch_scratch = Vec::new();
-        arena.push_tree(tree, &mut branch_scratch);
-        debug_assert!(branch_scratch.is_empty());
-        crate::obs::core_metrics()
-            .arena_nodes
-            .record(arena.nodes.len() as u64);
+        let mut pending = Vec::new();
+        arena.push_tree(tree, &mut pending);
+        debug_assert!(pending.is_empty());
         arena
+    }
+
+    /// An arena with no nodes yet, for the compiler to emit into.
+    pub(crate) fn new() -> DTreeArena {
+        DTreeArena {
+            nodes: Vec::new(),
+            branches: Vec::new(),
+            folds: Vec::new(),
+            sorts: Vec::new(),
+        }
+    }
+
+    /// Forget every node, keeping the four tables' allocations.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+        self.branches.clear();
+        self.folds.clear();
+        self.sorts.clear();
+    }
+
+    /// Append a node whose children (if any) are already in the arena and return
+    /// its index. The node's sort and, for a `[θ]` node, its threshold-fold plan
+    /// are derived here and nowhere else. `⊔` nodes go through
+    /// [`push_exclusive`](Self::push_exclusive), which fills the branch table.
+    pub(crate) fn push(&mut self, node: ArenaNode) -> u32 {
+        let sort = match node {
+            ArenaNode::VarLeaf(_)
+            | ArenaNode::SConst(_)
+            | ArenaNode::SumS { .. }
+            | ArenaNode::Prod { .. }
+            | ArenaNode::Cmp { .. } => Sort::Semiring,
+            ArenaNode::MConst(_) | ArenaNode::SumM { .. } | ArenaNode::Tensor { .. } => {
+                Sort::Monoid
+            }
+            ArenaNode::Exclusive {
+                branches_start,
+                branches_len,
+                ..
+            } => {
+                let range = branches_start as usize..(branches_start + branches_len) as usize;
+                let mut sorts = self.branches[range]
+                    .iter()
+                    .map(|&(_, child)| self.sorts[child as usize]);
+                match sorts.next() {
+                    Some(first) if sorts.all(|s| s == first) => first,
+                    _ => Sort::Unknown,
+                }
+            }
+        };
+        let idx = self.nodes.len() as u32;
+        self.nodes.push(node);
+        self.sorts.push(sort);
+        if let ArenaNode::Cmp { theta, left, right } = node {
+            self.plan_fold(idx, theta, left, right);
+        }
+        idx
+    }
+
+    /// Append the `⊔` node over `var` whose `(branch value, child index)` entries
+    /// are `pending[base..]`, draining them into the branch table. Callers share
+    /// one `pending` list across nested `⊔` nodes — an inner node drains its own
+    /// tail before the outer one pushes its next entry — so no list is allocated
+    /// per node.
+    pub(crate) fn push_exclusive(
+        &mut self,
+        var: Var,
+        pending: &mut Vec<(SemiringValue, u32)>,
+        base: usize,
+    ) -> u32 {
+        let branches_start = self.branches.len() as u32;
+        let branches_len = (pending.len() - base) as u32;
+        self.branches.extend(pending.drain(base..));
+        self.push(ArenaNode::Exclusive {
+            var,
+            branches_start,
+            branches_len,
+        })
+    }
+
+    /// The boxed tree this arena flattens: `from_tree(&arena.to_tree()) == arena`.
+    /// One pass over the post-order nodes with a stack of finished subtrees (a
+    /// left-deep `⊕` chain is as deep as it is long, so no recursion); branch
+    /// vectors are allocated at their final size.
+    pub fn to_tree(&self) -> DTree {
+        // The two subtrees finished last are the next binary node's children.
+        fn operands(built: &mut Vec<DTree>) -> (Box<DTree>, Box<DTree>) {
+            let right = Box::new(built.pop().expect("right subtree"));
+            let left = Box::new(built.pop().expect("left subtree"));
+            (left, right)
+        }
+        let mut built: Vec<DTree> = Vec::new();
+        for node in &self.nodes {
+            let tree = match *node {
+                ArenaNode::VarLeaf(v) => DTree::VarLeaf(v),
+                ArenaNode::SConst(s) => DTree::SConst(s),
+                ArenaNode::MConst(m) => DTree::MConst(m),
+                ArenaNode::SumS { .. } => {
+                    let (left, right) = operands(&mut built);
+                    DTree::SumS(left, right)
+                }
+                ArenaNode::Prod { .. } => {
+                    let (left, right) = operands(&mut built);
+                    DTree::Prod(left, right)
+                }
+                ArenaNode::SumM { op, .. } => {
+                    let (left, right) = operands(&mut built);
+                    DTree::SumM(op, left, right)
+                }
+                ArenaNode::Tensor { op, .. } => {
+                    let (scalar, value) = operands(&mut built);
+                    DTree::Tensor(op, scalar, value)
+                }
+                ArenaNode::Cmp { theta, .. } => {
+                    let (left, right) = operands(&mut built);
+                    DTree::Cmp(theta, left, right)
+                }
+                ArenaNode::Exclusive {
+                    var,
+                    branches_start,
+                    branches_len,
+                } => {
+                    let start = branches_start as usize;
+                    let entries = &self.branches[start..start + branches_len as usize];
+                    let children = built.drain(built.len() - entries.len()..);
+                    let mut branches = Vec::with_capacity(entries.len());
+                    branches.extend(entries.iter().map(|&(value, _)| value).zip(children));
+                    DTree::Exclusive(var, branches)
+                }
+            };
+            built.push(tree);
+        }
+        built.pop().expect("the root's tree")
     }
 
     /// Number of nodes.
@@ -265,18 +438,16 @@ impl DTreeArena {
         self.nodes.len()
     }
 
-    /// True if the arena holds no nodes (never produced by
-    /// [`from_tree`](Self::from_tree), which always pushes at least the root).
+    /// True if the arena holds no nodes — never one the compiler or
+    /// [`from_tree`](Self::from_tree) handed out: both push at least the root.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 
     /// Approximate heap footprint in bytes (used for cache accounting).
     pub fn approx_bytes(&self) -> usize {
-        self.nodes.len()
-            * (std::mem::size_of::<ArenaNode>()
-                + std::mem::size_of::<Sort>()
-                + std::mem::size_of::<Option<Fold>>())
+        self.nodes.len() * (std::mem::size_of::<ArenaNode>() + std::mem::size_of::<Sort>())
+            + self.folds.len() * std::mem::size_of::<(u32, Fold)>()
             + self.branches.len() * std::mem::size_of::<(SemiringValue, u32)>()
     }
 
@@ -358,10 +529,12 @@ impl DTreeArena {
             put_semiring_value(w, value);
             w.put_u32(*child);
         }
-        for fold in &self.folds {
-            match fold {
+        // One tag per node, the plan after it where there is one.
+        let mut planned = self.folds.iter().peekable();
+        for i in 0..self.nodes.len() as u32 {
+            match planned.next_if(|(node, _)| *node == i) {
                 None => w.put_u8(0),
-                Some(f) => {
+                Some((_, f)) => {
                     w.put_u8(1);
                     put_cmp_op(w, f.theta);
                     put_monoid_value(w, &f.bound);
@@ -379,8 +552,8 @@ impl DTreeArena {
     }
 
     /// Decode an arena previously written by [`encode_into`](Self::encode_into),
-    /// validating every child index so a malformed payload surfaces as a typed
-    /// error instead of an out-of-bounds panic at evaluation time.
+    /// validating every index and the post-order layout, so a malformed payload
+    /// surfaces as a typed error instead of a panic when the arena is used.
     pub(crate) fn decode_from(
         r: &mut persist::Reader<'_>,
     ) -> Result<DTreeArena, persist::PersistError> {
@@ -398,43 +571,42 @@ impl DTreeArena {
             }
         };
         let mut nodes = Vec::with_capacity(n_nodes);
-        // The branch table length is read after the nodes, so Exclusive branch
-        // ranges are validated in a second pass below.
-        for i in 0..n_nodes {
+        // Child indices and branch ranges are validated by the layout pass below.
+        for _ in 0..n_nodes {
             let node = match r.take_u8()? {
                 0 => ArenaNode::VarLeaf(Var(r.take_u32()?)),
                 1 => ArenaNode::SConst(take_semiring_value(r)?),
                 2 => ArenaNode::MConst(take_monoid_value(r)?),
                 3 => ArenaNode::SumS {
-                    left: child_of(r.take_u32()?, i)?,
-                    right: child_of(r.take_u32()?, i)?,
+                    left: r.take_u32()?,
+                    right: r.take_u32()?,
                 },
                 4 => {
                     let op = take_agg_op(r)?;
                     ArenaNode::SumM {
                         op,
-                        left: child_of(r.take_u32()?, i)?,
-                        right: child_of(r.take_u32()?, i)?,
+                        left: r.take_u32()?,
+                        right: r.take_u32()?,
                     }
                 }
                 5 => ArenaNode::Prod {
-                    left: child_of(r.take_u32()?, i)?,
-                    right: child_of(r.take_u32()?, i)?,
+                    left: r.take_u32()?,
+                    right: r.take_u32()?,
                 },
                 6 => {
                     let op = take_agg_op(r)?;
                     ArenaNode::Tensor {
                         op,
-                        scalar: child_of(r.take_u32()?, i)?,
-                        value: child_of(r.take_u32()?, i)?,
+                        scalar: r.take_u32()?,
+                        value: r.take_u32()?,
                     }
                 }
                 7 => {
                     let theta = take_cmp_op(r)?;
                     ArenaNode::Cmp {
                         theta,
-                        left: child_of(r.take_u32()?, i)?,
-                        right: child_of(r.take_u32()?, i)?,
+                        left: r.take_u32()?,
+                        right: r.take_u32()?,
                     }
                 }
                 8 => ArenaNode::Exclusive {
@@ -458,39 +630,76 @@ impl DTreeArena {
             }
             branches.push((value, child));
         }
+        // The layout `to_tree` reads front to back, and the one the writer
+        // produces: the nodes are the post-order of one tree — every node's
+        // children are the roots of the subtrees that end right before it, in
+        // order, and the last node is the root. `open` holds the roots of the
+        // finished subtrees no parent has claimed yet.
+        let mut open: Vec<u32> = Vec::new();
         for (i, node) in nodes.iter().enumerate() {
-            if let ArenaNode::Exclusive {
-                branches_start,
-                branches_len,
-                ..
-            } = node
-            {
-                let end = *branches_start as usize + *branches_len as usize;
-                if end > n_branches {
-                    return Err(PersistError::Format(format!(
-                        "arena node {i} references branches beyond the branch table"
-                    )));
+            let mut claim = |child: u32| match open.pop() {
+                Some(top) if top == child => Ok(()),
+                _ => Err(PersistError::Format(format!(
+                    "arena node {i} does not follow its child {child} in post-order"
+                ))),
+            };
+            match *node {
+                ArenaNode::VarLeaf(_) | ArenaNode::SConst(_) | ArenaNode::MConst(_) => {}
+                ArenaNode::SumS { left, right }
+                | ArenaNode::Prod { left, right }
+                | ArenaNode::SumM { left, right, .. }
+                | ArenaNode::Cmp { left, right, .. }
+                | ArenaNode::Tensor {
+                    scalar: left,
+                    value: right,
+                    ..
+                } => {
+                    claim(right)?;
+                    claim(left)?;
                 }
-                for (_, child) in &branches[*branches_start as usize..end] {
-                    child_of(*child, i)?;
+                ArenaNode::Exclusive {
+                    branches_start,
+                    branches_len,
+                    ..
+                } => {
+                    let start = branches_start as usize;
+                    let entries = branches
+                        .get(start..start + branches_len as usize)
+                        .ok_or_else(|| {
+                            PersistError::Format(format!(
+                                "arena node {i} references branches beyond the branch table"
+                            ))
+                        })?;
+                    for &(_, child) in entries.iter().rev() {
+                        claim(child)?;
+                    }
                 }
             }
+            open.push(i as u32);
         }
-        let mut folds = Vec::with_capacity(n_nodes);
+        if open.len() != 1 {
+            return Err(PersistError::Format(format!(
+                "arena is {} trees, not one",
+                open.len()
+            )));
+        }
+        let mut folds = Vec::new();
         for i in 0..n_nodes {
-            folds.push(match r.take_u8()? {
-                0 => None,
+            match r.take_u8()? {
+                0 => {}
                 1 => {
                     let theta = take_cmp_op(r)?;
                     let bound = take_monoid_value(r)?;
-                    Some(Fold {
+                    let child = child_of(r.take_u32()?, i)?;
+                    let plan = Fold {
                         theta,
                         bound,
-                        child: child_of(r.take_u32()?, i)?,
-                    })
+                        child,
+                    };
+                    folds.push((i as u32, plan));
                 }
                 t => return Err(PersistError::Format(format!("bad fold tag {t}"))),
-            });
+            }
         }
         let mut sorts = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
@@ -509,96 +718,44 @@ impl DTreeArena {
         })
     }
 
-    fn push_tree(&mut self, tree: &DTree, branch_scratch: &mut Vec<(SemiringValue, u32)>) -> u32 {
-        match tree {
-            DTree::VarLeaf(v) => self.push_node(ArenaNode::VarLeaf(*v), Sort::Semiring),
-            DTree::SConst(s) => self.push_node(ArenaNode::SConst(*s), Sort::Semiring),
-            DTree::MConst(m) => self.push_node(ArenaNode::MConst(*m), Sort::Monoid),
-            DTree::SumS(a, b) => {
-                let left = self.push_tree(a, branch_scratch);
-                let right = self.push_tree(b, branch_scratch);
-                self.push_node(ArenaNode::SumS { left, right }, Sort::Semiring)
-            }
-            DTree::Prod(a, b) => {
-                let left = self.push_tree(a, branch_scratch);
-                let right = self.push_tree(b, branch_scratch);
-                self.push_node(ArenaNode::Prod { left, right }, Sort::Semiring)
-            }
-            DTree::SumM(op, a, b) => {
-                let left = self.push_tree(a, branch_scratch);
-                let right = self.push_tree(b, branch_scratch);
-                self.push_node(
-                    ArenaNode::SumM {
-                        op: *op,
-                        left,
-                        right,
-                    },
-                    Sort::Monoid,
-                )
-            }
-            DTree::Tensor(op, scalar, value) => {
-                let scalar = self.push_tree(scalar, branch_scratch);
-                let value = self.push_tree(value, branch_scratch);
-                self.push_node(
-                    ArenaNode::Tensor {
-                        op: *op,
-                        scalar,
-                        value,
-                    },
-                    Sort::Monoid,
-                )
-            }
-            DTree::Cmp(theta, a, b) => {
-                let left = self.push_tree(a, branch_scratch);
-                let right = self.push_tree(b, branch_scratch);
-                let idx = self.push_node(
-                    ArenaNode::Cmp {
-                        theta: *theta,
-                        left,
-                        right,
-                    },
-                    Sort::Semiring,
-                );
-                self.plan_fold(idx, *theta, left, right);
-                idx
-            }
+    fn push_tree(&mut self, tree: &DTree, pending: &mut Vec<(SemiringValue, u32)>) -> u32 {
+        let node = match tree {
+            DTree::VarLeaf(v) => ArenaNode::VarLeaf(*v),
+            DTree::SConst(s) => ArenaNode::SConst(*s),
+            DTree::MConst(m) => ArenaNode::MConst(*m),
+            DTree::SumS(a, b) => ArenaNode::SumS {
+                left: self.push_tree(a, pending),
+                right: self.push_tree(b, pending),
+            },
+            DTree::Prod(a, b) => ArenaNode::Prod {
+                left: self.push_tree(a, pending),
+                right: self.push_tree(b, pending),
+            },
+            DTree::SumM(op, a, b) => ArenaNode::SumM {
+                op: *op,
+                left: self.push_tree(a, pending),
+                right: self.push_tree(b, pending),
+            },
+            DTree::Tensor(op, scalar, value) => ArenaNode::Tensor {
+                op: *op,
+                scalar: self.push_tree(scalar, pending),
+                value: self.push_tree(value, pending),
+            },
+            DTree::Cmp(theta, a, b) => ArenaNode::Cmp {
+                theta: *theta,
+                left: self.push_tree(a, pending),
+                right: self.push_tree(b, pending),
+            },
             DTree::Exclusive(var, branches) => {
-                // Branch entries accumulate in a shared scratch (inner Exclusive
-                // nodes drain their own region first), avoiding one temporary
-                // vector per ⊔ node.
-                let scratch_base = branch_scratch.len();
-                let mut sort = None;
+                let base = pending.len();
                 for (value, child) in branches {
-                    let child_idx = self.push_tree(child, branch_scratch);
-                    let child_sort = self.sorts[child_idx as usize];
-                    sort = Some(match sort {
-                        None => child_sort,
-                        Some(s) if s == child_sort => s,
-                        Some(_) => Sort::Unknown,
-                    });
-                    branch_scratch.push((*value, child_idx));
+                    let child = self.push_tree(child, pending);
+                    pending.push((*value, child));
                 }
-                let branches_start = self.branches.len() as u32;
-                let branches_len = (branch_scratch.len() - scratch_base) as u32;
-                self.branches.extend(branch_scratch.drain(scratch_base..));
-                self.push_node(
-                    ArenaNode::Exclusive {
-                        var: *var,
-                        branches_start,
-                        branches_len,
-                    },
-                    sort.unwrap_or(Sort::Unknown),
-                )
+                return self.push_exclusive(*var, pending, base);
             }
-        }
-    }
-
-    fn push_node(&mut self, node: ArenaNode, sort: Sort) -> u32 {
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(node);
-        self.folds.push(None);
-        self.sorts.push(sort);
-        idx
+        };
+        self.push(node)
     }
 
     /// Attach a threshold-fold plan to a freshly pushed `[θ]` node when one side
@@ -620,11 +777,18 @@ impl DTreeArena {
         if self.sorts[child as usize] != Sort::Monoid {
             return;
         }
-        self.folds[idx as usize] = Some(Fold {
+        let plan = Fold {
             theta: eff_theta,
             bound,
             child,
-        });
+        };
+        self.folds.push((idx, plan));
+    }
+
+    /// The fold plan of the node at `idx`, if it has one.
+    fn fold_of(&self, idx: u32) -> Option<Fold> {
+        let at = self.folds.binary_search_by_key(&idx, |&(node, _)| node);
+        Some(self.folds[at.ok()?].1)
     }
 
     /// Evaluate the whole arena and return the root distribution in the mixed sum
@@ -634,7 +798,7 @@ impl DTreeArena {
         table: &VarTable,
         kind: SemiringKind,
     ) -> Result<MixedDist, DTreeError> {
-        Ok(self.evaluate(table, kind)?.into_mixed())
+        Ok(self.evaluate(table, kind)?.0.into_mixed())
     }
 
     /// Evaluate and extract the root as a semiring distribution.
@@ -643,7 +807,18 @@ impl DTreeArena {
         table: &VarTable,
         kind: SemiringKind,
     ) -> Result<SemiringDist, DTreeError> {
-        self.evaluate(table, kind)?.into_semiring("root")
+        Ok(self.semiring_distribution_by(table, kind)?.0)
+    }
+
+    /// [`semiring_distribution`](Self::semiring_distribution), and the form the
+    /// root value was computed in.
+    pub(crate) fn semiring_distribution_by(
+        &self,
+        table: &VarTable,
+        kind: SemiringKind,
+    ) -> Result<(SemiringDist, Interp), DTreeError> {
+        let (value, interp) = self.evaluate(table, kind)?;
+        Ok((value.into_semiring("root")?, interp))
     }
 
     /// Evaluate and extract the root as a monoid distribution.
@@ -652,18 +827,28 @@ impl DTreeArena {
         table: &VarTable,
         kind: SemiringKind,
     ) -> Result<MonoidDist, DTreeError> {
-        self.evaluate(table, kind)?.into_monoid("root")
+        self.evaluate(table, kind)?.0.into_monoid("root")
     }
 
-    fn evaluate(&self, table: &VarTable, kind: SemiringKind) -> Result<Val, DTreeError> {
-        let mut scratch = EvalScratch::default();
+    fn evaluate(&self, table: &VarTable, kind: SemiringKind) -> Result<(Val, Interp), DTreeError> {
+        let mut scratch = EvalScratch {
+            cells: kind == SemiringKind::Bool,
+            ..EvalScratch::default()
+        };
         let depth_hist = &crate::obs::core_metrics().eval_stack_depth;
         scratch.track_depth = depth_hist.is_enabled();
-        let result = self.eval_from(self.nodes.len() as u32 - 1, table, kind, &mut scratch);
+        let root = self.nodes.len() as u32 - 1;
+        let result = self.eval_from(root, table, kind, &mut scratch);
         if scratch.track_depth {
             depth_hist.record(scratch.max_depth as u64);
         }
-        result
+        result.map(|value| {
+            let interp = match value {
+                Val::B(_) => Interp::Cells,
+                _ => Interp::Dist,
+            };
+            (value, interp)
+        })
     }
 
     /// The iterative post-order evaluation of the subtree rooted at `root`: an
@@ -691,11 +876,18 @@ impl DTreeArena {
                     match self.nodes[i as usize] {
                         // Leaves evaluate immediately.
                         ArenaNode::VarLeaf(v) => {
-                            scratch.stack.push(Val::S(table.dist(v).clone()));
+                            scratch
+                                .stack
+                                .push(semiring_val(table.dist(v), scratch.cells));
                             continue;
                         }
                         ArenaNode::SConst(s) => {
-                            scratch.stack.push(Val::S(Dist::point(s)));
+                            scratch.stack.push(match s {
+                                SemiringValue::Bool(b) if scratch.cells => {
+                                    Val::B(BoolCells::point(b))
+                                }
+                                _ => Val::S(Dist::point(s)),
+                            });
                             continue;
                         }
                         ArenaNode::MConst(m) => {
@@ -703,20 +895,26 @@ impl DTreeArena {
                             continue;
                         }
                         // A folded comparison handles its own subtree.
-                        ArenaNode::Cmp { .. } if self.folds[i as usize].is_some() => {
-                            let fold = self.folds[i as usize].expect("checked fold");
+                        ArenaNode::Cmp { left, right, .. } => {
+                            let Some(fold) = self.fold_of(i) else {
+                                scratch.work.push(Phase::Emit(i));
+                                scratch.work.push(Phase::Expand(right));
+                                scratch.work.push(Phase::Expand(left));
+                                continue;
+                            };
                             let (p_true, mass) = self.threshold(
                                 fold.child, fold.theta, fold.bound, table, kind, scratch,
                             )?;
-                            scratch
-                                .stack
-                                .push(Val::S(comparison_dist(kind, p_true, mass)));
+                            scratch.stack.push(if scratch.cells {
+                                Val::B(BoolCells::new(mass - p_true, p_true))
+                            } else {
+                                Val::S(comparison_dist(kind, p_true, mass))
+                            });
                             continue;
                         }
                         ArenaNode::SumS { left, right }
                         | ArenaNode::Prod { left, right }
-                        | ArenaNode::SumM { left, right, .. }
-                        | ArenaNode::Cmp { left, right, .. } => {
+                        | ArenaNode::SumM { left, right, .. } => {
                             scratch.work.push(Phase::Emit(i));
                             scratch.work.push(Phase::Expand(right));
                             scratch.work.push(Phase::Expand(left));
@@ -750,16 +948,34 @@ impl DTreeArena {
                 ArenaNode::SumS { .. } => {
                     let right = scratch.stack.pop().expect("⊕ right operand");
                     let left = scratch.stack.pop().expect("⊕ left operand");
-                    let da = left.into_semiring("⊕(semiring)")?;
-                    let db = right.into_semiring("⊕(semiring)")?;
-                    Val::S(da.convolve_with_scratch(&db, |x, y| x.add(y), &mut scratch.s_pairs))
+                    match (left, right) {
+                        (Val::B(a), Val::B(b)) => Val::B(a.or(b)),
+                        (left, right) => {
+                            let da = left.into_semiring("⊕(semiring)")?;
+                            let db = right.into_semiring("⊕(semiring)")?;
+                            Val::S(da.convolve_with_scratch(
+                                &db,
+                                |x, y| x.add(y),
+                                &mut scratch.s_pairs,
+                            ))
+                        }
+                    }
                 }
                 ArenaNode::Prod { .. } => {
                     let right = scratch.stack.pop().expect("⊙ right operand");
                     let left = scratch.stack.pop().expect("⊙ left operand");
-                    let da = left.into_semiring("⊙")?;
-                    let db = right.into_semiring("⊙")?;
-                    Val::S(da.convolve_with_scratch(&db, |x, y| x.mul(y), &mut scratch.s_pairs))
+                    match (left, right) {
+                        (Val::B(a), Val::B(b)) => Val::B(a.and(b)),
+                        (left, right) => {
+                            let da = left.into_semiring("⊙")?;
+                            let db = right.into_semiring("⊙")?;
+                            Val::S(da.convolve_with_scratch(
+                                &db,
+                                |x, y| x.mul(y),
+                                &mut scratch.s_pairs,
+                            ))
+                        }
+                    }
                 }
                 ArenaNode::SumM { op, .. } => {
                     let right = scratch.stack.pop().expect("⊕ right operand");
@@ -857,6 +1073,9 @@ impl DTreeArena {
         kind: SemiringKind,
         scratch: &mut EvalScratch,
     ) -> Result<Val, DTreeError> {
+        if let (Val::B(a), Val::B(b)) = (&left, &right) {
+            return Ok(Val::B(a.compare(theta, *b)));
+        }
         if left.is_empty() || right.is_empty() {
             return Ok(Val::Empty);
         }
@@ -871,45 +1090,28 @@ impl DTreeArena {
         let left = demote(left)?;
         let right = demote(right)?;
         let is_semiring = |v: &Val| match v {
-            Val::S(_) => true,
+            Val::B(_) | Val::S(_) => true,
             Val::M(_) => false,
             Val::MD(_) => unreachable!("dense sides demoted above"),
             Val::Empty => unreachable!("empty sides handled above"),
             Val::Mixed(d) => matches!(d.support().next(), Some(DistValue::S(_))),
         };
-        match (is_semiring(&left), is_semiring(&right)) {
+        let truth = |holds: bool| if holds { kind.one() } else { kind.zero() };
+        let dist = match (is_semiring(&left), is_semiring(&right)) {
             (true, true) => {
                 let da = left.into_semiring("[θ]")?;
                 let db = right.into_semiring("[θ]")?;
-                Ok(Val::S(da.convolve_with_scratch(
-                    &db,
-                    |x, y| {
-                        if theta.eval(x, y) {
-                            kind.one()
-                        } else {
-                            kind.zero()
-                        }
-                    },
-                    &mut scratch.s_pairs,
-                )))
+                da.convolve_with_scratch(&db, |x, y| truth(theta.eval(x, y)), &mut scratch.s_pairs)
             }
             (false, false) => {
                 let da = left.into_monoid("[θ]")?;
                 let db = right.into_monoid("[θ]")?;
-                Ok(Val::S(da.convolve_with_scratch(
-                    &db,
-                    |x, y| {
-                        if theta.eval(x, y) {
-                            kind.one()
-                        } else {
-                            kind.zero()
-                        }
-                    },
-                    &mut scratch.s_pairs,
-                )))
+                da.convolve_with_scratch(&db, |x, y| truth(theta.eval(x, y)), &mut scratch.s_pairs)
             }
-            _ => Err(DTreeError::MixedComparison),
-        }
+            _ => return Err(DTreeError::MixedComparison),
+        };
+        // Where a Boolean region starts: the comparison's two outcomes.
+        Ok(semiring_val(&dist, scratch.cells))
     }
 
     /// The scalar CDF walk: `(P[subtree θ bound], total mass)` of the monoid
@@ -1140,6 +1342,15 @@ fn comparison_dist(kind: SemiringKind, p_true: f64, mass: f64) -> SemiringDist {
     Dist::from_sorted_unique(entries)
 }
 
+/// A semiring distribution as a stack value: on two cells where the pass runs
+/// on them and the support lies in `{⊥, ⊤}`.
+fn semiring_val(dist: &SemiringDist, cells: bool) -> Val {
+    match cells.then(|| BoolCells::from_dist(dist)).flatten() {
+        Some(two) => Val::B(two),
+        None => Val::S(dist.clone()),
+    }
+}
+
 /// Mix `next`, scaled by `weight`, into the accumulator, staying in the native
 /// sort while both sides agree and widening to the mixed sum type only when a
 /// `⊔` node genuinely mixes sorts. Dense monoid values stay dense while the
@@ -1147,6 +1358,7 @@ fn comparison_dist(kind: SemiringKind, p_true: f64, mass: f64) -> SemiringDist {
 /// breaks) and the sparse mix runs — both paths bit-identical in value.
 fn mix_scaled(acc: Val, next: Val, weight: f64) -> Val {
     let scaled = match next {
+        Val::B(c) => Val::B(c.scale(weight)),
         Val::S(d) => Val::S(d.scale(weight)),
         Val::M(d) => Val::M(d.scale(weight)),
         Val::MD(d) => Val::MD(d.scale(weight)),
@@ -1156,6 +1368,10 @@ fn mix_scaled(acc: Val, next: Val, weight: f64) -> Val {
     match (acc, scaled) {
         (acc, next) if next.is_empty() => acc,
         (acc, next) if acc.is_empty() => next,
+        (Val::B(a), Val::B(b)) => Val::B(a.mix(b)),
+        // Cells beside a distribution (an `N`-valued branch) are one too.
+        (Val::B(a), Val::S(b)) => Val::S(a.to_dist().mix(&b)),
+        (Val::S(a), Val::B(b)) => Val::S(a.mix(&b.to_dist())),
         (Val::S(a), Val::S(b)) => Val::S(a.mix(&b)),
         (Val::M(a), Val::M(b)) => Val::M(a.mix(&b)),
         (Val::MD(a), Val::MD(b)) => match mix_dense_chained(&a, &b) {
@@ -1237,6 +1453,10 @@ mod tests {
         (vt, a, b, c)
     }
 
+    fn root_fold(arena: &DTreeArena) -> Option<Fold> {
+        arena.fold_of(arena.len() as u32 - 1)
+    }
+
     fn min_tensor(v: Var, m: i64) -> DTree {
         DTree::Tensor(
             AggOp::Min,
@@ -1289,7 +1509,7 @@ mod tests {
                 let tree = DTree::Cmp(theta, Box::new(alpha), Box::new(DTree::MConst(Fin(bound))));
                 let arena = DTreeArena::from_tree(&tree);
                 // The fold plan must be armed on the root.
-                assert!(arena.folds.last().unwrap().is_some(), "{theta:?} {bound}");
+                assert!(root_fold(&arena).is_some(), "{theta:?} {bound}");
                 let d = arena
                     .semiring_distribution(&vt, SemiringKind::Bool)
                     .unwrap();
@@ -1329,7 +1549,7 @@ mod tests {
             Box::new(min_tensor(x, 10)),
         );
         let arena = DTreeArena::from_tree(&tree);
-        assert!(arena.folds.last().unwrap().is_some());
+        assert!(root_fold(&arena).is_some());
         let d = arena
             .semiring_distribution(&vt, SemiringKind::Bool)
             .unwrap();
@@ -1345,7 +1565,7 @@ mod tests {
             Box::new(DTree::MConst(Fin(10))),
         );
         let arena = DTreeArena::from_tree(&tree);
-        assert!(arena.folds.last().unwrap().is_none());
+        assert!(root_fold(&arena).is_none());
     }
 
     #[test]
@@ -1377,11 +1597,213 @@ mod tests {
         // Constant on the left arms a fold, but the right side is semiring-sorted,
         // so the fold is refused and the mixed comparison reports the usual error.
         let arena = DTreeArena::from_tree(&bad);
-        assert!(arena.folds.last().unwrap().is_none());
+        assert!(root_fold(&arena).is_none());
         assert_eq!(
             arena.mixed_distribution(&vt, SemiringKind::Bool),
             Err(DTreeError::MixedComparison)
         );
+    }
+
+    /// One arena over `B` evaluated both ways: the public entry (Boolean values
+    /// on two cells) and the same loop with every value a `Dist`. Results must
+    /// be equal to the bit — `Dist`'s `==` compares the probabilities exactly.
+    fn both_ways(tree: &DTree, vt: &VarTable) -> (Result<MixedDist, DTreeError>, Interp) {
+        let arena = DTreeArena::from_tree(tree);
+        assert_eq!(arena.to_tree(), *tree);
+        let kind = SemiringKind::Bool;
+        let general = arena
+            .eval_from(
+                arena.len() as u32 - 1,
+                vt,
+                kind,
+                &mut EvalScratch::default(),
+            )
+            .map(Val::into_mixed);
+        let interp = match arena.evaluate(vt, kind) {
+            Ok((_, interp)) => interp,
+            Err(_) => Interp::Dist,
+        };
+        let entry = arena.mixed_distribution(vt, kind);
+        assert_eq!(entry, general, "{tree}");
+        (entry, interp)
+    }
+
+    #[test]
+    fn boolean_region_evaluation_equals_the_general_evaluator() {
+        let mut vt = VarTable::new();
+        let xs: Vec<Var> = (0..8)
+            .map(|i| vt.boolean(format!("x{i}"), 0.07 + 0.11 * i as f64))
+            .collect();
+        let n = vt.natural("n", &[(0, 0.25), (2, 0.5), (5, 0.25)]);
+        let certain = vt.boolean("certain", 1.0);
+        let leaf = |i: usize| Box::new(DTree::VarLeaf(xs[i]));
+        let tensor =
+            |op, i: usize, m| Box::new(DTree::Tensor(op, leaf(i), Box::new(DTree::MConst(Fin(m)))));
+        let bound = |m| Box::new(DTree::MConst(Fin(m)));
+        let falsum = Box::new(DTree::SConst(SemiringValue::Bool(false)));
+        // [x0⊗4 +min x1⊗9 ≤ 5]: folded; [x2⊗3 +sum x3⊗4 = 7]: fully evaluated.
+        let min_le = DTree::Cmp(
+            CmpOp::Le,
+            Box::new(DTree::SumM(
+                AggOp::Min,
+                tensor(AggOp::Min, 0, 4),
+                tensor(AggOp::Min, 1, 9),
+            )),
+            bound(5),
+        );
+        let sum_eq = DTree::Cmp(
+            CmpOp::Eq,
+            Box::new(DTree::SumM(
+                AggOp::Sum,
+                tensor(AggOp::Sum, 2, 3),
+                tensor(AggOp::Sum, 3, 4),
+            )),
+            bound(7),
+        );
+        // x4 ∧ [min ≤ 5]  ∨  [sum = 7] ∧ x5, compared with ⊥, under a ⊔ on x6
+        // whose other branch is a plain disjunction.
+        let region = DTree::Cmp(
+            CmpOp::Ne,
+            Box::new(DTree::SumS(
+                Box::new(DTree::Prod(leaf(4), Box::new(min_le.clone()))),
+                Box::new(DTree::Prod(Box::new(sum_eq.clone()), leaf(5))),
+            )),
+            falsum.clone(),
+        );
+        let split = DTree::Exclusive(
+            xs[6],
+            vec![
+                (SemiringValue::Bool(false), region.clone()),
+                (
+                    SemiringValue::Bool(true),
+                    DTree::SumS(leaf(7), Box::new(min_le.clone())),
+                ),
+            ],
+        );
+        // A left-deep ∨ chain under [· ≠ ⊥]: the group confidence of TPC-H Q1.
+        let chain = (1..8).fold(DTree::VarLeaf(xs[0]), |acc, i| {
+            DTree::SumS(Box::new(acc), leaf(i))
+        });
+        let q1 = DTree::Cmp(CmpOp::Ne, Box::new(chain), falsum.clone());
+        for tree in [&min_le, &sum_eq, &region, &split, &q1] {
+            let (dist, interp) = both_ways(tree, &vt);
+            assert_eq!(interp, Interp::Cells, "{tree}");
+            assert!(dist.unwrap().is_normalized(), "{tree}");
+        }
+        // A variable that is certainly ⊤ has one cell; so has what it absorbs.
+        let absorbed = DTree::SumS(leaf(0), Box::new(DTree::VarLeaf(certain)));
+        let (dist, interp) = both_ways(&absorbed, &vt);
+        assert_eq!(interp, Interp::Cells);
+        assert_eq!(dist.unwrap().support_size(), 1);
+        // Under a monoid root the scalars of `⊗` are Boolean regions of their own:
+        // (x0 ∨ x1·x2) ⊗ 4 +sum [x3 ≠ ⊥] ⊗ 9, and the same under MIN.
+        for op in [AggOp::Sum, AggOp::Min] {
+            let formula = DTree::SumS(leaf(0), Box::new(DTree::Prod(leaf(1), leaf(2))));
+            let holds = DTree::Cmp(CmpOp::Ne, leaf(3), falsum.clone());
+            let aggregate = DTree::SumM(
+                op,
+                Box::new(DTree::Tensor(op, Box::new(formula), bound(4))),
+                Box::new(DTree::Tensor(op, Box::new(holds), bound(9))),
+            );
+            let (dist, interp) = both_ways(&aggregate, &vt);
+            assert_eq!(interp, Interp::Dist, "{aggregate}");
+            assert!(dist.unwrap().is_normalized(), "{aggregate}");
+        }
+
+        // An N-valued leaf under a root over B is a `Dist`, and so is whatever
+        // it meets — here with the values of N in the result.
+        let natural = DTree::Exclusive(
+            xs[0],
+            vec![
+                (SemiringValue::Bool(false), DTree::VarLeaf(n)),
+                (SemiringValue::Bool(true), DTree::VarLeaf(xs[1])),
+            ],
+        );
+        let squared = DTree::Prod(Box::new(DTree::VarLeaf(n)), Box::new(DTree::VarLeaf(n)));
+        for tree in [&natural, &squared] {
+            let (dist, interp) = both_ways(tree, &vt);
+            assert_eq!(interp, Interp::Dist, "{tree}");
+            let dist = dist.unwrap();
+            assert!(dist
+                .support()
+                .any(|v| *v == DistValue::S(SemiringValue::Nat(0))));
+        }
+
+        // An exhausted ⊔ — no branches, or none the variable can take — is the
+        // empty distribution, and so is everything convolved with it.
+        let no_branches = DTree::Exclusive(xs[0], vec![]);
+        let impossible = DTree::Exclusive(xs[0], vec![(SemiringValue::Nat(3), *leaf(1))]);
+        for exhausted in [no_branches, impossible] {
+            let tree = DTree::SumS(leaf(2), Box::new(exhausted));
+            let (dist, _) = both_ways(&tree, &vt);
+            assert!(dist.unwrap().is_empty(), "{tree}");
+        }
+
+        // A ⊔ over branches of different sorts: a mixed result.
+        let mixed = DTree::Exclusive(
+            xs[0],
+            vec![
+                (SemiringValue::Bool(false), *leaf(1)),
+                (SemiringValue::Bool(true), DTree::MConst(Fin(3))),
+            ],
+        );
+        let (dist, interp) = both_ways(&mixed, &vt);
+        assert_eq!(interp, Interp::Dist);
+        let dist = dist.unwrap();
+        assert!(dist.support().any(|v| matches!(v, DistValue::M(_))));
+        assert!(dist.support().any(|v| matches!(v, DistValue::S(_))));
+        // Cells beside a monoid value are the sort error a `Dist` would be.
+        let bad = DTree::SumS(leaf(0), bound(1));
+        let (result, _) = both_ways(&bad, &vt);
+        assert_eq!(result, Err(DTreeError::ExpectedSemiring("⊕(semiring)")));
+    }
+
+    #[test]
+    fn decoding_refuses_what_is_not_one_tree_in_post_order() {
+        let (_, a, b, _) = table_abc(0.5, 0.5, 0.5);
+        let round_trip = |arena: &DTreeArena| {
+            let mut writer = persist::Writer::new();
+            arena.encode_into(&mut writer);
+            let bytes = writer.into_bytes();
+            DTreeArena::decode_from(&mut persist::Reader::new(&bytes))
+        };
+        // What the compiler and `from_tree` build comes back as it was.
+        let tree = DTree::Cmp(
+            CmpOp::Le,
+            Box::new(DTree::Exclusive(
+                a,
+                vec![
+                    (SemiringValue::Bool(false), min_tensor(b, 3)),
+                    (SemiringValue::Bool(true), DTree::MConst(Fin(1))),
+                ],
+            )),
+            Box::new(DTree::MConst(Fin(2))),
+        );
+        let arena = DTreeArena::from_tree(&tree);
+        assert_eq!(round_trip(&arena).as_ref(), Ok(&arena));
+        // A child used twice, two roots, operands in the wrong order, nothing.
+        let (x, y) = (ArenaNode::VarLeaf(a), ArenaNode::VarLeaf(b));
+        let sum = |left, right| ArenaNode::SumS { left, right };
+        for nodes in [
+            vec![x, sum(0, 0)],
+            vec![x, y],
+            vec![x, y, sum(1, 0)],
+            vec![x, y, sum(0, 1), sum(0, 2)],
+            vec![],
+        ] {
+            let malformed = DTreeArena {
+                sorts: vec![Sort::Semiring; nodes.len()],
+                nodes,
+                ..DTreeArena::new()
+            };
+            assert!(
+                matches!(
+                    round_trip(&malformed),
+                    Err(persist::PersistError::Format(_))
+                ),
+                "{malformed:?}"
+            );
+        }
     }
 
     #[test]
@@ -1407,7 +1829,7 @@ mod tests {
         );
         let tree = DTree::Cmp(CmpOp::Ge, Box::new(alpha), Box::new(DTree::MConst(Fin(2))));
         let arena = DTreeArena::from_tree(&tree);
-        assert!(arena.folds.last().unwrap().is_some());
+        assert!(root_fold(&arena).is_some());
         let d = arena
             .semiring_distribution(&vt, SemiringKind::Bool)
             .unwrap();

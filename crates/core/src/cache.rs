@@ -27,7 +27,7 @@
 //! (or one aggregate term `x ⊗ m`) is a *leaf component*: its distribution is
 //! `P_x` (or `P_x` mapped through the scalar action), which the [`VarTable`]
 //! already holds — reading it is cheaper than the intern → lookup → compile →
-//! flatten → insert round trip a cache entry costs, so leaves are evaluated
+//! insert round trip a cache entry costs, so leaves are evaluated
 //! inline and leave no trace in the interner, the cache or the counters. The
 //! enclosing expression's own entry still carries every leaf's variable in its
 //! var-set, so [`SharedArtifacts::evict_touching`] is unaffected.
@@ -41,8 +41,8 @@
 //! variable distributions change, and must bypass it when compilation is made
 //! observably fallible (node budgets) — the engine in `pvc-db` does both.
 
-use crate::arena::DTreeArena;
-use crate::compile::{BudgetExceeded, CompileOptions, Compiler};
+use crate::arena::{DTreeArena, Interp};
+use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler};
 use crate::node::DTreeError;
 use pvc_algebra::{AggOp, MonoidValue, SemiringKind};
 use pvc_expr::independence::connected_components_by;
@@ -90,8 +90,8 @@ pub struct CacheCounters {
     pub cross_scope_hits: u64,
     /// Entries evicted by the LRU bounds.
     pub evictions: u64,
-    /// Compiled-arena lookups answered from the cache (a hit skips both d-tree
-    /// compilation and flattening; only the arena evaluation runs).
+    /// Compiled-arena lookups answered from the cache (a hit skips the d-tree
+    /// compilation; only the arena evaluation runs).
     pub arena_hits: u64,
     /// Compiled-arena lookups that had to compile.
     pub arena_misses: u64,
@@ -295,7 +295,7 @@ pub struct CompilationCache {
     config: CacheConfig,
     semiring: Lru<SemiringDist>,
     aggregate: Lru<MonoidDist>,
-    /// Compiled, flattened d-trees ([`DTreeArena`]) for semiring expressions.
+    /// Compiled d-trees ([`DTreeArena`]) for semiring expressions.
     /// Kept alongside the distributions so that a distribution-cache miss (or a
     /// confidence-only evaluation after eviction) reuses the compiled artifact
     /// and only re-runs the cheap arena evaluation.
@@ -630,13 +630,20 @@ pub fn confidence_of(dist: &SemiringDist) -> f64 {
 /// overwrites the first with an equal value. Results are therefore independent of
 /// scheduling; only the hit/miss counters can differ between runs.
 ///
-/// Lock ordering: evaluation paths hold at most one of the two mutexes at a time;
-/// only [`clear`](Self::clear) takes both (interner before cache, to reset them
+/// Lock ordering: evaluation paths hold at most one of the mutexes at a time;
+/// only [`clear`](Self::clear) takes two (interner before cache, to reset them
 /// atomically), so no lock cycle — and no deadlock — is possible.
 #[derive(Debug, Default)]
 pub struct SharedArtifacts {
     interner: Mutex<Interner>,
     cache: Mutex<CompilationCache>,
+    /// The compile-local tables of finished compilations, waiting for the next
+    /// miss: a compilation takes one (or starts a new one) and gives it back, so
+    /// there are as many as compilations have run at once. They hold no
+    /// artifacts, only room — each as much as the largest compilation it served
+    /// needed — so [`clear`](Self::clear) and [`compact`](Self::compact), where
+    /// the store gives memory back, free them too.
+    scratch: Mutex<Vec<CompileScratch>>,
     /// Completed compaction generations (see [`compact`](Self::compact)).
     generation: std::sync::atomic::AtomicU64,
 }
@@ -676,8 +683,30 @@ impl SharedArtifacts {
         SharedArtifacts {
             interner: Mutex::new(Interner::new()),
             cache: Mutex::new(CompilationCache::new(config)),
+            scratch: Mutex::default(),
             generation: std::sync::atomic::AtomicU64::new(0),
         }
+    }
+
+    /// Run `f` on a compiler working in lent scratch (see the `scratch` field).
+    /// The lock is held to take the scratch and to give it back, not in between.
+    fn with_compiler<R>(
+        &self,
+        vars: &VarTable,
+        kind: SemiringKind,
+        options: &CompileOptions,
+        f: impl FnOnce(&mut Compiler<'_>) -> R,
+    ) -> R {
+        let lent = self.scratch().pop();
+        let scratch = lent.unwrap_or_else(|| CompileScratch::new(kind));
+        let mut compiler = Compiler::with_scratch(vars, kind, options.clone(), scratch);
+        let result = f(&mut compiler);
+        self.scratch().push(compiler.into_scratch());
+        result
+    }
+
+    fn scratch(&self) -> MutexGuard<'_, Vec<CompileScratch>> {
+        self.scratch.lock().expect("compile-scratch mutex poisoned")
     }
 
     fn interner(&self) -> MutexGuard<'_, Interner> {
@@ -699,6 +728,7 @@ impl SharedArtifacts {
     /// held at once (always interner before cache); every other path takes at
     /// most one at a time, so no cycle — and no deadlock — is possible.
     pub fn clear(&self) {
+        self.scratch().clear();
         let mut interner = self.interner();
         let mut cache = self.cache();
         *interner = Interner::new();
@@ -728,6 +758,7 @@ impl SharedArtifacts {
     /// pass must not be evaluated after it (ids are remapped). The `pvc-serve`
     /// scheduler compacts strictly between batches, when no worker holds an id.
     pub fn compact(&self) -> CompactionStats {
+        self.scratch().clear();
         let mut interner = self.interner();
         let mut cache = self.cache();
         let stats_before = (interner.len() + interner.agg_len(), cache.bytes());
@@ -1040,9 +1071,9 @@ impl SharedArtifacts {
         }
         // No further split: reuse the cached compiled arena if one exists;
         // otherwise copy the expression's DAG into the compiler's own arena under
-        // the interner lock, then compile and flatten it with no lock held. The
-        // lookup result is bound first so its guard drops before the miss path
-        // re-locks the cache.
+        // the interner lock, then compile it with no lock held. The lookup result
+        // is bound first so its guard drops before the miss path re-locks the
+        // cache.
         let span = crate::obs::span("compile");
         let cached = self.cache().get_semiring_arena(id);
         let arena = match cached {
@@ -1053,10 +1084,11 @@ impl SharedArtifacts {
                 a
             }
             None => {
-                let mut compiler = Compiler::with_options(vars, kind, options.clone());
-                let root = compiler.load_semiring(&self.interner(), id);
-                let tree = compiler.compile_loaded_semiring(root)?;
-                let arena = Arc::new(DTreeArena::from_tree(&tree));
+                let arena = self.with_compiler(vars, kind, options, |compiler| {
+                    let root = compiler.load_semiring(&self.interner(), id);
+                    let emitted = compiler.emit_loaded_semiring(root)?;
+                    Ok::<_, BudgetExceeded>(Arc::new(emitted.clone()))
+                })?;
                 self.cache().insert_semiring_arena(id, scope, &arena);
                 if let Some(s) = &span {
                     s.attr("arena", "miss".into());
@@ -1066,8 +1098,12 @@ impl SharedArtifacts {
             }
         };
         drop(span);
-        let _span = crate::obs::span("evaluate");
-        Ok(arena.semiring_distribution(vars, kind)?)
+        let span = crate::obs::span("evaluate");
+        let (dist, interp) = arena.semiring_distribution_by(vars, kind)?;
+        if let Some(s) = &span {
+            s.attr("interp", interp.as_str().into());
+        }
+        Ok(dist)
     }
 
     fn compute_aggregate(
@@ -1124,10 +1160,11 @@ impl SharedArtifacts {
                 a
             }
             None => {
-                let mut compiler = Compiler::with_options(vars, kind, options.clone());
-                let root = compiler.load_semimodule(&self.interner(), id);
-                let tree = compiler.compile_loaded_semimodule(root)?;
-                let arena = Arc::new(DTreeArena::from_tree(&tree));
+                let arena = self.with_compiler(vars, kind, options, |compiler| {
+                    let root = compiler.load_semimodule(&self.interner(), id);
+                    let emitted = compiler.emit_loaded_semimodule(root)?;
+                    Ok::<_, BudgetExceeded>(Arc::new(emitted.clone()))
+                })?;
                 self.cache().insert_aggregate_arena(id, scope, &arena);
                 if let Some(s) = &span {
                     s.attr("arena", "miss".into());
@@ -1137,7 +1174,10 @@ impl SharedArtifacts {
             }
         };
         drop(span);
-        let _span = crate::obs::span("evaluate");
+        let span = crate::obs::span("evaluate");
+        if let Some(s) = &span {
+            s.attr("interp", Interp::Dist.as_str().into());
+        }
         Ok(arena.monoid_distribution(vars, kind)?)
     }
 
@@ -1778,7 +1818,11 @@ mod tests {
         }
         let nodes_before = shared.interned_nodes();
         let counters_before = shared.counters();
+        // One compilation at a time: every miss worked in the same lent tables,
+        // which the compaction frees with the dead nodes.
+        assert_eq!(shared.scratch().len(), 1);
         let stats = shared.compact();
+        assert!(shared.scratch().is_empty());
         assert_eq!(stats.generation, 1);
         assert_eq!(shared.generation(), 1);
         assert!(
@@ -1807,6 +1851,20 @@ mod tests {
         let after_second = shared.compact().interned_after;
         assert!(after_second <= after_first);
         assert_eq!(shared.generation(), 3);
+        // `clear` gives the lent tables back as well.
+        let shared_var = shared.intern(&(v(xs[0]) * v(xs[1]) + v(xs[0]) * v(xs[2]) + v(xs[3])));
+        shared
+            .evaluate_semiring(
+                shared_var,
+                &vt,
+                SemiringKind::Bool,
+                &CompileOptions::default(),
+                3,
+            )
+            .unwrap();
+        assert_eq!(shared.scratch().len(), 1);
+        shared.clear();
+        assert!(shared.scratch().is_empty());
     }
 
     #[test]

@@ -26,8 +26,17 @@
 //! rule 6's residuals `Φ|x←s` cost one memoised substitution per distinct
 //! sub-expression and branch. The arena shrinks each residual by three laws of
 //! `S` and `S ⊗ M` (absorption in `B`, merging of equal coefficients, MIN / MAX
-//! dominance). Only the d-tree that comes out is a tree.
+//! dominance).
+//!
+//! What comes out is the post-order [`DTreeArena`] the evaluator runs on, emitted
+//! node by node as the rules fire: children first, so a rule's node is pushed
+//! when its recursive calls return, and the arena's length *is* the number of
+//! nodes produced (what [`CompileOptions::node_budget`] bounds). The
+//! `emit_*` entry points lend that arena out; the `compile_*` entry points box
+//! it into a [`DTree`] ([`DTreeArena::to_tree`]) for callers that want to look at
+//! the tree — one compile path either way.
 
+use crate::arena::{ArenaNode, DTreeArena};
 use crate::node::DTree;
 use crate::prune::{verdict, Verdict};
 use pvc_algebra::{AggOp, CmpOp, SemiringKind, SemiringValue};
@@ -154,13 +163,15 @@ impl std::fmt::Display for BudgetExceeded {
 
 impl std::error::Error for BudgetExceeded {}
 
-/// The expression compiler (Algorithm 1).
-pub struct Compiler<'a> {
-    table: &'a VarTable,
-    kind: SemiringKind,
-    options: CompileOptions,
-    stats: CompileStats,
-    nodes_produced: usize,
+/// Everything one compilation fills and the next can reuse: the compile-local
+/// expression arena with its memos and pools, the independence and
+/// variable-choice scratch, the buffer pools, and the d-tree arena under
+/// construction. A [`Compiler`] owns one; `SharedArtifacts` keeps those of
+/// finished compilers and lends them to the next ([`Compiler::with_scratch`] /
+/// [`Compiler::into_scratch`]), so a miss does not start by growing a dozen
+/// tables from nothing.
+#[derive(Debug)]
+pub(crate) struct CompileScratch {
     /// The expression being compiled and every residual derived from it; emptied,
     /// not freed, between compilations.
     work: ResidualArena,
@@ -178,6 +189,36 @@ pub struct Compiler<'a> {
     term_bufs: Vec<Vec<AggTerm>>,
     id_bufs: Vec<Vec<ExprId>>,
     end_bufs: Vec<Vec<usize>>,
+    /// The d-tree of the current compilation, in post-order.
+    out: DTreeArena,
+    /// `(branch value, child)` entries of the `⊔` nodes still open, innermost
+    /// last (see [`DTreeArena::push_exclusive`]).
+    pending: Vec<(SemiringValue, u32)>,
+}
+
+impl CompileScratch {
+    pub(crate) fn new(kind: SemiringKind) -> Self {
+        CompileScratch {
+            work: ResidualArena::new(kind),
+            components: ComponentLabels::default(),
+            occ_counts: Vec::new(),
+            touched: Vec::new(),
+            term_bufs: Vec::new(),
+            id_bufs: Vec::new(),
+            end_bufs: Vec::new(),
+            out: DTreeArena::new(),
+            pending: Vec::new(),
+        }
+    }
+}
+
+/// The expression compiler (Algorithm 1).
+pub struct Compiler<'a> {
+    table: &'a VarTable,
+    kind: SemiringKind,
+    options: CompileOptions,
+    stats: CompileStats,
+    scratch: CompileScratch,
 }
 
 impl<'a> Compiler<'a> {
@@ -188,20 +229,30 @@ impl<'a> Compiler<'a> {
 
     /// Create a compiler with explicit options.
     pub fn with_options(table: &'a VarTable, kind: SemiringKind, options: CompileOptions) -> Self {
+        Self::with_scratch(table, kind, options, CompileScratch::new(kind))
+    }
+
+    /// A compiler working in the tables an earlier one left behind.
+    pub(crate) fn with_scratch(
+        table: &'a VarTable,
+        kind: SemiringKind,
+        options: CompileOptions,
+        mut scratch: CompileScratch,
+    ) -> Self {
+        // Every entry point resets the arena before it loads an expression.
+        scratch.work.rebind(kind);
         Compiler {
             table,
             kind,
             options,
             stats: CompileStats::default(),
-            nodes_produced: 0,
-            work: ResidualArena::new(kind),
-            components: ComponentLabels::default(),
-            occ_counts: Vec::new(),
-            touched: Vec::new(),
-            term_bufs: Vec::new(),
-            id_bufs: Vec::new(),
-            end_bufs: Vec::new(),
+            scratch,
         }
+    }
+
+    /// Give the tables up for the next compiler.
+    pub(crate) fn into_scratch(self) -> CompileScratch {
+        self.scratch
     }
 
     /// Statistics of the rules applied so far.
@@ -213,35 +264,46 @@ impl<'a> Compiler<'a> {
     /// first-seen table of the independence splits).
     #[cfg(test)]
     fn scratch_lens(&self) -> (usize, usize) {
-        (self.occ_counts.len(), self.components.var_table_len())
+        (
+            self.scratch.occ_counts.len(),
+            self.scratch.components.var_table_len(),
+        )
     }
 
-    fn charge(&mut self, nodes: usize) -> Result<(), BudgetExceeded> {
-        self.nodes_produced += nodes;
-        if let Some(budget) = self.options.node_budget {
-            if self.nodes_produced > budget {
-                return Err(BudgetExceeded {
-                    nodes_produced: self.nodes_produced,
-                });
-            }
+    /// Push a node whose children are already emitted. The node budget bounds
+    /// the arena's length, so it is checked here, where the length changes.
+    fn emit(&mut self, node: ArenaNode) -> Result<u32, BudgetExceeded> {
+        let idx = self.scratch.out.push(node);
+        self.check_budget()?;
+        Ok(idx)
+    }
+
+    /// Push the `⊔` node over `var` whose branches are `pending[base..]`.
+    fn emit_exclusive(&mut self, var: Var, base: usize) -> Result<u32, BudgetExceeded> {
+        let CompileScratch { out, pending, .. } = &mut self.scratch;
+        let idx = out.push_exclusive(var, pending, base);
+        self.check_budget()?;
+        Ok(idx)
+    }
+
+    fn check_budget(&self) -> Result<(), BudgetExceeded> {
+        let nodes_produced = self.scratch.out.len();
+        match self.options.node_budget {
+            Some(budget) if nodes_produced > budget => Err(BudgetExceeded { nodes_produced }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Compile a semiring expression into a d-tree. Expressions that differ only
     /// in the order of `+` / `·` operands or of semimodule terms compile to the
     /// same tree.
     pub fn compile_semiring(&mut self, expr: &SemiringExpr) -> Result<DTree, BudgetExceeded> {
-        self.work.reset();
-        let root = self.work.arena_mut().intern(expr);
-        self.compile_loaded_semiring(root)
+        Ok(self.emit_semiring(expr)?.to_tree())
     }
 
     /// Compile a semimodule expression into a d-tree.
     pub fn compile_semimodule(&mut self, expr: &SemimoduleExpr) -> Result<DTree, BudgetExceeded> {
-        self.work.reset();
-        let root = self.work.arena_mut().intern_semimodule(expr);
-        self.compile_loaded_semimodule(root)
+        Ok(self.emit_semimodule(expr)?.to_tree())
     }
 
     /// Compile an interned semiring expression (see [`pvc_expr::intern`]) into a
@@ -252,8 +314,7 @@ impl<'a> Compiler<'a> {
         interner: &Interner,
         id: ExprId,
     ) -> Result<DTree, BudgetExceeded> {
-        let root = self.load_semiring(interner, id);
-        self.compile_loaded_semiring(root)
+        Ok(self.emit_semiring_id(interner, id)?.to_tree())
     }
 
     /// Compile an interned semimodule expression into a d-tree.
@@ -262,80 +323,136 @@ impl<'a> Compiler<'a> {
         interner: &Interner,
         id: AggExprId,
     ) -> Result<DTree, BudgetExceeded> {
-        let root = self.load_semimodule(interner, id);
-        self.compile_loaded_semimodule(root)
+        Ok(self.emit_semimodule_id(interner, id)?.to_tree())
     }
 
-    /// The half of [`compile_semiring_id`](Self::compile_semiring_id) that reads
+    /// [`compile_semiring`](Self::compile_semiring) as the flattened arena the
+    /// evaluator runs on. The arena is the compiler's own, lent until its next
+    /// compilation overwrites it: clone it to keep it.
+    pub fn emit_semiring(&mut self, expr: &SemiringExpr) -> Result<&DTreeArena, BudgetExceeded> {
+        self.scratch.work.reset();
+        let root = self.scratch.work.arena_mut().intern(expr);
+        self.emit_loaded_semiring(root)
+    }
+
+    /// [`compile_semimodule`](Self::compile_semimodule) as an arena (lent as by
+    /// [`emit_semiring`](Self::emit_semiring)).
+    pub fn emit_semimodule(
+        &mut self,
+        expr: &SemimoduleExpr,
+    ) -> Result<&DTreeArena, BudgetExceeded> {
+        self.scratch.work.reset();
+        let root = self.scratch.work.arena_mut().intern_semimodule(expr);
+        self.emit_loaded_semimodule(root)
+    }
+
+    /// [`compile_semiring_id`](Self::compile_semiring_id) as an arena (lent as
+    /// by [`emit_semiring`](Self::emit_semiring)).
+    pub fn emit_semiring_id(
+        &mut self,
+        interner: &Interner,
+        id: ExprId,
+    ) -> Result<&DTreeArena, BudgetExceeded> {
+        let root = self.load_semiring(interner, id);
+        self.emit_loaded_semiring(root)
+    }
+
+    /// [`compile_semimodule_id`](Self::compile_semimodule_id) as an arena (lent
+    /// as by [`emit_semiring`](Self::emit_semiring)).
+    pub fn emit_semimodule_id(
+        &mut self,
+        interner: &Interner,
+        id: AggExprId,
+    ) -> Result<&DTreeArena, BudgetExceeded> {
+        let root = self.load_semimodule(interner, id);
+        self.emit_loaded_semimodule(root)
+    }
+
+    /// The half of [`emit_semiring_id`](Self::emit_semiring_id) that reads
     /// `interner`, for callers that hold it under a lock.
     pub(crate) fn load_semiring(&mut self, interner: &Interner, id: ExprId) -> ExprId {
-        self.work.reset();
-        self.work.import(interner, id)
+        self.scratch.work.reset();
+        self.scratch.work.import(interner, id)
     }
 
-    /// The half of [`compile_semimodule_id`](Self::compile_semimodule_id) that
-    /// reads `interner`.
+    /// The half of [`emit_semimodule_id`](Self::emit_semimodule_id) that reads
+    /// `interner`.
     pub(crate) fn load_semimodule(&mut self, interner: &Interner, id: AggExprId) -> AggExprId {
-        self.work.reset();
-        self.work.import_agg(interner, id)
+        self.scratch.work.reset();
+        self.scratch.work.import_agg(interner, id)
     }
 
     /// Compile what [`load_semiring`](Self::load_semiring) returned.
-    pub(crate) fn compile_loaded_semiring(
+    pub(crate) fn emit_loaded_semiring(
         &mut self,
         root: ExprId,
-    ) -> Result<DTree, BudgetExceeded> {
-        let root = self.work.simplify(root);
-        let tree = self.compile_semiring_inner(root);
-        self.record_residual_counts();
-        tree
+    ) -> Result<&DTreeArena, BudgetExceeded> {
+        self.begin_emission();
+        let root = self.scratch.work.simplify(root);
+        let emitted = self.compile_semiring_inner(root);
+        self.finish_emission(emitted)
     }
 
     /// Compile what [`load_semimodule`](Self::load_semimodule) returned.
-    pub(crate) fn compile_loaded_semimodule(
+    pub(crate) fn emit_loaded_semimodule(
         &mut self,
         root: AggExprId,
-    ) -> Result<DTree, BudgetExceeded> {
-        let root = self.work.simplify_agg(root);
-        let tree = self.compile_agg(root);
-        self.record_residual_counts();
-        tree
+    ) -> Result<&DTreeArena, BudgetExceeded> {
+        self.begin_emission();
+        let root = self.scratch.work.simplify_agg(root);
+        let emitted = self.compile_agg(root);
+        self.finish_emission(emitted)
     }
 
-    fn record_residual_counts(&mut self) {
-        let counts = self.work.counts();
+    fn begin_emission(&mut self) {
+        self.scratch.out.clear();
+        // An aborted compilation leaves its open ⊔ nodes' entries behind.
+        self.scratch.pending.clear();
+    }
+
+    fn finish_emission(
+        &mut self,
+        emitted: Result<u32, BudgetExceeded>,
+    ) -> Result<&DTreeArena, BudgetExceeded> {
+        let counts = self.scratch.work.counts();
         self.stats.absorbed_sums = counts.absorbed_sums;
         self.stats.merged_terms = counts.merged_terms;
         self.stats.dominated_terms = counts.dominated_terms;
         self.stats.rebuilt_nodes = counts.rebuilt_nodes;
+        let root = emitted?;
+        let out = &self.scratch.out;
+        debug_assert_eq!(root as usize + 1, out.len(), "the root is emitted last");
+        crate::obs::core_metrics()
+            .arena_nodes
+            .record(out.len() as u64);
+        Ok(out)
     }
 
-    fn compile_semiring_inner(&mut self, id: ExprId) -> Result<DTree, BudgetExceeded> {
-        self.charge(1)?;
-        let arena = self.work.arena();
+    fn compile_semiring_inner(&mut self, id: ExprId) -> Result<u32, BudgetExceeded> {
+        let arena = self.scratch.work.arena();
         match arena.node(id) {
-            InternedExpr::Const(c) => Ok(DTree::SConst(c)),
-            InternedExpr::Var(v) => Ok(DTree::VarLeaf(v)),
+            InternedExpr::Const(c) => self.emit(ArenaNode::SConst(c)),
+            InternedExpr::Var(v) => self.emit(ArenaNode::VarLeaf(v)),
             InternedExpr::Add(children) => {
-                let list = filled(&mut self.id_bufs, children);
-                let tree = self.compile_sum(&list)?;
-                recycle(&mut self.id_bufs, list);
-                Ok(tree)
+                let list = filled(&mut self.scratch.id_bufs, children);
+                let sum = self.compile_sum(&list)?;
+                recycle(&mut self.scratch.id_bufs, list);
+                Ok(sum)
             }
             InternedExpr::Mul(children) => {
-                let list = filled(&mut self.id_bufs, children);
-                let tree = self.compile_product(&list)?;
-                recycle(&mut self.id_bufs, list);
-                Ok(tree)
+                let list = filled(&mut self.scratch.id_bufs, children);
+                let product = self.compile_product(&list)?;
+                recycle(&mut self.scratch.id_bufs, list);
+                Ok(product)
             }
             InternedExpr::CmpSS(theta, lhs, rhs) => {
                 if self.options.independence
                     && sorted_disjoint(arena.var_set(lhs), arena.var_set(rhs))
                 {
                     self.stats.comparison_splits += 1;
-                    let l = self.compile_semiring_inner(lhs)?;
-                    let r = self.compile_semiring_inner(rhs)?;
-                    Ok(DTree::Cmp(theta, Box::new(l), Box::new(r)))
+                    let left = self.compile_semiring_inner(lhs)?;
+                    let right = self.compile_semiring_inner(rhs)?;
+                    self.emit(ArenaNode::Cmp { theta, left, right })
                 } else {
                     self.shannon_semiring(id)
                 }
@@ -346,20 +463,20 @@ impl<'a> Compiler<'a> {
                 } else {
                     id
                 };
-                let arena = self.work.arena();
+                let arena = self.scratch.work.arena();
                 match arena.node(pruned) {
                     InternedExpr::Const(c) => {
                         self.stats.pruned_conditionals += 1;
-                        Ok(DTree::SConst(c))
+                        self.emit(ArenaNode::SConst(c))
                     }
                     InternedExpr::CmpMM(theta, lhs, rhs) => {
                         if self.options.independence
                             && sorted_disjoint(arena.agg_var_set(lhs), arena.agg_var_set(rhs))
                         {
                             self.stats.comparison_splits += 1;
-                            let l = self.compile_agg(lhs)?;
-                            let r = self.compile_agg(rhs)?;
-                            Ok(DTree::Cmp(theta, Box::new(l), Box::new(r)))
+                            let left = self.compile_agg(lhs)?;
+                            let right = self.compile_agg(rhs)?;
+                            self.emit(ArenaNode::Cmp { theta, left, right })
                         } else {
                             self.shannon_semiring(pruned)
                         }
@@ -381,14 +498,15 @@ impl<'a> Compiler<'a> {
         lhs: AggExprId,
         rhs: AggExprId,
     ) -> ExprId {
-        let (alpha, theta, bound) = if let Some(m) = self.work.agg_const(rhs) {
+        let work = &self.scratch.work;
+        let (alpha, theta, bound) = if let Some(m) = work.agg_const(rhs) {
             (lhs, theta, m)
-        } else if let Some(m) = self.work.agg_const(lhs) {
+        } else if let Some(m) = work.agg_const(lhs) {
             (rhs, theta.flip(), m)
         } else {
             return id;
         };
-        let arena = self.work.arena();
+        let arena = work.arena();
         let node = arena.agg_node(alpha);
         let op = node.op;
         let view = |&(coeff, value): &AggTerm| {
@@ -400,29 +518,30 @@ impl<'a> Compiler<'a> {
             Verdict::AlwaysFalse => return self.constant(self.kind.zero()),
             Verdict::KeepAll => alpha,
             Verdict::Keep(keep) => {
-                let mut terms = self.term_bufs.pop().unwrap_or_default();
+                let mut terms = self.scratch.term_bufs.pop().unwrap_or_default();
                 terms.extend(node.terms.iter().filter(|(_, v)| keep.eval(v, &bound)));
-                let kept = self.work.arena_mut().intern_agg(op, &terms);
-                recycle(&mut self.term_bufs, terms);
+                let kept = self.scratch.work.arena_mut().intern_agg(op, &terms);
+                recycle(&mut self.scratch.term_bufs, terms);
                 kept
             }
         };
         let one = self.constant(self.kind.one());
-        let arena = self.work.arena_mut();
+        let arena = self.scratch.work.arena_mut();
         let bound = arena.intern_agg(op, &[(one, bound)]);
         arena.intern_node(InternedExpr::CmpMM(theta, kept, bound))
     }
 
     fn constant(&mut self, value: SemiringValue) -> ExprId {
-        self.work
+        self.scratch
+            .work
             .arena_mut()
             .intern_node(InternedExpr::Const(value))
     }
 
     /// Rule 2 + rule 3 on an n-ary semiring sum.
-    fn compile_sum(&mut self, children: &[ExprId]) -> Result<DTree, BudgetExceeded> {
+    fn compile_sum(&mut self, children: &[ExprId]) -> Result<u32, BudgetExceeded> {
         if children.is_empty() {
-            return Ok(DTree::SConst(self.kind.zero()));
+            return self.emit(ArenaNode::SConst(self.kind.zero()));
         }
         if let [only] = children {
             return self.compile_semiring_inner(*only);
@@ -431,52 +550,54 @@ impl<'a> Compiler<'a> {
             let split = self.compile_components(
                 children,
                 |c| *c,
-                |compiler| &mut compiler.id_bufs,
+                |compiler| &mut compiler.scratch.id_bufs,
                 Self::compile_sum,
-                |a, b| DTree::SumS(Box::new(a), Box::new(b)),
+                |left, right| ArenaNode::SumS { left, right },
             )?;
-            if let Some((groups, tree)) = split {
+            if let Some((groups, sum)) = split {
                 self.stats.independent_sums += groups - 1;
-                return Ok(tree);
+                return Ok(sum);
             }
         }
         if self.options.factoring {
-            let common = common_factor_vars(self.work.arena(), children.iter().copied());
+            let work = &mut self.scratch.work;
+            let common = common_factor_vars(work.arena(), children.iter().copied());
             if !common.is_empty() {
-                let mut quotients = self.id_bufs.pop().unwrap_or_default();
+                let mut quotients = self.scratch.id_bufs.pop().unwrap_or_default();
                 for &child in children {
-                    let quotient = divide_by_vars(self.work.arena_mut(), child, &common);
-                    quotients.push(quotient.unwrap_or_else(|| self.constant(self.kind.one())));
+                    let quotient = divide_by_vars(work.arena_mut(), child, &common);
+                    let one = InternedExpr::Const(self.kind.one());
+                    quotients.push(quotient.unwrap_or_else(|| work.arena_mut().intern_node(one)));
                 }
                 // The ⊙ node requires independent children: factoring is only sound
                 // when the quotients no longer mention the extracted variables (they
                 // still would if a variable occurred twice within one summand).
-                let arena = self.work.arena();
+                let arena = work.arena();
                 let disjoint = quotients
                     .iter()
                     .all(|q| sorted_disjoint(arena.var_set(*q), common.as_slice()));
-                let quotient = self.work.arena_mut().intern_add(&quotients);
-                recycle(&mut self.id_bufs, quotients);
+                let quotient = work.arena_mut().intern_add(&quotients);
+                recycle(&mut self.scratch.id_bufs, quotients);
                 if disjoint {
                     self.stats.factorings += 1;
                     self.stats.independent_products += 1;
                     // Folding the quotient sum lets a unit quotient absorb it in
                     // `B`: x + x·y = x·(1 + y) = x.
-                    let quotient = self.work.simplify(quotient);
-                    let factor_tree = self.compile_var_product(&common)?;
-                    let quotient_tree = self.compile_semiring_inner(quotient)?;
-                    return Ok(DTree::Prod(Box::new(factor_tree), Box::new(quotient_tree)));
+                    let quotient = self.scratch.work.simplify(quotient);
+                    let left = self.compile_var_product(&common)?;
+                    let right = self.compile_semiring_inner(quotient)?;
+                    return self.emit(ArenaNode::Prod { left, right });
                 }
             }
         }
-        let sum = self.work.arena_mut().intern_add(children);
+        let sum = self.scratch.work.arena_mut().intern_add(children);
         self.shannon_semiring(sum)
     }
 
     /// Independent-product split on an n-ary semiring product.
-    fn compile_product(&mut self, children: &[ExprId]) -> Result<DTree, BudgetExceeded> {
+    fn compile_product(&mut self, children: &[ExprId]) -> Result<u32, BudgetExceeded> {
         if children.is_empty() {
-            return Ok(DTree::SConst(self.kind.one()));
+            return self.emit(ArenaNode::SConst(self.kind.one()));
         }
         if let [only] = children {
             return self.compile_semiring_inner(*only);
@@ -485,65 +606,71 @@ impl<'a> Compiler<'a> {
             let split = self.compile_components(
                 children,
                 |c| *c,
-                |compiler| &mut compiler.id_bufs,
+                |compiler| &mut compiler.scratch.id_bufs,
                 Self::compile_product,
-                |a, b| DTree::Prod(Box::new(a), Box::new(b)),
+                |left, right| ArenaNode::Prod { left, right },
             )?;
-            if let Some((groups, tree)) = split {
+            if let Some((groups, product)) = split {
                 self.stats.independent_products += groups - 1;
-                return Ok(tree);
+                return Ok(product);
             }
         }
-        let product = self.work.arena_mut().intern_mul(children);
+        let product = self.scratch.work.arena_mut().intern_mul(children);
         self.shannon_semiring(product)
     }
 
     /// Compile a product of distinct variables (the common factor pulled out of a
-    /// sum). Distinct variables are pairwise independent by definition.
-    fn compile_var_product(&mut self, vars: &VarSet) -> Result<DTree, BudgetExceeded> {
-        self.charge(vars.len())?;
+    /// sum) into a left-deep `⊙` chain. Distinct variables are pairwise
+    /// independent by definition.
+    fn compile_var_product(&mut self, vars: &VarSet) -> Result<u32, BudgetExceeded> {
         self.stats.independent_products += vars.len().saturating_sub(1);
-        Ok(vars
-            .iter()
-            .map(DTree::VarLeaf)
-            .reduce(|a, b| DTree::Prod(Box::new(a), Box::new(b)))
-            .unwrap_or(DTree::SConst(self.kind.one())))
+        let mut chain = None;
+        for var in vars.iter() {
+            let right = self.emit(ArenaNode::VarLeaf(var))?;
+            chain = Some(match chain {
+                None => right,
+                Some(left) => self.emit(ArenaNode::Prod { left, right })?,
+            });
+        }
+        match chain {
+            Some(product) => Ok(product),
+            None => self.emit(ArenaNode::SConst(self.kind.one())),
+        }
     }
 
-    fn compile_agg(&mut self, id: AggExprId) -> Result<DTree, BudgetExceeded> {
-        let node = self.work.arena().agg_node(id);
-        let terms = filled(&mut self.term_bufs, node.terms);
-        let tree = self.compile_terms(node.op, &terms)?;
-        recycle(&mut self.term_bufs, terms);
-        Ok(tree)
+    fn compile_agg(&mut self, id: AggExprId) -> Result<u32, BudgetExceeded> {
+        let node = self.scratch.work.arena().agg_node(id);
+        let terms = filled(&mut self.scratch.term_bufs, node.terms);
+        let compiled = self.compile_terms(node.op, &terms)?;
+        recycle(&mut self.scratch.term_bufs, terms);
+        Ok(compiled)
     }
 
     /// Compile the semimodule expression `Σ_op terms`. The list is normalised
     /// ([`ResidualArena::normalize_terms`]): at most one term has a constant
     /// coefficient, and no two terms share one.
-    fn compile_terms(&mut self, op: AggOp, terms: &[AggTerm]) -> Result<DTree, BudgetExceeded> {
-        self.charge(1)?;
+    fn compile_terms(&mut self, op: AggOp, terms: &[AggTerm]) -> Result<u32, BudgetExceeded> {
         // Rule 1: ground expressions fold to a monoid constant.
-        let arena = self.work.arena();
+        let arena = self.scratch.work.arena();
         let ground = terms.iter().try_fold(op.identity(), |acc, (coeff, value)| {
             let c = arena.as_const(*coeff)?;
             Some(op.combine(&acc, &op.scalar_action(&c, value)))
         });
         if let Some(c) = ground {
-            return Ok(DTree::MConst(c));
+            return self.emit(ArenaNode::MConst(c));
         }
         // Rule 2: split the +op sum by independence of the terms' coefficients.
         if self.options.independence && terms.len() > 1 {
             let split = self.compile_components(
                 terms,
                 |t| t.0,
-                |compiler| &mut compiler.term_bufs,
+                |compiler| &mut compiler.scratch.term_bufs,
                 |compiler, group| compiler.compile_terms(op, group),
-                |a, b| DTree::SumM(op, Box::new(a), Box::new(b)),
+                |left, right| ArenaNode::SumM { op, left, right },
             )?;
-            if let Some((groups, tree)) = split {
+            if let Some((groups, sum)) = split {
                 self.stats.independent_sums += groups - 1;
-                return Ok(tree);
+                return Ok(sum);
             }
         }
         // Single term Φ ⊗ m: rule 4 (the coefficient and the constant are trivially
@@ -551,26 +678,27 @@ impl<'a> Compiler<'a> {
         if let [(coeff, value)] = terms {
             self.stats.tensor_splits += 1;
             let scalar = self.compile_semiring_inner(*coeff)?;
-            self.charge(1)?;
-            return Ok(DTree::Tensor(
-                op,
-                Box::new(scalar),
-                Box::new(DTree::MConst(*value)),
-            ));
+            let value = self.emit(ArenaNode::MConst(*value))?;
+            return self.emit(ArenaNode::Tensor { op, scalar, value });
         }
         // Rule 3/4 combined: pull a semiring factor common to every term out of the
         // sum, producing Φ ⊗ (Σ quotients).
         if self.options.factoring {
-            let common = common_factor_vars(self.work.arena(), terms.iter().map(|t| t.0));
+            let work = &mut self.scratch.work;
+            let common = common_factor_vars(work.arena(), terms.iter().map(|t| t.0));
             if !common.is_empty() {
-                let mut quotient = self.term_bufs.pop().unwrap_or_default();
+                let mut quotient = self.scratch.term_bufs.pop().unwrap_or_default();
                 for &(coeff, value) in terms {
-                    let q = divide_by_vars(self.work.arena_mut(), coeff, &common);
-                    quotient.push((q.unwrap_or_else(|| self.constant(self.kind.one())), value));
+                    let q = divide_by_vars(work.arena_mut(), coeff, &common);
+                    let one = InternedExpr::Const(self.kind.one());
+                    quotient.push((
+                        q.unwrap_or_else(|| work.arena_mut().intern_node(one)),
+                        value,
+                    ));
                 }
                 // As for sums, the ⊗ node requires the scalar and the residual
                 // semimodule expression to be variable-disjoint.
-                let arena = self.work.arena();
+                let arena = work.arena();
                 let disjoint = quotient
                     .iter()
                     .all(|(q, _)| sorted_disjoint(arena.var_set(*q), common.as_slice()));
@@ -579,17 +707,13 @@ impl<'a> Compiler<'a> {
                     self.stats.tensor_splits += 1;
                     // A coefficient that was the common factor itself is the
                     // constant 1_S now.
-                    self.work.normalize_terms(op, &mut quotient, 0);
-                    let scalar_tree = self.compile_var_product(&common)?;
-                    let value_tree = self.compile_terms(op, &quotient)?;
-                    recycle(&mut self.term_bufs, quotient);
-                    return Ok(DTree::Tensor(
-                        op,
-                        Box::new(scalar_tree),
-                        Box::new(value_tree),
-                    ));
+                    work.normalize_terms(op, &mut quotient, 0);
+                    let scalar = self.compile_var_product(&common)?;
+                    let value = self.compile_terms(op, &quotient)?;
+                    recycle(&mut self.scratch.term_bufs, quotient);
+                    return self.emit(ArenaNode::Tensor { op, scalar, value });
                 }
-                recycle(&mut self.term_bufs, quotient);
+                recycle(&mut self.scratch.term_bufs, quotient);
             }
         }
         // Rule 6: mutually exclusive case split on the most frequent variable.
@@ -599,21 +723,23 @@ impl<'a> Compiler<'a> {
     /// Split `items` — `coeff` naming the expression an item's variables come
     /// from, `pool` the buffer pool for lists of such items — into independence
     /// components of the variable co-occurrence graph (components by smallest
-    /// member, members in order), compile each with `compile` and combine the
-    /// trees into a left-deep chain. Returns the number of components with the
-    /// chain, or `None` if everything is one component.
+    /// member, members in order), compile each with `compile` and `combine`
+    /// them into a left-deep chain, each link emitted as soon as its right
+    /// operand is. Returns the number of components with the chain's root, or
+    /// `None` if everything is one component.
     fn compile_components<T: Copy>(
         &mut self,
         items: &[T],
         coeff: impl Fn(&T) -> ExprId,
         pool: fn(&mut Self) -> &mut Vec<Vec<T>>,
-        mut compile: impl FnMut(&mut Self, &[T]) -> Result<DTree, BudgetExceeded>,
-        combine: impl Fn(DTree, DTree) -> DTree,
-    ) -> Result<Option<(usize, DTree)>, BudgetExceeded> {
+        mut compile: impl FnMut(&mut Self, &[T]) -> Result<u32, BudgetExceeded>,
+        combine: impl Fn(u32, u32) -> ArenaNode,
+    ) -> Result<Option<(usize, u32)>, BudgetExceeded> {
         // Taken first: `pool` wants all of `self`, the labels borrow a part of it.
         let mut groups = pool(self).pop().unwrap_or_default();
-        let arena = self.work.arena();
+        let arena = self.scratch.work.arena();
         let (count, labels) = self
+            .scratch
             .components
             .label(items.len(), |i| arena.var_set(coeff(&items[i])));
         if count <= 1 {
@@ -622,7 +748,7 @@ impl<'a> Compiler<'a> {
         }
         // A counting sort by label: every group's size, then its start, which
         // moves to its end as the group fills.
-        let mut ends = self.end_bufs.pop().unwrap_or_default();
+        let mut ends = self.scratch.end_bufs.pop().unwrap_or_default();
         ends.resize(count, 0);
         for &label in labels {
             ends[label as usize] += 1;
@@ -637,19 +763,19 @@ impl<'a> Compiler<'a> {
             groups[*at] = *item;
             *at += 1;
         }
-        let mut chain: Option<DTree> = None;
+        let mut chain = None;
         let mut start = 0;
         for &end in &ends {
-            let tree = compile(self, &groups[start..end])?;
+            let right = compile(self, &groups[start..end])?;
             chain = Some(match chain {
-                None => tree,
-                Some(acc) => combine(acc, tree),
+                None => right,
+                Some(left) => self.emit(combine(left, right))?,
             });
             start = end;
         }
         recycle(pool(self), groups);
-        recycle(&mut self.end_bufs, ends);
-        Ok(chain.map(|tree| (count, tree)))
+        recycle(&mut self.scratch.end_bufs, ends);
+        Ok(chain.map(|root| (count, root)))
     }
 
     /// Choose the variable with the most occurrences in the given expressions
@@ -660,66 +786,68 @@ impl<'a> Compiler<'a> {
     /// tallied in a reusable id-indexed counter vector of which only the touched
     /// entries are reset.
     fn choose_split_var(&mut self, exprs: impl Iterator<Item = ExprId>) -> Var {
-        self.touched.clear();
+        let CompileScratch {
+            work,
+            occ_counts,
+            touched,
+            ..
+        } = &mut self.scratch;
+        touched.clear();
         for id in exprs {
-            for &(v, n) in self.work.occurrences(id) {
+            for &(v, n) in work.occurrences(id) {
                 let slot = v.0 as usize;
-                if slot >= self.occ_counts.len() {
-                    self.occ_counts.resize(slot + 1, 0);
+                if slot >= occ_counts.len() {
+                    occ_counts.resize(slot + 1, 0);
                 }
-                if self.occ_counts[slot] == 0 {
-                    self.touched.push(v);
+                if occ_counts[slot] == 0 {
+                    touched.push(v);
                 }
-                self.occ_counts[slot] += n;
+                occ_counts[slot] += n;
             }
         }
-        let counts = &self.occ_counts;
-        let best = self
-            .touched
+        let best = touched
             .iter()
             .copied()
-            .max_by_key(|v| (counts[v.0 as usize], std::cmp::Reverse(*v)))
+            .max_by_key(|v| (occ_counts[v.0 as usize], std::cmp::Reverse(*v)))
             .expect("expression with no variables reached Shannon expansion");
-        for v in &self.touched {
-            self.occ_counts[v.0 as usize] = 0;
+        for v in touched.iter() {
+            occ_counts[v.0 as usize] = 0;
         }
         best
     }
 
-    fn shannon_semiring(&mut self, id: ExprId) -> Result<DTree, BudgetExceeded> {
+    fn shannon_semiring(&mut self, id: ExprId) -> Result<u32, BudgetExceeded> {
         let var = self.choose_split_var(std::iter::once(id));
         self.stats.exclusive_expansions += 1;
         let table = self.table;
-        let dist = table.dist(var);
-        let mut branches = Vec::with_capacity(dist.support_size());
-        for (value, _) in dist.iter() {
-            self.work.begin_branch(var, *value);
-            let residual = self.work.substitute(id);
-            branches.push((*value, self.compile_semiring_inner(residual)?));
+        let base = self.scratch.pending.len();
+        for (value, _) in table.dist(var).iter() {
+            self.scratch.work.begin_branch(var, *value);
+            let residual = self.scratch.work.substitute(id);
+            let child = self.compile_semiring_inner(residual)?;
+            self.scratch.pending.push((*value, child));
         }
-        self.charge(1)?;
-        Ok(DTree::Exclusive(var, branches))
+        self.emit_exclusive(var, base)
     }
 
-    fn shannon_terms(&mut self, op: AggOp, terms: &[AggTerm]) -> Result<DTree, BudgetExceeded> {
+    fn shannon_terms(&mut self, op: AggOp, terms: &[AggTerm]) -> Result<u32, BudgetExceeded> {
         let var = self.choose_split_var(terms.iter().map(|t| t.0));
         self.stats.exclusive_expansions += 1;
         let table = self.table;
-        let dist = table.dist(var);
-        let mut branches = Vec::with_capacity(dist.support_size());
-        for (value, _) in dist.iter() {
-            self.work.begin_branch(var, *value);
-            let mut residual = self.term_bufs.pop().unwrap_or_default();
+        let base = self.scratch.pending.len();
+        for (value, _) in table.dist(var).iter() {
+            let work = &mut self.scratch.work;
+            work.begin_branch(var, *value);
+            let mut residual = self.scratch.term_bufs.pop().unwrap_or_default();
             for &(coeff, m) in terms {
-                residual.push((self.work.substitute(coeff), m));
+                residual.push((work.substitute(coeff), m));
             }
-            self.work.normalize_terms(op, &mut residual, 0);
+            work.normalize_terms(op, &mut residual, 0);
             let child = self.compile_terms(op, &residual)?;
-            recycle(&mut self.term_bufs, residual);
-            branches.push((*value, child));
+            recycle(&mut self.scratch.term_bufs, residual);
+            self.scratch.pending.push((*value, child));
         }
-        self.charge(1)?;
-        Ok(DTree::Exclusive(var, branches))
+        self.emit_exclusive(var, base)
     }
 }
 
@@ -937,6 +1065,48 @@ mod tests {
         options.node_budget = Some(50);
         let mut compiler = Compiler::with_options(&vt, SemiringKind::Bool, options);
         assert!(compiler.compile_semiring(&expr).is_err());
+    }
+
+    #[test]
+    fn node_budget_counts_emitted_nodes() {
+        // The budget bounds the nodes of the d-tree, every one of them: the `⊕`
+        // / `⊙` links of an independence chain and of a factored product as
+        // much as the leaves, and a `⊔` once.
+        let mut vt = VarTable::new();
+        let xs: Vec<Var> = (0..705).map(|_| vt.boolean("", 0.5)).collect();
+        let [a, b, c, d, e] = [xs[0], xs[1], xs[2], xs[3], xs[4]];
+        let or_705 = SemiringExpr::cmp_ss(
+            CmpOp::Ne,
+            SemiringExpr::sum(xs.iter().map(|x| v(*x)).collect()),
+            SemiringExpr::zero(SemiringKind::Bool),
+        );
+        // a·b·c + a·b·d + a·b·e = (a ⊙ b) ⊙ ((c ⊕ d) ⊕ e).
+        let factored = SemiringExpr::sum(vec![
+            v(a) * v(b) * v(c),
+            v(a) * v(b) * v(d),
+            v(a) * v(b) * v(e),
+        ]);
+        // c is shared and no factor is common: ⊔c(⊥: a ⊙ b | ⊤: a ⊕ d).
+        let split = SemiringExpr::sum(vec![v(a) * (v(b) + v(c)), v(c) * v(d)]);
+        for (expr, nodes, exclusive) in [(or_705, 1411, 0), (factored, 9, 0), (split, 7, 1)] {
+            let compile = |budget: usize| {
+                let options = CompileOptions::default().with_node_budget(budget);
+                let mut compiler = Compiler::with_options(&vt, SemiringKind::Bool, options);
+                let emitted = compiler.emit_semiring(&expr).map(DTreeArena::len);
+                (emitted, compiler.stats().exclusive_expansions)
+            };
+            assert_eq!(compile(nodes), (Ok(nodes), exclusive), "{expr}");
+            // One short: the compilation stops at the node that does not fit,
+            // and says how many there were by then.
+            let over = BudgetExceeded {
+                nodes_produced: nodes,
+            };
+            assert_eq!(compile(nodes - 1).0, Err(over), "{expr}");
+            let tree = Compiler::new(&vt, SemiringKind::Bool)
+                .compile_semiring(&expr)
+                .unwrap();
+            assert_eq!(tree.num_nodes(), nodes);
+        }
     }
 
     #[test]
@@ -1188,6 +1358,12 @@ mod tests {
         assert!(dist.approx_eq(&expected, 1e-9));
     }
 
+    fn arena_bytes(arena: &DTreeArena) -> Vec<u8> {
+        let mut writer = crate::persist::Writer::new();
+        arena.encode_into(&mut writer);
+        writer.into_bytes()
+    }
+
     #[test]
     fn commuted_renderings_compile_to_the_same_tree() {
         let mut vt = VarTable::new();
@@ -1230,6 +1406,14 @@ mod tests {
             .compile_semiring_id(&interner, id)
             .unwrap();
         assert_eq!(by_id, tree);
+        // … and to the same arena, byte for byte as a snapshot would store it:
+        // emitted by either route, or flattened from the boxed tree.
+        let bytes = arena_bytes(&DTreeArena::from_tree(&tree));
+        assert_eq!(arena_bytes(compiler.emit_semiring(&a).unwrap()), bytes);
+        assert_eq!(arena_bytes(compiler.emit_semiring(&b).unwrap()), bytes);
+        let mut by_id = Compiler::new(&vt, SemiringKind::Bool);
+        let emitted = by_id.emit_semiring_id(&interner, id).unwrap();
+        assert_eq!(arena_bytes(emitted), bytes);
         let p = confidence_of_tree(&tree, &vt);
         let expected = oracle::confidence_by_enumeration(&a, &vt, SemiringKind::Bool);
         assert!((p - expected).abs() < 1e-9);
@@ -1258,14 +1442,18 @@ mod tests {
         compiler.compile_semiring(&annotation(0)).unwrap();
         let expansions = compiler.stats().exclusive_expansions;
         assert!(expansions >= 1);
-        let capacity = compiler.work.arena().capacity();
+        let capacity = compiler.scratch.work.arena().capacity();
         for i in 1..1000 {
             compiler.compile_semiring(&annotation(i)).unwrap();
-            assert_eq!(compiler.work.arena().capacity(), capacity, "annotation {i}");
+            assert_eq!(
+                compiler.scratch.work.arena().capacity(),
+                capacity,
+                "annotation {i}"
+            );
         }
         assert_eq!(compiler.stats().exclusive_expansions, 1000 * expansions);
         // And the arena holds one annotation's nodes, not a thousand's.
-        assert!(compiler.work.arena().len() < 40);
+        assert!(compiler.scratch.work.arena().len() < 40);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the expressions become pairwise independent, at which point the joint distribution
 //! is the product of the individual distributions.
 
-use crate::compile::compile_semimodule;
+use crate::semimodule_distribution;
 use pvc_algebra::{MonoidValue, SemiringKind};
 use pvc_expr::independence::all_independent;
 use pvc_expr::{SemimoduleExpr, Var, VarSet, VarTable};
@@ -42,10 +42,7 @@ fn joint_rec(
         // Independent expressions: the joint distribution is the product measure.
         let mut acc: Dist<Vec<MonoidValue>> = Dist::point(Vec::new());
         for e in exprs {
-            let tree = compile_semimodule(e, table, kind);
-            let dist = tree
-                .monoid_distribution(table, kind)
-                .expect("compiled semimodule tree yields monoid values");
+            let dist = semimodule_distribution(e, table, kind);
             acc = acc.convolve(&dist, |prefix, v| {
                 let mut next = prefix.clone();
                 next.push(*v);
@@ -198,9 +195,7 @@ mod tests {
         let b = vt.boolean("b", 0.9);
         let e = SemimoduleExpr::from_terms(AggOp::Min, vec![(v(a), Fin(10)), (v(b), Fin(20))]);
         let joint = joint_distribution(std::slice::from_ref(&e), &vt, SemiringKind::Bool);
-        let marginal = compile_semimodule(&e, &vt, SemiringKind::Bool)
-            .monoid_distribution(&vt, SemiringKind::Bool)
-            .unwrap();
+        let marginal = semimodule_distribution(&e, &vt, SemiringKind::Bool);
         for (value, p) in marginal.iter() {
             assert!((joint.prob(&vec![*value]) - p).abs() < 1e-9);
         }

@@ -80,7 +80,9 @@ pub fn semiring_distribution(
     table: &VarTable,
     kind: SemiringKind,
 ) -> SemiringDist {
-    compile_semiring(expr, table, kind)
+    Compiler::new(table, kind)
+        .emit_semiring(expr)
+        .expect("no node budget configured")
         .semiring_distribution(table, kind)
         .expect("compiled semiring tree yields semiring values")
 }
@@ -91,7 +93,9 @@ pub fn semimodule_distribution(
     table: &VarTable,
     kind: SemiringKind,
 ) -> MonoidDist {
-    compile_semimodule(expr, table, kind)
+    Compiler::new(table, kind)
+        .emit_semimodule(expr)
+        .expect("no node budget configured")
         .monoid_distribution(table, kind)
         .expect("compiled semimodule tree yields monoid values")
 }
@@ -99,11 +103,7 @@ pub fn semimodule_distribution(
 /// The probability that a semiring expression does not evaluate to `0_S` — the tuple
 /// confidence of a pvc-table tuple annotated with this expression.
 pub fn confidence(expr: &SemiringExpr, table: &VarTable, kind: SemiringKind) -> f64 {
-    semiring_distribution(expr, table, kind)
-        .iter()
-        .filter(|(v, _)| !v.is_zero())
-        .map(|(_, p)| p)
-        .sum()
+    confidence_of(&semiring_distribution(expr, table, kind))
 }
 
 #[cfg(test)]

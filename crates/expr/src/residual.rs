@@ -160,6 +160,14 @@ impl ResidualArena {
         // Branch memos need no clearing: their stamps never become current again.
     }
 
+    /// Hand the arena's tables to a new owner: from the next
+    /// [`reset`](Self::reset) on it folds constants in `kind`, and it counts from
+    /// zero, as a new arena would.
+    pub fn rebind(&mut self, kind: SemiringKind) {
+        self.kind = kind;
+        self.counts = ResidualCounts::default();
+    }
+
     /// Copy the DAG below `id` of `src` into this arena, unsimplified.
     pub fn import(&mut self, src: &Interner, id: ExprId) -> ExprId {
         self.arena.import(src, id, &mut self.import_memo)

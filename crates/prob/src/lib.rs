@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cells;
 pub mod dist;
 mod fft;
 pub mod moments;
@@ -21,6 +22,7 @@ pub mod space;
 pub mod stats;
 pub mod values;
 
+pub use cells::BoolCells;
 pub use dist::{Dist, PROB_EPS};
 pub use moments::{cdf, expectation, moments, quantile, Moments};
 pub use repr::{

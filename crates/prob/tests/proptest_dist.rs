@@ -5,7 +5,7 @@
 //! sorted-vector kernel and the retained `BTreeMap` reference implementation
 //! ([`pvc_prob::dist::reference`]) and requires **exact** (bitwise) agreement.
 
-use pvc_algebra::MonoidValue;
+use pvc_algebra::{CmpOp, MonoidValue, SemiringValue};
 use pvc_prob::dist::reference::RefDist;
 use pvc_prob::{convolve_additive_chained, ChainVal, Dist, ProbabilitySpace, SeededRng};
 
@@ -420,7 +420,7 @@ fn chunked_kernel_conserves_mass_and_stays_finite() {
 // dispatcher entry, threaded by hand, and the sparse kernel.
 // ---------------------------------------------------------------------------
 
-use pvc_prob::{AdditiveFold, MonoidDist, PROB_EPS};
+use pvc_prob::{AdditiveFold, BoolCells, MonoidDist, SemiringDist, PROB_EPS};
 
 /// One operand family of the fold sweeps; each aims at one branch of the
 /// dispatcher or one orientation of the dense loop.
@@ -677,5 +677,160 @@ fn accumulator_one_step_entry_and_sparse_kernel_fold_alike() {
             "seed {seed}: never dense again after +∞"
         );
         assert!(coverage.emptied > 0, "seed {seed}: no fold went empty");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The two-cell Boolean kernel against `Dist<SemiringValue>`, bit for bit
+// ---------------------------------------------------------------------------
+
+fn semiring_bits(d: &SemiringDist) -> Vec<(SemiringValue, u64)> {
+    d.iter().map(|(v, p)| (*v, p.to_bits())).collect()
+}
+
+/// A two-cell operand: proper Bernoulli distributions, certain outcomes (one
+/// cell absent), sub-distributions, cells on either side of `PROB_EPS`, and now
+/// and then nothing at all.
+fn boolean_operand(rng: &mut SeededRng) -> SemiringDist {
+    let cells = |p_false: f64, p_true: f64| {
+        Dist::from_pairs([
+            (SemiringValue::Bool(false), p_false),
+            (SemiringValue::Bool(true), p_true),
+        ])
+    };
+    let p = rng.next_f64();
+    match rng.gen_range(0usize..12) {
+        0 => cells(1.0, 0.0),
+        1 => cells(0.0, 1.0),
+        2 => {
+            let mass = rng.next_f64();
+            cells(mass * (1.0 - p), mass * p)
+        }
+        3 => {
+            // One cell within a factor of two of the drop threshold.
+            let near = PROB_EPS * [0.5, 0.999, 1.0, 1.001, 2.0][rng.gen_range(0usize..5)];
+            if rng.gen_range(0usize..2) == 0 {
+                cells(1.0 - near, near)
+            } else {
+                cells(near, 1.0 - near)
+            }
+        }
+        4 => cells(p * 1e-5, (1.0 - p) * 1e-5),
+        5 if rng.gen_range(0usize..8) == 0 => Dist::empty(),
+        _ => cells(1.0 - p, p),
+    }
+}
+
+#[derive(Default)]
+struct CellCoverage {
+    steps: usize,
+    absent_cells: usize,
+    drops: usize,
+    emptied: usize,
+}
+
+/// One random chain: after every step the cells and the sorted-vector route
+/// must hold the same support and the same probability bits.
+fn check_cell_chain(rng: &mut SeededRng, len: usize, coverage: &mut CellCoverage) {
+    const THETAS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Le,
+        CmpOp::Lt,
+        CmpOp::Ge,
+        CmpOp::Gt,
+    ];
+    let truth = |holds: bool| SemiringValue::Bool(holds);
+    let mut scratch = Vec::new();
+    let mut dist = boolean_operand(rng);
+    let mut cells = BoolCells::from_dist(&dist).expect("Boolean operand");
+    for step in 0..len {
+        let operand = boolean_operand(rng);
+        let operand_cells = BoolCells::from_dist(&operand).expect("Boolean operand");
+        let present_before = dist.support_size();
+        // The accumulator on the left or on the right: the order of the four
+        // products, and so the bits, depend on it.
+        let swapped = rng.gen_range(0usize..4) == 0;
+        let (left, right) = if swapped {
+            (&operand, &dist)
+        } else {
+            (&dist, &operand)
+        };
+        let (left_cells, right_cells) = if swapped {
+            (operand_cells, cells)
+        } else {
+            (cells, operand_cells)
+        };
+        let (next, next_cells) = match rng.gen_range(0usize..8) {
+            0..=2 => (
+                left.convolve_with_scratch(right, |x, y| x.add(y), &mut scratch),
+                left_cells.or(right_cells),
+            ),
+            3 | 4 => (
+                left.convolve_with_scratch(right, |x, y| x.mul(y), &mut scratch),
+                left_cells.and(right_cells),
+            ),
+            5 => {
+                let theta = THETAS[rng.gen_range(0usize..THETAS.len())];
+                (
+                    left.convolve_with_scratch(right, |x, y| truth(theta.eval(x, y)), &mut scratch),
+                    left_cells.compare(theta, right_cells),
+                )
+            }
+            6 => {
+                let factor = match rng.gen_range(0usize..4) {
+                    0 => 1.0,
+                    1 => 1e-4 * rng.next_f64(),
+                    _ => rng.next_f64(),
+                };
+                (dist.scale(factor), cells.scale(factor))
+            }
+            _ => {
+                // A two-branch ⊔: weights w and 1 − w.
+                let w = rng.next_f64();
+                (
+                    left.scale(w).mix(&right.scale(1.0 - w)),
+                    left_cells.scale(w).mix(right_cells.scale(1.0 - w)),
+                )
+            }
+        };
+        assert_eq!(
+            semiring_bits(&next_cells.to_dist()),
+            semiring_bits(&next),
+            "step {step} of {len}"
+        );
+        assert_eq!(BoolCells::from_dist(&next), Some(next_cells));
+        coverage.steps += 1;
+        coverage.absent_cells += usize::from(next.support_size() == 1);
+        coverage.drops += usize::from(next.support_size() < present_before);
+        coverage.emptied += usize::from(next.is_empty());
+        (dist, cells) = (next, next_cells);
+        // An emptied chain stays empty under everything but a mix: start over.
+        if dist.is_empty() && rng.gen_range(0usize..2) == 0 {
+            dist = boolean_operand(rng);
+            cells = BoolCells::from_dist(&dist).expect("Boolean operand");
+        }
+    }
+}
+
+#[test]
+fn boolean_cells_follow_the_sorted_vector_kernel_bit_for_bit() {
+    let mut seeds = vec![0xB001, 0xCE11];
+    if let Ok(extra) = std::env::var("PVC_ORACLE_SEED") {
+        seeds.push(extra.parse().expect("PVC_ORACLE_SEED must be a u64"));
+    }
+    for seed in seeds {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        let mut coverage = CellCoverage::default();
+        let lengths = (1..=8usize)
+            .chain([16, 64, 250, 1_000])
+            .chain((0..24).map(|_| rng.gen_range(1usize..1_001)));
+        for len in lengths.collect::<Vec<_>>() {
+            check_cell_chain(&mut rng, len, &mut coverage);
+        }
+        assert!(coverage.steps > 5_000, "seed {seed}: {}", coverage.steps);
+        assert!(coverage.absent_cells > 100, "seed {seed}: absent cells");
+        assert!(coverage.drops > 100, "seed {seed}: no cell was dropped");
+        assert!(coverage.emptied > 10, "seed {seed}: no chain went empty");
     }
 }

@@ -137,7 +137,7 @@ impl StepTwo<'_> {
             // The lookup above already recorded the miss; fill without re-checking.
             Some((arts, id)) => arts.fill_semiring(id, &db.vars, db.kind, compile, scope)?,
             None => Compiler::with_options(&db.vars, db.kind, compile.clone())
-                .compile_semiring(annotation)?
+                .emit_semiring(annotation)?
                 .semiring_distribution(&db.vars, db.kind)?,
         };
         record_computed_path(&span, store.is_some());
@@ -177,7 +177,7 @@ impl StepTwo<'_> {
             // The lookup above already recorded the miss; fill without re-checking.
             Some((arts, id)) => arts.fill_aggregate(id, &db.vars, db.kind, compile, scope)?,
             None => Compiler::with_options(&db.vars, db.kind, compile.clone())
-                .compile_semimodule(expr)?
+                .emit_semimodule(expr)?
                 .monoid_distribution(&db.vars, db.kind)?,
         };
         record_computed_path(&span, store.is_some());
@@ -318,6 +318,7 @@ mod tests {
     use crate::tractable::QueryClass;
     use pvc_algebra::CmpOp;
     use pvc_expr::oracle;
+    use pvc_prob::SeededRng;
 
     #[test]
     fn execute_matches_oracle_and_uses_fast_path() {
@@ -488,5 +489,83 @@ mod tests {
         let shared = SemiringExpr::Var(x) * SemiringExpr::Var(y)
             + SemiringExpr::Var(x) * SemiringExpr::Var(z);
         assert!(read_once_confidence(&shared, &vars).is_none());
+    }
+
+    /// A read-once expression over fresh Boolean variables: a variable, or a sum
+    /// or product of two to four such expressions over disjoint variables. With
+    /// `P[⊤]` in `[0.3, 0.7]` and at most sixteen variables no cell of any node
+    /// comes near `PROB_EPS`, so the drop rule stays out of the comparison.
+    fn read_once_shape(rng: &mut SeededRng, vars: &mut VarTable, depth: u32) -> SemiringExpr {
+        if depth == 0 || rng.gen_range(0usize..4) == 0 {
+            let p = 0.3 + 0.4 * rng.next_f64();
+            return SemiringExpr::Var(vars.boolean("", p));
+        }
+        let children = (0..rng.gen_range(2usize..5))
+            .map(|_| read_once_shape(rng, vars, depth - 1))
+            .collect();
+        if rng.gen_range(0usize..2) == 0 {
+            SemiringExpr::sum(children)
+        } else {
+            SemiringExpr::product(children)
+        }
+    }
+
+    #[test]
+    fn read_once_annotations_compile_without_case_splits_to_the_closed_form() {
+        // What the closed form accepts, the compiler handles by independence
+        // splits alone, and the circuit's one pass gives the same confidence up
+        // to the order of the multiplications.
+        let db = figure1_db();
+        let shops = crate::exec::try_evaluate(&db, &Query::table("S").project(["shop"])).unwrap();
+        let mut cases: Vec<(SemiringExpr, VarTable)> = shops
+            .iter()
+            .map(|t| (t.annotation.clone(), db.vars.clone()))
+            .collect();
+        let mut rng = SeededRng::seed_from_u64(0x4ead_0ce5);
+        for _ in 0..60 {
+            let mut vars = VarTable::new();
+            let expr = read_once_shape(&mut rng, &mut vars, 2);
+            cases.push((expr, vars));
+        }
+        let mut nodes = 0;
+        for (expr, vars) in &cases {
+            let closed = read_once_confidence(expr, vars).expect("a read-once shape");
+            // … and the same under `[· ≠ 0_B]`, which the closed form declines.
+            let wrapped = SemiringExpr::cmp_ss(
+                CmpOp::Ne,
+                expr.clone(),
+                SemiringExpr::zero(SemiringKind::Bool),
+            );
+            assert_eq!(read_once_confidence(&wrapped, vars), None);
+            for annotation in [expr, &wrapped] {
+                let mut compiler = Compiler::new(vars, SemiringKind::Bool);
+                let arena = compiler.emit_semiring(annotation).unwrap();
+                nodes += arena.len();
+                let dist = arena
+                    .semiring_distribution(vars, SemiringKind::Bool)
+                    .unwrap();
+                assert!(
+                    (confidence_of(&dist) - closed).abs() < 1e-12,
+                    "{annotation}: {} vs {closed}",
+                    confidence_of(&dist)
+                );
+                assert_eq!(compiler.stats().exclusive_expansions, 0, "{annotation}");
+            }
+        }
+        assert!(nodes > 1_000, "{nodes} d-tree nodes went through");
+        // Where they part: thirty-two unlikely factors multiply to 2⁻³², which the
+        // closed form returns and the circuit's drop rule rounds to "never".
+        let mut vars = VarTable::new();
+        let unlikely = SemiringExpr::product(
+            (0..32)
+                .map(|_| SemiringExpr::Var(vars.boolean("", 0.5)))
+                .collect(),
+        );
+        let closed = read_once_confidence(&unlikely, &vars).unwrap();
+        assert!(closed > 0.0 && closed < pvc_prob::PROB_EPS);
+        assert_eq!(
+            pvc_core::confidence(&unlikely, &vars, SemiringKind::Bool),
+            0.0
+        );
     }
 }

@@ -10,7 +10,7 @@ use crate::database::Database;
 use crate::error::Error;
 use crate::relation::PvcTable;
 use crate::value::Value;
-use pvc_core::Compiler;
+use pvc_core::{confidence_of, Compiler};
 use pvc_prob::MonoidDist;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -74,18 +74,14 @@ impl QueryResult {
 /// Compute only the per-tuple confidences of an already-evaluated pvc-table. This is
 /// the `P(·)` phase measured separately in Experiment F.
 pub fn try_tuple_confidences(db: &Database, table: &PvcTable) -> Result<Vec<f64>, Error> {
+    let mut compiler = Compiler::new(&db.vars, db.kind);
     table
         .tuples
         .iter()
         .map(|t| {
-            let mut compiler = Compiler::new(&db.vars, db.kind);
-            let tree = compiler.compile_semiring(&t.annotation)?;
-            let dist = tree.semiring_distribution(&db.vars, db.kind)?;
-            Ok(dist
-                .iter()
-                .filter(|(v, _)| !v.is_zero())
-                .map(|(_, p)| p)
-                .sum())
+            let arena = compiler.emit_semiring(&t.annotation)?;
+            let dist = arena.semiring_distribution(&db.vars, db.kind)?;
+            Ok(confidence_of(&dist))
         })
         .collect()
 }

@@ -5,10 +5,14 @@
 //! here looks at a clock).
 
 use pvc_suite::algebra::MonoidValue::Fin;
-use pvc_suite::core::{confidence_of, CacheConfig, CompileOptions, Compiler, SharedArtifacts};
+use pvc_suite::core::{
+    confidence_of, CacheConfig, CompileOptions, Compiler, DTreeArena, SharedArtifacts,
+};
+use pvc_suite::db::{try_evaluate, Value};
 use pvc_suite::expr::oracle;
 use pvc_suite::prelude::*;
 use pvc_suite::prob::SeededRng;
+use pvc_suite::tpch::{generate, q1, q2, TpchConfig};
 use pvc_suite::workload::{ExprGenParams, ExprGenerator, GeneratedExpr};
 
 const KIND: SemiringKind = SemiringKind::Bool;
@@ -220,5 +224,125 @@ fn a_benchmark_sized_compilation_stays_within_its_work_bounds() {
             stats.rebuilt_nodes
         );
         assert!(tree.num_nodes() > 1, "condition {k} pruned to a constant");
+    }
+}
+
+/// The arena the compiler emitted is the flattening of its own tree: boxing it
+/// and flattening that again gives back the same four tables — nodes, branch
+/// table, fold plans, sorts — and so, `encode_into` being a function of those
+/// four, the same snapshot bytes.
+fn assert_emission_is_flattening(arena: &DTreeArena, what: &str) {
+    let tree = arena.to_tree();
+    assert_eq!(tree.num_nodes(), arena.len(), "{what}");
+    assert_eq!(&DTreeArena::from_tree(&tree), arena, "{what}");
+}
+
+#[test]
+fn emission_is_flattening_on_generated_and_nested_conditions() {
+    for seed in [1, 7, 11] {
+        for (k, g) in conditions(seed, 8, 24, 16).iter().enumerate() {
+            for options in [CompileOptions::default(), CompileOptions::shannon_only()] {
+                let mut compiler = Compiler::with_options(&g.vars, KIND, options);
+                let arena = compiler.emit_semiring(&g.condition).unwrap().clone();
+                assert_emission_is_flattening(&arena, &format!("seed {seed} class {k}"));
+                // The tree-returning entry point is the same emission, boxed.
+                let tree = compiler.compile_semiring(&g.condition).unwrap();
+                assert_eq!(tree, arena.to_tree(), "seed {seed} class {k}");
+            }
+        }
+    }
+    let mut rng = SeededRng::seed_from_u64(0x1a75);
+    for kind in [SemiringKind::Bool, SemiringKind::Nat] {
+        let mut vt = VarTable::new();
+        let vars: Vec<Var> = (0..6)
+            .map(|i| match kind {
+                SemiringKind::Bool => vt.boolean(format!("x{i}"), 0.1 + 0.8 * rng.next_f64()),
+                SemiringKind::Nat => vt.natural(format!("x{i}"), &[(0, 0.3), (1, 0.45), (2, 0.25)]),
+            })
+            .collect();
+        let mut compiler = Compiler::new(&vt, kind);
+        for (outer, inner) in [
+            (AggOp::Sum, AggOp::Min),
+            (AggOp::Min, AggOp::Max),
+            (AggOp::Max, AggOp::Sum),
+            (AggOp::Count, AggOp::Min),
+        ] {
+            let condition = nested_condition(&vars, outer, inner, kind, &mut rng);
+            let arena = compiler.emit_semiring(&condition).unwrap();
+            assert!(arena.len() > 1, "{condition}");
+            assert_emission_is_flattening(arena, &format!("{kind:?} {outer}/{inner}"));
+        }
+    }
+}
+
+#[test]
+fn emission_is_flattening_on_every_tpch_annotation_and_aggregate() {
+    let db = generate(&TpchConfig {
+        scale_factor: 0.25,
+        ..TpchConfig::default()
+    });
+    let mut compiler = Compiler::new(&db.vars, db.kind);
+    let regions = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
+    let queries = [("Q1".to_string(), q1(1_800))]
+        .into_iter()
+        .chain(regions.map(|region| (format!("Q2 {region}"), q2(region, 50))));
+    let mut answers = 0;
+    for (name, query) in queries {
+        let table = try_evaluate(&db, &query).unwrap();
+        answers += table.len();
+        let mut nodes = 0;
+        for (row, tuple) in table.iter().enumerate() {
+            let arena = compiler.emit_semiring(&tuple.annotation).unwrap();
+            nodes += arena.len();
+            assert_emission_is_flattening(arena, &format!("{name} annotation {row}"));
+            for aggregate in tuple.values.iter().filter_map(Value::as_agg) {
+                let arena = compiler.emit_semimodule(aggregate).unwrap();
+                nodes += arena.len();
+                assert_emission_is_flattening(arena, &format!("{name} aggregate {row}"));
+            }
+        }
+        assert!(nodes >= 3 * table.len(), "{name}: {nodes} nodes");
+    }
+    assert!(answers > 50, "{answers} answer tuples at this scale");
+}
+
+#[test]
+fn the_seed_one_conditions_compile_to_the_recorded_counts() {
+    // d-tree nodes and the eleven `CompileStats` counters of the benchmark-sized
+    // seed-1 conditions, as the boxed-tree compiler (the commit before the
+    // compiler emitted arenas) produced them. Counts repeat exactly.
+    const RECORDED: [[usize; 12]; 12] = [
+        [1295, 176, 11, 17, 208, 1, 251, 0, 243, 1077, 1315, 5720],
+        [1307, 178, 18, 29, 219, 1, 237, 0, 191, 957, 1087, 5013],
+        [2933, 465, 6, 5, 362, 1, 632, 0, 1398, 3389, 0, 10897],
+        [2911, 463, 5, 8, 345, 1, 641, 0, 1468, 3247, 0, 10757],
+        [1261, 183, 16, 28, 214, 1, 216, 0, 172, 991, 1066, 4743],
+        [1343, 198, 23, 22, 233, 1, 216, 0, 180, 857, 920, 4358],
+        [2913, 465, 5, 8, 387, 1, 598, 0, 1410, 3236, 0, 10776],
+        [2925, 464, 7, 7, 296, 1, 694, 0, 1585, 3270, 0, 11292],
+        [1187, 165, 18, 21, 191, 1, 218, 0, 207, 1079, 1165, 5158],
+        [1347, 181, 20, 27, 220, 1, 251, 0, 228, 1127, 1190, 5508],
+        [2941, 466, 7, 4, 340, 1, 656, 0, 1464, 3231, 0, 10809],
+        [2897, 464, 3, 8, 352, 1, 628, 0, 1526, 3154, 0, 10752],
+    ];
+    for (g, recorded) in conditions(1, 10, 200, 100).iter().zip(RECORDED) {
+        let mut compiler = Compiler::new(&g.vars, KIND);
+        let nodes = compiler.emit_semiring(&g.condition).unwrap().len();
+        let s = compiler.stats();
+        let counted = [
+            nodes,
+            s.independent_sums,
+            s.independent_products,
+            s.factorings,
+            s.tensor_splits,
+            s.comparison_splits,
+            s.exclusive_expansions,
+            s.pruned_conditionals,
+            s.absorbed_sums,
+            s.merged_terms,
+            s.dominated_terms,
+            s.rebuilt_nodes,
+        ];
+        assert_eq!(counted, recorded);
     }
 }

@@ -205,7 +205,7 @@ fn group_sum_profile_names_the_fold_and_the_arena_pass() {
       confidence [path=compile]
         intern
         compile [arena=miss nodes={nodes}]
-        evaluate
+        evaluate [interp=cells]
       aggregate [path=fold]
         intern
         fold [components={terms} leaves={terms}]
