@@ -1,11 +1,12 @@
-//! Micro-benchmarks of the core building blocks: convolution, read-once compilation
-//! and aggregate-distribution computation.
+//! Micro-benchmarks of the core building blocks: convolution, read-once compilation,
+//! aggregate-distribution computation and the streaming executor's hand-off.
 //!
 //! A plain `fn main()` timing harness (`cargo bench --bench micro`).
 
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind};
 use pvc_bench::bench_case;
-use pvc_core::{confidence_of, CacheConfig, CompileOptions, Compiler, SharedArtifacts};
+use pvc_core::{confidence_of, CacheConfig, CompileOptions, Compiler, SharedArtifacts, WorkerPool};
+use pvc_db::{Database, Engine, EvalOptions, Query, Schema};
 use pvc_expr::{SemimoduleExpr, SemiringExpr, VarTable};
 use pvc_prob::{convolve_additive_chained, AdditiveFold, ChainVal, Dist, MonoidDist};
 
@@ -136,8 +137,34 @@ fn bench_or_705() {
     });
 }
 
+/// What the worker-to-consumer hand-off costs: 1 000 single-variable tuples —
+/// step II is a table lookup each, so nearly all that is left is claiming,
+/// sending and reassembling — inline, and streamed from a shared pool of two.
+fn bench_stream_handoff() {
+    let mut db = Database::new();
+    db.create_table("T", Schema::new(["id"]));
+    let (t, vars) = db.table_and_vars_mut("T").expect("table was just created");
+    for i in 0..1_000i64 {
+        t.push_independent(vec![i.into()], 0.1 + 0.8 * (i % 97) as f64 / 97.0, vars);
+    }
+    let engine = Engine::new(db);
+    let prepared = engine.prepare(&Query::table("T")).expect("valid query");
+    let inline = EvalOptions::default();
+    bench_case("stream/handoff-1k/inline-execute", 200, || {
+        std::hint::black_box(prepared.execute(&inline).expect("no budget").tuples.len());
+    });
+    let pool = std::sync::Arc::new(WorkerPool::new(2).expect("worker pool starts"));
+    let pooled = EvalOptions::default().with_threads(2).with_pool(pool);
+    bench_case("stream/handoff-1k/streaming-pool-2", 200, || {
+        for item in prepared.execute_streaming(&pooled).expect("valid query") {
+            std::hint::black_box(item.expect("no budget"));
+        }
+    });
+}
+
 fn main() {
     println!("micro benchmarks");
+    bench_stream_handoff();
     bench_or_705();
     bench_convolution();
     bench_additive_fold();

@@ -549,7 +549,8 @@ pub fn metrics_json() -> String {
 // ---------------------------------------------------------------------------
 
 /// Handles for the metrics recorded by `pvc-core` itself (cache, arena, pool,
-/// persist), resolved once against the [`global`] registry.
+/// persist) and the two `stream.*` ones the consumer side of `pvc-db`'s tuple
+/// stream records, resolved once against the [`global`] registry.
 #[derive(Debug)]
 pub struct CoreMetrics {
     /// `cache.semiring.hit`
@@ -574,6 +575,10 @@ pub struct CoreMetrics {
     pub pool_queue_wait_us: Histogram,
     /// `pool.run_us` — run time per pool job.
     pub pool_run_us: Histogram,
+    /// `stream.messages` — worker-to-consumer messages a tuple stream received.
+    pub stream_messages: Counter,
+    /// `stream.message.tuples` — result tuples carried per received message.
+    pub stream_message_tuples: Histogram,
     /// `persist.save.bytes`
     pub persist_save_bytes: Histogram,
     /// `persist.save.us`
@@ -612,6 +617,8 @@ pub fn core_metrics() -> &'static CoreMetrics {
             eval_stack_depth: r.histogram("arena.eval.stack_depth"),
             pool_queue_wait_us: r.histogram("pool.queue_wait_us"),
             pool_run_us: r.histogram("pool.run_us"),
+            stream_messages: r.counter("stream.messages"),
+            stream_message_tuples: r.histogram("stream.message.tuples"),
             persist_save_bytes: r.histogram("persist.save.bytes"),
             persist_save_us: r.histogram("persist.save.us"),
             persist_restore_bytes: r.histogram("persist.restore.bytes"),

@@ -9,8 +9,9 @@
 //! * [`resolve_threads`] maps a user-facing thread knob (`0` = auto) to a concrete
 //!   worker count;
 //! * [`OrderedReassembly`] re-establishes input order over an out-of-order stream of
-//!   `(index, item)` pairs — the building block for streaming consumers that must
-//!   observe a deterministic tuple order while workers finish in any order;
+//!   `(start, items)` ranges — the building block for streaming consumers that must
+//!   observe a deterministic tuple order while workers finish in any order, and
+//!   that are handed a morsel of consecutive tuples per message rather than one;
 //! * [`WorkerPool`] is a fixed set of long-lived threads pulling jobs from a shared
 //!   queue — the only place this workspace's libraries start threads. A serving
 //!   process creates one and pays thread start-up once instead of once per query
@@ -44,16 +45,25 @@ pub fn resolve_threads(requested: usize, work_items: usize) -> usize {
     n.clamp(1, work_items.max(1))
 }
 
-/// Re-establish input order over an out-of-order stream of `(index, item)` pairs.
+/// Re-establish input order over an out-of-order stream of `(start, items)`
+/// ranges.
 ///
-/// Workers finishing in arbitrary order feed `push`; the consumer drains `pop`,
-/// which only yields item `k` once items `0..k` have been yielded. Out-of-order
-/// arrivals are buffered (bounded by how far ahead the workers can run, which a
-/// bounded channel in turn limits).
+/// Workers finishing in arbitrary order feed [`push_range`](Self::push_range) with
+/// the consecutive items `start, start + 1, …` they computed; the consumer drains
+/// [`pop`](Self::pop), which only yields item `k` once items `0..k` have been
+/// yielded. The unit of bookkeeping is the range, not the item: a range costs one
+/// map insert and one remove however many items it holds, and is drained where it
+/// stands. Early ranges are buffered (bounded by how far ahead the workers can
+/// run, which a bounded channel in turn limits). A range of one item is the
+/// degenerate case.
 #[derive(Debug)]
 pub struct OrderedReassembly<T> {
+    /// Index of the next item [`pop`](Self::pop) yields.
     next: usize,
-    pending: std::collections::BTreeMap<usize, T>,
+    /// What is left of the in-order range being drained; its first item is `next`.
+    current: std::vec::IntoIter<T>,
+    /// Ranges not yet being drained, by start index.
+    pending: std::collections::BTreeMap<usize, Vec<T>>,
 }
 
 impl<T> OrderedReassembly<T> {
@@ -61,19 +71,26 @@ impl<T> OrderedReassembly<T> {
     pub fn new() -> Self {
         OrderedReassembly {
             next: 0,
+            current: Vec::new().into_iter(),
             pending: std::collections::BTreeMap::new(),
         }
     }
 
-    /// Record a completed item. Indices must not repeat.
-    pub fn push(&mut self, index: usize, item: T) {
-        debug_assert!(index >= self.next, "index {index} already emitted");
-        self.pending.insert(index, item);
+    /// Record the completed items `start..start + items.len()`. Ranges must not
+    /// overlap; an empty one is ignored.
+    pub fn push_range(&mut self, start: usize, items: Vec<T>) {
+        debug_assert!(start >= self.next, "index {start} already emitted");
+        if !items.is_empty() {
+            self.pending.insert(start, items);
+        }
     }
 
     /// The next in-order item, if it has arrived.
     pub fn pop(&mut self) -> Option<T> {
-        let item = self.pending.remove(&self.next)?;
+        if self.current.len() == 0 {
+            self.current = self.pending.remove(&self.next)?.into_iter();
+        }
+        let item = self.current.next()?;
         self.next += 1;
         Some(item)
     }
@@ -83,7 +100,7 @@ impl<T> OrderedReassembly<T> {
         self.next
     }
 
-    /// Number of buffered out-of-order items.
+    /// Number of buffered ranges not yet being drained.
     pub fn buffered(&self) -> usize {
         self.pending.len()
     }
@@ -391,15 +408,51 @@ mod tests {
     #[test]
     fn ordered_reassembly_reorders() {
         let mut r = OrderedReassembly::new();
-        r.push(2, "c");
-        r.push(0, "a");
+        r.push_range(2, vec!["c"]);
+        r.push_range(0, vec!["a"]);
         assert_eq!(r.pop(), Some("a"));
         assert_eq!(r.pop(), None); // 1 has not arrived
         assert_eq!(r.buffered(), 1);
-        r.push(1, "b");
+        r.push_range(1, vec!["b"]);
         assert_eq!(r.pop(), Some("b"));
         assert_eq!(r.pop(), Some("c"));
         assert_eq!(r.pop(), None);
         assert_eq!(r.next_index(), 3);
+    }
+
+    #[test]
+    fn ordered_reassembly_drains_ranges_in_index_order() {
+        // Ranges of 1, 2, 3 and 4 items, pushed in every one of the 24 orders,
+        // with pops interleaved: the items come out 0..10 each time, and an item
+        // is never yielded before every item below it.
+        let ranges: [(usize, usize); 4] = [(0, 1), (1, 2), (3, 3), (6, 4)];
+        let mut orders = vec![vec![]];
+        for _ in 0..ranges.len() {
+            orders = orders
+                .into_iter()
+                .flat_map(|order: Vec<usize>| {
+                    (0..ranges.len())
+                        .filter(|i| !order.contains(i))
+                        .map(|i| [&order[..], &[i]].concat())
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+        }
+        assert_eq!(orders.len(), 24);
+        for order in orders {
+            let mut r = OrderedReassembly::new();
+            let mut seen = Vec::new();
+            for &i in &order {
+                let (start, len) = ranges[i];
+                r.push_range(start, (start..start + len).collect());
+                r.push_range(start + len, Vec::new()); // ignored
+                while let Some(item) = r.pop() {
+                    seen.push(item);
+                }
+                assert_eq!(r.next_index(), seen.len(), "{order:?}");
+            }
+            assert_eq!(seen, (0..10).collect::<Vec<_>>(), "{order:?}");
+            assert_eq!(r.buffered(), 0, "{order:?}");
+        }
     }
 }

@@ -313,7 +313,10 @@ impl PreparedQuery<'_> {
     /// inherently sequential and produces the tuple list the workers share. Step II
     /// is then computed by [`EvalOptions::threads`] worker threads (at least one:
     /// even `threads = 1` computes in the background, overlapping production with
-    /// consumption). Dropping the stream cancels the remaining work and joins the
+    /// consumption — unless the result is empty, which starts none), each handing
+    /// over a range of consecutive tuples per message: one at a time at the start
+    /// of the stream, so the first tuple is not held back, sixteen in the steady
+    /// state. Dropping the stream cancels the remaining work and joins the
     /// workers; consuming it fully yields exactly the tuples
     /// [`execute`](Self::execute) would have returned.
     ///

@@ -1,6 +1,19 @@
 //! The streaming executor: step II of one execution as jobs on a [`WorkerPool`] —
 //! the caller's shared one, or one the stream owns — feeding a [`TupleStream`]
 //! that yields tuples in deterministic order and quiesces its jobs when dropped.
+//!
+//! **The hand-off is a morsel, not a tuple.** A job claims a *range* of
+//! consecutive tuple indices from the shared cursor with one atomic, computes it
+//! tuple by tuple through [`StepTwo::tuple`] (cancel flag and `catch_unwind` per
+//! tuple, so a drop waits for at most one tuple and a panic is that index's
+//! [`Error::Worker`] with its neighbours intact) and sends the range's results as
+//! **one** message; the consumer reassembles by range start. A range that starts
+//! at index `s` holds `clamp(s / jobs, 1, 16)` tuples ([`morsel_len`]): the first
+//! tuples of a stream are messages of one, so the first result is not held back
+//! by fifteen others, and the steady state is [`MORSEL_TUPLES`] per wake-up of
+//! the consumer. The channel holds `2·jobs + 2` messages and each job can hold
+//! one more, so workers run at most `(3·jobs + 2) · 16` tuples ahead of a slow
+//! consumer.
 
 use super::options::EvalOptions;
 use super::step_two::{StepTwo, TupleCounters, TupleProfile};
@@ -8,14 +21,39 @@ use super::Rewritten;
 use crate::database::Database;
 use crate::error::Error;
 use crate::prob_eval::ProbTuple;
+use pvc_core::obs;
 use pvc_core::parallel::{OrderedReassembly, WorkerPool};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// One streamed worker result: tuple index, outcome, and its profile fragment.
-type StreamedTuple = (usize, Result<ProbTuple, Error>, Option<TupleProfile>);
+/// Most tuples one message carries. A wake-up of the blocked consumer (futex,
+/// inter-CPU interrupt, context switch) costs about what one TPC-H Q2 tuple does
+/// (≈ 9 µs), so 16 tuples per message put the hand-off near 6 % of the work; and
+/// with the channel's `2·jobs + 2` messages a slow consumer of two jobs can force
+/// about a hundred buffered tuples and no more — still the "small window" a
+/// stream promises. The sweep on `tpch_q2` that chose it is in
+/// `docs/ARCHITECTURE.md`, "The streaming executor" (per operation: 1 → 7.6 ms,
+/// 4 → 6.1 ms, 16 → 5.5 ms), with what keeps it from being larger.
+const MORSEL_TUPLES: usize = 16;
+
+/// Length of the range a claim starting at tuple `start` takes when `jobs` jobs
+/// share the cursor: one tuple each for the first `2·jobs` claims — a stream's
+/// first result is never held back by the rest of a morsel — then growing with
+/// the distance from the start up to [`MORSEL_TUPLES`].
+fn morsel_len(start: usize, jobs: usize) -> usize {
+    (start / jobs).clamp(1, MORSEL_TUPLES)
+}
+
+/// One worker-to-consumer message: the outcomes of the consecutive tuples from
+/// `start` on, and their profile fragments (profile mode only) in the same order.
+struct Morsel {
+    start: usize,
+    results: Vec<Result<ProbTuple, Error>>,
+    profiles: Vec<TupleProfile>,
+}
 
 /// Lifecycle state of one stream's pool jobs: how many are currently running, and
 /// whether the stream was cancelled before they started.
@@ -76,10 +114,12 @@ struct StreamShared {
     options: EvalOptions,
     step: Rewritten,
     counters: TupleCounters,
-    /// Set when the stream is dropped: workers stop claiming tuples.
+    /// Set when the stream is dropped: workers stop before their next tuple.
     cancel: AtomicBool,
     /// The next unclaimed tuple index (dynamic work distribution).
     cursor: AtomicUsize,
+    /// Jobs sharing the cursor, which sets how fast claimed ranges ramp up.
+    jobs: usize,
 }
 
 impl StreamShared {
@@ -91,6 +131,22 @@ impl StreamShared {
             step: &self.step,
             counters: &self.counters,
         }
+    }
+
+    /// Claim the next range of unclaimed tuple indices — one atomic per morsel.
+    /// Every range is a function of its start alone, so the sequence of ranges
+    /// does not depend on which job claims which. `Relaxed` as before: the cursor
+    /// publishes nothing but itself, results travel through the channel.
+    fn claim(&self) -> Option<Range<usize>> {
+        let total = self.step.table.tuples.len();
+        let end = |start: usize| total.min(start + morsel_len(start, self.jobs));
+        let start = self
+            .cursor
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |start| {
+                (start < total).then(|| end(start))
+            })
+            .ok()?;
+        Some(start..end(start))
     }
 }
 
@@ -109,39 +165,45 @@ impl Drop for GateGuard<'_> {
     }
 }
 
-fn worker_loop(shared: &StreamShared, sender: &SyncSender<StreamedTuple>) {
+fn worker_loop(shared: &StreamShared, sender: &SyncSender<Morsel>) {
     let step_two = shared.context();
-    loop {
-        if shared.cancel.load(Ordering::Relaxed) {
-            return;
-        }
-        let index = shared.cursor.fetch_add(1, Ordering::Relaxed);
-        if index >= shared.step.table.tuples.len() {
-            return;
-        }
-        // A panic inside per-tuple evaluation (a bug) must still deliver *some*
-        // item for the claimed index: if it were swallowed, the consumer would
-        // keep buffering every later tuple waiting for this one — unbounded
-        // memory and an arbitrarily late error. Caught here, it surfaces as an
-        // in-order `Error::Worker` instead.
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step_two.tuple(index)))
-                .unwrap_or_else(|panic| {
-                    let detail = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "worker panicked".to_string());
-                    Err(Error::Worker(format!(
-                        "panic while computing tuple {index}: {detail}"
-                    )))
-                });
-        let (result, profile) = match outcome {
-            Ok((tuple, profile)) => (Ok(tuple), profile),
-            Err(e) => (Err(e), None),
+    while let Some(range) = shared.claim() {
+        let mut morsel = Morsel {
+            start: range.start,
+            results: Vec::with_capacity(range.len()),
+            profiles: Vec::new(),
         };
+        for index in range {
+            if shared.cancel.load(Ordering::Relaxed) {
+                return;
+            }
+            // A panic inside per-tuple evaluation (a bug) must still deliver *some*
+            // item for the claimed index: if it were swallowed, the consumer would
+            // keep buffering every later range waiting for this one — unbounded
+            // memory and an arbitrarily late error. Caught here, it surfaces as an
+            // in-order `Error::Worker` for this index, between its neighbours.
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step_two.tuple(index)))
+                    .unwrap_or_else(|panic| {
+                        let detail = panic
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| panic.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "worker panicked".to_string());
+                        Err(Error::Worker(format!(
+                            "panic while computing tuple {index}: {detail}"
+                        )))
+                    });
+            morsel.results.push(match outcome {
+                Ok((tuple, profile)) => {
+                    morsel.profiles.extend(profile);
+                    Ok(tuple)
+                }
+                Err(e) => Err(e),
+            });
+        }
         // A send error means the consumer dropped the stream: stop quietly.
-        if sender.send((index, result, profile)).is_err() {
+        if sender.send(morsel).is_err() {
             return;
         }
     }
@@ -150,6 +212,7 @@ fn worker_loop(shared: &StreamShared, sender: &SyncSender<StreamedTuple>) {
 /// Start step II of one execution on a worker pool and wrap it in a
 /// [`TupleStream`]: on [`EvalOptions::pool`] when the caller shares one, otherwise
 /// on a pool of `step.threads` workers that the stream owns and joins when dropped.
+/// An empty result starts nothing — no pool of its own, no job on a shared one.
 pub(super) fn spawn_stream(
     db: Arc<Database>,
     options: &EvalOptions,
@@ -163,17 +226,21 @@ pub(super) fn spawn_stream(
     // owned pool stays on the consumer side for the same reason.
     let mut options = options.clone();
     let shared_pool = options.pool.take();
-    let owned_pool = match shared_pool {
-        Some(_) => None,
-        None => Some(
-            WorkerPool::new(threads)
-                .map_err(|e| Error::Worker(format!("failed to spawn worker thread: {e}")))?,
-        ),
+    let empty = step.table.tuples.is_empty();
+    let owned_pool = if shared_pool.is_none() && !empty {
+        let pool = WorkerPool::new(threads)
+            .map_err(|e| Error::Worker(format!("failed to spawn worker thread: {e}")))?;
+        Some(pool)
+    } else {
+        None
     };
     let pool = shared_pool
         .as_deref()
         .or(owned_pool.as_ref())
-        .expect("a stream runs on the shared pool or on its own");
+        .filter(|_| !empty);
+    // More jobs than pool workers cannot run concurrently (they would only claim
+    // an empty cursor after the loop ends), so cap at the pool width.
+    let jobs = pool.map_or(0, |pool| threads.min(pool.threads()).max(1));
     let shared = Arc::new(StreamShared {
         db,
         options,
@@ -181,19 +248,19 @@ pub(super) fn spawn_stream(
         counters: TupleCounters::default(),
         cancel: AtomicBool::new(false),
         cursor: AtomicUsize::new(0),
+        jobs,
     });
     let gate = Arc::new(StreamGate::default());
     // Bounded channel: workers run at most a small window ahead of the consumer,
     // so a slow consumer of a huge result does not buffer the whole result set.
-    let (sender, receiver) = std::sync::mpsc::sync_channel::<StreamedTuple>(threads * 2 + 2);
-    // More jobs than pool workers cannot run concurrently (they would only claim
-    // an empty cursor after the loop ends), so cap at the pool width.
-    let jobs = threads.min(pool.threads()).max(1);
+    // Sized from the jobs that run, not the threads asked for: `with_threads(64)`
+    // on a pool of two must not look 130 messages ahead.
+    let (sender, receiver) = std::sync::mpsc::sync_channel::<Morsel>(jobs * 2 + 2);
     for _ in 0..jobs {
         let worker_gate = Arc::clone(&gate);
         let worker_shared = Arc::downgrade(&shared);
         let worker_sender = sender.clone();
-        pool.execute(move || {
+        let job = move || {
             if !worker_gate.enter() {
                 return;
             }
@@ -204,13 +271,14 @@ pub(super) fn spawn_stream(
             if let Some(shared) = worker_shared.upgrade() {
                 worker_loop(&shared, &worker_sender);
             }
-        });
+        };
+        pool.expect("jobs run on a pool").execute(job);
     }
     drop(sender);
     Ok(TupleStream {
         columns,
         threads: jobs,
-        receiver: Some(receiver),
+        receiver: (jobs > 0).then_some(receiver),
         reassembly: OrderedReassembly::new(),
         profiles: Vec::new(),
         shared,
@@ -230,6 +298,9 @@ pub(super) fn spawn_stream(
 ///   pool, when the stream started one of its own) — no work outlives it.
 /// * An `Err` item reports the failure of that specific tuple (e.g. a node-budget
 ///   abort); later tuples may still follow.
+/// * Backpressure: results travel in ranges of up to 16 consecutive tuples over a
+///   channel of `2·jobs + 2` messages, so workers compute at most
+///   `(3·jobs + 2) · 16` tuples ahead of a consumer that stops pulling.
 /// * After the stream is exhausted, [`fast_path_hits`](Self::fast_path_hits) /
 ///   [`agg_fast_path_hits`](Self::agg_fast_path_hits) report the execution's
 ///   fast-path counters.
@@ -237,12 +308,12 @@ pub(super) fn spawn_stream(
 pub struct TupleStream {
     columns: Vec<String>,
     threads: usize,
-    receiver: Option<Receiver<StreamedTuple>>,
+    receiver: Option<Receiver<Morsel>>,
     reassembly: OrderedReassembly<Result<ProbTuple, Error>>,
-    /// Per-tuple profile fragments received so far (profile mode only), keyed by
-    /// tuple index — arrival order is nondeterministic, so they are sorted when
-    /// taken.
-    profiles: Vec<(usize, TupleProfile)>,
+    /// Per-tuple profile fragments received so far (profile mode only), one entry
+    /// per message keyed by its range start — arrival order is nondeterministic,
+    /// so they are sorted when taken.
+    profiles: Vec<(usize, Vec<TupleProfile>)>,
     shared: Arc<StreamShared>,
     gate: Arc<StreamGate>,
     /// The pool this stream started for itself because the caller shared none;
@@ -268,7 +339,7 @@ impl TupleStream {
         self.shared.step.table.tuples.len()
     }
 
-    /// Number of worker threads computing tuples.
+    /// Number of worker threads computing tuples (none for an empty result).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -291,8 +362,8 @@ impl TupleStream {
     /// (only populated when the stream runs with `EvalOptions::profile`).
     pub(super) fn take_profiles(&mut self) -> Vec<TupleProfile> {
         let mut profiles = std::mem::take(&mut self.profiles);
-        profiles.sort_by_key(|(index, _)| *index);
-        profiles.into_iter().map(|(_, profile)| profile).collect()
+        profiles.sort_by_key(|(start, _)| *start);
+        profiles.into_iter().flat_map(|(_, range)| range).collect()
     }
 }
 
@@ -309,11 +380,16 @@ impl Iterator for TupleStream {
             }
             let receiver = self.receiver.as_ref()?;
             match receiver.recv() {
-                Ok((index, result, profile)) => {
-                    if let Some(profile) = profile {
-                        self.profiles.push((index, profile));
+                Ok(morsel) => {
+                    let metrics = obs::core_metrics();
+                    metrics.stream_messages.inc();
+                    metrics
+                        .stream_message_tuples
+                        .record(morsel.results.len() as u64);
+                    if !morsel.profiles.is_empty() {
+                        self.profiles.push((morsel.start, morsel.profiles));
                     }
-                    self.reassembly.push(index, result)
+                    self.reassembly.push_range(morsel.start, morsel.results)
                 }
                 Err(_) => {
                     // Every sender hung up before all tuples were delivered: a
@@ -359,7 +435,171 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::exec::tests::{figure1_db, paper_q1};
+    use crate::query::Query;
+    use crate::schema::Schema;
+    use pvc_expr::{SemiringExpr, Var};
 
+    /// A database with one table `T` of `rows` tuple-independent rows, so
+    /// `Query::table("T")` has `rows` cheap result tuples in row order.
+    fn rows_db(rows: usize) -> Database {
+        let mut db = Database::new();
+        db.create_table("T", Schema::new(["id"]));
+        let (t, vars) = db.table_and_vars_mut("T").unwrap();
+        for i in 0..rows {
+            t.push_independent(vec![(i as i64).into()], 0.25 + (i % 7) as f64 / 16.0, vars);
+        }
+        db
+    }
+
+    #[test]
+    fn claimed_ranges_ramp_from_one_to_the_cap_and_tile_the_table() {
+        // The first 2·jobs claims are single tuples, sizes never shrink before
+        // the tail, and none exceeds the cap.
+        for jobs in [1, 2, 4] {
+            assert!((0..2 * jobs).all(|start| morsel_len(start, jobs) == 1));
+            assert_eq!(morsel_len(MORSEL_TUPLES * jobs, jobs), MORSEL_TUPLES);
+            assert_eq!(morsel_len(usize::MAX, jobs), MORSEL_TUPLES);
+        }
+        // Whatever the interleaving of the claiming jobs, the ranges are the same
+        // ones and cover every index once: 100 tuples on two jobs are 14 messages.
+        let engine = Engine::new(rows_db(100));
+        let prepared = engine.prepare(&Query::table("T")).unwrap();
+        let pool = Arc::new(WorkerPool::new(2).unwrap());
+        let options = EvalOptions::default().with_threads(2).with_pool(pool);
+        let mut stream = prepared.execute_streaming(&options).unwrap();
+        // Take the cursor over from the workers: cancel them, close the channel
+        // (one may be blocked sending into it), wait them out, then claim here.
+        stream.shared.cancel.store(true, Ordering::Relaxed);
+        stream.receiver = None;
+        stream.gate.cancel_and_wait();
+        stream.shared.cursor.store(0, Ordering::Relaxed);
+        let ranges: Vec<Range<usize>> = std::iter::from_fn(|| stream.shared.claim()).collect();
+        let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+        assert_eq!(lens, [1, 1, 1, 1, 2, 3, 4, 6, 9, 14, 16, 16, 16, 10]);
+        assert_eq!(ranges.first().unwrap().start, 0);
+        assert_eq!(ranges.last().unwrap().end, 100);
+        assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+        assert_eq!(stream.shared.claim(), None);
+    }
+
+    #[test]
+    fn look_ahead_is_bounded_by_running_jobs() {
+        // `with_threads(64)` on a pool of two runs two jobs: the window a slow
+        // consumer leaves them is the channel's 2·jobs + 2 messages plus the one
+        // each job holds, not the 130 messages the asked-for threads would size.
+        let engine = Engine::new(rows_db(4_000));
+        let prepared = engine.prepare(&Query::table("T")).unwrap();
+        let pool = Arc::new(WorkerPool::new(2).unwrap());
+        let options = EvalOptions::default().with_threads(64).with_pool(pool);
+        let mut stream = prepared.execute_streaming(&options).unwrap();
+        let jobs = stream.threads();
+        assert_eq!(jobs, 2);
+        stream.next().unwrap().unwrap();
+        // The consumer now stalls. The cursor only ever grows, so reading it early
+        // can hide a too-wide window but never report one that is not there; wait
+        // until it has stood still for a while so that it does not hide one either.
+        let cursor = || stream.shared.cursor.load(Ordering::Relaxed);
+        let (mut last, mut still) = (cursor(), 0);
+        while still < 40 {
+            std::thread::sleep(Duration::from_millis(5));
+            let now = cursor();
+            still = if now == last { still + 1 } else { 0 };
+            last = now;
+        }
+        let window = (2 * jobs + 2 + jobs) * MORSEL_TUPLES;
+        assert!(
+            last <= stream.reassembly.next_index() + window,
+            "workers claimed {last} tuples ahead of a consumer that took one (window {window})"
+        );
+        // The rest still arrives, in order.
+        assert_eq!(stream.by_ref().map(Result::unwrap).count(), 3_999);
+    }
+
+    #[test]
+    fn an_empty_result_starts_no_pool_and_queues_no_job() {
+        let query = Query::table("T");
+        // No pool shared: none is started, and there is nothing to join.
+        let engine = Engine::new(rows_db(0));
+        let mut stream = engine
+            .prepare(&query)
+            .unwrap()
+            .execute_streaming(&EvalOptions::default().with_threads(4))
+            .unwrap();
+        assert!(stream.owned_pool.is_none() && stream.receiver.is_none());
+        assert_eq!((stream.total_tuples(), stream.threads()), (0, 0));
+        assert_eq!(stream.size_hint(), (0, Some(0)));
+        assert!(stream.next().is_none());
+        drop(stream);
+        // A shared pool is handed no job, and the database comes back uncopied.
+        let pool = Arc::new(WorkerPool::new(2).unwrap());
+        let options = EvalOptions::default()
+            .with_threads(2)
+            .with_pool(Arc::clone(&pool));
+        let db = engine.into_database();
+        let table = db.table("T").unwrap() as *const _;
+        let engine = Engine::new(db);
+        let mut stream = engine
+            .prepare(&query)
+            .unwrap()
+            .execute_streaming(&options)
+            .unwrap();
+        assert!(stream.next().is_none());
+        drop(stream);
+        assert_eq!((pool.executed_jobs(), pool.queued_jobs()), (0, 0));
+        let db = engine.into_database();
+        assert_eq!(
+            db.table("T").unwrap() as *const _,
+            table,
+            "the database was deep-copied"
+        );
+    }
+
+    #[test]
+    fn a_panicking_tuple_mid_range_is_that_index_error_only() {
+        // Row 50's annotation names a variable the database does not have, which
+        // panics inside step II (a bug by construction). With two jobs index 50
+        // sits inside the range 42..58: the tuples before and after it in that
+        // range, and every other range, must arrive intact.
+        let mut db = rows_db(100);
+        let (t, _) = db.table_and_vars_mut("T").unwrap();
+        t.tuples[50].annotation = SemiringExpr::Var(Var(u32::MAX));
+        let engine = Engine::new(db);
+        let prepared = engine.prepare(&Query::table("T")).unwrap();
+        let reference = Engine::new(rows_db(100));
+        let reference = reference
+            .prepare(&Query::table("T"))
+            .unwrap()
+            .execute(&EvalOptions::default())
+            .unwrap();
+        let pool = Arc::new(WorkerPool::new(2).unwrap());
+        for shared in [false, true] {
+            let mut options = EvalOptions::default().with_threads(2);
+            if shared {
+                options = options.with_pool(Arc::clone(&pool));
+            }
+            let items: Vec<_> = prepared.execute_streaming(&options).unwrap().collect();
+            assert_eq!(items.len(), 100);
+            for (index, (item, expected)) in items.iter().zip(&reference.tuples).enumerate() {
+                match item {
+                    Err(Error::Worker(detail)) => {
+                        assert_eq!(index, 50, "{detail}");
+                        assert!(
+                            detail.contains("panic while computing tuple 50"),
+                            "{detail}"
+                        );
+                    }
+                    Err(other) => panic!("tuple {index}: {other}"),
+                    Ok(tuple) => {
+                        assert_ne!(index, 50);
+                        assert_eq!(tuple.values, expected.values);
+                        assert_eq!(tuple.confidence.to_bits(), expected.confidence.to_bits());
+                    }
+                }
+            }
+        }
+        // The panic was caught per tuple, inside the job: the pool saw none.
+        assert_eq!(pool.panicked_jobs(), 0);
+    }
     #[test]
     fn streaming_yields_tuples_in_order() {
         let db = figure1_db();

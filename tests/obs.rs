@@ -10,14 +10,21 @@
 //!   the independence `fold` and the arena's `evaluate` pass, not to a
 //!   compilation that never ran;
 //! * **bounded tracing** — a tiny span ring drops oldest spans, never panics;
-//! * **catalog** — every metric the pipeline emits uses a documented prefix.
+//! * **catalog** — every metric the pipeline emits uses a documented prefix;
+//! * **hand-off granularity** — `stream.messages` / `stream.message.tuples` count
+//!   the ramped tuple ranges a stream's consumer received, an empty result moves
+//!   neither them nor `pool.run_us`, and profile fragments that arrive a range at
+//!   a time still come back in tuple order.
 //!
-//! Tests that flip the process-wide flags serialise on one mutex: Rust runs
-//! `#[test]`s concurrently in one process, and the flags are global.
+//! Tests that flip the process-wide flags — or run pooled executions, which
+//! record into the registry while another test has it enabled — serialise on one
+//! mutex: Rust runs `#[test]`s concurrently in one process, and the flags are
+//! global.
 
+use pvc_suite::core::WorkerPool;
 use pvc_suite::obs;
 use pvc_suite::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Serialises every test that touches the global metrics/tracing flags.
 static OBS_FLAGS: Mutex<()> = Mutex::new(());
@@ -99,6 +106,7 @@ fn assert_bit_identical(a: &QueryResult, b: &QueryResult) {
 
 #[test]
 fn profiles_are_deterministic_across_runs_and_thread_counts() {
+    let _guard = OBS_FLAGS.lock().unwrap();
     let engine = Engine::new(shop_db());
     let prepared = engine.prepare(&q2()).unwrap();
     // Warm the caches first: on a warm engine every run observes the same
@@ -294,7 +302,7 @@ fn emitted_metrics_match_the_documented_catalog() {
     let snapshot = obs::snapshot();
     let documented = |name: &str| {
         [
-            "cache.", "kernel.", "arena.", "pool.", "persist.", "serve.", "span.",
+            "cache.", "kernel.", "arena.", "pool.", "stream.", "persist.", "serve.", "span.",
         ]
         .iter()
         .any(|prefix| name.starts_with(prefix))
@@ -327,5 +335,80 @@ fn emitted_metrics_match_the_documented_catalog() {
     }
     assert!(count("span.tuple") > 0);
     assert!(count("cache.semiring.miss") + count("cache.semiring.hit") > 0);
+    obs::reset();
+}
+
+#[test]
+fn stream_metrics_count_the_ramped_messages_and_an_empty_result_moves_nothing() {
+    let _guard = OBS_FLAGS.lock().unwrap();
+    obs::reset();
+    obs::set_metrics_enabled(true);
+
+    let mut db = Database::new();
+    db.create_table("T", Schema::new(["id"]));
+    let (t, vars) = db.table_and_vars_mut("T").unwrap();
+    for i in 0..100i64 {
+        t.push_independent(vec![i.into()], 0.5, vars);
+    }
+    let engine = Engine::new(db);
+    let pool = Arc::new(WorkerPool::new(2).unwrap());
+    let pooled = EvalOptions::default()
+        .with_threads(2)
+        .with_pool(Arc::clone(&pool));
+    let handoff = || {
+        let snapshot = obs::snapshot();
+        let tuples = &snapshot.histograms["stream.message.tuples"];
+        let jobs = snapshot
+            .histograms
+            .get("pool.run_us")
+            .map_or(0, |h| h.count);
+        (
+            snapshot.counters["stream.messages"],
+            tuples.count,
+            tuples.sum,
+            jobs,
+        )
+    };
+
+    // 100 tuples on two jobs: a range starting at `s` holds clamp(s / 2, 1, 16)
+    // tuples, i.e. 1 1 1 1 2 3 4 6 9 14 16 16 16 10 — fourteen messages, whichever
+    // job claimed which.
+    let all = engine.prepare(&Query::table("T")).unwrap();
+    assert_eq!(all.execute_streaming(&pooled).unwrap().count(), 100);
+    // A job's run time is recorded once it has let go of the stream, which the
+    // stream's drop does not wait for; the pool counts it as executed after that.
+    while pool.executed_jobs() < 2 {
+        std::thread::yield_now();
+    }
+    assert_eq!(handoff(), (14, 14, 100, 2));
+
+    // A selection that matches no row: no message, and no job on either kind of
+    // pool (the stream does not start one of its own to find that out).
+    let none = engine
+        .prepare(&Query::table("T").select(Predicate::eq_const("id", -1i64)))
+        .unwrap();
+    for options in [&pooled, &EvalOptions::default().with_threads(2)] {
+        let stream = none.execute_streaming(options).unwrap();
+        assert_eq!((stream.total_tuples(), stream.count()), (0, 0));
+    }
+    assert_eq!(handoff(), (14, 14, 100, 2));
+    assert_eq!(pool.executed_jobs(), 2);
+
+    // Profile fragments travel a range per message and ranges arrive in any
+    // order: the profile still lists the tuples by index.
+    let profiled = all.execute(&pooled.clone().with_profile()).unwrap();
+    let profile = profiled.profile.expect("profile requested");
+    let indices: Vec<String> = profile.root.children[1]
+        .children
+        .iter()
+        .map(|tuple| {
+            let index = tuple.attrs.iter().find(|(key, _)| key == "index");
+            index.expect("tuple spans carry their index").1.clone()
+        })
+        .collect();
+    let expected: Vec<String> = (0..100).map(|i| i.to_string()).collect();
+    assert_eq!(indices, expected);
+
+    obs::set_metrics_enabled(false);
     obs::reset();
 }

@@ -8,8 +8,11 @@
 //!   canonical artifacts is cached, re-execution is pure hits, and cross-thread
 //!   sharing means a parallel cold run warms the cache for everyone;
 //! * streaming yields tuples in deterministic order, supports partial consumption
-//!   without deadlocking or leaking workers, and agrees with `execute`.
+//!   without deadlocking or leaking workers, and agrees with `execute` — at every
+//!   result size around the boundaries of the tuple ranges workers hand over, and
+//!   with a failing tuple in the middle of a range.
 
+use pvc_suite::core::WorkerPool;
 use pvc_suite::prelude::*;
 use std::sync::Arc;
 
@@ -99,8 +102,13 @@ fn strategy_workload() -> Vec<(Query, Strategy)> {
 /// aggregate distributions.
 fn assert_identical(a: &QueryResult, b: &QueryResult, context: &str) {
     assert_eq!(a.columns, b.columns, "{context}: columns");
-    assert_eq!(a.tuples.len(), b.tuples.len(), "{context}: tuple count");
-    for (i, (ta, tb)) in a.tuples.iter().zip(&b.tuples).enumerate() {
+    assert_identical_tuples(&a.tuples, &b.tuples, context);
+}
+
+/// The per-tuple half of [`assert_identical`], for streamed tuples.
+fn assert_identical_tuples(a: &[ProbTuple], b: &[ProbTuple], context: &str) {
+    assert_eq!(a.len(), b.len(), "{context}: tuple count");
+    for (i, (ta, tb)) in a.iter().zip(b).enumerate() {
         assert_eq!(ta.values, tb.values, "{context}: tuple {i} values");
         assert_eq!(
             ta.confidence.to_bits(),
@@ -315,5 +323,96 @@ fn node_budget_error_is_deterministic_under_parallelism() {
             format!("{par}"),
             "first-in-order error must not depend on the worker count"
         );
+    }
+}
+
+#[test]
+fn streams_of_every_size_around_a_range_boundary_equal_inline_execute() {
+    // Workers hand over ranges of 1, …, 16 tuples; the sizes below end a stream
+    // before the first range, inside the ramp, one short of, at and one past a
+    // full range, and well into the steady state. Every item — values, confidence
+    // bits, aggregate cells — must equal the inline loop's, for every worker
+    // count, on a pool of the stream's own and on a shared one.
+    let (query, _) = strategy_workload().into_iter().nth(1).unwrap();
+    let pool = Arc::new(WorkerPool::new(2).unwrap());
+    for shops in [0, 1, 2, 3, 15, 16, 17, 33, 100] {
+        let engine = Engine::new(workload_db(shops, 2, 23));
+        let prepared = engine.prepare(&query).unwrap();
+        let inline = prepared.execute(&EvalOptions::default()).unwrap();
+        assert_eq!(inline.tuples.len(), shops);
+        for threads in [1, 2, 4] {
+            for shared in [false, true] {
+                let mut options = EvalOptions::default().with_threads(threads);
+                if shared {
+                    options = options.with_pool(Arc::clone(&pool));
+                }
+                let context = format!("{shops} tuples, {threads} threads, shared pool: {shared}");
+                let stream = prepared.execute_streaming(&options).unwrap();
+                assert_eq!(stream.total_tuples(), shops, "{context}");
+                let streamed: Vec<ProbTuple> = stream.map(Result::unwrap).collect();
+                assert_identical_tuples(&streamed, &inline.tuples, &context);
+                // The materialising driver drains the same stream.
+                let materialised = prepared.execute(&options).unwrap();
+                assert_identical(&inline, &materialised, &context);
+            }
+        }
+    }
+    assert_eq!(pool.panicked_jobs(), 0);
+}
+
+#[test]
+fn node_budget_error_mid_range_arrives_at_its_index() {
+    // Forty products with one offer each, except product 25 with six: under a
+    // small node budget only its six-variable disjunction fails to compile. With
+    // two or four workers index 25 lies strictly inside a claimed range (19..28,
+    // 22..27), so the error must come out as item 25, between the intact results
+    // of the tuples computed before and after it in the same message.
+    let mut db = Database::new();
+    db.create_table("O", Schema::new(["pid", "offer"]));
+    {
+        let (offers, vars) = db.table_and_vars_mut("O").unwrap();
+        for pid in 0..40i64 {
+            for offer in 0..if pid == 25 { 6i64 } else { 1 } {
+                offers.push_independent(vec![pid.into(), offer.into()], 0.5, vars);
+            }
+        }
+    }
+    let engine = Engine::new(db);
+    let prepared = engine.prepare(&Query::table("O").project(["pid"])).unwrap();
+    let unbounded = prepared
+        .execute(&EvalOptions::default().without_fast_path())
+        .unwrap();
+    assert_eq!(unbounded.tuples.len(), 40);
+    let budgeted = EvalOptions::default()
+        .with_node_budget(3)
+        .without_fast_path();
+    let inline_error = prepared.execute(&budgeted).unwrap_err();
+    let pool = Arc::new(WorkerPool::new(4).unwrap());
+    for threads in [1, 2, 4] {
+        for shared in [false, true] {
+            let mut options = budgeted.clone().with_threads(threads);
+            if shared {
+                options = options.with_pool(Arc::clone(&pool));
+            }
+            let items: Vec<_> = prepared.execute_streaming(&options).unwrap().collect();
+            assert_eq!(items.len(), 40);
+            for (index, (item, expected)) in items.iter().zip(&unbounded.tuples).enumerate() {
+                match item {
+                    Err(e) => {
+                        assert_eq!(index, 25, "threads {threads}: {e}");
+                        assert_eq!(format!("{e}"), format!("{inline_error}"));
+                    }
+                    Ok(tuple) => {
+                        assert_ne!(index, 25, "threads {threads}: the budget did not bite");
+                        let context = format!("threads {threads}, tuple {index}");
+                        assert_identical_tuples(
+                            std::slice::from_ref(tuple),
+                            std::slice::from_ref(expected),
+                            &context,
+                        );
+                    }
+                }
+            }
+        }
     }
 }
