@@ -36,9 +36,9 @@
 //!   scalars, …) and falling back to a full evaluation plus a linear CDF scan
 //!   only where no decomposition applies (SUM/COUNT sums).
 //!
-//! The engine's [`CompilationCache`](crate::cache::CompilationCache) keeps the
-//! emitted arenas alongside the memoised distributions, so a repeated evaluation
-//! skips the compilation.
+//! The engine's store ([`SharedArtifacts`](crate::cache::SharedArtifacts))
+//! evaluates each arena where the compiler emits it and keeps the distribution,
+//! not the circuit.
 //!
 //! # Empty sides of comparisons
 //!
@@ -51,7 +51,6 @@
 //! did.
 
 use crate::node::{DTree, DTreeError};
-use crate::persist;
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
 use pvc_expr::{Var, VarTable};
 use pvc_prob::repr::{dense_mix_bounded, mix_dense_chained, AdditiveFold, ChainVal};
@@ -442,280 +441,6 @@ impl DTreeArena {
     /// [`from_tree`](Self::from_tree) handed out: both push at least the root.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Approximate heap footprint in bytes (used for cache accounting).
-    pub fn approx_bytes(&self) -> usize {
-        self.nodes.len() * (std::mem::size_of::<ArenaNode>() + std::mem::size_of::<Sort>())
-            + self.folds.len() * std::mem::size_of::<(u32, Fold)>()
-            + self.branches.len() * std::mem::size_of::<(SemiringValue, u32)>()
-    }
-
-    /// The largest variable id referenced by any node (`None` for a
-    /// variable-free arena) — used by the snapshot loader to refuse arenas
-    /// whose variables are out of range for the target variable table.
-    pub(crate) fn max_var(&self) -> Option<u32> {
-        self.nodes
-            .iter()
-            .filter_map(|node| match node {
-                ArenaNode::VarLeaf(v) | ArenaNode::Exclusive { var: v, .. } => Some(v.0),
-                _ => None,
-            })
-            .max()
-    }
-
-    /// Serialise the arena into a snapshot writer (see [`crate::persist`]). The
-    /// encoding is exact — nodes, branch table, fold plans and inferred sorts —
-    /// so a decoded arena evaluates bit-identically to the original.
-    pub(crate) fn encode_into(&self, w: &mut persist::Writer) {
-        use persist::{put_agg_op, put_cmp_op, put_monoid_value, put_semiring_value};
-        w.put_u64(self.nodes.len() as u64);
-        for node in &self.nodes {
-            match node {
-                ArenaNode::VarLeaf(v) => {
-                    w.put_u8(0);
-                    w.put_u32(v.0);
-                }
-                ArenaNode::SConst(c) => {
-                    w.put_u8(1);
-                    put_semiring_value(w, c);
-                }
-                ArenaNode::MConst(m) => {
-                    w.put_u8(2);
-                    put_monoid_value(w, m);
-                }
-                ArenaNode::SumS { left, right } => {
-                    w.put_u8(3);
-                    w.put_u32(*left);
-                    w.put_u32(*right);
-                }
-                ArenaNode::SumM { op, left, right } => {
-                    w.put_u8(4);
-                    put_agg_op(w, *op);
-                    w.put_u32(*left);
-                    w.put_u32(*right);
-                }
-                ArenaNode::Prod { left, right } => {
-                    w.put_u8(5);
-                    w.put_u32(*left);
-                    w.put_u32(*right);
-                }
-                ArenaNode::Tensor { op, scalar, value } => {
-                    w.put_u8(6);
-                    put_agg_op(w, *op);
-                    w.put_u32(*scalar);
-                    w.put_u32(*value);
-                }
-                ArenaNode::Cmp { theta, left, right } => {
-                    w.put_u8(7);
-                    put_cmp_op(w, *theta);
-                    w.put_u32(*left);
-                    w.put_u32(*right);
-                }
-                ArenaNode::Exclusive {
-                    var,
-                    branches_start,
-                    branches_len,
-                } => {
-                    w.put_u8(8);
-                    w.put_u32(var.0);
-                    w.put_u32(*branches_start);
-                    w.put_u32(*branches_len);
-                }
-            }
-        }
-        w.put_u64(self.branches.len() as u64);
-        for (value, child) in &self.branches {
-            put_semiring_value(w, value);
-            w.put_u32(*child);
-        }
-        // One tag per node, the plan after it where there is one.
-        let mut planned = self.folds.iter().peekable();
-        for i in 0..self.nodes.len() as u32 {
-            match planned.next_if(|(node, _)| *node == i) {
-                None => w.put_u8(0),
-                Some((_, f)) => {
-                    w.put_u8(1);
-                    put_cmp_op(w, f.theta);
-                    put_monoid_value(w, &f.bound);
-                    w.put_u32(f.child);
-                }
-            }
-        }
-        for sort in &self.sorts {
-            w.put_u8(match sort {
-                Sort::Semiring => 0,
-                Sort::Monoid => 1,
-                Sort::Unknown => 2,
-            });
-        }
-    }
-
-    /// Decode an arena previously written by [`encode_into`](Self::encode_into),
-    /// validating every index and the post-order layout, so a malformed payload
-    /// surfaces as a typed error instead of a panic when the arena is used.
-    pub(crate) fn decode_from(
-        r: &mut persist::Reader<'_>,
-    ) -> Result<DTreeArena, persist::PersistError> {
-        use persist::{
-            take_agg_op, take_cmp_op, take_monoid_value, take_semiring_value, PersistError,
-        };
-        let n_nodes = r.take_count(2)?;
-        let child_of = |idx: u32, i: usize| -> Result<u32, PersistError> {
-            if (idx as usize) < i {
-                Ok(idx)
-            } else {
-                Err(PersistError::Format(format!(
-                    "arena node {i} references child {idx} (children must precede parents)"
-                )))
-            }
-        };
-        let mut nodes = Vec::with_capacity(n_nodes);
-        // Child indices and branch ranges are validated by the layout pass below.
-        for _ in 0..n_nodes {
-            let node = match r.take_u8()? {
-                0 => ArenaNode::VarLeaf(Var(r.take_u32()?)),
-                1 => ArenaNode::SConst(take_semiring_value(r)?),
-                2 => ArenaNode::MConst(take_monoid_value(r)?),
-                3 => ArenaNode::SumS {
-                    left: r.take_u32()?,
-                    right: r.take_u32()?,
-                },
-                4 => {
-                    let op = take_agg_op(r)?;
-                    ArenaNode::SumM {
-                        op,
-                        left: r.take_u32()?,
-                        right: r.take_u32()?,
-                    }
-                }
-                5 => ArenaNode::Prod {
-                    left: r.take_u32()?,
-                    right: r.take_u32()?,
-                },
-                6 => {
-                    let op = take_agg_op(r)?;
-                    ArenaNode::Tensor {
-                        op,
-                        scalar: r.take_u32()?,
-                        value: r.take_u32()?,
-                    }
-                }
-                7 => {
-                    let theta = take_cmp_op(r)?;
-                    ArenaNode::Cmp {
-                        theta,
-                        left: r.take_u32()?,
-                        right: r.take_u32()?,
-                    }
-                }
-                8 => ArenaNode::Exclusive {
-                    var: Var(r.take_u32()?),
-                    branches_start: r.take_u32()?,
-                    branches_len: r.take_u32()?,
-                },
-                t => return Err(PersistError::Format(format!("bad arena-node tag {t}"))),
-            };
-            nodes.push(node);
-        }
-        let n_branches = r.take_count(3)?;
-        let mut branches = Vec::with_capacity(n_branches);
-        for _ in 0..n_branches {
-            let value = take_semiring_value(r)?;
-            let child = r.take_u32()?;
-            if child as usize >= n_nodes {
-                return Err(PersistError::Format(format!(
-                    "arena branch references unknown node {child}"
-                )));
-            }
-            branches.push((value, child));
-        }
-        // The layout `to_tree` reads front to back, and the one the writer
-        // produces: the nodes are the post-order of one tree — every node's
-        // children are the roots of the subtrees that end right before it, in
-        // order, and the last node is the root. `open` holds the roots of the
-        // finished subtrees no parent has claimed yet.
-        let mut open: Vec<u32> = Vec::new();
-        for (i, node) in nodes.iter().enumerate() {
-            let mut claim = |child: u32| match open.pop() {
-                Some(top) if top == child => Ok(()),
-                _ => Err(PersistError::Format(format!(
-                    "arena node {i} does not follow its child {child} in post-order"
-                ))),
-            };
-            match *node {
-                ArenaNode::VarLeaf(_) | ArenaNode::SConst(_) | ArenaNode::MConst(_) => {}
-                ArenaNode::SumS { left, right }
-                | ArenaNode::Prod { left, right }
-                | ArenaNode::SumM { left, right, .. }
-                | ArenaNode::Cmp { left, right, .. }
-                | ArenaNode::Tensor {
-                    scalar: left,
-                    value: right,
-                    ..
-                } => {
-                    claim(right)?;
-                    claim(left)?;
-                }
-                ArenaNode::Exclusive {
-                    branches_start,
-                    branches_len,
-                    ..
-                } => {
-                    let start = branches_start as usize;
-                    let entries = branches
-                        .get(start..start + branches_len as usize)
-                        .ok_or_else(|| {
-                            PersistError::Format(format!(
-                                "arena node {i} references branches beyond the branch table"
-                            ))
-                        })?;
-                    for &(_, child) in entries.iter().rev() {
-                        claim(child)?;
-                    }
-                }
-            }
-            open.push(i as u32);
-        }
-        if open.len() != 1 {
-            return Err(PersistError::Format(format!(
-                "arena is {} trees, not one",
-                open.len()
-            )));
-        }
-        let mut folds = Vec::new();
-        for i in 0..n_nodes {
-            match r.take_u8()? {
-                0 => {}
-                1 => {
-                    let theta = take_cmp_op(r)?;
-                    let bound = take_monoid_value(r)?;
-                    let child = child_of(r.take_u32()?, i)?;
-                    let plan = Fold {
-                        theta,
-                        bound,
-                        child,
-                    };
-                    folds.push((i as u32, plan));
-                }
-                t => return Err(PersistError::Format(format!("bad fold tag {t}"))),
-            }
-        }
-        let mut sorts = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            sorts.push(match r.take_u8()? {
-                0 => Sort::Semiring,
-                1 => Sort::Monoid,
-                2 => Sort::Unknown,
-                t => return Err(PersistError::Format(format!("bad sort tag {t}"))),
-            });
-        }
-        Ok(DTreeArena {
-            nodes,
-            branches,
-            folds,
-            sorts,
-        })
     }
 
     fn push_tree(&mut self, tree: &DTree, pending: &mut Vec<(SemiringValue, u32)>) -> u32 {
@@ -1478,7 +1203,6 @@ mod tests {
         let arena = DTreeArena::from_tree(&tree);
         assert_eq!(arena.len(), tree.num_nodes());
         assert!(!arena.is_empty());
-        assert!(arena.approx_bytes() > 0);
     }
 
     #[test]
@@ -1756,54 +1480,6 @@ mod tests {
         let bad = DTree::SumS(leaf(0), bound(1));
         let (result, _) = both_ways(&bad, &vt);
         assert_eq!(result, Err(DTreeError::ExpectedSemiring("⊕(semiring)")));
-    }
-
-    #[test]
-    fn decoding_refuses_what_is_not_one_tree_in_post_order() {
-        let (_, a, b, _) = table_abc(0.5, 0.5, 0.5);
-        let round_trip = |arena: &DTreeArena| {
-            let mut writer = persist::Writer::new();
-            arena.encode_into(&mut writer);
-            let bytes = writer.into_bytes();
-            DTreeArena::decode_from(&mut persist::Reader::new(&bytes))
-        };
-        // What the compiler and `from_tree` build comes back as it was.
-        let tree = DTree::Cmp(
-            CmpOp::Le,
-            Box::new(DTree::Exclusive(
-                a,
-                vec![
-                    (SemiringValue::Bool(false), min_tensor(b, 3)),
-                    (SemiringValue::Bool(true), DTree::MConst(Fin(1))),
-                ],
-            )),
-            Box::new(DTree::MConst(Fin(2))),
-        );
-        let arena = DTreeArena::from_tree(&tree);
-        assert_eq!(round_trip(&arena).as_ref(), Ok(&arena));
-        // A child used twice, two roots, operands in the wrong order, nothing.
-        let (x, y) = (ArenaNode::VarLeaf(a), ArenaNode::VarLeaf(b));
-        let sum = |left, right| ArenaNode::SumS { left, right };
-        for nodes in [
-            vec![x, sum(0, 0)],
-            vec![x, y],
-            vec![x, y, sum(1, 0)],
-            vec![x, y, sum(0, 1), sum(0, 2)],
-            vec![],
-        ] {
-            let malformed = DTreeArena {
-                sorts: vec![Sort::Semiring; nodes.len()],
-                nodes,
-                ..DTreeArena::new()
-            };
-            assert!(
-                matches!(
-                    round_trip(&malformed),
-                    Err(persist::PersistError::Format(_))
-                ),
-                "{malformed:?}"
-            );
-        }
     }
 
     #[test]

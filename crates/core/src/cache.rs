@@ -32,6 +32,15 @@
 //! enclosing expression's own entry still carries every leaf's variable in its
 //! var-set, so [`SharedArtifacts::evict_touching`] is unaffected.
 //!
+//! What is not memoised: the compiled circuit. The paper compiles an
+//! expression into a d-tree and evaluates it once for its distribution (§5); a
+//! circuit is worth keeping only to evaluate it again under another
+//! interpretation, and every reader of this store asks for the distribution it
+//! already keeps under the same id. So a component with no further split is
+//! compiled in lent scratch, its arena is evaluated where it was emitted, and
+//! nothing but the distribution is inserted — an evicted distribution is
+//! recomputed by compiling again.
+//!
 //! Caching distributions (rather than bare confidences) is what makes sub-d-tree
 //! composition possible: independent sums/products combine cached distributions by
 //! convolution (Eqs. 4–7 of the paper) in time `O(|p_1|·|p_2|)`.
@@ -41,7 +50,7 @@
 //! variable distributions change, and must bypass it when compilation is made
 //! observably fallible (node budgets) — the engine in `pvc-db` does both.
 
-use crate::arena::{DTreeArena, Interp};
+use crate::arena::Interp;
 use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler};
 use crate::node::DTreeError;
 use pvc_algebra::{AggOp, MonoidValue, SemiringKind};
@@ -52,15 +61,14 @@ use pvc_expr::{SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
 use pvc_prob::{AdditiveFold, ChainVal, MonoidDist, SemiringDist};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
-/// Size bounds for the [`CompilationCache`]. **Each of the four artifact maps**
-/// (semiring distributions, aggregate distributions, semiring arenas, aggregate
-/// arenas) enforces both bounds independently — the worst-case total footprint is
-/// therefore `4 × max_bytes` / `4 × max_entries`; size a memory budget
-/// accordingly. The least-recently-used entry of a map is evicted first, and at
-/// least one entry is always retained per map, so a single oversized artifact
-/// cannot render the cache useless.
+/// Size bounds for the [`CompilationCache`]. **Each of the two distribution
+/// maps** (semiring, aggregate) enforces both bounds independently — the
+/// worst-case total footprint is therefore `2 × max_bytes` / `2 × max_entries`;
+/// size a memory budget accordingly. The least-recently-used entry of a map is
+/// evicted first, and at least one entry is always retained per map, so a single
+/// oversized artifact cannot render the cache useless.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Maximum number of entries per artifact map.
@@ -90,10 +98,9 @@ pub struct CacheCounters {
     pub cross_scope_hits: u64,
     /// Entries evicted by the LRU bounds.
     pub evictions: u64,
-    /// Compiled-arena lookups answered from the cache (a hit skips the d-tree
-    /// compilation; only the arena evaluation runs).
-    pub arena_hits: u64,
-    /// Compiled-arena lookups that had to compile.
+    /// Circuits compiled through the store: one per component with no further
+    /// independent split whose distribution had to be computed. (No arena is
+    /// kept, so every such component is a miss; the name predates that.)
     pub arena_misses: u64,
 }
 
@@ -295,13 +302,6 @@ pub struct CompilationCache {
     config: CacheConfig,
     semiring: Lru<SemiringDist>,
     aggregate: Lru<MonoidDist>,
-    /// Compiled d-trees ([`DTreeArena`]) for semiring expressions.
-    /// Kept alongside the distributions so that a distribution-cache miss (or a
-    /// confidence-only evaluation after eviction) reuses the compiled artifact
-    /// and only re-runs the cheap arena evaluation.
-    sem_arenas: Lru<Arc<DTreeArena>>,
-    /// Compiled arenas for semimodule (aggregate) expressions.
-    agg_arenas: Lru<Arc<DTreeArena>>,
     counters: CacheCounters,
 }
 
@@ -318,8 +318,6 @@ impl CompilationCache {
             config,
             semiring: Lru::new(),
             aggregate: Lru::new(),
-            sem_arenas: Lru::new(),
-            agg_arenas: Lru::new(),
             counters: CacheCounters::default(),
         }
     }
@@ -344,17 +342,9 @@ impl CompilationCache {
         self.aggregate.len()
     }
 
-    /// Number of cached compiled arenas (semiring + aggregate).
-    pub fn arena_entries(&self) -> usize {
-        self.sem_arenas.len() + self.agg_arenas.len()
-    }
-
-    /// Approximate payload bytes across all artifact maps.
+    /// Approximate payload bytes across both distribution maps.
     pub fn bytes(&self) -> usize {
-        self.semiring.bytes()
-            + self.aggregate.bytes()
-            + self.sem_arenas.bytes()
-            + self.agg_arenas.bytes()
+        self.semiring.bytes() + self.aggregate.bytes()
     }
 
     /// Drop every entry and reset the counters (used when the underlying variable
@@ -362,73 +352,24 @@ impl CompilationCache {
     pub fn clear(&mut self) {
         self.semiring.clear();
         self.aggregate.clear();
-        self.sem_arenas.clear();
-        self.agg_arenas.clear();
         self.counters = CacheCounters::default();
     }
 
-    /// Export every cached artifact with its key and insertion scope, each map
-    /// in least-recently-used-first order — the save half of the snapshot codec
-    /// in [`crate::persist`]. Read-only: no promotions, no counter changes.
+    /// Export every cached distribution with its key and insertion scope, each
+    /// map in least-recently-used-first order — the save half of the snapshot
+    /// codec in [`crate::persist`]. Read-only: no promotions, no counter changes.
     pub(crate) fn export(&self) -> CacheExport<'_> {
         CacheExport {
             semiring: self.semiring.entries_oldest_first(),
             aggregate: self.aggregate.entries_oldest_first(),
-            sem_arenas: self.sem_arenas.entries_oldest_first(),
-            agg_arenas: self.agg_arenas.entries_oldest_first(),
         }
     }
 
-    /// Cached compiled arena for a semiring expression, promoting the entry.
-    pub fn get_semiring_arena(&mut self, id: ExprId) -> Option<Arc<DTreeArena>> {
-        match self.sem_arenas.get(id.0) {
-            Some((a, _)) => {
-                self.counters.arena_hits += 1;
-                crate::obs::core_metrics().cache_arena_hit.inc();
-                Some(Arc::clone(a))
-            }
-            None => {
-                self.counters.arena_misses += 1;
-                crate::obs::core_metrics().cache_arena_miss.inc();
-                None
-            }
-        }
-    }
-
-    /// Insert the compiled arena of a semiring expression.
-    pub fn insert_semiring_arena(&mut self, id: ExprId, scope: u64, arena: &Arc<DTreeArena>) {
-        let bytes = arena.approx_bytes();
-        let evicted = self
-            .sem_arenas
-            .insert(id.0, Arc::clone(arena), bytes, scope, &self.config);
-        self.counters.evictions += evicted;
-        crate::obs::core_metrics().cache_eviction.add(evicted);
-    }
-
-    /// Cached compiled arena for a semimodule expression, promoting the entry.
-    pub fn get_aggregate_arena(&mut self, id: AggExprId) -> Option<Arc<DTreeArena>> {
-        match self.agg_arenas.get(id.0) {
-            Some((a, _)) => {
-                self.counters.arena_hits += 1;
-                crate::obs::core_metrics().cache_arena_hit.inc();
-                Some(Arc::clone(a))
-            }
-            None => {
-                self.counters.arena_misses += 1;
-                crate::obs::core_metrics().cache_arena_miss.inc();
-                None
-            }
-        }
-    }
-
-    /// Insert the compiled arena of a semimodule expression.
-    pub fn insert_aggregate_arena(&mut self, id: AggExprId, scope: u64, arena: &Arc<DTreeArena>) {
-        let bytes = arena.approx_bytes();
-        let evicted = self
-            .agg_arenas
-            .insert(id.0, Arc::clone(arena), bytes, scope, &self.config);
-        self.counters.evictions += evicted;
-        crate::obs::core_metrics().cache_eviction.add(evicted);
+    /// Count one circuit compiled through the store (see
+    /// [`CacheCounters::arena_misses`]).
+    fn record_compilation(&mut self) {
+        self.counters.arena_misses += 1;
+        crate::obs::core_metrics().cache_arena_miss.inc();
     }
 
     /// Cached distribution of a semiring expression, promoting the entry. `scope`
@@ -513,8 +454,6 @@ impl CompilationCache {
 pub(crate) struct CacheExport<'a> {
     pub(crate) semiring: Vec<(u32, u64, &'a SemiringDist)>,
     pub(crate) aggregate: Vec<(u32, u64, &'a MonoidDist)>,
-    pub(crate) sem_arenas: Vec<(u32, u64, &'a Arc<DTreeArena>)>,
-    pub(crate) agg_arenas: Vec<(u32, u64, &'a Arc<DTreeArena>)>,
 }
 
 /// Errors raised by the cache-aware evaluator: either compilation exceeded its node
@@ -620,9 +559,9 @@ pub fn confidence_of(dist: &SemiringDist) -> f64 {
 /// memoise every non-leaf component (see the [module documentation](self)),
 /// taking each lock only
 /// around the individual intern / lookup / insert steps. The expensive part — d-tree
-/// compilation of a component with no further independent split — runs with **no
-/// lock held**, so concurrent workers only contend for microseconds at the cache
-/// boundary.
+/// compilation of a component with no further independent split, and the
+/// evaluation of the arena it emits — runs with **no lock held**, so concurrent
+/// workers only contend for microseconds at the cache boundary.
 ///
 /// Concurrency semantics: two workers may race to compute the *same* canonical id;
 /// both compute the identical distribution (evaluation is a pure function of the
@@ -659,8 +598,7 @@ pub struct CompactionStats {
     pub bytes_before: usize,
     /// Approximate cache payload bytes after the pass.
     pub bytes_after: usize,
-    /// Cache entries (distributions + arenas) carried over into the new
-    /// generation.
+    /// Cached distributions carried over into the new generation.
     pub entries_kept: usize,
     /// The generation number this pass completed (1 after the first pass).
     pub generation: u64,
@@ -669,8 +607,8 @@ pub struct CompactionStats {
 /// What one [`SharedArtifacts::evict_touching`] pass removed and retained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvictionStats {
-    /// Cache entries (distributions + arenas) whose variable set intersected the
-    /// touched set and were therefore dropped.
+    /// Cached distributions whose variable set intersected the touched set and
+    /// were therefore dropped.
     pub evicted: usize,
     /// Cache entries retained verbatim (variable set disjoint from the touched
     /// set).
@@ -785,28 +723,6 @@ impl SharedArtifacts {
                 .insert(id.0, dist.clone(), dist_bytes(dist), scope, &config);
             entries_kept += 1;
         }
-        for (key, scope, arena) in cache.sem_arenas.entries_oldest_first() {
-            let id = fresh_interner.import(&interner, ExprId(key), &mut memo);
-            fresh_cache.sem_arenas.insert(
-                id.0,
-                Arc::clone(arena),
-                arena.approx_bytes(),
-                scope,
-                &config,
-            );
-            entries_kept += 1;
-        }
-        for (key, scope, arena) in cache.agg_arenas.entries_oldest_first() {
-            let id = fresh_interner.import_agg(&interner, AggExprId(key), &mut memo);
-            fresh_cache.agg_arenas.insert(
-                id.0,
-                Arc::clone(arena),
-                arena.approx_bytes(),
-                scope,
-                &config,
-            );
-            entries_kept += 1;
-        }
         *interner = fresh_interner;
         *cache = fresh_cache;
         let generation = self
@@ -860,19 +776,6 @@ impl SharedArtifacts {
                 }
             }
             let keys: Vec<u32> = cache
-                .sem_arenas
-                .entries_oldest_first()
-                .into_iter()
-                .map(|(k, _, _)| k)
-                .collect();
-            for k in keys {
-                if !sorted_disjoint(interner.var_set(ExprId(k)), touched.as_slice())
-                    && cache.sem_arenas.remove(k)
-                {
-                    evicted += 1;
-                }
-            }
-            let keys: Vec<u32> = cache
                 .aggregate
                 .entries_oldest_first()
                 .into_iter()
@@ -885,27 +788,11 @@ impl SharedArtifacts {
                     evicted += 1;
                 }
             }
-            let keys: Vec<u32> = cache
-                .agg_arenas
-                .entries_oldest_first()
-                .into_iter()
-                .map(|(k, _, _)| k)
-                .collect();
-            for k in keys {
-                if !sorted_disjoint(interner.agg_var_set(AggExprId(k)), touched.as_slice())
-                    && cache.agg_arenas.remove(k)
-                {
-                    evicted += 1;
-                }
-            }
             crate::obs::core_metrics()
                 .cache_eviction
                 .add(evicted as u64);
         }
-        let kept = cache.semiring.len()
-            + cache.aggregate.len()
-            + cache.sem_arenas.len()
-            + cache.agg_arenas.len();
+        let kept = cache.semiring.len() + cache.aggregate.len();
         EvictionStats { evicted, kept }
     }
 
@@ -1069,41 +956,25 @@ impl SharedArtifacts {
                 return Ok(acc.expect("at least one group"));
             }
         }
-        // No further split: reuse the cached compiled arena if one exists;
-        // otherwise copy the expression's DAG into the compiler's own arena under
-        // the interner lock, then compile it with no lock held. The lookup result
-        // is bound first so its guard drops before the miss path re-locks the
-        // cache.
+        // No further split: copy the expression's DAG into lent compile scratch
+        // under the interner lock, compile it with no lock held, and evaluate
+        // the emitted arena where it lies.
         let span = crate::obs::span("compile");
-        let cached = self.cache().get_semiring_arena(id);
-        let arena = match cached {
-            Some(a) => {
-                if let Some(s) = &span {
-                    s.attr("arena", "hit".into());
-                }
-                a
+        self.cache().record_compilation();
+        self.with_compiler(vars, kind, options, |compiler| {
+            let root = compiler.load_semiring(&self.interner(), id);
+            let arena = compiler.emit_loaded_semiring(root)?;
+            if let Some(s) = &span {
+                s.attr("nodes", arena.len().to_string());
             }
-            None => {
-                let arena = self.with_compiler(vars, kind, options, |compiler| {
-                    let root = compiler.load_semiring(&self.interner(), id);
-                    let emitted = compiler.emit_loaded_semiring(root)?;
-                    Ok::<_, BudgetExceeded>(Arc::new(emitted.clone()))
-                })?;
-                self.cache().insert_semiring_arena(id, scope, &arena);
-                if let Some(s) = &span {
-                    s.attr("arena", "miss".into());
-                    s.attr("nodes", arena.len().to_string());
-                }
-                arena
+            drop(span);
+            let span = crate::obs::span("evaluate");
+            let (dist, interp) = arena.semiring_distribution_by(vars, kind)?;
+            if let Some(s) = &span {
+                s.attr("interp", interp.as_str().into());
             }
-        };
-        drop(span);
-        let span = crate::obs::span("evaluate");
-        let (dist, interp) = arena.semiring_distribution_by(vars, kind)?;
-        if let Some(s) = &span {
-            s.attr("interp", interp.as_str().into());
-        }
-        Ok(dist)
+            Ok(dist)
+        })
     }
 
     fn compute_aggregate(
@@ -1151,34 +1022,20 @@ impl SharedArtifacts {
             );
         }
         let span = crate::obs::span("compile");
-        let cached = self.cache().get_aggregate_arena(id);
-        let arena = match cached {
-            Some(a) => {
-                if let Some(s) = &span {
-                    s.attr("arena", "hit".into());
-                }
-                a
+        self.cache().record_compilation();
+        self.with_compiler(vars, kind, options, |compiler| {
+            let root = compiler.load_semimodule(&self.interner(), id);
+            let arena = compiler.emit_loaded_semimodule(root)?;
+            if let Some(s) = &span {
+                s.attr("nodes", arena.len().to_string());
             }
-            None => {
-                let arena = self.with_compiler(vars, kind, options, |compiler| {
-                    let root = compiler.load_semimodule(&self.interner(), id);
-                    let emitted = compiler.emit_loaded_semimodule(root)?;
-                    Ok::<_, BudgetExceeded>(Arc::new(emitted.clone()))
-                })?;
-                self.cache().insert_aggregate_arena(id, scope, &arena);
-                if let Some(s) = &span {
-                    s.attr("arena", "miss".into());
-                    s.attr("nodes", arena.len().to_string());
-                }
-                arena
+            drop(span);
+            let span = crate::obs::span("evaluate");
+            if let Some(s) = &span {
+                s.attr("interp", Interp::Dist.as_str().into());
             }
-        };
-        drop(span);
-        let span = crate::obs::span("evaluate");
-        if let Some(s) = &span {
-            s.attr("interp", Interp::Dist.as_str().into());
-        }
-        Ok(arena.monoid_distribution(vars, kind)?)
+            Ok(arena.monoid_distribution(vars, kind)?)
+        })
     }
 
     /// Counters since the last clear.
@@ -1201,12 +1058,7 @@ impl SharedArtifacts {
         self.cache().aggregate_entries()
     }
 
-    /// Number of cached compiled arenas (semiring + aggregate).
-    pub fn arena_entries(&self) -> usize {
-        self.cache().arena_entries()
-    }
-
-    /// Approximate payload bytes across all artifact maps.
+    /// Approximate payload bytes across both distribution maps.
     pub fn bytes(&self) -> usize {
         self.cache().bytes()
     }
@@ -1239,7 +1091,6 @@ impl SharedArtifacts {
             interned_exprs: interner.len(),
             interned_aggs: interner.agg_len(),
             distributions: cache.semiring_entries() + cache.aggregate_entries(),
-            arenas: cache.arena_entries(),
         };
         (
             crate::persist::encode_snapshot(
@@ -1336,7 +1187,8 @@ fn independent_components<T: Copy, I>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvc_algebra::{AggOp, MonoidValue, MonoidValue::Fin, SemiringValue};
+    use crate::arena::DTreeArena;
+    use pvc_algebra::{AggOp, MonoidValue::Fin, SemiringValue};
     use pvc_expr::{oracle, SemimoduleExpr, SemiringExpr, Var};
 
     fn v(x: Var) -> SemiringExpr {
@@ -1551,7 +1403,7 @@ mod tests {
         assert!(d.approx_eq(&expected, 1e-9));
     }
 
-    fn bits(d: &MonoidDist) -> Vec<(MonoidValue, u64)> {
+    fn bits<T: Ord + Copy>(d: &pvc_prob::Dist<T>) -> Vec<(T, u64)> {
         d.iter().map(|(v, p)| (*v, p.to_bits())).collect()
     }
 
@@ -1599,10 +1451,9 @@ mod tests {
                     bits(&compiled(&alpha, &vt, kind)),
                     "{op:?}/{kind:?}"
                 );
-                // Nothing but the aggregate's own entry: no arena, no
-                // per-component entry, no singleton aggregate interned, and one
-                // miss (the aggregate itself) with no arena lookup at all.
-                assert_eq!(shared.arena_entries(), 0);
+                // Nothing but the aggregate's own entry: no per-component
+                // entry, no singleton aggregate interned, and one miss (the
+                // aggregate itself) with nothing compiled at all.
                 assert_eq!(shared.aggregate_entries(), 1);
                 assert_eq!(shared.semiring_entries(), 0);
                 assert_eq!(shared.interned_nodes(), interned);
@@ -1641,9 +1492,9 @@ mod tests {
             assert!(dist.approx_eq(&reference, 1e-12));
             assert_eq!(shared.interned_nodes(), interned);
         }
-        assert_eq!(shared.arena_entries(), 0);
         assert_eq!(shared.semiring_entries(), 2);
         assert_eq!(shared.counters().misses, 2);
+        assert_eq!(shared.counters().arena_misses, 0, "nothing compiled");
     }
 
     #[test]
@@ -1667,12 +1518,13 @@ mod tests {
         );
         let expected = oracle::semimodule_dist_by_enumeration(&alpha, &vt, SemiringKind::Bool);
         assert!(dist.approx_eq(&expected, 1e-9));
-        // The whole and the component; one compiled arena, for the component.
+        // Two distributions stored, the whole and the component; one circuit
+        // compiled, for the component.
         assert_eq!(shared.aggregate_entries(), 2);
-        assert_eq!(shared.arena_entries(), 1);
         assert_eq!(shared.counters().misses, 2);
+        assert_eq!(shared.counters().arena_misses, 1);
         // Another query over the same component and a different leaf: the
-        // component is a hit, nothing is compiled.
+        // component's distribution is a hit, nothing is compiled.
         let beta = SemimoduleExpr::from_terms(
             AggOp::Sum,
             [(v(xs[4]), Fin(1))].into_iter().chain(entangled).collect(),
@@ -1683,8 +1535,35 @@ mod tests {
         assert!(dist.approx_eq(&expected, 1e-9));
         let counters = shared.counters();
         assert_eq!((counters.hits, counters.cross_scope_hits), (1, 1));
-        assert_eq!((counters.arena_hits, counters.arena_misses), (0, 1));
-        assert_eq!(shared.arena_entries(), 1);
+        assert_eq!(counters.arena_misses, 1);
+        assert_eq!(shared.aggregate_entries(), 3);
+    }
+
+    #[test]
+    fn an_evicted_distribution_compiles_again_to_the_same_bits() {
+        // The one schedule under which a map of circuits beside the
+        // distributions could have served: B's distribution is the LRU victim
+        // while its circuit, never promoted by a distribution hit, would have
+        // outlived it. With no such map, asking for B again compiles it once
+        // more — to the same bits.
+        let (vt, xs) = setup();
+        let shared = SharedArtifacts::new(CacheConfig {
+            max_entries: 2,
+            max_bytes: usize::MAX,
+        });
+        // Summands sharing a variable: one component, one circuit each.
+        let [a, b, c] =
+            [0, 1, 2].map(|i| shared.intern(&(v(xs[i]) * v(xs[i + 1]) + v(xs[i]) * v(xs[i + 2]))));
+        sem(&shared, a, &vt, 1);
+        let cold_b = sem(&shared, b, &vt, 1);
+        sem(&shared, a, &vt, 1);
+        sem(&shared, c, &vt, 1);
+        let before = shared.counters();
+        assert_eq!((before.hits, before.evictions), (1, 1), "{before:?}");
+        assert_eq!(before.arena_misses, 3);
+        let warm_b = sem(&shared, b, &vt, 1);
+        assert_eq!(bits(&warm_b), bits(&cold_b));
+        assert_eq!(shared.counters().arena_misses, before.arena_misses + 1);
     }
 
     #[test]

@@ -1358,12 +1358,6 @@ mod tests {
         assert!(dist.approx_eq(&expected, 1e-9));
     }
 
-    fn arena_bytes(arena: &DTreeArena) -> Vec<u8> {
-        let mut writer = crate::persist::Writer::new();
-        arena.encode_into(&mut writer);
-        writer.into_bytes()
-    }
-
     #[test]
     fn commuted_renderings_compile_to_the_same_tree() {
         let mut vt = VarTable::new();
@@ -1406,14 +1400,14 @@ mod tests {
             .compile_semiring_id(&interner, id)
             .unwrap();
         assert_eq!(by_id, tree);
-        // … and to the same arena, byte for byte as a snapshot would store it:
-        // emitted by either route, or flattened from the boxed tree.
-        let bytes = arena_bytes(&DTreeArena::from_tree(&tree));
-        assert_eq!(arena_bytes(compiler.emit_semiring(&a).unwrap()), bytes);
-        assert_eq!(arena_bytes(compiler.emit_semiring(&b).unwrap()), bytes);
+        // … and to the same arena, all four tables equal (nodes, branches,
+        // fold plans, sorts): emitted by either route, or flattened from the
+        // boxed tree.
+        let flattened = DTreeArena::from_tree(&tree);
+        assert_eq!(compiler.emit_semiring(&a).unwrap(), &flattened);
+        assert_eq!(compiler.emit_semiring(&b).unwrap(), &flattened);
         let mut by_id = Compiler::new(&vt, SemiringKind::Bool);
-        let emitted = by_id.emit_semiring_id(&interner, id).unwrap();
-        assert_eq!(arena_bytes(emitted), bytes);
+        assert_eq!(by_id.emit_semiring_id(&interner, id).unwrap(), &flattened);
         let p = confidence_of_tree(&tree, &vt);
         let expected = oracle::confidence_by_enumeration(&a, &vt, SemiringKind::Bool);
         assert!((p - expected).abs() < 1e-9);

@@ -5,8 +5,9 @@
 //! (Algorithm 1), with bottom-up probability computation (Theorem 2), pruning of
 //! conditional expressions, and joint-distribution compilation — plus the
 //! serving-system layers built around the compiled artifacts: the bounded
-//! [`cache`] (memoised distributions and flattened [`arena`] evaluators under
-//! canonical ids, shareable across threads and engines via
+//! [`cache`] (memoised distributions under canonical ids, each computed by
+//! evaluating the [`arena`] the compiler emits, shareable across threads and
+//! engines via
 //! [`SharedArtifacts`]), the zero-dependency worker pool ([`parallel`]), and
 //! [`persist`] — versioned binary snapshots that let a restarted process come
 //! back warm instead of recompiling.

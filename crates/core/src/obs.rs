@@ -561,9 +561,7 @@ pub struct CoreMetrics {
     pub cache_aggregate_hit: Counter,
     /// `cache.aggregate.miss`
     pub cache_aggregate_miss: Counter,
-    /// `cache.arena.hit`
-    pub cache_arena_hit: Counter,
-    /// `cache.arena.miss`
+    /// `cache.arena.miss` — one per circuit compiled through the artifact store.
     pub cache_arena_miss: Counter,
     /// `cache.eviction`
     pub cache_eviction: Counter,
@@ -610,7 +608,6 @@ pub fn core_metrics() -> &'static CoreMetrics {
             cache_semiring_miss: r.counter("cache.semiring.miss"),
             cache_aggregate_hit: r.counter("cache.aggregate.hit"),
             cache_aggregate_miss: r.counter("cache.aggregate.miss"),
-            cache_arena_hit: r.counter("cache.arena.hit"),
             cache_arena_miss: r.counter("cache.arena.miss"),
             cache_eviction: r.counter("cache.eviction"),
             arena_nodes: r.histogram("arena.nodes"),

@@ -4,17 +4,18 @@
 //! serving engine can come back **warm** after a process restart instead of
 //! recompiling every d-tree from scratch.
 //!
-//! This is the knowledge-compilation payoff made durable: the paper's d-trees
-//! (and the distributions computed from them) are tractable compiled circuits —
-//! first-class artifacts worth keeping, not per-query scratch. The snapshot
-//! stores:
+//! This is the knowledge-compilation payoff made durable: the distributions the
+//! paper's d-trees compute are what every later query asks for, so they are
+//! worth keeping across a restart. (The circuits themselves are not: the store
+//! evaluates each one where it is emitted and keeps only its distribution — see
+//! [`crate::cache`].) The snapshot stores:
 //!
 //! * every interned semiring / semimodule node (children before parents, the
 //!   arena's natural replay order);
-//! * every cached artifact — semiring and aggregate distributions plus compiled
-//!   [`DTreeArena`]s — with its insertion **scope tag** (so cross-query hit
-//!   accounting survives the restart) in least-recently-used-first order (so
-//!   replaying the entries reproduces the LRU recency order);
+//! * every cached semiring and aggregate distribution with its insertion
+//!   **scope tag** (so cross-query hit accounting survives the restart) in
+//!   least-recently-used-first order (so replaying the entries reproduces the
+//!   LRU recency order);
 //! * the cache's [`CacheConfig`] bounds and an opaque caller-supplied *extra*
 //!   section (the engine in `pvc-db` stores its step-I rewrite cache there).
 //!
@@ -43,14 +44,12 @@
 pub mod storage;
 pub mod wal;
 
-use crate::arena::DTreeArena;
 use crate::cache::{CacheConfig, CompilationCache};
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringValue};
 use pvc_expr::intern::{AggExprId, AggTerm, ExprId, InternedExpr, Interner};
 use pvc_expr::Var;
 use pvc_prob::{Dist, MonoidDist, SemiringDist};
 use std::fmt;
-use std::sync::Arc;
 
 /// The 8-byte magic prefix of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"PVCSNAP\0";
@@ -62,8 +61,9 @@ pub const MAGIC: [u8; 8] = *b"PVCSNAP\0";
 /// Version history: v1 — initial layout; v2 — per-table fingerprint vector
 /// inserted after the cache bounds (delta-aware warm restarts); v3 — the
 /// engine's `extra` section gained a leading WAL high-water mark (crash-safe
-/// durability), so v2 extras no longer parse.
-pub const FORMAT_VERSION: u32 = 3;
+/// durability), so v2 extras no longer parse; v4 — the two compiled-arena
+/// sections are gone (the store no longer keeps arenas).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Errors of the snapshot codec. Every failure mode of loading — I/O, bad
 /// magic, truncation, version or checksum mismatch, a snapshot recorded against
@@ -619,28 +619,12 @@ fn put_cache(w: &mut Writer, cache: &CompilationCache) {
         w.put_u64(*scope);
         put_dist(w, dist, put_monoid_value);
     }
-    w.put_u64(export.sem_arenas.len() as u64);
-    for (key, scope, arena) in &export.sem_arenas {
-        w.put_u32(*key);
-        w.put_u64(*scope);
-        arena.encode_into(w);
-    }
-    w.put_u64(export.agg_arenas.len() as u64);
-    for (key, scope, arena) in &export.agg_arenas {
-        w.put_u32(*key);
-        w.put_u64(*scope);
-        arena.encode_into(w);
-    }
 }
 
 #[derive(Debug)]
 struct CacheEntries {
     semiring: Vec<(u32, u64, SemiringDist)>,
     aggregate: Vec<(u32, u64, MonoidDist)>,
-    // Arenas are wrapped at decode time so restoring shares them by Arc clone
-    // instead of deep-copying every node vector (restore is the startup path).
-    sem_arenas: Vec<(u32, u64, Arc<DTreeArena>)>,
-    agg_arenas: Vec<(u32, u64, Arc<DTreeArena>)>,
 }
 
 fn take_cache(
@@ -671,25 +655,9 @@ fn take_cache(
         let scope = r.take_u64()?;
         aggregate.push((k, scope, take_dist(r, take_monoid_value)?));
     }
-    let n = r.take_count(12)?;
-    let mut sem_arenas = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = key(r.take_u32()?, n_exprs, "expression")?;
-        let scope = r.take_u64()?;
-        sem_arenas.push((k, scope, Arc::new(DTreeArena::decode_from(r)?)));
-    }
-    let n = r.take_count(12)?;
-    let mut agg_arenas = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = key(r.take_u32()?, n_aggs, "aggregate")?;
-        let scope = r.take_u64()?;
-        agg_arenas.push((k, scope, Arc::new(DTreeArena::decode_from(r)?)));
-    }
     Ok(CacheEntries {
         semiring,
         aggregate,
-        sem_arenas,
-        agg_arenas,
     })
 }
 
@@ -763,8 +731,6 @@ pub struct RestoreStats {
     pub interned_aggs: usize,
     /// Distributions (semiring + aggregate) inserted.
     pub distributions: usize,
-    /// Compiled d-tree arenas inserted.
-    pub arenas: usize,
 }
 
 /// Parse and validate snapshot bytes: magic, version, checksum, structural
@@ -879,9 +845,9 @@ impl Snapshot {
         }
     }
 
-    /// Refuse the snapshot if any expression or compiled arena references a
-    /// variable id `>= var_count` (the size of the variable table the caller
-    /// is about to evaluate against). The checksum only protects against
+    /// Refuse the snapshot if any expression references a variable id
+    /// `>= var_count` (the size of the variable table the caller is about to
+    /// evaluate against). The checksum only protects against
     /// accidental corruption — a deliberately crafted file carries a valid
     /// checksum, and an out-of-range [`Var`] would otherwise become an
     /// index-out-of-bounds panic at evaluation time. Fingerprint-matched
@@ -901,17 +867,6 @@ impl Snapshot {
         for raw in &self.exprs {
             if let RawExpr::Var(v) = raw {
                 check(*v)?;
-            }
-        }
-        for arena in self
-            .cache
-            .sem_arenas
-            .iter()
-            .chain(&self.cache.agg_arenas)
-            .map(|(_, _, a)| a)
-        {
-            if let Some(v) = arena.max_var() {
-                check(v)?;
             }
         }
         Ok(())
@@ -986,16 +941,6 @@ impl Snapshot {
             let id = agg_map[*key as usize].expect("all aggregates remapped");
             cache.insert_aggregate(id, *scope, dist);
             stats.distributions += 1;
-        }
-        for (key, scope, arena) in &self.cache.sem_arenas {
-            let id = expr_map[*key as usize].expect("all expressions remapped");
-            cache.insert_semiring_arena(id, *scope, arena);
-            stats.arenas += 1;
-        }
-        for (key, scope, arena) in &self.cache.agg_arenas {
-            let id = agg_map[*key as usize].expect("all aggregates remapped");
-            cache.insert_aggregate_arena(id, *scope, arena);
-            stats.arenas += 1;
         }
         Ok(stats)
     }
@@ -1229,11 +1174,10 @@ mod tests {
         assert_eq!(bytes, bytes2);
         assert_eq!(fresh.semiring_entries(), shared.semiring_entries());
         assert_eq!(fresh.aggregate_entries(), shared.aggregate_entries());
-        assert_eq!(fresh.arena_entries(), shared.arena_entries());
     }
 
     #[test]
-    fn restore_composes_with_a_live_arena() {
+    fn restore_composes_with_a_live_interner() {
         let (vt, shared) = populated();
         let (bytes, _) = shared.snapshot_bytes(1, &[], None);
         // The live store already interned something unrelated, shifting ids.
@@ -1301,6 +1245,27 @@ mod tests {
         for cut in [bytes.len() - 1, bytes.len() / 2, 13] {
             assert!(decode_snapshot(&bytes[..cut]).is_err());
         }
+    }
+
+    #[test]
+    fn a_v3_snapshot_is_refused_by_version() {
+        // v3 carried two compiled-arena sections after the distributions. This
+        // build reads v4 only and says so with the typed error (checksum fixed
+        // up so the version gate decides), which recovery answers by starting
+        // cold and replaying the log.
+        let (_vt, shared) = populated();
+        let (mut bytes, _) = shared.snapshot_bytes(7, &[], None);
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
+        let n = bytes.len();
+        let fixed = fnv64(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&fixed.to_le_bytes());
+        assert_eq!(
+            decode_snapshot(&bytes).unwrap_err(),
+            PersistError::Version {
+                found: 3,
+                supported: 4
+            }
+        );
     }
 
     #[test]

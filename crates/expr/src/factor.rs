@@ -4,7 +4,6 @@
 //! are decomposed without Shannon expansion.
 
 use crate::intern::{ExprId, InternedExpr, Interner};
-use crate::semiring_expr::SemiringExpr;
 use crate::vars::{Var, VarSet};
 
 /// The variables that appear as *top-level multiplicative factors* of an interned
@@ -93,18 +92,10 @@ pub fn divide_by_vars(arena: &mut Interner, id: ExprId, divisors: &VarSet) -> Op
     }
 }
 
-/// A conservative syntactic read-once check: an expression is *read-once* if every
-/// variable occurs at most once in it. Read-once expressions always admit d-trees of
-/// linear size built with the first three decomposition rules only (§5 / ref. 18).
-pub fn is_read_once(expr: &SemiringExpr) -> bool {
-    let mut occ = std::collections::BTreeMap::new();
-    expr.count_occurrences(&mut occ);
-    occ.values().all(|&n| n <= 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semiring_expr::SemiringExpr;
 
     fn v(i: u32) -> SemiringExpr {
         SemiringExpr::Var(Var(i))
@@ -164,14 +155,5 @@ mod tests {
         assert_eq!(divide_by_vars(&mut arena, ids[0], &x), Some(ids[1]));
         assert_eq!(divide_by_vars(&mut arena, ids[1], &x), None);
         assert_eq!(divide_by_vars(&mut arena, ids[2], &x), Some(ids[3]));
-    }
-
-    #[test]
-    fn read_once_detection() {
-        assert!(is_read_once(&(v(1) * (v(2) + v(3)))));
-        assert!(!is_read_once(&(v(1) * v(2) + v(1) * v(3))));
-        assert!(is_read_once(&SemiringExpr::Const(
-            pvc_algebra::SemiringValue::Bool(true)
-        )));
     }
 }

@@ -198,7 +198,7 @@ impl Engine {
 
     /// Compact this engine's artifact store: rebuild the hash-consed expression
     /// arena from the **live** cache entries only, retiring every interned node
-    /// that no longer backs a cached distribution or compiled d-tree arena (see
+    /// that no longer backs a cached distribution (see
     /// [`SharedArtifacts::compact`]). This is what keeps a long-lived serving
     /// process bounded: the LRU bounds cap the *cache* maps, compaction caps the
     /// *arena* they interned into.

@@ -20,9 +20,15 @@ use std::sync::Arc;
 pub struct EvalOptions {
     /// Options forwarded to the d-tree compiler (rule selection, node budget).
     pub compile: CompileOptions,
-    /// Allow the read-once fast path for tuple confidences when the plan classified
-    /// the query as tractable (`Q_ind`/`Q_hie`). On by default; results are identical
-    /// either way.
+    /// Allow the §6 closed forms — read-once tuple confidences and Proposition 1's
+    /// MIN/MAX distributions — when the plan classified the query as tractable
+    /// (`Q_ind`/`Q_hie`). On by default. Results agree either way up to the
+    /// compiled circuit's drop rule, **not** bit for bit: the circuit drops
+    /// cells below `PROB_EPS` at every step and the closed forms do not, so they
+    /// keep mass the circuit loses (one group of 1 000 independent rows: MIN
+    /// misses 1.6e-9 of its mass in closed form, 7.2e-8 through the circuit;
+    /// the group's confidence is exactly 1.0 vs 1 − 6.5e-10). See
+    /// `docs/ARCHITECTURE.md`, "The §6 closed forms".
     pub tractable_fast_path: bool,
     /// Materialise the exact distribution of every aggregation attribute. Disable
     /// (see [`EvalOptions::confidence_only`]) to skip the semimodule compilation when

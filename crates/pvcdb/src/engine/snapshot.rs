@@ -21,8 +21,6 @@ pub struct SnapshotStats {
     pub interned: usize,
     /// Cached distributions (confidences + aggregates) written / inserted.
     pub distributions: usize,
-    /// Compiled d-tree arenas written / inserted.
-    pub arenas: usize,
     /// Step-I rewrite tables written / installed.
     pub rewrites: usize,
     /// Total snapshot size in bytes.
@@ -85,11 +83,10 @@ fn mismatch_var_set(db: &Database, mismatch: &BTreeSet<String>) -> VarSet {
 
 impl Engine {
     /// Persist every compile artifact of this engine — the hash-consed
-    /// expression arena, the cached distributions and compiled d-tree arenas
-    /// (respecting the LRU bounds: only what is cached is written), and the
-    /// step-I rewrite cache — into a versioned, checksummed snapshot file, so a
-    /// restarted process can come back **warm**
-    /// (see [`Engine::with_artifacts_from`]).
+    /// expression arena, the cached distributions (respecting the LRU bounds:
+    /// only what is cached is written), and the step-I rewrite cache — into a
+    /// versioned, checksummed snapshot file, so a restarted process can come
+    /// back **warm** (see [`Engine::with_artifacts_from`]).
     ///
     /// The snapshot embeds a fingerprint of the database (semiring, variable
     /// distributions, table contents); loading it against any other database is
@@ -165,7 +162,6 @@ impl Engine {
         Ok(SnapshotStats {
             interned: counts.interned_exprs + counts.interned_aggs,
             distributions: counts.distributions,
-            arenas: counts.arenas,
             rewrites: n_rewrites,
             bytes: bytes.len(),
         })
@@ -327,7 +323,6 @@ impl Engine {
             SnapshotStats {
                 interned: stats.interned_exprs + stats.interned_aggs,
                 distributions: stats.distributions,
-                arenas: stats.arenas,
                 rewrites,
                 bytes: file_len,
             },

@@ -1,4 +1,4 @@
-//! Every counter the engine reports — cache / arena behaviour, cumulative delta and
+//! Every counter the engine reports — cache behaviour, cumulative delta and
 //! snapshot activity — and the one getter that gathers them, [`Engine::stats`].
 
 use super::Engine;
@@ -30,12 +30,8 @@ pub struct CacheStats {
     pub cross_query_hits: u64,
     /// Entries evicted by the LRU bounds.
     pub evictions: u64,
-    /// Cached compiled d-tree arenas (flattened evaluation artifacts).
-    pub arenas: usize,
-    /// Arena lookups answered from the cache (each hit skips a full d-tree
-    /// compilation; only the arena evaluation runs).
-    pub arena_hits: u64,
-    /// Arena lookups that had to compile.
+    /// Circuits compiled through the artifact store (see
+    /// [`CacheCounters::arena_misses`](pvc_core::CacheCounters::arena_misses)).
     pub arena_misses: u64,
 }
 
@@ -70,7 +66,7 @@ pub struct SnapshotTotals {
     pub bytes_read: u64,
 }
 
-/// Every counter the engine keeps, in one struct: cache/arena behaviour, delta
+/// Every counter the engine keeps, in one struct: cache behaviour, delta
 /// activity and snapshot activity (see [`Engine::stats`]). The older
 /// [`Engine::cache_stats`] getter remains as a thin delegate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,7 +80,7 @@ pub struct EngineStats {
 }
 
 impl Engine {
-    /// Every counter the engine keeps, in one struct: cache/arena sizes and
+    /// Every counter the engine keeps, in one struct: cache sizes and
     /// behaviour, cumulative delta activity and cumulative snapshot activity.
     /// This is the consolidated retrieval surface; [`Engine::cache_stats`]
     /// remains as a thin delegate to the `cache` section.
@@ -107,8 +103,6 @@ impl Engine {
                 misses: counters.misses,
                 cross_query_hits: counters.cross_scope_hits,
                 evictions: counters.evictions,
-                arenas: artifacts.arena_entries(),
-                arena_hits: counters.arena_hits,
                 arena_misses: counters.arena_misses,
             },
             deltas: self.delta_totals,

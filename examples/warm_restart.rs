@@ -2,8 +2,8 @@
 //! first query warm.
 //!
 //! The engine's speed story rests on reusing compiled artifacts — interned
-//! expressions, memoised distributions, flattened d-tree arenas, cached step-I
-//! rewrites. This example closes the loop across a process restart:
+//! expressions, memoised distributions, cached step-I rewrites. This example
+//! closes the loop across a process restart:
 //!
 //! 1. build a database and run a workload cold (every d-tree compiled);
 //! 2. run it again warm (everything served from the in-process caches);
@@ -12,7 +12,7 @@
 //! 4. "restart": rebuild the database from scratch (same deterministic loading
 //!    code) and bring up a fresh engine with `Engine::with_artifacts_from`;
 //! 5. the restarted engine's *first* query runs at warm speed — zero misses,
-//!    zero arena rebuilds, bit-identical results.
+//!    zero compilations, bit-identical results.
 //!
 //! A snapshot is refused (with a typed `Error::Snapshot`) when it is corrupted,
 //! written by another format version, or recorded against a database that no
@@ -104,12 +104,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = engine.save_artifacts(&snapshot_path)?;
     println!(
         "save_artifacts:         {:>10.2?}  ({} bytes: {} interned nodes, {} distributions, \
-         {} arenas, {} rewrites)",
+         {} rewrites)",
         start.elapsed(),
         stats.bytes,
         stats.interned,
         stats.distributions,
-        stats.arenas,
         stats.rewrites
     );
     drop(engine); // the "process" exits; only the snapshot file survives
@@ -135,7 +134,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let cache = restarted.cache_stats();
     println!(
-        "restored CacheStats:    hits {} / misses {} / arena rebuilds {} / rewrites {}",
+        "restored CacheStats:    hits {} / misses {} / compilations {} / rewrites {}",
         cache.hits, cache.misses, cache.arena_misses, cache.rewrites
     );
     assert_eq!(cache.misses, 0, "warm-from-disk must not recompute");

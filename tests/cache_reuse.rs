@@ -4,8 +4,9 @@
 //!   across all `Strategy` variants (Q_ind, Q_hie, general compilation);
 //! * canonical interning — structurally-equal queries under *different renderings*
 //!   (commuted operands) share cache entries, observable as cross-query hits;
-//! * arena reuse — warm runs and the commuted rendering compile no d-tree arena a
-//!   second time, with one worker thread or four;
+//! * no recompilation — warm runs and the commuted rendering are answered from
+//!   the stored distributions and compile no circuit a second time, with one
+//!   worker thread or four;
 //! * LRU eviction — a tiny entry bound evicts but never changes results.
 
 use pvc_suite::prelude::*;
@@ -202,7 +203,7 @@ fn max_price_query(swapped: bool) -> Query {
 }
 
 #[test]
-fn warm_and_commuted_runs_rebuild_no_arena() {
+fn warm_and_commuted_runs_compile_nothing() {
     // With several workers filling the shared store the reuse must hold as well.
     for threads in [1, 4] {
         let options = EvalOptions::default().with_threads(threads);
@@ -211,7 +212,11 @@ fn warm_and_commuted_runs_rebuild_no_arena() {
         let cold = prepared.execute(&options).unwrap();
         assert!(!cold.tuples.is_empty());
         let after_cold = engine.cache_stats();
-        assert!(after_cold.arenas > 0, "nothing compiled: {after_cold:?}");
+        assert!(
+            after_cold.arena_misses > 0,
+            "nothing compiled: {after_cold:?}"
+        );
+        assert!(after_cold.confidences > 0, "nothing stored: {after_cold:?}");
 
         for _ in 0..5 {
             assert_same_result(&cold, &prepared.execute(&options).unwrap());
@@ -226,7 +231,7 @@ fn warm_and_commuted_runs_rebuild_no_arena() {
         let stats = engine.cache_stats();
         assert_eq!(
             stats.arena_misses, after_cold.arena_misses,
-            "threads={threads}: a warm or commuted run compiled an arena again: {stats:?}"
+            "threads={threads}: a warm or commuted run compiled a circuit again: {stats:?}"
         );
         assert!(stats.cross_query_hits >= 1, "threads={threads}: {stats:?}");
     }

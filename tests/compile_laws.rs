@@ -229,8 +229,7 @@ fn a_benchmark_sized_compilation_stays_within_its_work_bounds() {
 
 /// The arena the compiler emitted is the flattening of its own tree: boxing it
 /// and flattening that again gives back the same four tables — nodes, branch
-/// table, fold plans, sorts — and so, `encode_into` being a function of those
-/// four, the same snapshot bytes.
+/// table, fold plans, sorts.
 fn assert_emission_is_flattening(arena: &DTreeArena, what: &str) {
     let tree = arena.to_tree();
     assert_eq!(tree.num_nodes(), arena.len(), "{what}");

@@ -170,10 +170,9 @@ fn cold_q2_profile_covers_rewrite_compile_and_evaluate() {
     assert!(shape.contains("kernel_dense="), "{shape}");
     assert!(shape.contains("aggregate"), "{shape}");
     assert!(shape.contains("path="), "{shape}");
-    // The cold run compiled at least one sub-d-tree, recording its arena
-    // outcome and node count per independent sub-d-tree.
+    // The cold run compiled at least one sub-d-tree, recording its node count
+    // per independent sub-d-tree.
     assert!(shape.contains("compile"), "{shape}");
-    assert!(shape.contains("arena=miss"), "{shape}");
     assert!(shape.contains("nodes="), "{shape}");
     // render() adds durations on top of the same tree.
     assert!(render.contains("query"), "{render}");
@@ -212,7 +211,7 @@ fn group_sum_profile_names_the_fold_and_the_arena_pass() {
             "    tuple [index={index} kernel_dense={dense} kernel_sparse=0]
       confidence [path=compile]
         intern
-        compile [arena=miss nodes={nodes}]
+        compile [nodes={nodes}]
         evaluate [interp=cells]
       aggregate [path=fold]
         intern
