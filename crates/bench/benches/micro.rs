@@ -62,6 +62,13 @@ fn bench_additive_fold() {
             }
             std::hint::black_box(fold.take().map(ChainVal::into_dist));
         });
+        // The engine's route for a leaf component: its two cells, no `Dist`.
+        bench_case(&format!("fold/{label}/push_cells"), 20, || {
+            for term in &terms {
+                fold.push_cells(term.iter().map(|(v, p)| (*v, p)));
+            }
+            std::hint::black_box(fold.take().map(ChainVal::into_dist));
+        });
     }
 }
 

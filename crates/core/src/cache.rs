@@ -54,7 +54,7 @@ use crate::arena::Interp;
 use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler};
 use crate::node::DTreeError;
 use pvc_algebra::{AggOp, MonoidValue, SemiringKind};
-use pvc_expr::independence::connected_components_by;
+use pvc_expr::independence::UnionByRank;
 use pvc_expr::intern::{AggExprId, ExprId, ImportMemo, InternedExpr, Interner};
 use pvc_expr::vars::sorted_disjoint;
 use pvc_expr::{SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
@@ -574,7 +574,7 @@ pub fn confidence_of(dist: &SemiringDist) -> f64 {
 /// atomically), so no lock cycle — and no deadlock — is possible.
 #[derive(Debug, Default)]
 pub struct SharedArtifacts {
-    interner: Mutex<Interner>,
+    interner: Mutex<Interning>,
     cache: Mutex<CompilationCache>,
     /// The compile-local tables of finished compilations, waiting for the next
     /// miss: a compilation takes one (or starts a new one) and gives it back, so
@@ -619,7 +619,7 @@ impl SharedArtifacts {
     /// An empty store with the given cache bounds.
     pub fn new(config: CacheConfig) -> Self {
         SharedArtifacts {
-            interner: Mutex::new(Interner::new()),
+            interner: Mutex::default(),
             cache: Mutex::new(CompilationCache::new(config)),
             scratch: Mutex::default(),
             generation: std::sync::atomic::AtomicU64::new(0),
@@ -647,7 +647,7 @@ impl SharedArtifacts {
         self.scratch.lock().expect("compile-scratch mutex poisoned")
     }
 
-    fn interner(&self) -> MutexGuard<'_, Interner> {
+    fn interner(&self) -> MutexGuard<'_, Interning> {
         self.interner.lock().expect("interner mutex poisoned")
     }
 
@@ -667,9 +667,9 @@ impl SharedArtifacts {
     /// most one at a time, so no cycle — and no deadlock — is possible.
     pub fn clear(&self) {
         self.scratch().clear();
-        let mut interner = self.interner();
+        let mut interning = self.interner();
         let mut cache = self.cache();
-        *interner = Interner::new();
+        *interning = Interning::default();
         cache.clear();
     }
 
@@ -697,7 +697,8 @@ impl SharedArtifacts {
     /// scheduler compacts strictly between batches, when no worker holds an id.
     pub fn compact(&self) -> CompactionStats {
         self.scratch().clear();
-        let mut interner = self.interner();
+        let mut interning = self.interner();
+        let interner = &interning.interner;
         let mut cache = self.cache();
         let stats_before = (interner.len() + interner.agg_len(), cache.bytes());
         let mut fresh_interner = Interner::new();
@@ -723,7 +724,10 @@ impl SharedArtifacts {
                 .insert(id.0, dist.clone(), dist_bytes(dist), scope, &config);
             entries_kept += 1;
         }
-        *interner = fresh_interner;
+        *interning = Interning {
+            interner: fresh_interner,
+            ..Interning::default()
+        };
         *cache = fresh_cache;
         let generation = self
             .generation
@@ -731,7 +735,7 @@ impl SharedArtifacts {
             + 1;
         CompactionStats {
             interned_before: stats_before.0,
-            interned_after: interner.len() + interner.agg_len(),
+            interned_after: interning.interner.len() + interning.interner.agg_len(),
             bytes_before: stats_before.1,
             bytes_after: cache.bytes(),
             entries_kept,
@@ -758,7 +762,8 @@ impl SharedArtifacts {
     /// [`EvictionStats`], not through [`CacheCounters::evictions`] (which counts
     /// capacity evictions only).
     pub fn evict_touching(&self, touched: &VarSet) -> EvictionStats {
-        let interner = self.interner();
+        let interning = self.interner();
+        let interner = &interning.interner;
         let mut cache = self.cache();
         let mut evicted = 0usize;
         if !touched.is_empty() {
@@ -798,12 +803,12 @@ impl SharedArtifacts {
 
     /// Intern a semiring expression into its canonical id.
     pub fn intern(&self, expr: &SemiringExpr) -> ExprId {
-        self.interner().intern(expr)
+        self.interner().interner.intern(expr)
     }
 
     /// Intern a semimodule expression into its canonical id.
     pub fn intern_semimodule(&self, expr: &SemimoduleExpr) -> AggExprId {
-        self.interner().intern_semimodule(expr)
+        self.interner().interner.intern_semimodule(expr)
     }
 
     /// Reduce the cached distribution of `id` under the lock (no clone), promoting
@@ -919,15 +924,15 @@ impl SharedArtifacts {
             // under the interner lock; the recursive evaluations below run
             // unlocked.
             let split = {
-                let mut interner = self.interner();
-                let sum_or_product = match interner.node(id) {
+                let mut interning = self.interner();
+                let sum_or_product = match interning.interner.node(id) {
                     InternedExpr::Add(children) => Some((true, children.to_vec())),
                     InternedExpr::Mul(children) => Some((false, children.to_vec())),
                     _ => None,
                 };
                 sum_or_product.and_then(|(is_add, children)| {
                     independent_components(
-                        &mut interner,
+                        &mut interning,
                         &children,
                         |c| c,
                         |interner, group| match is_add {
@@ -962,7 +967,7 @@ impl SharedArtifacts {
         let span = crate::obs::span("compile");
         self.cache().record_compilation();
         self.with_compiler(vars, kind, options, |compiler| {
-            let root = compiler.load_semiring(&self.interner(), id);
+            let root = compiler.load_semiring(&self.interner().interner, id);
             let arena = compiler.emit_loaded_semiring(root)?;
             if let Some(s) = &span {
                 s.attr("nodes", arena.len().to_string());
@@ -986,11 +991,11 @@ impl SharedArtifacts {
         scope: u64,
     ) -> Result<MonoidDist, EvalError> {
         let split = if options.independence {
-            let mut interner = self.interner();
-            let node = interner.agg_node(id);
+            let mut interning = self.interner();
+            let node = interning.interner.agg_node(id);
             let (op, terms) = (node.op, node.terms.to_vec());
             independent_components(
-                &mut interner,
+                &mut interning,
                 &terms,
                 |(coeff, _)| coeff,
                 |interner, group| interner.intern_agg(op, group),
@@ -1024,7 +1029,7 @@ impl SharedArtifacts {
         let span = crate::obs::span("compile");
         self.cache().record_compilation();
         self.with_compiler(vars, kind, options, |compiler| {
-            let root = compiler.load_semimodule(&self.interner(), id);
+            let root = compiler.load_semimodule(&self.interner().interner, id);
             let arena = compiler.emit_loaded_semimodule(root)?;
             if let Some(s) = &span {
                 s.attr("nodes", arena.len().to_string());
@@ -1065,8 +1070,8 @@ impl SharedArtifacts {
 
     /// Distinct interned nodes (semiring + semimodule) in the arena.
     pub fn interned_nodes(&self) -> usize {
-        let interner = self.interner();
-        interner.len() + interner.agg_len()
+        let interning = self.interner();
+        interning.interner.len() + interning.interner.agg_len()
     }
 
     /// Serialise the whole store into snapshot bytes (see [`crate::persist`]),
@@ -1085,7 +1090,8 @@ impl SharedArtifacts {
         table_fingerprints: &[(String, u64)],
         extra: Option<&[u8]>,
     ) -> (Vec<u8>, crate::persist::RestoreStats) {
-        let interner = self.interner();
+        let interning = self.interner();
+        let interner = &interning.interner;
         let cache = self.cache();
         let counts = crate::persist::RestoreStats {
             interned_exprs: interner.len(),
@@ -1094,7 +1100,7 @@ impl SharedArtifacts {
         };
         (
             crate::persist::encode_snapshot(
-                &interner,
+                interner,
                 &cache,
                 fingerprint,
                 table_fingerprints,
@@ -1121,9 +1127,9 @@ impl SharedArtifacts {
         expected_fingerprint: u64,
     ) -> Result<crate::persist::RestoreStats, crate::persist::PersistError> {
         snapshot.verify_fingerprint(expected_fingerprint)?;
-        let mut interner = self.interner();
+        let mut interning = self.interner();
         let mut cache = self.cache();
-        snapshot.restore_into(&mut interner, &mut cache)
+        snapshot.restore_into(&mut interning.interner, &mut cache)
     }
 
     /// A fresh store rebuilt from a decoded snapshot, using the **snapshot's**
@@ -1153,18 +1159,35 @@ enum Component<I> {
     Memo(I),
 }
 
+/// What the store's interner lock guards: the interner, and the independence
+/// planner's tables, which read its var-sets and are used only under that
+/// lock. The tables hold room, not artifacts — a variable-indexed table as
+/// long as the largest variable id planned — and are freed with the interner
+/// by [`SharedArtifacts::clear`] and [`SharedArtifacts::compact`].
+#[derive(Debug, Default)]
+struct Interning {
+    interner: Interner,
+    planner: UnionByRank,
+}
+
 /// Split `items` — the children of a sum or product, or the terms of an
 /// aggregate, `coeff` naming the semiring expression an item's variables come
 /// from — into groups of pairwise variable-disjoint items (connected components
 /// of the co-occurrence graph), interning every non-leaf group with
 /// `intern_group`; `None` when everything is one component.
+///
+/// Components come in the order of
+/// [`connected_components_by`](pvc_expr::independence::connected_components_by)
+/// (the planner keeps its union sequence), which every cached bit of a fold
+/// depends on.
 fn independent_components<T: Copy, I>(
-    interner: &mut Interner,
+    interning: &mut Interning,
     items: &[T],
     coeff: impl Fn(T) -> ExprId,
     mut intern_group: impl FnMut(&mut Interner, &[T]) -> I,
 ) -> Option<Vec<Component<I>>> {
-    let components = connected_components_by(items.len(), |i| interner.var_set(coeff(items[i])));
+    let Interning { interner, planner } = interning;
+    let components = planner.components(items.len(), |i| interner.var_set(coeff(items[i])));
     if components.len() <= 1 {
         return None;
     }

@@ -143,9 +143,14 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 
 /// Append-only little-endian byte writer used by every snapshot codec (also by
 /// the engine's rewrite-cache codec in `pvc-db`).
+///
+/// A [counting](Self::counting) writer takes the same calls and keeps only
+/// their length: what an encoding would cost, without building it.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
+    /// `Some(n)` for a counting writer: `n` bytes written, none kept.
+    counted: Option<usize>,
 }
 
 impl Writer {
@@ -154,39 +159,54 @@ impl Writer {
         Self::default()
     }
 
-    /// The bytes written so far.
+    /// A writer that keeps no bytes, only their number ([`len`](Self::len)).
+    pub fn counting() -> Self {
+        Writer {
+            buf: Vec::new(),
+            counted: Some(0),
+        }
+    }
+
+    /// The bytes written so far (none for a counting writer).
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
+    }
+
+    fn extend(&mut self, bytes: &[u8]) {
+        match &mut self.counted {
+            Some(n) => *n += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
     }
 
     /// Write one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.extend(&[v]);
     }
 
     /// Write a `u32` (little-endian).
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.extend(&v.to_le_bytes());
     }
 
     /// Write a `u64` (little-endian).
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.extend(&v.to_le_bytes());
     }
 
     /// Write an `i64` (little-endian two's complement).
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.extend(&v.to_le_bytes());
     }
 
     /// Write an `f64` as its exact IEEE-754 bit pattern (bit-identical round
@@ -199,7 +219,7 @@ impl Writer {
     /// Write a length-prefixed byte string.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
-        self.buf.extend_from_slice(bytes);
+        self.extend(bytes);
     }
 
     /// Write a length-prefixed UTF-8 string.

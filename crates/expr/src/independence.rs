@@ -88,6 +88,16 @@ pub struct Components {
     starts: Vec<usize>,
 }
 
+impl Default for Components {
+    /// The partition of the empty set.
+    fn default() -> Self {
+        Components {
+            members: Vec::new(),
+            starts: vec![0],
+        }
+    }
+}
+
 impl Components {
     /// Number of components.
     pub fn len(&self) -> usize {
@@ -140,6 +150,122 @@ pub fn connected_components_by<'a>(n: usize, set_of: impl Fn(usize) -> &'a [Var]
         }
     }
     uf.components()
+}
+
+/// Reusable state of [`UnionByRank::components`]: the partition
+/// [`connected_components_by`] returns — the same union sequence, the same
+/// union-by-rank representatives, so the same component order — without its
+/// sort, its binary searches or its allocations. The artifact store plans the
+/// independent split of every aggregate and sum it evaluates with one of these,
+/// kept beside its interner.
+///
+/// The order is load-bearing: the store folds component distributions in it,
+/// and a floating-point fold in another order changes bits. So components come
+/// in ascending order of their representative, not of their smallest member
+/// (as [`ComponentLabels`] numbers them): if items 0 and 3 share a variable and
+/// 1 and 2 stand alone, the order is `{1}, {2}, {0, 3}`.
+#[derive(Debug, Default)]
+pub struct UnionByRank {
+    /// Union–find forest over the items of the current call.
+    parent: Vec<u32>,
+    rank: Vec<u8>,
+    /// Indexed by `Var` id: the first item seen mentioning the variable (so the
+    /// smallest, as the sorted occurrence list of [`connected_components_by`]
+    /// finds it). Grown to the largest id a call touches; entries touched by a
+    /// call are reset before it returns.
+    first_seen: Vec<u32>,
+    /// Counting-sort cursors: where the next member of each root goes.
+    slot: Vec<usize>,
+    partition: Components,
+}
+
+impl UnionByRank {
+    /// Partition the items `0..n`, item `i` mentioning the variables
+    /// `set_of(i)`, exactly as [`connected_components_by`] does: components
+    /// ordered by their union–find representative, members ascending.
+    pub fn components<'a>(
+        &mut self,
+        n: usize,
+        set_of: impl Fn(usize) -> &'a [Var],
+    ) -> &Components {
+        debug_assert!(self.first_seen.iter().all(|&s| s == UNSEEN));
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.rank.clear();
+        self.rank.resize(n, 0);
+        // Occurrences in set order, each united with its variable's first
+        // item: the union sequence of `connected_components_by`.
+        for i in 0..n {
+            for v in set_of(i) {
+                let slot = v.0 as usize;
+                if slot >= self.first_seen.len() {
+                    self.first_seen.resize(slot + 1, UNSEEN);
+                }
+                match self.first_seen[slot] {
+                    UNSEEN => self.first_seen[slot] = i as u32,
+                    j if j as usize != i => self.union(i as u32, j),
+                    _ => {}
+                }
+            }
+        }
+        for i in 0..n {
+            for v in set_of(i) {
+                self.first_seen[v.0 as usize] = UNSEEN;
+            }
+        }
+        // Group by representative, as `UnionFind::components` does.
+        for i in 0..n as u32 {
+            let root = self.find(i);
+            self.parent[i as usize] = root;
+        }
+        self.slot.clear();
+        self.slot.resize(n + 1, 0);
+        for &root in &self.parent {
+            self.slot[root as usize + 1] += 1;
+        }
+        let Components { members, starts } = &mut self.partition;
+        starts.clear();
+        for root in 0..n {
+            if self.slot[root + 1] > 0 {
+                starts.push(self.slot[root]);
+            }
+            self.slot[root + 1] += self.slot[root];
+        }
+        starts.push(n);
+        members.clear();
+        members.resize(n, 0);
+        for (i, &root) in self.parent.iter().enumerate() {
+            members[self.slot[root as usize]] = i;
+            self.slot[root as usize] += 1;
+        }
+        &self.partition
+    }
+
+    fn find(&mut self, mut i: u32) -> u32 {
+        while self.parent[i as usize] != i {
+            let up = self.parent[i as usize];
+            self.parent[i as usize] = self.parent[up as usize];
+            i = up;
+        }
+        i
+    }
+
+    /// [`UnionFind::union`]: on equal ranks `a`'s representative wins.
+    fn union(&mut self, a: u32, b: u32) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra == rb {
+            return;
+        }
+        let (ra, rb) = (ra as usize, rb as usize);
+        match self.rank[ra].cmp(&self.rank[rb]) {
+            std::cmp::Ordering::Less => self.parent[ra] = rb as u32,
+            std::cmp::Ordering::Greater => self.parent[rb] = ra as u32,
+            std::cmp::Ordering::Equal => {
+                self.parent[rb] = ra as u32;
+                self.rank[ra] += 1;
+            }
+        }
+    }
 }
 
 /// True if the variable sets are pairwise disjoint (i.e. every index is its own
@@ -400,6 +526,48 @@ mod tests {
                 merged += usize::from(expected.len() < n);
             }
             assert!(merged > 500, "only {merged} families shared a variable");
+        }
+    }
+
+    #[test]
+    fn union_by_rank_keeps_the_order_of_connected_components_by() {
+        // One planner across every family, as the artifact store keeps it.
+        let mut planner = UnionByRank::default();
+        let mut check = |sets: &[VarSet]| {
+            let planned = planner.components(sets.len(), |i| sets[i].as_slice());
+            let expected = connected_components_by(sets.len(), |i| sets[i].as_slice());
+            assert_eq!(*planned, expected, "{sets:?}");
+        };
+        // Items 0 and 3 share a variable: representative 3, so `{0, 3}` comes
+        // last — smallest-member order would put it first.
+        let shape = [vs(&[7]), vs(&[8]), vs(&[9]), vs(&[7])];
+        check(&shape);
+        assert_eq!(
+            connected_components(&shape),
+            vec![vec![1], vec![2], vec![0, 3]]
+        );
+        check(&[]);
+        check(&[vs(&[]), vs(&[1]), vs(&[])]);
+        let mut seeds = vec![0x0DE5_u64];
+        if let Some(extra) = std::env::var("PVC_ORACLE_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+        {
+            seeds.push(extra);
+        }
+        for seed in seeds {
+            let mut rng = pvc_prob::SeededRng::seed_from_u64(seed);
+            for _ in 0..1_000 {
+                let n = rng.gen_range(1usize..60);
+                let pool = rng.gen_range(1u32..(3 * n as u32 + 2));
+                let sets: Vec<VarSet> = (0..n)
+                    .map(|_| {
+                        let size = rng.gen_range(0usize..5);
+                        (0..size).map(|_| Var(rng.gen_range(0..pool))).collect()
+                    })
+                    .collect();
+                check(&sets);
+            }
         }
     }
 

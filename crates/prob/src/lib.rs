@@ -33,6 +33,7 @@ pub use rng::SeededRng;
 pub use space::{ProbabilitySpace, World};
 pub use stats::{
     begin_tuple_capture, kernel_stats, kernel_stats_enabled, record_dense_chain,
-    reset_kernel_stats, set_kernel_stats_enabled, take_tuple_capture, KernelStats, SUPPORT_BUCKETS,
+    reset_kernel_stats, set_kernel_stats_enabled, take_tuple_capture, tuple_capture_chain,
+    KernelStats, SUPPORT_BUCKETS,
 };
 pub use values::{make, DistValue, MixedDist, MonoidDist, SemiringDist};

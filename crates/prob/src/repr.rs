@@ -23,6 +23,14 @@
 //! (`multiply_accumulate`); [`DenseDist::convolve_add`] and
 //! [`DenseDist::convolve_add_exact`] reach the same two.
 //!
+//! A leaf costs its cells. Against an operand of one to three cells (COUNT's
+//! `{0, 1}`) the loop nest writes every output cell once, complete, with the
+//! drop rule and the support count fused into that write, so the epilogue is
+//! left with the trim alone; and a leaf that narrow enters
+//! [`AdditiveFold::push_cells`] as its cells, with no [`Dist`] built for it.
+//! Skipping the zero cells of a wider `{0, v}` operand is held back, for the
+//! reason `multiply_accumulate` gives.
+//!
 //! The dense pass is taken exactly when both supports are all-finite and the
 //! output range is no larger than the work a convolution does anyway (so dense is
 //! never asymptotically worse), the sparse kernel otherwise; the decision reads
@@ -180,19 +188,18 @@ impl DenseDist {
         })
     }
 
-    /// The one epilogue of every kernel that writes fresh cells: apply the
-    /// sparse kernel's drop rule (cells at or below [`PROB_EPS`] become zero, so
-    /// later convolutions see the same support either way) and count the
-    /// survivors in a single branch-free pass, then re-establish the trim
-    /// invariant. The two end scans stop at once on an already-trimmed vector,
-    /// and nothing is moved unless there is a leading gap to close.
+    /// The epilogue of the kernels that write raw cells (the spectral one and
+    /// [`scale`](Self::scale)): [`drop_and_count`], then [`trimmed`](Self::trimmed).
     fn finish(offset: i64, mut probs: Vec<f64>) -> DenseDist {
-        let mut support = 0;
-        for p in &mut probs {
-            let dropped = *p <= PROB_EPS;
-            *p = if dropped { 0.0 } else { *p };
-            support += usize::from(!dropped);
-        }
+        let support = drop_and_count(&mut probs);
+        Self::trimmed(offset, probs, support)
+    }
+
+    /// Re-establish the trim invariant on cells the drop rule has already
+    /// been applied to, `support` of them non-zero. The two end scans stop at
+    /// once on an already-trimmed vector, and nothing is moved unless there is
+    /// a leading gap to close.
+    fn trimmed(offset: i64, mut probs: Vec<f64>, support: usize) -> DenseDist {
         let Some(first) = probs.iter().position(|p| *p != 0.0) else {
             return DenseDist::empty();
         };
@@ -229,7 +236,7 @@ impl DenseDist {
     /// Run the chosen dense kernel, writing exact output into the recycled
     /// buffer `out`. A spectral attempt rejected by the accuracy policy falls
     /// back to the exact loop (counted in `kernel.conv.fft_fallbacks`).
-    fn convolve_by(&self, kernel: Kernel, other: &DenseDist, mut out: Vec<f64>) -> DenseDist {
+    fn convolve_by(&self, kernel: Kernel, other: &DenseDist, out: Vec<f64>) -> DenseDist {
         if self.probs.is_empty() || other.probs.is_empty() {
             return DenseDist::empty();
         }
@@ -240,10 +247,14 @@ impl DenseDist {
             }
             crate::stats::record_fft(false);
         }
-        out.clear();
-        out.resize(self.probs.len() + other.probs.len() - 1, 0.0);
-        multiply_accumulate(&self.probs, &other.probs, &mut out);
-        Self::finish(self.offset + other.offset, out)
+        self.convolve_exact_into(other.offset, &other.probs, out)
+    }
+
+    /// The exact loop against the non-empty operand whose cell `i` is the
+    /// probability of `Fin(offset + i)`, into the recycled buffer `out`.
+    fn convolve_exact_into(&self, offset: i64, cells: &[f64], mut out: Vec<f64>) -> DenseDist {
+        let support = multiply_accumulate(&self.probs, cells, &mut out);
+        Self::trimmed(self.offset + offset, out, support)
     }
 
     /// The spectral convolution attempt: `None` when the transform is
@@ -323,8 +334,12 @@ impl DenseDist {
     }
 }
 
-/// **The** dense loop nest: `out[i + j] += a[i] · b[j]` into a zeroed `out` of
-/// `a.len() + b.len() − 1` cells. Every dense convolution in this crate runs it.
+/// **The** dense loop nest: the `a.len() + b.len() − 1` cells of `a ∗ b`
+/// (`out[i + j] += a[i] · b[j]`) written into `out`, with the epilogue the
+/// sparse kernel applies on the way out — cells at or below [`PROB_EPS`] become
+/// zero, so later convolutions see the same support either way — and the
+/// number of surviving cells returned. Both operands are non-empty. Every
+/// dense convolution in this crate runs it.
 ///
 /// Each output cell `k` receives its products `a[i] · b[k − i]` in ascending
 /// `i` — the order the sparse generate–sort–coalesce kernel sums equal-valued
@@ -332,34 +347,65 @@ impl DenseDist {
 /// the sparse path. Two orientations keep that order:
 ///
 /// * **`b` shorter than one chunk** (`b.len() < 4`, and no longer than `a`;
-///   COUNT's `{0, 1}` operand has two cells): `b` runs outermost in
-///   *descending* index and `a` is the contiguous inner loop, so the row update
-///   is a full-width vector loop over the accumulator instead of a two-cell
-///   scalar remainder per accumulator cell. Cell `k` still meets `i = k − j` in
-///   ascending order because `j` descends. Zero cells of `a` are not skipped
-///   here; they add `+0.0`, which changes no bit of a non-negative sum.
-/// * **every other shape**: `a` outermost, skipping its zero cells (SUM
-///   accumulators have gaps early in a fold), and the row update over `b`
-///   written as four independent lanes over `chunks_exact(4)` plus a scalar
-///   remainder. Each output cell is touched once per `i`, so the lanes never
-///   reassociate a sum and the compiler is free to emit packed `mulpd` /
-///   `addpd`.
+///   COUNT's `{0, 1}` operand has two cells): every cell is computed complete
+///   and written once, drop rule and support count included —
+///   `Σ a[k − j] · b[j]` over *descending* `j`, so `i = k − j` ascends. The
+///   interior cells are one branch-free zip of `a` with itself shifted by one
+///   cell per `b` cell (for two cells, `a[..L − 1]` with `a[1..]`); only the
+///   `b.len() − 1` cells at either end, where some `j` fall outside `a`, are
+///   summed cell by cell. The zeroed row this sum used to start from added
+///   `+0.0` to the first product, which changes no bit of a non-negative cell
+///   (and a zero cell is dropped either way). Zero cells of `a` are not
+///   skipped; they add `+0.0` too.
+/// * **every other shape**: `out` zeroed, `a` outermost, skipping its zero
+///   cells (SUM accumulators have gaps early in a fold), and the row update
+///   over `b` written as four independent lanes over `chunks_exact(4)` plus a
+///   scalar remainder. Each output cell is touched once per `i`, so the lanes
+///   never reassociate a sum and the compiler is free to emit packed `mulpd` /
+///   `addpd`; the drop rule is a pass of its own ([`drop_and_count`]).
 ///
-/// The short operand's own zero cells (`{0, v}` densified to `v + 1` cells) are
-/// multiplied through in both orientations: skipping them is the sparse-operand
-/// AXPY of the roadmap, which changes what `sum_kernel` costs by an order of
-/// magnitude and is held back until the benchmark harness's memory stops
-/// scaling with throughput.
-fn multiply_accumulate(a: &[f64], b: &[f64], out: &mut [f64]) {
-    let n = b.len();
-    if n < 4 && n <= a.len() {
-        for (j, &pb) in b.iter().enumerate().rev() {
-            for (cell, &pa) in out[j..j + a.len()].iter_mut().zip(a) {
-                *cell += pa * pb;
+/// The operands' zero cells (`{0, v}` densified to `v + 1` cells) are
+/// multiplied through in both orientations. Skipping a `{0, v}` operand's
+/// `v − 1` zero cells is the sparse-operand AXPY of the roadmap: it changes
+/// what `sum_kernel` costs by an order of magnitude, and is held back until
+/// the benchmark harness's memory stops scaling with throughput.
+fn multiply_accumulate(a: &[f64], b: &[f64], out: &mut Vec<f64>) -> usize {
+    out.clear();
+    let (l, n) = (a.len(), b.len());
+    if n < 4 && n <= l {
+        // The interior, then the `n − 1` end cells on either side, each run
+        // written by a loop of its own: one `extend` over a chain of the
+        // three runs does not vectorise.
+        out.reserve(l + n - 1);
+        return match *b {
+            [b0] => write_cells(out, a.iter().map(|&x| x * b0)),
+            [b0, b1] => {
+                write_cells(out, [a[0] * b0].into_iter())
+                    + write_cells(
+                        out,
+                        a[..l - 1].iter().zip(&a[1..]).map(|(&x, &y)| x * b1 + y * b0),
+                    )
+                    + write_cells(out, [a[l - 1] * b1].into_iter())
             }
-        }
-        return;
+            [b0, b1, b2] => {
+                write_cells(out, [a[0] * b0, a[0] * b1 + a[1] * b0].into_iter())
+                    + write_cells(
+                        out,
+                        a[..l - 2]
+                            .iter()
+                            .zip(&a[1..l - 1])
+                            .zip(&a[2..])
+                            .map(|((&x, &y), &z)| x * b2 + y * b1 + z * b0),
+                    )
+                    + write_cells(
+                        out,
+                        [a[l - 2] * b2 + a[l - 1] * b1, a[l - 1] * b2].into_iter(),
+                    )
+            }
+            _ => unreachable!("a short operand has one to three cells"),
+        };
     }
+    out.resize(l + n - 1, 0.0);
     for (i, &pa) in a.iter().enumerate() {
         if pa == 0.0 {
             continue;
@@ -377,6 +423,35 @@ fn multiply_accumulate(a: &[f64], b: &[f64], out: &mut [f64]) {
             *r += pa * *o;
         }
     }
+    drop_and_count(out)
+}
+
+/// Append `cells` to `out` under the sparse kernel's drop rule, branch-free,
+/// and return how many survive: the short orientation's one write per cell.
+fn write_cells(out: &mut Vec<f64>, cells: impl Iterator<Item = f64>) -> usize {
+    let mut support = 0;
+    out.extend(cells.map(|p| {
+        let kept = p > PROB_EPS;
+        support += usize::from(kept);
+        if kept {
+            p
+        } else {
+            0.0
+        }
+    }));
+    support
+}
+
+/// The sparse kernel's drop rule over raw cells, in one branch-free pass:
+/// cells at or below [`PROB_EPS`] become zero; returns how many survive.
+fn drop_and_count(probs: &mut [f64]) -> usize {
+    let mut support = 0;
+    for p in probs {
+        let dropped = *p <= PROB_EPS;
+        *p = if dropped { 0.0 } else { *p };
+        support += usize::from(!dropped);
+    }
+    support
 }
 
 /// Minimum spanned range below which the dense form is always eligible (the vector
@@ -547,14 +622,17 @@ impl ChainVal {
 ///   accumulator's cell vector becomes the next step's spare (the two
 ///   alternate, growing amortised);
 /// * the buffer a **sparse operand is densified into** for the dense kernel;
-/// * the **cell buffer** [`push_cells`](Self::push_cells) coalesces a leaf
-///   operand in — a consumed sparse operand hands its entry vector back here;
+/// * the **cell buffer** [`push_cells`](Self::push_cells) gathers a leaf
+///   operand's cells in — a consumed sparse operand hands its entry vector
+///   back here;
 /// * the sparse kernel's **candidate-pair scratch**.
 ///
 /// Operands are moved in and consumed; every step goes through the one
 /// dispatcher (`choose_kernel`, with its `record_conv` accounting) and the one
 /// dense loop nest (`multiply_accumulate`). The spectral branch allocates its
-/// own transform buffers.
+/// own transform buffers. A leaf of at most three cells against a dense
+/// accumulator builds no operand at all: its cells are coalesced on the stack
+/// and handed to the loop nest as they are.
 ///
 /// Below the FFT crossover a fold is bit-identical to materialising every
 /// operand and folding with `acc.convolve(&d, |x, y| x.saturating_add(y))`;
@@ -592,10 +670,30 @@ impl AdditiveFold {
     /// equal values are summed left to right and sums at or below
     /// [`PROB_EPS`] dropped, exactly as [`Dist::map`] coalesces — without
     /// allocating a distribution for it.
+    ///
+    /// A leaf spanning at most three values that meets a dense accumulator
+    /// the dispatcher sends to the exact loop goes in as cells: coalesced in a
+    /// fixed-size buffer, dispatched on its profile and convolved without a
+    /// [`Dist`] or a densified copy, with the same `record_conv` /
+    /// `record_dense_chain` events as [`push`](Self::push). Every other
+    /// operand — wider, infinite, empty, first, or met by a sparse
+    /// accumulator — is coalesced into a [`Dist`] and pushed.
     pub fn push_cells(&mut self, cells: impl IntoIterator<Item = (MonoidValue, f64)>) {
         let mut buffer = std::mem::take(&mut self.cells);
         buffer.clear();
         buffer.extend(cells);
+        if let Some(ChainVal::Dense(acc)) = &self.acc {
+            if let Some(leaf) = ShortLeaf::coalesce(&buffer) {
+                if choose_kernel(acc.profile(), Some(leaf.profile())) == Kernel::Exact {
+                    self.cells = buffer;
+                    let Some(ChainVal::Dense(acc)) = self.acc.take() else {
+                        unreachable!("matched a dense accumulator above")
+                    };
+                    self.acc = Some(ChainVal::Dense(self.step_leaf(acc, &leaf)));
+                    return;
+                }
+            }
+        }
         self.push(ChainVal::Sparse(Dist::coalesced(buffer)));
     }
 
@@ -655,6 +753,127 @@ impl AdditiveFold {
         }
         crate::stats::record_dense_chain(true);
         ChainVal::Dense(out)
+    }
+
+    /// [`step`](Self::step)'s exact dense branch for a leaf that stayed in
+    /// cells: same accounting, same loop nest, no operand to densify.
+    fn step_leaf(&mut self, acc: DenseDist, leaf: &ShortLeaf) -> DenseDist {
+        crate::stats::record_conv(true, acc.support_size(), leaf.support);
+        let out = acc.convolve_exact_into(
+            leaf.lo,
+            &leaf.cells[..leaf.span],
+            std::mem::take(&mut self.spare),
+        );
+        #[cfg(debug_assertions)]
+        {
+            let add = |x: &MonoidValue, y: &MonoidValue| x.saturating_add(y);
+            let sparse = acc.to_dist().convolve(&leaf.to_dist(), add);
+            debug_assert!(
+                bit_equal(&out.to_dist(), &sparse),
+                "dense convolution of a leaf diverged from the sparse kernel"
+            );
+        }
+        self.spare = acc.probs;
+        crate::stats::record_dense_chain(true);
+        out
+    }
+}
+
+/// Raw leaf cells [`ShortLeaf::coalesce`] accepts: a Boolean leaf has two, a
+/// small natural-number one a few more.
+const LEAF_CELLS: usize = 4;
+
+/// A leaf operand of [`AdditiveFold::push_cells`] coalesced on the stack:
+/// finite, non-empty, spanning at most three values — the short orientation
+/// of `multiply_accumulate`. `cells[i]` is the probability of `Fin(lo + i)`
+/// for `i < span`.
+#[derive(Debug)]
+struct ShortLeaf {
+    lo: i64,
+    cells: [f64; 3],
+    span: usize,
+    support: usize,
+}
+
+impl ShortLeaf {
+    /// Coalesce `raw` (generation order) as [`Dist::coalesced`] does — a
+    /// stable sort by value, equal values summed left to right, sums at or
+    /// below [`PROB_EPS`] dropped — in fixed-size buffers. `None` for more
+    /// than [`LEAF_CELLS`] raw cells, or a result that is empty, infinite or
+    /// spans more than three values.
+    fn coalesce(raw: &[(MonoidValue, f64)]) -> Option<ShortLeaf> {
+        if raw.len() > LEAF_CELLS {
+            return None;
+        }
+        let mut sorted = [(MonoidValue::Fin(0), 0.0); LEAF_CELLS];
+        let sorted = &mut sorted[..raw.len()];
+        sorted.copy_from_slice(raw);
+        for i in 1..sorted.len() {
+            let mut j = i;
+            while j > 0 && sorted[j - 1].0 > sorted[j].0 {
+                sorted.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+        let mut kept = [(MonoidValue::Fin(0), 0.0); LEAF_CELLS];
+        let mut n = 0;
+        let mut i = 0;
+        while i < sorted.len() {
+            let (value, mut p) = sorted[i];
+            i += 1;
+            while i < sorted.len() && sorted[i].0 == value {
+                p += sorted[i].1;
+                i += 1;
+            }
+            if p > PROB_EPS {
+                kept[n] = (value, p);
+                n += 1;
+            }
+        }
+        let kept = &kept[..n];
+        let lo = kept.first()?.0.finite()?;
+        let hi = kept.last()?.0.finite()?;
+        let span = usize::try_from(hi.checked_sub(lo)?).ok()? + 1;
+        if span > 3 {
+            return None;
+        }
+        let mut cells = [0.0; 3];
+        for &(value, p) in kept {
+            // Between two finite ends every value is finite.
+            cells[(value.finite()? - lo) as usize] = p;
+        }
+        let leaf = ShortLeaf {
+            lo,
+            cells,
+            span,
+            support: n,
+        };
+        #[cfg(debug_assertions)]
+        debug_assert!(bit_equal(
+            &leaf.to_dist(),
+            &Dist::coalesced(raw.to_vec())
+        ));
+        Some(leaf)
+    }
+
+    fn profile(&self) -> Profile {
+        Profile {
+            lo: self.lo,
+            hi: self.lo + (self.span as i64 - 1),
+            support: self.support,
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    fn to_dist(&self) -> MonoidDist {
+        Dist::from_sorted_unique(
+            self.cells[..self.span]
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| **p != 0.0)
+                .map(|(i, p)| (MonoidValue::Fin(self.lo + i as i64), *p))
+                .collect(),
+        )
     }
 }
 

@@ -38,6 +38,8 @@ thread_local! {
     static TUPLE_CAPTURE: Cell<bool> = const { Cell::new(false) };
     static TUPLE_DENSE: Cell<u64> = const { Cell::new(0) };
     static TUPLE_SPARSE: Cell<u64> = const { Cell::new(0) };
+    static TUPLE_EXTENDS: Cell<u64> = const { Cell::new(0) };
+    static TUPLE_BREAKS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Globally enable or disable kernel statistics collection.
@@ -115,8 +117,9 @@ pub fn kernel_stats() -> KernelStats {
 /// Start attributing convolution dispatches on *this thread* to one tuple.
 /// Returns the previous capture flag so nested scopes can restore it.
 pub fn begin_tuple_capture() -> bool {
-    TUPLE_DENSE.with(|c| c.set(0));
-    TUPLE_SPARSE.with(|c| c.set(0));
+    for counter in [&TUPLE_DENSE, &TUPLE_SPARSE, &TUPLE_EXTENDS, &TUPLE_BREAKS] {
+        counter.with(|c| c.set(0));
+    }
     TUPLE_CAPTURE.with(|c| c.replace(true))
 }
 
@@ -125,6 +128,13 @@ pub fn begin_tuple_capture() -> bool {
 pub fn take_tuple_capture(prior: bool) -> (u64, u64) {
     TUPLE_CAPTURE.with(|c| c.set(prior));
     (TUPLE_DENSE.with(Cell::get), TUPLE_SPARSE.with(Cell::get))
+}
+
+/// The dense-chain `(extends, breaks)` recorded on this thread since
+/// [`begin_tuple_capture`], while capturing — the per-thread view of
+/// `kernel.dense_chain.*` that [`take_tuple_capture`] gives of the dispatches.
+pub fn tuple_capture_chain() -> (u64, u64) {
+    (TUPLE_EXTENDS.with(Cell::get), TUPLE_BREAKS.with(Cell::get))
 }
 
 fn support_bucket(size: usize) -> usize {
@@ -179,6 +189,14 @@ pub fn record_dense_chain(extended: bool) {
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
+    if TUPLE_CAPTURE.with(Cell::get) {
+        let cell = if extended {
+            &TUPLE_EXTENDS
+        } else {
+            &TUPLE_BREAKS
+        };
+        cell.with(|c| c.set(c.get() + 1));
+    }
 }
 
 #[cfg(test)]
@@ -211,8 +229,12 @@ mod tests {
         record_conv(true, 2, 2);
         record_conv(false, 8, 8);
         record_conv(false, 8, 8);
+        record_dense_chain(true);
+        record_dense_chain(false);
+        record_dense_chain(true);
         let (dense, sparse) = take_tuple_capture(prior);
         assert_eq!((dense, sparse), (1, 2));
+        assert_eq!(tuple_capture_chain(), (2, 1));
         // Capture is off again: further dispatches are not attributed.
         record_conv(true, 2, 2);
         let prior = begin_tuple_capture();

@@ -834,3 +834,246 @@ fn boolean_cells_follow_the_sorted_vector_kernel_bit_for_bit() {
         assert!(coverage.emptied > 10, "seed {seed}: no chain went empty");
     }
 }
+
+// ---------------------------------------------------------------------------
+// The short path — a leaf of one to three cells folded into a dense
+// accumulator — against the sparse kernel, bit for bit, on every route
+// ---------------------------------------------------------------------------
+
+use pvc_prob::{begin_tuple_capture, take_tuple_capture, tuple_capture_chain};
+
+/// An accumulator of `len` cells from a small base: interior zero cells,
+/// cells within 2× of [`PROB_EPS`] (a leaf probability below one drops them),
+/// and sometimes end cells that small, which the drop rule removes and the
+/// trim then cuts off.
+fn short_path_accumulator(rng: &mut SeededRng, len: usize) -> MonoidDist {
+    let base = rng.gen_range(-6i64..6);
+    let gaps = rng.gen_range(0u32..4);
+    let tiny_ends = rng.gen_range(0u32..3) == 0;
+    let near_eps = |rng: &mut SeededRng| PROB_EPS * (1.05 + 0.9 * rng.next_f64());
+    let mut pairs = Vec::with_capacity(len);
+    for i in 0..len {
+        let end = i == 0 || i == len - 1;
+        let p = if end && tiny_ends {
+            near_eps(rng)
+        } else if !end && gaps > 0 && rng.gen_range(0..3 * gaps) == 0 {
+            continue;
+        } else if rng.gen_range(0u32..8) == 0 {
+            near_eps(rng)
+        } else {
+            (0.05 + rng.next_f64()) / len as f64
+        };
+        pairs.push((MonoidValue::Fin(base + i as i64), p));
+    }
+    Dist::from_pairs(pairs)
+}
+
+/// The leaf shapes the fold's cell route meets, as the raw cells in
+/// generation order that `AdditiveFold::push_cells` takes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum LeafShape {
+    /// COUNT's Boolean `{0: q, 1: p}`.
+    Boolean,
+    /// A point mass, whole or partial.
+    Point,
+    /// `{0, 2}` shifted: a zero middle cell.
+    Gapped,
+    /// A natural-number leaf `{0, 1, 3}` mapped onto fewer values — all onto
+    /// the monoid identity, or onto a descending three-cell span.
+    Coalescing,
+    /// Every cell at or below [`PROB_EPS`]: the leaf is empty.
+    Vanishing,
+    /// One cell under [`PROB_EPS`]: one cell survives.
+    PartlyVanishing,
+    /// SUM's `{0, v}` with `v ≥ 3`: too wide for the cell route.
+    Wide,
+    /// Five raw cells coalescing to two: more than the cell route buffers.
+    Crowded,
+}
+
+const LEAF_SHAPES: [LeafShape; 8] = [
+    LeafShape::Boolean,
+    LeafShape::Point,
+    LeafShape::Gapped,
+    LeafShape::Coalescing,
+    LeafShape::Vanishing,
+    LeafShape::PartlyVanishing,
+    LeafShape::Wide,
+    LeafShape::Crowded,
+];
+
+fn leaf_cells(rng: &mut SeededRng, shape: LeafShape) -> Vec<(MonoidValue, f64)> {
+    let fin = MonoidValue::Fin;
+    let p = 0.05 + 0.9 * rng.next_f64();
+    let at = rng.gen_range(-2i64..3);
+    match shape {
+        LeafShape::Boolean => vec![(fin(0), 1.0 - p), (fin(1), p)],
+        LeafShape::Point => vec![(fin(at), if rng.gen_range(0u32..2) == 0 { 1.0 } else { p })],
+        LeafShape::Gapped => vec![(fin(at), 1.0 - p), (fin(at + 2), p)],
+        LeafShape::Coalescing => {
+            let nat = [(0, 0.1 + 0.2 * p), (1, 0.3), (3, 0.6 - 0.2 * p)];
+            let identity = rng.gen_range(0u32..2) == 0;
+            nat.iter()
+                .map(|&(s, q)| (fin(if identity { 0 } else { at - s.min(2) }), q))
+                .collect()
+        }
+        LeafShape::Vanishing => vec![(fin(0), 0.4 * PROB_EPS), (fin(1), 0.5 * PROB_EPS)],
+        LeafShape::PartlyVanishing => vec![(fin(at), 1.0 - p), (fin(at + 1), 0.7 * PROB_EPS)],
+        LeafShape::Wide => vec![(fin(0), 1.0 - p), (fin(rng.gen_range(3i64..12)), p)],
+        LeafShape::Crowded => (0..5)
+            .map(|i| (fin(at + i % 2), (0.1 + 0.1 * i as f64) * p))
+            .collect(),
+    }
+}
+
+/// Run `f` and return what it recorded on this thread: dispatches
+/// `(dense, sparse)` and dense-chain `(extends, breaks)`.
+fn recorded<R>(f: impl FnOnce() -> R) -> (R, [u64; 4]) {
+    let prior = begin_tuple_capture();
+    let out = f();
+    let (extends, breaks) = tuple_capture_chain();
+    let (dense, sparse) = take_tuple_capture(prior);
+    (out, [dense, sparse, extends, breaks])
+}
+
+fn chain_bits(value: &ChainVal) -> (bool, Vec<(MonoidValue, u64)>) {
+    if let ChainVal::Dense(d) = value {
+        assert_trimmed(d);
+        let recount = d.iter().filter(|(_, p)| *p > PROB_EPS).count();
+        assert_eq!(d.support_size(), recount);
+    }
+    let dense = matches!(value, ChainVal::Dense(_));
+    (dense, dist_bits(&value.clone().into_dist()))
+}
+
+#[derive(Default)]
+struct ShortPathCoverage {
+    dense: usize,
+    sparse_kernel: usize,
+    emptied: usize,
+    trimmed: usize,
+    leaf_longer_than_accumulator: usize,
+}
+
+/// One accumulator, one leaf: `push_cells`, `push`, `convolve_additive_chained`
+/// and `DenseDist::convolve_add_exact` against `Dist::convolve`.
+fn check_short_step(
+    acc: &MonoidDist,
+    raw: &[(MonoidValue, f64)],
+    coverage: &mut ShortPathCoverage,
+    context: &str,
+) {
+    let add = |x: &MonoidValue, y: &MonoidValue| x.saturating_add(y);
+    // Every raw cell above the drop rule, or all values distinct: then this
+    // is the operand `push_cells` coalesces.
+    let leaf = Dist::from_pairs(raw.iter().copied());
+    let expected = dist_bits(&acc.convolve(&leaf, add));
+    let dense_acc = DenseDist::from_dist(acc).expect("finite non-empty accumulator");
+    let routes = [
+        recorded(|| {
+            let mut fold = AdditiveFold::new();
+            fold.push(ChainVal::Dense(dense_acc.clone()));
+            fold.push_cells(raw.iter().copied());
+            fold.take().expect("two operands")
+        }),
+        recorded(|| {
+            let mut fold = AdditiveFold::new();
+            fold.push(ChainVal::Dense(dense_acc.clone()));
+            fold.push(ChainVal::Sparse(leaf.clone()));
+            fold.take().expect("two operands")
+        }),
+        recorded(|| {
+            convolve_additive_chained(
+                ChainVal::Dense(dense_acc.clone()),
+                ChainVal::Sparse(leaf.clone()),
+                &mut Vec::new(),
+            )
+        }),
+    ];
+    let (first, counts) = &routes[0];
+    let (dense, bits) = chain_bits(first);
+    assert_eq!(bits, expected, "push_cells: {context}");
+    for (route, (value, route_counts)) in ["push", "convolve_additive_chained"]
+        .iter()
+        .zip(&routes[1..])
+    {
+        assert_eq!(chain_bits(value), (dense, bits.clone()), "{route}: {context}");
+        assert_eq!(route_counts, counts, "{route} counts: {context}");
+    }
+    if let Some(dense_leaf) = DenseDist::from_dist(&leaf) {
+        let exact = dense_acc.convolve_add_exact(&dense_leaf);
+        assert_trimmed(&exact);
+        assert_eq!(dist_bits(&exact.to_dist()), expected, "exact: {context}");
+        coverage.leaf_longer_than_accumulator += usize::from(dense_leaf.len() > dense_acc.len());
+        if let ChainVal::Dense(out) = first {
+            coverage.trimmed +=
+                usize::from(!out.is_empty() && out.len() < dense_acc.len() + dense_leaf.len() - 1);
+        }
+    }
+    coverage.dense += usize::from(dense);
+    coverage.sparse_kernel += usize::from(counts[1] > 0 && !leaf.is_empty());
+    coverage.emptied += usize::from(first.is_empty());
+}
+
+#[test]
+fn short_operands_fold_like_the_sparse_kernel_on_every_route() {
+    let mut seeds = vec![0x5407, 0x1EAF];
+    if let Ok(extra) = std::env::var("PVC_ORACLE_SEED") {
+        seeds.push(extra.parse().expect("PVC_ORACLE_SEED must be a u64"));
+    }
+    for seed in seeds {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        let mut coverage = ShortPathCoverage::default();
+        let lengths = (1..=12usize)
+            .chain([16, 25, 64, 100, 200, 400])
+            .chain((0..20).map(|_| rng.gen_range(1usize..401)));
+        for len in lengths.collect::<Vec<_>>() {
+            let acc = short_path_accumulator(&mut rng, len);
+            for shape in LEAF_SHAPES {
+                let raw = leaf_cells(&mut rng, shape);
+                let context = format!("seed {seed}, {len} cells, {shape:?} {raw:?}");
+                check_short_step(&acc, &raw, &mut coverage, &context);
+            }
+            // A chain of leaves through the cell route and through `push`,
+            // against the stepwise sparse fold.
+            let add = |x: &MonoidValue, y: &MonoidValue| x.saturating_add(y);
+            let script: Vec<_> = (0..rng.gen_range(1usize..17))
+                .map(|_| {
+                    let shape = LEAF_SHAPES[rng.gen_range(0..LEAF_SHAPES.len())];
+                    leaf_cells(&mut rng, shape)
+                })
+                .collect();
+            let (cells, cell_counts) = recorded(|| {
+                let mut fold = AdditiveFold::new();
+                fold.push(ChainVal::Sparse(acc.clone()));
+                for raw in &script {
+                    fold.push_cells(raw.iter().copied());
+                }
+                fold.take().expect("operands were pushed")
+            });
+            let (pushed, push_counts) = recorded(|| {
+                let mut fold = AdditiveFold::new();
+                fold.push(ChainVal::Sparse(acc.clone()));
+                for raw in &script {
+                    fold.push(ChainVal::Sparse(Dist::from_pairs(raw.iter().copied())));
+                }
+                fold.take().expect("operands were pushed")
+            });
+            let sparse = script.iter().fold(acc.clone(), |a, raw| {
+                a.convolve(&Dist::from_pairs(raw.iter().copied()), add)
+            });
+            let context = format!("seed {seed}, {len} cells, chain {script:?}");
+            assert_eq!(chain_bits(&cells), chain_bits(&pushed), "{context}");
+            assert_eq!(chain_bits(&cells).1, dist_bits(&sparse), "{context}");
+            assert_eq!(cell_counts, push_counts, "{context}");
+        }
+        assert!(coverage.dense > 100, "seed {seed}: {}", coverage.dense);
+        assert!(coverage.sparse_kernel > 0, "seed {seed}: never sparse");
+        assert!(coverage.emptied > 10, "seed {seed}: never empty");
+        assert!(coverage.trimmed > 10, "seed {seed}: no end cell dropped");
+        assert!(
+            coverage.leaf_longer_than_accumulator > 0,
+            "seed {seed}: the leaf never outgrew the accumulator"
+        );
+    }
+}

@@ -213,11 +213,12 @@ fn take_table(r: &mut Reader<'_>) -> Result<PvcTable, PersistError> {
 
 /// The serialized size of one rewrite table — the byte measure the bounded
 /// rewrite cache charges per entry (exact for what a snapshot would write, and
-/// a close proxy for in-memory footprint).
+/// a close proxy for in-memory footprint). Counted by the same calls that
+/// would write it, with nothing written.
 pub(crate) fn table_bytes(table: &PvcTable) -> usize {
-    let mut w = Writer::new();
+    let mut w = Writer::counting();
     put_table(&mut w, table);
-    w.into_bytes().len()
+    w.len()
 }
 
 /// A step-I rewrite cache in snapshot form: structural key → (result table,
@@ -535,6 +536,31 @@ mod tests {
         // Out-of-range variables are refused, not deferred to a panic later.
         let err = decode_rewrites(&bytes, 1).unwrap_err();
         assert!(matches!(err, PersistError::Format(ref m) if m.contains("variable")));
+    }
+
+    #[test]
+    fn table_bytes_counts_what_put_table_writes() {
+        use crate::exec::tests::{figure1_db, paper_q1};
+        use crate::query::{AggSpec, Predicate};
+        let db = figure1_db();
+        let grouped = paper_q1().group_agg(["shop"], vec![AggSpec::new(AggOp::Max, "price", "P")]);
+        let q2 = grouped
+            .clone()
+            .select(Predicate::AggCmpConst("P".into(), CmpOp::Le, 50))
+            .project(["shop"]);
+        let mut tables: Vec<PvcTable> = [paper_q1(), grouped, q2]
+            .iter()
+            .map(|query| crate::exec::rewrite_planned(&db, query).unwrap())
+            .collect();
+        tables.push(sample_table());
+        tables.push(PvcTable::new("empty", Schema::new(["a"])));
+        for table in &tables {
+            let mut w = Writer::new();
+            put_table(&mut w, table);
+            let written = w.into_bytes().len();
+            assert!(written > 0);
+            assert_eq!(table_bytes(table), written, "{}", table.name);
+        }
     }
 
     #[test]
