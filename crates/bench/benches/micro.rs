@@ -119,18 +119,39 @@ fn bench_or_705() {
             .collect(),
     );
     let zero = SemiringExpr::zero(SemiringKind::Bool);
-    let condition = SemiringExpr::cmp_ss(CmpOp::Ne, sum, zero);
+    let condition = SemiringExpr::cmp_ss(CmpOp::Ne, sum, zero.clone());
     let options = CompileOptions::default();
-    // What the engine does per group on a fresh store: intern, miss, compile
-    // in lent scratch, evaluate, reduce to the confidence.
-    bench_case("confidence/or-705", 400, || {
-        let store = SharedArtifacts::new(CacheConfig::default());
-        let id = store.intern(&condition);
-        let dist = store
-            .evaluate_semiring(id, &vars, SemiringKind::Bool, &options, 0)
-            .expect("no node budget configured");
-        std::hint::black_box(confidence_of(&dist));
-    });
+    // What the engine does per group on a fresh store: intern, miss, fold the
+    // sum's 705 leaf components on two cells, compare once, reduce to the
+    // confidence.
+    let confidence = |label: &str, condition: &SemiringExpr, vars: &VarTable| {
+        bench_case(label, 400, || {
+            let store = SharedArtifacts::new(CacheConfig::default());
+            let id = store.intern(condition);
+            let dist = store
+                .evaluate_semiring(id, vars, SemiringKind::Bool, &options, 0)
+                .expect("no node budget configured");
+            std::hint::black_box(confidence_of(&dist));
+        });
+    };
+    confidence("confidence/or-705", &condition, &vars);
+    // Summands that share a variable in pairs, `xᵢ·y_{i/2}`: 353 two-member
+    // components, each memoised and compiled alone, folded in the compiler's
+    // (smallest-member) order.
+    let mut shared_vars = VarTable::new();
+    let pairs: Vec<SemiringExpr> = (0..353)
+        .map(|k| SemiringExpr::Var(shared_vars.boolean("", 0.2 + 0.6 * (k % 89) as f64 / 89.0)))
+        .collect();
+    let shared = SemiringExpr::sum(
+        (0..705)
+            .map(|i| {
+                let x = shared_vars.boolean("", 0.1 + 0.8 * (i % 97) as f64 / 97.0);
+                SemiringExpr::product(vec![SemiringExpr::Var(x), pairs[i / 2].clone()])
+            })
+            .collect(),
+    );
+    let shared_condition = SemiringExpr::cmp_ss(CmpOp::Ne, shared, zero);
+    confidence("confidence/or-shared-705", &shared_condition, &shared_vars);
     // The compiler alone, one reused compiler: the arena it emits, and the
     // boxed tree on top of it (`compile_semiring` is `emit_semiring` + `to_tree`).
     let mut compiler = Compiler::new(&vars, SemiringKind::Bool);

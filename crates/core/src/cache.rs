@@ -13,7 +13,8 @@
 //! * [`SharedArtifacts`] — the **thread-safe, `Arc`-shareable** pairing of an
 //!   [`Interner`] and a [`CompilationCache`] behind mutexes, and the cache-aware
 //!   evaluation driver: it consults the cache at every independent sub-d-tree
-//!   (mirroring the compiler's rule 2 split), so a large annotation whose
+//!   (mirroring the compiler's rule 2 split, and rule 5 for a conditional
+//!   `[s θ c]` against a constant — see `plan_semiring`), so a large annotation whose
 //!   independent components recur elsewhere reuses their distributions without
 //!   recompiling, and newly computed sub-distributions are inserted on the way
 //!   out. It is **lock-granular**: locks are held only around
@@ -53,13 +54,13 @@
 use crate::arena::Interp;
 use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler};
 use crate::node::DTreeError;
-use pvc_algebra::{AggOp, MonoidValue, SemiringKind};
+use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
 use pvc_expr::independence::UnionByRank;
 use pvc_expr::intern::{AggExprId, ExprId, ImportMemo, InternedExpr, Interner};
 use pvc_expr::vars::sorted_disjoint;
 use pvc_expr::{SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
-use pvc_prob::{AdditiveFold, ChainVal, MonoidDist, SemiringDist};
-use std::collections::HashMap;
+use pvc_prob::{AdditiveFold, BoolCells, ChainVal, Dist, MonoidDist, SemiringDist};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 
@@ -541,6 +542,84 @@ fn fold_components<'a, E>(
     Ok(acc.expect("at least one component"))
 }
 
+/// A semiring operand of the store's folds, in the form the arena's evaluator
+/// carries it: on two cells over `B` where the support allows (the arena's
+/// `Val::B`), as a distribution otherwise. Every operation takes the arena's
+/// arm for the same operands, so a fold over these is bit-identical to the
+/// arena evaluating the same chain.
+enum SemiringPart {
+    Cells(BoolCells),
+    Dist(SemiringDist),
+}
+
+impl SemiringPart {
+    /// A variable's distribution as the arena's `VarLeaf` pushes it.
+    fn leaf(dist: &SemiringDist, cells: bool) -> Self {
+        match cells.then(|| BoolCells::from_dist(dist)).flatten() {
+            Some(two) => SemiringPart::Cells(two),
+            None => SemiringPart::Dist(dist.clone()),
+        }
+    }
+
+    /// A computed distribution, on two cells where [`leaf`](Self::leaf) would
+    /// put it.
+    fn owned(dist: SemiringDist, cells: bool) -> Self {
+        match cells.then(|| BoolCells::from_dist(&dist)).flatten() {
+            Some(two) => SemiringPart::Cells(two),
+            None => SemiringPart::Dist(dist),
+        }
+    }
+
+    /// A constant as the arena's `SConst` pushes it.
+    fn constant(value: SemiringValue, cells: bool) -> Self {
+        match value {
+            SemiringValue::Bool(b) if cells => SemiringPart::Cells(BoolCells::point(b)),
+            _ => SemiringPart::Dist(Dist::point(value)),
+        }
+    }
+
+    fn into_dist(self) -> SemiringDist {
+        match self {
+            SemiringPart::Cells(two) => two.to_dist(),
+            SemiringPart::Dist(d) => d,
+        }
+    }
+
+    /// `self ⊕ other` (or `⊙`) of independent operands, `self` on the left:
+    /// the arena's `SumS` / `Prod` arms.
+    fn combine(self, other: SemiringPart, is_add: bool) -> Self {
+        match (self, other) {
+            (SemiringPart::Cells(a), SemiringPart::Cells(b)) => {
+                SemiringPart::Cells(if is_add { a.or(b) } else { a.and(b) })
+            }
+            (a, b) => {
+                let (da, db) = (a.into_dist(), b.into_dist());
+                SemiringPart::Dist(match is_add {
+                    true => da.convolve(&db, |x, y| x.add(y)),
+                    false => da.convolve(&db, |x, y| x.mul(y)),
+                })
+            }
+        }
+    }
+
+    /// `[self θ other]` of independent semiring operands: the arena's `[θ]`
+    /// without a fold plan — two cells if both sides are, else the
+    /// truth-valued convolution, and the empty distribution if a side is
+    /// empty.
+    fn compare(self, theta: CmpOp, other: SemiringPart, kind: SemiringKind) -> Self {
+        if let (SemiringPart::Cells(a), SemiringPart::Cells(b)) = (&self, &other) {
+            return SemiringPart::Cells(a.compare(theta, *b));
+        }
+        let (da, db) = (self.into_dist(), other.into_dist());
+        if da.is_empty() || db.is_empty() {
+            return SemiringPart::Dist(Dist::empty());
+        }
+        let truth = |holds: bool| if holds { kind.one() } else { kind.zero() };
+        let dist = da.convolve(&db, |x, y| truth(theta.eval(x, y)));
+        SemiringPart::owned(dist, kind == SemiringKind::Bool)
+    }
+}
+
 /// The total mass of non-`0_S` outcomes — the tuple-confidence reading of a
 /// semiring distribution.
 pub fn confidence_of(dist: &SemiringDist) -> f64 {
@@ -711,14 +790,14 @@ impl SharedArtifacts {
         // entries: what several of them share is copied once.
         let mut memo = ImportMemo::default();
         for (key, scope, dist) in cache.semiring.entries_oldest_first() {
-            let id = fresh_interner.import(&interner, ExprId(key), &mut memo);
+            let id = fresh_interner.import(interner, ExprId(key), &mut memo);
             fresh_cache
                 .semiring
                 .insert(id.0, dist.clone(), dist_bytes(dist), scope, &config);
             entries_kept += 1;
         }
         for (key, scope, dist) in cache.aggregate.entries_oldest_first() {
-            let id = fresh_interner.import_agg(&interner, AggExprId(key), &mut memo);
+            let id = fresh_interner.import_agg(interner, AggExprId(key), &mut memo);
             fresh_cache
                 .aggregate
                 .insert(id.0, dist.clone(), dist_bytes(dist), scope, &config);
@@ -919,47 +998,50 @@ impl SharedArtifacts {
         options: &CompileOptions,
         scope: u64,
     ) -> Result<SemiringDist, EvalError> {
-        if options.independence {
-            // Identify an independent split and intern the non-leaf group ids
-            // under the interner lock; the recursive evaluations below run
-            // unlocked.
-            let split = {
-                let mut interning = self.interner();
-                let sum_or_product = match interning.interner.node(id) {
-                    InternedExpr::Add(children) => Some((true, children.to_vec())),
-                    InternedExpr::Mul(children) => Some((false, children.to_vec())),
-                    _ => None,
+        // Plan an independent split under the interner lock (interning the
+        // non-leaf group ids); the evaluations below run unlocked.
+        let plan = match options.independence {
+            true => plan_semiring(&mut self.interner(), id),
+            false => None,
+        };
+        if let Some(SemiringPlan {
+            is_add,
+            components,
+            compare,
+        }) = plan
+        {
+            let cells = kind == SemiringKind::Bool;
+            let _span = compare.is_some().then(|| fold_span(&components));
+            let mut acc: Option<SemiringPart> = None;
+            for component in components {
+                let part = match component {
+                    Component::Leaf { var, .. } => SemiringPart::leaf(vars.dist(var), cells),
+                    Component::Memo(gid) => SemiringPart::owned(
+                        self.evaluate_semiring(gid, vars, kind, options, scope)?,
+                        cells,
+                    ),
                 };
-                sum_or_product.and_then(|(is_add, children)| {
-                    independent_components(
-                        &mut interning,
-                        &children,
-                        |c| c,
-                        |interner, group| match is_add {
-                            true => interner.intern_add(group),
-                            false => interner.intern_mul(group),
-                        },
-                    )
-                    .map(|groups| (is_add, groups))
-                })
-            };
-            if let Some((is_add, groups)) = split {
-                let mut acc: Option<SemiringDist> = None;
-                for group in groups {
-                    let d = match group {
-                        Component::Leaf { var, .. } => vars.dist(var).clone(),
-                        Component::Memo(gid) => {
-                            self.evaluate_semiring(gid, vars, kind, options, scope)?
-                        }
-                    };
-                    acc = Some(match acc {
-                        None => d,
-                        Some(a) if is_add => a.convolve(&d, |x, y| x.add(y)),
-                        Some(a) => a.convolve(&d, |x, y| x.mul(y)),
-                    });
-                }
-                return Ok(acc.expect("at least one group"));
+                acc = Some(match acc {
+                    None => part,
+                    Some(left) => left.combine(part, is_add),
+                });
             }
+            let side = acc.expect("at least two components");
+            let result = match compare {
+                None => side,
+                Some(Comparison {
+                    theta,
+                    constant,
+                    constant_left,
+                }) => {
+                    let constant = SemiringPart::constant(constant, cells);
+                    match constant_left {
+                        true => constant.compare(theta, side, kind),
+                        false => side.compare(theta, constant, kind),
+                    }
+                }
+            };
+            return Ok(result.into_dist());
         }
         // No further split: copy the expression's DAG into lent compile scratch
         // under the interner lock, compile it with no lock held, and evaluate
@@ -999,21 +1081,14 @@ impl SharedArtifacts {
                 &terms,
                 |(coeff, _)| coeff,
                 |interner, group| interner.intern_agg(op, group),
+                false,
             )
             .map(|parts| (op, terms, parts))
         } else {
             None
         };
         if let Some((op, terms, parts)) = split {
-            let span = crate::obs::span("fold");
-            if let Some(s) = &span {
-                let leaves = parts
-                    .iter()
-                    .filter(|part| matches!(part, Component::Leaf { .. }))
-                    .count();
-                s.attr("components", parts.len().to_string());
-                s.attr("leaves", leaves.to_string());
-            }
+            let _span = fold_span(&parts);
             return fold_components(
                 op,
                 parts.into_iter().map(|part| match part {
@@ -1170,6 +1245,142 @@ struct Interning {
     planner: UnionByRank,
 }
 
+/// The `fold [components, leaves]` span around folding planned components.
+fn fold_span<I>(components: &[Component<I>]) -> Option<crate::obs::SpanGuard> {
+    let span = crate::obs::span("fold");
+    if let Some(s) = &span {
+        let leaves = components
+            .iter()
+            .filter(|part| matches!(part, Component::Leaf { .. }))
+            .count();
+        s.attr("components", components.len().to_string());
+        s.attr("leaves", leaves.to_string());
+    }
+    span
+}
+
+/// How the store answers a semiring expression without compiling it whole:
+/// fold `components` with `⊕` (or `⊙`), then apply `compare`, if any.
+struct SemiringPlan {
+    is_add: bool,
+    components: Vec<Component<ExprId>>,
+    compare: Option<Comparison>,
+}
+
+/// The `[· θ c]` around a folded side: `c` stands on the left if
+/// `constant_left`.
+struct Comparison {
+    theta: CmpOp,
+    constant: SemiringValue,
+    constant_left: bool,
+}
+
+/// Plan `id` for the store's own fold; `None` sends it to the compiler whole.
+///
+/// * A sum or product with two or more independent components folds them in
+///   the planner's order (rule 2 and the independent-product split).
+/// * A comparison `[s θ c]` with the constant `c` on either side, whose side
+///   `s` is such a sum or product, folds `s`'s components and applies `θ`
+///   once — the paper's rule 5 followed by rule 2, e.g. a group confidence
+///   `[Σ Φ_t ≠ 0]` over independent rows becomes one pass over its leaves.
+///   This route is **bit-identical to compiling the conditional**: the
+///   components are folded in the compiler's order (smallest member first,
+///   the left-deep chain `Compiler::compile_components` emits), leaves enter
+///   as the arena's `VarLeaf` pushes them, a non-leaf component is a
+///   connected group the compiler compiles alone (its cached distribution is
+///   that compilation's), and [`SemiringPart`] combines and compares as the
+///   arena does. Only a side the compiler's `simplify` leaves as it is
+///   qualifies (see [`settled`]). The side's own distribution is not cached,
+///   so no cached bits depend on which route reached an id first.
+///
+/// A comparison of aggregates (`CmpMM`) keeps the compiler: the arena's
+/// threshold walk computes `P[α θ c]` without `α`'s full distribution and
+/// sums in another order.
+fn plan_semiring(interning: &mut Interning, id: ExprId) -> Option<SemiringPlan> {
+    let interner = &interning.interner;
+    let (side, compare) = match interner.node(id) {
+        InternedExpr::Add(_) | InternedExpr::Mul(_) => (id, None),
+        InternedExpr::CmpSS(theta, lhs, rhs) => {
+            let (side, constant, constant_left) =
+                match (interner.as_const(lhs), interner.as_const(rhs)) {
+                    (None, Some(c)) => (lhs, c, false),
+                    (Some(c), None) => (rhs, c, true),
+                    _ => return None,
+                };
+            let compare = Comparison {
+                theta,
+                constant,
+                constant_left,
+            };
+            (side, Some(compare))
+        }
+        _ => return None,
+    };
+    let (is_add, children) = match interner.node(side) {
+        InternedExpr::Add(children) => (true, children.to_vec()),
+        InternedExpr::Mul(children) => (false, children.to_vec()),
+        _ => return None,
+    };
+    if compare.is_some() && !settled(interner, side) {
+        return None;
+    }
+    let components = independent_components(
+        interning,
+        &children,
+        |c| c,
+        |interner, group| match is_add {
+            true => interner.intern_add(group),
+            false => interner.intern_mul(group),
+        },
+        compare.is_some(),
+    )?;
+    Some(SemiringPlan {
+        is_add,
+        components,
+        compare,
+    })
+}
+
+/// True if the compiler's `simplify` leaves the DAG below `root` as it is:
+/// no sum or product that is empty, has a constant operand, or has an operand
+/// of its own operator (which `simplify` folds or splices), no comparison of
+/// two constants, and no comparison of aggregates (whose term normalisation
+/// this does not replay). On such a DAG the compiler splits exactly the
+/// children the store's planner sees.
+fn settled(interner: &Interner, root: ExprId) -> bool {
+    let mut seen = HashSet::new();
+    let mut stack = vec![root];
+    while let Some(id) = stack.pop() {
+        let (is_add, children) = match interner.node(id) {
+            InternedExpr::Var(_) | InternedExpr::Const(_) => continue,
+            InternedExpr::CmpMM(..) => return false,
+            InternedExpr::CmpSS(_, lhs, rhs) => {
+                if interner.as_const(lhs).is_some() && interner.as_const(rhs).is_some() {
+                    return false;
+                }
+                stack.extend([lhs, rhs].into_iter().filter(|s| seen.insert(*s)));
+                continue;
+            }
+            InternedExpr::Add(children) => (true, children),
+            InternedExpr::Mul(children) => (false, children),
+        };
+        if children.is_empty() {
+            return false;
+        }
+        for &child in children {
+            match interner.node(child) {
+                InternedExpr::Var(_) => {}
+                InternedExpr::Const(_) => return false,
+                InternedExpr::Add(_) if is_add => return false,
+                InternedExpr::Mul(_) if !is_add => return false,
+                _ if seen.insert(child) => stack.push(child),
+                _ => {}
+            }
+        }
+    }
+    true
+}
+
 /// Split `items` — the children of a sum or product, or the terms of an
 /// aggregate, `coeff` naming the semiring expression an item's variables come
 /// from — into groups of pairwise variable-disjoint items (connected components
@@ -1179,21 +1390,27 @@ struct Interning {
 /// Components come in the order of
 /// [`connected_components_by`](pvc_expr::independence::connected_components_by)
 /// (the planner keeps its union sequence), which every cached bit of a fold
-/// depends on.
+/// depends on — or, if `smallest_first`, in the order of their smallest
+/// members, which is the compiler's.
 fn independent_components<T: Copy, I>(
     interning: &mut Interning,
     items: &[T],
     coeff: impl Fn(T) -> ExprId,
     mut intern_group: impl FnMut(&mut Interner, &[T]) -> I,
+    smallest_first: bool,
 ) -> Option<Vec<Component<I>>> {
     let Interning { interner, planner } = interning;
     let components = planner.components(items.len(), |i| interner.var_set(coeff(items[i])));
     if components.len() <= 1 {
         return None;
     }
+    let mut groups: Vec<&[usize]> = components.iter().collect();
+    if smallest_first {
+        groups.sort_unstable_by_key(|members| members[0]);
+    }
     Some(
-        components
-            .iter()
+        groups
+            .into_iter()
             .map(|idxs| {
                 if let [index] = *idxs {
                     if let InternedExpr::Var(var) = interner.node(coeff(items[index])) {

@@ -183,11 +183,7 @@ impl UnionByRank {
     /// Partition the items `0..n`, item `i` mentioning the variables
     /// `set_of(i)`, exactly as [`connected_components_by`] does: components
     /// ordered by their union–find representative, members ascending.
-    pub fn components<'a>(
-        &mut self,
-        n: usize,
-        set_of: impl Fn(usize) -> &'a [Var],
-    ) -> &Components {
+    pub fn components<'a>(&mut self, n: usize, set_of: impl Fn(usize) -> &'a [Var]) -> &Components {
         debug_assert!(self.first_seen.iter().all(|&s| s == UNSEEN));
         self.parent.clear();
         self.parent.extend(0..n as u32);

@@ -383,7 +383,10 @@ fn multiply_accumulate(a: &[f64], b: &[f64], out: &mut Vec<f64>) -> usize {
                 write_cells(out, [a[0] * b0].into_iter())
                     + write_cells(
                         out,
-                        a[..l - 1].iter().zip(&a[1..]).map(|(&x, &y)| x * b1 + y * b0),
+                        a[..l - 1]
+                            .iter()
+                            .zip(&a[1..])
+                            .map(|(&x, &y)| x * b1 + y * b0),
                     )
                     + write_cells(out, [a[l - 1] * b1].into_iter())
             }
@@ -849,10 +852,7 @@ impl ShortLeaf {
             support: n,
         };
         #[cfg(debug_assertions)]
-        debug_assert!(bit_equal(
-            &leaf.to_dist(),
-            &Dist::coalesced(raw.to_vec())
-        ));
+        debug_assert!(bit_equal(&leaf.to_dist(), &Dist::coalesced(raw.to_vec())));
         Some(leaf)
     }
 

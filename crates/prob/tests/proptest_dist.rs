@@ -997,7 +997,11 @@ fn check_short_step(
         .iter()
         .zip(&routes[1..])
     {
-        assert_eq!(chain_bits(value), (dense, bits.clone()), "{route}: {context}");
+        assert_eq!(
+            chain_bits(value),
+            (dense, bits.clone()),
+            "{route}: {context}"
+        );
         assert_eq!(route_counts, counts, "{route} counts: {context}");
     }
     if let Some(dense_leaf) = DenseDist::from_dist(&leaf) {

@@ -187,11 +187,12 @@ fn cold_q2_profile_covers_rewrite_compile_and_evaluate() {
 }
 
 #[test]
-fn group_sum_profile_names_the_fold_and_the_arena_pass() {
+fn group_sum_profile_names_both_folds() {
     // Two groups of independent rows: every SUM term is a leaf component, so
     // the aggregate is answered by the fold alone (nothing compiled, nothing
-    // memoised below it), while the group's confidence is compiled and then
-    // evaluated — two spans, so neither hides in its parent's self time.
+    // memoised below it). The group's confidence `[Σ xᵢ ≠ 0]` is folded by
+    // the store too — rule 5 over the sum's leaf components — so neither
+    // answer compiles a circuit, and each names its fold.
     let mut db = Database::new();
     db.create_table("T", Schema::new(["g", "v"]));
     let (t, vars) = db.table_and_vars_mut("T").unwrap();
@@ -206,20 +207,19 @@ fn group_sum_profile_names_the_fold_and_the_arena_pass() {
         .execute(&EvalOptions::default().with_profile())
         .unwrap();
     let shape = cold.profile.expect("profile requested").shape();
-    let tuple = |index: usize, dense: usize, nodes: usize, terms: usize| {
+    let tuple = |index: usize, dense: usize, terms: usize| {
         format!(
             "    tuple [index={index} kernel_dense={dense} kernel_sparse=0]
-      confidence [path=compile]
+      confidence [path=fold]
         intern
-        compile [nodes={nodes}]
-        evaluate [interp=cells]
+        fold [components={terms} leaves={terms}]
       aggregate [path=fold]
         intern
         fold [components={terms} leaves={terms}]
 "
         )
     };
-    let (first, second) = (tuple(0, 3, 9, 4), tuple(1, 1, 5, 2));
+    let (first, second) = (tuple(0, 3, 4), tuple(1, 1, 2));
     assert!(
         shape.ends_with(&format!("  rewrite\n  evaluate\n{first}{second}")),
         "{shape}"

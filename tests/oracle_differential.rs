@@ -15,7 +15,10 @@
 //!   per tuple is single-threaded and kernel-path selection (including the
 //!   FFT crossover) is a pure function of operand shapes;
 //! * one-sided aggregate threshold predicates, whose confidences must match
-//!   the oracle's comparison mass over present worlds.
+//!   the oracle's comparison mass over present worlds;
+//! * the artifact store's own answer to a conditional `[s θ c]` whose side
+//!   splits into independent components (rule 5 at the store), which must
+//!   equal the compiled circuit's **bit-for-bit** over `B` and `N`.
 //!
 //! Oracle-vs-engine agreement is `1e-9`-bounded (the two sides legitimately
 //! accumulate in different orders; the FFT path's documented accuracy policy
@@ -23,6 +26,7 @@
 //! `PVC_ORACLE_SEED=<u64>` adds one more instance to every sweep, which is how
 //! the CI `oracle-smoke` job runs two extra seeded rounds.
 
+use pvc_suite::core::SharedArtifacts;
 use pvc_suite::prelude::*;
 use pvc_suite::prob::oracle;
 
@@ -299,6 +303,173 @@ fn grouped_queries_match_per_group_oracles() {
                 1e-9,
                 &format!("seed={seed} group={g}"),
             );
+        }
+    }
+}
+
+/// The sides the store's conditional route is exercised on, over the variables
+/// `x` (seeded order) and `empty`, a variable with no outcome at all.
+fn conditional_sides(
+    x: &[SemiringExpr],
+    empty: &SemiringExpr,
+    one: SemiringValue,
+) -> Vec<(&'static str, SemiringExpr)> {
+    let sum = SemiringExpr::sum;
+    let product = SemiringExpr::product;
+    let xy = |i: usize, j: usize| product(vec![x[i].clone(), x[j].clone()]);
+    vec![
+        ("leaves", sum(x[..5].to_vec())),
+        // Two summands share x0: one two-member component among leaves, whose
+        // place in the fold moves when components are re-sorted.
+        (
+            "shared",
+            sum(vec![
+                xy(0, 1),
+                xy(0, 2),
+                x[3].clone(),
+                x[4].clone(),
+                x[5].clone(),
+            ]),
+        ),
+        (
+            "shared-twice",
+            sum(vec![
+                xy(0, 1),
+                x[2].clone(),
+                xy(0, 3),
+                xy(4, 5),
+                x[6].clone(),
+                xy(4, 2),
+            ]),
+        ),
+        (
+            "nested",
+            sum(vec![
+                product(vec![x[0].clone(), sum(vec![x[1].clone(), x[2].clone()])]),
+                product(vec![x[3].clone(), sum(vec![x[4].clone(), xy(5, 6)])]),
+                x[7].clone(),
+            ]),
+        ),
+        (
+            "product",
+            product(vec![
+                x[0].clone(),
+                sum(vec![x[1].clone(), x[2].clone()]),
+                x[3].clone(),
+                sum(vec![x[4].clone(), x[1].clone()]),
+                x[5].clone(),
+            ]),
+        ),
+        (
+            "empty-leaf",
+            sum(vec![
+                x[0].clone(),
+                empty.clone(),
+                x[1].clone(),
+                x[2].clone(),
+            ]),
+        ),
+        // A constant operand: `simplify` folds it away, so the store leaves
+        // the conditional to the compiler.
+        (
+            "constant",
+            sum(vec![
+                x[0].clone(),
+                SemiringExpr::Const(one),
+                x[1].clone(),
+                x[2].clone(),
+            ]),
+        ),
+    ]
+}
+
+/// The artifact store answers `[s θ c]` itself when `s` splits into
+/// independent components (rule 5, then rule 2): its distribution must be the
+/// compiled circuit's in every bit, over `B` and `N`, for every `θ`, with the
+/// constant on either side — and within 1e-9 of enumeration. A side of
+/// independent leaves compiles nothing.
+#[test]
+fn store_conditionals_equal_the_compiled_circuit_bit_for_bit() {
+    let bits = |d: &SemiringDist| -> Vec<(SemiringValue, u64)> {
+        d.iter().map(|(v, p)| (*v, p.to_bits())).collect()
+    };
+    let thetas = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Le,
+        CmpOp::Lt,
+        CmpOp::Ge,
+        CmpOp::Gt,
+    ];
+    for seed in seeds() {
+        let mut mix = Mix(seed.wrapping_mul(0x2545_f491).wrapping_add(17));
+        for kind in [SemiringKind::Bool, SemiringKind::Nat] {
+            let mut vars = VarTable::new();
+            let mut x: Vec<SemiringExpr> = (0..8)
+                .map(|i| {
+                    let var = match kind {
+                        SemiringKind::Bool => vars.boolean(format!("x{i}"), mix.prob()),
+                        SemiringKind::Nat => {
+                            let (p, q) = (mix.prob() / 2.0, mix.prob() / 2.0);
+                            let top = mix.value(2, 3) as u64;
+                            vars.natural(format!("n{i}"), &[(0, p), (1, q), (top, 1.0 - p - q)])
+                        }
+                    };
+                    SemiringExpr::Var(var)
+                })
+                .collect();
+            // A seeded order, so variable ids and canonical operand order vary.
+            for i in (1..x.len()).rev() {
+                x.swap(i, mix.value(0, i as i64) as usize);
+            }
+            let empty = SemiringExpr::Var(vars.fresh("empty", Dist::empty()));
+            for (shape, side) in conditional_sides(&x, &empty, kind.one()) {
+                for theta in thetas {
+                    for constant_left in [false, true] {
+                        let c = match kind {
+                            SemiringKind::Bool => SemiringValue::Bool(mix.next() % 2 == 1),
+                            SemiringKind::Nat => SemiringValue::Nat(mix.value(0, 4) as u64),
+                        };
+                        let c = SemiringExpr::Const(c);
+                        let expr = match constant_left {
+                            true => SemiringExpr::cmp_ss(theta, c, side.clone()),
+                            false => SemiringExpr::cmp_ss(theta, side.clone(), c),
+                        };
+                        let context = format!("seed={seed} {kind:?} {shape}: {expr}");
+                        let store = SharedArtifacts::default();
+                        let id = store.intern(&expr);
+                        let options = CompileOptions::default();
+                        let routed = store
+                            .evaluate_semiring(id, &vars, kind, &options, 0)
+                            .unwrap();
+                        let compiled = Compiler::new(&vars, kind)
+                            .emit_semiring(&expr)
+                            .unwrap()
+                            .semiring_distribution(&vars, kind)
+                            .unwrap();
+                        assert_eq!(bits(&routed), bits(&compiled), "{context}");
+                        let expected = pvc_suite::expr::oracle::semiring_dist_by_enumeration(
+                            &expr, &vars, kind,
+                        );
+                        assert!(routed.approx_eq(&expected, 1e-9), "{context}");
+                        let counters = store.counters();
+                        match shape {
+                            "leaves" | "empty-leaf" => {
+                                assert_eq!(counters.arena_misses, 0, "{context}")
+                            }
+                            // The compiler gets the whole conditional: one
+                            // circuit, one entry.
+                            "constant" => {
+                                assert_eq!(counters.arena_misses, 1, "{context}");
+                                assert_eq!(store.semiring_entries(), 1, "{context}");
+                            }
+                            // Folded by the store: its non-leaf components
+                            // are cached beside the conditional.
+                            _ => assert!(store.semiring_entries() > 1, "{context}"),
+                        }
+                    }
+                }
+            }
         }
     }
 }
