@@ -165,7 +165,7 @@ impl Interp {
 /// when that happens mid-evaluation, but not at the root, where
 /// materialisation is the point.
 #[derive(Debug, Clone)]
-enum Val {
+pub(crate) enum Val {
     /// Semiring distribution over `{⊥, ⊤}` on two cells (see [`EvalScratch::cells`]).
     B(BoolCells),
     S(SemiringDist),
@@ -177,6 +177,32 @@ enum Val {
 }
 
 impl Val {
+    /// A variable's distribution, as a `VarLeaf` pushes it: on two cells where
+    /// the pass runs on them (`cells`) and the support lies in `{⊥, ⊤}`.
+    pub(crate) fn leaf(dist: &SemiringDist, cells: bool) -> Val {
+        match cells.then(|| BoolCells::from_dist(dist)).flatten() {
+            Some(two) => Val::B(two),
+            None => Val::S(dist.clone()),
+        }
+    }
+
+    /// A computed semiring distribution, taken over: on two cells where
+    /// [`leaf`](Self::leaf) would put it.
+    pub(crate) fn semiring(dist: SemiringDist, cells: bool) -> Val {
+        match cells.then(|| BoolCells::from_dist(&dist)).flatten() {
+            Some(two) => Val::B(two),
+            None => Val::S(dist),
+        }
+    }
+
+    /// A semiring constant, as an `SConst` pushes it.
+    pub(crate) fn constant(value: SemiringValue, cells: bool) -> Val {
+        match value {
+            SemiringValue::Bool(b) if cells => Val::B(BoolCells::point(b)),
+            _ => Val::S(Dist::point(value)),
+        }
+    }
+
     fn is_empty(&self) -> bool {
         match self {
             Val::B(c) => c.is_empty(),
@@ -191,7 +217,7 @@ impl Val {
     /// Extract a semiring distribution, with the recursive evaluator's rules: an
     /// empty value of any sort extracts as the empty distribution; a non-empty
     /// monoid or mixed-with-monoid value is a sort error.
-    fn into_semiring(self, ctx: &'static str) -> Result<SemiringDist, DTreeError> {
+    pub(crate) fn into_semiring(self, ctx: &'static str) -> Result<SemiringDist, DTreeError> {
         match self {
             Val::B(c) => Ok(c.to_dist()),
             Val::S(d) => Ok(d),
@@ -601,18 +627,12 @@ impl DTreeArena {
                     match self.nodes[i as usize] {
                         // Leaves evaluate immediately.
                         ArenaNode::VarLeaf(v) => {
-                            scratch
-                                .stack
-                                .push(semiring_val(table.dist(v), scratch.cells));
+                            let leaf = Val::leaf(table.dist(v), scratch.cells);
+                            scratch.stack.push(leaf);
                             continue;
                         }
                         ArenaNode::SConst(s) => {
-                            scratch.stack.push(match s {
-                                SemiringValue::Bool(b) if scratch.cells => {
-                                    Val::B(BoolCells::point(b))
-                                }
-                                _ => Val::S(Dist::point(s)),
-                            });
+                            scratch.stack.push(Val::constant(s, scratch.cells));
                             continue;
                         }
                         ArenaNode::MConst(m) => {
@@ -670,37 +690,11 @@ impl DTreeArena {
                 Phase::Emit(i) => i,
             };
             let value = match self.nodes[i as usize] {
-                ArenaNode::SumS { .. } => {
-                    let right = scratch.stack.pop().expect("⊕ right operand");
-                    let left = scratch.stack.pop().expect("⊕ left operand");
-                    match (left, right) {
-                        (Val::B(a), Val::B(b)) => Val::B(a.or(b)),
-                        (left, right) => {
-                            let da = left.into_semiring("⊕(semiring)")?;
-                            let db = right.into_semiring("⊕(semiring)")?;
-                            Val::S(da.convolve_with_scratch(
-                                &db,
-                                |x, y| x.add(y),
-                                &mut scratch.s_pairs,
-                            ))
-                        }
-                    }
-                }
-                ArenaNode::Prod { .. } => {
-                    let right = scratch.stack.pop().expect("⊙ right operand");
-                    let left = scratch.stack.pop().expect("⊙ left operand");
-                    match (left, right) {
-                        (Val::B(a), Val::B(b)) => Val::B(a.and(b)),
-                        (left, right) => {
-                            let da = left.into_semiring("⊙")?;
-                            let db = right.into_semiring("⊙")?;
-                            Val::S(da.convolve_with_scratch(
-                                &db,
-                                |x, y| x.mul(y),
-                                &mut scratch.s_pairs,
-                            ))
-                        }
-                    }
+                ArenaNode::SumS { .. } | ArenaNode::Prod { .. } => {
+                    let right = scratch.stack.pop().expect("⊕ / ⊙ right operand");
+                    let left = scratch.stack.pop().expect("⊕ / ⊙ left operand");
+                    let is_add = matches!(self.nodes[i as usize], ArenaNode::SumS { .. });
+                    combine_semiring(is_add, left, right, &mut scratch.s_pairs)?
                 }
                 ArenaNode::SumM { op, .. } => {
                     let right = scratch.stack.pop().expect("⊕ right operand");
@@ -748,7 +742,8 @@ impl DTreeArena {
                 ArenaNode::Cmp { theta, .. } => {
                     let right = scratch.stack.pop().expect("[θ] right operand");
                     let left = scratch.stack.pop().expect("[θ] left operand");
-                    self.compare(theta, left, right, kind, scratch)?
+                    let cells = scratch.cells;
+                    compare(theta, left, right, kind, cells, &mut scratch.s_pairs)?
                 }
                 ArenaNode::Exclusive {
                     var,
@@ -784,59 +779,6 @@ impl DTreeArena {
             "post-order stack imbalance"
         );
         Ok(scratch.stack.pop().expect("root value"))
-    }
-
-    /// A `[θ]` node without a fold plan: both children fully evaluated. Sorts are
-    /// detected from the values (mirroring the recursive evaluator's
-    /// support-peeking), empty sides yield the empty distribution, and non-empty
-    /// sides of different sorts are a [`DTreeError::MixedComparison`].
-    fn compare(
-        &self,
-        theta: CmpOp,
-        left: Val,
-        right: Val,
-        kind: SemiringKind,
-        scratch: &mut EvalScratch,
-    ) -> Result<Val, DTreeError> {
-        if let (Val::B(a), Val::B(b)) = (&left, &right) {
-            return Ok(Val::B(a.compare(theta, *b)));
-        }
-        if left.is_empty() || right.is_empty() {
-            return Ok(Val::Empty);
-        }
-        // A comparison convolves value-by-value: dense operands demote here
-        // (counted as chain breaks — the chain genuinely ends mid-evaluation).
-        let demote = |v: Val| -> Result<Val, DTreeError> {
-            Ok(match v {
-                Val::MD(_) => Val::M(v.demote_monoid("[θ]")?),
-                other => other,
-            })
-        };
-        let left = demote(left)?;
-        let right = demote(right)?;
-        let is_semiring = |v: &Val| match v {
-            Val::B(_) | Val::S(_) => true,
-            Val::M(_) => false,
-            Val::MD(_) => unreachable!("dense sides demoted above"),
-            Val::Empty => unreachable!("empty sides handled above"),
-            Val::Mixed(d) => matches!(d.support().next(), Some(DistValue::S(_))),
-        };
-        let truth = |holds: bool| if holds { kind.one() } else { kind.zero() };
-        let dist = match (is_semiring(&left), is_semiring(&right)) {
-            (true, true) => {
-                let da = left.into_semiring("[θ]")?;
-                let db = right.into_semiring("[θ]")?;
-                da.convolve_with_scratch(&db, |x, y| truth(theta.eval(x, y)), &mut scratch.s_pairs)
-            }
-            (false, false) => {
-                let da = left.into_monoid("[θ]")?;
-                let db = right.into_monoid("[θ]")?;
-                da.convolve_with_scratch(&db, |x, y| truth(theta.eval(x, y)), &mut scratch.s_pairs)
-            }
-            _ => return Err(DTreeError::MixedComparison),
-        };
-        // Where a Boolean region starts: the comparison's two outcomes.
-        Ok(semiring_val(&dist, scratch.cells))
     }
 
     /// The scalar CDF walk: `(P[subtree θ bound], total mass)` of the monoid
@@ -1067,13 +1009,82 @@ fn comparison_dist(kind: SemiringKind, p_true: f64, mass: f64) -> SemiringDist {
     Dist::from_sorted_unique(entries)
 }
 
-/// A semiring distribution as a stack value: on two cells where the pass runs
-/// on them and the support lies in `{⊥, ⊤}`.
-fn semiring_val(dist: &SemiringDist, cells: bool) -> Val {
-    match cells.then(|| BoolCells::from_dist(dist)).flatten() {
-        Some(two) => Val::B(two),
-        None => Val::S(dist.clone()),
+/// `left ⊕ right` (`is_add`) or `left ⊙ right` of independent semiring
+/// operands — the `SumS` and `Prod` arms, which the artifact store's folds
+/// take too: the two-cell kernel if both operands are on two cells, else the
+/// convolution.
+pub(crate) fn combine_semiring(
+    is_add: bool,
+    left: Val,
+    right: Val,
+    pairs: &mut Vec<(SemiringValue, f64)>,
+) -> Result<Val, DTreeError> {
+    Ok(match (left, right) {
+        (Val::B(a), Val::B(b)) => Val::B(if is_add { a.or(b) } else { a.and(b) }),
+        (left, right) => {
+            let ctx = if is_add { "⊕(semiring)" } else { "⊙" };
+            let da = left.into_semiring(ctx)?;
+            let db = right.into_semiring(ctx)?;
+            Val::S(match is_add {
+                true => da.convolve_with_scratch(&db, |x, y| x.add(y), pairs),
+                false => da.convolve_with_scratch(&db, |x, y| x.mul(y), pairs),
+            })
+        }
+    })
+}
+
+/// A `[θ]` node without a fold plan — and the artifact store's `[s θ c]` over
+/// a side it folded itself: both sides fully evaluated. Sorts are detected
+/// from the values (mirroring the recursive evaluator's
+/// support-peeking), empty sides yield the empty distribution, and non-empty
+/// sides of different sorts are a [`DTreeError::MixedComparison`].
+pub(crate) fn compare(
+    theta: CmpOp,
+    left: Val,
+    right: Val,
+    kind: SemiringKind,
+    cells: bool,
+    pairs: &mut Vec<(SemiringValue, f64)>,
+) -> Result<Val, DTreeError> {
+    if let (Val::B(a), Val::B(b)) = (&left, &right) {
+        return Ok(Val::B(a.compare(theta, *b)));
     }
+    if left.is_empty() || right.is_empty() {
+        return Ok(Val::Empty);
+    }
+    // A comparison convolves value-by-value: dense operands demote here
+    // (counted as chain breaks — the chain genuinely ends mid-evaluation).
+    let demote = |v: Val| -> Result<Val, DTreeError> {
+        Ok(match v {
+            Val::MD(_) => Val::M(v.demote_monoid("[θ]")?),
+            other => other,
+        })
+    };
+    let left = demote(left)?;
+    let right = demote(right)?;
+    let is_semiring = |v: &Val| match v {
+        Val::B(_) | Val::S(_) => true,
+        Val::M(_) => false,
+        Val::MD(_) => unreachable!("dense sides demoted above"),
+        Val::Empty => unreachable!("empty sides handled above"),
+        Val::Mixed(d) => matches!(d.support().next(), Some(DistValue::S(_))),
+    };
+    let truth = |holds: bool| if holds { kind.one() } else { kind.zero() };
+    let dist = match (is_semiring(&left), is_semiring(&right)) {
+        (true, true) => {
+            let da = left.into_semiring("[θ]")?;
+            let db = right.into_semiring("[θ]")?;
+            da.convolve_with_scratch(&db, |x, y| truth(theta.eval(x, y)), pairs)
+        }
+        (false, false) => {
+            let da = left.into_monoid("[θ]")?;
+            let db = right.into_monoid("[θ]")?;
+            da.convolve_with_scratch(&db, |x, y| truth(theta.eval(x, y)), pairs)
+        }
+        _ => return Err(DTreeError::MixedComparison),
+    };
+    // Where a Boolean region starts: the comparison's two outcomes.
+    Ok(Val::semiring(dist, cells))
 }
 
 /// Mix `next`, scaled by `weight`, into the accumulator, staying in the native

@@ -13,15 +13,20 @@
 //! * [`SharedArtifacts`] — the **thread-safe, `Arc`-shareable** pairing of an
 //!   [`Interner`] and a [`CompilationCache`] behind mutexes, and the cache-aware
 //!   evaluation driver: it consults the cache at every independent sub-d-tree
-//!   (mirroring the compiler's rule 2 split, and rule 5 for a conditional
-//!   `[s θ c]` against a constant — see `plan_semiring`), so a large annotation whose
+//!   (the compiler's rule 2 split, and rule 5 for a conditional `[s θ c]`
+//!   against a constant — see `plan_semiring`), so a large annotation whose
 //!   independent components recur elsewhere reuses their distributions without
 //!   recompiling, and newly computed sub-distributions are inserted on the way
-//!   out. It is **lock-granular**: locks are held only around
-//!   intern/lookup/insert operations, never across a d-tree compilation, so
-//!   parallel tuple workers share artifacts without serialising their
-//!   compilations. One `Arc<SharedArtifacts>` can also back several engines
-//!   (multi-tenant serving over one database).
+//!   out. The split is the compiler's own: the store plans with the
+//!   compiler's [`Partitioner`], folds the components in its order, and
+//!   folds semiring values with the arena's own `⊕` / `⊙` / `[θ]` arms
+//!   (SUM / COUNT aggregates through the [`AdditiveFold`] the arena's `⊕`
+//!   uses), so its answer is the compiled circuit's, bit for bit.
+//!   It is **lock-granular**: locks are held only around intern / lookup /
+//!   insert operations, never across a d-tree compilation, so parallel tuple
+//!   workers share artifacts without serialising their compilations. One
+//!   `Arc<SharedArtifacts>` can also back several engines (multi-tenant
+//!   serving over one database).
 //!
 //! What is memoised: every independent component with **two or more variables or
 //! a non-variable coefficient**. A component that is a single bare variable `x`
@@ -51,15 +56,15 @@
 //! variable distributions change, and must bypass it when compilation is made
 //! observably fallible (node budgets) — the engine in `pvc-db` does both.
 
-use crate::arena::Interp;
+use crate::arena::{Interp, Val};
 use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler};
 use crate::node::DTreeError;
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
-use pvc_expr::independence::UnionByRank;
+use pvc_expr::independence::Partitioner;
 use pvc_expr::intern::{AggExprId, ExprId, ImportMemo, InternedExpr, Interner};
 use pvc_expr::vars::sorted_disjoint;
 use pvc_expr::{SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
-use pvc_prob::{AdditiveFold, BoolCells, ChainVal, Dist, MonoidDist, SemiringDist};
+use pvc_prob::{AdditiveFold, ChainVal, MonoidDist, SemiringDist};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
@@ -542,84 +547,6 @@ fn fold_components<'a, E>(
     Ok(acc.expect("at least one component"))
 }
 
-/// A semiring operand of the store's folds, in the form the arena's evaluator
-/// carries it: on two cells over `B` where the support allows (the arena's
-/// `Val::B`), as a distribution otherwise. Every operation takes the arena's
-/// arm for the same operands, so a fold over these is bit-identical to the
-/// arena evaluating the same chain.
-enum SemiringPart {
-    Cells(BoolCells),
-    Dist(SemiringDist),
-}
-
-impl SemiringPart {
-    /// A variable's distribution as the arena's `VarLeaf` pushes it.
-    fn leaf(dist: &SemiringDist, cells: bool) -> Self {
-        match cells.then(|| BoolCells::from_dist(dist)).flatten() {
-            Some(two) => SemiringPart::Cells(two),
-            None => SemiringPart::Dist(dist.clone()),
-        }
-    }
-
-    /// A computed distribution, on two cells where [`leaf`](Self::leaf) would
-    /// put it.
-    fn owned(dist: SemiringDist, cells: bool) -> Self {
-        match cells.then(|| BoolCells::from_dist(&dist)).flatten() {
-            Some(two) => SemiringPart::Cells(two),
-            None => SemiringPart::Dist(dist),
-        }
-    }
-
-    /// A constant as the arena's `SConst` pushes it.
-    fn constant(value: SemiringValue, cells: bool) -> Self {
-        match value {
-            SemiringValue::Bool(b) if cells => SemiringPart::Cells(BoolCells::point(b)),
-            _ => SemiringPart::Dist(Dist::point(value)),
-        }
-    }
-
-    fn into_dist(self) -> SemiringDist {
-        match self {
-            SemiringPart::Cells(two) => two.to_dist(),
-            SemiringPart::Dist(d) => d,
-        }
-    }
-
-    /// `self ⊕ other` (or `⊙`) of independent operands, `self` on the left:
-    /// the arena's `SumS` / `Prod` arms.
-    fn combine(self, other: SemiringPart, is_add: bool) -> Self {
-        match (self, other) {
-            (SemiringPart::Cells(a), SemiringPart::Cells(b)) => {
-                SemiringPart::Cells(if is_add { a.or(b) } else { a.and(b) })
-            }
-            (a, b) => {
-                let (da, db) = (a.into_dist(), b.into_dist());
-                SemiringPart::Dist(match is_add {
-                    true => da.convolve(&db, |x, y| x.add(y)),
-                    false => da.convolve(&db, |x, y| x.mul(y)),
-                })
-            }
-        }
-    }
-
-    /// `[self θ other]` of independent semiring operands: the arena's `[θ]`
-    /// without a fold plan — two cells if both sides are, else the
-    /// truth-valued convolution, and the empty distribution if a side is
-    /// empty.
-    fn compare(self, theta: CmpOp, other: SemiringPart, kind: SemiringKind) -> Self {
-        if let (SemiringPart::Cells(a), SemiringPart::Cells(b)) = (&self, &other) {
-            return SemiringPart::Cells(a.compare(theta, *b));
-        }
-        let (da, db) = (self.into_dist(), other.into_dist());
-        if da.is_empty() || db.is_empty() {
-            return SemiringPart::Dist(Dist::empty());
-        }
-        let truth = |holds: bool| if holds { kind.one() } else { kind.zero() };
-        let dist = da.convolve(&db, |x, y| truth(theta.eval(x, y)));
-        SemiringPart::owned(dist, kind == SemiringKind::Bool)
-    }
-}
-
 /// The total mass of non-`0_S` outcomes — the tuple-confidence reading of a
 /// semiring distribution.
 pub fn confidence_of(dist: &SemiringDist) -> f64 {
@@ -1010,20 +937,23 @@ impl SharedArtifacts {
             compare,
         }) = plan
         {
+            // The arena's own arms, over the values it would carry: the
+            // chain `Compiler::compile_components` emits, evaluated in place.
             let cells = kind == SemiringKind::Bool;
             let _span = compare.is_some().then(|| fold_span(&components));
-            let mut acc: Option<SemiringPart> = None;
+            let mut pairs = Vec::new();
+            let mut acc: Option<Val> = None;
             for component in components {
                 let part = match component {
-                    Component::Leaf { var, .. } => SemiringPart::leaf(vars.dist(var), cells),
-                    Component::Memo(gid) => SemiringPart::owned(
+                    Component::Leaf { var, .. } => Val::leaf(vars.dist(var), cells),
+                    Component::Memo(gid) => Val::semiring(
                         self.evaluate_semiring(gid, vars, kind, options, scope)?,
                         cells,
                     ),
                 };
                 acc = Some(match acc {
                     None => part,
-                    Some(left) => left.combine(part, is_add),
+                    Some(left) => crate::arena::combine_semiring(is_add, left, part, &mut pairs)?,
                 });
             }
             let side = acc.expect("at least two components");
@@ -1034,14 +964,15 @@ impl SharedArtifacts {
                     constant,
                     constant_left,
                 }) => {
-                    let constant = SemiringPart::constant(constant, cells);
-                    match constant_left {
-                        true => constant.compare(theta, side, kind),
-                        false => side.compare(theta, constant, kind),
-                    }
+                    let constant = Val::constant(constant, cells);
+                    let (left, right) = match constant_left {
+                        true => (constant, side),
+                        false => (side, constant),
+                    };
+                    crate::arena::compare(theta, left, right, kind, cells, &mut pairs)?
                 }
             };
-            return Ok(result.into_dist());
+            return Ok(result.into_semiring("root")?);
         }
         // No further split: copy the expression's DAG into lent compile scratch
         // under the interner lock, compile it with no lock held, and evaluate
@@ -1081,7 +1012,6 @@ impl SharedArtifacts {
                 &terms,
                 |(coeff, _)| coeff,
                 |interner, group| interner.intern_agg(op, group),
-                false,
             )
             .map(|parts| (op, terms, parts))
         } else {
@@ -1242,7 +1172,7 @@ enum Component<I> {
 #[derive(Debug, Default)]
 struct Interning {
     interner: Interner,
-    planner: UnionByRank,
+    planner: Partitioner,
 }
 
 /// The `fold [components, leaves]` span around folding planned components.
@@ -1277,21 +1207,23 @@ struct Comparison {
 
 /// Plan `id` for the store's own fold; `None` sends it to the compiler whole.
 ///
-/// * A sum or product with two or more independent components folds them in
-///   the planner's order (rule 2 and the independent-product split).
+/// * A sum or product with two or more independent components folds them
+///   (rule 2 and the independent-product split).
 /// * A comparison `[s θ c]` with the constant `c` on either side, whose side
 ///   `s` is such a sum or product, folds `s`'s components and applies `θ`
 ///   once — the paper's rule 5 followed by rule 2, e.g. a group confidence
 ///   `[Σ Φ_t ≠ 0]` over independent rows becomes one pass over its leaves.
-///   This route is **bit-identical to compiling the conditional**: the
-///   components are folded in the compiler's order (smallest member first,
-///   the left-deep chain `Compiler::compile_components` emits), leaves enter
-///   as the arena's `VarLeaf` pushes them, a non-leaf component is a
-///   connected group the compiler compiles alone (its cached distribution is
-///   that compilation's), and [`SemiringPart`] combines and compares as the
-///   arena does. Only a side the compiler's `simplify` leaves as it is
-///   qualifies (see [`settled`]). The side's own distribution is not cached,
-///   so no cached bits depend on which route reached an id first.
+///
+/// Either fold is **the compiled circuit, evaluated in place**: the planner
+/// is the compiler's partitioner, so the components come in the order of the
+/// left-deep chain `Compiler::compile_components` emits; leaves enter as the
+/// arena's `VarLeaf` pushes them; a non-leaf component is a connected group
+/// the compiler compiles alone (its cached distribution is that
+/// compilation's); and the arena's own `⊕` / `⊙` / `[θ]` arms combine them.
+/// Where the compiler's `simplify` would first rewrite the side, the split it
+/// sees is another one, so a comparison folds only a side `simplify` leaves
+/// as it is (see [`settled`]). The side's own distribution is not cached, so
+/// no cached bits depend on which route reached an id first.
 ///
 /// A comparison of aggregates (`CmpMM`) keeps the compiler: the arena's
 /// threshold walk computes `P[α θ c]` without `α`'s full distribution and
@@ -1332,7 +1264,6 @@ fn plan_semiring(interning: &mut Interning, id: ExprId) -> Option<SemiringPlan> 
             true => interner.intern_add(group),
             false => interner.intern_mul(group),
         },
-        compare.is_some(),
     )?;
     Some(SemiringPlan {
         is_add,
@@ -1387,30 +1318,23 @@ fn settled(interner: &Interner, root: ExprId) -> bool {
 /// of the co-occurrence graph), interning every non-leaf group with
 /// `intern_group`; `None` when everything is one component.
 ///
-/// Components come in the order of
-/// [`connected_components_by`](pvc_expr::independence::connected_components_by)
-/// (the planner keeps its union sequence), which every cached bit of a fold
-/// depends on — or, if `smallest_first`, in the order of their smallest
-/// members, which is the compiler's.
+/// Components come in the order of the compiler's split (the one
+/// [`Partitioner`]: smallest member first, members ascending), which every
+/// cached bit of a fold depends on.
 fn independent_components<T: Copy, I>(
     interning: &mut Interning,
     items: &[T],
     coeff: impl Fn(T) -> ExprId,
     mut intern_group: impl FnMut(&mut Interner, &[T]) -> I,
-    smallest_first: bool,
 ) -> Option<Vec<Component<I>>> {
     let Interning { interner, planner } = interning;
     let components = planner.components(items.len(), |i| interner.var_set(coeff(items[i])));
     if components.len() <= 1 {
         return None;
     }
-    let mut groups: Vec<&[usize]> = components.iter().collect();
-    if smallest_first {
-        groups.sort_unstable_by_key(|members| members[0]);
-    }
     Some(
-        groups
-            .into_iter()
+        components
+            .iter()
             .map(|idxs| {
                 if let [index] = *idxs {
                     if let InternedExpr::Var(var) = interner.node(coeff(items[index])) {

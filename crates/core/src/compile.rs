@@ -41,7 +41,7 @@ use crate::node::DTree;
 use crate::prune::{verdict, Verdict};
 use pvc_algebra::{AggOp, CmpOp, SemiringKind, SemiringValue};
 use pvc_expr::factor::{common_factor_vars, divide_by_vars};
-use pvc_expr::independence::ComponentLabels;
+use pvc_expr::independence::Partitioner;
 use pvc_expr::vars::sorted_disjoint;
 use pvc_expr::{
     AggExprId, AggTerm, ExprId, InternedExpr, Interner, ResidualArena, SemimoduleExpr,
@@ -177,7 +177,7 @@ pub(crate) struct CompileScratch {
     work: ResidualArena,
     /// Scratch of the independence splits, reused across the thousands a hard
     /// compilation performs.
-    components: ComponentLabels,
+    partitioner: Partitioner,
     /// Per-variable occurrence counters of the `⊔`-variable choice, indexed by
     /// `Var` id. Starts empty and grows to the largest id a choice touches (never
     /// to the table's size: most compilations see a handful of variables of a
@@ -200,7 +200,7 @@ impl CompileScratch {
     pub(crate) fn new(kind: SemiringKind) -> Self {
         CompileScratch {
             work: ResidualArena::new(kind),
-            components: ComponentLabels::default(),
+            partitioner: Partitioner::default(),
             occ_counts: Vec::new(),
             touched: Vec::new(),
             term_bufs: Vec::new(),
@@ -266,7 +266,7 @@ impl<'a> Compiler<'a> {
     fn scratch_lens(&self) -> (usize, usize) {
         (
             self.scratch.occ_counts.len(),
-            self.scratch.components.var_table_len(),
+            self.scratch.partitioner.var_table_len(),
         )
     }
 
@@ -735,34 +735,22 @@ impl<'a> Compiler<'a> {
         mut compile: impl FnMut(&mut Self, &[T]) -> Result<u32, BudgetExceeded>,
         combine: impl Fn(u32, u32) -> ArenaNode,
     ) -> Result<Option<(usize, u32)>, BudgetExceeded> {
-        // Taken first: `pool` wants all of `self`, the labels borrow a part of it.
+        // Taken first: `pool` wants all of `self`, the partition borrows a part
+        // of it.
         let mut groups = pool(self).pop().unwrap_or_default();
         let arena = self.scratch.work.arena();
-        let (count, labels) = self
+        let components = self
             .scratch
-            .components
-            .label(items.len(), |i| arena.var_set(coeff(&items[i])));
+            .partitioner
+            .components(items.len(), |i| arena.var_set(coeff(&items[i])));
+        let count = components.len();
         if count <= 1 {
             pool(self).push(groups);
             return Ok(None);
         }
-        // A counting sort by label: every group's size, then its start, which
-        // moves to its end as the group fills.
+        groups.extend(components.members().iter().map(|&i| items[i]));
         let mut ends = self.scratch.end_bufs.pop().unwrap_or_default();
-        ends.resize(count, 0);
-        for &label in labels {
-            ends[label as usize] += 1;
-        }
-        let mut start = 0;
-        for end in ends.iter_mut() {
-            start += std::mem::replace(end, start);
-        }
-        groups.resize(items.len(), items[0]);
-        for (item, &label) in items.iter().zip(labels) {
-            let at = &mut ends[label as usize];
-            groups[*at] = *item;
-            *at += 1;
-        }
+        ends.extend_from_slice(components.ends());
         let mut chain = None;
         let mut start = 0;
         for &end in &ends {

@@ -62,8 +62,10 @@ pub const MAGIC: [u8; 8] = *b"PVCSNAP\0";
 /// inserted after the cache bounds (delta-aware warm restarts); v3 — the
 /// engine's `extra` section gained a leading WAL high-water mark (crash-safe
 /// durability), so v2 extras no longer parse; v4 — the two compiled-arena
-/// sections are gone (the store no longer keeps arenas).
-pub const FORMAT_VERSION: u32 = 4;
+/// sections are gone (the store no longer keeps arenas); v5 — same layout,
+/// but the cached fold order is the compiler's, so a v4 file's folded
+/// distributions are not the bits this build computes.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Errors of the snapshot codec. Every failure mode of loading — I/O, bad
 /// magic, truncation, version or checksum mismatch, a snapshot recorded against
@@ -1269,23 +1271,26 @@ mod tests {
 
     #[test]
     fn a_v3_snapshot_is_refused_by_version() {
-        // v3 carried two compiled-arena sections after the distributions. This
-        // build reads v4 only and says so with the typed error (checksum fixed
-        // up so the version gate decides), which recovery answers by starting
-        // cold and replaying the log.
+        // v3 carried two compiled-arena sections after the distributions; v4
+        // has this layout, but its folded distributions were summed in another
+        // component order. This build reads v5 only and says so with the typed
+        // error (checksum fixed up so the version gate decides), which recovery
+        // answers by starting cold and replaying the log.
         let (_vt, shared) = populated();
-        let (mut bytes, _) = shared.snapshot_bytes(7, &[], None);
-        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
-        let n = bytes.len();
-        let fixed = fnv64(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&fixed.to_le_bytes());
-        assert_eq!(
-            decode_snapshot(&bytes).unwrap_err(),
-            PersistError::Version {
-                found: 3,
-                supported: 4
-            }
-        );
+        for old in [3u32, 4] {
+            let (mut bytes, _) = shared.snapshot_bytes(7, &[], None);
+            bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());
+            let n = bytes.len();
+            let fixed = fnv64(&bytes[..n - 8]);
+            bytes[n - 8..].copy_from_slice(&fixed.to_le_bytes());
+            assert_eq!(
+                decode_snapshot(&bytes).unwrap_err(),
+                PersistError::Version {
+                    found: old,
+                    supported: 5
+                }
+            );
+        }
     }
 
     #[test]

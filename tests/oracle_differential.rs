@@ -17,8 +17,9 @@
 //! * one-sided aggregate threshold predicates, whose confidences must match
 //!   the oracle's comparison mass over present worlds;
 //! * the artifact store's own answer to a conditional `[s θ c]` whose side
-//!   splits into independent components (rule 5 at the store), which must
-//!   equal the compiled circuit's **bit-for-bit** over `B` and `N`.
+//!   splits into independent components (rule 5 at the store), and to an
+//!   aggregate, sum or product it splits (rule 2), which must equal the
+//!   compiled circuit's **bit-for-bit** over `B` and `N`.
 //!
 //! Oracle-vs-engine agreement is `1e-9`-bounded (the two sides legitimately
 //! accumulate in different orders; the FFT path's documented accuracy policy
@@ -472,4 +473,134 @@ fn store_conditionals_equal_the_compiled_circuit_bit_for_bit() {
             }
         }
     }
+}
+
+/// The artifact store folds the independent components of an aggregate, a
+/// sum or a product itself (rule 2): its distribution must be the compiled
+/// circuit's in every bit, over `B` and `N`, for SUM / COUNT / MIN / MAX — and
+/// within 1e-9 of enumeration. Components that share a variable (`x0·x3` and
+/// `x3` below) are where a fold in another order than the compiler's chain
+/// shows in the last bits.
+#[test]
+fn store_aggregates_and_sums_equal_the_compiled_circuit_bit_for_bit() {
+    fn bits<V: Copy + Ord>(d: &Dist<V>) -> Vec<(V, u64)> {
+        d.iter().map(|(v, p)| (*v, p.to_bits())).collect()
+    }
+    let sum = SemiringExpr::sum;
+    let product = SemiringExpr::product;
+    let mut split = 0;
+    let mut cases = 0;
+    for seed in seeds() {
+        let mut mix = Mix(seed.wrapping_mul(0x9e37_79b9).wrapping_add(5));
+        for kind in [SemiringKind::Bool, SemiringKind::Nat] {
+            let mut vars = VarTable::new();
+            let mut x: Vec<SemiringExpr> = (0..8)
+                .map(|i| {
+                    let var = match kind {
+                        SemiringKind::Bool => vars.boolean(format!("x{i}"), mix.prob()),
+                        SemiringKind::Nat => {
+                            let (p, q) = (mix.prob() / 2.0, mix.prob() / 2.0);
+                            let top = mix.value(2, 3) as u64;
+                            vars.natural(format!("n{i}"), &[(0, p), (1, q), (top, 1.0 - p - q)])
+                        }
+                    };
+                    SemiringExpr::Var(var)
+                })
+                .collect();
+            // A seeded order, so variable ids and canonical operand order vary.
+            for i in (1..x.len()).rev() {
+                x.swap(i, mix.value(0, i as i64) as usize);
+            }
+            let xy = |i: usize, j: usize| product(vec![x[i].clone(), x[j].clone()]);
+            // Coefficient lists: the fixed entangled one, then seeded ones of
+            // three to six distinct coefficients (a variable, a product or a
+            // sum of two), which `simplify` leaves as they are.
+            let mut coefficient_lists =
+                vec![vec![xy(0, 3), x[1].clone(), x[2].clone(), x[3].clone()]];
+            for _ in 0..12 {
+                let mut keys = std::collections::BTreeSet::new();
+                let len = mix.value(3, 6) as usize;
+                while keys.len() < len {
+                    let (i, j) = (mix.value(0, 7) as usize, mix.value(0, 7) as usize);
+                    keys.insert(match mix.value(0, 5) {
+                        shape if shape <= 2 || i == j => (0, i, i),
+                        3 | 4 => (1, i.min(j), i.max(j)),
+                        _ => (2, i.min(j), i.max(j)),
+                    });
+                }
+                coefficient_lists.push(
+                    keys.into_iter()
+                        .map(|(shape, i, j)| match shape {
+                            0 => x[i].clone(),
+                            1 => xy(i, j),
+                            _ => sum(vec![x[i].clone(), x[j].clone()]),
+                        })
+                        .collect(),
+                );
+            }
+            for coefficients in &coefficient_lists {
+                for op in [AggOp::Sum, AggOp::Count, AggOp::Min, AggOp::Max] {
+                    let terms = coefficients
+                        .iter()
+                        .map(|c| {
+                            let m = match op {
+                                AggOp::Count => 1,
+                                _ => mix.value(-3, 9),
+                            };
+                            (c.clone(), MonoidValue::Fin(m))
+                        })
+                        .collect();
+                    let alpha = SemimoduleExpr::from_terms(op, terms);
+                    let context = format!("seed={seed} {kind:?}: {alpha}");
+                    let store = SharedArtifacts::default();
+                    let id = store.intern_semimodule(&alpha);
+                    let options = CompileOptions::default();
+                    let folded = store
+                        .evaluate_aggregate(id, &vars, kind, &options, 0)
+                        .unwrap();
+                    let compiled = Compiler::new(&vars, kind)
+                        .emit_semimodule(&alpha)
+                        .unwrap()
+                        .monoid_distribution(&vars, kind)
+                        .unwrap();
+                    assert_eq!(bits(&folded), bits(&compiled), "{context}");
+                    let expected = pvc_suite::expr::oracle::semimodule_dist_by_enumeration(
+                        &alpha, &vars, kind,
+                    );
+                    assert!(folded.approx_eq(&expected, 1e-9), "{context}");
+                    let whole =
+                        store.counters().arena_misses == 1 && store.aggregate_entries() == 1;
+                    split += usize::from(!whole);
+                    cases += 1;
+                }
+                for (name, expr) in [
+                    ("sum", sum(coefficients.clone())),
+                    ("product", product(coefficients.clone())),
+                ] {
+                    let context = format!("seed={seed} {kind:?} {name}: {expr}");
+                    let store = SharedArtifacts::default();
+                    let id = store.intern(&expr);
+                    let options = CompileOptions::default();
+                    let folded = store
+                        .evaluate_semiring(id, &vars, kind, &options, 0)
+                        .unwrap();
+                    let compiled = Compiler::new(&vars, kind)
+                        .emit_semiring(&expr)
+                        .unwrap()
+                        .semiring_distribution(&vars, kind)
+                        .unwrap();
+                    assert_eq!(bits(&folded), bits(&compiled), "{context}");
+                    let expected =
+                        pvc_suite::expr::oracle::semiring_dist_by_enumeration(&expr, &vars, kind);
+                    assert!(folded.approx_eq(&expected, 1e-9), "{context}");
+                }
+            }
+        }
+    }
+    // Most aggregates split: the store folded them rather than compiling
+    // them whole.
+    assert!(
+        2 * split > cases,
+        "only {split} of {cases} aggregates split"
+    );
 }
