@@ -18,7 +18,10 @@
 //!   independent components recur elsewhere reuses their distributions without
 //!   recompiling, and newly computed sub-distributions are inserted on the way
 //!   out. The split is the compiler's own: the store plans with the
-//!   compiler's [`Partitioner`], folds the components in its order, and
+//!   compiler's [`Partitioner`] through the same [`Partitioner::split`] call —
+//!   which takes the interner's disjointness bit and, when it is set (a group
+//!   of tuple-independent rows), returns the operands in order with no
+//!   union–find — folds the components in its order, and
 //!   folds semiring values with the arena's own `⊕` / `⊙` / `[θ]` arms
 //!   (SUM / COUNT aggregates through the [`AdditiveFold`] the arena's `⊕`
 //!   uses), so its answer is the compiled circuit's, bit for bit.
@@ -51,6 +54,10 @@
 //! composition possible: independent sums/products combine cached distributions by
 //! convolution (Eqs. 4–7 of the paper) in time `O(|p_1|·|p_2|)`.
 //!
+//! The store's own id-keyed tables (the LRU slab index, `settled`'s visited
+//! set) hash with the interner's [`IdHasher`]: their keys are ids this program
+//! issued, so SipHash's protection buys nothing there.
+//!
 //! Correctness contract: cached artifacts are functions of (expression structure,
 //! variable distributions, ambient semiring). Callers must clear the cache whenever
 //! variable distributions change, and must bypass it when compilation is made
@@ -61,12 +68,13 @@ use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler};
 use crate::node::DTreeError;
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
 use pvc_expr::independence::Partitioner;
-use pvc_expr::intern::{AggExprId, ExprId, ImportMemo, InternedExpr, Interner};
+use pvc_expr::intern::{AggExprId, ExprId, IdHasher, ImportMemo, InternedExpr, Interner};
 use pvc_expr::vars::sorted_disjoint;
 use pvc_expr::{SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
 use pvc_prob::{AdditiveFold, ChainVal, MonoidDist, SemiringDist};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::{Mutex, MutexGuard};
 
 /// Size bounds for the [`CompilationCache`]. **Each of the two distribution
@@ -116,7 +124,9 @@ pub struct CacheCounters {
 /// eviction are O(1) and no external crate is needed.
 #[derive(Debug)]
 struct Lru<V> {
-    map: HashMap<u32, usize>,
+    /// Slot of each key: keys are interner ids, hashed with the interner's
+    /// [`IdHasher`].
+    map: HashMap<u32, usize, BuildHasherDefault<IdHasher>>,
     slots: Vec<Option<LruEntry<V>>>,
     free: Vec<usize>,
     head: usize, // most recently used; NONE when empty
@@ -139,7 +149,7 @@ const NONE: usize = usize::MAX;
 impl<V> Lru<V> {
     fn new() -> Self {
         Lru {
-            map: HashMap::new(),
+            map: HashMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NONE,
@@ -1007,9 +1017,11 @@ impl SharedArtifacts {
             let mut interning = self.interner();
             let node = interning.interner.agg_node(id);
             let (op, terms) = (node.op, node.terms.to_vec());
+            let disjoint = interning.interner.terms_disjoint(id);
             independent_components(
                 &mut interning,
                 &terms,
+                disjoint,
                 |(coeff, _)| coeff,
                 |interner, group| interner.intern_agg(op, group),
             )
@@ -1256,9 +1268,11 @@ fn plan_semiring(interning: &mut Interning, id: ExprId) -> Option<SemiringPlan> 
     if compare.is_some() && !settled(interner, side) {
         return None;
     }
+    let disjoint = interner.children_disjoint(side);
     let components = independent_components(
         interning,
         &children,
+        disjoint,
         |c| c,
         |interner, group| match is_add {
             true => interner.intern_add(group),
@@ -1279,7 +1293,7 @@ fn plan_semiring(interning: &mut Interning, id: ExprId) -> Option<SemiringPlan> 
 /// this does not replay). On such a DAG the compiler splits exactly the
 /// children the store's planner sees.
 fn settled(interner: &Interner, root: ExprId) -> bool {
-    let mut seen = HashSet::new();
+    let mut seen = HashSet::<_, BuildHasherDefault<IdHasher>>::default();
     let mut stack = vec![root];
     while let Some(id) = stack.pop() {
         let (is_add, children) = match interner.node(id) {
@@ -1316,19 +1330,24 @@ fn settled(interner: &Interner, root: ExprId) -> bool {
 /// aggregate, `coeff` naming the semiring expression an item's variables come
 /// from — into groups of pairwise variable-disjoint items (connected components
 /// of the co-occurrence graph), interning every non-leaf group with
-/// `intern_group`; `None` when everything is one component.
+/// `intern_group`; `None` when everything is one component. `disjoint` is the
+/// node's interner bit ([`Interner::children_disjoint`] /
+/// [`Interner::terms_disjoint`]): set, the split is the items in order with no
+/// union–find.
 ///
 /// Components come in the order of the compiler's split (the one
-/// [`Partitioner`]: smallest member first, members ascending), which every
-/// cached bit of a fold depends on.
+/// [`Partitioner`], through the same [`Partitioner::split`] call: smallest
+/// member first, members ascending), which every cached bit of a fold depends
+/// on.
 fn independent_components<T: Copy, I>(
     interning: &mut Interning,
     items: &[T],
+    disjoint: bool,
     coeff: impl Fn(T) -> ExprId,
     mut intern_group: impl FnMut(&mut Interner, &[T]) -> I,
 ) -> Option<Vec<Component<I>>> {
     let Interning { interner, planner } = interning;
-    let components = planner.components(items.len(), |i| interner.var_set(coeff(items[i])));
+    let components = planner.split(items.len(), disjoint, |i| interner.var_set(coeff(items[i])));
     if components.len() <= 1 {
         return None;
     }
@@ -1908,6 +1927,89 @@ mod tests {
         assert_eq!(shared.scratch().len(), 1);
         shared.clear();
         assert!(shared.scratch().is_empty());
+    }
+
+    /// Every sum, product and aggregate of the store's interner carries the
+    /// disjointness bit its items' partition gives.
+    fn assert_bits_are_the_partition(store: &SharedArtifacts, what: &str) {
+        let interning = store.interner();
+        let it = &interning.interner;
+        let mut partitioner = Partitioner::default();
+        for (i, node) in it.nodes().enumerate() {
+            if let InternedExpr::Add(items) | InternedExpr::Mul(items) = node {
+                let parts = partitioner.components(items.len(), |k| it.var_set(items[k]));
+                let bit = it.children_disjoint(ExprId(i as u32));
+                assert_eq!(bit, parts.len() == items.len(), "{what}: {node:?}");
+            }
+        }
+        for (j, node) in it.agg_nodes().enumerate() {
+            let terms = node.terms;
+            let parts = partitioner.components(terms.len(), |k| it.var_set(terms[k].0));
+            let bit = it.terms_disjoint(AggExprId(j as u32));
+            assert_eq!(bit, parts.len() == terms.len(), "{what}: {node:?}");
+        }
+    }
+
+    #[test]
+    fn snapshot_replay_and_compaction_keep_the_disjointness_bit() {
+        let (vt, xs) = setup();
+        let x = |i: usize| v(xs[i]);
+        let top = || SemiringExpr::Const(SemiringValue::Bool(true));
+        let sums = [
+            x(0) + x(1) + x(2),
+            x(0) * x(1) + x(2) * x(3) + x(4),
+            x(0) * x(1) + x(1) * x(2) + x(5),
+            (x(0) + x(1)) * (x(2) + x(3)),
+            (x(0) + x(1)) * (x(1) + x(3)),
+            SemiringExpr::Add(vec![x(0), top(), x(3)]),
+            SemiringExpr::Add(vec![x(2), x(2), x(4)]),
+        ];
+        let aggs = [
+            SemimoduleExpr::from_terms(AggOp::Count, (0..6).map(|i| (x(i), Fin(1))).collect()),
+            SemimoduleExpr::from_terms(
+                AggOp::Sum,
+                vec![(x(0), Fin(2)), (x(0), Fin(3)), (x(1) * x(2), Fin(4))],
+            ),
+            SemimoduleExpr::from_terms(AggOp::Max, vec![(x(3) * x(4), Fin(1)), (x(5), Fin(7))]),
+        ];
+        let shared = SharedArtifacts::default();
+        let options = CompileOptions::default();
+        let mut bits = Vec::new();
+        for e in &sums {
+            let id = shared.intern(e);
+            shared
+                .evaluate_semiring(id, &vt, SemiringKind::Bool, &options, 1)
+                .unwrap();
+            bits.push(shared.interner().interner.children_disjoint(id));
+        }
+        for alpha in &aggs {
+            let id = shared.intern_semimodule(alpha);
+            shared
+                .evaluate_aggregate(id, &vt, SemiringKind::Bool, &options, 1)
+                .unwrap();
+            bits.push(shared.interner().interner.terms_disjoint(id));
+        }
+        assert!(bits.contains(&true) && bits.contains(&false), "{bits:?}");
+        assert_bits_are_the_partition(&shared, "interned");
+        let (bytes, _) = shared.snapshot_bytes(7, &[], None);
+        let snapshot = crate::persist::decode_snapshot(&bytes).unwrap();
+        let (restored, _) = SharedArtifacts::from_snapshot(&snapshot, 7).unwrap();
+        shared.compact();
+        for (store, what) in [(&restored, "restored"), (&shared, "compacted")] {
+            assert_bits_are_the_partition(store, what);
+            let again: Vec<bool> = sums
+                .iter()
+                .map(|e| {
+                    let id = store.intern(e);
+                    store.interner().interner.children_disjoint(id)
+                })
+                .chain(aggs.iter().map(|alpha| {
+                    let id = store.intern_semimodule(alpha);
+                    store.interner().interner.terms_disjoint(id)
+                }))
+                .collect();
+            assert_eq!(again, bits, "{what}");
+        }
     }
 
     #[test]

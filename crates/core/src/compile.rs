@@ -434,14 +434,16 @@ impl<'a> Compiler<'a> {
             InternedExpr::Const(c) => self.emit(ArenaNode::SConst(c)),
             InternedExpr::Var(v) => self.emit(ArenaNode::VarLeaf(v)),
             InternedExpr::Add(children) => {
+                let disjoint = arena.children_disjoint(id);
                 let list = filled(&mut self.scratch.id_bufs, children);
-                let sum = self.compile_sum(&list)?;
+                let sum = self.compile_sum(&list, disjoint)?;
                 recycle(&mut self.scratch.id_bufs, list);
                 Ok(sum)
             }
             InternedExpr::Mul(children) => {
+                let disjoint = arena.children_disjoint(id);
                 let list = filled(&mut self.scratch.id_bufs, children);
-                let product = self.compile_product(&list)?;
+                let product = self.compile_product(&list, disjoint)?;
                 recycle(&mut self.scratch.id_bufs, list);
                 Ok(product)
             }
@@ -538,8 +540,10 @@ impl<'a> Compiler<'a> {
             .intern_node(InternedExpr::Const(value))
     }
 
-    /// Rule 2 + rule 3 on an n-ary semiring sum.
-    fn compile_sum(&mut self, children: &[ExprId]) -> Result<u32, BudgetExceeded> {
+    /// Rule 2 + rule 3 on an n-ary semiring sum; `disjoint` if the children
+    /// are known to be pairwise variable-disjoint (see
+    /// [`compile_components`](Self::compile_components)).
+    fn compile_sum(&mut self, children: &[ExprId], disjoint: bool) -> Result<u32, BudgetExceeded> {
         if children.is_empty() {
             return self.emit(ArenaNode::SConst(self.kind.zero()));
         }
@@ -549,9 +553,10 @@ impl<'a> Compiler<'a> {
         if self.options.independence {
             let split = self.compile_components(
                 children,
+                disjoint,
                 |c| *c,
                 |compiler| &mut compiler.scratch.id_bufs,
-                Self::compile_sum,
+                |compiler, group| compiler.compile_sum(group, false),
                 |left, right| ArenaNode::SumS { left, right },
             )?;
             if let Some((groups, sum)) = split {
@@ -594,8 +599,13 @@ impl<'a> Compiler<'a> {
         self.shannon_semiring(sum)
     }
 
-    /// Independent-product split on an n-ary semiring product.
-    fn compile_product(&mut self, children: &[ExprId]) -> Result<u32, BudgetExceeded> {
+    /// Independent-product split on an n-ary semiring product (`disjoint` as
+    /// for [`compile_sum`](Self::compile_sum)).
+    fn compile_product(
+        &mut self,
+        children: &[ExprId],
+        disjoint: bool,
+    ) -> Result<u32, BudgetExceeded> {
         if children.is_empty() {
             return self.emit(ArenaNode::SConst(self.kind.one()));
         }
@@ -605,9 +615,10 @@ impl<'a> Compiler<'a> {
         if self.options.independence {
             let split = self.compile_components(
                 children,
+                disjoint,
                 |c| *c,
                 |compiler| &mut compiler.scratch.id_bufs,
-                Self::compile_product,
+                |compiler, group| compiler.compile_product(group, false),
                 |left, right| ArenaNode::Prod { left, right },
             )?;
             if let Some((groups, product)) = split {
@@ -639,17 +650,24 @@ impl<'a> Compiler<'a> {
     }
 
     fn compile_agg(&mut self, id: AggExprId) -> Result<u32, BudgetExceeded> {
-        let node = self.scratch.work.arena().agg_node(id);
+        let arena = self.scratch.work.arena();
+        let (node, disjoint) = (arena.agg_node(id), arena.terms_disjoint(id));
         let terms = filled(&mut self.scratch.term_bufs, node.terms);
-        let compiled = self.compile_terms(node.op, &terms)?;
+        let compiled = self.compile_terms(node.op, &terms, disjoint)?;
         recycle(&mut self.scratch.term_bufs, terms);
         Ok(compiled)
     }
 
     /// Compile the semimodule expression `Σ_op terms`. The list is normalised
     /// ([`ResidualArena::normalize_terms`]): at most one term has a constant
-    /// coefficient, and no two terms share one.
-    fn compile_terms(&mut self, op: AggOp, terms: &[AggTerm]) -> Result<u32, BudgetExceeded> {
+    /// coefficient, and no two terms share one. `disjoint` if the coefficients
+    /// are known to be pairwise variable-disjoint.
+    fn compile_terms(
+        &mut self,
+        op: AggOp,
+        terms: &[AggTerm],
+        disjoint: bool,
+    ) -> Result<u32, BudgetExceeded> {
         // Rule 1: ground expressions fold to a monoid constant.
         let arena = self.scratch.work.arena();
         let ground = terms.iter().try_fold(op.identity(), |acc, (coeff, value)| {
@@ -663,9 +681,10 @@ impl<'a> Compiler<'a> {
         if self.options.independence && terms.len() > 1 {
             let split = self.compile_components(
                 terms,
+                disjoint,
                 |t| t.0,
                 |compiler| &mut compiler.scratch.term_bufs,
-                |compiler, group| compiler.compile_terms(op, group),
+                |compiler, group| compiler.compile_terms(op, group, false),
                 |left, right| ArenaNode::SumM { op, left, right },
             )?;
             if let Some((groups, sum)) = split {
@@ -709,7 +728,7 @@ impl<'a> Compiler<'a> {
                     // constant 1_S now.
                     work.normalize_terms(op, &mut quotient, 0);
                     let scalar = self.compile_var_product(&common)?;
-                    let value = self.compile_terms(op, &quotient)?;
+                    let value = self.compile_terms(op, &quotient, false)?;
                     recycle(&mut self.scratch.term_bufs, quotient);
                     return self.emit(ArenaNode::Tensor { op, scalar, value });
                 }
@@ -726,10 +745,14 @@ impl<'a> Compiler<'a> {
     /// member, members in order), compile each with `compile` and `combine`
     /// them into a left-deep chain, each link emitted as soon as its right
     /// operand is. Returns the number of components with the chain's root, or
-    /// `None` if everything is one component.
+    /// `None` if everything is one component. `disjoint` is the interner's bit
+    /// when `items` are a node's own children or terms: then each is its own
+    /// component and the partitioner skips its union–find
+    /// ([`Partitioner::split`]).
     fn compile_components<T: Copy>(
         &mut self,
         items: &[T],
+        disjoint: bool,
         coeff: impl Fn(&T) -> ExprId,
         pool: fn(&mut Self) -> &mut Vec<Vec<T>>,
         mut compile: impl FnMut(&mut Self, &[T]) -> Result<u32, BudgetExceeded>,
@@ -742,7 +765,7 @@ impl<'a> Compiler<'a> {
         let components = self
             .scratch
             .partitioner
-            .components(items.len(), |i| arena.var_set(coeff(&items[i])));
+            .split(items.len(), disjoint, |i| arena.var_set(coeff(&items[i])));
         let count = components.len();
         if count <= 1 {
             pool(self).push(groups);
@@ -831,7 +854,7 @@ impl<'a> Compiler<'a> {
                 residual.push((work.substitute(coeff), m));
             }
             work.normalize_terms(op, &mut residual, 0);
-            let child = self.compile_terms(op, &residual)?;
+            let child = self.compile_terms(op, &residual, false)?;
             recycle(&mut self.scratch.term_bufs, residual);
             self.scratch.pending.push((*value, child));
         }

@@ -12,6 +12,14 @@
 //! first, members ascending — so the store folds component distributions in the
 //! order the compiler chains them, and its answers are the compiled circuit's
 //! bits.
+//!
+//! A node's own operands often need no union–find at all: the interner records
+//! at intern time whether they are pairwise variable-disjoint
+//! ([`Interner::children_disjoint`](crate::Interner::children_disjoint)). For
+//! such items the partition is every item alone, in index order, and
+//! [`Partitioner::split`] returns exactly that without reading a variable. The
+//! compiler and the store both split a node through `split`, so the shortcut is
+//! one code path with one order, like the partitioner itself.
 
 use crate::vars::{Var, VarSet};
 
@@ -202,6 +210,31 @@ impl Partitioner {
         }
         starts.copy_within(..count as usize, 1);
         starts[0] = 0;
+        &self.partition
+    }
+
+    /// [`components`](Self::components), for items that may be known to be
+    /// pairwise variable-disjoint already: an interned node's
+    /// [`children_disjoint`](crate::Interner::children_disjoint) or
+    /// [`terms_disjoint`](crate::Interner::terms_disjoint) bit. Known-disjoint
+    /// items skip the union–find and its variable table: every item is its own
+    /// component, in index order — exactly what `components` returns for them,
+    /// an item without variables included. Every split of a node's own items,
+    /// the compiler's and the store's, comes through here.
+    pub fn split<'a>(
+        &mut self,
+        n: usize,
+        disjoint: bool,
+        set_of: impl Fn(usize) -> &'a [Var],
+    ) -> &Components {
+        if !disjoint {
+            return self.components(n, set_of);
+        }
+        let Components { members, starts } = &mut self.partition;
+        members.clear();
+        members.extend(0..n);
+        starts.clear();
+        starts.extend(0..=n);
         &self.partition
     }
 

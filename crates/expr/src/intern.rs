@@ -20,7 +20,24 @@
 //! * every node carries a precomputed [canonical hash](Interner::hash) (a structural
 //!   fingerprint independent of id-assignment order, usable across interner
 //!   instances) and its [variable set](Interner::var_set) (so independence analyses
-//!   need not re-walk the tree).
+//!   need not re-walk the tree);
+//! * every sum, product and semimodule node records whether its operands'
+//!   variable sets are pairwise disjoint ([`Interner::children_disjoint`],
+//!   [`Interner::terms_disjoint`]). The union of those sets is built at intern
+//!   time anyway, and the sets are disjoint iff it is as long as they are
+//!   together, so the bit costs one comparison. It is the decomposability of
+//!   the node as a gate: the independence split of §5 (the compiler's rule 2,
+//!   the artifact store's plan) reads it instead of running a union–find over
+//!   the same variables. Being a function of the structure, it is recomputed by
+//!   every path that builds a node — [`Interner::intern_node`] (snapshot
+//!   replay), [`Interner::import`] (compaction, compile-local copies) — and is
+//!   not stored in snapshots.
+//!
+//! The canonical order sorts **precomputed keys**: each operand's hash, id and
+//! position are packed into one `u128` before the sort, so a comparison is one
+//! integer comparison instead of two arena reads (`(exprs[c].hash, c)`); hash,
+//! dedup comparison and var-set union then read the sorted keys. The order, and
+//! so every id and every compiled bit, is the one `(hash, id)` defines.
 //!
 //! The same type serves two roles. The **shared** arena only ever grows; it lives
 //! alongside a bounded `CompilationCache` (see `pvc-core`) which stores the
@@ -164,13 +181,15 @@ impl Span {
     }
 }
 
-/// A node as stored: n-ary children are a run of [`Interner::children`].
+/// A node as stored: n-ary children are a run of [`Interner::children`], with
+/// whether their variable sets are pairwise disjoint (see
+/// [`Interner::children_disjoint`]).
 #[derive(Debug, Clone, Copy)]
 enum Shape {
     Var(Var),
     Const(SemiringValue),
-    Add(Span),
-    Mul(Span),
+    Add(Span, bool),
+    Mul(Span, bool),
     CmpSS(CmpOp, ExprId, ExprId),
     CmpMM(CmpOp, AggExprId, AggExprId),
 }
@@ -190,6 +209,29 @@ struct AggEntry {
     terms: Span,
     hash: u64,
     vars: Span,
+    /// The coefficients' variable sets are pairwise disjoint.
+    disjoint: bool,
+}
+
+/// The canonical sort key of an operand, precomputed: its canonical hash in the
+/// high 64 bits, its id in the next 32 and, for a semimodule term, its position
+/// in the caller's list in the low 32. Ascending keys are ascending
+/// `(hash, id)`, and a sort compares one integer per step where a sort by
+/// `(exprs[c].hash, c)` would read the arena twice.
+fn operand_key(hash: u64, id: ExprId, position: usize) -> u128 {
+    u128::from(hash) << 64 | u128::from(id.0) << 32 | position as u128
+}
+
+fn key_hash(key: u128) -> u64 {
+    (key >> 64) as u64
+}
+
+fn key_id(key: u128) -> ExprId {
+    ExprId((key >> 32) as u32)
+}
+
+fn key_position(key: u128) -> usize {
+    key as u32 as usize
 }
 
 /// The dedup index: an open-addressing table of node ids, probed linearly from the
@@ -272,6 +314,12 @@ pub struct Interner {
     /// Terms of every semimodule node, one run per node.
     agg_terms: Vec<AggTerm>,
     agg_table: IdTable,
+
+    /// Working room of [`insert_nary`](Self::insert_nary) and
+    /// [`intern_agg`](Self::intern_agg): the [keys](operand_key) of the node
+    /// being interned. Kept between calls, so interning allocates nothing once
+    /// it is as long as the widest node.
+    keys: Vec<u128>,
 }
 
 // The interner is shared across worker threads (behind a mutex in
@@ -301,9 +349,10 @@ impl Interner {
         self.aggs.clear();
         self.agg_terms.clear();
         self.agg_table.clear();
+        self.keys.clear();
     }
 
-    /// Allocated room of the seven tables, in elements — moves only when one of
+    /// Allocated room of the eight tables, in elements — moves only when one of
     /// them reallocates.
     pub fn capacity(&self) -> usize {
         self.exprs.capacity()
@@ -313,6 +362,7 @@ impl Interner {
             + self.aggs.capacity()
             + self.agg_terms.capacity()
             + self.agg_table.slots.capacity()
+            + self.keys.capacity()
     }
 
     /// Number of distinct interned semiring nodes.
@@ -335,8 +385,8 @@ impl Interner {
         match self.exprs[id.0 as usize].shape {
             Shape::Var(v) => InternedExpr::Var(v),
             Shape::Const(c) => InternedExpr::Const(c),
-            Shape::Add(span) => InternedExpr::Add(&self.children[span.range()]),
-            Shape::Mul(span) => InternedExpr::Mul(&self.children[span.range()]),
+            Shape::Add(span, _) => InternedExpr::Add(&self.children[span.range()]),
+            Shape::Mul(span, _) => InternedExpr::Mul(&self.children[span.range()]),
             Shape::CmpSS(op, a, b) => InternedExpr::CmpSS(op, a, b),
             Shape::CmpMM(op, a, b) => InternedExpr::CmpMM(op, a, b),
         }
@@ -379,6 +429,28 @@ impl Interner {
     /// The variables occurring in an interned semimodule expression.
     pub fn agg_var_set(&self, id: AggExprId) -> &[Var] {
         &self.var_pool[self.aggs[id.0 as usize].vars.range()]
+    }
+
+    /// True if `id` is a sum or product whose children's variable sets are
+    /// pairwise disjoint — each child its own component of the co-occurrence
+    /// graph (a child without variables included), so the independence split
+    /// of §5 needs no union–find. Recorded when the node is interned, where the
+    /// union of the children's sets is built anyway: the sets are disjoint iff
+    /// the union is as long as their lengths summed. `false` for every other
+    /// shape. Derived from the node's structure, so an interner that replays or
+    /// imports the node records the same bit.
+    pub fn children_disjoint(&self, id: ExprId) -> bool {
+        match self.exprs[id.0 as usize].shape {
+            Shape::Add(_, disjoint) | Shape::Mul(_, disjoint) => disjoint,
+            _ => false,
+        }
+    }
+
+    /// [`children_disjoint`](Self::children_disjoint) for the terms of a
+    /// semimodule expression: their coefficients' variable sets are pairwise
+    /// disjoint.
+    pub fn terms_disjoint(&self, id: AggExprId) -> bool {
+        self.aggs[id.0 as usize].disjoint
     }
 
     /// All interned semiring nodes in id order (item `i` is the node behind
@@ -460,17 +532,27 @@ impl Interner {
 
     /// Intern a semimodule sum from already-interned terms (canonicalising order).
     pub fn intern_agg(&mut self, op: AggOp, terms: &[AggTerm]) -> AggExprId {
-        let start = self.agg_terms.len();
-        self.agg_terms.extend_from_slice(terms);
-        let exprs = &self.exprs;
-        self.agg_terms[start..]
-            .sort_unstable_by_key(|(coeff, value)| (exprs[coeff.0 as usize].hash, *coeff, *value));
-        let own = &self.agg_terms[start..];
+        // Each coefficient's hash is read once into its key; the sort, the
+        // hash and the comparison then work from the keys.
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        keys.extend(
+            terms
+                .iter()
+                .enumerate()
+                .map(|(at, &(coeff, _))| operand_key(self.exprs[coeff.0 as usize].hash, coeff, at)),
+        );
+        sort_terms(&mut keys, terms);
+        let term = |key: u128| (key_id(key), terms[key_position(key)].1);
         let hash = commutative_fold(
             chain(TAG_AGG, op as u64),
-            own.iter()
-                .map(|(c, v)| chain(exprs[c.0 as usize].hash, hash_monoid_value(v))),
+            keys.iter()
+                .map(|&k| chain(key_hash(k), hash_monoid_value(&term(k).1))),
         );
+        let start = self.agg_terms.len();
+        self.agg_terms.extend(keys.iter().map(|&k| term(k)));
+        self.keys = keys;
+        let own = &self.agg_terms[start..];
         let found = self.agg_table.find(hash, |cand| {
             let entry = &self.aggs[cand as usize];
             entry.hash == hash && entry.op == op && self.agg_terms[entry.terms.range()] == *own
@@ -480,7 +562,7 @@ impl Interner {
             return AggExprId(id);
         }
         let terms = Span::new(start, self.agg_terms.len());
-        let vars = union_vars(
+        let (vars, disjoint) = union_vars(
             &mut self.var_pool,
             self.agg_terms[start..]
                 .iter()
@@ -492,6 +574,7 @@ impl Interner {
             terms,
             hash,
             vars,
+            disjoint,
         });
         let aggs = &self.aggs;
         self.agg_table
@@ -572,24 +655,31 @@ impl Interner {
         if let [only] = children {
             return *only;
         }
+        // Each child's hash is read once into its key; the sort, the hash and
+        // the comparison then work from the keys.
+        let mut keys = std::mem::take(&mut self.keys);
+        keys.clear();
+        keys.extend(
+            children
+                .iter()
+                .map(|&c| operand_key(self.exprs[c.0 as usize].hash, c, 0)),
+        );
+        sort_children(&mut keys);
+        let tag = if is_add { TAG_ADD } else { TAG_MUL };
+        let hash = commutative_fold(tag, keys.iter().map(|&k| key_hash(k)));
         // The candidate's children go to the end of the pool first: a hit takes
         // them off again, a miss leaves them where the new node needs them.
         let start = self.children.len();
-        self.children.extend_from_slice(children);
+        self.children.extend(keys.iter().map(|&k| key_id(k)));
+        self.keys = keys;
         let exprs = &self.exprs;
-        // Canonical order: by canonical hash, ties broken by id (within one
-        // interner, equal structure ⇒ equal id, so the order is total on distinct
-        // structures and permutations of a multiset sort identically).
-        self.children[start..].sort_unstable_by_key(|c| (exprs[c.0 as usize].hash, *c));
         let own = &self.children[start..];
-        let tag = if is_add { TAG_ADD } else { TAG_MUL };
-        let hash = commutative_fold(tag, own.iter().map(|c| exprs[c.0 as usize].hash));
         let found = self.table.find(hash, |cand| {
             let entry = &exprs[cand as usize];
             entry.hash == hash
                 && match entry.shape {
-                    Shape::Add(span) if is_add => self.children[span.range()] == *own,
-                    Shape::Mul(span) if !is_add => self.children[span.range()] == *own,
+                    Shape::Add(span, _) if is_add => self.children[span.range()] == *own,
+                    Shape::Mul(span, _) if !is_add => self.children[span.range()] == *own,
                     _ => false,
                 }
         });
@@ -598,16 +688,16 @@ impl Interner {
             return ExprId(id);
         }
         let span = Span::new(start, self.children.len());
-        let vars = union_vars(
+        let (vars, disjoint) = union_vars(
             &mut self.var_pool,
             self.children[start..]
                 .iter()
                 .map(|c| self.exprs[c.0 as usize].vars),
         );
         let shape = if is_add {
-            Shape::Add(span)
+            Shape::Add(span, disjoint)
         } else {
-            Shape::Mul(span)
+            Shape::Mul(span, disjoint)
         };
         self.push_expr(shape, hash, vars)
     }
@@ -625,7 +715,7 @@ impl Interner {
                 chain(chain(TAG_CMP_MM, op as u64), self.agg_hash(a)),
                 self.agg_hash(b),
             ),
-            Shape::Add(_) | Shape::Mul(_) => unreachable!("n-ary nodes go through insert_nary"),
+            Shape::Add(..) | Shape::Mul(..) => unreachable!("n-ary nodes go through insert_nary"),
         };
         let found = self.table.find(hash, |cand| {
             let entry = &self.exprs[cand as usize];
@@ -648,11 +738,11 @@ impl Interner {
             }
             Shape::CmpSS(_, a, b) => {
                 let sides = [self.exprs[a.0 as usize].vars, self.exprs[b.0 as usize].vars];
-                union_vars(&mut self.var_pool, sides.into_iter())
+                union_vars(&mut self.var_pool, sides.into_iter()).0
             }
             Shape::CmpMM(_, a, b) => {
                 let sides = [self.aggs[a.0 as usize].vars, self.aggs[b.0 as usize].vars];
-                union_vars(&mut self.var_pool, sides.into_iter())
+                union_vars(&mut self.var_pool, sides.into_iter()).0
             }
             _ => Span::default(),
         };
@@ -668,11 +758,40 @@ impl Interner {
     }
 }
 
+/// The canonical order of an n-ary node's children: by canonical hash, ties
+/// broken by id (within one interner, equal structure ⇒ equal id, so the order
+/// is total on distinct structures and permutations of a multiset sort
+/// identically) — ascending [keys](operand_key).
+fn sort_children(keys: &mut [u128]) {
+    keys.sort_unstable();
+}
+
+/// The canonical order of a semimodule node's terms: by the coefficient's
+/// canonical hash, then its id, then the value. The keys order the first two;
+/// terms that share a coefficient, rare, are put in value order afterwards.
+fn sort_terms(keys: &mut [u128], terms: &[AggTerm]) {
+    keys.sort_unstable();
+    let mut run = 0;
+    while run < keys.len() {
+        let coeff = keys[run] >> 32;
+        let end = run
+            + keys[run..]
+                .iter()
+                .take_while(|&&k| k >> 32 == coeff)
+                .count();
+        if end - run > 1 {
+            keys[run..end].sort_unstable_by_key(|&k| terms[key_position(k)].1);
+        }
+        run = end;
+    }
+}
+
 /// Append the union of the given runs of `pool` to it — every run's variables
 /// collected once, then one sort and one dedup (folding pairwise unions re-sorts
-/// the growing set per run) — and return where it is. A union no larger than its
+/// the growing set per run) — and return where it is, with whether the runs were
+/// pairwise disjoint (the dedup removed nothing). A union no larger than its
 /// widest operand *is* that operand, whose run is returned instead.
-fn union_vars(pool: &mut Vec<Var>, sets: impl Iterator<Item = Span>) -> Span {
+fn union_vars(pool: &mut Vec<Var>, sets: impl Iterator<Item = Span>) -> (Span, bool) {
     let start = pool.len();
     let mut widest = Span::default();
     for set in sets {
@@ -689,12 +808,13 @@ fn union_vars(pool: &mut Vec<Var>, sets: impl Iterator<Item = Span>) -> Span {
             end += 1;
         }
     }
+    let disjoint = end == pool.len();
     if end - start == widest.len as usize {
         pool.truncate(start);
-        return widest;
+        return (widest, disjoint);
     }
     pool.truncate(end);
-    Span::new(start, end)
+    (Span::new(start, end), disjoint)
 }
 
 /// What an [`Interner::import`] has copied so far, by source id.
@@ -714,9 +834,12 @@ impl ImportMemo {
 }
 
 /// Hasher for arena ids — small integers this program handed out itself, so one
-/// round of [`mix`] instead of SipHash.
+/// round of the splitmix64 finaliser instead of SipHash. For maps and sets
+/// keyed by one `u32` id (or a newtype of one, such as [`ExprId`]): one
+/// `write_u32` per key, and no seed, since no outsider chooses an id. The
+/// artifact store in `pvc-core` keys its id tables with it too.
 #[derive(Debug, Default)]
-struct IdHasher(u64);
+pub struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     fn finish(&self) -> u64 {
@@ -737,7 +860,9 @@ impl Hasher for IdHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::independence::Partitioner;
     use pvc_algebra::MonoidValue::Fin;
+    use pvc_prob::SeededRng;
 
     fn v(i: u32) -> SemiringExpr {
         SemiringExpr::Var(Var(i))
@@ -942,5 +1067,326 @@ mod tests {
             "interning {} terms took {large:?}, {n} terms {small:?}: ratio {ratio:.1}",
             8 * n
         );
+    }
+
+    /// Seeds of the randomised sweeps: one fixed, plus `PVC_ORACLE_SEED` when
+    /// set.
+    fn seeds(fixed: u64) -> Vec<u64> {
+        let mut seeds = vec![fixed];
+        if let Ok(extra) = std::env::var("PVC_ORACLE_SEED") {
+            seeds.push(extra.parse().expect("PVC_ORACLE_SEED must be a u64"));
+        }
+        seeds
+    }
+
+    fn random_const(rng: &mut SeededRng) -> SemiringExpr {
+        SemiringExpr::Const(match rng.gen_range(0u32..3) {
+            0 => SemiringValue::Bool(rng.gen_range(0u32..2) == 1),
+            _ => SemiringValue::Nat(rng.gen_range(0u32..3) as u64),
+        })
+    }
+
+    /// A random expression over the variables `0..pool`: sums and products of
+    /// 0–5 operands (constants among them, and now and then an operand
+    /// repeated, as `N` keeps it), comparisons, and aggregates.
+    fn random_expr(rng: &mut SeededRng, pool: u32, depth: u32) -> SemiringExpr {
+        let pick = match depth {
+            0 => rng.gen_range(0u32..3),
+            _ => rng.gen_range(0u32..9),
+        };
+        match pick {
+            0 | 1 => v(rng.gen_range(0..pool)),
+            2 => random_const(rng),
+            3..=6 => {
+                let n = rng.gen_range(0usize..6);
+                let mut children: Vec<SemiringExpr> =
+                    (0..n).map(|_| random_expr(rng, pool, depth - 1)).collect();
+                if n > 0 && rng.gen_range(0u32..4) == 0 {
+                    let repeated = children[rng.gen_range(0..n)].clone();
+                    children.push(repeated);
+                }
+                match pick {
+                    3 | 4 => SemiringExpr::Add(children),
+                    _ => SemiringExpr::Mul(children),
+                }
+            }
+            7 => SemiringExpr::cmp_ss(
+                CmpOp::Le,
+                random_expr(rng, pool, depth - 1),
+                random_expr(rng, pool, depth - 1),
+            ),
+            _ => SemiringExpr::cmp_mm(
+                CmpOp::Ge,
+                random_agg(rng, pool, depth - 1),
+                random_agg(rng, pool, depth - 1),
+            ),
+        }
+    }
+
+    /// A random aggregate of 0–5 terms; a coefficient is repeated now and then,
+    /// with the same value or another one.
+    fn random_agg(rng: &mut SeededRng, pool: u32, depth: u32) -> SemimoduleExpr {
+        let op = [AggOp::Sum, AggOp::Count, AggOp::Min, AggOp::Max][rng.gen_range(0usize..4)];
+        let n = rng.gen_range(0usize..6);
+        let mut terms: Vec<(SemiringExpr, MonoidValue)> = (0..n)
+            .map(|_| (random_expr(rng, pool, depth), Fin(rng.gen_range(0i64..4))))
+            .collect();
+        if n > 0 && rng.gen_range(0u32..3) == 0 {
+            let coeff = terms[rng.gen_range(0..n)].0.clone();
+            terms.push((coeff, Fin(rng.gen_range(0i64..4))));
+        }
+        SemimoduleExpr::from_terms(op, terms)
+    }
+
+    /// The same expression with the operands of every sum and product and the
+    /// terms of every aggregate in another order.
+    fn commuted(rng: &mut SeededRng, e: &SemiringExpr) -> SemiringExpr {
+        match e {
+            SemiringExpr::Var(_) | SemiringExpr::Const(_) => e.clone(),
+            SemiringExpr::Add(children) => SemiringExpr::Add(shuffled(rng, children, commuted)),
+            SemiringExpr::Mul(children) => SemiringExpr::Mul(shuffled(rng, children, commuted)),
+            SemiringExpr::CmpSS(op, a, b) => {
+                SemiringExpr::cmp_ss(*op, commuted(rng, a), commuted(rng, b))
+            }
+            SemiringExpr::CmpMM(op, a, b) => {
+                SemiringExpr::cmp_mm(*op, commuted_agg(rng, a), commuted_agg(rng, b))
+            }
+        }
+    }
+
+    fn commuted_agg(rng: &mut SeededRng, alpha: &SemimoduleExpr) -> SemimoduleExpr {
+        let terms = shuffled(rng, &alpha.terms, |rng, t| {
+            crate::SmTerm::new(commuted(rng, &t.coeff), t.value)
+        });
+        SemimoduleExpr {
+            op: alpha.op,
+            terms,
+        }
+    }
+
+    fn shuffled<T, U>(
+        rng: &mut SeededRng,
+        items: &[T],
+        map: impl Fn(&mut SeededRng, &T) -> U,
+    ) -> Vec<U> {
+        let mut out: Vec<U> = items.iter().map(|item| map(rng, item)).collect();
+        for i in (1..out.len()).rev() {
+            out.swap(i, rng.gen_range(0..=i));
+        }
+        out
+    }
+
+    /// Every n-ary and semimodule node of `it` against the partitioner: the bit
+    /// is set iff each item is its own component, and where it is set the
+    /// shortcut's split is the partitioner's. Returns how many bits were set
+    /// and how many cleared.
+    fn check_bits(it: &Interner, what: &str) -> (usize, usize) {
+        let (mut full, mut shortcut) = (Partitioner::default(), Partitioner::default());
+        let mut tally = (0, 0);
+        let mut check = |bit: bool, coeffs: &[ExprId], node: String| {
+            let expected = full.components(coeffs.len(), |i| it.var_set(coeffs[i]));
+            assert_eq!(bit, expected.len() == coeffs.len(), "{what}: {node}");
+            if bit {
+                let split = shortcut.split(coeffs.len(), true, |_| unreachable!());
+                assert_eq!(split, expected, "{what}: {node}");
+                tally.0 += 1;
+            } else {
+                tally.1 += 1;
+            }
+        };
+        for (i, node) in it.nodes().enumerate() {
+            if let InternedExpr::Add(children) | InternedExpr::Mul(children) = node {
+                check(
+                    it.children_disjoint(ExprId(i as u32)),
+                    children,
+                    format!("{node:?}"),
+                );
+            } else {
+                assert!(!it.children_disjoint(ExprId(i as u32)), "{what}: {node:?}");
+            }
+        }
+        for (j, node) in it.agg_nodes().enumerate() {
+            let coeffs: Vec<ExprId> = node.terms.iter().map(|(c, _)| *c).collect();
+            check(
+                it.terms_disjoint(AggExprId(j as u32)),
+                &coeffs,
+                format!("{node:?}"),
+            );
+        }
+        tally
+    }
+
+    /// Replay every node of `src` into `dst` in id order through
+    /// [`Interner::intern_node`] / [`Interner::intern_agg`], as the snapshot
+    /// codec restores one: an aggregate just before the first comparison that
+    /// needs it, the rest after the expressions.
+    fn replay(src: &Interner, dst: &mut Interner) -> (Vec<ExprId>, Vec<AggExprId>) {
+        let mut exprs: Vec<ExprId> = Vec::with_capacity(src.len());
+        let mut aggs: Vec<Option<AggExprId>> = vec![None; src.agg_len()];
+        let agg = |dst: &mut Interner, exprs: &[ExprId], id: AggExprId| {
+            let node = src.agg_node(id);
+            let terms: Vec<AggTerm> = node
+                .terms
+                .iter()
+                .map(|&(c, m)| (exprs[c.0 as usize], m))
+                .collect();
+            dst.intern_agg(node.op, &terms)
+        };
+        for node in src.nodes() {
+            let remapped: Vec<ExprId>;
+            let mapped = match node {
+                InternedExpr::Add(children) | InternedExpr::Mul(children) => {
+                    remapped = children.iter().map(|c| exprs[c.0 as usize]).collect();
+                    match node {
+                        InternedExpr::Add(_) => InternedExpr::Add(&remapped),
+                        _ => InternedExpr::Mul(&remapped),
+                    }
+                }
+                InternedExpr::CmpSS(op, a, b) => {
+                    InternedExpr::CmpSS(op, exprs[a.0 as usize], exprs[b.0 as usize])
+                }
+                InternedExpr::CmpMM(op, a, b) => {
+                    for side in [a, b] {
+                        if aggs[side.0 as usize].is_none() {
+                            aggs[side.0 as usize] = Some(agg(dst, &exprs, side));
+                        }
+                    }
+                    InternedExpr::CmpMM(
+                        op,
+                        aggs[a.0 as usize].unwrap(),
+                        aggs[b.0 as usize].unwrap(),
+                    )
+                }
+                leaf => leaf,
+            };
+            exprs.push(dst.intern_node(mapped));
+        }
+        let aggs = (0..src.agg_len())
+            .map(|j| aggs[j].unwrap_or_else(|| agg(dst, &exprs, AggExprId(j as u32))))
+            .collect();
+        (exprs, aggs)
+    }
+
+    #[test]
+    fn the_disjointness_bit_is_the_partition() {
+        for seed in seeds(0x05EE_DD15) {
+            let mut rng = SeededRng::seed_from_u64(seed);
+            let (mut set, mut cleared) = (0, 0);
+            for case in 0..300 {
+                let pool = rng.gen_range(2u32..12);
+                let mut it = Interner::new();
+                let roots: Vec<ExprId> = (0..4)
+                    .map(|_| it.intern(&random_expr(&mut rng, pool, 3)))
+                    .collect();
+                let agg_roots: Vec<AggExprId> = (0..2)
+                    .map(|_| it.intern_semimodule(&random_agg(&mut rng, pool, 2)))
+                    .collect();
+                let what = format!("seed {seed} case {case}");
+                let (s, c) = check_bits(&it, &what);
+                (set, cleared) = (set + s, cleared + c);
+
+                // Imported (the store's compaction, a compiler's load): one
+                // memo across every root; each root keeps its bit.
+                let mut copy = Interner::new();
+                let mut memo = ImportMemo::default();
+                for &root in &roots {
+                    let mine = copy.import(&it, root, &mut memo);
+                    assert_eq!(copy.children_disjoint(mine), it.children_disjoint(root));
+                }
+                for &root in &agg_roots {
+                    let mine = copy.import_agg(&it, root, &mut memo);
+                    assert_eq!(copy.terms_disjoint(mine), it.terms_disjoint(root));
+                }
+                check_bits(&copy, &format!("{what}, imported"));
+
+                // Replayed node by node (a snapshot restore): every id keeps
+                // its bit.
+                let mut restored = Interner::new();
+                let (exprs, aggs) = replay(&it, &mut restored);
+                for (i, &mine) in exprs.iter().enumerate() {
+                    let bit = it.children_disjoint(ExprId(i as u32));
+                    assert_eq!(restored.children_disjoint(mine), bit, "{what}");
+                }
+                for (j, &mine) in aggs.iter().enumerate() {
+                    let bit = it.terms_disjoint(AggExprId(j as u32));
+                    assert_eq!(restored.terms_disjoint(mine), bit, "{what}");
+                }
+                check_bits(&restored, &format!("{what}, replayed"));
+            }
+            // Both answers occur often enough to mean something.
+            assert!(
+                set > 1_000 && cleared > 1_000,
+                "seed {seed}: {set} set, {cleared} cleared"
+            );
+        }
+    }
+
+    #[test]
+    fn the_keyed_sorts_are_the_canonical_order() {
+        for seed in seeds(0x0DE5) {
+            let mut rng = SeededRng::seed_from_u64(seed);
+            // Synthetic keys whose hashes collide often: ties broken by id, and
+            // for terms by coefficient and then value.
+            for _ in 0..500 {
+                let n = rng.gen_range(0usize..24);
+                let hash_of: Vec<u64> = (0..40).map(|_| rng.gen_range(0u32..4) as u64).collect();
+                let ids: Vec<ExprId> = (0..n).map(|_| ExprId(rng.gen_range(0u32..40))).collect();
+                let mut keys: Vec<u128> = ids
+                    .iter()
+                    .map(|&id| operand_key(hash_of[id.0 as usize], id, 0))
+                    .collect();
+                sort_children(&mut keys);
+                let mut expected = ids.clone();
+                expected.sort_unstable_by_key(|c| (hash_of[c.0 as usize], *c));
+                assert!(keys.iter().map(|&k| key_id(k)).eq(expected));
+
+                let terms: Vec<AggTerm> = ids
+                    .iter()
+                    .map(|&id| (id, Fin(rng.gen_range(0i64..3))))
+                    .collect();
+                let mut keys: Vec<u128> = terms
+                    .iter()
+                    .enumerate()
+                    .map(|(at, &(coeff, _))| operand_key(hash_of[coeff.0 as usize], coeff, at))
+                    .collect();
+                sort_terms(&mut keys, &terms);
+                let mut expected = terms.clone();
+                expected.sort_unstable_by_key(|(c, m)| (hash_of[c.0 as usize], *c, *m));
+                assert!(keys
+                    .iter()
+                    .map(|&k| (key_id(k), terms[key_position(k)].1))
+                    .eq(expected));
+            }
+            // Interned lists come out in exactly the reference order, and every
+            // commuted rendering interns to one id.
+            let mut it = Interner::new();
+            for case in 0..300 {
+                let pool = rng.gen_range(2u32..12);
+                let e = random_expr(&mut rng, pool, 3);
+                let id = it.intern(&e);
+                for _ in 0..3 {
+                    assert_eq!(
+                        it.intern(&commuted(&mut rng, &e)),
+                        id,
+                        "seed {seed} case {case}"
+                    );
+                }
+                let alpha = random_agg(&mut rng, pool, 2);
+                let aid = it.intern_semimodule(&alpha);
+                assert_eq!(it.intern_semimodule(&commuted_agg(&mut rng, &alpha)), aid);
+            }
+            for node in it.nodes() {
+                if let InternedExpr::Add(children) | InternedExpr::Mul(children) = node {
+                    let mut expected = children.to_vec();
+                    expected.sort_unstable_by_key(|c| (it.hash(*c), *c));
+                    assert_eq!(children, expected.as_slice());
+                }
+            }
+            for node in it.agg_nodes() {
+                let mut expected = node.terms.to_vec();
+                expected.sort_unstable_by_key(|(c, m)| (it.hash(*c), *c, *m));
+                assert_eq!(node.terms, expected.as_slice());
+            }
+        }
     }
 }

@@ -31,7 +31,9 @@ pub mod semimodule_expr;
 pub mod semiring_expr;
 pub mod vars;
 
-pub use intern::{AggExprId, AggTerm, ExprId, ImportMemo, InternedAgg, InternedExpr, Interner};
+pub use intern::{
+    AggExprId, AggTerm, ExprId, IdHasher, ImportMemo, InternedAgg, InternedExpr, Interner,
+};
 pub use residual::{ResidualArena, ResidualCounts};
 pub use semimodule_expr::{SemimoduleExpr, SmTerm};
 pub use semiring_expr::SemiringExpr;

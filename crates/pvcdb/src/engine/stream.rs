@@ -494,25 +494,57 @@ mod tests {
         let mut stream = prepared.execute_streaming(&options).unwrap();
         let jobs = stream.threads();
         assert_eq!(jobs, 2);
-        stream.next().unwrap().unwrap();
-        // The consumer now stalls. The cursor only ever grows, so reading it early
-        // can hide a too-wide window but never report one that is not there; wait
-        // until it has stood still for a while so that it does not hide one either.
-        let cursor = || stream.shared.cursor.load(Ordering::Relaxed);
-        let (mut last, mut still) = (cursor(), 0);
-        while still < 40 {
-            std::thread::sleep(Duration::from_millis(5));
-            let now = cursor();
-            still = if now == last { still + 1 } else { 0 };
-            last = now;
+        // The claimed ranges are a function of their starts alone.
+        let starts: Vec<usize> = std::iter::successors(Some(0), |&s| Some(s + morsel_len(s, jobs)))
+            .take_while(|&s| s < 4_000)
+            .collect();
+        // Take tuples until nothing received is left undrained: a job that
+        // claimed an early range and lost its CPU lets the other job's later
+        // ranges arrive first, and the consumer buffers them while it waits.
+        // Buffered ranges were claimed but not taken, so only once none is
+        // left does `next_index()` count everything pulled off the channel.
+        let mut taken = 0;
+        loop {
+            stream.next().unwrap().unwrap();
+            taken += 1;
+            let next = stream.reassembly.next_index();
+            if stream.reassembly.buffered() == 0 && starts.binary_search(&next).is_ok() {
+                break;
+            }
+            assert!(
+                taken < 2_000,
+                "the consumer never caught up with the workers"
+            );
         }
+        // The consumer now stalls. The workers claim until both are blocked —
+        // the channel full and each job holding one more range — so the cursor
+        // stops at the end of the `2·jobs + 2 + jobs`-th range past the
+        // consumer's; wait until it stands there.
+        let next = stream.reassembly.next_index();
+        let first = starts.binary_search(&next).unwrap();
+        let stop = starts
+            .get(first + 2 * jobs + 2 + jobs)
+            .copied()
+            .unwrap_or(4_000);
+        let cursor = || stream.shared.cursor.load(Ordering::Relaxed);
+        let waited = std::time::Instant::now();
+        while cursor() < stop {
+            assert!(
+                waited.elapsed() < Duration::from_secs(60),
+                "workers stopped claiming at {} before the window's end {stop}",
+                cursor()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let last = cursor();
+        assert_eq!(last, stop, "workers claimed past both of them blocking");
         let window = (2 * jobs + 2 + jobs) * MORSEL_TUPLES;
         assert!(
-            last <= stream.reassembly.next_index() + window,
-            "workers claimed {last} tuples ahead of a consumer that took one (window {window})"
+            last <= next + window,
+            "workers claimed {last} tuples ahead of a consumer that took {next} (window {window})"
         );
         // The rest still arrives, in order.
-        assert_eq!(stream.by_ref().map(Result::unwrap).count(), 3_999);
+        assert_eq!(stream.by_ref().map(Result::unwrap).count(), 4_000 - taken);
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! reference executor is `tests/support/fig4_reference.rs`, and
 //! `tests/step_one_differential.rs` holds this module to it. See "Step I" in
 //! `docs/ARCHITECTURE.md`.
+//!
+//! Grouping and join build sides hash their keys with `KeyHasher`, not
+//! SipHash: an integer key is one word, a string its bytes in 8-byte words plus
+//! its length, each word one folded multiply. Keys are data, so each index is
+//! seeded from the standard library's random keys and colliding keys cannot be
+//! prepared offline; and since groups are numbered in first-occurrence order
+//! and walked in key order, no tuple order depends on the hasher or its seed.
 
 use crate::database::Database;
 use crate::error::Error;
@@ -30,7 +37,9 @@ use crate::value::Value;
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind};
 use pvc_expr::{SemimoduleExpr, SemiringExpr};
 use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Evaluate a query over a pvc-database, producing the result pvc-table (tuples with
 /// annotations and semimodule values, but no probabilities yet).
@@ -97,10 +106,73 @@ impl Col<'_> {
 
 /// A constant cell, borrowed, as a comparison / join / grouping key. Orders like
 /// [`crate::KeyValue`] (every integer before every string).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Key<'a> {
     Int(i64),
     Str(&'a str),
+}
+
+/// An integer is one word, a string its bytes (see [`KeyHasher::write`]); equal
+/// keys write equal words, which is all `Eq` asks of it.
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Key::Int(i) => state.write_u64(*i as u64),
+            Key::Str(s) => state.write(s.as_bytes()),
+        }
+    }
+}
+
+/// The seed of one [`Groups`] index, drawn from the standard library's
+/// per-process random keys, so keys that collide under it cannot be prepared
+/// offline.
+#[derive(Clone, Copy)]
+struct KeySeed(u64);
+
+impl KeySeed {
+    fn random() -> Self {
+        KeySeed(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for KeySeed {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher(self.0)
+    }
+}
+
+/// The hasher of a [`Groups`] index: one folded 64 × 64 → 128-bit multiply per
+/// word, an integer key being one word and a string its bytes in 8-byte chunks
+/// plus its length. SipHash's per-key setup and rounds cost more than the
+/// grouping they serve.
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0xa076_1d64_78bd_642f_u128;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.write_u64(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        self.write_u64(u64::from_le_bytes(tail));
+        self.write_u64(bytes.len() as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The key of a cell in a data column. Definition 5 keeps aggregation attributes out
@@ -479,13 +551,14 @@ impl<'a> Rel<'a> {
 
 /// Rows partitioned by key: the rows of a group in input order, the groups either
 /// looked up by key (a join's build side) or walked in ascending key order (the
-/// tuple order of `π`, `∪` and `$`). The hash map is only ever probed, so no output
-/// order depends on it.
+/// tuple order of `π`, `∪` and `$`). The hash map is only ever probed — groups
+/// are numbered in order of first occurrence — so no output order depends on it
+/// or on its randomly seeded [`KeyHasher`].
 struct Groups<'k> {
     keys: &'k [Key<'k>],
     /// Keys per row.
     width: usize,
-    group_of_key: HashMap<&'k [Key<'k>], usize>,
+    group_of_key: HashMap<&'k [Key<'k>], usize, KeySeed>,
     /// Row numbers, grouped: group `g` is `members[starts[g]..starts[g + 1]]`.
     members: Vec<usize>,
     starts: Vec<usize>,
@@ -494,7 +567,7 @@ struct Groups<'k> {
 impl<'k> Groups<'k> {
     /// Group `rows` rows by their `width` keys each in `keys` (row-major).
     fn of(keys: &'k [Key<'k>], width: usize, rows: usize) -> Self {
-        let mut group_of_key: HashMap<&[Key], usize> = HashMap::new();
+        let mut group_of_key = HashMap::with_hasher(KeySeed::random());
         let group_of_row: Vec<usize> = (0..rows)
             .map(|row| {
                 let next = group_of_key.len();
