@@ -152,15 +152,10 @@ fn bench_or_705() {
     );
     let shared_condition = SemiringExpr::cmp_ss(CmpOp::Ne, shared, zero);
     confidence("confidence/or-shared-705", &shared_condition, &shared_vars);
-    // The compiler alone, one reused compiler: the arena it emits, and the
-    // boxed tree on top of it (`compile_semiring` is `emit_semiring` + `to_tree`).
+    // The compiler alone, one reused compiler: the arena it emits.
     let mut compiler = Compiler::new(&vars, SemiringKind::Bool);
     bench_case("compile/emit-705", 400, || {
         std::hint::black_box(compiler.emit_semiring(&condition).map(|arena| arena.len()))
-            .expect("no node budget configured");
-    });
-    bench_case("compile/emit-705+to_tree", 400, || {
-        std::hint::black_box(compiler.compile_semiring(&condition))
             .expect("no node budget configured");
     });
 }

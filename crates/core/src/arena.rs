@@ -1,9 +1,10 @@
-//! Flattened d-trees: the index-based arena the compiler emits
+//! The d-tree as the compiler emits it
 //! ([`Compiler::emit_semiring`](crate::compile::Compiler::emit_semiring) and its
-//! siblings) and an iterative, allocation-light evaluator over it. [`DTree`] is
-//! the same circuit boxed, for reading and for hand-built examples:
-//! [`DTreeArena::from_tree`] and [`DTreeArena::to_tree`] convert, and
-//! `from_tree(&arena.to_tree()) == arena`.
+//! siblings): an index-based post-order arena of [`node`](crate::node) kinds,
+//! and an iterative, allocation-light evaluator over it. Every walk here —
+//! evaluation, the threshold folds, counting, rendering — runs on an explicit
+//! stack or a loop, so a left-deep `⊕` chain as long as its input costs heap,
+//! not native stack.
 //!
 //! Five things keep an evaluation close to the cost of its convolutions:
 //!
@@ -11,10 +12,9 @@
 //!   root last), so evaluation is a single forward loop with an explicit value
 //!   stack: no recursion, no pointer chasing;
 //! * **native sorts** — the value stack is typed ([`SemiringDist`] vs
-//!   [`MonoidDist`]), so semiring-only and monoid-only regions evaluate in their
-//!   native sort and values are lifted into the mixed type only where the tree
-//!   itself mixes sorts (the root of a [`DTree::Exclusive`] over conflicting
-//!   branches — which well-formed trees never produce);
+//!   [`MonoidDist`]), so every region evaluates in its native sort; a `⊔` node
+//!   whose branches disagree in sort (which the compiler never emits) is a
+//!   [`DTreeError`];
 //! * **Boolean cells** — over the semiring `B` a semiring-sorted node has at
 //!   most two outcomes, so its value travels the stack as [`BoolCells`]
 //!   (`[P[⊥], P[⊤]]`) and `∨`, `∧`, `[θ]` and `⊔` over such values are a few
@@ -47,45 +47,17 @@
 //! **empty distribution**, not an error: convolution against an empty operand has
 //! no outcomes (Eq. 1 sums over nothing). Sort checking therefore only applies to
 //! non-empty sides; a `[θ]` node whose sides are non-empty and of different sorts
-//! reports [`DTreeError::MixedComparison`], exactly as the recursive evaluator
-//! did.
+//! reports [`DTreeError::MixedComparison`].
 
-use crate::node::{DTree, DTreeError};
+use crate::node::{ArenaNode, DTreeError};
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
 use pvc_expr::{Var, VarTable};
 use pvc_prob::repr::{dense_mix_bounded, mix_dense_chained, AdditiveFold, ChainVal};
 use pvc_prob::{
-    record_dense_chain, BoolCells, DenseDist, Dist, DistValue, MixedDist, MonoidDist, SemiringDist,
-    PROB_EPS,
+    record_dense_chain, BoolCells, DenseDist, Dist, MonoidDist, SemiringDist, PROB_EPS,
 };
-
-/// One node of the flattened tree. Child fields are indices into the arena's
-/// post-order node vector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ArenaNode {
-    /// Leaf: a random variable.
-    VarLeaf(Var),
-    /// Leaf: a semiring constant.
-    SConst(SemiringValue),
-    /// Leaf: a monoid constant.
-    MConst(MonoidValue),
-    /// `⊕` over semiring children.
-    SumS { left: u32, right: u32 },
-    /// `⊕` over semimodule children in the given monoid.
-    SumM { op: AggOp, left: u32, right: u32 },
-    /// `⊙` over semiring children.
-    Prod { left: u32, right: u32 },
-    /// `⊗` — scalar action of `scalar` on `value`.
-    Tensor { op: AggOp, scalar: u32, value: u32 },
-    /// `[θ]` — comparison of two independent children.
-    Cmp { theta: CmpOp, left: u32, right: u32 },
-    /// `⊔` — mutually exclusive split; branches live in the arena's branch table.
-    Exclusive {
-        var: Var,
-        branches_start: u32,
-        branches_len: u32,
-    },
-}
+use std::borrow::Cow;
+use std::fmt;
 
 /// Statically inferable sort of a node's distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,12 +77,12 @@ struct Fold {
     child: u32,
 }
 
-/// A decomposition tree flattened into a post-order arena (see the [module
+/// A decomposition tree as a post-order arena (see the [module
 /// documentation](self)).
 ///
-/// Built node by node by the compiler, or in one traversal of a boxed tree
-/// ([`from_tree`](Self::from_tree)); immutable once handed out, so it can be
-/// evaluated any number of times and shared across threads.
+/// Built node by node by the compiler; immutable once handed out, so it can be
+/// evaluated any number of times and shared across threads. Its `Display` is
+/// the paper's notation, e.g. `((v0 ⊙ v1) ⊗SUM 10)` or `⊔v2(v2←⊥: … | v2←⊤: …)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DTreeArena {
     /// Post-order nodes; the root is the last entry.
@@ -155,9 +127,7 @@ impl Interp {
 /// A value on the evaluation stack: a distribution in its native sort.
 ///
 /// `Empty` is the sort-less empty distribution (a `⊔` node with no surviving
-/// branches); `Mixed` only arises when a hand-built tree genuinely mixes sorts
-/// under one `⊔` node, where the recursive evaluator also produced a mixed
-/// distribution. `MD` is a monoid distribution still in the **dense** form of
+/// branches). `MD` is a monoid distribution still in the **dense** form of
 /// the convolution kernel: SUM/COUNT `⊕` chains and dense-friendly `⊔` nodes
 /// pass it from node to node without the dense → sparse → dense round-trip the
 /// stack used to force at every exit (tracked by `kernel.dense_chain.*`). A
@@ -173,7 +143,6 @@ pub(crate) enum Val {
     /// Monoid distribution in dense (offset-indexed) form.
     MD(DenseDist),
     Empty,
-    Mixed(MixedDist),
 }
 
 impl Val {
@@ -210,13 +179,11 @@ impl Val {
             Val::M(d) => d.is_empty(),
             Val::MD(d) => d.is_empty(),
             Val::Empty => true,
-            Val::Mixed(d) => d.is_empty(),
         }
     }
 
-    /// Extract a semiring distribution, with the recursive evaluator's rules: an
-    /// empty value of any sort extracts as the empty distribution; a non-empty
-    /// monoid or mixed-with-monoid value is a sort error.
+    /// Extract a semiring distribution: an empty value of any sort extracts as
+    /// the empty distribution; a non-empty monoid value is a sort error.
     pub(crate) fn into_semiring(self, ctx: &'static str) -> Result<SemiringDist, DTreeError> {
         match self {
             Val::B(c) => Ok(c.to_dist()),
@@ -225,16 +192,6 @@ impl Val {
             Val::M(d) if d.is_empty() => Ok(Dist::empty()),
             Val::MD(d) if d.is_empty() => Ok(Dist::empty()),
             Val::M(_) | Val::MD(_) => Err(DTreeError::ExpectedSemiring(ctx)),
-            Val::Mixed(d) => {
-                let mut out = Vec::with_capacity(d.support_size());
-                for (v, p) in d.iter() {
-                    match v {
-                        DistValue::S(s) => out.push((*s, p)),
-                        DistValue::M(_) => return Err(DTreeError::ExpectedSemiring(ctx)),
-                    }
-                }
-                Ok(Dist::from_pairs(out))
-            }
         }
     }
 
@@ -249,28 +206,6 @@ impl Val {
             Val::S(d) if d.is_empty() => Ok(Dist::empty()),
             Val::B(c) if c.is_empty() => Ok(Dist::empty()),
             Val::S(_) | Val::B(_) => Err(DTreeError::ExpectedMonoid(ctx)),
-            Val::Mixed(d) => {
-                let mut out = Vec::with_capacity(d.support_size());
-                for (v, p) in d.iter() {
-                    match v {
-                        DistValue::M(m) => out.push((*m, p)),
-                        DistValue::S(_) => return Err(DTreeError::ExpectedMonoid(ctx)),
-                    }
-                }
-                Ok(Dist::from_pairs(out))
-            }
-        }
-    }
-
-    /// Lift into the mixed sum type (the recursive evaluator's working type).
-    fn into_mixed(self) -> MixedDist {
-        match self {
-            Val::B(c) => c.to_dist().map(|v| DistValue::S(*v)),
-            Val::S(d) => d.map(|v| DistValue::S(*v)),
-            Val::M(d) => d.map(|v| DistValue::M(*v)),
-            Val::MD(d) => d.to_dist().map(|v| DistValue::M(*v)),
-            Val::Empty => Dist::empty(),
-            Val::Mixed(d) => d,
         }
     }
 
@@ -295,6 +230,9 @@ struct EvalScratch {
     stack: Vec<Val>,
     s_pairs: Vec<(SemiringValue, f64)>,
     m_pairs: Vec<(MonoidValue, f64)>,
+    /// The right operands of the MIN / MAX `⊕` spines the threshold fold is
+    /// walking, innermost spine on top (base-offset discipline, as `stack`).
+    spine: Vec<u32>,
     /// The additive (SUM / COUNT) `⊕` accumulator: empty between nodes, but
     /// its buffers persist, so a `⊕` chain recycles the consumed operand's
     /// cells as the next node's output instead of allocating per node.
@@ -311,19 +249,12 @@ struct EvalScratch {
 }
 
 impl DTreeArena {
-    /// Flatten a [`DTree`] into post-order. One traversal; `O(nodes)`.
-    pub fn from_tree(tree: &DTree) -> DTreeArena {
-        let n = tree.num_nodes();
-        let mut arena = DTreeArena {
-            nodes: Vec::with_capacity(n),
-            branches: Vec::new(),
-            folds: Vec::new(),
-            sorts: Vec::with_capacity(n),
-        };
-        let mut pending = Vec::new();
-        arena.push_tree(tree, &mut pending);
-        debug_assert!(pending.is_empty());
-        arena
+    /// A copy of `tree`. It remains only because the `pvc_e2e` benchmark
+    /// harness spells its "flatten" step this way; it goes when the harness
+    /// moves onto [`Compiler::emit_semiring`](crate::Compiler::emit_semiring)
+    /// and its siblings.
+    pub fn from_tree(tree: &DTreeArena) -> DTreeArena {
+        tree.clone()
     }
 
     /// An arena with no nodes yet, for the compiler to emit into.
@@ -403,110 +334,28 @@ impl DTreeArena {
         })
     }
 
-    /// The boxed tree this arena flattens: `from_tree(&arena.to_tree()) == arena`.
-    /// One pass over the post-order nodes with a stack of finished subtrees (a
-    /// left-deep `⊕` chain is as deep as it is long, so no recursion); branch
-    /// vectors are allocated at their final size.
-    pub fn to_tree(&self) -> DTree {
-        // The two subtrees finished last are the next binary node's children.
-        fn operands(built: &mut Vec<DTree>) -> (Box<DTree>, Box<DTree>) {
-            let right = Box::new(built.pop().expect("right subtree"));
-            let left = Box::new(built.pop().expect("left subtree"));
-            (left, right)
-        }
-        let mut built: Vec<DTree> = Vec::new();
-        for node in &self.nodes {
-            let tree = match *node {
-                ArenaNode::VarLeaf(v) => DTree::VarLeaf(v),
-                ArenaNode::SConst(s) => DTree::SConst(s),
-                ArenaNode::MConst(m) => DTree::MConst(m),
-                ArenaNode::SumS { .. } => {
-                    let (left, right) = operands(&mut built);
-                    DTree::SumS(left, right)
-                }
-                ArenaNode::Prod { .. } => {
-                    let (left, right) = operands(&mut built);
-                    DTree::Prod(left, right)
-                }
-                ArenaNode::SumM { op, .. } => {
-                    let (left, right) = operands(&mut built);
-                    DTree::SumM(op, left, right)
-                }
-                ArenaNode::Tensor { op, .. } => {
-                    let (scalar, value) = operands(&mut built);
-                    DTree::Tensor(op, scalar, value)
-                }
-                ArenaNode::Cmp { theta, .. } => {
-                    let (left, right) = operands(&mut built);
-                    DTree::Cmp(theta, left, right)
-                }
-                ArenaNode::Exclusive {
-                    var,
-                    branches_start,
-                    branches_len,
-                } => {
-                    let start = branches_start as usize;
-                    let entries = &self.branches[start..start + branches_len as usize];
-                    let children = built.drain(built.len() - entries.len()..);
-                    let mut branches = Vec::with_capacity(entries.len());
-                    branches.extend(entries.iter().map(|&(value, _)| value).zip(children));
-                    DTree::Exclusive(var, branches)
-                }
-            };
-            built.push(tree);
-        }
-        built.pop().expect("the root's tree")
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
 
-    /// True if the arena holds no nodes — never one the compiler or
-    /// [`from_tree`](Self::from_tree) handed out: both push at least the root.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+    /// [`len`](Self::len), under the name the `pvc_e2e` benchmark harness
+    /// calls; it goes with [`from_tree`](Self::from_tree).
+    pub fn num_nodes(&self) -> usize {
+        self.len()
     }
 
-    fn push_tree(&mut self, tree: &DTree, pending: &mut Vec<(SemiringValue, u32)>) -> u32 {
-        let node = match tree {
-            DTree::VarLeaf(v) => ArenaNode::VarLeaf(*v),
-            DTree::SConst(s) => ArenaNode::SConst(*s),
-            DTree::MConst(m) => ArenaNode::MConst(*m),
-            DTree::SumS(a, b) => ArenaNode::SumS {
-                left: self.push_tree(a, pending),
-                right: self.push_tree(b, pending),
-            },
-            DTree::Prod(a, b) => ArenaNode::Prod {
-                left: self.push_tree(a, pending),
-                right: self.push_tree(b, pending),
-            },
-            DTree::SumM(op, a, b) => ArenaNode::SumM {
-                op: *op,
-                left: self.push_tree(a, pending),
-                right: self.push_tree(b, pending),
-            },
-            DTree::Tensor(op, scalar, value) => ArenaNode::Tensor {
-                op: *op,
-                scalar: self.push_tree(scalar, pending),
-                value: self.push_tree(value, pending),
-            },
-            DTree::Cmp(theta, a, b) => ArenaNode::Cmp {
-                theta: *theta,
-                left: self.push_tree(a, pending),
-                right: self.push_tree(b, pending),
-            },
-            DTree::Exclusive(var, branches) => {
-                let base = pending.len();
-                for (value, child) in branches {
-                    let child = self.push_tree(child, pending);
-                    pending.push((*value, child));
-                }
-                return self.push_exclusive(*var, pending, base);
-            }
-        };
-        self.push(node)
+    /// Number of `⊔` (mutually exclusive case split) nodes — the measure of how
+    /// often the compiler had to fall back to Shannon expansion.
+    pub fn num_exclusive_nodes(&self) -> usize {
+        let exclusive = |node: &&ArenaNode| matches!(node, ArenaNode::Exclusive { .. });
+        self.nodes.iter().filter(exclusive).count()
+    }
+
+    /// True if the arena holds no nodes — never one the compiler handed out:
+    /// it pushes at least the root.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
     }
 
     /// Attach a threshold-fold plan to a freshly pushed `[θ]` node when one side
@@ -540,16 +389,6 @@ impl DTreeArena {
     fn fold_of(&self, idx: u32) -> Option<Fold> {
         let at = self.folds.binary_search_by_key(&idx, |&(node, _)| node);
         Some(self.folds[at.ok()?].1)
-    }
-
-    /// Evaluate the whole arena and return the root distribution in the mixed sum
-    /// type (drop-in for the recursive `DTree::distribution`).
-    pub fn mixed_distribution(
-        &self,
-        table: &VarTable,
-        kind: SemiringKind,
-    ) -> Result<MixedDist, DTreeError> {
-        Ok(self.evaluate(table, kind)?.0.into_mixed())
     }
 
     /// Evaluate and extract the root as a semiring distribution.
@@ -760,7 +599,7 @@ impl DTreeArena {
                         if weight <= 0.0 {
                             continue;
                         }
-                        acc = mix_scaled(acc, val, weight);
+                        acc = mix_scaled(acc, val, weight)?;
                     }
                     acc
                 }
@@ -805,13 +644,39 @@ impl DTreeArena {
     ) -> Result<(f64, f64), DTreeError> {
         match self.nodes[idx as usize] {
             ArenaNode::MConst(m) => Ok((if theta.eval(&m, &bound) { 1.0 } else { 0.0 }, 1.0)),
-            ArenaNode::SumM { op, left, right } => match (op, theta) {
+            ArenaNode::SumM { op, .. } => match (op, theta) {
                 // The comparison distributes over the lattice operation: both
-                // sides must satisfy it independently.
+                // sides must satisfy it independently. A left-deep chain of
+                // this `⊕` is walked down its left spine in a loop; its right
+                // operands then fold back up innermost first, the order in
+                // which a recursion would multiply them.
                 (AggOp::Min, CmpOp::Ge | CmpOp::Gt) | (AggOp::Max, CmpOp::Le | CmpOp::Lt) => {
-                    let (pl, ml) = self.threshold(left, theta, bound, table, kind, scratch)?;
-                    let (pr, mr) = self.threshold(right, theta, bound, table, kind, scratch)?;
-                    Ok((pl * pr, ml * mr))
+                    let base = scratch.spine.len();
+                    let mut bottom = idx;
+                    loop {
+                        match self.nodes[bottom as usize] {
+                            ArenaNode::SumM {
+                                op: link,
+                                left,
+                                right,
+                            } if link == op => {
+                                scratch.spine.push(right);
+                                bottom = left;
+                            }
+                            _ => break,
+                        }
+                    }
+                    let (mut p, mut mass) =
+                        self.threshold(bottom, theta, bound, table, kind, scratch)?;
+                    for k in (base..scratch.spine.len()).rev() {
+                        let operand = scratch.spine[k];
+                        let (pr, mr) =
+                            self.threshold(operand, theta, bound, table, kind, scratch)?;
+                        p *= pr;
+                        mass *= mr;
+                    }
+                    scratch.spine.truncate(base);
+                    Ok((p, mass))
                 }
                 // Complement of the distributing direction.
                 (AggOp::Min, CmpOp::Le | CmpOp::Lt) | (AggOp::Max, CmpOp::Ge | CmpOp::Gt) => {
@@ -974,6 +839,80 @@ impl DTreeArena {
     }
 }
 
+/// The paper's notation, written from an explicit stack of pieces — a subtree
+/// still to render, or text — so a deep tree renders without recursion.
+impl fmt::Display for DTreeArena {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        enum Piece {
+            Node(u32),
+            Text(Cow<'static, str>),
+        }
+        let Some(root) = self.nodes.len().checked_sub(1) else {
+            return Ok(());
+        };
+        let mut todo = vec![Piece::Node(root as u32)];
+        while let Some(piece) = todo.pop() {
+            let i = match piece {
+                Piece::Node(i) => i,
+                Piece::Text(text) => {
+                    f.write_str(&text)?;
+                    continue;
+                }
+            };
+            let (open, left, infix, right, close): (_, _, Cow<_>, _, _) =
+                match self.nodes[i as usize] {
+                    ArenaNode::VarLeaf(v) => {
+                        write!(f, "{v}")?;
+                        continue;
+                    }
+                    ArenaNode::SConst(s) => {
+                        write!(f, "{s}")?;
+                        continue;
+                    }
+                    ArenaNode::MConst(m) => {
+                        write!(f, "{m}")?;
+                        continue;
+                    }
+                    ArenaNode::SumS { left, right } => ("(", left, " ⊕ ".into(), right, ")"),
+                    ArenaNode::Prod { left, right } => ("(", left, " ⊙ ".into(), right, ")"),
+                    ArenaNode::SumM { op, left, right } => {
+                        ("(", left, format!(" ⊕{op} ").into(), right, ")")
+                    }
+                    ArenaNode::Tensor { op, scalar, value } => {
+                        ("(", scalar, format!(" ⊗{op} ").into(), value, ")")
+                    }
+                    ArenaNode::Cmp { theta, left, right } => {
+                        ("[", left, format!(" {theta} ").into(), right, "]")
+                    }
+                    ArenaNode::Exclusive {
+                        var,
+                        branches_start,
+                        branches_len,
+                    } => {
+                        write!(f, "⊔{var}(")?;
+                        todo.push(Piece::Text(")".into()));
+                        let start = branches_start as usize;
+                        let branches = &self.branches[start..start + branches_len as usize];
+                        for (k, &(value, child)) in branches.iter().enumerate().rev() {
+                            let separator = if k == 0 { "" } else { " | " };
+                            todo.push(Piece::Node(child));
+                            todo.push(Piece::Text(format!("{separator}{var}←{value}: ").into()));
+                        }
+                        continue;
+                    }
+                };
+            f.write_str(open)?;
+            todo.extend([
+                Piece::Text(close.into()),
+                Piece::Node(right),
+                Piece::Text(infix),
+                Piece::Node(left),
+            ]);
+        }
+        Ok(())
+    }
+}
+
 /// Cap on distinct non-zero multiplicities a SUM/COUNT `⊗` threshold fold will
 /// recurse for; scalars more varied than this fall back to the full scan.
 const MAX_TENSOR_FOLD_MULTIPLICITIES: usize = 4;
@@ -1034,10 +973,9 @@ pub(crate) fn combine_semiring(
 }
 
 /// A `[θ]` node without a fold plan — and the artifact store's `[s θ c]` over
-/// a side it folded itself: both sides fully evaluated. Sorts are detected
-/// from the values (mirroring the recursive evaluator's
-/// support-peeking), empty sides yield the empty distribution, and non-empty
-/// sides of different sorts are a [`DTreeError::MixedComparison`].
+/// a side it folded itself: both sides fully evaluated. Sorts are read off
+/// the values, empty sides yield the empty distribution, and non-empty sides
+/// of different sorts are a [`DTreeError::MixedComparison`].
 pub(crate) fn compare(
     theta: CmpOp,
     left: Val,
@@ -1067,7 +1005,6 @@ pub(crate) fn compare(
         Val::M(_) => false,
         Val::MD(_) => unreachable!("dense sides demoted above"),
         Val::Empty => unreachable!("empty sides handled above"),
-        Val::Mixed(d) => matches!(d.support().next(), Some(DistValue::S(_))),
     };
     let truth = |holds: bool| if holds { kind.one() } else { kind.zero() };
     let dist = match (is_semiring(&left), is_semiring(&right)) {
@@ -1087,21 +1024,20 @@ pub(crate) fn compare(
     Ok(Val::semiring(dist, cells))
 }
 
-/// Mix `next`, scaled by `weight`, into the accumulator, staying in the native
-/// sort while both sides agree and widening to the mixed sum type only when a
-/// `⊔` node genuinely mixes sorts. Dense monoid values stay dense while the
-/// union range remains bounded (chain extends); otherwise they demote (chain
-/// breaks) and the sparse mix runs — both paths bit-identical in value.
-fn mix_scaled(acc: Val, next: Val, weight: f64) -> Val {
+/// Mix `next`, scaled by `weight`, into the accumulator of a `⊔` node, in the
+/// native sort both sides share; branches of different sorts are a
+/// [`DTreeError`]. Dense monoid values stay dense while the union range
+/// remains bounded (chain extends); otherwise they demote (chain breaks) and
+/// the sparse mix runs — both paths bit-identical in value.
+fn mix_scaled(acc: Val, next: Val, weight: f64) -> Result<Val, DTreeError> {
     let scaled = match next {
         Val::B(c) => Val::B(c.scale(weight)),
         Val::S(d) => Val::S(d.scale(weight)),
         Val::M(d) => Val::M(d.scale(weight)),
         Val::MD(d) => Val::MD(d.scale(weight)),
         Val::Empty => Val::Empty,
-        Val::Mixed(d) => Val::Mixed(d.scale(weight)),
     };
-    match (acc, scaled) {
+    Ok(match (acc, scaled) {
         (acc, next) if next.is_empty() => acc,
         (acc, next) if acc.is_empty() => next,
         (Val::B(a), Val::B(b)) => Val::B(a.mix(b)),
@@ -1144,17 +1080,9 @@ fn mix_scaled(acc: Val, next: Val, weight: f64) -> Val {
                 Val::M(a.mix(&b.to_dist()))
             }
         },
-        (a, b) => {
-            for v in [&a, &b] {
-                if let Val::MD(d) = v {
-                    if !d.is_empty() {
-                        record_dense_chain(false);
-                    }
-                }
-            }
-            Val::Mixed(a.into_mixed().mix(&b.into_mixed()))
-        }
-    }
+        (Val::B(_) | Val::S(_), _) => return Err(DTreeError::ExpectedSemiring("⊔")),
+        _ => return Err(DTreeError::ExpectedMonoid("⊔")),
+    })
 }
 
 /// Lift a sparse `⊔` operand into the dense form so it can mix with a dense
@@ -1176,6 +1104,34 @@ fn promote_for_mix(dense: &DenseDist, sparse: &MonoidDist) -> Option<DenseDist> 
     DenseDist::from_dist(sparse)
 }
 
+/// Hand-built trees for tests, through the compiler's own `push` /
+/// `push_exclusive`.
+#[cfg(test)]
+impl DTreeArena {
+    pub(crate) fn var(&mut self, v: Var) -> u32 {
+        self.push(ArenaNode::VarLeaf(v))
+    }
+
+    /// `v ⊗op m`.
+    pub(crate) fn tensor(&mut self, op: AggOp, v: Var, m: i64) -> u32 {
+        let scalar = self.var(v);
+        let value = self.push(ArenaNode::MConst(MonoidValue::Fin(m)));
+        self.push(ArenaNode::Tensor { op, scalar, value })
+    }
+
+    pub(crate) fn exclusive(&mut self, var: Var, branches: &[(SemiringValue, u32)]) -> u32 {
+        self.push_exclusive(var, &mut branches.to_vec(), 0)
+    }
+
+    pub(crate) fn root(&self) -> ArenaNode {
+        *self.nodes.last().expect("a root")
+    }
+
+    pub(crate) fn has_fold_at_root(&self) -> bool {
+        self.fold_of(self.len() as u32 - 1).is_some()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1189,38 +1145,45 @@ mod tests {
         (vt, a, b, c)
     }
 
-    fn root_fold(arena: &DTreeArena) -> Option<Fold> {
-        arena.fold_of(arena.len() as u32 - 1)
+    /// The arena `build` pushes, whose last node is its root.
+    fn built(build: impl FnOnce(&mut DTreeArena) -> u32) -> DTreeArena {
+        let mut t = DTreeArena::new();
+        let root = build(&mut t);
+        assert_eq!(root as usize + 1, t.len(), "the root is pushed last");
+        t
     }
 
-    fn min_tensor(v: Var, m: i64) -> DTree {
-        DTree::Tensor(
-            AggOp::Min,
-            Box::new(DTree::VarLeaf(v)),
-            Box::new(DTree::MConst(Fin(m))),
-        )
+    fn mconst(t: &mut DTreeArena, m: i64) -> u32 {
+        t.push(ArenaNode::MConst(Fin(m)))
+    }
+
+    fn cmp(t: &mut DTreeArena, theta: CmpOp, left: u32, right: u32) -> u32 {
+        t.push(ArenaNode::Cmp { theta, left, right })
     }
 
     #[test]
     fn arena_matches_recursive_shape() {
         let (_, a, b, _) = table_abc(0.5, 0.5, 0.5);
-        let tree = DTree::SumS(
-            Box::new(DTree::Prod(
-                Box::new(DTree::VarLeaf(a)),
-                Box::new(DTree::VarLeaf(b)),
-            )),
-            Box::new(DTree::SConst(SemiringValue::Bool(false))),
-        );
-        let arena = DTreeArena::from_tree(&tree);
-        assert_eq!(arena.len(), tree.num_nodes());
+        let arena = built(|t| {
+            let (left, right) = (t.var(a), t.var(b));
+            let left = t.push(ArenaNode::Prod { left, right });
+            let right = t.push(ArenaNode::SConst(SemiringValue::Bool(false)));
+            t.push(ArenaNode::SumS { left, right })
+        });
+        assert_eq!(arena.len(), 5);
+        assert_eq!(arena.num_nodes(), arena.len());
         assert!(!arena.is_empty());
+        assert_eq!(arena.to_string(), "((v0 ⊙ v1) ⊕ ⊥)");
+        assert_eq!(DTreeArena::from_tree(&arena), arena);
     }
 
     #[test]
     fn arena_evaluates_basic_nodes() {
         let (vt, a, b, _) = table_abc(0.3, 0.5, 0.5);
-        let tree = DTree::Prod(Box::new(DTree::VarLeaf(a)), Box::new(DTree::VarLeaf(b)));
-        let arena = DTreeArena::from_tree(&tree);
+        let arena = built(|t| {
+            let (left, right) = (t.var(a), t.var(b));
+            t.push(ArenaNode::Prod { left, right })
+        });
         let d = arena
             .semiring_distribution(&vt, SemiringKind::Bool)
             .unwrap();
@@ -1231,20 +1194,19 @@ mod tests {
     #[test]
     fn threshold_fold_matches_full_evaluation() {
         // [x⊗10 +min y⊗20 θ c] for every one-sided θ and several bounds: the
-        // folded scalar walk must agree with a full evaluation through an
-        // Eq-comparison tree (which never folds).
+        // folded scalar walk must agree with a direct enumeration.
         let (vt, x, y, _) = table_abc(0.35, 0.8, 0.5);
         for theta in [CmpOp::Le, CmpOp::Lt, CmpOp::Ge, CmpOp::Gt] {
             for bound in [0, 10, 15, 20, 25] {
-                let alpha = DTree::SumM(
-                    AggOp::Min,
-                    Box::new(min_tensor(x, 10)),
-                    Box::new(min_tensor(y, 20)),
-                );
-                let tree = DTree::Cmp(theta, Box::new(alpha), Box::new(DTree::MConst(Fin(bound))));
-                let arena = DTreeArena::from_tree(&tree);
+                let arena = built(|t| {
+                    let (left, right) = (t.tensor(AggOp::Min, x, 10), t.tensor(AggOp::Min, y, 20));
+                    let op = AggOp::Min;
+                    let alpha = t.push(ArenaNode::SumM { op, left, right });
+                    let c = mconst(t, bound);
+                    cmp(t, theta, alpha, c)
+                });
                 // The fold plan must be armed on the root.
-                assert!(root_fold(&arena).is_some(), "{theta:?} {bound}");
+                assert!(arena.has_fold_at_root(), "{theta:?} {bound}");
                 let d = arena
                     .semiring_distribution(&vt, SemiringKind::Bool)
                     .unwrap();
@@ -1274,17 +1236,43 @@ mod tests {
     }
 
     #[test]
+    fn threshold_fold_multiplies_a_chain_in_recursion_order() {
+        // [x1⊗1 +min … +min x12⊗12 ≥ 20], a left-deep chain: every term is
+        // below the bound, so P = Π P[xᵢ absent], multiplied innermost first —
+        // ((q1·q2)·q3)·… — as a recursion over the chain would, to the bit.
+        let mut vt = VarTable::new();
+        let ps: Vec<f64> = (1..=12).map(|i| 0.05 + 0.9 / f64::from(i)).collect();
+        let xs: Vec<Var> = ps.iter().map(|&p| vt.boolean("", p)).collect();
+        let arena = built(|t| {
+            let op = AggOp::Min;
+            let first = t.tensor(op, xs[0], 1);
+            let chain = (1..xs.len()).fold(first, |left, i| {
+                let right = t.tensor(op, xs[i], i as i64 + 1);
+                t.push(ArenaNode::SumM { op, left, right })
+            });
+            let bound = mconst(t, 20);
+            cmp(t, CmpOp::Ge, chain, bound)
+        });
+        assert!(arena.has_fold_at_root());
+        let expected = ps.iter().map(|p| 1.0 - p).reduce(|acc, q| acc * q);
+        for kind in [SemiringKind::Bool, SemiringKind::Nat] {
+            let d = arena.semiring_distribution(&vt, kind).unwrap();
+            let got = d.prob(&kind.one());
+            assert_eq!(got.to_bits(), expected.unwrap().to_bits(), "{kind:?}");
+        }
+    }
+
+    #[test]
     fn constant_on_left_flips_the_fold() {
         let (vt, x, _, _) = table_abc(0.4, 0.5, 0.5);
-        // [15 ≥ x⊗10] ⇔ [x⊗10 ≤ 15]: true iff x present (min 10) — P = 0.4?
-        // No: x absent gives +∞ which is not ≤ 15, so P[true] = 0.4.
-        let tree = DTree::Cmp(
-            CmpOp::Ge,
-            Box::new(DTree::MConst(Fin(15))),
-            Box::new(min_tensor(x, 10)),
-        );
-        let arena = DTreeArena::from_tree(&tree);
-        assert!(root_fold(&arena).is_some());
+        // [15 ≥ x⊗10] ⇔ [x⊗10 ≤ 15]: true iff x is present (an absent x leaves
+        // MIN at +∞, which is not ≤ 15), so P[true] = 0.4.
+        let arena = built(|t| {
+            let c = mconst(t, 15);
+            let alpha = t.tensor(AggOp::Min, x, 10);
+            cmp(t, CmpOp::Ge, c, alpha)
+        });
+        assert!(arena.has_fold_at_root());
         let d = arena
             .semiring_distribution(&vt, SemiringKind::Bool)
             .unwrap();
@@ -1294,13 +1282,12 @@ mod tests {
     #[test]
     fn equality_comparisons_do_not_fold() {
         let (_, x, _, _) = table_abc(0.4, 0.5, 0.5);
-        let tree = DTree::Cmp(
-            CmpOp::Eq,
-            Box::new(min_tensor(x, 10)),
-            Box::new(DTree::MConst(Fin(10))),
-        );
-        let arena = DTreeArena::from_tree(&tree);
-        assert!(root_fold(&arena).is_none());
+        let arena = built(|t| {
+            let alpha = t.tensor(AggOp::Min, x, 10);
+            let c = mconst(t, 10);
+            cmp(t, CmpOp::Eq, alpha, c)
+        });
+        assert!(!arena.has_fold_at_root());
     }
 
     #[test]
@@ -1309,57 +1296,76 @@ mod tests {
         // comparing it against anything yields the empty distribution, per the
         // documented contract.
         let (vt, a, _, _) = table_abc(0.4, 0.5, 0.5);
-        let empty = DTree::Exclusive(a, vec![]);
-        let tree = DTree::Cmp(CmpOp::Eq, Box::new(empty), Box::new(DTree::VarLeaf(a)));
-        let d = tree.distribution(&vt, SemiringKind::Bool).unwrap();
+        let arena = built(|t| {
+            let empty = t.exclusive(a, &[]);
+            let leaf = t.var(a);
+            cmp(t, CmpOp::Eq, empty, leaf)
+        });
+        let d = arena
+            .semiring_distribution(&vt, SemiringKind::Bool)
+            .unwrap();
         assert!(d.is_empty());
     }
 
     #[test]
     fn malformed_sorts_still_error() {
         let (vt, a, _, _) = table_abc(0.3, 0.5, 0.5);
-        let bad = DTree::Prod(Box::new(DTree::MConst(Fin(1))), Box::new(DTree::VarLeaf(a)));
-        let arena = DTreeArena::from_tree(&bad);
+        let arena = built(|t| {
+            let (left, right) = (mconst(t, 1), t.var(a));
+            t.push(ArenaNode::Prod { left, right })
+        });
         assert!(matches!(
-            arena.mixed_distribution(&vt, SemiringKind::Bool),
+            arena.semiring_distribution(&vt, SemiringKind::Bool),
             Err(DTreeError::ExpectedSemiring(_))
         ));
-        let bad = DTree::Cmp(
-            CmpOp::Le,
-            Box::new(DTree::MConst(Fin(1))),
-            Box::new(DTree::VarLeaf(a)),
-        );
         // Constant on the left arms a fold, but the right side is semiring-sorted,
         // so the fold is refused and the mixed comparison reports the usual error.
-        let arena = DTreeArena::from_tree(&bad);
-        assert!(root_fold(&arena).is_none());
+        let arena = built(|t| {
+            let (left, right) = (mconst(t, 1), t.var(a));
+            cmp(t, CmpOp::Le, left, right)
+        });
+        assert!(!arena.has_fold_at_root());
         assert_eq!(
-            arena.mixed_distribution(&vt, SemiringKind::Bool),
+            arena.semiring_distribution(&vt, SemiringKind::Bool),
             Err(DTreeError::MixedComparison)
         );
+        // A ⊔ over branches of different sorts is an error too, whichever sort
+        // the root is read in.
+        let arena = built(|t| {
+            let (semiring, monoid) = (t.var(a), mconst(t, 3));
+            let branches = [
+                (SemiringValue::Bool(false), semiring),
+                (SemiringValue::Bool(true), monoid),
+            ];
+            t.exclusive(a, &branches)
+        });
+        for kind in [SemiringKind::Bool, SemiringKind::Nat] {
+            let error = DTreeError::ExpectedSemiring("⊔");
+            assert_eq!(arena.semiring_distribution(&vt, kind).unwrap_err(), error);
+            assert_eq!(arena.monoid_distribution(&vt, kind).unwrap_err(), error);
+        }
     }
 
+    type Extract<T> = fn(Val, &'static str) -> Result<Dist<T>, DTreeError>;
+
     /// One arena over `B` evaluated both ways: the public entry (Boolean values
-    /// on two cells) and the same loop with every value a `Dist`. Results must
-    /// be equal to the bit — `Dist`'s `==` compares the probabilities exactly.
-    fn both_ways(tree: &DTree, vt: &VarTable) -> (Result<MixedDist, DTreeError>, Interp) {
-        let arena = DTreeArena::from_tree(tree);
-        assert_eq!(arena.to_tree(), *tree);
+    /// on two cells) and the same loop with every value a `Dist`, the root read
+    /// by `extract`. Results must be equal to the bit — `Dist`'s `==` compares
+    /// the probabilities exactly.
+    fn both_ways<T: Ord + Clone + std::fmt::Debug>(
+        arena: &DTreeArena,
+        vt: &VarTable,
+        extract: Extract<T>,
+    ) -> (Result<Dist<T>, DTreeError>, Interp) {
         let kind = SemiringKind::Bool;
+        let root = arena.len() as u32 - 1;
         let general = arena
-            .eval_from(
-                arena.len() as u32 - 1,
-                vt,
-                kind,
-                &mut EvalScratch::default(),
-            )
-            .map(Val::into_mixed);
-        let interp = match arena.evaluate(vt, kind) {
-            Ok((_, interp)) => interp,
-            Err(_) => Interp::Dist,
-        };
-        let entry = arena.mixed_distribution(vt, kind);
-        assert_eq!(entry, general, "{tree}");
+            .eval_from(root, vt, kind, &mut EvalScratch::default())
+            .and_then(|v| extract(v, "root"));
+        let entry = arena.evaluate(vt, kind);
+        let interp = entry.as_ref().map_or(Interp::Dist, |(_, interp)| *interp);
+        let entry = entry.and_then(|(v, _)| extract(v, "root"));
+        assert_eq!(entry, general, "{arena}");
         (entry, interp)
     }
 
@@ -1371,152 +1377,168 @@ mod tests {
             .collect();
         let n = vt.natural("n", &[(0, 0.25), (2, 0.5), (5, 0.25)]);
         let certain = vt.boolean("certain", 1.0);
-        let leaf = |i: usize| Box::new(DTree::VarLeaf(xs[i]));
-        let tensor =
-            |op, i: usize, m| Box::new(DTree::Tensor(op, leaf(i), Box::new(DTree::MConst(Fin(m)))));
-        let bound = |m| Box::new(DTree::MConst(Fin(m)));
-        let falsum = Box::new(DTree::SConst(SemiringValue::Bool(false)));
+        let falsum = |t: &mut DTreeArena| t.push(ArenaNode::SConst(SemiringValue::Bool(false)));
+        let bin = |t: &mut DTreeArena, is_add: bool, left: u32, right: u32| match is_add {
+            true => t.push(ArenaNode::SumS { left, right }),
+            false => t.push(ArenaNode::Prod { left, right }),
+        };
         // [x0⊗4 +min x1⊗9 ≤ 5]: folded; [x2⊗3 +sum x3⊗4 = 7]: fully evaluated.
-        let min_le = DTree::Cmp(
-            CmpOp::Le,
-            Box::new(DTree::SumM(
-                AggOp::Min,
-                tensor(AggOp::Min, 0, 4),
-                tensor(AggOp::Min, 1, 9),
-            )),
-            bound(5),
-        );
-        let sum_eq = DTree::Cmp(
-            CmpOp::Eq,
-            Box::new(DTree::SumM(
-                AggOp::Sum,
-                tensor(AggOp::Sum, 2, 3),
-                tensor(AggOp::Sum, 3, 4),
-            )),
-            bound(7),
-        );
+        let comparison =
+            |t: &mut DTreeArena, op, theta, [i, j]: [usize; 2], [m, k, c]: [i64; 3]| {
+                let (left, right) = (t.tensor(op, xs[i], m), t.tensor(op, xs[j], k));
+                let alpha = t.push(ArenaNode::SumM { op, left, right });
+                let c = mconst(t, c);
+                cmp(t, theta, alpha, c)
+            };
+        let min_le = |t: &mut DTreeArena| comparison(t, AggOp::Min, CmpOp::Le, [0, 1], [4, 9, 5]);
+        let sum_eq = |t: &mut DTreeArena| comparison(t, AggOp::Sum, CmpOp::Eq, [2, 3], [3, 4, 7]);
         // x4 ∧ [min ≤ 5]  ∨  [sum = 7] ∧ x5, compared with ⊥, under a ⊔ on x6
         // whose other branch is a plain disjunction.
-        let region = DTree::Cmp(
-            CmpOp::Ne,
-            Box::new(DTree::SumS(
-                Box::new(DTree::Prod(leaf(4), Box::new(min_le.clone()))),
-                Box::new(DTree::Prod(Box::new(sum_eq.clone()), leaf(5))),
-            )),
-            falsum.clone(),
-        );
-        let split = DTree::Exclusive(
-            xs[6],
-            vec![
-                (SemiringValue::Bool(false), region.clone()),
-                (
-                    SemiringValue::Bool(true),
-                    DTree::SumS(leaf(7), Box::new(min_le.clone())),
-                ),
-            ],
-        );
+        let region = |t: &mut DTreeArena| {
+            let (x4, folded) = (t.var(xs[4]), min_le(t));
+            let left = bin(t, false, x4, folded);
+            let (scanned, x5) = (sum_eq(t), t.var(xs[5]));
+            let right = bin(t, false, scanned, x5);
+            let disjunction = bin(t, true, left, right);
+            let bottom = falsum(t);
+            cmp(t, CmpOp::Ne, disjunction, bottom)
+        };
+        let split = |t: &mut DTreeArena| {
+            let absent = region(t);
+            let (x7, folded) = (t.var(xs[7]), min_le(t));
+            let present = bin(t, true, x7, folded);
+            let branches = [
+                (SemiringValue::Bool(false), absent),
+                (SemiringValue::Bool(true), present),
+            ];
+            t.exclusive(xs[6], &branches)
+        };
         // A left-deep ∨ chain under [· ≠ ⊥]: the group confidence of TPC-H Q1.
-        let chain = (1..8).fold(DTree::VarLeaf(xs[0]), |acc, i| {
-            DTree::SumS(Box::new(acc), leaf(i))
-        });
-        let q1 = DTree::Cmp(CmpOp::Ne, Box::new(chain), falsum.clone());
-        for tree in [&min_le, &sum_eq, &region, &split, &q1] {
-            let (dist, interp) = both_ways(tree, &vt);
-            assert_eq!(interp, Interp::Cells, "{tree}");
-            assert!(dist.unwrap().is_normalized(), "{tree}");
+        let q1 = |t: &mut DTreeArena| {
+            let chain = (1..8).fold(t.var(xs[0]), |acc, i| {
+                let next = t.var(xs[i]);
+                bin(t, true, acc, next)
+            });
+            let bottom = falsum(t);
+            cmp(t, CmpOp::Ne, chain, bottom)
+        };
+        for arena in [
+            built(min_le),
+            built(sum_eq),
+            built(region),
+            built(split),
+            built(q1),
+        ] {
+            let (dist, interp) = both_ways(&arena, &vt, Val::into_semiring);
+            assert_eq!(interp, Interp::Cells, "{arena}");
+            assert!(dist.unwrap().is_normalized(), "{arena}");
         }
         // A variable that is certainly ⊤ has one cell; so has what it absorbs.
-        let absorbed = DTree::SumS(leaf(0), Box::new(DTree::VarLeaf(certain)));
-        let (dist, interp) = both_ways(&absorbed, &vt);
+        let absorbed = built(|t| {
+            let (left, right) = (t.var(xs[0]), t.var(certain));
+            bin(t, true, left, right)
+        });
+        let (dist, interp) = both_ways(&absorbed, &vt, Val::into_semiring);
         assert_eq!(interp, Interp::Cells);
         assert_eq!(dist.unwrap().support_size(), 1);
         // Under a monoid root the scalars of `⊗` are Boolean regions of their own:
         // (x0 ∨ x1·x2) ⊗ 4 +sum [x3 ≠ ⊥] ⊗ 9, and the same under MIN.
         for op in [AggOp::Sum, AggOp::Min] {
-            let formula = DTree::SumS(leaf(0), Box::new(DTree::Prod(leaf(1), leaf(2))));
-            let holds = DTree::Cmp(CmpOp::Ne, leaf(3), falsum.clone());
-            let aggregate = DTree::SumM(
-                op,
-                Box::new(DTree::Tensor(op, Box::new(formula), bound(4))),
-                Box::new(DTree::Tensor(op, Box::new(holds), bound(9))),
-            );
-            let (dist, interp) = both_ways(&aggregate, &vt);
+            let aggregate = built(|t| {
+                let (x0, x1, x2) = (t.var(xs[0]), t.var(xs[1]), t.var(xs[2]));
+                let product = bin(t, false, x1, x2);
+                let formula = bin(t, true, x0, product);
+                let four = mconst(t, 4);
+                let left = t.push(ArenaNode::Tensor {
+                    op,
+                    scalar: formula,
+                    value: four,
+                });
+                let (x3, bottom) = (t.var(xs[3]), falsum(t));
+                let holds = cmp(t, CmpOp::Ne, x3, bottom);
+                let nine = mconst(t, 9);
+                let right = t.push(ArenaNode::Tensor {
+                    op,
+                    scalar: holds,
+                    value: nine,
+                });
+                t.push(ArenaNode::SumM { op, left, right })
+            });
+            let (dist, interp) = both_ways(&aggregate, &vt, Val::into_monoid);
             assert_eq!(interp, Interp::Dist, "{aggregate}");
             assert!(dist.unwrap().is_normalized(), "{aggregate}");
         }
 
         // An N-valued leaf under a root over B is a `Dist`, and so is whatever
         // it meets — here with the values of N in the result.
-        let natural = DTree::Exclusive(
-            xs[0],
-            vec![
-                (SemiringValue::Bool(false), DTree::VarLeaf(n)),
-                (SemiringValue::Bool(true), DTree::VarLeaf(xs[1])),
-            ],
-        );
-        let squared = DTree::Prod(Box::new(DTree::VarLeaf(n)), Box::new(DTree::VarLeaf(n)));
-        for tree in [&natural, &squared] {
-            let (dist, interp) = both_ways(tree, &vt);
-            assert_eq!(interp, Interp::Dist, "{tree}");
+        let natural = built(|t| {
+            let (absent, present) = (t.var(n), t.var(xs[1]));
+            let branches = [
+                (SemiringValue::Bool(false), absent),
+                (SemiringValue::Bool(true), present),
+            ];
+            t.exclusive(xs[0], &branches)
+        });
+        let squared = built(|t| {
+            let (left, right) = (t.var(n), t.var(n));
+            bin(t, false, left, right)
+        });
+        for arena in [natural, squared] {
+            let (dist, interp) = both_ways(&arena, &vt, Val::into_semiring);
+            assert_eq!(interp, Interp::Dist, "{arena}");
             let dist = dist.unwrap();
-            assert!(dist
-                .support()
-                .any(|v| *v == DistValue::S(SemiringValue::Nat(0))));
+            assert!(dist.support().any(|v| *v == SemiringValue::Nat(0)));
         }
 
         // An exhausted ⊔ — no branches, or none the variable can take — is the
         // empty distribution, and so is everything convolved with it.
-        let no_branches = DTree::Exclusive(xs[0], vec![]);
-        let impossible = DTree::Exclusive(xs[0], vec![(SemiringValue::Nat(3), *leaf(1))]);
-        for exhausted in [no_branches, impossible] {
-            let tree = DTree::SumS(leaf(2), Box::new(exhausted));
-            let (dist, _) = both_ways(&tree, &vt);
-            assert!(dist.unwrap().is_empty(), "{tree}");
+        for branches in [vec![], vec![SemiringValue::Nat(3)]] {
+            let arena = built(|t| {
+                let x2 = t.var(xs[2]);
+                let children: Vec<_> = branches.iter().map(|&s| (s, t.var(xs[1]))).collect();
+                let exhausted = t.exclusive(xs[0], &children);
+                bin(t, true, x2, exhausted)
+            });
+            let (dist, _) = both_ways(&arena, &vt, Val::into_semiring);
+            assert!(dist.unwrap().is_empty(), "{arena}");
         }
 
-        // A ⊔ over branches of different sorts: a mixed result.
-        let mixed = DTree::Exclusive(
-            xs[0],
-            vec![
-                (SemiringValue::Bool(false), *leaf(1)),
-                (SemiringValue::Bool(true), DTree::MConst(Fin(3))),
-            ],
-        );
-        let (dist, interp) = both_ways(&mixed, &vt);
-        assert_eq!(interp, Interp::Dist);
-        let dist = dist.unwrap();
-        assert!(dist.support().any(|v| matches!(v, DistValue::M(_))));
-        assert!(dist.support().any(|v| matches!(v, DistValue::S(_))));
+        // A ⊔ over branches of different sorts is the sort error the `Dist`
+        // route reports, never a panic.
+        let mixed = built(|t| {
+            let (semiring, monoid) = (t.var(xs[1]), mconst(t, 3));
+            let branches = [
+                (SemiringValue::Bool(false), semiring),
+                (SemiringValue::Bool(true), monoid),
+            ];
+            t.exclusive(xs[0], &branches)
+        });
+        let (result, _) = both_ways(&mixed, &vt, Val::into_semiring);
+        assert_eq!(result, Err(DTreeError::ExpectedSemiring("⊔")));
         // Cells beside a monoid value are the sort error a `Dist` would be.
-        let bad = DTree::SumS(leaf(0), bound(1));
-        let (result, _) = both_ways(&bad, &vt);
+        let bad = built(|t| {
+            let (left, right) = (t.var(xs[0]), mconst(t, 1));
+            bin(t, true, left, right)
+        });
+        let (result, _) = both_ways(&bad, &vt, Val::into_semiring);
         assert_eq!(result, Err(DTreeError::ExpectedSemiring("⊕(semiring)")));
     }
 
     #[test]
     fn sum_comparisons_use_the_scan_fallback() {
-        // COUNT sums do not decompose; the fold must still agree with the
-        // recursive evaluation through the scan fallback.
+        // COUNT sums do not decompose; the fold must still agree with
+        // enumeration through the scan fallback.
         let (vt, a, b, c) = table_abc(0.5, 0.25, 0.75);
-        let count = |v| {
-            DTree::Tensor(
-                AggOp::Count,
-                Box::new(DTree::VarLeaf(v)),
-                Box::new(DTree::MConst(Fin(1))),
-            )
-        };
-        let alpha = DTree::SumM(
-            AggOp::Count,
-            Box::new(DTree::SumM(
-                AggOp::Count,
-                Box::new(count(a)),
-                Box::new(count(b)),
-            )),
-            Box::new(count(c)),
-        );
-        let tree = DTree::Cmp(CmpOp::Ge, Box::new(alpha), Box::new(DTree::MConst(Fin(2))));
-        let arena = DTreeArena::from_tree(&tree);
-        assert!(root_fold(&arena).is_some());
+        let arena = built(|t| {
+            let op = AggOp::Count;
+            let (left, right) = (t.tensor(op, a, 1), t.tensor(op, b, 1));
+            let left = t.push(ArenaNode::SumM { op, left, right });
+            let right = t.tensor(op, c, 1);
+            let alpha = t.push(ArenaNode::SumM { op, left, right });
+            let two = mconst(t, 2);
+            cmp(t, CmpOp::Ge, alpha, two)
+        });
+        assert!(arena.has_fold_at_root());
         let d = arena
             .semiring_distribution(&vt, SemiringKind::Bool)
             .unwrap();

@@ -1370,7 +1370,6 @@ fn independent_components<T: Copy, I>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::DTreeArena;
     use pvc_algebra::{AggOp, MonoidValue::Fin, SemiringValue};
     use pvc_expr::{oracle, SemimoduleExpr, SemiringExpr, Var};
 
@@ -1591,10 +1590,11 @@ mod tests {
     }
 
     /// The distribution of `alpha` through plain compilation of its canonical
-    /// rendering: compile → flatten → evaluate, no cache, no inline leaves.
+    /// rendering: compile → evaluate, no cache, no inline leaves.
     fn compiled(alpha: &SemimoduleExpr, vt: &VarTable, kind: SemiringKind) -> MonoidDist {
-        let tree = Compiler::new(vt, kind).compile_semimodule(alpha).unwrap();
-        DTreeArena::from_tree(&tree)
+        Compiler::new(vt, kind)
+            .emit_semimodule(alpha)
+            .unwrap()
             .monoid_distribution(vt, kind)
             .unwrap()
     }
@@ -1666,10 +1666,9 @@ mod tests {
             let id = shared.intern(&expr);
             let interned = shared.interned_nodes();
             let dist = sem(&shared, id, &vt, 1);
-            let tree = Compiler::new(&vt, SemiringKind::Bool)
-                .compile_semiring(&expr)
-                .unwrap();
-            let reference = DTreeArena::from_tree(&tree)
+            let reference = Compiler::new(&vt, SemiringKind::Bool)
+                .emit_semiring(&expr)
+                .unwrap()
                 .semiring_distribution(&vt, SemiringKind::Bool)
                 .unwrap();
             assert!(dist.approx_eq(&reference, 1e-12));

@@ -14,7 +14,7 @@
 //! 4. **Scalar split** — a semimodule expression `Φ ⊗ α` with independent `Φ` and `α`
 //!    becomes an `⊗` node.
 //! 5. **Comparison split** — a conditional `[Φ θ Ψ]` over independent sides becomes a
-//!    `[θ]` node (after pruning, cf. [`crate::prune`]).
+//!    `[θ]` node (after pruning, cf. the `prune` module).
 //! 6. **Mutually exclusive case split** — otherwise a variable is chosen (the one with
 //!    the most occurrences, as in the paper's implementation) and the expression is
 //!    expanded into a `⊔` node with one branch per support value.
@@ -32,12 +32,11 @@
 //! node by node as the rules fire: children first, so a rule's node is pushed
 //! when its recursive calls return, and the arena's length *is* the number of
 //! nodes produced (what [`CompileOptions::node_budget`] bounds). The
-//! `emit_*` entry points lend that arena out; the `compile_*` entry points box
-//! it into a [`DTree`] ([`DTreeArena::to_tree`]) for callers that want to look at
-//! the tree — one compile path either way.
+//! `emit_*` entry points lend that arena out; the `compile_*` entry points
+//! return a copy to keep — one compile path either way.
 
-use crate::arena::{ArenaNode, DTreeArena};
-use crate::node::DTree;
+use crate::arena::DTreeArena;
+use crate::node::ArenaNode;
 use crate::prune::{verdict, Verdict};
 use pvc_algebra::{AggOp, CmpOp, SemiringKind, SemiringValue};
 use pvc_expr::factor::{common_factor_vars, divide_by_vars};
@@ -92,25 +91,6 @@ impl CompileOptions {
     /// [`BudgetExceeded`] beyond it).
     pub fn with_node_budget(mut self, budget: usize) -> Self {
         self.node_budget = Some(budget);
-        self
-    }
-
-    /// Builder: enable or disable the independence rules (rule 2 and the
-    /// independent-product split).
-    pub fn with_independence(mut self, enabled: bool) -> Self {
-        self.independence = enabled;
-        self
-    }
-
-    /// Builder: enable or disable read-once factorisation (rule 3).
-    pub fn with_factoring(mut self, enabled: bool) -> Self {
-        self.factoring = enabled;
-        self
-    }
-
-    /// Builder: enable or disable conditional pruning.
-    pub fn with_pruning(mut self, enabled: bool) -> Self {
-        self.pruning = enabled;
         self
     }
 }
@@ -294,40 +274,35 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Compile a semiring expression into a d-tree. Expressions that differ only
-    /// in the order of `+` / `·` operands or of semimodule terms compile to the
-    /// same tree.
-    pub fn compile_semiring(&mut self, expr: &SemiringExpr) -> Result<DTree, BudgetExceeded> {
-        Ok(self.emit_semiring(expr)?.to_tree())
+    /// Compile a semiring expression into a d-tree of its own: the arena
+    /// [`emit_semiring`](Self::emit_semiring) lends, copied. Expressions that
+    /// differ only in the order of `+` / `·` operands or of semimodule terms
+    /// compile to the same tree.
+    pub fn compile_semiring(&mut self, expr: &SemiringExpr) -> Result<DTreeArena, BudgetExceeded> {
+        self.emit_semiring(expr).cloned()
     }
 
-    /// Compile a semimodule expression into a d-tree.
-    pub fn compile_semimodule(&mut self, expr: &SemimoduleExpr) -> Result<DTree, BudgetExceeded> {
-        Ok(self.emit_semimodule(expr)?.to_tree())
+    /// Compile a semimodule expression into a d-tree of its own (see
+    /// [`compile_semiring`](Self::compile_semiring)).
+    pub fn compile_semimodule(
+        &mut self,
+        expr: &SemimoduleExpr,
+    ) -> Result<DTreeArena, BudgetExceeded> {
+        self.emit_semimodule(expr).cloned()
     }
 
     /// Compile an interned semiring expression (see [`pvc_expr::intern`]) into a
-    /// d-tree. Its DAG is copied into the compiler's own arena first; `interner`
-    /// is not read after that.
+    /// d-tree of its own (see [`compile_semiring`](Self::compile_semiring)).
     pub fn compile_semiring_id(
         &mut self,
         interner: &Interner,
         id: ExprId,
-    ) -> Result<DTree, BudgetExceeded> {
-        Ok(self.emit_semiring_id(interner, id)?.to_tree())
+    ) -> Result<DTreeArena, BudgetExceeded> {
+        self.emit_semiring_id(interner, id).cloned()
     }
 
-    /// Compile an interned semimodule expression into a d-tree.
-    pub fn compile_semimodule_id(
-        &mut self,
-        interner: &Interner,
-        id: AggExprId,
-    ) -> Result<DTree, BudgetExceeded> {
-        Ok(self.emit_semimodule_id(interner, id)?.to_tree())
-    }
-
-    /// [`compile_semiring`](Self::compile_semiring) as the flattened arena the
-    /// evaluator runs on. The arena is the compiler's own, lent until its next
+    /// Compile a semiring expression into the post-order arena the evaluator
+    /// runs on. The arena is the compiler's own, lent until its next
     /// compilation overwrites it: clone it to keep it.
     pub fn emit_semiring(&mut self, expr: &SemiringExpr) -> Result<&DTreeArena, BudgetExceeded> {
         self.scratch.work.reset();
@@ -335,7 +310,7 @@ impl<'a> Compiler<'a> {
         self.emit_loaded_semiring(root)
     }
 
-    /// [`compile_semimodule`](Self::compile_semimodule) as an arena (lent as by
+    /// Compile a semimodule expression into an arena (lent as by
     /// [`emit_semiring`](Self::emit_semiring)).
     pub fn emit_semimodule(
         &mut self,
@@ -346,8 +321,10 @@ impl<'a> Compiler<'a> {
         self.emit_loaded_semimodule(root)
     }
 
-    /// [`compile_semiring_id`](Self::compile_semiring_id) as an arena (lent as
-    /// by [`emit_semiring`](Self::emit_semiring)).
+    /// Compile an interned semiring expression (see [`pvc_expr::intern`]) into
+    /// an arena (lent as by [`emit_semiring`](Self::emit_semiring)). Its DAG is
+    /// copied into the compiler's own arena first; `interner` is not read
+    /// after that.
     pub fn emit_semiring_id(
         &mut self,
         interner: &Interner,
@@ -357,8 +334,8 @@ impl<'a> Compiler<'a> {
         self.emit_loaded_semiring(root)
     }
 
-    /// [`compile_semimodule_id`](Self::compile_semimodule_id) as an arena (lent
-    /// as by [`emit_semiring`](Self::emit_semiring)).
+    /// Compile an interned semimodule expression into an arena (lent as by
+    /// [`emit_semiring`](Self::emit_semiring)).
     pub fn emit_semimodule_id(
         &mut self,
         interner: &Interner,
@@ -461,7 +438,7 @@ impl<'a> Compiler<'a> {
             }
             InternedExpr::CmpMM(theta, lhs, rhs) => {
                 let pruned = if self.options.pruning {
-                    self.prune_conditional(id, theta, lhs, rhs)
+                    self.prune_comparison(id, theta, lhs, rhs)
                 } else {
                     id
                 };
@@ -493,7 +470,7 @@ impl<'a> Compiler<'a> {
     /// the rules of [`verdict`]): `1_S` / `0_S` if that decides it, otherwise the
     /// conditional over the terms that can still decide it, constant on the
     /// right. Conditionals without a constant side are left untouched.
-    fn prune_conditional(
+    fn prune_comparison(
         &mut self,
         id: ExprId,
         theta: CmpOp,
@@ -875,20 +852,6 @@ fn recycle<T>(pool: &mut Vec<Vec<T>>, mut list: Vec<T>) {
     pool.push(list);
 }
 
-/// Compile a semiring expression and return its d-tree (default options).
-pub fn compile_semiring(expr: &SemiringExpr, table: &VarTable, kind: SemiringKind) -> DTree {
-    Compiler::new(table, kind)
-        .compile_semiring(expr)
-        .expect("no node budget configured")
-}
-
-/// Compile a semimodule expression and return its d-tree (default options).
-pub fn compile_semimodule(expr: &SemimoduleExpr, table: &VarTable, kind: SemiringKind) -> DTree {
-    Compiler::new(table, kind)
-        .compile_semimodule(expr)
-        .expect("no node budget configured")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -961,7 +924,7 @@ mod tests {
         let mut compiler = Compiler::new(&vt, SemiringKind::Nat);
         let tree = compiler.compile_semimodule(&alpha).unwrap();
         // c is shared, so exactly one ⊔ node on c is expected at the top.
-        assert!(matches!(tree, DTree::Exclusive(var, _) if var == c));
+        assert!(matches!(tree.root(), ArenaNode::Exclusive { var, .. } if var == c));
         let dist = tree.monoid_distribution(&vt, SemiringKind::Nat).unwrap();
         let oracle_dist = oracle::semimodule_dist_by_enumeration(&alpha, &vt, SemiringKind::Nat);
         assert!(dist.approx_eq(&oracle_dist, 1e-9));
@@ -1146,10 +1109,12 @@ mod tests {
         let expr = SemiringExpr::sum(vec![v(x) * v(y), v(x), v(y)]);
         let mut compiler = Compiler::new(&vt, SemiringKind::Nat);
         let tree = compiler.compile_semiring(&expr).unwrap();
-        match &tree {
-            DTree::Exclusive(var, branches) => {
-                assert_eq!(*var, x);
-                assert_eq!(branches.len(), 3);
+        match tree.root() {
+            ArenaNode::Exclusive {
+                var, branches_len, ..
+            } => {
+                assert_eq!(var, x);
+                assert_eq!(branches_len, 3);
             }
             other => panic!("expected ⊔ at the root, got {other:?}"),
         }
@@ -1169,7 +1134,7 @@ mod tests {
         let last = *vars.last().expect("non-empty table");
         let leaf = SemimoduleExpr::tensor(AggOp::Count, v(last), Fin(1));
         let tree = compiler.compile_semimodule(&leaf).unwrap();
-        assert!(matches!(tree, DTree::Tensor(..)));
+        assert!(matches!(tree.root(), ArenaNode::Tensor { .. }));
         assert_eq!(compiler.scratch_lens(), (0, 0));
         // x0·x1 + x1·x2 + x2·x9 shares variables across summands without a
         // common factor: independence analysis runs and a ⊔ expansion follows.
@@ -1189,7 +1154,11 @@ mod tests {
 
     /// Compile `alpha`, check its distribution against enumeration, and return the
     /// statistics of the compilation.
-    fn checked(alpha: &SemimoduleExpr, vt: &VarTable, kind: SemiringKind) -> (DTree, CompileStats) {
+    fn checked(
+        alpha: &SemimoduleExpr,
+        vt: &VarTable,
+        kind: SemiringKind,
+    ) -> (DTreeArena, CompileStats) {
         let mut compiler = Compiler::new(vt, kind);
         let tree = compiler.compile_semimodule(alpha).unwrap();
         let dist = tree.monoid_distribution(vt, kind).unwrap();
@@ -1243,7 +1212,10 @@ mod tests {
             );
             let (tree, stats) = checked(&alpha, &vt, SemiringKind::Nat);
             assert_eq!(stats.merged_terms, 1, "{op}");
-            assert!(matches!(tree, DTree::Tensor(..)), "{op}: {tree:?}");
+            assert!(
+                matches!(tree.root(), ArenaNode::Tensor { .. }),
+                "{op}: {tree}"
+            );
         }
         let squared = SemimoduleExpr::from_terms(
             AggOp::Sum,
@@ -1293,7 +1265,7 @@ mod tests {
             assert_eq!(stats.dominated_terms, dominated, "{op} {constant}");
             assert_eq!(stats.merged_terms, 0, "{op} {constant}");
             if dominated == 3 {
-                assert_eq!(tree, DTree::MConst(constant));
+                assert_eq!((tree.len(), tree.root()), (1, ArenaNode::MConst(constant)));
             }
         }
         // The constant that dominates may appear only inside a ⊔ branch: no term
@@ -1411,20 +1383,18 @@ mod tests {
             .compile_semiring_id(&interner, id)
             .unwrap();
         assert_eq!(by_id, tree);
-        // … and to the same arena, all four tables equal (nodes, branches,
-        // fold plans, sorts): emitted by either route, or flattened from the
-        // boxed tree.
-        let flattened = DTreeArena::from_tree(&tree);
-        assert_eq!(compiler.emit_semiring(&a).unwrap(), &flattened);
-        assert_eq!(compiler.emit_semiring(&b).unwrap(), &flattened);
+        // … all four tables equal (nodes, branches, fold plans, sorts), and
+        // so are the arenas lent by either route.
+        assert_eq!(compiler.emit_semiring(&a).unwrap(), &tree);
+        assert_eq!(compiler.emit_semiring(&b).unwrap(), &tree);
         let mut by_id = Compiler::new(&vt, SemiringKind::Bool);
-        assert_eq!(by_id.emit_semiring_id(&interner, id).unwrap(), &flattened);
+        assert_eq!(by_id.emit_semiring_id(&interner, id).unwrap(), &tree);
         let p = confidence_of_tree(&tree, &vt);
         let expected = oracle::confidence_by_enumeration(&a, &vt, SemiringKind::Bool);
         assert!((p - expected).abs() < 1e-9);
     }
 
-    fn confidence_of_tree(tree: &DTree, vt: &VarTable) -> f64 {
+    fn confidence_of_tree(tree: &DTreeArena, vt: &VarTable) -> f64 {
         tree.semiring_distribution(vt, SemiringKind::Bool)
             .unwrap()
             .iter()
@@ -1466,10 +1436,87 @@ mod tests {
         let vt = VarTable::new();
         let kind = SemiringKind::Bool;
         let zero = SemiringExpr::Add(vec![]);
-        let tree = compile_semiring(&zero, &vt, kind);
-        assert_eq!(tree, DTree::SConst(SemiringValue::Bool(false)));
+        let tree = Compiler::new(&vt, kind).compile_semiring(&zero).unwrap();
+        let falsum = ArenaNode::SConst(SemiringValue::Bool(false));
+        assert_eq!((tree.len(), tree.root()), (1, falsum));
         let alpha = SemimoduleExpr::zero(AggOp::Min);
-        let tree = compile_semimodule(&alpha, &vt, kind);
-        assert_eq!(tree, DTree::MConst(pvc_algebra::MonoidValue::PosInf));
+        let tree = Compiler::new(&vt, kind).compile_semimodule(&alpha).unwrap();
+        let infinity = ArenaNode::MConst(pvc_algebra::MonoidValue::PosInf);
+        assert_eq!((tree.len(), tree.root()), (1, infinity));
+    }
+
+    #[test]
+    fn compiled_trees_render_in_the_paper_notation() {
+        // Renderings recorded from the boxed tree's recursive `Display`, which
+        // the arena's explicit-stack rendering must reproduce byte for byte.
+        // Figure 5: a(b + c)⊗10 + c⊗20 over N.
+        let mut vt = VarTable::new();
+        let a = vt.natural("a", &[(1, 0.3), (2, 0.7)]);
+        let b = vt.natural("b", &[(1, 0.6), (2, 0.4)]);
+        let c = vt.natural("c", &[(1, 0.8), (2, 0.2)]);
+        let terms = vec![(v(a) * (v(b) + v(c)), Fin(10)), (v(c), Fin(20))];
+        let alpha = SemimoduleExpr::from_terms(AggOp::Sum, terms);
+        let tree = Compiler::new(&vt, SemiringKind::Nat)
+            .compile_semimodule(&alpha)
+            .unwrap();
+        assert_eq!(
+            tree.to_string(),
+            "⊔v2(v2←1: (((v0 ⊙ (1 ⊕ v1)) ⊗SUM 10) ⊕SUM 20) | \
+             v2←2: (((v0 ⊙ (2 ⊕ v1)) ⊗SUM 10) ⊕SUM 40))"
+        );
+        // Figure 6: the MAX gap annotation over B.
+        let mut vt = VarTable::new();
+        let [x4, x5, y41, y43, y51, z1, z3, z5] =
+            ["x4", "x5", "y41", "y43", "y51", "z1", "z3", "z5"].map(|n| vt.boolean(n, 0.5));
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Max,
+            vec![
+                (v(x4) * v(y41) * (v(z1) + v(z5)), Fin(15)),
+                (v(x4) * v(y43) * v(z3), Fin(60)),
+                (v(x5) * v(y51) * (v(z1) + v(z5)), Fin(10)),
+            ],
+        );
+        let tree = Compiler::new(&vt, SemiringKind::Bool)
+            .compile_semimodule(&alpha)
+            .unwrap();
+        assert_eq!(
+            tree.to_string(),
+            "⊔v0(v0←⊥: (((v1 ⊙ v4) ⊙ (v7 ⊕ v5)) ⊗MAX 10) | \
+             v0←⊤: (⊔v5(v5←⊥: (v7 ⊗MAX (((v1 ⊙ v4) ⊗MAX 10) ⊕MAX (v2 ⊗MAX 15))) | \
+             v5←⊤: (((v1 ⊙ v4) ⊗MAX 10) ⊕MAX (v2 ⊗MAX 15))) ⊕MAX ((v6 ⊙ v3) ⊗MAX 60)))"
+        );
+        // A one-sided [α ≤ c] the evaluator folds.
+        let mut vt = VarTable::new();
+        let [x, y, z] = ["x", "y", "z"].map(|n| vt.boolean(n, 0.5));
+        let terms = vec![
+            (v(x) * v(y), Fin(10)),
+            (v(y) * v(z), Fin(20)),
+            (v(z), Fin(40)),
+        ];
+        let condition = SemiringExpr::cmp_mm(
+            CmpOp::Le,
+            SemimoduleExpr::from_terms(AggOp::Min, terms),
+            SemimoduleExpr::constant(AggOp::Min, Fin(25)),
+        );
+        let tree = Compiler::new(&vt, SemiringKind::Bool)
+            .compile_semiring(&condition)
+            .unwrap();
+        assert!(tree.has_fold_at_root());
+        assert_eq!(
+            tree.to_string(),
+            "[(v1 ⊗MIN ((v2 ⊗MIN 20) ⊕MIN (v0 ⊗MIN 10))) ≤ 25]"
+        );
+        // A ⊔ over the values of N.
+        let mut vt = VarTable::new();
+        let x = vt.natural("x", &[(0, 0.2), (1, 0.3), (2, 0.5)]);
+        let y = vt.natural("y", &[(1, 0.5), (3, 0.5)]);
+        let e = SemiringExpr::sum(vec![v(x) * v(y), v(x), v(y)]);
+        let tree = Compiler::new(&vt, SemiringKind::Nat)
+            .compile_semiring(&e)
+            .unwrap();
+        assert_eq!(
+            tree.to_string(),
+            "⊔v0(v0←0: v1 | v0←1: (1 ⊕ (v1 ⊙ 2)) | v0←2: (2 ⊕ (v1 ⊙ 3)))"
+        );
     }
 }

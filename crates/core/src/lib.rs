@@ -49,18 +49,16 @@ pub mod node;
 pub mod obs;
 pub mod parallel;
 pub mod persist;
-pub mod prune;
+mod prune;
 
 pub use arena::DTreeArena;
 pub use cache::{
     confidence_of, CacheConfig, CacheCounters, CompactionStats, CompilationCache, EvalError,
     EvictionStats, SharedArtifacts,
 };
-pub use compile::{
-    compile_semimodule, compile_semiring, BudgetExceeded, CompileOptions, CompileStats, Compiler,
-};
+pub use compile::{BudgetExceeded, CompileOptions, CompileStats, Compiler};
 pub use joint::{joint_distribution, ratio_distribution};
-pub use node::{DTree, DTreeError};
+pub use node::DTreeError;
 pub use obs::{
     Counter, ExecutionProfile, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ProfileNode,
     SpanGuard, Trace,
@@ -69,7 +67,6 @@ pub use parallel::{resolve_threads, OrderedReassembly, WorkerPool};
 pub use persist::storage::{FaultConfig, FaultyStorage, FsStorage, Storage};
 pub use persist::wal::{Durability, WalRecord, WalRecovery, WalWriter};
 pub use persist::{PersistError, RestoreStats, Snapshot};
-pub use prune::{prune_against_constant, prune_conditional, PruneResult};
 
 use pvc_algebra::SemiringKind;
 use pvc_expr::{SemimoduleExpr, SemiringExpr, VarTable};

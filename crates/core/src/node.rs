@@ -1,5 +1,5 @@
 //! Decomposition trees (d-trees): the knowledge-compilation target of the paper
-//! (§5, Definition 7).
+//! (§5, Definition 7) — their node kinds and the errors their evaluation raises.
 //!
 //! A d-tree is a tree whose inner nodes are `⊕` (independent sum), `⊙` (independent
 //! product), `⊗` (independent scalar action), `[θ]` (comparison of independent
@@ -8,15 +8,19 @@
 //! distribution of a d-tree is computed bottom-up in one pass, using convolution at
 //! the first four node kinds (Eqs. 4–9) and weighted mixing at `⊔` nodes (Eq. 10) —
 //! in time `O(Π_i |p_i|)` over the node distributions (Theorem 2).
+//!
+//! A d-tree is stored as a [`DTreeArena`](crate::arena::DTreeArena): its nodes in
+//! post-order, children referenced by index, which is the form the compiler emits
+//! and the evaluator runs on.
 
-use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
-use pvc_expr::{Var, VarTable};
-use pvc_prob::{MixedDist, MonoidDist, SemiringDist};
+use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringValue};
+use pvc_expr::Var;
 use std::fmt;
 
-/// A decomposition tree over semiring and semimodule expressions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DTree {
+/// One node of a d-tree. Child fields are indices into the arena's post-order
+/// node vector.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ArenaNode {
     /// Leaf: a random variable `x ∈ X`, carrying its own distribution.
     VarLeaf(Var),
     /// Leaf: a semiring constant `s ∈ S` (distribution `{(s, 1)}`).
@@ -24,26 +28,32 @@ pub enum DTree {
     /// Leaf: a monoid constant `m ∈ M` (distribution `{(m, 1)}`).
     MConst(MonoidValue),
     /// `⊕` over two independent *semiring* expressions (Eq. 4).
-    SumS(Box<DTree>, Box<DTree>),
+    SumS { left: u32, right: u32 },
     /// `⊕` over two independent *semimodule* expressions in the given monoid (Eq. 6).
-    SumM(AggOp, Box<DTree>, Box<DTree>),
+    SumM { op: AggOp, left: u32, right: u32 },
     /// `⊙` — product of two independent semiring expressions (Eq. 5).
-    Prod(Box<DTree>, Box<DTree>),
-    /// `⊗` — scalar action of an independent semiring expression on a semimodule
-    /// expression in the given monoid (Eq. 7).
-    Tensor(AggOp, Box<DTree>, Box<DTree>),
+    Prod { left: u32, right: u32 },
+    /// `⊗` — scalar action of an independent semiring expression `scalar` on a
+    /// semimodule expression `value` in the given monoid (Eq. 7).
+    Tensor { op: AggOp, scalar: u32, value: u32 },
     /// `[θ]` — comparison of two independent expressions, both semiring or both
     /// semimodule (Eqs. 8–9). The result is a semiring value.
-    Cmp(CmpOp, Box<DTree>, Box<DTree>),
+    Cmp { theta: CmpOp, left: u32, right: u32 },
     /// `⊔_x` — mutually exclusive split on the value of variable `x`: one child per
-    /// support value `s` with `P_x[s] ≠ 0` (Eq. 10).
-    Exclusive(Var, Vec<(SemiringValue, DTree)>),
+    /// support value `s` with `P_x[s] ≠ 0` (Eq. 10). The `(s, child)` entries
+    /// live in the arena's branch table.
+    Exclusive {
+        var: Var,
+        branches_start: u32,
+        branches_len: u32,
+    },
 }
 
 /// Errors raised while evaluating a d-tree's distribution.
 ///
-/// These indicate a malformed tree (e.g. a `⊙` node over a semimodule child); trees
-/// produced by the compiler in this crate never trigger them.
+/// These indicate a malformed tree (e.g. a `⊙` node over a semimodule child, or a
+/// `⊔` node whose branches are of different sorts); trees produced by the
+/// compiler in this crate never trigger them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DTreeError {
     /// A child produced monoid values where semiring values were required.
@@ -72,147 +82,13 @@ impl fmt::Display for DTreeError {
 
 impl std::error::Error for DTreeError {}
 
-impl DTree {
-    /// Compute the probability distribution represented by this d-tree, bottom-up in
-    /// a single pass (Theorem 2 of the paper).
-    ///
-    /// `kind` fixes the ambient annotation semiring used for the `0_S`/`1_S` outcomes
-    /// of comparison nodes.
-    ///
-    /// Implementation: the tree is flattened into a [`crate::arena::DTreeArena`]
-    /// and evaluated by its iterative post-order loop (no recursion, native-sort
-    /// value stack, threshold-folded comparisons). Callers that evaluate the same
-    /// tree repeatedly should build the arena once with
-    /// [`DTreeArena::from_tree`](crate::arena::DTreeArena::from_tree) and reuse it.
-    ///
-    /// # Empty comparison sides
-    ///
-    /// A [`DTree::Cmp`] node with a side whose distribution is *empty* (total mass
-    /// 0) yields the **empty distribution** rather than an error: convolution
-    /// against an empty operand has no outcomes. Sort mismatches are only reported
-    /// (as [`DTreeError::MixedComparison`]) when both sides are non-empty.
-    pub fn distribution(
-        &self,
-        table: &VarTable,
-        kind: SemiringKind,
-    ) -> Result<MixedDist, DTreeError> {
-        crate::arena::DTreeArena::from_tree(self).mixed_distribution(table, kind)
-    }
-
-    /// The distribution as a semiring distribution (for d-trees of semiring
-    /// expressions).
-    pub fn semiring_distribution(
-        &self,
-        table: &VarTable,
-        kind: SemiringKind,
-    ) -> Result<SemiringDist, DTreeError> {
-        crate::arena::DTreeArena::from_tree(self).semiring_distribution(table, kind)
-    }
-
-    /// The distribution as a monoid distribution (for d-trees of semimodule
-    /// expressions).
-    pub fn monoid_distribution(
-        &self,
-        table: &VarTable,
-        kind: SemiringKind,
-    ) -> Result<MonoidDist, DTreeError> {
-        crate::arena::DTreeArena::from_tree(self).monoid_distribution(table, kind)
-    }
-
-    /// Total number of nodes in the tree.
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            DTree::VarLeaf(_) | DTree::SConst(_) | DTree::MConst(_) => 1,
-            DTree::SumS(a, b)
-            | DTree::SumM(_, a, b)
-            | DTree::Prod(a, b)
-            | DTree::Tensor(_, a, b)
-            | DTree::Cmp(_, a, b) => 1 + a.num_nodes() + b.num_nodes(),
-            DTree::Exclusive(_, branches) => {
-                1 + branches.iter().map(|(_, c)| c.num_nodes()).sum::<usize>()
-            }
-        }
-    }
-
-    /// Number of `⊔` (mutually exclusive case split) nodes — the measure of how often
-    /// the compiler had to fall back to Shannon expansion.
-    pub fn num_exclusive_nodes(&self) -> usize {
-        match self {
-            DTree::VarLeaf(_) | DTree::SConst(_) | DTree::MConst(_) => 0,
-            DTree::SumS(a, b)
-            | DTree::SumM(_, a, b)
-            | DTree::Prod(a, b)
-            | DTree::Tensor(_, a, b)
-            | DTree::Cmp(_, a, b) => a.num_exclusive_nodes() + b.num_exclusive_nodes(),
-            DTree::Exclusive(_, branches) => {
-                1 + branches
-                    .iter()
-                    .map(|(_, c)| c.num_exclusive_nodes())
-                    .sum::<usize>()
-            }
-        }
-    }
-
-    /// Height of the tree (a single leaf has depth 1).
-    pub fn depth(&self) -> usize {
-        match self {
-            DTree::VarLeaf(_) | DTree::SConst(_) | DTree::MConst(_) => 1,
-            DTree::SumS(a, b)
-            | DTree::SumM(_, a, b)
-            | DTree::Prod(a, b)
-            | DTree::Tensor(_, a, b)
-            | DTree::Cmp(_, a, b) => 1 + a.depth().max(b.depth()),
-            DTree::Exclusive(_, branches) => {
-                1 + branches.iter().map(|(_, c)| c.depth()).max().unwrap_or(0)
-            }
-        }
-    }
-
-    /// Number of leaves.
-    pub fn num_leaves(&self) -> usize {
-        match self {
-            DTree::VarLeaf(_) | DTree::SConst(_) | DTree::MConst(_) => 1,
-            DTree::SumS(a, b)
-            | DTree::SumM(_, a, b)
-            | DTree::Prod(a, b)
-            | DTree::Tensor(_, a, b)
-            | DTree::Cmp(_, a, b) => a.num_leaves() + b.num_leaves(),
-            DTree::Exclusive(_, branches) => {
-                branches.iter().map(|(_, c)| c.num_leaves()).sum::<usize>()
-            }
-        }
-    }
-}
-
-impl fmt::Display for DTree {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DTree::VarLeaf(v) => write!(f, "{v}"),
-            DTree::SConst(s) => write!(f, "{s}"),
-            DTree::MConst(m) => write!(f, "{m}"),
-            DTree::SumS(a, b) => write!(f, "({a} ⊕ {b})"),
-            DTree::SumM(op, a, b) => write!(f, "({a} ⊕{op} {b})"),
-            DTree::Prod(a, b) => write!(f, "({a} ⊙ {b})"),
-            DTree::Tensor(op, a, b) => write!(f, "({a} ⊗{op} {b})"),
-            DTree::Cmp(op, a, b) => write!(f, "[{a} {op} {b}]"),
-            DTree::Exclusive(v, branches) => {
-                write!(f, "⊔{v}(")?;
-                for (i, (val, child)) in branches.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " | ")?;
-                    }
-                    write!(f, "{v}←{val}: {child}")?;
-                }
-                write!(f, ")")
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::DTreeArena;
     use pvc_algebra::MonoidValue::Fin;
+    use pvc_algebra::SemiringKind;
+    use pvc_expr::VarTable;
 
     fn table_abc(pa: f64, pb: f64, pc: f64) -> (VarTable, Var, Var, Var) {
         let mut vt = VarTable::new();
@@ -226,23 +102,27 @@ mod tests {
     fn leaf_distributions() {
         let (vt, a, _, _) = table_abc(0.3, 0.5, 0.5);
         let kind = SemiringKind::Bool;
-        let d = DTree::VarLeaf(a).semiring_distribution(&vt, kind).unwrap();
+        let mut t = DTreeArena::new();
+        t.push(ArenaNode::VarLeaf(a));
+        let d = t.semiring_distribution(&vt, kind).unwrap();
         assert!((d.prob(&SemiringValue::Bool(true)) - 0.3).abs() < 1e-12);
-        let d = DTree::SConst(SemiringValue::Nat(4))
-            .semiring_distribution(&vt, SemiringKind::Nat)
-            .unwrap();
+        let mut t = DTreeArena::new();
+        t.push(ArenaNode::SConst(SemiringValue::Nat(4)));
+        let d = t.semiring_distribution(&vt, SemiringKind::Nat).unwrap();
         assert_eq!(d.support_size(), 1);
-        let d = DTree::MConst(Fin(9))
-            .monoid_distribution(&vt, kind)
-            .unwrap();
+        let mut t = DTreeArena::new();
+        t.push(ArenaNode::MConst(Fin(9)));
+        let d = t.monoid_distribution(&vt, kind).unwrap();
         assert!((d.prob(&Fin(9)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn product_node_is_conjunction() {
         let (vt, a, b, _) = table_abc(0.3, 0.5, 0.5);
-        let tree = DTree::Prod(Box::new(DTree::VarLeaf(a)), Box::new(DTree::VarLeaf(b)));
-        let d = tree.semiring_distribution(&vt, SemiringKind::Bool).unwrap();
+        let mut t = DTreeArena::new();
+        let (left, right) = (t.var(a), t.var(b));
+        t.push(ArenaNode::Prod { left, right });
+        let d = t.semiring_distribution(&vt, SemiringKind::Bool).unwrap();
         assert!((d.prob(&SemiringValue::Bool(true)) - 0.15).abs() < 1e-12);
         assert!(d.is_normalized());
     }
@@ -250,8 +130,10 @@ mod tests {
     #[test]
     fn sum_node_is_disjunction() {
         let (vt, a, b, _) = table_abc(0.3, 0.5, 0.5);
-        let tree = DTree::SumS(Box::new(DTree::VarLeaf(a)), Box::new(DTree::VarLeaf(b)));
-        let d = tree.semiring_distribution(&vt, SemiringKind::Bool).unwrap();
+        let mut t = DTreeArena::new();
+        let (left, right) = (t.var(a), t.var(b));
+        t.push(ArenaNode::SumS { left, right });
+        let d = t.semiring_distribution(&vt, SemiringKind::Bool).unwrap();
         assert!((d.prob(&SemiringValue::Bool(true)) - (1.0 - 0.7 * 0.5)).abs() < 1e-12);
     }
 
@@ -259,18 +141,12 @@ mod tests {
     fn tensor_and_monoid_sum() {
         // a⊗10 +min b⊗20.
         let (vt, a, b, _) = table_abc(0.5, 0.5, 0.5);
-        let t1 = DTree::Tensor(
-            AggOp::Min,
-            Box::new(DTree::VarLeaf(a)),
-            Box::new(DTree::MConst(Fin(10))),
-        );
-        let t2 = DTree::Tensor(
-            AggOp::Min,
-            Box::new(DTree::VarLeaf(b)),
-            Box::new(DTree::MConst(Fin(20))),
-        );
-        let tree = DTree::SumM(AggOp::Min, Box::new(t1), Box::new(t2));
-        let d = tree.monoid_distribution(&vt, SemiringKind::Bool).unwrap();
+        let mut t = DTreeArena::new();
+        let left = t.tensor(AggOp::Min, a, 10);
+        let right = t.tensor(AggOp::Min, b, 20);
+        let op = AggOp::Min;
+        t.push(ArenaNode::SumM { op, left, right });
+        let d = t.monoid_distribution(&vt, SemiringKind::Bool).unwrap();
         assert!((d.prob(&Fin(10)) - 0.5).abs() < 1e-12);
         assert!((d.prob(&Fin(20)) - 0.25).abs() < 1e-12);
         assert!((d.prob(&MonoidValue::PosInf) - 0.25).abs() < 1e-12);
@@ -279,14 +155,13 @@ mod tests {
     #[test]
     fn comparison_node() {
         let (vt, a, _, _) = table_abc(0.4, 0.5, 0.5);
-        // [a⊗10 ≤ 15] — true iff always (min of {10,+∞}... wait: a absent gives +∞).
-        let alpha = DTree::Tensor(
-            AggOp::Min,
-            Box::new(DTree::VarLeaf(a)),
-            Box::new(DTree::MConst(Fin(10))),
-        );
-        let tree = DTree::Cmp(CmpOp::Le, Box::new(alpha), Box::new(DTree::MConst(Fin(15))));
-        let d = tree.semiring_distribution(&vt, SemiringKind::Bool).unwrap();
+        // [a⊗10 ≤ 15]: true iff a is present (an absent a leaves MIN at +∞).
+        let mut t = DTreeArena::new();
+        let left = t.tensor(AggOp::Min, a, 10);
+        let right = t.push(ArenaNode::MConst(Fin(15)));
+        let theta = CmpOp::Le;
+        t.push(ArenaNode::Cmp { theta, left, right });
+        let d = t.semiring_distribution(&vt, SemiringKind::Bool).unwrap();
         assert!((d.prob(&SemiringValue::Bool(true)) - 0.4).abs() < 1e-12);
     }
 
@@ -294,17 +169,17 @@ mod tests {
     fn exclusive_node_mixes_branches() {
         let (vt, a, b, _) = table_abc(0.3, 0.6, 0.5);
         // ⊔a with children: a←⊥ gives b, a←⊤ gives ⊤ (i.e. the expression a + b).
-        let tree = DTree::Exclusive(
+        let mut t = DTreeArena::new();
+        let absent = t.var(b);
+        let present = t.push(ArenaNode::SConst(SemiringValue::Bool(true)));
+        t.exclusive(
             a,
-            vec![
-                (SemiringValue::Bool(false), DTree::VarLeaf(b)),
-                (
-                    SemiringValue::Bool(true),
-                    DTree::SConst(SemiringValue::Bool(true)),
-                ),
+            &[
+                (SemiringValue::Bool(false), absent),
+                (SemiringValue::Bool(true), present),
             ],
         );
-        let d = tree.semiring_distribution(&vt, SemiringKind::Bool).unwrap();
+        let d = t.semiring_distribution(&vt, SemiringKind::Bool).unwrap();
         let expected = 0.3 + 0.7 * 0.6;
         assert!((d.prob(&SemiringValue::Bool(true)) - expected).abs() < 1e-12);
         assert!(d.is_normalized());
@@ -314,16 +189,17 @@ mod tests {
     fn malformed_trees_report_errors() {
         let (vt, a, _, _) = table_abc(0.3, 0.5, 0.5);
         // ⊙ over a monoid child.
-        let bad = DTree::Prod(Box::new(DTree::MConst(Fin(1))), Box::new(DTree::VarLeaf(a)));
-        assert!(bad.distribution(&vt, SemiringKind::Bool).is_err());
+        let mut bad = DTreeArena::new();
+        let (left, right) = (bad.push(ArenaNode::MConst(Fin(1))), bad.var(a));
+        bad.push(ArenaNode::Prod { left, right });
+        assert!(bad.semiring_distribution(&vt, SemiringKind::Bool).is_err());
         // Mixed comparison.
-        let bad = DTree::Cmp(
-            CmpOp::Le,
-            Box::new(DTree::MConst(Fin(1))),
-            Box::new(DTree::VarLeaf(a)),
-        );
+        let mut bad = DTreeArena::new();
+        let (left, right) = (bad.push(ArenaNode::MConst(Fin(1))), bad.var(a));
+        let theta = CmpOp::Le;
+        bad.push(ArenaNode::Cmp { theta, left, right });
         assert_eq!(
-            bad.distribution(&vt, SemiringKind::Bool),
+            bad.semiring_distribution(&vt, SemiringKind::Bool),
             Err(DTreeError::MixedComparison)
         );
     }
@@ -331,23 +207,26 @@ mod tests {
     #[test]
     fn size_statistics() {
         let (_, a, b, _) = table_abc(0.5, 0.5, 0.5);
-        let tree = DTree::SumS(
-            Box::new(DTree::Prod(
-                Box::new(DTree::VarLeaf(a)),
-                Box::new(DTree::VarLeaf(b)),
-            )),
-            Box::new(DTree::SConst(SemiringValue::Bool(false))),
-        );
-        assert_eq!(tree.num_nodes(), 5);
-        assert_eq!(tree.num_leaves(), 3);
-        assert_eq!(tree.depth(), 3);
-        assert_eq!(tree.num_exclusive_nodes(), 0);
+        // (a ⊙ b) ⊕ ⊥, then the same under a ⊔ on a.
+        let mut t = DTreeArena::new();
+        let (left, right) = (t.var(a), t.var(b));
+        let left = t.push(ArenaNode::Prod { left, right });
+        let right = t.push(ArenaNode::SConst(SemiringValue::Bool(false)));
+        let sum = t.push(ArenaNode::SumS { left, right });
+        assert_eq!(t.num_nodes(), 5);
+        assert_eq!(t.num_nodes(), t.len());
+        assert_eq!(t.num_exclusive_nodes(), 0);
+        t.exclusive(a, &[(SemiringValue::Bool(true), sum)]);
+        assert_eq!(t.num_nodes(), 6);
+        assert_eq!(t.num_exclusive_nodes(), 1);
     }
 
     #[test]
     fn display_renders() {
         let (_, a, b, _) = table_abc(0.5, 0.5, 0.5);
-        let tree = DTree::SumS(Box::new(DTree::VarLeaf(a)), Box::new(DTree::VarLeaf(b)));
-        assert_eq!(tree.to_string(), "(v0 ⊕ v1)");
+        let mut t = DTreeArena::new();
+        let (left, right) = (t.var(a), t.var(b));
+        t.push(ArenaNode::SumS { left, right });
+        assert_eq!(t.to_string(), "(v0 ⊕ v1)");
     }
 }

@@ -7,22 +7,12 @@
 //! materialising exponential SUM distributions when the bound already decides the
 //! comparison.
 //!
-//! Only *equivalence-preserving* rules are applied; every rule is validated against
-//! the brute-force oracle in the tests below.
+//! The rules decide over any term list ([`verdict`]); the compiler applies them
+//! to the interned conditionals it meets. Only *equivalence-preserving* rules are
+//! applied; every rule is validated against the brute-force oracle in the tests
+//! below.
 
-use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind};
-use pvc_expr::{SemimoduleExpr, SemiringExpr};
-
-/// The outcome of pruning a conditional expression `[α θ m]` against a constant bound.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PruneResult {
-    /// The conditional is always true: replace it by `1_S`.
-    AlwaysTrue,
-    /// The conditional is always false: replace it by `0_S`.
-    AlwaysFalse,
-    /// The conditional was (possibly) simplified to a new left-hand side.
-    Simplified(SemimoduleExpr),
-}
+use pvc_algebra::{AggOp, CmpOp, MonoidValue};
 
 /// What the rules conclude about `[α θ m]`, whatever `α`'s terms are stored as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,11 +28,28 @@ pub(crate) enum Verdict {
     Keep(CmpOp),
 }
 
-/// Decide `[α θ bound]` for `α = Σ_op terms` by the rules listed at
-/// [`prune_against_constant`], `view` giving each term's value and whether the term
-/// is *guaranteed* — its coefficient is a non-zero constant (`1_S` after
-/// simplification), so it contributes its value in every possible world and can
-/// decide a comparison outright.
+/// Decide `[α θ bound]` for `α = Σ_op terms`, `view` giving each term's value
+/// and whether the term is *guaranteed* — its coefficient is a non-zero constant
+/// (`1_S` after simplification), so it contributes its value in every possible
+/// world and can decide a comparison outright.
+///
+/// Rules implemented (symmetric MAX variants mirror the MIN ones):
+///
+/// * **MIN, θ ∈ {≤, <, =}**: terms whose value exceeds the bound can never be the
+///   minimum that decides the comparison, so they are dropped
+///   (`[Σ_i Φ_i⊗m_i ≤ m] ≡ [Σ_{i: m_i ≤ m} Φ_i⊗m_i ≤ m]`).
+/// * **MIN, θ ∈ {≥, >}**: dually, only terms whose value *violates* the bound
+///   matter — `min ≥ m` holds iff no term with value < m is present — so terms
+///   already satisfying the bound are dropped
+///   (`[Σ_i Φ_i⊗m_i ≥ m] ≡ [Σ_{i: m_i < m} Φ_i⊗m_i ≥ m]`); if no violating term
+///   remains the conditional is constantly true, and a *guaranteed* violator
+///   makes it constantly false.
+/// * **MAX, θ ∈ {≥, >, =}**: dually to MIN/≤, terms below the bound are dropped.
+/// * **MAX, θ ∈ {≤, <}**: dually to MIN/≥, terms at or below the bound are
+///   dropped; no remaining violator ⇒ constantly true.
+/// * **SUM/COUNT with non-negative term values**: if even the sum of *all* values
+///   satisfies (resp. cannot reach) the bound, the conditional is constantly true
+///   (resp. false).
 pub(crate) fn verdict<T>(
     op: AggOp,
     theta: CmpOp,
@@ -184,84 +191,75 @@ fn additive<T>(
     }
 }
 
-/// Prune a conditional `[α θ m]` whose right-hand side is the constant `m` (the
-/// compiler applies the same rules to interned term lists).
-///
-/// Rules implemented (symmetric MAX variants mirror the MIN ones):
-///
-/// * **MIN, θ ∈ {≤, <, =}**: terms whose value exceeds the bound can never be the
-///   minimum that decides the comparison, so they are dropped
-///   (`[Σ_i Φ_i⊗m_i ≤ m] ≡ [Σ_{i: m_i ≤ m} Φ_i⊗m_i ≤ m]`).
-/// * **MIN, θ ∈ {≥, >}**: dually, only terms whose value *violates* the bound
-///   matter — `min ≥ m` holds iff no term with value < m is present — so terms
-///   already satisfying the bound are dropped
-///   (`[Σ_i Φ_i⊗m_i ≥ m] ≡ [Σ_{i: m_i < m} Φ_i⊗m_i ≥ m]`); if no violating term
-///   remains the conditional is constantly true, and a *guaranteed* violator
-///   makes it constantly false.
-/// * **MAX, θ ∈ {≥, >, =}**: dually to MIN/≤, terms below the bound are dropped.
-/// * **MAX, θ ∈ {≤, <}**: dually to MIN/≥, terms at or below the bound are
-///   dropped; no remaining violator ⇒ constantly true.
-/// * **SUM/COUNT with non-negative term values**: if even the sum of *all* values
-///   satisfies (resp. cannot reach) the bound, the conditional is constantly true
-///   (resp. false).
-pub fn prune_against_constant(
-    alpha: &SemimoduleExpr,
-    theta: CmpOp,
-    bound: MonoidValue,
-) -> PruneResult {
-    let view = |t: &pvc_expr::SmTerm| {
-        let guaranteed = t.coeff.as_const().is_some_and(|c| !c.is_zero());
-        (guaranteed, t.value)
-    };
-    match verdict(alpha.op, theta, bound, &alpha.terms, view) {
-        Verdict::AlwaysTrue => PruneResult::AlwaysTrue,
-        Verdict::AlwaysFalse => PruneResult::AlwaysFalse,
-        Verdict::KeepAll => PruneResult::Simplified(alpha.clone()),
-        Verdict::Keep(keep) => PruneResult::Simplified(SemimoduleExpr {
-            op: alpha.op,
-            terms: alpha
-                .terms
-                .iter()
-                .filter(|t| keep.eval(&t.value, &bound))
-                .cloned()
-                .collect(),
-        }),
-    }
-}
-
-/// Prune a general conditional semiring expression `[α θ β]`, returning an equivalent
-/// (possibly simplified) semiring expression. Conditionals whose right-hand side is
-/// not a constant are left untouched; constants on the left are handled by flipping
-/// the comparison.
-pub fn prune_conditional(expr: &SemiringExpr, kind: SemiringKind) -> SemiringExpr {
-    let SemiringExpr::CmpMM(theta, lhs, rhs) = expr else {
-        return expr.clone();
-    };
-    // Normalise so the constant (if any) is on the right.
-    let (alpha, theta, bound) = if let Some(b) = rhs.as_const() {
-        ((**lhs).clone(), *theta, b)
-    } else if let Some(b) = lhs.as_const() {
-        ((**rhs).clone(), theta.flip(), b)
-    } else {
-        return expr.clone();
-    };
-    match prune_against_constant(&alpha, theta, bound) {
-        PruneResult::AlwaysTrue => SemiringExpr::Const(kind.one()),
-        PruneResult::AlwaysFalse => SemiringExpr::Const(kind.zero()),
-        PruneResult::Simplified(simplified) => SemiringExpr::cmp_mm(
-            theta,
-            simplified,
-            SemimoduleExpr::constant_in(alpha.op, bound, kind),
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Compiler;
     use pvc_algebra::MonoidValue::Fin;
+    use pvc_algebra::{SemiringKind, SemiringValue};
     use pvc_expr::oracle::confidence_by_enumeration;
-    use pvc_expr::VarTable;
+    use pvc_expr::{SemimoduleExpr, SemiringExpr, SmTerm, VarTable};
+
+    /// The verdict on `[α θ bound]` over `α`'s own terms.
+    fn decide(alpha: &SemimoduleExpr, theta: CmpOp, bound: MonoidValue) -> Verdict {
+        let view = |t: &SmTerm| {
+            let guaranteed = t.coeff.as_const().is_some_and(|c| !c.is_zero());
+            (guaranteed, t.value)
+        };
+        verdict(alpha.op, theta, bound, &alpha.terms, view)
+    }
+
+    /// `[α θ m]` with the verdict applied, as the expression the compiler goes
+    /// on with: a constant, or the conditional over the kept terms. A constant
+    /// on the left is flipped to the right first.
+    fn pruned(expr: &SemiringExpr, kind: SemiringKind) -> SemiringExpr {
+        let SemiringExpr::CmpMM(theta, lhs, rhs) = expr else {
+            panic!("not a conditional: {expr}");
+        };
+        let (alpha, theta, bound) = match (lhs.as_const(), rhs.as_const()) {
+            (_, Some(m)) => (&**lhs, *theta, m),
+            (Some(m), None) => (&**rhs, theta.flip(), m),
+            (None, None) => panic!("no constant side: {expr}"),
+        };
+        let kept = match decide(alpha, theta, bound) {
+            Verdict::AlwaysTrue => return SemiringExpr::Const(kind.one()),
+            Verdict::AlwaysFalse => return SemiringExpr::Const(kind.zero()),
+            Verdict::KeepAll => alpha.clone(),
+            Verdict::Keep(keep) => SemimoduleExpr {
+                op: alpha.op,
+                terms: (alpha.terms.iter())
+                    .filter(|t| keep.eval(&t.value, &bound))
+                    .cloned()
+                    .collect(),
+            },
+        };
+        let bound = SemimoduleExpr::constant_in(alpha.op, bound, kind);
+        SemiringExpr::cmp_mm(theta, kept, bound)
+    }
+
+    /// `P[pruned ≠ 0] = P[original ≠ 0]` for every θ and each bound.
+    fn assert_pruning_preserves_probability(alpha: &SemimoduleExpr, vt: &VarTable, bounds: &[i64]) {
+        let kind = SemiringKind::Bool;
+        for theta in [
+            CmpOp::Le,
+            CmpOp::Lt,
+            CmpOp::Eq,
+            CmpOp::Ge,
+            CmpOp::Gt,
+            CmpOp::Ne,
+        ] {
+            for &bound in bounds {
+                let constant = SemimoduleExpr::constant(alpha.op, Fin(bound));
+                let original = SemiringExpr::cmp_mm(theta, alpha.clone(), constant);
+                let p0 = confidence_by_enumeration(&original, vt, kind);
+                let p1 = confidence_by_enumeration(&pruned(&original, kind), vt, kind);
+                assert!(
+                    (p0 - p1).abs() < 1e-9,
+                    "pruning changed probability for θ={theta:?}, bound={bound}: {p0} vs {p1}"
+                );
+            }
+        }
+    }
 
     /// Build the paper's running example `[x⊗10 +min y⊗20 ≤ 15]`.
     fn min_example() -> (VarTable, SemimoduleExpr) {
@@ -281,12 +279,20 @@ mod tests {
     #[test]
     fn min_le_drops_large_terms() {
         let (_, alpha) = min_example();
-        match prune_against_constant(&alpha, CmpOp::Le, Fin(15)) {
-            PruneResult::Simplified(s) => {
+        let kept = pruned(
+            &SemiringExpr::cmp_mm(
+                CmpOp::Le,
+                alpha.clone(),
+                SemimoduleExpr::constant(AggOp::Min, Fin(15)),
+            ),
+            SemiringKind::Bool,
+        );
+        match kept {
+            SemiringExpr::CmpMM(CmpOp::Le, s, _) => {
                 assert_eq!(s.num_terms(), 1);
                 assert_eq!(s.terms[0].value, Fin(10));
             }
-            other => panic!("unexpected {other:?}"),
+            other => panic!("unexpected {other}"),
         }
     }
 
@@ -294,29 +300,7 @@ mod tests {
     fn pruning_preserves_probability() {
         // The paper's claim: P[Φ = 1_S] is unchanged by pruning (it equals 1 − P_x[0]).
         let (vt, alpha) = min_example();
-        for theta in [
-            CmpOp::Le,
-            CmpOp::Lt,
-            CmpOp::Eq,
-            CmpOp::Ge,
-            CmpOp::Gt,
-            CmpOp::Ne,
-        ] {
-            for bound in [0, 10, 15, 20, 25] {
-                let original = SemiringExpr::cmp_mm(
-                    theta,
-                    alpha.clone(),
-                    SemimoduleExpr::constant(AggOp::Min, Fin(bound)),
-                );
-                let pruned = prune_conditional(&original, SemiringKind::Bool);
-                let p0 = confidence_by_enumeration(&original, &vt, SemiringKind::Bool);
-                let p1 = confidence_by_enumeration(&pruned, &vt, SemiringKind::Bool);
-                assert!(
-                    (p0 - p1).abs() < 1e-9,
-                    "pruning changed probability for θ={theta:?}, bound={bound}: {p0} vs {p1}"
-                );
-            }
-        }
+        assert_pruning_preserves_probability(&alpha, &vt, &[0, 10, 15, 20, 25]);
     }
 
     #[test]
@@ -333,26 +317,7 @@ mod tests {
                 (SemiringExpr::Var(c), Fin(100)),
             ],
         );
-        for theta in [
-            CmpOp::Le,
-            CmpOp::Lt,
-            CmpOp::Eq,
-            CmpOp::Ge,
-            CmpOp::Gt,
-            CmpOp::Ne,
-        ] {
-            for bound in [0, 5, 49, 50, 100, 150] {
-                let original = SemiringExpr::cmp_mm(
-                    theta,
-                    alpha.clone(),
-                    SemimoduleExpr::constant(AggOp::Max, Fin(bound)),
-                );
-                let pruned = prune_conditional(&original, SemiringKind::Bool);
-                let p0 = confidence_by_enumeration(&original, &vt, SemiringKind::Bool);
-                let p1 = confidence_by_enumeration(&pruned, &vt, SemiringKind::Bool);
-                assert!((p0 - p1).abs() < 1e-9, "θ={theta:?}, bound={bound}");
-            }
-        }
+        assert_pruning_preserves_probability(&alpha, &vt, &[0, 5, 49, 50, 100, 150]);
     }
 
     #[test]
@@ -368,27 +333,12 @@ mod tests {
                 (SemiringExpr::Var(b), Fin(20)),
             ],
         );
-        assert_eq!(
-            prune_against_constant(&alpha, CmpOp::Le, Fin(50)),
-            PruneResult::AlwaysTrue
-        );
-        assert_eq!(
-            prune_against_constant(&alpha, CmpOp::Ge, Fin(31)),
-            PruneResult::AlwaysFalse
-        );
-        assert_eq!(
-            prune_against_constant(&alpha, CmpOp::Gt, Fin(-1)),
-            PruneResult::AlwaysTrue
-        );
-        assert_eq!(
-            prune_against_constant(&alpha, CmpOp::Lt, Fin(0)),
-            PruneResult::AlwaysFalse
-        );
+        assert_eq!(decide(&alpha, CmpOp::Le, Fin(50)), Verdict::AlwaysTrue);
+        assert_eq!(decide(&alpha, CmpOp::Ge, Fin(31)), Verdict::AlwaysFalse);
+        assert_eq!(decide(&alpha, CmpOp::Gt, Fin(-1)), Verdict::AlwaysTrue);
+        assert_eq!(decide(&alpha, CmpOp::Lt, Fin(0)), Verdict::AlwaysFalse);
         // In-range bounds are left alone.
-        assert!(matches!(
-            prune_against_constant(&alpha, CmpOp::Le, Fin(15)),
-            PruneResult::Simplified(_)
-        ));
+        assert_eq!(decide(&alpha, CmpOp::Le, Fin(15)), Verdict::KeepAll);
     }
 
     #[test]
@@ -403,26 +353,7 @@ mod tests {
                 (SemiringExpr::Var(b), Fin(20)),
             ],
         );
-        for theta in [
-            CmpOp::Le,
-            CmpOp::Lt,
-            CmpOp::Eq,
-            CmpOp::Ge,
-            CmpOp::Gt,
-            CmpOp::Ne,
-        ] {
-            for bound in [-5, 0, 10, 15, 30, 40] {
-                let original = SemiringExpr::cmp_mm(
-                    theta,
-                    alpha.clone(),
-                    SemimoduleExpr::constant(AggOp::Sum, Fin(bound)),
-                );
-                let pruned = prune_conditional(&original, SemiringKind::Bool);
-                let p0 = confidence_by_enumeration(&original, &vt, SemiringKind::Bool);
-                let p1 = confidence_by_enumeration(&pruned, &vt, SemiringKind::Bool);
-                assert!((p0 - p1).abs() < 1e-9, "θ={theta:?}, bound={bound}");
-            }
-        }
+        assert_pruning_preserves_probability(&alpha, &vt, &[-5, 0, 10, 15, 30, 40]);
     }
 
     #[test]
@@ -430,18 +361,13 @@ mod tests {
         let mut vt = VarTable::new();
         let a = vt.boolean("a", 0.5);
         let alpha = SemimoduleExpr::tensor(AggOp::Count, SemiringExpr::Var(a), Fin(1));
+        let (le, ge) = (CmpOp::Le, CmpOp::Ge);
+        assert_eq!(decide(&alpha, le, MonoidValue::PosInf), Verdict::AlwaysTrue);
         assert_eq!(
-            prune_against_constant(&alpha, CmpOp::Le, MonoidValue::PosInf),
-            PruneResult::AlwaysTrue
+            decide(&alpha, ge, MonoidValue::PosInf),
+            Verdict::AlwaysFalse
         );
-        assert_eq!(
-            prune_against_constant(&alpha, CmpOp::Ge, MonoidValue::PosInf),
-            PruneResult::AlwaysFalse
-        );
-        assert_eq!(
-            prune_against_constant(&alpha, CmpOp::Ge, MonoidValue::NegInf),
-            PruneResult::AlwaysTrue
-        );
+        assert_eq!(decide(&alpha, ge, MonoidValue::NegInf), Verdict::AlwaysTrue);
     }
 
     #[test]
@@ -455,7 +381,8 @@ mod tests {
             SemimoduleExpr::constant(AggOp::Min, Fin(5)),
             alpha,
         );
-        let pruned = prune_conditional(&e, SemiringKind::Bool);
+        let pruned = pruned(&e, SemiringKind::Bool);
+        assert!(matches!(pruned, SemiringExpr::Const(_)), "{pruned}");
         let p0 = confidence_by_enumeration(&e, &vt, SemiringKind::Bool);
         let p1 = confidence_by_enumeration(&pruned, &vt, SemiringKind::Bool);
         assert!((p0 - p1).abs() < 1e-9);
@@ -463,7 +390,13 @@ mod tests {
 
     #[test]
     fn non_conditional_expressions_pass_through() {
-        let e = SemiringExpr::Const(pvc_algebra::SemiringValue::Bool(true));
-        assert_eq!(prune_conditional(&e, SemiringKind::Bool), e);
+        // The compiler prunes conditionals only: a constant compiles to itself,
+        // and nothing is counted as pruned.
+        let vt = VarTable::new();
+        let e = SemiringExpr::Const(SemiringValue::Bool(true));
+        let mut compiler = Compiler::new(&vt, SemiringKind::Bool);
+        let tree = compiler.compile_semiring(&e).unwrap();
+        assert_eq!(tree.to_string(), "⊤");
+        assert_eq!(compiler.stats().pruned_conditionals, 0);
     }
 }

@@ -36,4 +36,4 @@ pub use stats::{
     reset_kernel_stats, set_kernel_stats_enabled, take_tuple_capture, tuple_capture_chain,
     KernelStats, SUPPORT_BUCKETS,
 };
-pub use values::{make, DistValue, MixedDist, MonoidDist, SemiringDist};
+pub use values::{make, MonoidDist, SemiringDist};

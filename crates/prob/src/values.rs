@@ -1,67 +1,12 @@
-//! Distributions over the engine's dynamic value types, and the mixed value type
-//! produced when computing the distribution of a decomposition tree.
+//! Distributions over the engine's dynamic value types.
 
 use crate::dist::Dist;
 use pvc_algebra::{MonoidValue, SemiringValue};
-use std::fmt;
-
-/// A value drawn from either the annotation semiring or an aggregation monoid.
-///
-/// Decomposition trees mix semiring sub-expressions and semimodule sub-expressions,
-/// so the distribution at a d-tree node ranges over this sum type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum DistValue {
-    /// An element of the annotation semiring.
-    S(SemiringValue),
-    /// An element of an aggregation monoid.
-    M(MonoidValue),
-}
-
-impl DistValue {
-    /// The semiring element, if this is a semiring value.
-    pub fn as_semiring(&self) -> Option<SemiringValue> {
-        match self {
-            DistValue::S(s) => Some(*s),
-            DistValue::M(_) => None,
-        }
-    }
-
-    /// The monoid element, if this is a monoid value.
-    pub fn as_monoid(&self) -> Option<MonoidValue> {
-        match self {
-            DistValue::M(m) => Some(*m),
-            DistValue::S(_) => None,
-        }
-    }
-}
-
-impl fmt::Display for DistValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DistValue::S(s) => write!(f, "{s}"),
-            DistValue::M(m) => write!(f, "{m}"),
-        }
-    }
-}
-
-impl From<SemiringValue> for DistValue {
-    fn from(s: SemiringValue) -> Self {
-        DistValue::S(s)
-    }
-}
-
-impl From<MonoidValue> for DistValue {
-    fn from(m: MonoidValue) -> Self {
-        DistValue::M(m)
-    }
-}
 
 /// A distribution over semiring values.
 pub type SemiringDist = Dist<SemiringValue>;
 /// A distribution over monoid values.
 pub type MonoidDist = Dist<MonoidValue>;
-/// A distribution over mixed values (at a d-tree node).
-pub type MixedDist = Dist<DistValue>;
 
 /// Convenience constructors for the distributions that appear constantly in the
 /// engine: Boolean tuple-presence variables and small integer-valued variables.
@@ -192,16 +137,5 @@ mod tests {
             .all(|v| matches!(v, Fin(10) | Fin(20) | MonoidValue::PosInf)));
         assert!((min.prob(&Fin(10)) - 0.5).abs() < 1e-12);
         assert!((min.prob(&MonoidValue::PosInf) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dist_value_ordering_and_accessors() {
-        let s = DistValue::S(SemiringValue::Bool(true));
-        let m = DistValue::M(Fin(4));
-        assert!(s.as_semiring().is_some());
-        assert!(s.as_monoid().is_none());
-        assert!(m.as_monoid().is_some());
-        assert_eq!(m.to_string(), "4");
-        assert_eq!(s.to_string(), "⊤");
     }
 }

@@ -90,12 +90,6 @@ impl EvalOptions {
         }
     }
 
-    /// Replace the compiler options (e.g. for ablations or to set a node budget).
-    pub fn with_compile(mut self, compile: CompileOptions) -> Self {
-        self.compile = compile;
-        self
-    }
-
     /// Set a d-tree node budget; compilation beyond it returns [`Error::Compile`].
     pub fn with_node_budget(mut self, budget: usize) -> Self {
         self.compile.node_budget = Some(budget);

@@ -1,5 +1,5 @@
-//! Result digests of 156 engine configurations, one line each — the bit-parity
-//! check between two trees.
+//! Result digests of 156 engine configurations and 12 compiled conditions, one
+//! line each — the bit-parity check between two trees.
 //!
 //! Every configuration is one query × fast path on / off × 1, 2 or 4 threads ×
 //! a pool the execution starts for itself or one shared pool. The queries are
@@ -10,7 +10,14 @@
 //! stream on a fresh engine, `Engine::execute_once`, and an engine restored
 //! from the cold engine's snapshot. A digest covers every tuple's values, the
 //! bits of its confidence and the bits of every aggregate distribution, so two
-//! trees that answer alike print the same lines:
+//! trees that answer alike print the same lines.
+//!
+//! The engine answers its group confidences through the artifact store and Q2
+//! compares with `=`, so the compiler's one-sided threshold folds are reached
+//! by the last twelve lines: one generated condition `[Σ Φᵢ⊗vᵢ θ c]` per
+//! aggregate (MIN, MAX, COUNT, SUM) × θ (`=`, `≤`, `≥`), compiled by
+//! `Compiler::emit_semiring_id` and evaluated. Each line digests the
+//! confidence's bits, the arena's node count and the compilation statistics:
 //!
 //! ```text
 //! cargo run -q --release --example digest > before.txt   # in one tree
@@ -25,6 +32,7 @@ use pvc_suite::core::parallel::WorkerPool;
 use pvc_suite::prelude::*;
 use pvc_suite::prob::SeededRng;
 use pvc_suite::tpch::{generate, q1, q2, TpchConfig};
+use pvc_suite::workload::{ExprGenParams, ExprGenerator};
 use std::sync::Arc;
 
 /// FNV-1a over everything an answer is made of.
@@ -82,6 +90,52 @@ fn sales() -> Database {
         }
     }
     db
+}
+
+/// One line per (aggregate, θ) class of generated conditions: small `L`, eight
+/// variables, a constant halfway into the aggregate's range, a fixed seed.
+fn circuits() -> Result<(), Box<dyn std::error::Error>> {
+    let mut rng = SeededRng::seed_from_u64(20_120_827);
+    for theta in [CmpOp::Eq, CmpOp::Le, CmpOp::Ge] {
+        for agg in [AggOp::Min, AggOp::Max, AggOp::Count, AggOp::Sum] {
+            let (left_terms, top) = match agg {
+                AggOp::Min | AggOp::Max => (24, 200),
+                AggOp::Count => (16, 16),
+                _ => (16, 16 * 100),
+            };
+            let params = ExprGenParams {
+                left_terms,
+                right_terms: 0,
+                agg_left: agg,
+                theta,
+                constant: top / 2,
+                num_vars: 8,
+                max_value: 200,
+                // Not a power of two, so products of probabilities round and
+                // an operand order that changed would show in the bits.
+                var_probability: 0.35,
+                ..ExprGenParams::default()
+            };
+            let g = ExprGenerator::new(params, rng.next_u64()).generate();
+            let mut interner = Interner::new();
+            let id = interner.intern(&g.condition);
+            let mut compiler = Compiler::new(&g.vars, SemiringKind::Bool);
+            let arena = compiler.emit_semiring_id(&interner, id)?;
+            let dist = arena.semiring_distribution(&g.vars, SemiringKind::Bool)?;
+            let mut d = Digest::new();
+            for (value, p) in dist.iter() {
+                d.bytes(value.to_string().as_bytes());
+                d.bytes(&p.to_bits().to_le_bytes());
+            }
+            let nodes = arena.len();
+            d.bytes(format!("{nodes} {:?}", compiler.stats()).as_bytes());
+            println!(
+                "circuit/{agg:?}/{theta:?} nodes={nodes} digest={:016x}",
+                d.0
+            );
+        }
+    }
+    Ok(())
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -142,5 +196,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     std::fs::remove_file(&snapshot).ok();
-    Ok(())
+    circuits()
 }

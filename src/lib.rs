@@ -109,8 +109,8 @@ pub use pvc_workload as workload;
 pub mod prelude {
     pub use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
     pub use pvc_core::{
-        compile_semimodule, compile_semiring, confidence, semimodule_distribution,
-        semiring_distribution, CompileOptions, Compiler, DTree, ExecutionProfile,
+        confidence, semimodule_distribution, semiring_distribution, CompileOptions, Compiler,
+        DTreeArena, ExecutionProfile,
     };
     pub use pvc_db::{
         classify, try_evaluate, try_tuple_confidences, AggSpec, CacheConfig, CacheStats, Database,

@@ -140,36 +140,3 @@ fn dtree_distributions_are_proper() {
         assert!(dist.iter().all(|(_, p)| p > 0.0 && p <= 1.0 + 1e-9));
     }
 }
-
-#[test]
-fn boxing_undoes_flattening_on_every_compiled_tree() {
-    // `to_tree ∘ from_tree` is the identity: the boxed tree and the post-order
-    // arena are two renderings of one circuit, whichever rules built it.
-    use pvc_suite::core::DTreeArena;
-    let mut rng = SeededRng::seed_from_u64(0xC6);
-    let mut exclusive = 0;
-    for case in 0..CASES {
-        let vars = make_vars(&mut rng);
-        let annotation = semiring_expr(&mut rng, 3);
-        let aggregate = semimodule_expr(&mut rng);
-        let condition = SemiringExpr::cmp_mm(
-            CmpOp::Le,
-            semimodule_expr(&mut rng),
-            SemimoduleExpr::constant(AggOp::Min, MonoidValue::Fin(rng.gen_range(-20i64..20))),
-        );
-        for options in [CompileOptions::default(), CompileOptions::shannon_only()] {
-            let mut compiler = Compiler::with_options(&vars, SemiringKind::Bool, options);
-            for tree in [
-                compiler.compile_semiring(&annotation).unwrap(),
-                compiler.compile_semimodule(&aggregate).unwrap(),
-                compiler.compile_semiring(&condition).unwrap(),
-            ] {
-                let arena = DTreeArena::from_tree(&tree);
-                assert_eq!(arena.len(), tree.num_nodes(), "case {case}");
-                assert_eq!(arena.to_tree(), tree, "case {case}");
-                exclusive += tree.num_exclusive_nodes();
-            }
-        }
-    }
-    assert!(exclusive > 100, "{exclusive} ⊔ nodes went through");
-}
