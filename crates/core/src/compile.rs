@@ -19,6 +19,13 @@
 //!    the most occurrences, as in the paper's implementation) and the expression is
 //!    expanded into a `⊔` node with one branch per support value.
 //!
+//! A conditional `[α θ c]` with a constant side is pruned, and where `α`'s own
+//! compilation would begin with rule 6 anyway, rule 6 expands the conditional
+//! rather than `α`: each branch's residual term list is pruned again, and a
+//! branch the rules decide is a constant leaf instead of a distribution of
+//! `α`. Where `α` splits, has one term or has a common factor, rule 5 compiles
+//! `α`'s distribution under a `[θ]` node.
+//!
 //! The compiler's working representation is the hash-consed DAG of
 //! [`pvc_expr::intern`], held in a compile-local [`ResidualArena`]: the expression
 //! is interned (or imported from a shared [`Interner`]) once, every rule reads ids,
@@ -38,7 +45,7 @@
 use crate::arena::DTreeArena;
 use crate::node::ArenaNode;
 use crate::prune::{verdict, Verdict};
-use pvc_algebra::{AggOp, CmpOp, SemiringKind, SemiringValue};
+use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
 use pvc_expr::factor::{common_factor_vars, divide_by_vars};
 use pvc_expr::independence::Partitioner;
 use pvc_expr::vars::sorted_disjoint;
@@ -110,7 +117,8 @@ pub struct CompileStats {
     pub comparison_splits: usize,
     /// `⊔` expansions (Shannon / mutually exclusive case splits).
     pub exclusive_expansions: usize,
-    /// Conditional expressions decided entirely by pruning.
+    /// Conditionals decided by the pruning rules, at the root of a
+    /// conditional or in a branch of its own `⊔` expansion.
     pub pruned_conditionals: usize,
     /// Sums folded to `⊤` because a summand was `⊤` (Boolean semiring only).
     pub absorbed_sums: usize,
@@ -437,84 +445,161 @@ impl<'a> Compiler<'a> {
                 }
             }
             InternedExpr::CmpMM(theta, lhs, rhs) => {
-                let pruned = if self.options.pruning {
-                    self.prune_comparison(id, theta, lhs, rhs)
-                } else {
-                    id
+                let work = &self.scratch.work;
+                let one_sided = match (work.agg_const(lhs), work.agg_const(rhs)) {
+                    (_, Some(bound)) => Some((lhs, theta, bound)),
+                    (Some(bound), None) => Some((rhs, theta.flip(), bound)),
+                    (None, None) => None,
                 };
-                let arena = self.scratch.work.arena();
-                match arena.node(pruned) {
-                    InternedExpr::Const(c) => {
-                        self.stats.pruned_conditionals += 1;
-                        self.emit(ArenaNode::SConst(c))
+                match one_sided {
+                    Some((alpha, theta, bound)) if self.options.pruning => {
+                        let node = arena.agg_node(alpha);
+                        let mut terms = filled(&mut self.scratch.term_bufs, node.terms);
+                        let condition =
+                            self.compile_condition(node.op, theta, bound, &mut terms)?;
+                        recycle(&mut self.scratch.term_bufs, terms);
+                        Ok(condition)
                     }
-                    InternedExpr::CmpMM(theta, lhs, rhs) => {
-                        if self.options.independence
-                            && sorted_disjoint(arena.agg_var_set(lhs), arena.agg_var_set(rhs))
-                        {
-                            self.stats.comparison_splits += 1;
-                            let left = self.compile_agg(lhs)?;
-                            let right = self.compile_agg(rhs)?;
-                            self.emit(ArenaNode::Cmp { theta, left, right })
-                        } else {
-                            self.shannon_semiring(pruned)
-                        }
+                    _ if self.options.independence
+                        && sorted_disjoint(arena.agg_var_set(lhs), arena.agg_var_set(rhs)) =>
+                    {
+                        self.stats.comparison_splits += 1;
+                        let left = self.compile_agg(lhs)?;
+                        let right = self.compile_agg(rhs)?;
+                        self.emit(ArenaNode::Cmp { theta, left, right })
                     }
-                    _ => unreachable!("pruning a conditional leaves a conditional or a constant"),
+                    _ => self.shannon_semiring(id),
                 }
             }
         }
     }
 
-    /// Prune the conditional `id = [lhs θ rhs]` if one side is a constant (§5,
-    /// the rules of [`verdict`]): `1_S` / `0_S` if that decides it, otherwise the
-    /// conditional over the terms that can still decide it, constant on the
-    /// right. Conditionals without a constant side are left untouched.
-    fn prune_comparison(
+    /// Compile the conditional `[Σ_op terms θ bound]` (§5), `terms` normalised
+    /// ([`ResidualArena::normalize_terms`]). The rules of [`verdict`] prune it
+    /// first: a decided conditional is a constant leaf, counted in
+    /// [`CompileStats::pruned_conditionals`]. While the kept terms are what
+    /// `α`'s own compilation would Shannon-expand anyway (two or more, one
+    /// independence component, no common factor), the `⊔` expands the
+    /// *conditional*, and every branch is pruned again here; otherwise `α`'s
+    /// distribution is compiled under a `[θ]` node, so its independence splits
+    /// and factorings still apply. Before that choice, a ground list is a
+    /// constant leaf, and under SUM / COUNT the constant term a branch folds
+    /// moves into the bound, so it does not count as a component of its own.
+    fn compile_condition(
         &mut self,
-        id: ExprId,
+        op: AggOp,
         theta: CmpOp,
-        lhs: AggExprId,
-        rhs: AggExprId,
-    ) -> ExprId {
-        let work = &self.scratch.work;
-        let (alpha, theta, bound) = if let Some(m) = work.agg_const(rhs) {
-            (lhs, theta, m)
-        } else if let Some(m) = work.agg_const(lhs) {
-            (rhs, theta.flip(), m)
-        } else {
-            return id;
-        };
-        let arena = work.arena();
-        let node = arena.agg_node(alpha);
-        let op = node.op;
+        bound: MonoidValue,
+        terms: &mut Vec<AggTerm>,
+    ) -> Result<u32, BudgetExceeded> {
+        let arena = self.scratch.work.arena();
         let view = |&(coeff, value): &AggTerm| {
             let guaranteed = arena.as_const(coeff).is_some_and(|c| !c.is_zero());
             (guaranteed, value)
         };
-        let kept = match verdict(op, theta, bound, node.terms, view) {
-            Verdict::AlwaysTrue => return self.constant(self.kind.one()),
-            Verdict::AlwaysFalse => return self.constant(self.kind.zero()),
-            Verdict::KeepAll => alpha,
-            Verdict::Keep(keep) => {
-                let mut terms = self.scratch.term_bufs.pop().unwrap_or_default();
-                terms.extend(node.terms.iter().filter(|(_, v)| keep.eval(v, &bound)));
-                let kept = self.scratch.work.arena_mut().intern_agg(op, &terms);
-                recycle(&mut self.scratch.term_bufs, terms);
-                kept
+        match verdict(self.kind, op, theta, bound, terms, view) {
+            Verdict::AlwaysTrue => return self.pruned_to(true),
+            Verdict::AlwaysFalse => return self.pruned_to(false),
+            Verdict::KeepAll => {}
+            Verdict::Keep(keep) => terms.retain(|(_, value)| keep.eval(value, &bound)),
+        }
+        // Rule 1: a ground α decides the comparison.
+        if let Some(value) = self.ground(op, terms) {
+            let value = self.truth(theta.eval(&value, &bound));
+            return self.emit(ArenaNode::SConst(value));
+        }
+        if !self.options.independence {
+            // No [θ] node without independence: the conditional itself is
+            // expanded, and each branch meets the rules in the CmpMM arm.
+            let arena = self.scratch.work.arena_mut();
+            let alpha = arena.intern_agg(op, terms);
+            let one = arena.intern_node(InternedExpr::Const(self.kind.one()));
+            let bound = arena.intern_agg(op, &[(one, bound)]);
+            let condition = arena.intern_node(InternedExpr::CmpMM(theta, alpha, bound));
+            return self.shannon_semiring(condition);
+        }
+        // Under SUM / COUNT the constant term moves to the bound,
+        // [c + α' θ m] = [α' θ m − c], so it does not split α' off.
+        let bound = match self.constant_shift(op, bound, terms) {
+            Some((at, shifted)) => {
+                terms.remove(at);
+                shifted
             }
+            None => bound,
         };
-        let one = self.constant(self.kind.one());
-        let arena = self.scratch.work.arena_mut();
-        let bound = arena.intern_agg(op, &[(one, bound)]);
-        arena.intern_node(InternedExpr::CmpMM(theta, kept, bound))
+        if self.expands_first(terms) {
+            return self.shannon_expand(op, terms, |compiler, residual| {
+                compiler.compile_condition(op, theta, bound, residual)
+            });
+        }
+        self.stats.comparison_splits += 1;
+        let left = self.compile_terms(op, terms, false)?;
+        let right = self.emit(ArenaNode::MConst(bound))?;
+        self.emit(ArenaNode::Cmp { theta, left, right })
     }
 
-    fn constant(&mut self, value: SemiringValue) -> ExprId {
-        self.scratch
-            .work
-            .arena_mut()
-            .intern_node(InternedExpr::Const(value))
+    /// A conditional the rules decided: `1_S` or `0_S`.
+    fn pruned_to(&mut self, holds: bool) -> Result<u32, BudgetExceeded> {
+        self.stats.pruned_conditionals += 1;
+        self.emit(ArenaNode::SConst(self.truth(holds)))
+    }
+
+    fn truth(&self, holds: bool) -> SemiringValue {
+        if holds {
+            self.kind.one()
+        } else {
+            self.kind.zero()
+        }
+    }
+
+    /// `Σ_op terms` if every coefficient is a constant (rule 1).
+    fn ground(&self, op: AggOp, terms: &[AggTerm]) -> Option<MonoidValue> {
+        let arena = self.scratch.work.arena();
+        terms.iter().try_fold(op.identity(), |acc, (coeff, value)| {
+            let c = arena.as_const(*coeff)?;
+            Some(op.combine(&acc, &op.scalar_action(&c, value)))
+        })
+    }
+
+    /// Where the constant term `c` of a SUM / COUNT term list is (a
+    /// normalised list has at most one) and the bound `m − c` it leaves for
+    /// the other terms, if both are finite.
+    fn constant_shift(
+        &self,
+        op: AggOp,
+        bound: MonoidValue,
+        terms: &[AggTerm],
+    ) -> Option<(usize, MonoidValue)> {
+        if !matches!(op, AggOp::Sum | AggOp::Count) {
+            return None;
+        }
+        let arena = self.scratch.work.arena();
+        let (at, c) = terms.iter().enumerate().find_map(|(at, (coeff, value))| {
+            let c = arena.as_const(*coeff)?;
+            Some((at, op.scalar_action(&c, value)))
+        })?;
+        match (bound, c) {
+            (MonoidValue::Fin(m), MonoidValue::Fin(c)) => {
+                Some((at, MonoidValue::Fin(m.checked_sub(c)?)))
+            }
+            _ => None,
+        }
+    }
+
+    /// True if [`compile_terms`](Self::compile_terms) would begin `terms` with a
+    /// `⊔` expansion: two or more terms in one independence component, with no
+    /// common factor to pull out.
+    fn expands_first(&mut self, terms: &[AggTerm]) -> bool {
+        if terms.len() < 2 {
+            return false;
+        }
+        let arena = self.scratch.work.arena();
+        let components = (self.scratch.partitioner)
+            .split(terms.len(), false, |i| arena.var_set(terms[i].0))
+            .len();
+        components == 1
+            && (!self.options.factoring
+                || common_factor_vars(arena, terms.iter().map(|t| t.0)).is_empty())
     }
 
     /// Rule 2 + rule 3 on an n-ary semiring sum; `disjoint` if the children
@@ -646,12 +731,7 @@ impl<'a> Compiler<'a> {
         disjoint: bool,
     ) -> Result<u32, BudgetExceeded> {
         // Rule 1: ground expressions fold to a monoid constant.
-        let arena = self.scratch.work.arena();
-        let ground = terms.iter().try_fold(op.identity(), |acc, (coeff, value)| {
-            let c = arena.as_const(*coeff)?;
-            Some(op.combine(&acc, &op.scalar_action(&c, value)))
-        });
-        if let Some(c) = ground {
+        if let Some(c) = self.ground(op, terms) {
             return self.emit(ArenaNode::MConst(c));
         }
         // Rule 2: split the +op sum by independence of the terms' coefficients.
@@ -713,7 +793,9 @@ impl<'a> Compiler<'a> {
             }
         }
         // Rule 6: mutually exclusive case split on the most frequent variable.
-        self.shannon_terms(op, terms)
+        self.shannon_expand(op, terms, |compiler, residual| {
+            compiler.compile_terms(op, residual, false)
+        })
     }
 
     /// Split `items` — `coeff` naming the expression an item's variables come
@@ -818,7 +900,14 @@ impl<'a> Compiler<'a> {
         self.emit_exclusive(var, base)
     }
 
-    fn shannon_terms(&mut self, op: AggOp, terms: &[AggTerm]) -> Result<u32, BudgetExceeded> {
+    /// Rule 6 on the term list `Σ_op terms`: a `⊔` over the most frequent
+    /// variable whose branches `compile` each normalised residual list.
+    fn shannon_expand(
+        &mut self,
+        op: AggOp,
+        terms: &[AggTerm],
+        mut compile: impl FnMut(&mut Self, &mut Vec<AggTerm>) -> Result<u32, BudgetExceeded>,
+    ) -> Result<u32, BudgetExceeded> {
         let var = self.choose_split_var(terms.iter().map(|t| t.0));
         self.stats.exclusive_expansions += 1;
         let table = self.table;
@@ -831,7 +920,7 @@ impl<'a> Compiler<'a> {
                 residual.push((work.substitute(coeff), m));
             }
             work.normalize_terms(op, &mut residual, 0);
-            let child = self.compile_terms(op, &residual, false)?;
+            let child = compile(self, &mut residual)?;
             recycle(&mut self.scratch.term_bufs, residual);
             self.scratch.pending.push((*value, child));
         }
@@ -1023,6 +1112,131 @@ mod tests {
         assert!(shannon.num_nodes() > full.num_nodes());
         assert_eq!(full.num_exclusive_nodes(), 0);
         assert!(shannon.num_exclusive_nodes() > 0);
+    }
+
+    #[test]
+    fn a_connected_condition_is_pruned_in_its_branches() {
+        // [x·y⊗10 +min y·z⊗12 +min x·z⊗14 ≤ 15]: one component, no common
+        // factor, every term kept. The ⊔ expands the conditional; under x ← ⊤
+        // and y ← ⊤ the constant term 10 decides it.
+        let mut vt = VarTable::new();
+        let [x, y, z] = ["x", "y", "z"].map(|n| vt.boolean(n, 0.4));
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Min,
+            vec![
+                (v(x) * v(y), Fin(10)),
+                (v(y) * v(z), Fin(12)),
+                (v(x) * v(z), Fin(14)),
+            ],
+        );
+        let condition = SemiringExpr::cmp_mm(
+            CmpOp::Le,
+            alpha,
+            SemimoduleExpr::constant(AggOp::Min, Fin(15)),
+        );
+        let mut compiler = Compiler::new(&vt, SemiringKind::Bool);
+        let tree = compiler.compile_semiring(&condition).unwrap();
+        assert!(compiler.stats().pruned_conditionals >= 1);
+        assert!(matches!(tree.root(), ArenaNode::Exclusive { var, .. } if var == x));
+        // The branches that keep one term compare its distribution.
+        assert_eq!(
+            tree.to_string(),
+            "⊔v0(v0←⊥: [((v2 ⊙ v1) ⊗MIN 12) ≤ 15] | \
+             v0←⊤: ⊔v1(v1←⊥: [(v2 ⊗MIN 14) ≤ 15] | v1←⊤: ⊤))"
+        );
+        let expected = oracle::confidence_by_enumeration(&condition, &vt, SemiringKind::Bool);
+        assert!((confidence_of_tree(&tree, &vt) - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_condition_whose_terms_split_in_a_branch_compiles_the_aggregate() {
+        // [a·b⊗10 +min b·c⊗11 +min c·d⊗12 ≥ 20]: under b ← ⊤ the terms a⊗10 and
+        // c⊗11 +min c·d⊗12 share no variable, so that branch is a [θ] over
+        // their ⊕MIN.
+        let mut vt = VarTable::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| vt.boolean(n, 0.4));
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Min,
+            vec![
+                (v(a) * v(b), Fin(10)),
+                (v(b) * v(c), Fin(11)),
+                (v(c) * v(d), Fin(12)),
+            ],
+        );
+        let condition = SemiringExpr::cmp_mm(
+            CmpOp::Ge,
+            alpha,
+            SemimoduleExpr::constant(AggOp::Min, Fin(20)),
+        );
+        let mut compiler = Compiler::new(&vt, SemiringKind::Bool);
+        let tree = compiler.compile_semiring(&condition).unwrap();
+        assert!(matches!(tree.root(), ArenaNode::Exclusive { var, .. } if var == b));
+        // The ⊤ branch factors c out of c⊗11 +min c·d⊗12 as well.
+        assert_eq!(
+            tree.to_string(),
+            "⊔v1(v1←⊥: [((v2 ⊙ v3) ⊗MIN 12) ≥ 20] | \
+             v1←⊤: [((v2 ⊗MIN 11) ⊕MIN (v0 ⊗MIN 10)) ≥ 20])"
+        );
+        assert_eq!(compiler.stats().comparison_splits, 2);
+        let expected = oracle::confidence_by_enumeration(&condition, &vt, SemiringKind::Bool);
+        assert!((confidence_of_tree(&tree, &vt) - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_sum_condition_moves_its_constant_term_to_the_bound() {
+        // [x⊗2 +sum x·y⊗3 +sum y·z⊗4 +sum x·z⊗5 ≥ 9]: under x ← ⊤ the constant
+        // 2 leaves [y⊗3 + y·z⊗4 + z⊗5 ≥ 7], still one component, so the
+        // conditional is expanded again rather than compiled as a sum.
+        let mut vt = VarTable::new();
+        let [x, y, z] = ["x", "y", "z"].map(|n| vt.boolean(n, 0.4));
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Sum,
+            vec![
+                (v(x), Fin(2)),
+                (v(x) * v(y), Fin(3)),
+                (v(y) * v(z), Fin(4)),
+                (v(x) * v(z), Fin(5)),
+            ],
+        );
+        let condition = SemiringExpr::cmp_mm(
+            CmpOp::Ge,
+            alpha,
+            SemimoduleExpr::constant(AggOp::Sum, Fin(9)),
+        );
+        let mut compiler = Compiler::new(&vt, SemiringKind::Bool);
+        let tree = compiler.compile_semiring(&condition).unwrap();
+        assert_eq!(
+            tree.to_string(),
+            "⊔v0(v0←⊥: ⊥ | v0←⊤: ⊔v1(v1←⊥: ⊥ | v1←⊤: [(v2 ⊗SUM 9) ≥ 4]))"
+        );
+        assert_eq!(compiler.stats().pruned_conditionals, 2);
+        let expected = oracle::confidence_by_enumeration(&condition, &vt, SemiringKind::Bool);
+        assert!((confidence_of_tree(&tree, &vt) - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_condition_whose_kept_terms_are_ground_is_a_constant_under_every_option() {
+        // [x⊗10 +min y⊗20 = 5]: no term can be a minimum equal to 5, the rules
+        // keep none, and the empty MIN is +∞ ≠ 5 — with or without the
+        // independence rules (there is no variable left to expand on).
+        let mut vt = VarTable::new();
+        let [x, y] = ["x", "y"].map(|n| vt.boolean(n, 0.4));
+        let alpha = SemimoduleExpr::from_terms(AggOp::Min, vec![(v(x), Fin(10)), (v(y), Fin(20))]);
+        let condition = SemiringExpr::cmp_mm(
+            CmpOp::Eq,
+            alpha,
+            SemimoduleExpr::constant(AggOp::Min, Fin(5)),
+        );
+        let no_independence = CompileOptions {
+            independence: false,
+            ..CompileOptions::default()
+        };
+        for options in [CompileOptions::default(), no_independence] {
+            let tree = Compiler::with_options(&vt, SemiringKind::Bool, options)
+                .compile_semiring(&condition)
+                .unwrap();
+            assert_eq!(tree.to_string(), "⊥");
+        }
     }
 
     #[test]

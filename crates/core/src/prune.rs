@@ -7,12 +7,18 @@
 //! materialising exponential SUM distributions when the bound already decides the
 //! comparison.
 //!
-//! The rules decide over any term list ([`verdict`]); the compiler applies them
-//! to the interned conditionals it meets. Only *equivalence-preserving* rules are
-//! applied; every rule is validated against the brute-force oracle in the tests
-//! below.
+//! The rules decide over any term list ([`verdict`]). The compiler applies them
+//! to a conditional `[α θ c]` with a constant side and again in every branch of
+//! the conditional's own Shannon expansion: while `α`'s terms stay one
+//! independence component without a common factor, a `⊔` expands the
+//! conditional over them, and each branch's residual list meets the rules anew,
+//! so a branch the substituted coefficients decide is a constant leaf. Where
+//! `α` splits, has one term or has a common factor, the kept terms are compiled
+//! to `α`'s distribution under a `[θ]` node instead. Only
+//! *equivalence-preserving* rules are applied; every rule is validated against
+//! the brute-force oracle in the tests below.
 
-use pvc_algebra::{AggOp, CmpOp, MonoidValue};
+use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind};
 
 /// What the rules conclude about `[α θ m]`, whatever `α`'s terms are stored as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +55,12 @@ pub(crate) enum Verdict {
 ///   dropped; no remaining violator ⇒ constantly true.
 /// * **SUM/COUNT with non-negative term values**: if even the sum of *all* values
 ///   satisfies (resp. cannot reach) the bound, the conditional is constantly true
-///   (resp. false).
+///   (resp. false). Over `B` only: over `N` a coefficient of multiplicity `k`
+///   contributes `k·v`, so the values' sum bounds nothing. The guaranteed terms'
+///   sum is a lower bound in both semirings (a constant coefficient `k ≥ 1`
+///   contributes `k·v ≥ v`).
 pub(crate) fn verdict<T>(
+    kind: SemiringKind,
     op: AggOp,
     theta: CmpOp,
     bound: MonoidValue,
@@ -70,7 +80,9 @@ pub(crate) fn verdict<T>(
         // the order of the values reversed.
         AggOp::Min => selective(theta, false, bound, terms, view),
         AggOp::Max => selective(theta, true, bound, terms, view),
-        AggOp::Sum | AggOp::Count => additive(theta, bound, terms, view),
+        AggOp::Sum | AggOp::Count => {
+            additive(theta, kind == SemiringKind::Bool, bound, terms, view)
+        }
         AggOp::Prod => Verdict::KeepAll,
     }
 }
@@ -134,16 +146,20 @@ fn selective<T>(
     }
 }
 
+/// The SUM / COUNT rules; `bounded` if each term contributes at most its value
+/// (its coefficient is `0` or `1`, as over `B`), which is what makes the total
+/// an upper bound.
 fn additive<T>(
     theta: CmpOp,
+    bounded: bool,
     bound: MonoidValue,
     terms: &[T],
     view: impl Fn(&T) -> (bool, MonoidValue),
 ) -> Verdict {
     // Only applicable when every term value is a non-negative finite number, so that
-    // the sum over any subset of terms lies between 0 and the total. The baseline —
-    // the sum of the guaranteed terms' values — is a lower bound on the sum in
-    // every possible world.
+    // the sum lies between 0 and, if `bounded`, the total. The baseline — the sum
+    // of the guaranteed terms' values — is a lower bound on the sum in every
+    // possible world.
     let mut total: i64 = 0;
     let mut baseline: i64 = 0;
     for t in terms {
@@ -173,11 +189,11 @@ fn additive<T>(
         }
     };
     match theta {
-        CmpOp::Le if total <= bound_v => Verdict::AlwaysTrue,
-        CmpOp::Lt if total < bound_v => Verdict::AlwaysTrue,
-        CmpOp::Ge if total < bound_v => Verdict::AlwaysFalse,
-        CmpOp::Gt if total <= bound_v => Verdict::AlwaysFalse,
-        CmpOp::Eq if total < bound_v => Verdict::AlwaysFalse,
+        CmpOp::Le if bounded && total <= bound_v => Verdict::AlwaysTrue,
+        CmpOp::Lt if bounded && total < bound_v => Verdict::AlwaysTrue,
+        CmpOp::Ge if bounded && total < bound_v => Verdict::AlwaysFalse,
+        CmpOp::Gt if bounded && total <= bound_v => Verdict::AlwaysFalse,
+        CmpOp::Eq if bounded && total < bound_v => Verdict::AlwaysFalse,
         CmpOp::Ge if baseline >= bound_v => Verdict::AlwaysTrue,
         CmpOp::Gt if baseline > bound_v => Verdict::AlwaysTrue,
         CmpOp::Le if baseline > bound_v => Verdict::AlwaysFalse,
@@ -206,7 +222,14 @@ mod tests {
             let guaranteed = t.coeff.as_const().is_some_and(|c| !c.is_zero());
             (guaranteed, t.value)
         };
-        verdict(alpha.op, theta, bound, &alpha.terms, view)
+        verdict(
+            SemiringKind::Bool,
+            alpha.op,
+            theta,
+            bound,
+            &alpha.terms,
+            view,
+        )
     }
 
     /// `[α θ m]` with the verdict applied, as the expression the compiler goes
@@ -354,6 +377,30 @@ mod tests {
             ],
         );
         assert_pruning_preserves_probability(&alpha, &vt, &[-5, 0, 10, 15, 30, 40]);
+    }
+
+    #[test]
+    fn sum_pruning_is_sound_over_natural_multiplicities() {
+        // x ∈ N with P[x = 0] = P[x = 2] = 0.5: the term x⊗v contributes 0 or
+        // 2·v, so its value v bounds nothing from above. Each condition holds
+        // for one of x's two values.
+        let mut vt = VarTable::new();
+        let x = vt.natural("x", &[(0, 0.5), (2, 0.5)]);
+        let kind = SemiringKind::Nat;
+        for (value, theta, bound) in [
+            (1, CmpOp::Ge, 2),
+            (5, CmpOp::Ge, 10),
+            (1, CmpOp::Le, 1),
+            (5, CmpOp::Gt, 5),
+        ] {
+            let alpha = SemimoduleExpr::tensor(AggOp::Sum, SemiringExpr::Var(x), Fin(value));
+            let constant = SemimoduleExpr::constant_in(AggOp::Sum, Fin(bound), kind);
+            let condition = SemiringExpr::cmp_mm(theta, alpha, constant);
+            let expected = confidence_by_enumeration(&condition, &vt, kind);
+            assert_eq!(expected, 0.5, "{condition}");
+            let got = crate::confidence(&condition, &vt, kind);
+            assert!((got - expected).abs() < 1e-12, "{condition}: {got}");
+        }
     }
 
     #[test]

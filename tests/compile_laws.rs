@@ -27,12 +27,23 @@ fn conditions(
     minmax_terms: usize,
     countsum_terms: usize,
 ) -> Vec<GeneratedExpr> {
+    conditions_over(&THETAS, seed, num_vars, minmax_terms, countsum_terms)
+}
+
+/// [`conditions`] for each comparison of `thetas`.
+fn conditions_over(
+    thetas: &[CmpOp],
+    seed: u64,
+    num_vars: usize,
+    minmax_terms: usize,
+    countsum_terms: usize,
+) -> Vec<GeneratedExpr> {
     let max_value = 200;
     let mut rng = SeededRng::seed_from_u64(seed);
-    (0..AGGS.len() * THETAS.len())
+    (0..AGGS.len() * thetas.len())
         .map(|k| {
             let agg = AGGS[k % AGGS.len()];
-            let theta = THETAS[(k / AGGS.len()) % THETAS.len()];
+            let theta = thetas[(k / AGGS.len()) % thetas.len()];
             let (left_terms, top) = match agg {
                 AggOp::Min | AggOp::Max => (minmax_terms, max_value),
                 AggOp::Count => (countsum_terms, countsum_terms as i64),
@@ -64,8 +75,14 @@ fn compiled_confidence(condition: &SemiringExpr, vars: &VarTable, kind: Semiring
 
 #[test]
 fn every_generated_class_agrees_with_enumeration() {
+    // Every θ, and the same conditions over N-valued variables, where a
+    // coefficient counts its term a number of times.
+    let more_thetas = [CmpOp::Lt, CmpOp::Gt, CmpOp::Ne];
     for seed in [1, 7, 11] {
-        for (k, g) in conditions(seed, 8, 24, 16).iter().enumerate() {
+        let generated = conditions(seed, 8, 24, 16)
+            .into_iter()
+            .chain(conditions_over(&more_thetas, seed, 8, 24, 16));
+        for (k, g) in generated.enumerate() {
             let expected = oracle::confidence_by_enumeration(&g.condition, &g.vars, KIND);
             let got = compiled_confidence(&g.condition, &g.vars, KIND);
             assert!(
@@ -80,8 +97,30 @@ fn every_generated_class_agrees_with_enumeration() {
                 (got - expected).abs() < 1e-9,
                 "seed {seed} class {k}, ⊔ only"
             );
+            let (vars, condition) = over_naturals(&g);
+            let kind = SemiringKind::Nat;
+            let expected = oracle::confidence_by_enumeration(&condition, &vars, kind);
+            let got = compiled_confidence(&condition, &vars, kind);
+            assert!(
+                (got - expected).abs() < 1e-9,
+                "seed {seed} class {k} over N: {got} vs {expected}"
+            );
         }
     }
+}
+
+/// `g`'s condition over variables valued in `{0, 2}` of `N`.
+fn over_naturals(g: &GeneratedExpr) -> (VarTable, SemiringExpr) {
+    let mut vars = VarTable::new();
+    for i in 0..g.vars.len() {
+        vars.natural(format!("v{i}"), &[(0, 0.4), (2, 0.6)]);
+    }
+    let SemiringExpr::CmpMM(theta, lhs, rhs) = &g.condition else {
+        panic!("not a conditional: {}", g.condition);
+    };
+    let bound = rhs.as_const().expect("a constant right side");
+    let rhs = SemimoduleExpr::constant_in(rhs.op, bound, SemiringKind::Nat);
+    (vars, SemiringExpr::cmp_mm(*theta, (**lhs).clone(), rhs))
 }
 
 /// `[Σ_i xᵢ·[inner θ' cᵢ] ⊗ vᵢ  θ  c]`: every coefficient holds a condition over one
@@ -309,9 +348,25 @@ fn emission_is_flattening_on_every_tpch_annotation_and_aggregate() {
 #[test]
 fn the_seed_one_conditions_compile_to_the_recorded_counts() {
     // d-tree nodes and the eleven `CompileStats` counters of the benchmark-sized
-    // seed-1 conditions, as the boxed-tree compiler (the commit before the
-    // compiler emitted arenas) produced them. Counts repeat exactly.
+    // seed-1 conditions. Counts repeat exactly.
     const RECORDED: [[usize; 12]; 12] = [
+        [385, 2, 5, 4, 38, 32, 115, 80, 65, 774, 840, 4079],
+        [389, 8, 3, 9, 43, 32, 108, 73, 71, 744, 802, 3789],
+        [667, 0, 0, 0, 22, 22, 289, 267, 1057, 2699, 0, 8899],
+        [677, 0, 0, 0, 27, 27, 284, 258, 1041, 2562, 0, 8653],
+        [389, 10, 4, 7, 45, 31, 104, 74, 60, 737, 752, 3669],
+        [375, 9, 5, 9, 42, 30, 101, 72, 62, 619, 622, 3279],
+        [721, 0, 0, 0, 33, 33, 294, 262, 1131, 2656, 0, 9052],
+        [643, 0, 0, 0, 11, 11, 299, 289, 1113, 2561, 0, 8979],
+        [379, 5, 6, 4, 39, 31, 108, 78, 66, 797, 739, 3915],
+        [393, 5, 5, 5, 41, 32, 113, 79, 68, 774, 715, 4034],
+        [659, 0, 0, 0, 15, 15, 299, 285, 1087, 2595, 0, 8826],
+        [641, 0, 0, 0, 20, 20, 280, 261, 1126, 2393, 0, 8476],
+    ];
+    // The same counts when every `[α θ c]` compiled `α`'s whole distribution
+    // under one `[θ]` node. Expanding the conditional itself, pruned in every
+    // branch, must not grow a tree or add a `⊔`.
+    const WHOLE_DISTRIBUTION: [[usize; 12]; 12] = [
         [1295, 176, 11, 17, 208, 1, 251, 0, 243, 1077, 1315, 5720],
         [1307, 178, 18, 29, 219, 1, 237, 0, 191, 957, 1087, 5013],
         [2933, 465, 6, 5, 362, 1, 632, 0, 1398, 3389, 0, 10897],
@@ -325,7 +380,8 @@ fn the_seed_one_conditions_compile_to_the_recorded_counts() {
         [2941, 466, 7, 4, 340, 1, 656, 0, 1464, 3231, 0, 10809],
         [2897, 464, 3, 8, 352, 1, 628, 0, 1526, 3154, 0, 10752],
     ];
-    for (g, recorded) in conditions(1, 10, 200, 100).iter().zip(RECORDED) {
+    let inputs = conditions(1, 10, 200, 100);
+    for ((g, recorded), before) in inputs.iter().zip(RECORDED).zip(WHOLE_DISTRIBUTION) {
         let mut compiler = Compiler::new(&g.vars, KIND);
         let nodes = compiler.emit_semiring(&g.condition).unwrap().len();
         let s = compiler.stats();
@@ -344,5 +400,6 @@ fn the_seed_one_conditions_compile_to_the_recorded_counts() {
             s.rebuilt_nodes,
         ];
         assert_eq!(counted, recorded);
+        assert!(nodes <= before[0] && s.exclusive_expansions <= before[6]);
     }
 }
