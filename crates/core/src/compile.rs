@@ -19,12 +19,12 @@
 //!    the most occurrences, as in the paper's implementation) and the expression is
 //!    expanded into a `⊔` node with one branch per support value.
 //!
-//! A conditional `[α θ c]` with a constant side is pruned, and where `α`'s own
-//! compilation would begin with rule 6 anyway, rule 6 expands the conditional
-//! rather than `α`: each branch's residual term list is pruned again, and a
-//! branch the rules decide is a constant leaf instead of a distribution of
-//! `α`. Where `α` splits, has one term or has a common factor, rule 5 compiles
-//! `α`'s distribution under a `[θ]` node.
+//! A conditional `[α θ c]` with a constant side is pruned, and where none of
+//! rules 2–4 applies to `α`, rule 6 expands the conditional rather than `α`:
+//! each branch's residual term list is pruned again, and a branch the rules
+//! decide is a constant leaf instead of a distribution of `α`. Where `α`
+//! splits, has one term or has a common factor that divides out, rule 5
+//! compiles `α`'s distribution, by those rules, under a `[θ]` node.
 //!
 //! The compiler's working representation is the hash-consed DAG of
 //! [`pvc_expr::intern`], held in a compile-local [`ResidualArena`]: the expression
@@ -453,10 +453,10 @@ impl<'a> Compiler<'a> {
                 };
                 match one_sided {
                     Some((alpha, theta, bound)) if self.options.pruning => {
-                        let node = arena.agg_node(alpha);
+                        let (node, disjoint) = (arena.agg_node(alpha), arena.terms_disjoint(alpha));
                         let mut terms = filled(&mut self.scratch.term_bufs, node.terms);
                         let condition =
-                            self.compile_condition(node.op, theta, bound, &mut terms)?;
+                            self.compile_condition(node.op, theta, bound, &mut terms, disjoint)?;
                         recycle(&mut self.scratch.term_bufs, terms);
                         Ok(condition)
                     }
@@ -475,22 +475,25 @@ impl<'a> Compiler<'a> {
     }
 
     /// Compile the conditional `[Σ_op terms θ bound]` (§5), `terms` normalised
-    /// ([`ResidualArena::normalize_terms`]). The rules of [`verdict`] prune it
-    /// first: a decided conditional is a constant leaf, counted in
-    /// [`CompileStats::pruned_conditionals`]. While the kept terms are what
-    /// `α`'s own compilation would Shannon-expand anyway (two or more, one
-    /// independence component, no common factor), the `⊔` expands the
-    /// *conditional*, and every branch is pruned again here; otherwise `α`'s
-    /// distribution is compiled under a `[θ]` node, so its independence splits
-    /// and factorings still apply. Before that choice, a ground list is a
-    /// constant leaf, and under SUM / COUNT the constant term a branch folds
-    /// moves into the bound, so it does not count as a component of its own.
+    /// ([`ResidualArena::normalize_terms`]); `disjoint` as for
+    /// [`compile_terms`](Self::compile_terms), and kept by every step here,
+    /// since each keeps a subset of the terms. The rules of [`verdict`] prune
+    /// it first: a decided conditional is a constant leaf, counted in
+    /// [`CompileStats::pruned_conditionals`]. Where rules 2–4 apply to the kept
+    /// terms, `α`'s distribution is compiled by them under a `[θ]` node;
+    /// otherwise the `⊔` that `α`'s own compilation would begin with expands
+    /// the *conditional*, and every branch is pruned again here. Before that
+    /// choice, a ground list is a constant leaf, and under SUM / COUNT the
+    /// constant term a branch folds moves into the bound, so it does not count
+    /// as a component of its own. Without independence there is no `[θ]` node:
+    /// the conditional is always expanded.
     fn compile_condition(
         &mut self,
         op: AggOp,
         theta: CmpOp,
         bound: MonoidValue,
         terms: &mut Vec<AggTerm>,
+        disjoint: bool,
     ) -> Result<u32, BudgetExceeded> {
         let arena = self.scratch.work.arena();
         let view = |&(coeff, value): &AggTerm| {
@@ -508,16 +511,6 @@ impl<'a> Compiler<'a> {
             let value = self.truth(theta.eval(&value, &bound));
             return self.emit(ArenaNode::SConst(value));
         }
-        if !self.options.independence {
-            // No [θ] node without independence: the conditional itself is
-            // expanded, and each branch meets the rules in the CmpMM arm.
-            let arena = self.scratch.work.arena_mut();
-            let alpha = arena.intern_agg(op, terms);
-            let one = arena.intern_node(InternedExpr::Const(self.kind.one()));
-            let bound = arena.intern_agg(op, &[(one, bound)]);
-            let condition = arena.intern_node(InternedExpr::CmpMM(theta, alpha, bound));
-            return self.shannon_semiring(condition);
-        }
         // Under SUM / COUNT the constant term moves to the bound,
         // [c + α' θ m] = [α' θ m − c], so it does not split α' off.
         let bound = match self.constant_shift(op, bound, terms) {
@@ -527,15 +520,16 @@ impl<'a> Compiler<'a> {
             }
             None => bound,
         };
-        if self.expands_first(terms) {
-            return self.shannon_expand(op, terms, |compiler, residual| {
-                compiler.compile_condition(op, theta, bound, residual)
-            });
+        if self.options.independence {
+            if let Some(left) = self.decompose_terms(op, terms, disjoint)? {
+                self.stats.comparison_splits += 1;
+                let right = self.emit(ArenaNode::MConst(bound))?;
+                return self.emit(ArenaNode::Cmp { theta, left, right });
+            }
         }
-        self.stats.comparison_splits += 1;
-        let left = self.compile_terms(op, terms, false)?;
-        let right = self.emit(ArenaNode::MConst(bound))?;
-        self.emit(ArenaNode::Cmp { theta, left, right })
+        self.shannon_expand(op, terms, |compiler, residual| {
+            compiler.compile_condition(op, theta, bound, residual, false)
+        })
     }
 
     /// A conditional the rules decided: `1_S` or `0_S`.
@@ -584,22 +578,6 @@ impl<'a> Compiler<'a> {
             }
             _ => None,
         }
-    }
-
-    /// True if [`compile_terms`](Self::compile_terms) would begin `terms` with a
-    /// `⊔` expansion: two or more terms in one independence component, with no
-    /// common factor to pull out.
-    fn expands_first(&mut self, terms: &[AggTerm]) -> bool {
-        if terms.len() < 2 {
-            return false;
-        }
-        let arena = self.scratch.work.arena();
-        let components = (self.scratch.partitioner)
-            .split(terms.len(), false, |i| arena.var_set(terms[i].0))
-            .len();
-        components == 1
-            && (!self.options.factoring
-                || common_factor_vars(arena, terms.iter().map(|t| t.0)).is_empty())
     }
 
     /// Rule 2 + rule 3 on an n-ary semiring sum; `disjoint` if the children
@@ -734,6 +712,24 @@ impl<'a> Compiler<'a> {
         if let Some(c) = self.ground(op, terms) {
             return self.emit(ArenaNode::MConst(c));
         }
+        if let Some(root) = self.decompose_terms(op, terms, disjoint)? {
+            return Ok(root);
+        }
+        // Rule 6: mutually exclusive case split on the most frequent variable.
+        self.shannon_expand(op, terms, |compiler, residual| {
+            compiler.compile_terms(op, residual, false)
+        })
+    }
+
+    /// Rules 2–4 on the non-ground list `Σ_op terms` (`disjoint` as for
+    /// [`compile_terms`](Self::compile_terms)): the root of what they compile,
+    /// or `None`, having emitted nothing, if none applies and rule 6 is next.
+    fn decompose_terms(
+        &mut self,
+        op: AggOp,
+        terms: &[AggTerm],
+        disjoint: bool,
+    ) -> Result<Option<u32>, BudgetExceeded> {
         // Rule 2: split the +op sum by independence of the terms' coefficients.
         if self.options.independence && terms.len() > 1 {
             let split = self.compile_components(
@@ -746,7 +742,7 @@ impl<'a> Compiler<'a> {
             )?;
             if let Some((groups, sum)) = split {
                 self.stats.independent_sums += groups - 1;
-                return Ok(sum);
+                return Ok(Some(sum));
             }
         }
         // Single term Φ ⊗ m: rule 4 (the coefficient and the constant are trivially
@@ -755,7 +751,7 @@ impl<'a> Compiler<'a> {
             self.stats.tensor_splits += 1;
             let scalar = self.compile_semiring_inner(*coeff)?;
             let value = self.emit(ArenaNode::MConst(*value))?;
-            return self.emit(ArenaNode::Tensor { op, scalar, value });
+            return self.emit(ArenaNode::Tensor { op, scalar, value }).map(Some);
         }
         // Rule 3/4 combined: pull a semiring factor common to every term out of the
         // sum, producing Φ ⊗ (Σ quotients).
@@ -787,15 +783,12 @@ impl<'a> Compiler<'a> {
                     let scalar = self.compile_var_product(&common)?;
                     let value = self.compile_terms(op, &quotient, false)?;
                     recycle(&mut self.scratch.term_bufs, quotient);
-                    return self.emit(ArenaNode::Tensor { op, scalar, value });
+                    return self.emit(ArenaNode::Tensor { op, scalar, value }).map(Some);
                 }
                 recycle(&mut self.scratch.term_bufs, quotient);
             }
         }
-        // Rule 6: mutually exclusive case split on the most frequent variable.
-        self.shannon_expand(op, terms, |compiler, residual| {
-            compiler.compile_terms(op, residual, false)
-        })
+        Ok(None)
     }
 
     /// Split `items` — `coeff` naming the expression an item's variables come
@@ -1212,6 +1205,39 @@ mod tests {
         assert_eq!(compiler.stats().pruned_conditionals, 2);
         let expected = oracle::confidence_by_enumeration(&condition, &vt, SemiringKind::Bool);
         assert!((confidence_of_tree(&tree, &vt) - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_condition_whose_common_factor_does_not_divide_out_is_expanded() {
+        // [x·(x + y)⊗1 +min x⊗2 ≤ 3] over N: x is a factor of both terms, but
+        // the quotient x + y still mentions x, so rule 3 does not apply and the
+        // ⊔ on x expands the conditional, not α. Under x ← 1 the constant term
+        // 2 decides it.
+        let mut vt = VarTable::new();
+        let [x, y] = ["x", "y"].map(|n| vt.natural(n, &[(0, 0.5), (1, 0.5)]));
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Min,
+            vec![(v(x) * (v(x) + v(y)), Fin(1)), (v(x), Fin(2))],
+        );
+        let condition = SemiringExpr::cmp_mm(
+            CmpOp::Le,
+            alpha,
+            SemimoduleExpr::constant(AggOp::Min, Fin(3)),
+        );
+        let expected = oracle::confidence_by_enumeration(&condition, &vt, SemiringKind::Nat);
+        // Without independence the conditional is expanded the same way.
+        let no_independence = CompileOptions {
+            independence: false,
+            ..CompileOptions::default()
+        };
+        for options in [CompileOptions::default(), no_independence] {
+            let mut compiler = Compiler::with_options(&vt, SemiringKind::Nat, options);
+            let tree = compiler.compile_semiring(&condition).unwrap();
+            assert_eq!(compiler.stats().factorings, 0);
+            assert!(compiler.stats().pruned_conditionals >= 1);
+            assert_eq!(tree.to_string(), "⊔v0(v0←0: 0 | v0←1: 1)");
+            assert!((confidence_of_tree(&tree, &vt) - expected).abs() < 1e-12);
+        }
     }
 
     #[test]

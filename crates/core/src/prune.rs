@@ -10,11 +10,11 @@
 //! The rules decide over any term list ([`verdict`]). The compiler applies them
 //! to a conditional `[α θ c]` with a constant side and again in every branch of
 //! the conditional's own Shannon expansion: while `α`'s terms stay one
-//! independence component without a common factor, a `⊔` expands the
-//! conditional over them, and each branch's residual list meets the rules anew,
-//! so a branch the substituted coefficients decide is a constant leaf. Where
-//! `α` splits, has one term or has a common factor, the kept terms are compiled
-//! to `α`'s distribution under a `[θ]` node instead. Only
+//! independence component without a common factor that divides out, a `⊔`
+//! expands the conditional over them, and each branch's residual list meets the
+//! rules anew, so a branch the substituted coefficients decide is a constant
+//! leaf. Where `α` splits, has one term or has such a factor, the kept terms
+//! are compiled to `α`'s distribution under a `[θ]` node instead. Only
 //! *equivalence-preserving* rules are applied; every rule is validated against
 //! the brute-force oracle in the tests below.
 
