@@ -47,7 +47,8 @@ fn bench_additive_fold() {
             "count/718",
             (0..718).map(|i| two_point(i, 1)).collect::<Vec<_>>(),
         ),
-        // Group SUM: `{0, v}` operands densify to `v + 1` cells, gaps included.
+        // Group SUM: `{0, v}` operands densify to `v + 1` cells, two of them
+        // non-zero; the loop nest runs those two outermost.
         (
             "sum-gaps/100",
             (0..100)

@@ -692,7 +692,10 @@ impl DTreeArena {
                 let scalar_val = self.eval_from(scalar, table, kind, scratch)?;
                 let ds = scalar_val.into_semiring("⊗ scalar")?;
                 let mass_s = ds.total_mass();
-                let p_zero: f64 = ds.iter().filter(|(s, _)| s.is_zero()).map(|(_, p)| p).sum();
+                let p_zero = ds
+                    .iter()
+                    .filter(|(s, _)| s.is_zero())
+                    .fold(0.0, |sum, (_, p)| sum + p);
                 let (pv, mv) = self.threshold(value, theta, bound, table, kind, scratch)?;
                 let id_true = theta.eval(&op.identity(), &bound);
                 let p = p_zero * if id_true { mv } else { 0.0 } + (mass_s - p_zero) * pv;

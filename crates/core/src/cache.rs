@@ -558,12 +558,11 @@ fn fold_components<'a, E>(
 }
 
 /// The total mass of non-`0_S` outcomes — the tuple-confidence reading of a
-/// semiring distribution.
+/// semiring distribution; `+0.0` when every outcome is `0_S`.
 pub fn confidence_of(dist: &SemiringDist) -> f64 {
     dist.iter()
         .filter(|(v, _)| !v.is_zero())
-        .map(|(_, p)| p)
-        .sum()
+        .fold(0.0, |sum, (_, p)| sum + p)
 }
 
 /// A thread-safe compile-artifact store: one [`Interner`] and one

@@ -66,8 +66,7 @@ pub fn confidence_by_enumeration(expr: &SemiringExpr, table: &VarTable, kind: Se
     semiring_dist_by_enumeration(expr, table, kind)
         .iter()
         .filter(|(v, _)| !v.is_zero())
-        .map(|(_, p)| p)
-        .sum()
+        .fold(0.0, |sum, (_, p)| sum + p)
 }
 
 /// The exact joint distribution of a pair of expressions (used to validate the joint

@@ -154,9 +154,9 @@ impl<T: Ord + Clone> Dist<T> {
         }
     }
 
-    /// Total probability mass.
+    /// Total probability mass (`+0.0` when empty).
     pub fn total_mass(&self) -> f64 {
-        self.entries.iter().map(|(_, p)| p).sum()
+        self.entries.iter().fold(0.0, |sum, (_, p)| sum + p)
     }
 
     /// True if the total mass is 1 up to [`PROB_EPS`].

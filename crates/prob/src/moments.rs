@@ -56,12 +56,11 @@ pub fn expectation(dist: &Dist<MonoidValue>) -> Option<f64> {
     moments(dist).map(|m| m.mean)
 }
 
-/// Cumulative probability `P[value ≤ threshold]`.
+/// Cumulative probability `P[value ≤ threshold]` (`+0.0` when no value is).
 pub fn cdf(dist: &Dist<MonoidValue>, threshold: MonoidValue) -> f64 {
     dist.iter()
         .filter(|(v, _)| **v <= threshold)
-        .map(|(_, p)| p)
-        .sum()
+        .fold(0.0, |sum, (_, p)| sum + p)
 }
 
 /// The smallest value `v` in the support with `P[X ≤ v] ≥ q` (a `q`-quantile).

@@ -28,16 +28,18 @@
 //! drop rule and the support count fused into that write, so the epilogue is
 //! left with the trim alone; and a leaf that narrow enters
 //! [`AdditiveFold::push_cells`] as its cells, with no [`Dist`] built for it.
-//! Skipping the zero cells of a wider `{0, v}` operand is held back, for the
-//! reason `multiply_accumulate` gives.
+//! Against a wider operand the loop nest puts outermost whichever side gives
+//! fewer products — its non-zero cells times the other side's length, read
+//! from the support counts both forms carry — and skips that side's zero
+//! cells, so a `{0, v}` SUM operand costs its two cells, not `v + 1`.
 //!
 //! The dense pass is taken exactly when both supports are all-finite and the
 //! output range is no larger than the work a convolution does anyway (so dense is
 //! never asymptotically worse), the sparse kernel otherwise; the decision reads
 //! bounds and support counts both forms carry, in `O(1)`. Below the FFT crossover
 //! the dense pass is **bit-identical** to the sparse kernel because equal-valued
-//! products accumulate in the same (outer-operand-major) order — in both
-//! orientations of the loop nest, see `multiply_accumulate` — and the same
+//! products accumulate in the same (outer-operand-major) order — in every
+//! orientation of the loop nest, see `multiply_accumulate` — and the same
 //! [`PROB_EPS`] drop rule applies on the way out; debug builds assert this on
 //! every dense dispatch.
 //!
@@ -151,9 +153,9 @@ impl DenseDist {
         self.support
     }
 
-    /// Total probability mass.
+    /// Total probability mass (`+0.0` when there are no cells).
     pub fn total_mass(&self) -> f64 {
-        self.probs.iter().sum()
+        self.probs.iter().fold(0.0, |sum, p| sum + p)
     }
 
     /// The non-zero cells as `(value, probability)` pairs in ascending value
@@ -247,13 +249,20 @@ impl DenseDist {
             }
             crate::stats::record_fft(false);
         }
-        self.convolve_exact_into(other.offset, &other.probs, out)
+        self.convolve_exact_into(other.offset, &other.probs, other.support, out)
     }
 
     /// The exact loop against the non-empty operand whose cell `i` is the
-    /// probability of `Fin(offset + i)`, into the recycled buffer `out`.
-    fn convolve_exact_into(&self, offset: i64, cells: &[f64], mut out: Vec<f64>) -> DenseDist {
-        let support = multiply_accumulate(&self.probs, cells, &mut out);
+    /// probability of `Fin(offset + i)`, `support` of them non-zero, into the
+    /// recycled buffer `out`.
+    fn convolve_exact_into(
+        &self,
+        offset: i64,
+        cells: &[f64],
+        support: usize,
+        mut out: Vec<f64>,
+    ) -> DenseDist {
+        let support = multiply_accumulate(&self.probs, self.support, cells, support, &mut out);
         Self::trimmed(self.offset + offset, out, support)
     }
 
@@ -338,38 +347,47 @@ impl DenseDist {
 /// (`out[i + j] += a[i] · b[j]`) written into `out`, with the epilogue the
 /// sparse kernel applies on the way out — cells at or below [`PROB_EPS`] become
 /// zero, so later convolutions see the same support either way — and the
-/// number of surviving cells returned. Both operands are non-empty. Every
-/// dense convolution in this crate runs it.
+/// number of surviving cells returned. Both operands are non-empty;
+/// `support_a` / `support_b` are their non-zero cell counts as the operands
+/// carry them (they steer the loop order only, so a wrong count can cost time
+/// but never change a bit). Every dense convolution in this crate runs it.
 ///
 /// Each output cell `k` receives its products `a[i] · b[k − i]` in ascending
 /// `i` — the order the sparse generate–sort–coalesce kernel sums equal-valued
 /// candidates (`a` is its outer operand) — so the result is bit-identical to
-/// the sparse path. Two orientations keep that order:
+/// the sparse path. A skipped zero product is a `+0.0` that changes no bit of
+/// a non-negative cell (and a cell that stays zero is dropped either way).
+/// Three orientations keep that order:
 ///
-/// * **`b` shorter than one chunk** (`b.len() < 4`, and no longer than `a`;
-///   COUNT's `{0, 1}` operand has two cells): every cell is computed complete
-///   and written once, drop rule and support count included —
+/// * **short** — `b` shorter than one chunk (`b.len() < 4`, and no longer
+///   than `a`; COUNT's `{0, 1}` operand has two cells): every cell is computed
+///   complete and written once, drop rule and support count included —
 ///   `Σ a[k − j] · b[j]` over *descending* `j`, so `i = k − j` ascends. The
 ///   interior cells are one branch-free zip of `a` with itself shifted by one
 ///   cell per `b` cell (for two cells, `a[..L − 1]` with `a[1..]`); only the
 ///   `b.len() − 1` cells at either end, where some `j` fall outside `a`, are
-///   summed cell by cell. The zeroed row this sum used to start from added
-///   `+0.0` to the first product, which changes no bit of a non-negative cell
-///   (and a zero cell is dropped either way). Zero cells of `a` are not
-///   skipped; they add `+0.0` too.
-/// * **every other shape**: `out` zeroed, `a` outermost, skipping its zero
+///   summed cell by cell. Zero cells are not skipped; they add `+0.0`.
+/// * **`a` outermost** — `out` zeroed, `a` in ascending `i`, skipping its zero
 ///   cells (SUM accumulators have gaps early in a fold), and the row update
 ///   over `b` written as four independent lanes over `chunks_exact(4)` plus a
-///   scalar remainder. Each output cell is touched once per `i`, so the lanes
-///   never reassociate a sum and the compiler is free to emit packed `mulpd` /
-///   `addpd`; the drop rule is a pass of its own ([`drop_and_count`]).
+///   scalar remainder: `support_a · b.len()` products.
+/// * **`b` outermost** — `out` zeroed, `b` in *descending* `j` (so each cell's
+///   `i = k − j` ascends, as above), skipping its zero cells, and the row
+///   update `out[j..j + L] += b[j] · a` one plain zip: `support_b · a.len()`
+///   products. A `{0, v}` SUM operand costs its two cells here, not `v + 1`.
 ///
-/// The operands' zero cells (`{0, v}` densified to `v + 1` cells) are
-/// multiplied through in both orientations. Skipping a `{0, v}` operand's
-/// `v − 1` zero cells is the sparse-operand AXPY of the roadmap: it changes
-/// what `sum_kernel` costs by an order of magnitude, and is held back until
-/// the benchmark harness's memory stops scaling with throughput.
-fn multiply_accumulate(a: &[f64], b: &[f64], out: &mut Vec<f64>) -> usize {
+/// The two general orientations are chosen by that product count, `b`
+/// outermost only when strictly cheaper. Each output cell is touched once per
+/// outer cell, so neither reassociates a sum and the compiler is free to emit
+/// packed `mulpd` / `addpd`; the drop rule is a pass of its own
+/// ([`drop_and_count`]).
+fn multiply_accumulate(
+    a: &[f64],
+    support_a: usize,
+    b: &[f64],
+    support_b: usize,
+    out: &mut Vec<f64>,
+) -> usize {
     out.clear();
     let (l, n) = (a.len(), b.len());
     if n < 4 && n <= l {
@@ -409,21 +427,32 @@ fn multiply_accumulate(a: &[f64], b: &[f64], out: &mut Vec<f64>) -> usize {
         };
     }
     out.resize(l + n - 1, 0.0);
-    for (i, &pa) in a.iter().enumerate() {
-        if pa == 0.0 {
-            continue;
+    if support_b.saturating_mul(l) < support_a.saturating_mul(n) {
+        for (j, &pb) in b.iter().enumerate().rev() {
+            if pb == 0.0 {
+                continue;
+            }
+            for (r, &x) in out[j..j + l].iter_mut().zip(a) {
+                *r += pb * x;
+            }
         }
-        let row = &mut out[i..i + n];
-        let mut rows = row.chunks_exact_mut(4);
-        let mut cols = b.chunks_exact(4);
-        for (r, o) in rows.by_ref().zip(cols.by_ref()) {
-            r[0] += pa * o[0];
-            r[1] += pa * o[1];
-            r[2] += pa * o[2];
-            r[3] += pa * o[3];
-        }
-        for (r, o) in rows.into_remainder().iter_mut().zip(cols.remainder()) {
-            *r += pa * *o;
+    } else {
+        for (i, &pa) in a.iter().enumerate() {
+            if pa == 0.0 {
+                continue;
+            }
+            let row = &mut out[i..i + n];
+            let mut rows = row.chunks_exact_mut(4);
+            let mut cols = b.chunks_exact(4);
+            for (r, o) in rows.by_ref().zip(cols.by_ref()) {
+                r[0] += pa * o[0];
+                r[1] += pa * o[1];
+                r[2] += pa * o[2];
+                r[3] += pa * o[3];
+            }
+            for (r, o) in rows.into_remainder().iter_mut().zip(cols.remainder()) {
+                *r += pa * *o;
+            }
         }
     }
     drop_and_count(out)
@@ -765,6 +794,7 @@ impl AdditiveFold {
         let out = acc.convolve_exact_into(
             leaf.lo,
             &leaf.cells[..leaf.span],
+            leaf.support,
             std::mem::take(&mut self.spare),
         );
         #[cfg(debug_assertions)]
@@ -1071,6 +1101,81 @@ mod tests {
         assert!(matches!(out, ChainVal::Sparse(_)));
         let expected = contiguous.convolve(&scattered, |x, y| x.saturating_add(y));
         assert!(bit_equal_pub(&out.into_dist(), &expected));
+    }
+
+    /// `{0: 1 − p, v: p}`, one row of a group SUM.
+    fn two_point(v: i64, p: f64) -> MonoidDist {
+        Dist::two_point(Fin(0), 1.0 - p, Fin(v), p)
+    }
+
+    /// `len` cells from `0` with uneven probabilities; with `gaps`, every third
+    /// cell (the ends excepted) is absent.
+    fn uneven(len: i64, gaps: bool) -> MonoidDist {
+        let weight = |v: i64| (1 + (v * 7919) % 13) as f64;
+        let kept = |v: i64| !gaps || v % 3 != 1 || v == len - 1;
+        let total: f64 = (0..len).filter(|&v| kept(v)).map(weight).sum();
+        Dist::from_pairs(
+            (0..len)
+                .filter(|&v| kept(v))
+                .map(|v| (Fin(v), weight(v) / total)),
+        )
+    }
+
+    /// `a ∗ b` through one general orientation of the loop nest, forced by
+    /// the support counts it is handed (`b` outermost or `a` outermost).
+    fn forced(a: &DenseDist, b: &DenseDist, b_outer: bool) -> MonoidDist {
+        let (support_a, support_b) = if b_outer { (1, 0) } else { (0, 1) };
+        let mut out = Vec::new();
+        let support = multiply_accumulate(&a.probs, support_a, &b.probs, support_b, &mut out);
+        DenseDist::trimmed(a.offset + b.offset, out, support).to_dist()
+    }
+
+    /// The exact loop, in the orientation the carried counts choose and in
+    /// both general orientations, bit for bit against the sparse kernel.
+    fn assert_loop_matches_sparse(a: &MonoidDist, b: &MonoidDist) {
+        let expected = a.convolve(b, |x, y| x.saturating_add(y));
+        let (da, db) = (
+            DenseDist::from_dist(a).unwrap(),
+            DenseDist::from_dist(b).unwrap(),
+        );
+        let context = format!("{} cells ∗ {} cells", da.len(), db.len());
+        assert!(
+            bit_equal_pub(&da.convolve_add_exact(&db).to_dist(), &expected),
+            "{context}"
+        );
+        for b_outer in [false, true] {
+            assert!(
+                bit_equal_pub(&forced(&da, &db, b_outer), &expected),
+                "{context}, b outermost: {b_outer}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_two_point_operand_outermost_keeps_the_bits() {
+        let acc = uneven(5_000, false);
+        for v in [4, 63, 200] {
+            assert_loop_matches_sparse(&acc, &two_point(v, 0.3));
+        }
+    }
+
+    #[test]
+    fn a_short_accumulator_against_a_long_two_point_operand_keeps_the_bits() {
+        for len in [1, 2, 3, 5] {
+            assert_loop_matches_sparse(&uneven(len, false), &two_point(200, 0.7));
+            assert_loop_matches_sparse(&two_point(200, 0.7), &uneven(len, false));
+        }
+    }
+
+    #[test]
+    fn an_accumulator_with_interior_gaps_keeps_the_bits() {
+        let acc = uneven(600, true);
+        assert!(acc.support_size() < 450);
+        for v in [4, 63, 200] {
+            assert_loop_matches_sparse(&acc, &two_point(v, 0.45));
+            assert_loop_matches_sparse(&two_point(v, 0.45), &acc);
+        }
+        assert_loop_matches_sparse(&acc, &uneven(9, true));
     }
 
     #[test]

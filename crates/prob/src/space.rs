@@ -104,8 +104,7 @@ impl<K: Ord + Clone, V: Ord + Clone> ProbabilitySpace<K, V> {
         self.worlds()
             .into_iter()
             .filter(|w| event(&w.valuation))
-            .map(|w| w.probability)
-            .sum()
+            .fold(0.0, |sum, w| sum + w.probability)
     }
 }
 

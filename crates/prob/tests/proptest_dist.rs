@@ -430,6 +430,10 @@ enum Family {
     Count,
     /// SUM's `{0, v}`: `v + 1` cells of which `v − 1` are gaps.
     SumGaps,
+    /// SUM's `{0, v}` with `v` in 64..=200: against a long accumulator the
+    /// dense loop runs it outermost on its two cells, and past a few thousand
+    /// accumulator cells the pair crosses into the spectral kernel.
+    WideGaps,
     /// `len` contiguous cells (1–5: either side of the 4-cell chunk).
     Short(usize),
     /// A contiguous operand longer than the accumulator is at that point.
@@ -471,6 +475,7 @@ fn operand(rng: &mut SeededRng, family: Family, accumulator_span: usize) -> Mono
     match family {
         Family::Count => Dist::two_point(fin(0), 1.0 - p, fin(1), p),
         Family::SumGaps => Dist::two_point(fin(0), 1.0 - p, fin(rng.gen_range(2i64..17)), p),
+        Family::WideGaps => Dist::two_point(fin(0), 1.0 - p, fin(rng.gen_range(64i64..201)), p),
         Family::Short(len) => contiguous(rng, near_zero, len),
         Family::Longer => contiguous(rng, 0, accumulator_span + extra),
         Family::Wide => contiguous(rng, near_zero, 300),
@@ -489,11 +494,15 @@ fn operand(rng: &mut SeededRng, family: Family, accumulator_span: usize) -> Mono
 /// (two of `NearMax` / `HugeSpan` would overflow `i64` for real).
 fn fold_script(rng: &mut SeededRng, len: usize) -> Vec<Family> {
     let mut script: Vec<Family> = (0..len)
-        .map(|_| match rng.gen_range(0u32..12) {
+        .map(|_| match rng.gen_range(0u32..13) {
             0..=4 => Family::Count,
             5..=7 => Family::SumGaps,
             8..=10 => Family::Short(rng.gen_range(1usize..6)),
-            _ => Family::Longer,
+            11 => Family::Longer,
+            // Every later step pays the sparse reference for the span a wide
+            // gap adds: the longest folds keep to the narrow gaps.
+            _ if len > 64 => Family::SumGaps,
+            _ => Family::WideGaps,
         })
         .collect();
     let mut place = |rng: &mut SeededRng, family: Family| {
@@ -542,6 +551,9 @@ struct FoldCoverage {
     spectral_steps: usize,
     dense_after_infinite: usize,
     emptied: usize,
+    /// `WideGaps` steps into a dense accumulator, exact and spectral.
+    wide_gaps_exact: usize,
+    wide_gaps_spectral: usize,
 }
 
 /// Fold `script` three ways and compare after every step.
@@ -570,7 +582,12 @@ fn check_fold(rng: &mut SeededRng, script: &[Family], coverage: &mut FoldCoverag
             None => None,
         };
         if let (Some(accumulated), Some(len)) = (accumulated, finite_span(&d)) {
-            spectral += usize::from(fft_would_run(accumulated, len));
+            let fft = fft_would_run(accumulated, len);
+            spectral += usize::from(fft);
+            if family == Family::WideGaps && matches!(fold.value(), Some(ChainVal::Dense(_))) {
+                coverage.wide_gaps_exact += usize::from(!fft);
+                coverage.wide_gaps_spectral += usize::from(fft);
+            }
         }
         seen_infinite |= family == Family::Infinite;
         // The accumulator takes operands both ways it can be given them.
@@ -652,6 +669,8 @@ fn accumulator_one_step_entry_and_sparse_kernel_fold_alike() {
             vec![Family::NearMax],
             vec![Family::HugeSpan],
             vec![Family::Wide, Family::Wide, Family::Wide],
+            // Thousands of cells by the end: the last pairs run spectrally.
+            vec![Family::WideGaps; 60],
             vec![Family::Empty],
         ] {
             let mut script = vec![Family::Count; 10];
@@ -677,6 +696,12 @@ fn accumulator_one_step_entry_and_sparse_kernel_fold_alike() {
             "seed {seed}: never dense again after +∞"
         );
         assert!(coverage.emptied > 0, "seed {seed}: no fold went empty");
+        assert!(
+            coverage.wide_gaps_exact > 0 && coverage.wide_gaps_spectral > 0,
+            "seed {seed}: wide {{0, v}} operands met a dense accumulator {} times exactly, {} spectrally",
+            coverage.wide_gaps_exact,
+            coverage.wide_gaps_spectral
+        );
     }
 }
 

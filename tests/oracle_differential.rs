@@ -264,6 +264,41 @@ fn threshold_predicates_match_the_oracle_comparison_mass() {
     }
 }
 
+/// A HAVING no world satisfies has confidence `+0.0`, bit for bit, on the fast
+/// path and through full compilation: the confidence is a sum over no outcome,
+/// and an empty `f64` sum's sign differs between Rust toolchains.
+#[test]
+fn unsatisfiable_having_has_positive_zero_confidence() {
+    for rows in [1, 7, 20] {
+        let mut db = Database::new();
+        db.create_table("sales", Schema::new(["region", "amount"]));
+        let (t, vars) = db.table_and_vars_mut("sales").unwrap();
+        for i in 0..rows {
+            let p = 0.1 + 0.8 * (i as f64 / rows as f64);
+            t.push_independent(vec!["R".into(), (i as i64 % 10).into()], p, vars);
+        }
+        let engine = Engine::new(db);
+        for theta in [CmpOp::Ge, CmpOp::Gt, CmpOp::Eq] {
+            let query = Query::table("sales")
+                .group_agg(["region"], vec![AggSpec::new(AggOp::Min, "amount", "m")])
+                .select(Predicate::AggCmpConst("m".into(), theta, 500));
+            for (label, options) in [
+                ("fast", EvalOptions::default()),
+                ("compiled", EvalOptions::default().without_fast_path()),
+            ] {
+                let result = engine.prepare(&query).unwrap().execute(&options).unwrap();
+                assert_eq!(result.tuples.len(), 1, "rows={rows} {theta:?} path={label}");
+                let confidence = result.tuples[0].confidence;
+                assert_eq!(
+                    confidence.to_bits(),
+                    0.0f64.to_bits(),
+                    "rows={rows} {theta:?} path={label}: confidence {confidence:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn grouped_queries_match_per_group_oracles() {
     for seed in seeds() {
