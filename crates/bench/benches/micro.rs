@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the core building blocks: convolution, read-once compilation,
-//! aggregate-distribution computation and the streaming executor's hand-off.
+//! Shannon expansion of a condition, aggregate-distribution computation and the
+//! streaming executor's hand-off.
 //!
 //! A plain `fn main()` timing harness (`cargo bench --bench micro`).
 
@@ -8,7 +9,8 @@ use pvc_bench::bench_case;
 use pvc_core::{confidence_of, CacheConfig, CompileOptions, Compiler, SharedArtifacts, WorkerPool};
 use pvc_db::{Database, Engine, EvalOptions, Query, Schema};
 use pvc_expr::{SemimoduleExpr, SemiringExpr, VarTable};
-use pvc_prob::{convolve_additive_chained, AdditiveFold, ChainVal, Dist, MonoidDist};
+use pvc_prob::{convolve_additive_chained, AdditiveFold, ChainVal, Dist, MonoidDist, SeededRng};
+use pvc_workload::{ExprGenParams, ExprGenerator};
 
 fn bench_convolution() {
     let uniform = |cells: i64, stride: i64| -> MonoidDist {
@@ -89,6 +91,56 @@ fn bench_read_once_compilation() {
         bench_case(&format!("read_once_compile/{groups}"), 10, || {
             pvc_core::confidence(&expr, &vars, SemiringKind::Bool);
         });
+    }
+}
+
+/// Two conditions of the `expr_compile` workload at its default seed
+/// (20120827), generated as it generates them: `[MIN = 100]` over 200 terms
+/// and `[COUNT = 50]` over 100, ten variables. The compiler alone, one reused
+/// compiler; the `⊔` and rebuilt-substitution counts say how much Shannon
+/// expansion the time bought.
+fn bench_compile_conditions() {
+    let mut rng = SeededRng::seed_from_u64(20120827);
+    // The workload draws one generator seed per condition, MIN = first and
+    // COUNT = third.
+    let seeds: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
+    for (label, agg, terms, constant, seed) in [
+        ("min-eq", AggOp::Min, 200, 100, seeds[0]),
+        ("count-eq", AggOp::Count, 100, 50, seeds[2]),
+    ] {
+        let params = ExprGenParams {
+            left_terms: terms,
+            right_terms: 0,
+            agg_left: agg,
+            theta: CmpOp::Eq,
+            constant,
+            num_vars: 10,
+            clauses_per_term: 3,
+            literals_per_clause: 3,
+            max_value: 200,
+            ..ExprGenParams::default()
+        };
+        let g = ExprGenerator::new(params, seed).generate();
+        let mut compiler = Compiler::new(&g.vars, SemiringKind::Bool);
+        bench_case(&format!("compile/{label}"), 100, || {
+            std::hint::black_box(
+                compiler
+                    .emit_semiring(&g.condition)
+                    .map(|arena| arena.len()),
+            )
+            .expect("no node budget configured");
+        });
+        // A compiler's counters add up over its compilations: one of its own.
+        let mut once = Compiler::new(&g.vars, SemiringKind::Bool);
+        let nodes = once.emit_semiring(&g.condition).map(|arena| arena.len());
+        let stats = once.stats();
+        println!(
+            "{:<48} {} nodes, {} ⊔, {} rebuilt substitutions",
+            "",
+            nodes.expect("no node budget configured"),
+            stats.exclusive_expansions,
+            stats.rebuilt_nodes
+        );
     }
 }
 
@@ -193,5 +245,6 @@ fn main() {
     bench_convolution();
     bench_additive_fold();
     bench_read_once_compilation();
+    bench_compile_conditions();
     bench_min_aggregate_distribution();
 }

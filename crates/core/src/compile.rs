@@ -120,15 +120,19 @@ pub struct CompileStats {
     /// Conditionals decided by the pruning rules, at the root of a
     /// conditional or in a branch of its own `⊔` expansion.
     pub pruned_conditionals: usize,
-    /// Sums folded to `⊤` because a summand was `⊤` (Boolean semiring only).
+    /// Sums folded to `⊤` because a summand was `⊤` (Boolean semiring only),
+    /// once per distinct residual: a sum the compilation already folded under
+    /// the same substitution is not counted again.
     pub absorbed_sums: usize,
     /// Semimodule terms merged into a term with the same coefficient
     /// (`Φ⊗a +op Φ⊗b = Φ⊗(a +op b)`).
     pub merged_terms: usize,
     /// MIN / MAX terms dropped next to a constant term that dominates them.
     pub dominated_terms: usize,
-    /// Distinct sub-expressions rebuilt by the substitutions of `⊔` expansions
-    /// (those mentioning the substituted variable, once per branch).
+    /// Distinct `(node, variable, value)` substitutions the `⊔` expansions of
+    /// the compilation computed (nodes mentioning the substituted variable): a
+    /// sub-expression that two branches or two `⊔` nodes reach under the same
+    /// `x ← s` is rebuilt, and counted, once.
     pub rebuilt_nodes: usize,
 }
 

@@ -10,10 +10,11 @@
 //!
 //! * returns `id` untouched when the variable does not occur below it (one binary
 //!   search in the precomputed var-set),
-//! * rebuilds every other node **once per branch**: results are memoised per id
-//!   for as long as one `(x, s)` is being substituted
-//!   ([`begin_branch`](ResidualArena::begin_branch)), across all the coefficients
-//!   of a term list,
+//! * rebuilds every other node **once per compilation and `(x, s)`**: results are
+//!   memoised under `(node, x, s)` from the first substitution until
+//!   [`reset`](ResidualArena::reset), across all the coefficients of a term list
+//!   and across branches — two `⊔` nodes that reach the same sub-expression
+//!   under the same `x ← s` share its residual,
 //! * folds constants on the way up exactly as [`SemiringExpr::simplify`] does, and
 //!   re-interns, which restores the canonical child order.
 //!
@@ -40,55 +41,120 @@ use pvc_algebra::{AggOp, MonoidValue, SemiringKind, SemiringValue};
 /// How often each law fired, and how much a substitution had to rebuild.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidualCounts {
-    /// Sums replaced by `⊤` because a summand was `⊤` (Boolean semiring only).
+    /// Sums replaced by `⊤` because a summand was `⊤` (Boolean semiring only),
+    /// once per distinct residual (a memoised rebuild does not count again).
     pub absorbed_sums: usize,
     /// Terms merged into an earlier term with the same coefficient.
     pub merged_terms: usize,
     /// MIN / MAX terms dropped next to a constant term that dominates them.
     pub dominated_terms: usize,
-    /// Nodes (semiring and semimodule) rebuilt by substitution: those that mention
-    /// the substituted variable, once per branch.
+    /// Distinct `(node, variable, value)` substitutions the compilation computed
+    /// (semiring and semimodule nodes that mention the substituted variable): a
+    /// node reached again under the same `x ← s`, in the same branch or another,
+    /// is not counted again.
     pub rebuilt_nodes: usize,
 }
 
-/// Per-id memo of the branch being substituted: valid while its stamp is the
-/// current generation, so starting a branch invalidates every entry at once.
+/// No entry: the end of a chain, or a node without one.
+const NONE: u32 = u32::MAX;
+
+/// The key of [`simplify`](ResidualArena::simplify), which substitutes nothing.
+const FOLD_ONLY: (Var, ExprId) = (Var(u32::MAX), ExprId(u32::MAX));
+
+/// The results of `rebuild`, keyed by `(node, x, s)` (`s` as its constant node)
+/// and kept for the whole compilation. Each node has a chain of entries in one
+/// flat pool, newest first: a node is rebuilt under a handful of keys at most
+/// (one per value of each variable it mentions, plus plain folding), so a
+/// lookup reads a few entries and hashes nothing.
 #[derive(Debug)]
-struct BranchMemo<I> {
-    entries: Vec<(u32, I)>,
+struct SubstMemo<I> {
+    /// Per node id, its newest entry in `pool`, or [`NONE`].
+    heads: Vec<u32>,
+    pool: Vec<MemoEntry<I>>,
 }
 
-impl<I> Default for BranchMemo<I> {
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry<I> {
+    next: u32,
+    key: (Var, ExprId),
+    result: I,
+}
+
+impl<I> Default for SubstMemo<I> {
     fn default() -> Self {
-        BranchMemo {
-            entries: Vec::new(),
+        SubstMemo {
+            heads: Vec::new(),
+            pool: Vec::new(),
         }
     }
 }
 
-impl<I: Copy> BranchMemo<I> {
-    fn get(&self, id: u32, generation: u32) -> Option<I> {
-        match self.entries.get(id as usize) {
-            Some(&(stamp, done)) if stamp == generation => Some(done),
+impl<I: Copy> SubstMemo<I> {
+    fn get(&self, id: u32, key: (Var, ExprId)) -> Option<I> {
+        let mut at = *self.heads.get(id as usize)?;
+        while at != NONE {
+            let entry = &self.pool[at as usize];
+            if entry.key == key {
+                return Some(entry.result);
+            }
+            at = entry.next;
+        }
+        None
+    }
+
+    fn insert(&mut self, id: u32, key: (Var, ExprId), result: I) {
+        let slot = id as usize;
+        if slot >= self.heads.len() {
+            self.heads.resize(slot + 1, NONE);
+        }
+        let next = std::mem::replace(&mut self.heads[slot], self.pool.len() as u32);
+        self.pool.push(MemoEntry { next, key, result });
+    }
+
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.pool.clear();
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.pool.len()
+    }
+}
+
+/// Where in a term list each coefficient was first seen, by coefficient id: an
+/// entry is valid while its stamp is the current generation, so starting a list
+/// invalidates every entry of the last one at once.
+#[derive(Debug, Default)]
+struct MergeSlots {
+    generation: u32,
+    slots: Vec<(u32, u32)>,
+}
+
+impl MergeSlots {
+    fn begin(&mut self) {
+        if self.generation == u32::MAX {
+            // Stamps are about to repeat: forget them all.
+            self.slots.clear();
+            self.generation = 0;
+        }
+        self.generation += 1;
+    }
+
+    fn get(&self, id: u32) -> Option<u32> {
+        match self.slots.get(id as usize) {
+            Some(&(stamp, first)) if stamp == self.generation => Some(first),
             _ => None,
         }
     }
 
-    fn set(&mut self, id: u32, generation: u32, done: I) {
+    fn set(&mut self, id: u32, first: u32) {
         let at = id as usize;
-        if at >= self.entries.len() {
-            self.entries.resize(at + 1, (0, done));
+        if at >= self.slots.len() {
+            self.slots.resize(at + 1, (0, 0));
         }
-        self.entries[at] = (generation, done);
+        self.slots[at] = (self.generation, first);
     }
-}
-
-/// Where in a term list each coefficient was first seen, by coefficient id; stamped
-/// like [`BranchMemo`] so that one list's entries mean nothing to the next.
-#[derive(Debug, Default)]
-struct MergeSlots {
-    generation: u32,
-    slots: BranchMemo<u32>,
 }
 
 /// A compile-local expression arena with substitution, constant folding and the
@@ -100,10 +166,8 @@ pub struct ResidualArena {
     /// The variable being substituted and the constant node replacing it; `None`
     /// while [`simplify`](Self::simplify) folds without substituting.
     target: Option<(Var, ExprId)>,
-    /// Stamp of the current branch; `0` is never current.
-    generation: u32,
-    memo: BranchMemo<ExprId>,
-    agg_memo: BranchMemo<AggExprId>,
+    memo: SubstMemo<ExprId>,
+    agg_memo: SubstMemo<AggExprId>,
     /// Child lists under construction, innermost last.
     stack: Vec<ExprId>,
     term_stack: Vec<AggTerm>,
@@ -122,9 +186,8 @@ impl ResidualArena {
             arena: Interner::new(),
             kind,
             target: None,
-            generation: 0,
-            memo: BranchMemo::default(),
-            agg_memo: BranchMemo::default(),
+            memo: SubstMemo::default(),
+            agg_memo: SubstMemo::default(),
             stack: Vec::new(),
             term_stack: Vec::new(),
             merge: MergeSlots::default(),
@@ -157,7 +220,8 @@ impl ResidualArena {
         self.occ_spans.clear();
         self.occ_pool.clear();
         self.import_memo.clear();
-        // Branch memos need no clearing: their stamps never become current again.
+        self.memo.clear();
+        self.agg_memo.clear();
     }
 
     /// Hand the arena's tables to a new owner: from the next
@@ -180,21 +244,23 @@ impl ResidualArena {
 
     /// Fold the constants of `id` and apply the laws throughout (no substitution).
     pub fn simplify(&mut self, id: ExprId) -> ExprId {
-        self.start(None);
+        self.target = None;
         self.rebuild(id)
     }
 
     /// [`simplify`](Self::simplify) for a semimodule expression.
     pub fn simplify_agg(&mut self, id: AggExprId) -> AggExprId {
-        self.start(None);
+        self.target = None;
         self.rebuild_agg(id)
     }
 
-    /// Start substituting `var ← value`. Every [`substitute`](Self::substitute)
-    /// until the next call belongs to this branch and shares its memo.
+    /// Start substituting `var ← value`: every [`substitute`](Self::substitute)
+    /// until the next call. Results are remembered under `(node, var, value)`
+    /// until [`reset`](Self::reset), so a later branch over the same `var ←
+    /// value` reuses them.
     pub fn begin_branch(&mut self, var: Var, value: SemiringValue) {
         let replacement = self.arena.intern_node(InternedExpr::Const(value));
-        self.start(Some((var, replacement)));
+        self.target = Some((var, replacement));
     }
 
     /// `id|x←s` of the current branch, simplified.
@@ -241,15 +307,9 @@ impl ResidualArena {
         &self.occ_pool[start as usize..(start + len) as usize]
     }
 
-    fn start(&mut self, target: Option<(Var, ExprId)>) {
-        if self.generation == u32::MAX {
-            // Stamps are about to repeat: forget them all.
-            self.memo.entries.clear();
-            self.agg_memo.entries.clear();
-            self.generation = 0;
-        }
-        self.generation += 1;
-        self.target = target;
+    /// The memo key of the current substitution.
+    fn key(&self) -> (Var, ExprId) {
+        self.target.unwrap_or(FOLD_ONLY)
     }
 
     fn constant(&mut self, value: SemiringValue) -> ExprId {
@@ -274,7 +334,7 @@ impl ResidualArena {
                 return replacement;
             }
         }
-        if let Some(done) = self.memo.get(id.0, self.generation) {
+        if let Some(done) = self.memo.get(id.0, self.key()) {
             return done;
         }
         let done = match self.arena.node(id) {
@@ -309,7 +369,7 @@ impl ResidualArena {
         if self.target.is_some() {
             self.counts.rebuilt_nodes += 1;
         }
-        self.memo.set(id.0, self.generation, done);
+        self.memo.insert(id.0, self.key(), done);
         done
     }
 
@@ -390,7 +450,7 @@ impl ResidualArena {
                 return id;
             }
         }
-        if let Some(done) = self.agg_memo.get(id.0, self.generation) {
+        if let Some(done) = self.agg_memo.get(id.0, self.key()) {
             return done;
         }
         let node = self.arena.agg_node(id);
@@ -415,7 +475,7 @@ impl ResidualArena {
         if self.target.is_some() {
             self.counts.rebuilt_nodes += 1;
         }
-        self.agg_memo.set(id.0, self.generation, done);
+        self.agg_memo.insert(id.0, self.key(), done);
         done
     }
 
@@ -485,11 +545,7 @@ fn normalize(
     terms: &mut Vec<AggTerm>,
     base: usize,
 ) {
-    if merge.generation == u32::MAX {
-        merge.slots.entries.clear();
-        merge.generation = 0;
-    }
-    merge.generation += 1;
+    merge.begin();
     let mut constant: Option<MonoidValue> = None;
     let mut kept = base;
     for at in base..terms.len() {
@@ -500,14 +556,14 @@ fn normalize(
                 let v = op.scalar_action(&c, &value);
                 constant = Some(constant.map_or(v, |acc| op.combine(&acc, &v)));
             }
-            None => match merge.slots.get(coeff.0, merge.generation) {
+            None => match merge.get(coeff.0) {
                 Some(first) => {
                     let first = &mut terms[first as usize].1;
                     *first = op.combine(first, &value);
                     counts.merged_terms += 1;
                 }
                 None => {
-                    merge.slots.set(coeff.0, merge.generation, kept as u32);
+                    merge.set(coeff.0, kept as u32);
                     terms[kept] = (coeff, value);
                     kept += 1;
                 }
@@ -622,6 +678,110 @@ mod tests {
         let before = work.counts().rebuilt_nodes;
         assert_eq!(work.substitute(ids[0]), ids[0]);
         assert_eq!(work.counts().rebuilt_nodes, before);
+    }
+
+    #[test]
+    fn two_expansions_under_the_same_assignment_share_their_residuals() {
+        // `shared` sits under two coefficients that two different `⊔` nodes
+        // expand, with another variable's branch between them.
+        let mut vt = VarTable::new();
+        let xs: Vec<Var> = (0..6).map(|i| vt.boolean(format!("x{i}"), 0.5)).collect();
+        let shared = v(xs[0]) * v(xs[1]) + v(xs[2]) * v(xs[3]);
+        let mut work = ResidualArena::new(SemiringKind::Bool);
+        let a = work.arena_mut().intern(&(shared.clone() * v(xs[4])));
+        let b = work.arena_mut().intern(&(shared.clone() * v(xs[5])));
+        let shared = work.arena_mut().intern(&shared);
+        let rebuilt = |work: &ResidualArena| work.counts().rebuilt_nodes;
+        work.begin_branch(xs[0], SemiringValue::Bool(false));
+        work.substitute(a);
+        // x0·x1, the sum, the product.
+        assert_eq!(rebuilt(&work), 3);
+        work.begin_branch(xs[4], SemiringValue::Bool(true));
+        work.substitute(a);
+        assert_eq!(rebuilt(&work), 4);
+        work.begin_branch(xs[0], SemiringValue::Bool(false));
+        let before = rebuilt(&work);
+        let residual_b = work.substitute(b);
+        // Only `b` itself is new under x0 ← ⊥.
+        assert_eq!(rebuilt(&work) - before, 1);
+        let residual_shared = work.substitute(shared);
+        assert_eq!(rebuilt(&work) - before, 1);
+        let expected = work.arena_mut().intern(&(v(xs[2]) * v(xs[3]) * v(xs[5])));
+        assert_eq!(residual_b, expected);
+        let expected = work.arena_mut().intern(&(v(xs[2]) * v(xs[3])));
+        assert_eq!(residual_shared, expected);
+    }
+
+    #[test]
+    fn an_entry_answers_only_its_own_variable_and_value() {
+        // Each (variable, value) after the first substitution of a node: a
+        // memo that answered by node alone, or by variable alone, would hand
+        // back the first residual.
+        for kind in [SemiringKind::Bool, SemiringKind::Nat] {
+            let mut vt = VarTable::new();
+            let xs: Vec<Var> = (0..3)
+                .map(|i| match kind {
+                    SemiringKind::Bool => vt.boolean(format!("x{i}"), 0.5),
+                    SemiringKind::Nat => vt.natural(format!("x{i}"), &[(0, 0.5), (2, 0.5)]),
+                })
+                .collect();
+            let e = v(xs[0]) * v(xs[1]) + v(xs[1]) * v(xs[2]) + v(xs[0]) * v(xs[2]);
+            let mut work = ResidualArena::new(kind);
+            let id = work.arena_mut().intern(&e);
+            let mut seen = Vec::new();
+            for &x in &xs {
+                for (value, _) in vt.dist(x).iter() {
+                    work.begin_branch(x, *value);
+                    let before = work.counts().rebuilt_nodes;
+                    let residual = work.substitute(id);
+                    assert!(
+                        work.counts().rebuilt_nodes > before,
+                        "{kind:?} {x} ← {value}"
+                    );
+                    let by_tree = e.substitute(x, *value).simplify(kind);
+                    let expected = work.arena_mut().intern(&by_tree);
+                    assert_eq!(residual, expected, "{kind:?} {x} ← {value}");
+                    seen.push(residual);
+                }
+            }
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len(), 2 * xs.len(), "{kind:?}: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn reset_forgets_every_substitution() {
+        let mut vt = VarTable::new();
+        let xs: Vec<Var> = (0..3).map(|i| vt.boolean(format!("x{i}"), 0.5)).collect();
+        let alpha = SemimoduleExpr::from_terms(
+            AggOp::Sum,
+            vec![(v(xs[0]) * v(xs[1]), Fin(3)), (v(xs[1]) + v(xs[2]), Fin(4))],
+        );
+        let cond = SemiringExpr::cmp_mm(
+            CmpOp::Le,
+            alpha,
+            SemimoduleExpr::constant(AggOp::Sum, Fin(5)),
+        );
+        let e = cond * v(xs[2]);
+        let mut work = ResidualArena::new(SemiringKind::Bool);
+        let rebuild = |work: &mut ResidualArena| {
+            let id = work.arena_mut().intern(&e);
+            let id = work.simplify(id);
+            work.begin_branch(xs[1], SemiringValue::Bool(true));
+            let before = work.counts().rebuilt_nodes;
+            work.substitute(id);
+            work.counts().rebuilt_nodes - before
+        };
+        let first = rebuild(&mut work);
+        assert!(first > 0);
+        assert!(work.memo.len() > 0 && work.agg_memo.len() > 0);
+        work.reset();
+        assert_eq!((work.memo.len(), work.agg_memo.len()), (0, 0));
+        assert!(work.memo.heads.is_empty() && work.agg_memo.heads.is_empty());
+        // Ids are handed out afresh: an entry that survived would answer for
+        // whatever node now has its id.
+        assert_eq!(rebuild(&mut work), first);
     }
 
     #[test]

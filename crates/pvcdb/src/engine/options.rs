@@ -5,7 +5,6 @@
 use crate::database::Database;
 use crate::error::Error;
 use crate::query::Query;
-use crate::relation::PvcTable;
 use crate::schema::Schema;
 use crate::tractable::{classify, QueryClass};
 use pvc_core::parallel::WorkerPool;
@@ -190,17 +189,13 @@ impl fmt::Display for Plan {
 pub(super) fn plan_query(db: &Database, query: &Query) -> Result<Plan, Error> {
     let schema = query.output_schema(db).map_err(Error::Validation)?;
     let class = classify(query, db);
-    // Once per distinct table: the check scans every tuple, and a query may mention
-    // a table several times.
     let base_tables = query.base_tables();
     let mut distinct = base_tables.clone();
     distinct.sort_unstable();
     distinct.dedup();
-    let tuple_independent_input = distinct.iter().all(|name| {
-        db.table(name)
-            .map(PvcTable::is_tuple_independent)
-            .unwrap_or(false)
-    });
+    let tuple_independent_input = distinct
+        .iter()
+        .all(|name| db.is_table_tuple_independent(name));
     let strategy = match class {
         QueryClass::Qind => Strategy::IndependentFastPath,
         QueryClass::Qhie => Strategy::HierarchicalFastPath,

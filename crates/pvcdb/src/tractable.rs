@@ -231,11 +231,7 @@ pub fn classify(query: &Query, db: &Database) -> QueryClass {
     }
     // Base case: a tuple-independent base relation is in Q_ind.
     if let Query::Table(name) = query {
-        if db
-            .table(name)
-            .map(|t| t.is_tuple_independent())
-            .unwrap_or(false)
-        {
+        if db.is_table_tuple_independent(name) {
             return QueryClass::Qind;
         }
         return QueryClass::General;
