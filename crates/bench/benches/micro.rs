@@ -97,8 +97,8 @@ fn bench_read_once_compilation() {
 /// Two conditions of the `expr_compile` workload at its default seed
 /// (20120827), generated as it generates them: `[MIN = 100]` over 200 terms
 /// and `[COUNT = 50]` over 100, ten variables. The compiler alone, one reused
-/// compiler; the `⊔` and rebuilt-substitution counts say how much Shannon
-/// expansion the time bought.
+/// compiler; the `⊔`, rebuilt-substitution and absorbed-term counts of one of
+/// its compilations say how much Shannon expansion the time bought.
 fn bench_compile_conditions() {
     let mut rng = SeededRng::seed_from_u64(20120827);
     // The workload draws one generator seed per condition, MIN = first and
@@ -130,16 +130,18 @@ fn bench_compile_conditions() {
             )
             .expect("no node budget configured");
         });
-        // A compiler's counters add up over its compilations: one of its own.
-        let mut once = Compiler::new(&g.vars, SemiringKind::Bool);
-        let nodes = once.emit_semiring(&g.condition).map(|arena| arena.len());
-        let stats = once.stats();
+        // The last of the timed compilations, alone.
+        let nodes = compiler
+            .emit_semiring(&g.condition)
+            .map(|arena| arena.len());
+        let stats = compiler.last_stats();
         println!(
-            "{:<48} {} nodes, {} ⊔, {} rebuilt substitutions",
+            "{:<48} {} nodes, {} ⊔, {} rebuilt substitutions, {} absorbed terms",
             "",
             nodes.expect("no node budget configured"),
             stats.exclusive_expansions,
-            stats.rebuilt_nodes
+            stats.rebuilt_nodes,
+            stats.absorbed_terms
         );
     }
 }

@@ -67,7 +67,7 @@ use crate::arena::{Interp, Val};
 use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler};
 use crate::node::DTreeError;
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
-use pvc_expr::independence::Partitioner;
+use pvc_expr::independence::{Hint, Partitioner};
 use pvc_expr::intern::{AggExprId, ExprId, IdHasher, ImportMemo, InternedExpr, Interner};
 use pvc_expr::vars::sorted_disjoint;
 use pvc_expr::{SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
@@ -1346,7 +1346,9 @@ fn independent_components<T: Copy, I>(
     mut intern_group: impl FnMut(&mut Interner, &[T]) -> I,
 ) -> Option<Vec<Component<I>>> {
     let Interning { interner, planner } = interning;
-    let components = planner.split(items.len(), disjoint, |i| interner.var_set(coeff(items[i])));
+    let components = planner.split(items.len(), Hint::disjoint_if(disjoint), |i| {
+        interner.var_set(coeff(items[i]))
+    });
     if components.len() <= 1 {
         return None;
     }

@@ -31,9 +31,16 @@
 //! is interned (or imported from a shared [`Interner`]) once, every rule reads ids,
 //! precomputed var-sets and per-id occurrence counts instead of walking trees, and
 //! rule 6's residuals `Φ|x←s` cost one memoised substitution per distinct
-//! sub-expression and branch. The arena shrinks each residual by three laws of
-//! `S` and `S ⊗ M` (absorption in `B`, merging of equal coefficients, MIN / MAX
-//! dominance).
+//! sub-expression and branch. The arena shrinks each residual by four laws of
+//! `S` and `S ⊗ M` (absorption of `⊤` and of subsumed monomials in `B`,
+//! merging of equal coefficients, MIN / MAX dominance): the fewer distinct
+//! coefficients a residual term list keeps, the more of them merge, and the
+//! sooner a branch is decided or splits.
+//!
+//! A term list is tallied once: the occurrence counts that choose rule 6's
+//! variable also certify, before rule 2, that the list is one component (one
+//! coefficient mentions every variable of the list and none is
+//! variable-free), and rule 2 then skips its partition.
 //!
 //! What comes out is the post-order [`DTreeArena`] the evaluator runs on, emitted
 //! node by node as the rules fire: children first, so a rule's node is pushed
@@ -47,7 +54,7 @@ use crate::node::ArenaNode;
 use crate::prune::{verdict, Verdict};
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
 use pvc_expr::factor::{common_factor_vars, divide_by_vars};
-use pvc_expr::independence::Partitioner;
+use pvc_expr::independence::{Hint, Partitioner};
 use pvc_expr::vars::sorted_disjoint;
 use pvc_expr::{
     AggExprId, AggTerm, ExprId, InternedExpr, Interner, ResidualArena, SemimoduleExpr,
@@ -102,7 +109,9 @@ impl CompileOptions {
     }
 }
 
-/// Statistics about one compilation run: how often each rule fired.
+/// How often each rule and law fired: in one compilation
+/// ([`Compiler::last_stats`]), or summed over a compiler's compilations
+/// ([`Compiler::stats`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompileStats {
     /// Rule 2 applications (independent-sum splits), counted per produced `⊕` node.
@@ -124,6 +133,10 @@ pub struct CompileStats {
     /// once per distinct residual: a sum the compilation already folded under
     /// the same substitution is not counted again.
     pub absorbed_sums: usize,
+    /// Product summands dropped from a sum the `⊔` expansions rebuilt because
+    /// a monomial summand divides them (`m + m·Ψ = m`, Boolean semiring only),
+    /// once per distinct residual.
+    pub absorbed_terms: usize,
     /// Semimodule terms merged into a term with the same coefficient
     /// (`Φ⊗a +op Φ⊗b = Φ⊗(a +op b)`).
     pub merged_terms: usize,
@@ -134,6 +147,23 @@ pub struct CompileStats {
     /// sub-expression that two branches or two `⊔` nodes reach under the same
     /// `x ← s` is rebuilt, and counted, once.
     pub rebuilt_nodes: usize,
+}
+
+impl CompileStats {
+    fn add(&mut self, other: &CompileStats) {
+        self.independent_sums += other.independent_sums;
+        self.independent_products += other.independent_products;
+        self.factorings += other.factorings;
+        self.tensor_splits += other.tensor_splits;
+        self.comparison_splits += other.comparison_splits;
+        self.exclusive_expansions += other.exclusive_expansions;
+        self.pruned_conditionals += other.pruned_conditionals;
+        self.absorbed_sums += other.absorbed_sums;
+        self.absorbed_terms += other.absorbed_terms;
+        self.merged_terms += other.merged_terms;
+        self.dominated_terms += other.dominated_terms;
+        self.rebuilt_nodes += other.rebuilt_nodes;
+    }
 }
 
 /// Error raised when the node budget of [`CompileOptions`] is exceeded.
@@ -209,7 +239,10 @@ pub struct Compiler<'a> {
     table: &'a VarTable,
     kind: SemiringKind,
     options: CompileOptions,
-    stats: CompileStats,
+    /// The current (or last) compilation's counts, from zero at each `emit_*`.
+    last: CompileStats,
+    /// Every finished compilation's counts, summed.
+    totals: CompileStats,
     scratch: CompileScratch,
 }
 
@@ -237,7 +270,8 @@ impl<'a> Compiler<'a> {
             table,
             kind,
             options,
-            stats: CompileStats::default(),
+            last: CompileStats::default(),
+            totals: CompileStats::default(),
             scratch,
         }
     }
@@ -247,9 +281,15 @@ impl<'a> Compiler<'a> {
         self.scratch
     }
 
-    /// Statistics of the rules applied so far.
+    /// The counts of every compilation since the compiler was made, summed.
     pub fn stats(&self) -> &CompileStats {
-        &self.stats
+        &self.totals
+    }
+
+    /// The counts of the last compilation alone: what a fresh compiler would
+    /// report for it.
+    pub fn last_stats(&self) -> &CompileStats {
+        &self.last
     }
 
     /// Lengths of the variable-indexed scratch tables (occurrence counters,
@@ -394,6 +434,7 @@ impl<'a> Compiler<'a> {
     }
 
     fn begin_emission(&mut self) {
+        self.last = CompileStats::default();
         self.scratch.out.clear();
         // An aborted compilation leaves its open ⊔ nodes' entries behind.
         self.scratch.pending.clear();
@@ -403,11 +444,14 @@ impl<'a> Compiler<'a> {
         &mut self,
         emitted: Result<u32, BudgetExceeded>,
     ) -> Result<&DTreeArena, BudgetExceeded> {
+        // The arena counts from its reset, which began this compilation.
         let counts = self.scratch.work.counts();
-        self.stats.absorbed_sums = counts.absorbed_sums;
-        self.stats.merged_terms = counts.merged_terms;
-        self.stats.dominated_terms = counts.dominated_terms;
-        self.stats.rebuilt_nodes = counts.rebuilt_nodes;
+        self.last.absorbed_sums = counts.absorbed_sums;
+        self.last.absorbed_terms = counts.absorbed_terms;
+        self.last.merged_terms = counts.merged_terms;
+        self.last.dominated_terms = counts.dominated_terms;
+        self.last.rebuilt_nodes = counts.rebuilt_nodes;
+        self.totals.add(&self.last);
         let root = emitted?;
         let out = &self.scratch.out;
         debug_assert_eq!(root as usize + 1, out.len(), "the root is emitted last");
@@ -440,7 +484,7 @@ impl<'a> Compiler<'a> {
                 if self.options.independence
                     && sorted_disjoint(arena.var_set(lhs), arena.var_set(rhs))
                 {
-                    self.stats.comparison_splits += 1;
+                    self.last.comparison_splits += 1;
                     let left = self.compile_semiring_inner(lhs)?;
                     let right = self.compile_semiring_inner(rhs)?;
                     self.emit(ArenaNode::Cmp { theta, left, right })
@@ -467,7 +511,7 @@ impl<'a> Compiler<'a> {
                     _ if self.options.independence
                         && sorted_disjoint(arena.agg_var_set(lhs), arena.agg_var_set(rhs)) =>
                     {
-                        self.stats.comparison_splits += 1;
+                        self.last.comparison_splits += 1;
                         let left = self.compile_agg(lhs)?;
                         let right = self.compile_agg(rhs)?;
                         self.emit(ArenaNode::Cmp { theta, left, right })
@@ -524,21 +568,22 @@ impl<'a> Compiler<'a> {
             }
             None => bound,
         };
+        let (hint, var) = self.survey(terms, disjoint);
         if self.options.independence {
-            if let Some(left) = self.decompose_terms(op, terms, disjoint)? {
-                self.stats.comparison_splits += 1;
+            if let Some(left) = self.decompose_terms(op, terms, hint)? {
+                self.last.comparison_splits += 1;
                 let right = self.emit(ArenaNode::MConst(bound))?;
                 return self.emit(ArenaNode::Cmp { theta, left, right });
             }
         }
-        self.shannon_expand(op, terms, |compiler, residual| {
+        self.shannon_expand(op, terms, var, |compiler, residual| {
             compiler.compile_condition(op, theta, bound, residual, false)
         })
     }
 
     /// A conditional the rules decided: `1_S` or `0_S`.
     fn pruned_to(&mut self, holds: bool) -> Result<u32, BudgetExceeded> {
-        self.stats.pruned_conditionals += 1;
+        self.last.pruned_conditionals += 1;
         self.emit(ArenaNode::SConst(self.truth(holds)))
     }
 
@@ -597,14 +642,14 @@ impl<'a> Compiler<'a> {
         if self.options.independence {
             let split = self.compile_components(
                 children,
-                disjoint,
+                Hint::disjoint_if(disjoint),
                 |c| *c,
                 |compiler| &mut compiler.scratch.id_bufs,
                 |compiler, group| compiler.compile_sum(group, false),
                 |left, right| ArenaNode::SumS { left, right },
             )?;
             if let Some((groups, sum)) = split {
-                self.stats.independent_sums += groups - 1;
+                self.last.independent_sums += groups - 1;
                 return Ok(sum);
             }
         }
@@ -628,8 +673,8 @@ impl<'a> Compiler<'a> {
                 let quotient = work.arena_mut().intern_add(&quotients);
                 recycle(&mut self.scratch.id_bufs, quotients);
                 if disjoint {
-                    self.stats.factorings += 1;
-                    self.stats.independent_products += 1;
+                    self.last.factorings += 1;
+                    self.last.independent_products += 1;
                     // Folding the quotient sum lets a unit quotient absorb it in
                     // `B`: x + x·y = x·(1 + y) = x.
                     let quotient = self.scratch.work.simplify(quotient);
@@ -659,14 +704,14 @@ impl<'a> Compiler<'a> {
         if self.options.independence {
             let split = self.compile_components(
                 children,
-                disjoint,
+                Hint::disjoint_if(disjoint),
                 |c| *c,
                 |compiler| &mut compiler.scratch.id_bufs,
                 |compiler, group| compiler.compile_product(group, false),
                 |left, right| ArenaNode::Prod { left, right },
             )?;
             if let Some((groups, product)) = split {
-                self.stats.independent_products += groups - 1;
+                self.last.independent_products += groups - 1;
                 return Ok(product);
             }
         }
@@ -678,7 +723,7 @@ impl<'a> Compiler<'a> {
     /// sum) into a left-deep `⊙` chain. Distinct variables are pairwise
     /// independent by definition.
     fn compile_var_product(&mut self, vars: &VarSet) -> Result<u32, BudgetExceeded> {
-        self.stats.independent_products += vars.len().saturating_sub(1);
+        self.last.independent_products += vars.len().saturating_sub(1);
         let mut chain = None;
         for var in vars.iter() {
             let right = self.emit(ArenaNode::VarLeaf(var))?;
@@ -716,43 +761,71 @@ impl<'a> Compiler<'a> {
         if let Some(c) = self.ground(op, terms) {
             return self.emit(ArenaNode::MConst(c));
         }
-        if let Some(root) = self.decompose_terms(op, terms, disjoint)? {
+        let (hint, var) = self.survey(terms, disjoint);
+        if let Some(root) = self.decompose_terms(op, terms, hint)? {
             return Ok(root);
         }
         // Rule 6: mutually exclusive case split on the most frequent variable.
-        self.shannon_expand(op, terms, |compiler, residual| {
+        self.shannon_expand(op, terms, var, |compiler, residual| {
             compiler.compile_terms(op, residual, false)
         })
     }
 
-    /// Rules 2–4 on the non-ground list `Σ_op terms` (`disjoint` as for
-    /// [`compile_terms`](Self::compile_terms)): the root of what they compile,
-    /// or `None`, having emitted nothing, if none applies and rule 6 is next.
+    /// What rules 2–6 need to know of the non-ground list `terms` before
+    /// rule 2: what the partitioner may take as known, and rule 6's variable
+    /// where the tally was made. One tally serves both — its widest
+    /// coefficient and its count of distinct variables are the connectivity
+    /// certificate — so it is made wherever rule 2 might not split: not for a
+    /// list the interner's `disjoint` bit already splits, a single term (rule
+    /// 4's) or a list with a variable-free term, which is a component of its
+    /// own.
+    fn survey(&mut self, terms: &[AggTerm], disjoint: bool) -> (Hint, Option<Var>) {
+        if terms.len() == 1 {
+            return (Hint::Unknown, None);
+        }
+        if self.options.independence {
+            let arena = self.scratch.work.arena();
+            if disjoint || terms.iter().any(|t| arena.var_set(t.0).is_empty()) {
+                return (Hint::disjoint_if(disjoint), None);
+            }
+        }
+        let tally = self.tally(terms.iter().map(|t| t.0));
+        let hint = if tally.connected {
+            Hint::Connected
+        } else {
+            Hint::Unknown
+        };
+        (hint, tally.var)
+    }
+
+    /// Rules 2–4 on the non-ground list `Σ_op terms` (`hint` from
+    /// [`survey`](Self::survey)): the root of what they compile, or `None`,
+    /// having emitted nothing, if none applies and rule 6 is next.
     fn decompose_terms(
         &mut self,
         op: AggOp,
         terms: &[AggTerm],
-        disjoint: bool,
+        hint: Hint,
     ) -> Result<Option<u32>, BudgetExceeded> {
         // Rule 2: split the +op sum by independence of the terms' coefficients.
         if self.options.independence && terms.len() > 1 {
             let split = self.compile_components(
                 terms,
-                disjoint,
+                hint,
                 |t| t.0,
                 |compiler| &mut compiler.scratch.term_bufs,
                 |compiler, group| compiler.compile_terms(op, group, false),
                 |left, right| ArenaNode::SumM { op, left, right },
             )?;
             if let Some((groups, sum)) = split {
-                self.stats.independent_sums += groups - 1;
+                self.last.independent_sums += groups - 1;
                 return Ok(Some(sum));
             }
         }
         // Single term Φ ⊗ m: rule 4 (the coefficient and the constant are trivially
         // independent; a constant coefficient was rule 1's).
         if let [(coeff, value)] = terms {
-            self.stats.tensor_splits += 1;
+            self.last.tensor_splits += 1;
             let scalar = self.compile_semiring_inner(*coeff)?;
             let value = self.emit(ArenaNode::MConst(*value))?;
             return self.emit(ArenaNode::Tensor { op, scalar, value }).map(Some);
@@ -779,8 +852,8 @@ impl<'a> Compiler<'a> {
                     .iter()
                     .all(|(q, _)| sorted_disjoint(arena.var_set(*q), common.as_slice()));
                 if disjoint {
-                    self.stats.factorings += 1;
-                    self.stats.tensor_splits += 1;
+                    self.last.factorings += 1;
+                    self.last.tensor_splits += 1;
                     // A coefficient that was the common factor itself is the
                     // constant 1_S now.
                     work.normalize_terms(op, &mut quotient, 0);
@@ -801,14 +874,14 @@ impl<'a> Compiler<'a> {
     /// member, members in order), compile each with `compile` and `combine`
     /// them into a left-deep chain, each link emitted as soon as its right
     /// operand is. Returns the number of components with the chain's root, or
-    /// `None` if everything is one component. `disjoint` is the interner's bit
-    /// when `items` are a node's own children or terms: then each is its own
-    /// component and the partitioner skips its union–find
-    /// ([`Partitioner::split`]).
+    /// `None` if everything is one component. `hint` is what is known of the
+    /// partition already — the interner's bit when `items` are a node's own
+    /// children or terms, the connectivity certificate of a tally — and spares
+    /// the partitioner its union–find ([`Partitioner::split`]).
     fn compile_components<T: Copy>(
         &mut self,
         items: &[T],
-        disjoint: bool,
+        hint: Hint,
         coeff: impl Fn(&T) -> ExprId,
         pool: fn(&mut Self) -> &mut Vec<Vec<T>>,
         mut compile: impl FnMut(&mut Self, &[T]) -> Result<u32, BudgetExceeded>,
@@ -821,7 +894,7 @@ impl<'a> Compiler<'a> {
         let components = self
             .scratch
             .partitioner
-            .split(items.len(), disjoint, |i| arena.var_set(coeff(&items[i])));
+            .split(items.len(), hint, |i| arena.var_set(coeff(&items[i])));
         let count = components.len();
         if count <= 1 {
             pool(self).push(groups);
@@ -845,14 +918,16 @@ impl<'a> Compiler<'a> {
         Ok(chain.map(|root| (count, root)))
     }
 
-    /// Choose the variable with the most occurrences in the given expressions
-    /// (ties broken by smallest id, for determinism) — the heuristic used in the
-    /// paper's implementation.
+    /// Tally the occurrences of each variable in the given expressions: the
+    /// one with the most (ties broken by smallest id, for determinism) is rule
+    /// 6's — the heuristic used in the paper's implementation — and the list
+    /// is certified connected if one expression mentions every variable the
+    /// tally met and none mentions none.
     ///
     /// Each expression's occurrences come from the arena's per-id memo; they are
     /// tallied in a reusable id-indexed counter vector of which only the touched
     /// entries are reset.
-    fn choose_split_var(&mut self, exprs: impl Iterator<Item = ExprId>) -> Var {
+    fn tally(&mut self, exprs: impl Iterator<Item = ExprId>) -> Tally {
         let CompileScratch {
             work,
             occ_counts,
@@ -860,8 +935,12 @@ impl<'a> Compiler<'a> {
             ..
         } = &mut self.scratch;
         touched.clear();
+        let (mut widest, mut variable_free) = (0, false);
         for id in exprs {
-            for &(v, n) in work.occurrences(id) {
+            let occurrences = work.occurrences(id);
+            widest = widest.max(occurrences.len());
+            variable_free |= occurrences.is_empty();
+            for &(v, n) in occurrences {
                 let slot = v.0 as usize;
                 if slot >= occ_counts.len() {
                     occ_counts.resize(slot + 1, 0);
@@ -872,20 +951,23 @@ impl<'a> Compiler<'a> {
                 occ_counts[slot] += n;
             }
         }
-        let best = touched
+        let var = touched
             .iter()
             .copied()
-            .max_by_key(|v| (occ_counts[v.0 as usize], std::cmp::Reverse(*v)))
-            .expect("expression with no variables reached Shannon expansion");
+            .max_by_key(|v| (occ_counts[v.0 as usize], std::cmp::Reverse(*v)));
         for v in touched.iter() {
             occ_counts[v.0 as usize] = 0;
         }
-        best
+        Tally {
+            var,
+            connected: !variable_free && widest == touched.len(),
+        }
     }
 
     fn shannon_semiring(&mut self, id: ExprId) -> Result<u32, BudgetExceeded> {
-        let var = self.choose_split_var(std::iter::once(id));
-        self.stats.exclusive_expansions += 1;
+        let var = self.tally(std::iter::once(id)).var;
+        let var = var.expect("expression with no variables reached Shannon expansion");
+        self.last.exclusive_expansions += 1;
         let table = self.table;
         let base = self.scratch.pending.len();
         for (value, _) in table.dist(var).iter() {
@@ -898,15 +980,19 @@ impl<'a> Compiler<'a> {
     }
 
     /// Rule 6 on the term list `Σ_op terms`: a `⊔` over the most frequent
-    /// variable whose branches `compile` each normalised residual list.
+    /// variable — `var`, if [`survey`](Self::survey) tallied it — whose
+    /// branches `compile` each normalised residual list.
     fn shannon_expand(
         &mut self,
         op: AggOp,
         terms: &[AggTerm],
+        var: Option<Var>,
         mut compile: impl FnMut(&mut Self, &mut Vec<AggTerm>) -> Result<u32, BudgetExceeded>,
     ) -> Result<u32, BudgetExceeded> {
-        let var = self.choose_split_var(terms.iter().map(|t| t.0));
-        self.stats.exclusive_expansions += 1;
+        let var = var
+            .or_else(|| self.tally(terms.iter().map(|t| t.0)).var)
+            .expect("expression with no variables reached Shannon expansion");
+        self.last.exclusive_expansions += 1;
         let table = self.table;
         let base = self.scratch.pending.len();
         for (value, _) in table.dist(var).iter() {
@@ -923,6 +1009,14 @@ impl<'a> Compiler<'a> {
         }
         self.emit_exclusive(var, base)
     }
+}
+
+/// What [`Compiler::tally`] finds.
+struct Tally {
+    /// The variable with the most occurrences; `None` for a ground list.
+    var: Option<Var>,
+    /// The connectivity certificate: one component, without a union–find.
+    connected: bool,
 }
 
 /// A list from the pool (or a new one) holding a copy of `items`.
@@ -1673,6 +1767,58 @@ mod tests {
         assert_eq!(compiler.stats().exclusive_expansions, 1000 * expansions);
         // And the arena holds one annotation's nodes, not a thousand's.
         assert!(compiler.scratch.work.arena().len() < 40);
+    }
+
+    #[test]
+    fn each_emission_reports_its_own_counts() {
+        // Two conditions on one compiler, the second twice: each emission's
+        // `last_stats` is what a fresh compiler reports for it — the rule
+        // counters and the residual arena's — and `stats` is their sum.
+        let mut vt = VarTable::new();
+        let [x, y, z, w] = ["x", "y", "z", "w"].map(|n| vt.boolean(n, 0.4));
+        let condition = |op, terms, bound| {
+            SemiringExpr::cmp_mm(
+                CmpOp::Ge,
+                SemimoduleExpr::from_terms(op, terms),
+                SemimoduleExpr::constant(op, Fin(bound)),
+            )
+        };
+        let a = condition(
+            AggOp::Min,
+            vec![
+                (v(x) * v(y), Fin(10)),
+                (v(y) * v(z), Fin(11)),
+                (v(z) * v(w), Fin(12)),
+            ],
+            20,
+        );
+        // Under x ← ⊤ the first coefficient is y + y·z·w = y.
+        let b = condition(
+            AggOp::Count,
+            vec![
+                (v(x) * v(y) + v(y) * v(z) * v(w), Fin(1)),
+                (v(x) * v(z) + v(w), Fin(1)),
+                (v(y) * v(w) + v(x), Fin(1)),
+            ],
+            2,
+        );
+        let fresh = |e: &SemiringExpr| {
+            let mut compiler = Compiler::new(&vt, SemiringKind::Bool);
+            compiler.emit_semiring(e).unwrap();
+            assert_eq!(compiler.stats(), compiler.last_stats());
+            compiler.last_stats().clone()
+        };
+        let (alone_a, alone_b) = (fresh(&a), fresh(&b));
+        assert!(alone_b.absorbed_terms >= 1, "{alone_b:?}");
+        assert!(alone_b.rebuilt_nodes >= 1 && alone_b.exclusive_expansions >= 1);
+        let mut reused = Compiler::new(&vt, SemiringKind::Bool);
+        let mut sum = CompileStats::default();
+        for (e, alone) in [(&a, &alone_a), (&b, &alone_b), (&b, &alone_b)] {
+            reused.emit_semiring(e).unwrap();
+            assert_eq!(reused.last_stats(), alone, "{e}");
+            sum.add(alone);
+        }
+        assert_eq!(reused.stats(), &sum);
     }
 
     #[test]

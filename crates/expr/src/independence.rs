@@ -29,7 +29,11 @@
 //! the union, that **connectivity certificate** answers "one component, members
 //! in order" — what the union–find would return — and the union pass is
 //! skipped. Of the lists the compiler's rule 2 hands over, it settles ≈ 90 % of
-//! the SUM / COUNT ones and a third to two thirds of the MIN / MAX ones.
+//! the SUM / COUNT ones and a third to two thirds of the MIN / MAX ones. The
+//! compiler reads the certificate off the occurrence tally it makes for its
+//! `⊔` variable anyway, and passes [`Hint::Connected`] to
+//! [`Partitioner::split`], so a certified term list skips the marking pass as
+//! well; the union–find stays the only code that unions.
 
 use crate::vars::{Var, VarSet};
 
@@ -154,6 +158,30 @@ pub struct Partitioner {
 
 const UNSEEN: u32 = u32::MAX;
 
+/// What a caller of [`Partitioner::split`] knows of its items' partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hint {
+    /// Nothing: the partitioner works it out.
+    Unknown,
+    /// The items are pairwise variable-disjoint.
+    Disjoint,
+    /// The items are one component: none is variable-free, and one mentions
+    /// every variable of the list.
+    Connected,
+}
+
+impl Hint {
+    /// [`Disjoint`](Hint::Disjoint) if an interner's disjointness bit is set,
+    /// else [`Unknown`](Hint::Unknown).
+    pub fn disjoint_if(bit: bool) -> Self {
+        if bit {
+            Hint::Disjoint
+        } else {
+            Hint::Unknown
+        }
+    }
+}
+
 impl Partitioner {
     /// Partition the items `0..n`, item `i` mentioning the variables `set_of(i)`
     /// (distinct, as in a [`VarSet`] or an interner's var-set), into connected
@@ -253,28 +281,32 @@ impl Partitioner {
         &self.partition
     }
 
-    /// [`components`](Self::components), for items that may be known to be
-    /// pairwise variable-disjoint already: an interned node's
+    /// [`components`](Self::components), for items whose partition the caller
+    /// may know already ([`Hint`]). Known-disjoint items — an interned node's
     /// [`children_disjoint`](crate::Interner::children_disjoint) or
-    /// [`terms_disjoint`](crate::Interner::terms_disjoint) bit. Known-disjoint
-    /// items skip the union–find and its variable table: every item is its own
-    /// component, in index order — exactly what `components` returns for them,
-    /// an item without variables included. Every split of a node's own items,
+    /// [`terms_disjoint`](crate::Interner::terms_disjoint) bit — are every item
+    /// alone, in index order; known-connected items — the connectivity
+    /// certificate, read off a tally the caller made anyway — are one
+    /// component, members in order. Either is exactly what `components` returns
+    /// for them, without a variable read. Every split of a node's own items,
     /// the compiler's and the store's, comes through here.
     pub fn split<'a>(
         &mut self,
         n: usize,
-        disjoint: bool,
+        hint: Hint,
         set_of: impl Fn(usize) -> &'a [Var],
     ) -> &Components {
-        if !disjoint {
+        if hint == Hint::Unknown {
             return self.components(n, set_of);
         }
         let Components { members, starts } = &mut self.partition;
         members.clear();
         members.extend(0..n);
         starts.clear();
-        starts.extend(0..=n);
+        match hint {
+            Hint::Connected if n > 0 => starts.extend([0, n]),
+            _ => starts.extend(0..=n),
+        }
         &self.partition
     }
 
@@ -537,7 +569,8 @@ mod tests {
                 let certificate =
                     sets.iter().all(|s| !s.is_empty()) && sets.iter().any(|s| s.len() == all.len());
                 let expected = connected_components(&sets);
-                let partition = partitioner.split(sets.len(), false, |i| sets[i].as_slice());
+                let partition =
+                    partitioner.split(sets.len(), Hint::Unknown, |i| sets[i].as_slice());
                 let got: Vec<Vec<usize>> = partition.iter().map(<[usize]>::to_vec).collect();
                 assert_eq!(got, expected, "seed {seed} case {case}: {sets:?}");
                 if certificate {

@@ -860,7 +860,7 @@ impl Hasher for IdHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::independence::Partitioner;
+    use crate::independence::{Hint, Partitioner};
     use pvc_algebra::MonoidValue::Fin;
     use pvc_prob::SeededRng;
 
@@ -1187,7 +1187,7 @@ mod tests {
             let expected = full.components(coeffs.len(), |i| it.var_set(coeffs[i]));
             assert_eq!(bit, expected.len() == coeffs.len(), "{what}: {node}");
             if bit {
-                let split = shortcut.split(coeffs.len(), true, |_| unreachable!());
+                let split = shortcut.split(coeffs.len(), Hint::Disjoint, |_| unreachable!());
                 assert_eq!(split, expected, "{what}: {node}");
                 tally.0 += 1;
             } else {

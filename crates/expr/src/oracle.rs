@@ -34,6 +34,19 @@ pub fn enumerate_worlds(
     worlds
 }
 
+/// The distribution of the outcomes of weighted worlds: each outcome's worlds
+/// are summed first, so a world too unlikely to be kept on its own (at or
+/// below [`pvc_prob::PROB_EPS`], which [`Dist::from_pairs`] drops pair by
+/// pair) still counts toward its outcome. Twelve variables near 0.05 / 0.95
+/// put most worlds below it.
+fn by_outcome<T: Ord + Clone>(worlds: impl Iterator<Item = (T, f64)>) -> Dist<T> {
+    let mut mass = BTreeMap::new();
+    for (outcome, p) in worlds {
+        *mass.entry(outcome).or_insert(0.0) += p;
+    }
+    Dist::from_pairs(mass)
+}
+
 /// The exact probability distribution of a semiring expression, by enumeration.
 pub fn semiring_dist_by_enumeration(
     expr: &SemiringExpr,
@@ -41,7 +54,7 @@ pub fn semiring_dist_by_enumeration(
     kind: SemiringKind,
 ) -> SemiringDist {
     let vars = expr.vars();
-    Dist::from_pairs(enumerate_worlds(&vars, table).into_iter().map(|(val, p)| {
+    by_outcome(enumerate_worlds(&vars, table).into_iter().map(|(val, p)| {
         let lookup = |v: Var| val.get(&v).copied().unwrap_or_else(|| kind.zero());
         (expr.eval(&lookup, kind), p)
     }))
@@ -54,7 +67,7 @@ pub fn semimodule_dist_by_enumeration(
     kind: SemiringKind,
 ) -> MonoidDist {
     let vars = expr.vars();
-    Dist::from_pairs(enumerate_worlds(&vars, table).into_iter().map(|(val, p)| {
+    by_outcome(enumerate_worlds(&vars, table).into_iter().map(|(val, p)| {
         let lookup = |v: Var| val.get(&v).copied().unwrap_or_else(|| kind.zero());
         (expr.eval(&lookup, kind), p)
     }))
@@ -80,7 +93,7 @@ pub fn joint_dist_by_enumeration(
         .iter()
         .map(|e| e.vars())
         .fold(VarSet::new(), |acc, s| acc.union(&s));
-    Dist::from_pairs(enumerate_worlds(&vars, table).into_iter().map(|(val, p)| {
+    by_outcome(enumerate_worlds(&vars, table).into_iter().map(|(val, p)| {
         let lookup = |v: Var| val.get(&v).copied().unwrap_or_else(|| kind.zero());
         let tuple: Vec<MonoidValue> = exprs.iter().map(|e| e.eval(&lookup, kind)).collect();
         (tuple, p)
@@ -155,6 +168,23 @@ mod tests {
         );
         let p = confidence_by_enumeration(&cond, &vt, SemiringKind::Bool);
         assert!((p - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn worlds_below_the_pruning_threshold_count_toward_their_outcome() {
+        // Twelve variables at 0.05: the worlds where seven or more are present
+        // weigh under 1e-9 each and ≈ 5e-7 together, yet every world counts —
+        // P[Σ xᵢ ≠ ⊥] = 1 − 0.95¹², up to the rounding of 4 096 additions.
+        let mut vt = VarTable::new();
+        let sum = SemiringExpr::sum(
+            (0..12)
+                .map(|i| SemiringExpr::Var(vt.boolean(format!("x{i}"), 0.05)))
+                .collect(),
+        );
+        let p = confidence_by_enumeration(&sum, &vt, SemiringKind::Bool);
+        assert!((p - (1.0 - 0.95f64.powi(12))).abs() < 1e-12, "{p}");
+        let dist = semiring_dist_by_enumeration(&sum, &vt, SemiringKind::Bool);
+        assert!((dist.total_mass() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -347,24 +347,24 @@ fn emission_is_flattening_on_every_tpch_annotation_and_aggregate() {
 
 #[test]
 fn the_seed_one_conditions_compile_to_the_recorded_counts() {
-    // d-tree nodes and the eleven `CompileStats` counters of the benchmark-sized
-    // seed-1 conditions. Counts repeat exactly. `absorbed_sums` and
-    // `rebuilt_nodes` count distinct substitutions: a residual the compilation
-    // already computed under the same `x ← s` is not rebuilt (or absorbed)
-    // again.
-    const RECORDED: [[usize; 12]; 12] = [
-        [385, 2, 5, 4, 38, 32, 115, 80, 59, 774, 840, 2470],
-        [389, 8, 3, 9, 43, 32, 108, 73, 63, 744, 802, 2440],
-        [667, 0, 0, 0, 22, 22, 289, 267, 340, 2699, 0, 3689],
-        [677, 0, 0, 0, 27, 27, 284, 258, 328, 2562, 0, 3478],
-        [389, 10, 4, 7, 45, 31, 104, 74, 52, 737, 752, 1850],
-        [375, 9, 5, 9, 42, 30, 101, 72, 60, 619, 622, 1902],
-        [721, 0, 0, 0, 33, 33, 294, 262, 374, 2656, 0, 4081],
-        [643, 0, 0, 0, 11, 11, 299, 289, 426, 2561, 0, 4459],
-        [379, 5, 6, 4, 39, 31, 108, 78, 62, 797, 739, 2344],
-        [393, 5, 5, 5, 41, 32, 113, 79, 63, 774, 715, 2412],
-        [659, 0, 0, 0, 15, 15, 299, 285, 325, 2595, 0, 3670],
-        [641, 0, 0, 0, 20, 20, 280, 261, 331, 2393, 0, 3559],
+    // d-tree nodes and the twelve `CompileStats` counters of the
+    // benchmark-sized seed-1 conditions. Counts repeat exactly. `absorbed_sums`,
+    // `absorbed_terms` and `rebuilt_nodes` count distinct substitutions: a
+    // residual the compilation already computed under the same `x ← s` is not
+    // rebuilt (or absorbed) again.
+    const RECORDED: [[usize; 13]; 12] = [
+        [389, 2, 6, 4, 38, 33, 115, 80, 37, 213, 908, 660, 2200],
+        [395, 9, 5, 8, 44, 32, 107, 73, 42, 160, 825, 694, 2096],
+        [785, 0, 0, 0, 75, 75, 242, 168, 178, 252, 2594, 0, 3174],
+        [829, 0, 0, 0, 80, 80, 254, 175, 159, 260, 2486, 0, 2908],
+        [391, 11, 4, 7, 46, 31, 103, 73, 35, 134, 839, 596, 1606],
+        [403, 10, 5, 6, 45, 32, 109, 77, 43, 134, 795, 547, 1694],
+        [829, 0, 0, 0, 85, 85, 244, 160, 160, 237, 2611, 0, 2978],
+        [785, 0, 0, 0, 79, 79, 234, 156, 204, 283, 2435, 0, 3464],
+        [387, 6, 6, 5, 41, 32, 108, 77, 44, 172, 907, 588, 2122],
+        [397, 5, 4, 4, 42, 32, 115, 80, 32, 197, 926, 535, 2278],
+        [831, 0, 0, 0, 85, 85, 245, 161, 171, 230, 2547, 0, 2886],
+        [799, 0, 0, 0, 85, 85, 229, 145, 164, 232, 2335, 0, 2926],
     ];
     // The same counts when every `[α θ c]` compiled `α`'s whole distribution
     // under one `[θ]` node. Expanding the conditional itself, pruned in every
@@ -398,6 +398,7 @@ fn the_seed_one_conditions_compile_to_the_recorded_counts() {
             s.exclusive_expansions,
             s.pruned_conditionals,
             s.absorbed_sums,
+            s.absorbed_terms,
             s.merged_terms,
             s.dominated_terms,
             s.rebuilt_nodes,

@@ -639,3 +639,81 @@ fn store_aggregates_and_sums_equal_the_compiled_circuit_bit_for_bit() {
         "only {split} of {cases} aggregates split"
     );
 }
+
+/// Boolean conditions `[Σ_op Φᵢ⊗vᵢ θ c]` whose coefficients are random DNFs
+/// over at most twelve variables, for MIN / MAX / COUNT / SUM × `=`, `≤`, `≥`,
+/// drawn until three compilations per class have dropped a subsumed monomial
+/// from a residual (`m + m·Ψ = m`): every compiled confidence must be
+/// enumeration's, within 1e-9, those where the law fired above all.
+#[test]
+fn conditions_where_monomials_are_absorbed_match_enumeration() {
+    let thetas = [CmpOp::Eq, CmpOp::Le, CmpOp::Ge];
+    let ops = [AggOp::Min, AggOp::Max, AggOp::Count, AggOp::Sum];
+    for seed in seeds() {
+        let mut mix = Mix(seed.wrapping_mul(0xa0b5_0f1e).wrapping_add(11));
+        for op in ops {
+            for theta in thetas {
+                let mut fired = 0;
+                for attempt in 0..60 {
+                    let mut vars = VarTable::new();
+                    let n = mix.value(8, 12) as usize;
+                    let xs: Vec<Var> = (0..n)
+                        .map(|i| vars.boolean(format!("x{i}"), mix.prob()))
+                        .collect();
+                    let clause = |mix: &mut Mix| {
+                        let mut pool = xs.clone();
+                        let width = mix.value(1, 3) as usize;
+                        for i in 0..width {
+                            pool.swap(i, mix.value(i as i64, n as i64 - 1) as usize);
+                        }
+                        SemiringExpr::product(pool[..width].iter().map(|&x| x.into()).collect())
+                    };
+                    let terms: Vec<(SemiringExpr, MonoidValue)> = (0..mix.value(4, 10))
+                        .map(|_| {
+                            let clauses = (0..mix.value(1, 3)).map(|_| clause(&mut mix)).collect();
+                            let value = match op {
+                                AggOp::Count => 1,
+                                _ => mix.value(1, 12),
+                            };
+                            (SemiringExpr::sum(clauses), MonoidValue::Fin(value))
+                        })
+                        .collect();
+                    let bound = match op {
+                        AggOp::Min | AggOp::Max => 6,
+                        AggOp::Count => terms.len() as i64 / 2,
+                        _ => 3 * terms.len() as i64,
+                    };
+                    let condition = SemiringExpr::cmp_mm(
+                        theta,
+                        SemimoduleExpr::from_terms(op, terms),
+                        SemimoduleExpr::constant(op, MonoidValue::Fin(bound)),
+                    );
+                    let mut compiler = Compiler::new(&vars, SemiringKind::Bool);
+                    let dist = compiler
+                        .emit_semiring(&condition)
+                        .unwrap()
+                        .semiring_distribution(&vars, SemiringKind::Bool)
+                        .unwrap();
+                    let got = pvc_suite::core::confidence_of(&dist);
+                    let expected = pvc_suite::expr::oracle::confidence_by_enumeration(
+                        &condition,
+                        &vars,
+                        SemiringKind::Bool,
+                    );
+                    assert!(
+                        (got - expected).abs() < 1e-9,
+                        "seed={seed} {op} {theta:?} attempt {attempt}: {got} vs {expected}: {condition}"
+                    );
+                    fired += usize::from(compiler.last_stats().absorbed_terms > 0);
+                    if fired == 3 {
+                        break;
+                    }
+                }
+                assert_eq!(
+                    fired, 3,
+                    "seed={seed} {op} {theta:?}: the law fired {fired} times"
+                );
+            }
+        }
+    }
+}
