@@ -7,30 +7,24 @@
 //! *"Aggregation in Probabilistic Databases via Knowledge Compilation"*
 //! (Fink, Han, Olteanu, VLDB 2012).
 //!
-//! The crate exposes two parallel formulations:
+//! The engine evaluates the two instances the paper uses — the Boolean semiring `B`
+//! (set semantics) and the natural numbers `N` (bag semantics) — through dynamic
+//! value types, because a single table may mix monoids and semirings at run time:
 //!
-//! * **Generic traits** ([`Semiring`], [`CommutativeMonoid`], [`Semimodule`]) with
-//!   several concrete instances (Booleans, naturals, provenance polynomials
-//!   [`Polynomial`], positive Boolean expressions [`PosBool`], the access-control
-//!   semiring [`Clearance`]). These are law-checked by unit and property tests and
-//!   demonstrate the generality the paper claims for pvc-tables.
-//! * **Dynamic value types** ([`SemiringValue`], [`MonoidValue`], [`AggOp`],
-//!   [`CmpOp`]) used by the expression, decomposition-tree and relational layers,
-//!   where a single table may mix monoids and semirings at run time.
+//! * [`SemiringValue`] / [`SemiringKind`] — an element of `B` or `N` (Definition 3);
+//! * [`MonoidValue`] and [`AggOp`] — an aggregation monoid's values and operation
+//!   (Definition 2), with [`AggOp::scalar_action`] as the semimodule action
+//!   `S × M → M` (Definition 4);
+//! * [`CmpOp`] — the comparison `θ` of conditional expressions `[α θ β]`.
+//!
+//! The laws of Definitions 2–4 are checked on these types by the property tests in
+//! `tests/proptest_laws.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod monoid;
-pub mod polynomial;
-pub mod posbool;
-pub mod semimodule;
-pub mod semiring;
 pub mod value;
 
-pub use monoid::{AggOp, CommutativeMonoid, MaxExt, MinExt, ProdNat, SumNat, ALL_AGG_OPS};
-pub use polynomial::{Monomial, PolyVar, Polynomial};
-pub use posbool::PosBool;
-pub use semimodule::{check_semimodule_laws, Semimodule};
-pub use semiring::{check_semiring_laws, Clearance, Semiring, Viterbi};
+pub use monoid::{AggOp, ALL_AGG_OPS};
 pub use value::{CmpOp, MonoidValue, SemiringKind, SemiringValue};

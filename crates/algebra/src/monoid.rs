@@ -9,85 +9,12 @@
 //! * `MIN   = (N ∪ {±∞}, min, +∞)`
 //! * `MAX   = (N ∪ {±∞}, max, −∞)`
 //!
-//! Two formulations coexist:
-//!
-//! * [`CommutativeMonoid`] — the generic trait used for law checking and for the
-//!   provenance-polynomial machinery.
-//! * [`AggOp`] — the *dynamic* aggregation operator used by the expression and
-//!   decomposition-tree layers, operating on [`MonoidValue`].
+//! [`AggOp`] is the aggregation operator the expression and decomposition-tree
+//! layers sum in, operating on [`MonoidValue`]; [`AggOp::scalar_action`] is the
+//! semimodule action of a [`SemiringValue`] on it (Definition 4).
 
 use crate::value::{MonoidValue, SemiringValue};
 use std::fmt;
-
-/// A commutative monoid `(M, +, 0)` (Definition 2 of the paper).
-pub trait CommutativeMonoid: Clone + PartialEq + fmt::Debug {
-    /// The neutral element `0_M`.
-    fn zero() -> Self;
-
-    /// The monoid operation. Must be commutative and associative with [`Self::zero`]
-    /// as neutral element.
-    fn plus(&self, other: &Self) -> Self;
-
-    /// Fold an iterator of monoid elements.
-    fn sum<I: IntoIterator<Item = Self>>(iter: I) -> Self
-    where
-        Self: Sized,
-    {
-        iter.into_iter().fold(Self::zero(), |acc, x| acc.plus(&x))
-    }
-}
-
-/// The additive monoid of natural numbers, `(N, +, 0)` — SUM / COUNT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct SumNat(pub u64);
-
-impl CommutativeMonoid for SumNat {
-    fn zero() -> Self {
-        SumNat(0)
-    }
-    fn plus(&self, other: &Self) -> Self {
-        SumNat(self.0 + other.0)
-    }
-}
-
-/// The multiplicative monoid of natural numbers, `(N, ·, 1)` — PROD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProdNat(pub u64);
-
-impl CommutativeMonoid for ProdNat {
-    fn zero() -> Self {
-        ProdNat(1)
-    }
-    fn plus(&self, other: &Self) -> Self {
-        ProdNat(self.0 * other.0)
-    }
-}
-
-/// The MIN monoid over the extended integers, `(Z ∪ {±∞}, min, +∞)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MinExt(pub MonoidValue);
-
-impl CommutativeMonoid for MinExt {
-    fn zero() -> Self {
-        MinExt(MonoidValue::PosInf)
-    }
-    fn plus(&self, other: &Self) -> Self {
-        MinExt(self.0.min(other.0))
-    }
-}
-
-/// The MAX monoid over the extended integers, `(Z ∪ {±∞}, max, −∞)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MaxExt(pub MonoidValue);
-
-impl CommutativeMonoid for MaxExt {
-    fn zero() -> Self {
-        MaxExt(MonoidValue::NegInf)
-    }
-    fn plus(&self, other: &Self) -> Self {
-        MaxExt(self.0.max(other.0))
-    }
-}
 
 /// A dynamic aggregation operator: which monoid a semimodule expression is summed in.
 ///
@@ -260,26 +187,6 @@ mod tests {
             AggOp::Sum.scalar_action(&SemiringValue::Nat(0), &Fin(5)),
             Fin(0)
         );
-    }
-
-    #[test]
-    fn generic_monoids_satisfy_laws_on_samples() {
-        fn check<M: CommutativeMonoid>(samples: &[M]) {
-            for a in samples {
-                assert_eq!(a.plus(&M::zero()), *a);
-                assert_eq!(M::zero().plus(a), *a);
-                for b in samples {
-                    assert_eq!(a.plus(b), b.plus(a));
-                    for c in samples {
-                        assert_eq!(a.plus(b).plus(c), a.plus(&b.plus(c)));
-                    }
-                }
-            }
-        }
-        check(&[SumNat(0), SumNat(1), SumNat(5), SumNat(17)]);
-        check(&[ProdNat(1), ProdNat(2), ProdNat(3)]);
-        check(&[MinExt(Fin(1)), MinExt(PosInf), MinExt(Fin(-4))]);
-        check(&[MaxExt(Fin(1)), MaxExt(NegInf), MaxExt(Fin(-4))]);
     }
 
     #[test]

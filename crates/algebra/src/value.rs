@@ -11,8 +11,8 @@
 //!
 //! The engine works with these *dynamic* enums (rather than generics) because a single
 //! pvc-table may mix several monoids, and decomposition trees freely mix semiring and
-//! semimodule sub-expressions. The generic trait formulation lives in
-//! [`crate::semiring`] / [`crate::monoid`] and is law-checked by property tests.
+//! semimodule sub-expressions. The semiring laws (Definition 3) are checked on
+//! [`SemiringValue`] by the crate's property tests.
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -1,220 +1,203 @@
 //! Property-based tests of the algebraic laws (Definitions 2–4 of the paper) on
-//! randomly generated elements.
+//! randomly generated elements of the types the engine evaluates.
 //!
 //! The properties are checked over a deterministic, seeded stream of random cases
 //! (no external property-testing framework): every run exercises the same cases,
-//! and a failing case is reported with the index that produced it.
+//! and a failing case is reported with the index that produced it. Each sweep runs
+//! from a fixed seed, plus `PVC_ORACLE_SEED` when that is set.
 
-use pvc_algebra::{
-    check_semimodule_laws, check_semiring_laws, CommutativeMonoid, MaxExt, MinExt, MonoidValue,
-    PolyVar, Polynomial, PosBool, Semiring, SemiringValue, SumNat, ALL_AGG_OPS,
-};
+use pvc_algebra::{AggOp, MonoidValue, SemiringKind, SemiringValue, ALL_AGG_OPS};
 use pvc_prob::SeededRng;
 
 const CASES: u64 = 128;
 
-/// Random polynomial: sum of up to 4 monomials of up to 3 variables from x0..x4.
-fn small_poly(rng: &mut SeededRng) -> Polynomial {
-    let mut acc = Polynomial::zero();
-    for _ in 0..rng.gen_range(0usize..4) {
-        let mut mono = Polynomial::constant(rng.gen_range(1u32..3) as u64);
-        for _ in 0..rng.gen_range(0usize..3) {
-            mono = mono.mul(&Polynomial::var(PolyVar(rng.gen_range(0u32..5))));
-        }
-        acc = acc.add(&mono);
+/// The fixed seed of a sweep, plus `PVC_ORACLE_SEED` when it is set.
+fn seeds(fixed: u64) -> Vec<u64> {
+    let mut seeds = vec![fixed];
+    if let Ok(extra) = std::env::var("PVC_ORACLE_SEED") {
+        seeds.push(extra.parse().expect("PVC_ORACLE_SEED must be a u64"));
     }
-    acc
+    seeds
 }
 
-/// Random positive Boolean expression: a DNF of up to 4 clauses of up to 3 literals.
-fn small_posbool(rng: &mut SeededRng) -> PosBool {
-    let mut acc = PosBool::zero();
-    for _ in 0..rng.gen_range(0usize..4) {
-        let mut term = PosBool::one();
-        for _ in 0..rng.gen_range(0usize..3) {
-            term = term.mul(&PosBool::var(PolyVar(rng.gen_range(0u32..5))));
-        }
-        acc = acc.add(&term);
+/// Check every commutative-semiring law (Definition 3) on a triple of elements of
+/// `kind`, naming the first one violated.
+fn check_semiring_laws(
+    kind: SemiringKind,
+    a: SemiringValue,
+    b: SemiringValue,
+    c: SemiringValue,
+) -> Result<(), &'static str> {
+    let (zero, one) = (kind.zero(), kind.one());
+    let add = |x: SemiringValue, y: SemiringValue| x.add(&y);
+    let mul = |x: SemiringValue, y: SemiringValue| x.mul(&y);
+    let laws = [
+        (
+            add(a, add(b, c)) == add(add(a, b), c),
+            "additive associativity",
+        ),
+        (add(a, b) == add(b, a), "additive commutativity"),
+        (add(a, zero) == a && add(zero, a) == a, "additive identity"),
+        (
+            mul(a, mul(b, c)) == mul(mul(a, b), c),
+            "multiplicative associativity",
+        ),
+        (mul(a, b) == mul(b, a), "multiplicative commutativity"),
+        (
+            mul(a, one) == a && mul(one, a) == a,
+            "multiplicative identity",
+        ),
+        (
+            mul(a, add(b, c)) == add(mul(a, b), mul(a, c)),
+            "left distributivity",
+        ),
+        (
+            mul(add(a, b), c) == add(mul(a, c), mul(b, c)),
+            "right distributivity",
+        ),
+        (
+            mul(a, zero).is_zero() && mul(zero, a).is_zero(),
+            "annihilation by zero",
+        ),
+    ];
+    match laws.iter().find(|(holds, _)| !holds) {
+        Some((_, law)) => Err(law),
+        None => Ok(()),
     }
-    acc
+}
+
+#[test]
+fn boolean_semiring_laws() {
+    let elements = [false, true].map(SemiringValue::Bool);
+    for a in elements {
+        for b in elements {
+            for c in elements {
+                let checked = check_semiring_laws(SemiringKind::Bool, a, b, c);
+                assert_eq!(checked, Ok(()), "({a}, {b}, {c})");
+            }
+        }
+    }
 }
 
 #[test]
 fn natural_semiring_laws() {
-    let mut rng = SeededRng::seed_from_u64(0xA1);
-    for case in 0..CASES {
-        let (a, b, c) = (
-            rng.gen_range(0i64..50) as u64,
-            rng.gen_range(0i64..50) as u64,
-            rng.gen_range(0i64..50) as u64,
-        );
-        assert!(
-            check_semiring_laws(&a, &b, &c).is_ok(),
-            "case {case}: ({a}, {b}, {c})"
-        );
-    }
-}
-
-#[test]
-fn polynomial_semiring_laws() {
-    let mut rng = SeededRng::seed_from_u64(0xA2);
-    for case in 0..CASES {
-        let (a, b, c) = (
-            small_poly(&mut rng),
-            small_poly(&mut rng),
-            small_poly(&mut rng),
-        );
-        assert!(
-            check_semiring_laws(&a, &b, &c).is_ok(),
-            "case {case}: ({a:?}, {b:?}, {c:?})"
-        );
-    }
-}
-
-#[test]
-fn posbool_semiring_laws() {
-    let mut rng = SeededRng::seed_from_u64(0xA3);
-    for case in 0..CASES {
-        let (a, b, c) = (
-            small_posbool(&mut rng),
-            small_posbool(&mut rng),
-            small_posbool(&mut rng),
-        );
-        assert!(
-            check_semiring_laws(&a, &b, &c).is_ok(),
-            "case {case}: ({a:?}, {b:?}, {c:?})"
-        );
-    }
-}
-
-#[test]
-fn polynomial_eval_is_homomorphism() {
-    let mut rng = SeededRng::seed_from_u64(0xA4);
-    for _ in 0..CASES {
-        let a = small_poly(&mut rng);
-        let b = small_poly(&mut rng);
-        let vals: Vec<u64> = (0..5).map(|_| rng.gen_range(0i64..5) as u64).collect();
-        let valuation = |v: PolyVar| vals[v.0 as usize % vals.len()];
-        assert_eq!(
-            a.add(&b).eval(&valuation),
-            a.eval(&valuation) + b.eval(&valuation)
-        );
-        assert_eq!(
-            a.mul(&b).eval(&valuation),
-            a.eval(&valuation) * b.eval(&valuation)
-        );
-    }
-}
-
-#[test]
-fn posbool_eval_is_monotone() {
-    // Evaluating the canonical DNF is monotone: adding true variables never turns a
-    // true expression false.
-    let mut rng = SeededRng::seed_from_u64(0xA5);
-    for _ in 0..CASES {
-        let a = small_posbool(&mut rng);
-        let bits = (rng.next_u64() & 0xFFFF_FFFF) as u32;
-        let truth = |v: PolyVar| bits & (1 << v.0) != 0;
-        let all_true = |_: PolyVar| true;
-        if a.eval(&truth) {
-            assert!(a.eval(&all_true));
+    for seed in seeds(0xA1) {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        for case in 0..CASES {
+            let mut nat = || SemiringValue::Nat(rng.gen_range(0i64..50) as u64);
+            let (a, b, c) = (nat(), nat(), nat());
+            let checked = check_semiring_laws(SemiringKind::Nat, a, b, c);
+            assert_eq!(checked, Ok(()), "seed {seed} case {case}: ({a}, {b}, {c})");
         }
-    }
-}
-
-#[test]
-fn semimodule_laws_sum_nat() {
-    let mut rng = SeededRng::seed_from_u64(0xA6);
-    for _ in 0..CASES {
-        let s1 = rng.gen_range(0i64..10) as u64;
-        let s2 = rng.gen_range(0i64..10) as u64;
-        let m1 = SumNat(rng.gen_range(0i64..10) as u64);
-        let m2 = SumNat(rng.gen_range(0i64..10) as u64);
-        assert!(check_semimodule_laws(&s1, &s2, &m1, &m2).is_ok());
-    }
-}
-
-#[test]
-fn semimodule_laws_min_max_bool() {
-    let mut rng = SeededRng::seed_from_u64(0xA7);
-    for _ in 0..CASES {
-        let s1 = rng.next_u64() & 1 == 1;
-        let s2 = rng.next_u64() & 1 == 1;
-        let m1 = rng.gen_range(-20i64..20);
-        let m2 = rng.gen_range(-20i64..20);
-        assert!(check_semimodule_laws(
-            &s1,
-            &s2,
-            &MinExt(MonoidValue::Fin(m1)),
-            &MinExt(MonoidValue::Fin(m2))
-        )
-        .is_ok());
-        assert!(check_semimodule_laws(
-            &s1,
-            &s2,
-            &MaxExt(MonoidValue::Fin(m1)),
-            &MaxExt(MonoidValue::Fin(m2))
-        )
-        .is_ok());
     }
 }
 
 #[test]
 fn agg_op_monoid_laws() {
-    let mut rng = SeededRng::seed_from_u64(0xA8);
-    for _ in 0..CASES {
+    for seed in seeds(0xA8) {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        for _ in 0..CASES {
+            let op = ALL_AGG_OPS[rng.gen_range(0usize..ALL_AGG_OPS.len())];
+            let a = MonoidValue::Fin(rng.gen_range(-20i64..20));
+            let b = MonoidValue::Fin(rng.gen_range(-20i64..20));
+            let c = MonoidValue::Fin(rng.gen_range(-20i64..20));
+            // Commutativity, associativity, identity.
+            assert_eq!(op.combine(&a, &b), op.combine(&b, &a));
+            assert_eq!(
+                op.combine(&op.combine(&a, &b), &c),
+                op.combine(&a, &op.combine(&b, &c))
+            );
+            assert_eq!(op.combine(&a, &op.identity()), a);
+        }
+    }
+}
+
+/// A random scalar and semimodule: any operator over `N`, or MIN / MAX over `B`
+/// (the paper's `B`-semimodules; SUM / COUNT over `B` is not one, see
+/// `sum_over_booleans_would_break_distributivity`).
+fn scalars_and_op(rng: &mut SeededRng, max_nat: i64) -> (AggOp, SemiringValue, SemiringValue) {
+    if rng.next_u64() & 1 == 0 {
         let op = ALL_AGG_OPS[rng.gen_range(0usize..ALL_AGG_OPS.len())];
-        let a = MonoidValue::Fin(rng.gen_range(-20i64..20));
-        let b = MonoidValue::Fin(rng.gen_range(-20i64..20));
-        let c = MonoidValue::Fin(rng.gen_range(-20i64..20));
-        // Commutativity, associativity, identity.
-        assert_eq!(op.combine(&a, &b), op.combine(&b, &a));
-        assert_eq!(
-            op.combine(&op.combine(&a, &b), &c),
-            op.combine(&a, &op.combine(&b, &c))
-        );
-        assert_eq!(op.combine(&a, &op.identity()), a);
+        let mut nat = || SemiringValue::Nat(rng.gen_range(0i64..max_nat) as u64);
+        (op, nat(), nat())
+    } else {
+        let op = [AggOp::Min, AggOp::Max][rng.gen_range(0usize..2)];
+        let mut bit = || SemiringValue::Bool(rng.next_u64() & 1 == 1);
+        (op, bit(), bit())
     }
 }
 
 #[test]
 fn scalar_action_distributes_over_semiring_sum() {
-    // (s1 +S s2) ⊗ m = s1 ⊗ m +M s2 ⊗ m for the N-semimodules.
-    let mut rng = SeededRng::seed_from_u64(0xA9);
-    for _ in 0..CASES {
-        let op = ALL_AGG_OPS[rng.gen_range(0usize..ALL_AGG_OPS.len())];
-        let m = MonoidValue::Fin(rng.gen_range(-10i64..10));
-        let s1 = SemiringValue::Nat(rng.gen_range(0i64..5) as u64);
-        let s2 = SemiringValue::Nat(rng.gen_range(0i64..5) as u64);
-        let lhs = op.scalar_action(&s1.add(&s2), &m);
-        let rhs = op.combine(&op.scalar_action(&s1, &m), &op.scalar_action(&s2, &m));
-        assert_eq!(lhs, rhs);
+    // (s1 +S s2) ⊗ m = s1 ⊗ m +M s2 ⊗ m.
+    for seed in seeds(0xA9) {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        for _ in 0..CASES {
+            let (op, s1, s2) = scalars_and_op(&mut rng, 5);
+            let m = MonoidValue::Fin(rng.gen_range(-10i64..10));
+            let lhs = op.scalar_action(&s1.add(&s2), &m);
+            let rhs = op.combine(&op.scalar_action(&s1, &m), &op.scalar_action(&s2, &m));
+            assert_eq!(lhs, rhs, "{op}: ({s1} + {s2}) ⊗ {m}");
+        }
     }
 }
 
 #[test]
 fn scalar_action_compatible_with_semiring_product() {
     // (s1 ·S s2) ⊗ m = s1 ⊗ (s2 ⊗ m).
-    let mut rng = SeededRng::seed_from_u64(0xAA);
-    for _ in 0..CASES {
-        let op = ALL_AGG_OPS[rng.gen_range(0usize..ALL_AGG_OPS.len())];
-        let m = MonoidValue::Fin(rng.gen_range(-6i64..6));
-        let s1 = SemiringValue::Nat(rng.gen_range(0i64..4) as u64);
-        let s2 = SemiringValue::Nat(rng.gen_range(0i64..4) as u64);
-        let lhs = op.scalar_action(&s1.mul(&s2), &m);
-        let rhs = op.scalar_action(&s1, &op.scalar_action(&s2, &m));
-        assert_eq!(lhs, rhs);
+    for seed in seeds(0xAA) {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        for _ in 0..CASES {
+            let (op, s1, s2) = scalars_and_op(&mut rng, 4);
+            let m = MonoidValue::Fin(rng.gen_range(-6i64..6));
+            let lhs = op.scalar_action(&s1.mul(&s2), &m);
+            let rhs = op.scalar_action(&s1, &op.scalar_action(&s2, &m));
+            assert_eq!(lhs, rhs, "{op}: ({s1} · {s2}) ⊗ {m}");
+        }
     }
 }
 
 #[test]
-fn generic_monoid_fold_matches_iterated_plus() {
-    let mut rng = SeededRng::seed_from_u64(0xAB);
-    for _ in 0..CASES {
-        let values: Vec<u64> = (0..rng.gen_range(0usize..8))
-            .map(|_| rng.gen_range(0i64..30) as u64)
-            .collect();
-        let folded = SumNat::sum(values.iter().map(|v| SumNat(*v)));
-        assert_eq!(folded.0, values.iter().sum::<u64>());
+fn scalar_action_distributes_over_monoid_sum_annihilates_and_has_a_unit() {
+    // s ⊗ (m1 +M m2) = s ⊗ m1 +M s ⊗ m2, s ⊗ 0_M = 0_S ⊗ m = 0_M and 1_S ⊗ m = m.
+    for seed in seeds(0xAC) {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        for _ in 0..CASES {
+            let (op, s, _) = scalars_and_op(&mut rng, 4);
+            let m1 = MonoidValue::Fin(rng.gen_range(-6i64..6));
+            let m2 = MonoidValue::Fin(rng.gen_range(-6i64..6));
+            let lhs = op.scalar_action(&s, &op.combine(&m1, &m2));
+            let rhs = op.combine(&op.scalar_action(&s, &m1), &op.scalar_action(&s, &m2));
+            assert_eq!(lhs, rhs, "{op}: {s} ⊗ ({m1} + {m2})");
+            assert_eq!(
+                op.scalar_action(&s, &op.identity()),
+                op.identity(),
+                "{op}: {s}"
+            );
+            assert_eq!(
+                op.scalar_action(&s.kind().zero(), &m1),
+                op.identity(),
+                "{op}: {m1}"
+            );
+            assert_eq!(op.scalar_action(&s.kind().one(), &m1), m1, "{op}: {m1}");
+        }
+    }
+}
+
+#[test]
+fn sum_over_booleans_would_break_distributivity() {
+    // The paper notes that `B` with SUM "would not have the intuitive semantics":
+    // the action ⊤ ⊗ m = m violates (s1 + s2) ⊗ m = s1 ⊗ m + s2 ⊗ m, because
+    // ⊤ ∨ ⊤ = ⊤ while m + m ≠ m in SUM (and COUNT).
+    let top = SemiringValue::Bool(true);
+    let m = MonoidValue::Fin(5);
+    for op in [AggOp::Sum, AggOp::Count] {
+        let lhs = op.scalar_action(&top.add(&top), &m);
+        let rhs = op.combine(&op.scalar_action(&top, &m), &op.scalar_action(&top, &m));
+        assert_eq!(
+            (lhs, rhs),
+            (MonoidValue::Fin(5), MonoidValue::Fin(10)),
+            "{op}"
+        );
     }
 }

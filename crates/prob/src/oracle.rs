@@ -9,19 +9,11 @@
 //! the differential tests (`tests/oracle_differential.rs`) pin every
 //! strategy × representation × thread-count combination against.
 //!
-//! Two variants cover the two semantics a grouped aggregate can have:
+//! The aggregate is a **total** distribution: worlds where no tuple is present
+//! contribute their mass to the monoid identity (`SUM = 0`, `MIN = +∞`, …), so
+//! the total mass is exactly 1 (up to the kernel's drop rule).
 //!
-//! * [`aggregate_by_enumeration`] — the aggregate as a **total** distribution:
-//!   worlds where no tuple is present contribute their mass to the monoid
-//!   identity (`SUM = 0`, `MIN = +∞`, …). Total mass is exactly 1 (up to the
-//!   kernel's drop rule).
-//! * [`aggregate_present_by_enumeration`] — the aggregate as a
-//!   **sub-distribution conditioned on the group existing**: empty worlds
-//!   contribute nothing, so the total mass is `1 − ∏(1 − pᵢ)`, the probability
-//!   that at least one tuple is present. This matches the engine's per-tuple
-//!   result semantics, where a group that materialises no tuple has no row.
-//!
-//! Both walk masks in ascending order and accumulate per-outcome masses in a
+//! Masks are walked in ascending order and per-outcome masses accumulate in a
 //! `BTreeMap`, so the summation order is deterministic — runs are repeatable
 //! bit-for-bit, which the differential tests rely on when comparing thread
 //! counts.
@@ -48,20 +40,6 @@ pub type OracleTuple = (f64, MonoidValue);
 ///
 /// Panics if more than [`MAX_ORACLE_VARS`] tuples are given.
 pub fn aggregate_by_enumeration(op: AggOp, tuples: &[OracleTuple]) -> MonoidDist {
-    enumerate(op, tuples, true)
-}
-
-/// The aggregate's sub-distribution over worlds where **at least one** tuple
-/// is present (mass `1 − ∏(1 − pᵢ)`); worlds with no tuples are skipped.
-///
-/// # Panics
-///
-/// Panics if more than [`MAX_ORACLE_VARS`] tuples are given.
-pub fn aggregate_present_by_enumeration(op: AggOp, tuples: &[OracleTuple]) -> MonoidDist {
-    enumerate(op, tuples, false)
-}
-
-fn enumerate(op: AggOp, tuples: &[OracleTuple], include_empty: bool) -> MonoidDist {
     assert!(
         tuples.len() <= MAX_ORACLE_VARS,
         "oracle asked to enumerate 2^{} worlds (cap: 2^{MAX_ORACLE_VARS})",
@@ -69,9 +47,6 @@ fn enumerate(op: AggOp, tuples: &[OracleTuple], include_empty: bool) -> MonoidDi
     );
     let mut outcomes: BTreeMap<MonoidValue, f64> = BTreeMap::new();
     for mask in 0u64..(1u64 << tuples.len()) {
-        if mask == 0 && !include_empty {
-            continue;
-        }
         let mut weight = 1.0f64;
         let mut acc = op.identity();
         for (i, (prob, value)) in tuples.iter().enumerate() {
@@ -139,17 +114,6 @@ mod tests {
         for v in [0, 3, 4, 7] {
             assert!((d.prob(&Fin(v)) - 0.25).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn present_variant_drops_the_empty_world() {
-        let tuples = [(0.5, Fin(3)), (0.5, Fin(4))];
-        let total = aggregate_by_enumeration(AggOp::Sum, &tuples);
-        let present = aggregate_present_by_enumeration(AggOp::Sum, &tuples);
-        assert!((total.total_mass() - 1.0).abs() < 1e-12);
-        assert!((present.total_mass() - 0.75).abs() < 1e-12);
-        assert!((present.prob(&Fin(0))).abs() < 1e-12);
-        assert!((present.prob(&Fin(7)) - 0.25).abs() < 1e-12);
     }
 
     #[test]

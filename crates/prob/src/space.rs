@@ -91,11 +91,15 @@ impl<K: Ord + Clone, V: Ord + Clone> ProbabilitySpace<K, V> {
     /// The exact distribution of an arbitrary function of the variables, computed by
     /// enumeration over all worlds. This is the brute-force counterpart of the
     /// decomposition-tree computation and serves as the correctness oracle.
+    ///
+    /// Each outcome's worlds are summed before the [`PROB_EPS`](crate::PROB_EPS)
+    /// cut, so worlds too unlikely to be kept on their own still count.
     pub fn distribution_of<T: Ord + Clone>(&self, f: impl Fn(&BTreeMap<K, V>) -> T) -> Dist<T> {
-        Dist::from_pairs(
+        Dist::coalesced(
             self.worlds()
                 .into_iter()
-                .map(|w| (f(&w.valuation), w.probability)),
+                .map(|w| (f(&w.valuation), w.probability))
+                .collect(),
         )
     }
 
@@ -162,6 +166,19 @@ mod tests {
         assert!((or.prob(&true) - (1.0 - 0.7 * 0.3)).abs() < 1e-12);
         let direct = coin(0.3).convolve(&coin(0.7), |a, b| *a || *b);
         assert!(or.approx_eq(&direct, 1e-12));
+    }
+
+    #[test]
+    fn worlds_below_the_pruning_threshold_count_toward_their_outcome() {
+        // Twelve variables at 0.05: most worlds with several present variables
+        // weigh less than PROB_EPS each, but together they carry ≈ 5e-7.
+        let mut space = ProbabilitySpace::new();
+        for i in 0..12 {
+            space.insert(i, coin(0.05));
+        }
+        let any = space.distribution_of(|v| v.values().any(|present| *present));
+        assert!((any.prob(&true) - (1.0 - 0.95f64.powi(12))).abs() < 1e-12);
+        assert!((any.total_mass() - 1.0).abs() < 1e-12);
     }
 
     #[test]

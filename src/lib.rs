@@ -77,7 +77,8 @@
 //!
 //! ## Member crates
 //!
-//! * [`algebra`] — monoids, semirings, semimodules (§2.2);
+//! * [`algebra`] — the `B` / `N` semiring values, aggregation monoids and their
+//!   semimodule action (§2.2);
 //! * [`prob`] — discrete distributions, convolution (§2.1) and the seeded RNG;
 //! * [`expr`] — semiring/semimodule expressions over random variables (Fig. 2);
 //! * [`core`] — decomposition trees and the compilation algorithm (§5);

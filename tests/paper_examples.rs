@@ -125,6 +125,36 @@ fn example_13_figure6_gap_conditional() {
 }
 
 #[test]
+fn section_2_2_distributivity_identifies_annotations() {
+    // §2.2: x1(x2 + x3) and x1x2 + x1x3 denote the same annotation, in `B` (set
+    // semantics) and in `N` (bag semantics).
+    for kind in [SemiringKind::Bool, SemiringKind::Nat] {
+        let mut vars = VarTable::new();
+        let [x1, x2, x3] = [("x1", 0.3), ("x2", 0.6), ("x3", 0.8)].map(|(name, p)| match kind {
+            SemiringKind::Bool => vars.boolean(name, p),
+            SemiringKind::Nat => vars.natural(name, &[(0, 1.0 - p), (1, p / 2.0), (2, p / 2.0)]),
+        });
+        let factored = v(x1) * (v(x2) + v(x3));
+        let expanded = v(x1) * v(x2) + v(x1) * v(x3);
+        let worlds = oracle::enumerate_worlds(&factored.vars(), &vars);
+        assert_eq!(
+            worlds.len(),
+            if kind == SemiringKind::Bool { 8 } else { 27 }
+        );
+        for (valuation, _) in &worlds {
+            let lookup = |x: Var| valuation[&x];
+            assert_eq!(factored.eval(&lookup, kind), expanded.eval(&lookup, kind));
+        }
+        let p = confidence(&factored, &vars, kind);
+        assert!(
+            (p - confidence(&expanded, &vars, kind)).abs() < 1e-12,
+            "{kind}"
+        );
+        assert!((p - 0.3 * (1.0 - 0.4 * 0.2)).abs() < 1e-12, "{kind}");
+    }
+}
+
+#[test]
 fn example_10_independence() {
     // Φ = x + y and α = a(b+c)⊗10 + c⊗20 are independent (disjoint variables).
     let mut vars = VarTable::new();
