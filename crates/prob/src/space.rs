@@ -170,8 +170,8 @@ mod tests {
 
     #[test]
     fn worlds_below_the_pruning_threshold_count_toward_their_outcome() {
-        // Twelve variables at 0.05: most worlds with several present variables
-        // weigh less than PROB_EPS each, but together they carry ≈ 5e-7.
+        // Twelve variables at 0.05: each world with seven or more present
+        // variables weighs less than PROB_EPS, but together they carry ≈ 4.9e-7.
         let mut space = ProbabilitySpace::new();
         for i in 0..12 {
             space.insert(i, coin(0.05));
