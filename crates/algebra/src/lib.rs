@@ -11,20 +11,27 @@
 //! (set semantics) and the natural numbers `N` (bag semantics) — through dynamic
 //! value types, because a single table may mix monoids and semirings at run time:
 //!
-//! * [`SemiringValue`] / [`SemiringKind`] — an element of `B` or `N` (Definition 3);
-//! * [`MonoidValue`] and [`AggOp`] — an aggregation monoid's values and operation
-//!   (Definition 2), with [`AggOp::scalar_action`] as the semimodule action
-//!   `S × M → M` (Definition 4);
-//! * [`CmpOp`] — the comparison `θ` of conditional expressions `[α θ β]`.
+//! * [`semiring`] — [`SemiringValue`] / [`SemiringKind`], an element of `B` or `N`
+//!   (Definition 3);
+//! * [`monoid`] and [`value`] — [`AggOp`] and [`MonoidValue`], an aggregation
+//!   monoid's operation and values (Definition 2), and [`CmpOp`], the comparison `θ`
+//!   of conditional expressions `[α θ β]`;
+//! * [`semimodule`] — [`AggOp::scalar_action`], the semimodule action `S × M → M`
+//!   (Definition 4).
 //!
-//! The laws of Definitions 2–4 are checked on these types by the property tests in
-//! `tests/proptest_laws.rs`.
+//! [`check_semiring_laws`] and [`check_semimodule_laws`] check Definitions 3 and 4 on
+//! sample elements; the unit tests and the property tests in `tests/proptest_laws.rs`
+//! run them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod monoid;
+pub mod semimodule;
+pub mod semiring;
 pub mod value;
 
 pub use monoid::{AggOp, ALL_AGG_OPS};
-pub use value::{CmpOp, MonoidValue, SemiringKind, SemiringValue};
+pub use semimodule::check_semimodule_laws;
+pub use semiring::{check_semiring_laws, SemiringKind, SemiringValue};
+pub use value::{CmpOp, MonoidValue};

@@ -10,10 +10,10 @@
 //! * `MAX   = (N ∪ {±∞}, max, −∞)`
 //!
 //! [`AggOp`] is the aggregation operator the expression and decomposition-tree
-//! layers sum in, operating on [`MonoidValue`]; [`AggOp::scalar_action`] is the
-//! semimodule action of a [`SemiringValue`] on it (Definition 4).
+//! layers sum in, operating on [`MonoidValue`]; its semimodule action
+//! [`AggOp::scalar_action`] is in [`crate::semimodule`].
 
-use crate::value::{MonoidValue, SemiringValue};
+use crate::value::MonoidValue;
 use std::fmt;
 
 /// A dynamic aggregation operator: which monoid a semimodule expression is summed in.
@@ -70,36 +70,6 @@ impl AggOp {
             .fold(self.identity(), |acc, v| self.combine(&acc, &v))
     }
 
-    /// The semimodule scalar action `s ⊗ m` for a semiring value `s` and monoid value
-    /// `m` (Definition 4 of the paper).
-    ///
-    /// For the Boolean semiring, `⊥ ⊗ m = 0_M` and `⊤ ⊗ m = m`. For the semiring `N`,
-    /// `n ⊗ m` is the `n`-fold monoid sum of `m` (so `n·m` for SUM, `m` for MIN/MAX
-    /// when `n > 0`, and `m^n` for PROD).
-    pub fn scalar_action(&self, s: &SemiringValue, m: &MonoidValue) -> MonoidValue {
-        let n = s.as_multiplicity();
-        if n == 0 {
-            return self.identity();
-        }
-        match self {
-            AggOp::Min | AggOp::Max => *m,
-            AggOp::Sum | AggOp::Count => match m {
-                MonoidValue::Fin(v) => MonoidValue::Fin(v * n as i64),
-                other => *other,
-            },
-            AggOp::Prod => match m {
-                MonoidValue::Fin(v) => {
-                    let mut acc: i64 = 1;
-                    for _ in 0..n {
-                        acc *= v;
-                    }
-                    MonoidValue::Fin(acc)
-                }
-                other => *other,
-            },
-        }
-    }
-
     /// Whether the size of the distribution of a sum in this monoid is bounded by the
     /// number of distinct leaf values (true for MIN and MAX, cf. Proposition 2).
     pub fn is_selective(&self) -> bool {
@@ -129,6 +99,7 @@ impl fmt::Display for AggOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semiring::SemiringValue;
     use crate::value::MonoidValue::*;
 
     #[test]
@@ -148,6 +119,38 @@ mod tests {
         assert_eq!(AggOp::Prod.combine(&Fin(3), &Fin(7)), Fin(21));
         assert_eq!(AggOp::Min.combine(&PosInf, &Fin(7)), Fin(7));
         assert_eq!(AggOp::Max.combine(&NegInf, &Fin(7)), Fin(7));
+    }
+
+    #[test]
+    fn generic_monoids_satisfy_laws_on_samples() {
+        // MIN and MAX range over the extended line; SUM, COUNT and PROD over finite
+        // values, where `+∞ + −∞` has no meaning.
+        let extended = [NegInf, Fin(-2), Fin(0), Fin(3), PosInf];
+        let finite = [Fin(-2), Fin(0), Fin(1), Fin(3)];
+        for op in ALL_AGG_OPS {
+            let samples: &[MonoidValue] = if op.is_selective() {
+                &extended
+            } else {
+                &finite
+            };
+            for &a in samples {
+                assert_eq!(op.combine(&a, &op.identity()), a, "{op}: identity");
+                for &b in samples {
+                    assert_eq!(
+                        op.combine(&a, &b),
+                        op.combine(&b, &a),
+                        "{op}: commutativity"
+                    );
+                    for &c in samples {
+                        assert_eq!(
+                            op.combine(&op.combine(&a, &b), &c),
+                            op.combine(&a, &op.combine(&b, &c)),
+                            "{op}: associativity"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,125 +1,100 @@
-//! Semimodules: combining a commutative monoid of aggregation values with a semiring
-//! of annotations (§2.2, Definition 4 of the paper).
+//! Semimodules: an aggregation monoid acted on by an annotation semiring (§2.2,
+//! Definition 4 of the paper).
 //!
-//! An `S`-semimodule `M` is a commutative monoid `(M, +_M, 0_M)` together with a
-//! scalar action `⊗ : S × M → M` satisfying the five semimodule axioms. In this
-//! system semimodules are what makes "aggregated value conditioned on an annotation"
-//! a first-class algebraic object: the expression `Φ ⊗ v` is "value `v`, present with
-//! multiplicity/condition `Φ`".
-//!
-//! The dynamic engine realises the semimodules `B ⊗ M` and `N ⊗ M` for all five
-//! aggregation monoids through [`crate::monoid::AggOp::scalar_action`]; this module
-//! provides the *generic* trait plus law checking used by property tests.
+//! An `S`-semimodule `M` is a commutative monoid `(M, +_M, 0_M)` with a scalar
+//! action `⊗ : S × M → M`; the expression `Φ ⊗ m` reads "value `m`, present with
+//! multiplicity (or condition) `Φ`". [`AggOp::scalar_action`] realises `B ⊗ M` and
+//! `N ⊗ M` for every aggregation monoid — except `B` with SUM or COUNT, which the
+//! paper notes is no semimodule (`⊤ ∨ ⊤ = ⊤`, but `m + m ≠ m`) — and
+//! [`check_semimodule_laws`] checks Definition 4 on sample elements.
 
-use crate::monoid::CommutativeMonoid;
-use crate::semiring::Semiring;
+use crate::monoid::AggOp;
+use crate::semiring::SemiringValue;
+use crate::value::MonoidValue;
 
-/// An `S`-semimodule (Definition 4 of the paper).
-pub trait Semimodule<S: Semiring>: CommutativeMonoid {
-    /// The scalar action `s ⊗ m`.
-    fn scale(s: &S, m: &Self) -> Self;
-}
-
-/// The canonical `N`-semimodule structure on the SUM monoid: `n ⊗ m = n·m`.
-impl Semimodule<u64> for crate::monoid::SumNat {
-    fn scale(s: &u64, m: &Self) -> Self {
-        crate::monoid::SumNat(s * m.0)
-    }
-}
-
-/// The `B`-semimodule structure on the MIN monoid: `⊥ ⊗ m = +∞`, `⊤ ⊗ m = m`.
-impl Semimodule<bool> for crate::monoid::MinExt {
-    fn scale(s: &bool, m: &Self) -> Self {
-        if *s {
-            *m
-        } else {
-            <Self as CommutativeMonoid>::zero()
+impl AggOp {
+    /// The semimodule scalar action `s ⊗ m` for a semiring value `s` and monoid value
+    /// `m` (Definition 4 of the paper).
+    ///
+    /// For the Boolean semiring, `⊥ ⊗ m = 0_M` and `⊤ ⊗ m = m`. For the semiring `N`,
+    /// `n ⊗ m` is the `n`-fold monoid sum of `m` (so `n·m` for SUM, `m` for MIN/MAX
+    /// when `n > 0`, and `m^n` for PROD).
+    pub fn scalar_action(&self, s: &SemiringValue, m: &MonoidValue) -> MonoidValue {
+        let n = s.as_multiplicity();
+        if n == 0 {
+            return self.identity();
+        }
+        match self {
+            AggOp::Min | AggOp::Max => *m,
+            AggOp::Sum | AggOp::Count => match m {
+                MonoidValue::Fin(v) => MonoidValue::Fin(v * n as i64),
+                other => *other,
+            },
+            AggOp::Prod => match m {
+                MonoidValue::Fin(v) => {
+                    let mut acc: i64 = 1;
+                    for _ in 0..n {
+                        acc *= v;
+                    }
+                    MonoidValue::Fin(acc)
+                }
+                other => *other,
+            },
         }
     }
 }
 
-/// The `B`-semimodule structure on the MAX monoid.
-impl Semimodule<bool> for crate::monoid::MaxExt {
-    fn scale(s: &bool, m: &Self) -> Self {
-        if *s {
-            *m
-        } else {
-            <Self as CommutativeMonoid>::zero()
-        }
+/// Check every semimodule law (Definition 4) of `op` acted on by the semiring of
+/// `s1` and `s2`, on two scalars and two monoid values, naming the first one
+/// violated.
+pub fn check_semimodule_laws(
+    op: AggOp,
+    s1: SemiringValue,
+    s2: SemiringValue,
+    m1: MonoidValue,
+    m2: MonoidValue,
+) -> Result<(), &'static str> {
+    let act = |s: SemiringValue, m: MonoidValue| op.scalar_action(&s, &m);
+    let plus = |a: MonoidValue, b: MonoidValue| op.combine(&a, &b);
+    let (zero, one) = (s1.kind().zero(), s1.kind().one());
+    let laws = [
+        (
+            act(s1.add(&s2), m1) == plus(act(s1, m1), act(s2, m1)),
+            "distributivity over the semiring sum",
+        ),
+        (
+            act(s1, plus(m1, m2)) == plus(act(s1, m1), act(s1, m2)),
+            "distributivity over the monoid sum",
+        ),
+        (
+            act(s1.mul(&s2), m1) == act(s1, act(s2, m1)),
+            "compatibility with the semiring product",
+        ),
+        (act(one, m1) == m1, "unit action"),
+        (
+            act(zero, m1) == op.identity() && act(s1, op.identity()) == op.identity(),
+            "annihilation",
+        ),
+    ];
+    match laws.iter().find(|(holds, _)| !holds) {
+        Some((_, law)) => Err(law),
+        None => Ok(()),
     }
-}
-
-/// The `N`-semimodule structure on the MIN monoid: any non-zero multiplicity keeps the
-/// value, zero multiplicity maps to the neutral element `+∞`.
-impl Semimodule<u64> for crate::monoid::MinExt {
-    fn scale(s: &u64, m: &Self) -> Self {
-        if *s > 0 {
-            *m
-        } else {
-            <Self as CommutativeMonoid>::zero()
-        }
-    }
-}
-
-/// The `N`-semimodule structure on the MAX monoid.
-impl Semimodule<u64> for crate::monoid::MaxExt {
-    fn scale(s: &u64, m: &Self) -> Self {
-        if *s > 0 {
-            *m
-        } else {
-            <Self as CommutativeMonoid>::zero()
-        }
-    }
-}
-
-/// Check all five semimodule axioms of Definition 4 on sample elements.
-///
-/// Returns `Err` naming the first violated axiom.
-pub fn check_semimodule_laws<S: Semiring, M: Semimodule<S>>(
-    s1: &S,
-    s2: &S,
-    m1: &M,
-    m2: &M,
-) -> Result<(), String> {
-    let err = |law: &str| Err(format!("semimodule law violated: {law}"));
-    // s1 ⊗ (m1 + m2) = s1 ⊗ m1 + s1 ⊗ m2
-    if M::scale(s1, &m1.plus(m2)) != M::scale(s1, m1).plus(&M::scale(s1, m2)) {
-        return err("distributivity over monoid sum");
-    }
-    // (s1 + s2) ⊗ m1 = s1 ⊗ m1 + s2 ⊗ m1
-    if M::scale(&s1.add(s2), m1) != M::scale(s1, m1).plus(&M::scale(s2, m1)) {
-        return err("distributivity over semiring sum");
-    }
-    // (s1 · s2) ⊗ m1 = s1 ⊗ (s2 ⊗ m1)
-    if M::scale(&s1.mul(s2), m1) != M::scale(s1, &M::scale(s2, m1)) {
-        return err("compatibility with semiring multiplication");
-    }
-    // s1 ⊗ 0_M = 0_S ⊗ m1 = 0_M
-    if M::scale(s1, &M::zero()) != M::zero() || M::scale(&S::zero(), m1) != M::zero() {
-        return err("annihilation");
-    }
-    // 1_S ⊗ m1 = m1
-    if M::scale(&S::one(), m1) != *m1 {
-        return err("unit action");
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monoid::{MaxExt, MinExt, SumNat};
-    use crate::value::MonoidValue;
+    use crate::value::MonoidValue::*;
 
-    #[test]
-    fn sum_semimodule_over_naturals() {
-        let scalars = [0u64, 1, 2, 5];
-        let values = [SumNat(0), SumNat(1), SumNat(7)];
-        for s1 in scalars {
-            for s2 in scalars {
-                for m1 in values {
-                    for m2 in values {
-                        check_semimodule_laws(&s1, &s2, &m1, &m2).unwrap();
+    /// Check the laws of `op` on every pair of `scalars` and every pair of `values`.
+    fn check_all(op: AggOp, scalars: &[SemiringValue], values: &[MonoidValue]) {
+        for &s1 in scalars {
+            for &s2 in scalars {
+                for &m1 in values {
+                    for &m2 in values {
+                        let checked = check_semimodule_laws(op, s1, s2, m1, m2);
+                        assert_eq!(checked, Ok(()), "{op}: {s1}, {s2}, {m1}, {m2}");
                     }
                 }
             }
@@ -127,57 +102,36 @@ mod tests {
     }
 
     #[test]
+    fn sum_semimodule_over_naturals() {
+        let scalars = [0, 1, 2, 5].map(SemiringValue::Nat);
+        check_all(AggOp::Sum, &scalars, &[Fin(0), Fin(1), Fin(7), Fin(-3)]);
+    }
+
+    #[test]
     fn min_max_semimodules_over_booleans() {
-        let scalars = [false, true];
-        let mins = [
-            MinExt(MonoidValue::Fin(3)),
-            MinExt(MonoidValue::Fin(-1)),
-            MinExt(MonoidValue::PosInf),
-        ];
-        let maxs = [
-            MaxExt(MonoidValue::Fin(3)),
-            MaxExt(MonoidValue::Fin(-1)),
-            MaxExt(MonoidValue::NegInf),
-        ];
-        for s1 in scalars {
-            for s2 in scalars {
-                for m1 in mins {
-                    for m2 in mins {
-                        check_semimodule_laws(&s1, &s2, &m1, &m2).unwrap();
-                    }
-                }
-                for m1 in maxs {
-                    for m2 in maxs {
-                        check_semimodule_laws(&s1, &s2, &m1, &m2).unwrap();
-                    }
-                }
-            }
+        let scalars = [false, true].map(SemiringValue::Bool);
+        check_all(AggOp::Min, &scalars, &[Fin(3), Fin(-1), PosInf]);
+        check_all(AggOp::Max, &scalars, &[Fin(3), Fin(-1), NegInf]);
+    }
+
+    #[test]
+    fn sum_over_booleans_would_break_distributivity() {
+        // `⊤ ⊗ m = m` over `B` with SUM (or COUNT) is no semimodule: the checker
+        // names the law that `⊤ ∨ ⊤ = ⊤`, but `5 + 5 ≠ 5`, breaks.
+        let top = SemiringValue::Bool(true);
+        for op in [AggOp::Sum, AggOp::Count] {
+            assert_eq!(
+                check_semimodule_laws(op, top, top, Fin(5), Fin(5)),
+                Err("distributivity over the semiring sum"),
+                "{op}"
+            );
         }
     }
 
     #[test]
     fn min_max_semimodules_over_naturals() {
-        let scalars = [0u64, 1, 3];
-        let mins = [MinExt(MonoidValue::Fin(10)), MinExt(MonoidValue::PosInf)];
-        for s1 in scalars {
-            for s2 in scalars {
-                for m1 in mins {
-                    for m2 in mins {
-                        check_semimodule_laws(&s1, &s2, &m1, &m2).unwrap();
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sum_over_booleans_would_break_distributivity() {
-        // The paper notes that B ⊗ N over SUM "would not have the intuitive semantics";
-        // concretely, a naive action ⊤⊗m = m over B violates
-        // (s1 + s2) ⊗ m = s1⊗m + s2⊗m because ⊤∨⊤ = ⊤ but m + m ≠ m in SUM.
-        // We verify the failure explicitly rather than providing the impl.
-        let lhs = SumNat(5); // (⊤ ∨ ⊤) ⊗ 5 under the naive action
-        let rhs = SumNat(5).plus(&SumNat(5)); // ⊤⊗5 + ⊤⊗5
-        assert_ne!(lhs, rhs);
+        let scalars = [0, 1, 3].map(SemiringValue::Nat);
+        check_all(AggOp::Min, &scalars, &[Fin(10), PosInf]);
+        check_all(AggOp::Max, &scalars, &[Fin(10), NegInf]);
     }
 }

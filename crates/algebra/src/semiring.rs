@@ -1,182 +1,187 @@
-//! Commutative semirings for tuple annotations (§2.2, Definition 3 of the paper).
+//! The annotation semirings (§2.2, Definition 3 of the paper).
 //!
-//! Semirings are the canonical algebraic structure for tuple annotations
-//! (provenance semirings, Green et al.): annotations from the Boolean semiring yield
-//! set semantics, annotations from `N` yield bag semantics, and more exotic semirings
-//! (security levels, provenance polynomials) capture richer provenance.
-//!
-//! The trait [`Semiring`] is the generic formulation; the engine's dynamic values live
-//! in [`crate::value`].
+//! A tuple's annotation is an element of a commutative semiring `S`; the paper uses
+//! the Boolean semiring `B` for set semantics and the natural numbers `N` for bag
+//! semantics (cf. Table 1 of the paper). [`SemiringValue`] is an element of either,
+//! [`SemiringKind`] names which, and [`check_semiring_laws`] checks Definition 3 on
+//! a triple of elements.
 
 use std::fmt;
 
-/// A commutative semiring `(S, +, 0, ·, 1)` (Definition 3 of the paper).
+/// Which concrete annotation semiring the engine interprets expressions in.
 ///
-/// Laws (checked by property tests in this crate):
-/// * `(S, +, 0)` and `(S, ·, 1)` are commutative monoids;
-/// * `·` distributes over `+`;
-/// * `0` annihilates: `0 · s = s · 0 = 0`.
-pub trait Semiring: Clone + PartialEq + fmt::Debug {
-    /// The additive neutral element `0_S`.
-    fn zero() -> Self;
-    /// The multiplicative neutral element `1_S`.
-    fn one() -> Self;
-    /// Semiring addition.
-    fn add(&self, other: &Self) -> Self;
-    /// Semiring multiplication.
-    fn mul(&self, other: &Self) -> Self;
+/// `Bool` gives set semantics, `Nat` gives bag semantics (tuple multiplicities); see
+/// Table 1 of the paper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SemiringKind {
+    /// The Boolean semiring `(B, ∨, ⊥, ∧, ⊤)`.
+    Bool,
+    /// The semiring of natural numbers `(N, +, 0, ·, 1)`.
+    Nat,
+}
 
-    /// True if this element equals `0_S`.
-    fn is_zero(&self) -> bool {
-        *self == Self::zero()
+impl SemiringKind {
+    /// The additive neutral element `0_S` of this semiring.
+    pub fn zero(self) -> SemiringValue {
+        match self {
+            SemiringKind::Bool => SemiringValue::Bool(false),
+            SemiringKind::Nat => SemiringValue::Nat(0),
+        }
     }
 
-    /// True if this element equals `1_S`.
-    fn is_one(&self) -> bool {
-        *self == Self::one()
-    }
-
-    /// Sum of an iterator of semiring elements.
-    fn sum<I: IntoIterator<Item = Self>>(iter: I) -> Self
-    where
-        Self: Sized,
-    {
-        iter.into_iter().fold(Self::zero(), |a, b| a.add(&b))
-    }
-
-    /// Product of an iterator of semiring elements.
-    fn product<I: IntoIterator<Item = Self>>(iter: I) -> Self
-    where
-        Self: Sized,
-    {
-        iter.into_iter().fold(Self::one(), |a, b| a.mul(&b))
+    /// The multiplicative neutral element `1_S` of this semiring.
+    pub fn one(self) -> SemiringValue {
+        match self {
+            SemiringKind::Bool => SemiringValue::Bool(true),
+            SemiringKind::Nat => SemiringValue::Nat(1),
+        }
     }
 }
 
-/// The Boolean semiring `(B, ∨, ⊥, ∧, ⊤)` — set semantics.
-impl Semiring for bool {
-    fn zero() -> Self {
-        false
-    }
-    fn one() -> Self {
-        true
-    }
-    fn add(&self, other: &Self) -> Self {
-        *self || *other
-    }
-    fn mul(&self, other: &Self) -> Self {
-        *self && *other
+impl fmt::Display for SemiringKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SemiringKind::Bool => write!(f, "B"),
+            SemiringKind::Nat => write!(f, "N"),
+        }
     }
 }
 
-/// The semiring of natural numbers `(N, +, 0, ·, 1)` — bag semantics.
-impl Semiring for u64 {
-    fn zero() -> Self {
-        0
+/// An element of a concrete annotation semiring (`B` or `N`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum SemiringValue {
+    /// An element of the Boolean semiring.
+    Bool(bool),
+    /// An element of the natural-number semiring.
+    Nat(u64),
+}
+
+impl SemiringValue {
+    /// The kind (semiring) this value belongs to.
+    pub fn kind(&self) -> SemiringKind {
+        match self {
+            SemiringValue::Bool(_) => SemiringKind::Bool,
+            SemiringValue::Nat(_) => SemiringKind::Nat,
+        }
     }
-    fn one() -> Self {
-        1
+
+    /// True if this value is the additive neutral element `0_S` of its semiring.
+    pub fn is_zero(&self) -> bool {
+        matches!(self, SemiringValue::Bool(false) | SemiringValue::Nat(0))
     }
-    fn add(&self, other: &Self) -> Self {
-        self + other
+
+    /// True if this value is the multiplicative neutral element `1_S` of its semiring.
+    pub fn is_one(&self) -> bool {
+        matches!(self, SemiringValue::Bool(true) | SemiringValue::Nat(1))
     }
-    fn mul(&self, other: &Self) -> Self {
-        self * other
+
+    /// True if this value absorbs addition, `s + a = a` for every `s` of its
+    /// semiring: `⊤` in `B`. `N` has no such element.
+    pub fn absorbs_add(&self) -> bool {
+        matches!(self, SemiringValue::Bool(true))
+    }
+
+    /// Semiring addition. Panics if the operands come from different semirings.
+    pub fn add(&self, other: &SemiringValue) -> SemiringValue {
+        match (self, other) {
+            (SemiringValue::Bool(a), SemiringValue::Bool(b)) => SemiringValue::Bool(*a || *b),
+            (SemiringValue::Nat(a), SemiringValue::Nat(b)) => SemiringValue::Nat(a + b),
+            _ => panic!("semiring kind mismatch in add: {self:?} + {other:?}"),
+        }
+    }
+
+    /// Semiring multiplication. Panics if the operands come from different semirings.
+    pub fn mul(&self, other: &SemiringValue) -> SemiringValue {
+        match (self, other) {
+            (SemiringValue::Bool(a), SemiringValue::Bool(b)) => SemiringValue::Bool(*a && *b),
+            (SemiringValue::Nat(a), SemiringValue::Nat(b)) => SemiringValue::Nat(a * b),
+            _ => panic!("semiring kind mismatch in mul: {self:?} * {other:?}"),
+        }
+    }
+
+    /// Interpret this value as a natural number multiplicity.
+    ///
+    /// Booleans map to `0`/`1`; this is the canonical semiring homomorphism `B → N`
+    /// used when applying a semiring value to a monoid value (`⊗`).
+    pub fn as_multiplicity(&self) -> u64 {
+        match self {
+            SemiringValue::Bool(false) => 0,
+            SemiringValue::Bool(true) => 1,
+            SemiringValue::Nat(n) => *n,
+        }
+    }
+
+    /// The Boolean truth value of this element (non-zero ⇒ true).
+    pub fn as_bool(&self) -> bool {
+        !self.is_zero()
     }
 }
 
-/// The probability / Viterbi-style semiring over `[0, 1]` with `max` as addition and
-/// `·` as multiplication. Included as an additional concrete semiring exercising the
-/// generic machinery (it is *not* how probabilities are computed in this system —
-/// exact probabilities come from convolution over distributions, cf. `pvc-prob`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Viterbi(pub f64);
-
-impl Semiring for Viterbi {
-    fn zero() -> Self {
-        Viterbi(0.0)
-    }
-    fn one() -> Self {
-        Viterbi(1.0)
-    }
-    fn add(&self, other: &Self) -> Self {
-        Viterbi(self.0.max(other.0))
-    }
-    fn mul(&self, other: &Self) -> Self {
-        Viterbi(self.0 * other.0)
+impl fmt::Display for SemiringValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SemiringValue::Bool(true) => write!(f, "⊤"),
+            SemiringValue::Bool(false) => write!(f, "⊥"),
+            SemiringValue::Nat(n) => write!(f, "{n}"),
+        }
     }
 }
 
-/// The access-control ("security") semiring mentioned in §2.2: annotations constrain
-/// who may see a query result, with `add = min` (most permissive alternative) and
-/// `mul = max` (most restrictive joint requirement) over an ordered set of clearance
-/// levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Clearance {
-    /// Anyone may see the tuple.
-    Public,
-    /// Confidential clearance required.
-    Confidential,
-    /// Secret clearance required.
-    Secret,
-    /// Top-secret clearance required.
-    TopSecret,
-    /// Nobody may see the tuple (the additive neutral element).
-    Never,
-}
-
-impl Semiring for Clearance {
-    fn zero() -> Self {
-        Clearance::Never
-    }
-    fn one() -> Self {
-        Clearance::Public
-    }
-    fn add(&self, other: &Self) -> Self {
-        *self.min(other)
-    }
-    fn mul(&self, other: &Self) -> Self {
-        *self.max(other)
+impl From<bool> for SemiringValue {
+    fn from(b: bool) -> Self {
+        SemiringValue::Bool(b)
     }
 }
 
-/// Check all commutative-semiring laws on a triple of sample elements.
-///
-/// Returns `Err` with a description of the first violated law, which makes property
-/// tests and doc examples read naturally.
-pub fn check_semiring_laws<S: Semiring>(a: &S, b: &S, c: &S) -> Result<(), String> {
-    let err = |law: &str| Err(format!("semiring law violated: {law}"));
-    // Additive commutative monoid.
-    if a.add(&b.add(c)) != a.add(b).add(c) {
-        return err("additive associativity");
+impl From<u64> for SemiringValue {
+    fn from(n: u64) -> Self {
+        SemiringValue::Nat(n)
     }
-    if a.add(b) != b.add(a) {
-        return err("additive commutativity");
+}
+
+/// Check every commutative-semiring law (Definition 3) on a triple of elements of
+/// one semiring, naming the first one violated.
+pub fn check_semiring_laws(
+    a: SemiringValue,
+    b: SemiringValue,
+    c: SemiringValue,
+) -> Result<(), &'static str> {
+    let (zero, one) = (a.kind().zero(), a.kind().one());
+    let add = |x: SemiringValue, y: SemiringValue| x.add(&y);
+    let mul = |x: SemiringValue, y: SemiringValue| x.mul(&y);
+    let laws = [
+        (
+            add(a, add(b, c)) == add(add(a, b), c),
+            "additive associativity",
+        ),
+        (add(a, b) == add(b, a), "additive commutativity"),
+        (add(a, zero) == a && add(zero, a) == a, "additive identity"),
+        (
+            mul(a, mul(b, c)) == mul(mul(a, b), c),
+            "multiplicative associativity",
+        ),
+        (mul(a, b) == mul(b, a), "multiplicative commutativity"),
+        (
+            mul(a, one) == a && mul(one, a) == a,
+            "multiplicative identity",
+        ),
+        (
+            mul(a, add(b, c)) == add(mul(a, b), mul(a, c)),
+            "left distributivity",
+        ),
+        (
+            mul(add(a, b), c) == add(mul(a, c), mul(b, c)),
+            "right distributivity",
+        ),
+        (
+            mul(a, zero).is_zero() && mul(zero, a).is_zero(),
+            "annihilation by zero",
+        ),
+    ];
+    match laws.iter().find(|(holds, _)| !holds) {
+        Some((_, law)) => Err(law),
+        None => Ok(()),
     }
-    if a.add(&S::zero()) != *a || S::zero().add(a) != *a {
-        return err("additive identity");
-    }
-    // Multiplicative commutative monoid.
-    if a.mul(&b.mul(c)) != a.mul(b).mul(c) {
-        return err("multiplicative associativity");
-    }
-    if a.mul(b) != b.mul(a) {
-        return err("multiplicative commutativity");
-    }
-    if a.mul(&S::one()) != *a || S::one().mul(a) != *a {
-        return err("multiplicative identity");
-    }
-    // Distributivity and annihilation.
-    if a.mul(&b.add(c)) != a.mul(b).add(&a.mul(c)) {
-        return err("left distributivity");
-    }
-    if a.add(b).mul(c) != a.mul(c).add(&b.mul(c)) {
-        return err("right distributivity");
-    }
-    if !a.mul(&S::zero()).is_zero() || !S::zero().mul(a).is_zero() {
-        return err("annihilation by zero");
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -184,71 +189,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn boolean_semiring_laws() {
-        for a in [false, true] {
-            for b in [false, true] {
-                for c in [false, true] {
-                    check_semiring_laws(&a, &b, &c).unwrap();
-                }
-            }
-        }
-    }
-
-    #[test]
     fn natural_semiring_laws() {
-        let samples = [0u64, 1, 2, 3, 7, 11];
+        // Every triple of a sample holding both neutral elements.
+        let samples = [0u64, 1, 2, 3, 7, 11].map(SemiringValue::Nat);
         for a in samples {
             for b in samples {
                 for c in samples {
-                    check_semiring_laws(&a, &b, &c).unwrap();
+                    assert_eq!(check_semiring_laws(a, b, c), Ok(()), "({a}, {b}, {c})");
                 }
             }
         }
-    }
-
-    #[test]
-    fn clearance_semiring_laws() {
-        use Clearance::*;
-        let samples = [Public, Confidential, Secret, TopSecret, Never];
-        for a in samples {
-            for b in samples {
-                for c in samples {
-                    check_semiring_laws(&a, &b, &c).unwrap();
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn clearance_semantics() {
-        use Clearance::*;
-        // Joint use of a Public and a Secret tuple requires Secret clearance.
-        assert_eq!(Public.mul(&Secret), Secret);
-        // Alternative derivations take the weaker requirement.
-        assert_eq!(Public.add(&Secret), Public);
-        // A tuple that can never be seen annihilates joins.
-        assert_eq!(Never.mul(&Public), Never);
-    }
-
-    #[test]
-    fn viterbi_is_a_semiring_on_unit_interval_samples() {
-        let samples = [0.0, 0.25, 0.5, 1.0];
-        for a in samples {
-            for b in samples {
-                for c in samples {
-                    check_semiring_laws(&Viterbi(a), &Viterbi(b), &Viterbi(c)).unwrap();
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sums_and_products() {
-        assert_eq!(u64::sum([1, 2, 3]), 6);
-        assert_eq!(u64::product([2, 3, 4]), 24);
-        assert!(bool::sum([false, false, true]));
-        assert!(!bool::product([true, true, false]));
-        assert!(u64::sum(std::iter::empty::<u64>()).is_zero());
-        assert!(u64::product(std::iter::empty::<u64>()).is_one());
     }
 }

@@ -1,152 +1,16 @@
-//! Dynamic value types used throughout the engine.
+//! The values being aggregated and the comparisons over them.
 //!
-//! The paper's representation system mixes two kinds of values:
-//!
-//! * **Semiring values** — elements of the annotation semiring `S` (the paper uses the
-//!   Boolean semiring `B` for set semantics and the natural numbers `N` for bag
-//!   semantics, cf. Table 1 of the paper).
 //! * **Monoid values** — elements of an aggregation monoid `M`, i.e. the values being
 //!   aggregated. MIN and MAX need the extended number line (`±∞` are their neutral
 //!   elements), so [`MonoidValue`] models `N ∪ {−∞, +∞}` over `i64`.
+//! * **Comparisons** — the `θ` of conditional expressions `[α θ β]` ([`CmpOp`]).
 //!
-//! The engine works with these *dynamic* enums (rather than generics) because a single
+//! The engine works with dynamic enums (rather than generics) because a single
 //! pvc-table may mix several monoids, and decomposition trees freely mix semiring and
-//! semimodule sub-expressions. The semiring laws (Definition 3) are checked on
-//! [`SemiringValue`] by the crate's property tests.
+//! semimodule sub-expressions. The annotation values are in [`crate::semiring`].
 
 use std::cmp::Ordering;
 use std::fmt;
-
-/// Which concrete annotation semiring the engine interprets expressions in.
-///
-/// `Bool` gives set semantics, `Nat` gives bag semantics (tuple multiplicities); see
-/// Table 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SemiringKind {
-    /// The Boolean semiring `(B, ∨, ⊥, ∧, ⊤)`.
-    Bool,
-    /// The semiring of natural numbers `(N, +, 0, ·, 1)`.
-    Nat,
-}
-
-impl SemiringKind {
-    /// The additive neutral element `0_S` of this semiring.
-    pub fn zero(self) -> SemiringValue {
-        match self {
-            SemiringKind::Bool => SemiringValue::Bool(false),
-            SemiringKind::Nat => SemiringValue::Nat(0),
-        }
-    }
-
-    /// The multiplicative neutral element `1_S` of this semiring.
-    pub fn one(self) -> SemiringValue {
-        match self {
-            SemiringKind::Bool => SemiringValue::Bool(true),
-            SemiringKind::Nat => SemiringValue::Nat(1),
-        }
-    }
-}
-
-impl fmt::Display for SemiringKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SemiringKind::Bool => write!(f, "B"),
-            SemiringKind::Nat => write!(f, "N"),
-        }
-    }
-}
-
-/// An element of a concrete annotation semiring (`B` or `N`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum SemiringValue {
-    /// An element of the Boolean semiring.
-    Bool(bool),
-    /// An element of the natural-number semiring.
-    Nat(u64),
-}
-
-impl SemiringValue {
-    /// The kind (semiring) this value belongs to.
-    pub fn kind(&self) -> SemiringKind {
-        match self {
-            SemiringValue::Bool(_) => SemiringKind::Bool,
-            SemiringValue::Nat(_) => SemiringKind::Nat,
-        }
-    }
-
-    /// True if this value is the additive neutral element `0_S` of its semiring.
-    pub fn is_zero(&self) -> bool {
-        matches!(self, SemiringValue::Bool(false) | SemiringValue::Nat(0))
-    }
-
-    /// True if this value is the multiplicative neutral element `1_S` of its semiring.
-    pub fn is_one(&self) -> bool {
-        matches!(self, SemiringValue::Bool(true) | SemiringValue::Nat(1))
-    }
-
-    /// True if this value absorbs addition, `s + a = a` for every `s` of its
-    /// semiring: `⊤` in `B`. `N` has no such element.
-    pub fn absorbs_add(&self) -> bool {
-        matches!(self, SemiringValue::Bool(true))
-    }
-
-    /// Semiring addition. Panics if the operands come from different semirings.
-    pub fn add(&self, other: &SemiringValue) -> SemiringValue {
-        match (self, other) {
-            (SemiringValue::Bool(a), SemiringValue::Bool(b)) => SemiringValue::Bool(*a || *b),
-            (SemiringValue::Nat(a), SemiringValue::Nat(b)) => SemiringValue::Nat(a + b),
-            _ => panic!("semiring kind mismatch in add: {self:?} + {other:?}"),
-        }
-    }
-
-    /// Semiring multiplication. Panics if the operands come from different semirings.
-    pub fn mul(&self, other: &SemiringValue) -> SemiringValue {
-        match (self, other) {
-            (SemiringValue::Bool(a), SemiringValue::Bool(b)) => SemiringValue::Bool(*a && *b),
-            (SemiringValue::Nat(a), SemiringValue::Nat(b)) => SemiringValue::Nat(a * b),
-            _ => panic!("semiring kind mismatch in mul: {self:?} * {other:?}"),
-        }
-    }
-
-    /// Interpret this value as a natural number multiplicity.
-    ///
-    /// Booleans map to `0`/`1`; this is the canonical semiring homomorphism `B → N`
-    /// used when applying a semiring value to a monoid value (`⊗`).
-    pub fn as_multiplicity(&self) -> u64 {
-        match self {
-            SemiringValue::Bool(false) => 0,
-            SemiringValue::Bool(true) => 1,
-            SemiringValue::Nat(n) => *n,
-        }
-    }
-
-    /// The Boolean truth value of this element (non-zero ⇒ true).
-    pub fn as_bool(&self) -> bool {
-        !self.is_zero()
-    }
-}
-
-impl fmt::Display for SemiringValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SemiringValue::Bool(true) => write!(f, "⊤"),
-            SemiringValue::Bool(false) => write!(f, "⊥"),
-            SemiringValue::Nat(n) => write!(f, "{n}"),
-        }
-    }
-}
-
-impl From<bool> for SemiringValue {
-    fn from(b: bool) -> Self {
-        SemiringValue::Bool(b)
-    }
-}
-
-impl From<u64> for SemiringValue {
-    fn from(n: u64) -> Self {
-        SemiringValue::Nat(n)
-    }
-}
 
 /// An element of an aggregation monoid: the extended integers `Z ∪ {−∞, +∞}`.
 ///
@@ -310,6 +174,7 @@ impl fmt::Display for CmpOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semiring::{SemiringKind, SemiringValue};
 
     #[test]
     fn semiring_bool_ops() {

@@ -6,7 +6,9 @@
 //! and a failing case is reported with the index that produced it. Each sweep runs
 //! from a fixed seed, plus `PVC_ORACLE_SEED` when that is set.
 
-use pvc_algebra::{AggOp, MonoidValue, SemiringKind, SemiringValue, ALL_AGG_OPS};
+use pvc_algebra::{
+    check_semimodule_laws, check_semiring_laws, AggOp, MonoidValue, SemiringValue, ALL_AGG_OPS,
+};
 use pvc_prob::SeededRng;
 
 const CASES: u64 = 128;
@@ -20,59 +22,13 @@ fn seeds(fixed: u64) -> Vec<u64> {
     seeds
 }
 
-/// Check every commutative-semiring law (Definition 3) on a triple of elements of
-/// `kind`, naming the first one violated.
-fn check_semiring_laws(
-    kind: SemiringKind,
-    a: SemiringValue,
-    b: SemiringValue,
-    c: SemiringValue,
-) -> Result<(), &'static str> {
-    let (zero, one) = (kind.zero(), kind.one());
-    let add = |x: SemiringValue, y: SemiringValue| x.add(&y);
-    let mul = |x: SemiringValue, y: SemiringValue| x.mul(&y);
-    let laws = [
-        (
-            add(a, add(b, c)) == add(add(a, b), c),
-            "additive associativity",
-        ),
-        (add(a, b) == add(b, a), "additive commutativity"),
-        (add(a, zero) == a && add(zero, a) == a, "additive identity"),
-        (
-            mul(a, mul(b, c)) == mul(mul(a, b), c),
-            "multiplicative associativity",
-        ),
-        (mul(a, b) == mul(b, a), "multiplicative commutativity"),
-        (
-            mul(a, one) == a && mul(one, a) == a,
-            "multiplicative identity",
-        ),
-        (
-            mul(a, add(b, c)) == add(mul(a, b), mul(a, c)),
-            "left distributivity",
-        ),
-        (
-            mul(add(a, b), c) == add(mul(a, c), mul(b, c)),
-            "right distributivity",
-        ),
-        (
-            mul(a, zero).is_zero() && mul(zero, a).is_zero(),
-            "annihilation by zero",
-        ),
-    ];
-    match laws.iter().find(|(holds, _)| !holds) {
-        Some((_, law)) => Err(law),
-        None => Ok(()),
-    }
-}
-
 #[test]
 fn boolean_semiring_laws() {
     let elements = [false, true].map(SemiringValue::Bool);
     for a in elements {
         for b in elements {
             for c in elements {
-                let checked = check_semiring_laws(SemiringKind::Bool, a, b, c);
+                let checked = check_semiring_laws(a, b, c);
                 assert_eq!(checked, Ok(()), "({a}, {b}, {c})");
             }
         }
@@ -86,8 +42,48 @@ fn natural_semiring_laws() {
         for case in 0..CASES {
             let mut nat = || SemiringValue::Nat(rng.gen_range(0i64..50) as u64);
             let (a, b, c) = (nat(), nat(), nat());
-            let checked = check_semiring_laws(SemiringKind::Nat, a, b, c);
+            let checked = check_semiring_laws(a, b, c);
             assert_eq!(checked, Ok(()), "seed {seed} case {case}: ({a}, {b}, {c})");
+        }
+    }
+}
+
+#[test]
+fn semimodule_laws_sum_nat() {
+    for seed in seeds(0xA6) {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        for case in 0..CASES {
+            let mut nat = || SemiringValue::Nat(rng.gen_range(0i64..20) as u64);
+            let (s1, s2) = (nat(), nat());
+            let m1 = MonoidValue::Fin(rng.gen_range(-100i64..100));
+            let m2 = MonoidValue::Fin(rng.gen_range(-100i64..100));
+            let checked = check_semimodule_laws(AggOp::Sum, s1, s2, m1, m2);
+            assert_eq!(
+                checked,
+                Ok(()),
+                "seed {seed} case {case}: {s1}, {s2}, {m1}, {m2}"
+            );
+        }
+    }
+}
+
+#[test]
+fn semimodule_laws_min_max_bool() {
+    for seed in seeds(0xA7) {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        for case in 0..CASES {
+            let mut bit = || SemiringValue::Bool(rng.next_u64() & 1 == 1);
+            let (s1, s2) = (bit(), bit());
+            let m1 = MonoidValue::Fin(rng.gen_range(-20i64..20));
+            let m2 = MonoidValue::Fin(rng.gen_range(-20i64..20));
+            for op in [AggOp::Min, AggOp::Max] {
+                let checked = check_semimodule_laws(op, s1, s2, m1, m2);
+                assert_eq!(
+                    checked,
+                    Ok(()),
+                    "seed {seed} case {case}: {op} {s1}, {s2}, {m1}, {m2}"
+                );
+            }
         }
     }
 }

@@ -26,6 +26,10 @@ pub mod factor;
 pub mod independence;
 pub mod intern;
 pub mod oracle;
+#[cfg(test)]
+mod polynomial;
+#[cfg(test)]
+mod posbool;
 pub mod residual;
 pub mod semimodule_expr;
 pub mod semiring_expr;
