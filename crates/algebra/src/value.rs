@@ -40,7 +40,11 @@ impl MonoidValue {
         matches!(self, MonoidValue::Fin(_))
     }
 
-    /// Saturating addition on the extended number line.
+    /// Addition on the extended number line: an infinite operand saturates the
+    /// result, and two finite operands add as plain `i64`s, which do **not**
+    /// saturate (they wrap in release builds). The engine refuses a SUM that
+    /// could leave `i64` in some world before it is evaluated
+    /// (`pvc_db::Error::AggregateOverflow`).
     ///
     /// `−∞ + +∞` is undefined in general; this implementation panics on that case
     /// because it never arises from well-formed aggregation expressions (SUM only
@@ -57,7 +61,10 @@ impl MonoidValue {
         }
     }
 
-    /// Multiplication on the extended number line (used by the PROD monoid).
+    /// Multiplication of two finite values (the PROD monoid) as plain `i64`s,
+    /// which do **not** saturate (they wrap in release builds); the engine refuses
+    /// a PROD that could leave `i64` in some world before it is evaluated
+    /// (`pvc_db::Error::AggregateOverflow`). Infinite operands panic.
     pub fn saturating_mul(&self, other: &MonoidValue) -> MonoidValue {
         match (self, other) {
             (MonoidValue::Fin(a), MonoidValue::Fin(b)) => MonoidValue::Fin(a * b),

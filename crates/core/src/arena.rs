@@ -1139,6 +1139,7 @@ impl DTreeArena {
 mod tests {
     use super::*;
     use pvc_algebra::MonoidValue::Fin;
+    use pvc_expr::{SemimoduleExpr, SemiringExpr};
 
     fn table_abc(pa: f64, pb: f64, pc: f64) -> (VarTable, Var, Var, Var) {
         let mut vt = VarTable::new();
@@ -1213,22 +1214,24 @@ mod tests {
                 let d = arena
                     .semiring_distribution(&vt, SemiringKind::Bool)
                     .unwrap();
-                // Reference: P[min θ bound] by direct enumeration of the 4 worlds.
-                let mut expected = 0.0;
-                for (xv, px) in [(true, 0.35), (false, 0.65)] {
-                    for (yv, py) in [(true, 0.8), (false, 0.2)] {
-                        let mut m = MonoidValue::PosInf;
-                        if xv {
-                            m = m.min(Fin(10));
-                        }
-                        if yv {
-                            m = m.min(Fin(20));
-                        }
-                        if theta.eval(&m, &Fin(bound)) {
-                            expected += px * py;
-                        }
-                    }
-                }
+                // Reference: P[min θ bound] by enumeration of the 4 worlds.
+                let alpha = SemimoduleExpr::from_terms(
+                    AggOp::Min,
+                    vec![
+                        (SemiringExpr::Var(x), Fin(10)),
+                        (SemiringExpr::Var(y), Fin(20)),
+                    ],
+                );
+                let condition = SemiringExpr::cmp_mm(
+                    theta,
+                    alpha,
+                    SemimoduleExpr::constant(AggOp::Min, Fin(bound)),
+                );
+                let expected = pvc_expr::oracle::confidence_by_enumeration(
+                    &condition,
+                    &vt,
+                    SemiringKind::Bool,
+                );
                 assert!(
                     (d.prob(&SemiringValue::Bool(true)) - expected).abs() < 1e-12,
                     "{theta:?} {bound}: got {}, expected {expected}",

@@ -157,14 +157,6 @@ impl VarTable {
         }
         h
     }
-
-    /// The total number of possible worlds induced by the registered variables.
-    pub fn num_worlds(&self) -> u128 {
-        self.dists
-            .iter()
-            .map(|d| d.support_size() as u128)
-            .product()
-    }
 }
 
 /// A set of variables, kept sorted and deduplicated.
@@ -335,7 +327,6 @@ mod tests {
         assert_eq!(vt.kind(x), SemiringKind::Bool);
         assert_eq!(vt.kind(y), SemiringKind::Nat);
         assert!((vt.prob_true(x) - 0.4).abs() < 1e-12);
-        assert_eq!(vt.num_worlds(), 4);
     }
 
     #[test]

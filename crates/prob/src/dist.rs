@@ -184,16 +184,6 @@ impl<T: Ord + Clone> Dist<T> {
         self.entries.last().map(|(v, _)| v)
     }
 
-    /// Insert additional mass on a value.
-    pub fn add_mass(&mut self, value: T, p: f64) {
-        if p > PROB_EPS {
-            match self.entries.binary_search_by(|(v, _)| v.cmp(&value)) {
-                Ok(i) => self.entries[i].1 += p,
-                Err(i) => self.entries.insert(i, (value, p)),
-            }
-        }
-    }
-
     /// Multiply every probability by a constant factor (e.g. `P[x ← s]` when
     /// partitioning on a variable, Eq. 10 of the paper). Linear pass; entries whose
     /// scaled probability falls below [`PROB_EPS`] are dropped.

@@ -9,7 +9,7 @@ pub type SemiringDist = Dist<SemiringValue>;
 pub type MonoidDist = Dist<MonoidValue>;
 
 /// Convenience constructors for the distributions that appear constantly in the
-/// engine: Boolean tuple-presence variables and small integer-valued variables.
+/// engine: the Boolean tuple-presence variable.
 pub mod make {
     use super::*;
 
@@ -22,22 +22,6 @@ pub mod make {
             SemiringValue::Bool(false),
             1.0 - p_true,
         )
-    }
-
-    /// A uniform distribution over the natural numbers `lo..=hi` (bag multiplicity).
-    pub fn uniform_nat(lo: u64, hi: u64) -> SemiringDist {
-        let n = (hi - lo + 1) as f64;
-        Dist::from_pairs((lo..=hi).map(|v| (SemiringValue::Nat(v), 1.0 / n)))
-    }
-
-    /// A point distribution on a semiring constant.
-    pub fn certain(value: SemiringValue) -> SemiringDist {
-        Dist::point(value)
-    }
-
-    /// The distribution of a deterministic monoid value.
-    pub fn certain_monoid(value: MonoidValue) -> MonoidDist {
-        Dist::point(value)
     }
 }
 
@@ -60,13 +44,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_nat_support() {
-        let d = make::uniform_nat(1, 4);
-        assert_eq!(d.support_size(), 4);
-        assert!(d.is_normalized());
-    }
-
-    #[test]
     fn example_11_tensor_distribution() {
         // Example 11 of the paper: Φ = x with Px = {(0,0.3),(1,0.3),(2,0.4)},
         // α = y⊗5 with Py = {(1,0.4),(2,0.4),(3,0.2)}  ⇒  Pα = {(5,.4),(10,.4),(15,.2)}
@@ -81,7 +58,7 @@ mod tests {
             (SemiringValue::Nat(2), 0.4),
             (SemiringValue::Nat(3), 0.2),
         ]);
-        let alpha = tensor(&py, &make::certain_monoid(Fin(5)));
+        let alpha = tensor(&py, &Dist::point(Fin(5)));
         assert!((alpha.prob(&Fin(5)) - 0.4).abs() < 1e-12);
         assert!((alpha.prob(&Fin(10)) - 0.4).abs() < 1e-12);
         assert!((alpha.prob(&Fin(15)) - 0.2).abs() < 1e-12);
@@ -102,7 +79,7 @@ mod tests {
         // P[5] = Px[⊤]·Py[⊤].
         let px = make::bernoulli(0.3);
         let py = make::bernoulli(0.4);
-        let alpha = tensor(&py, &make::certain_monoid(Fin(5)));
+        let alpha = tensor(&py, &Dist::point(Fin(5)));
         let result = tensor(&px, &alpha);
         assert!((result.prob(&Fin(5)) - 0.3 * 0.4).abs() < 1e-12);
         assert!((result.prob(&Fin(0)) - (1.0 - 0.12)).abs() < 1e-12);
@@ -112,7 +89,7 @@ mod tests {
     #[test]
     fn comparisons_produce_semiring_values() {
         let a = Dist::from_pairs([(Fin(10), 0.5), (Fin(60), 0.5)]);
-        let b = make::certain_monoid(Fin(50));
+        let b = Dist::point(Fin(50));
         let kind = SemiringKind::Bool;
         let indicator = |holds: bool| if holds { kind.one() } else { kind.zero() };
         // Eq. (8): comparison of independent semimodule expressions.

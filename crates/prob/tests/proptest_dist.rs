@@ -7,7 +7,7 @@
 
 use pvc_algebra::{CmpOp, MonoidValue, SemiringValue};
 use pvc_prob::dist::reference::RefDist;
-use pvc_prob::{convolve_additive_chained, ChainVal, Dist, ProbabilitySpace, SeededRng};
+use pvc_prob::{convolve_additive_chained, ChainVal, Dist, SeededRng};
 
 const CASES: u64 = 128;
 
@@ -83,29 +83,6 @@ fn scale_mix_partition_reconstructs() {
         let branch2 = a.clone();
         let mixed = branch1.scale(p).mix(&branch2.scale(1.0 - p));
         assert!(mixed.approx_eq(&a, 1e-9));
-    }
-}
-
-#[test]
-fn enumeration_matches_convolution_for_sums() {
-    let mut rng = SeededRng::seed_from_u64(0xB6);
-    for _ in 0..CASES {
-        let norm = |v: &[f64]| {
-            let s: f64 = v.iter().sum();
-            v.iter().map(|p| p / s).collect::<Vec<_>>()
-        };
-        let px: Vec<f64> = (0..2).map(|_| 0.1 + 0.9 * rng.next_f64()).collect();
-        let py: Vec<f64> = (0..3).map(|_| 0.1 + 0.9 * rng.next_f64()).collect();
-        let px = norm(&px);
-        let py = norm(&py);
-        let dx = Dist::from_pairs(px.iter().enumerate().map(|(i, p)| (i as i64, *p)));
-        let dy = Dist::from_pairs(py.iter().enumerate().map(|(i, p)| (10 + i as i64, *p)));
-        let mut space = ProbabilitySpace::new();
-        space.insert("x", dx.clone());
-        space.insert("y", dy.clone());
-        let by_enum = space.distribution_of(|v| v["x"] + v["y"]);
-        let by_conv = dx.convolve(&dy, |a, b| a + b);
-        assert!(by_enum.approx_eq(&by_conv, 1e-9));
     }
 }
 

@@ -5,6 +5,7 @@
 //! so callers match on one enum instead of a zoo of panics.
 
 use crate::query::QueryError;
+use pvc_algebra::AggOp;
 use pvc_core::{BudgetExceeded, DTreeError, EvalError, PersistError};
 use std::fmt;
 
@@ -37,6 +38,15 @@ pub enum Error {
         column: String,
         /// What the operation required of it.
         expected: &'static str,
+    },
+    /// A SUM or PROD aggregate could leave the 64-bit integer range in some
+    /// world (its values, scaled by the largest multiplicity each annotation
+    /// can take). Step I refuses the group rather than let a result wrap.
+    AggregateOverflow {
+        /// The aggregate operator.
+        op: AggOp,
+        /// The aggregated column.
+        column: String,
     },
     /// A parallel tuple worker could not be spawned, or terminated without
     /// delivering its results (a panic in a worker thread). Streaming surfaces this
@@ -78,6 +88,12 @@ impl fmt::Display for Error {
             Error::Distribution(e) => write!(f, "distribution computation failed: {e}"),
             Error::TypeMismatch { column, expected } => {
                 write!(f, "column `{column}` does not hold {expected}")
+            }
+            Error::AggregateOverflow { op, column } => {
+                write!(
+                    f,
+                    "{op}({column}) can leave the 64-bit integer range in some world"
+                )
             }
             Error::Worker(detail) => write!(f, "parallel execution failed: {detail}"),
             Error::Snapshot(e) => write!(f, "artifact snapshot failed: {e}"),

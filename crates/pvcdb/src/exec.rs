@@ -34,8 +34,8 @@ use crate::query::{Predicate, Query, QueryError};
 use crate::relation::{PvcTable, Tuple};
 use crate::schema::{Column, Schema};
 use crate::value::Value;
-use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind};
-use pvc_expr::{SemimoduleExpr, SemiringExpr};
+use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
+use pvc_expr::{SemimoduleExpr, SemiringExpr, VarTable};
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -70,6 +70,7 @@ fn rewrite_counted(db: &Database, query: &Query) -> Result<(PvcTable, usize), Er
     let root = plan(db, query)?;
     let mut executor = Executor {
         kind: db.kind,
+        vars: &db.vars,
         values_materialised: 0,
     };
     let tuples = executor.tuples(&root)?;
@@ -627,13 +628,15 @@ impl<'k> Groups<'k> {
 // Execution
 // ---------------------------------------------------------------------------
 
-struct Executor {
+struct Executor<'db> {
     kind: SemiringKind,
+    /// The database's variables: their largest values bound SUM / PROD over `N`.
+    vars: &'db VarTable,
     /// `Value`s cloned or created into tuples so far.
     values_materialised: usize,
 }
 
-impl Executor {
+impl Executor<'_> {
     /// The result of `node` as owned tuples — the root of a query.
     fn tuples(&mut self, node: &Node) -> Result<Vec<Tuple>, Error> {
         let mut rel = self.relation(node)?;
@@ -844,6 +847,7 @@ impl Executor {
         };
         for agg in aggs {
             let mut expr = SemimoduleExpr::zero(agg.op);
+            let mut headroom = Headroom::of(agg.op);
             for (&row, annotation) in rows.iter().zip(&annotations) {
                 let value = match &agg.column {
                     None => MonoidValue::Fin(1),
@@ -855,7 +859,20 @@ impl Executor {
                             expected: "integer constants under aggregation",
                         })?,
                 };
+                if let (Some(headroom), MonoidValue::Fin(v)) = (&mut headroom, value) {
+                    let multiplicity = match self.kind {
+                        SemiringKind::Bool => 1,
+                        SemiringKind::Nat => largest_multiplicity(annotation, self.vars),
+                    };
+                    headroom.push(multiplicity, v);
+                }
                 expr.push(annotation.clone(), value);
+            }
+            if let Some(Headroom::Overflow) = headroom {
+                return Err(Error::AggregateOverflow {
+                    op: agg.op,
+                    column: agg.column.map_or("*", |c| c.name).to_string(),
+                });
             }
             values.push(Value::Agg(expr));
         }
@@ -867,6 +884,81 @@ impl Executor {
             SemiringExpr::cmp_ss(CmpOp::Ne, sum, SemiringExpr::Const(self.kind.zero()))
         };
         Ok(Tuple::new(values, annotation))
+    }
+}
+
+/// The range a SUM or PROD of a group reaches over all worlds, in checked `i64`
+/// arithmetic. Row `i` contributes `sᵢ ⊗ vᵢ` with `sᵢ ≤ mᵢ`, the largest value
+/// its annotation takes: a SUM lies between the sum of the negative and the sum
+/// of the positive contributions, and a PROD's magnitude is at most the product
+/// of its `|v| ≥ 2` factors, each to the power `mᵢ`. Every partial fold lies
+/// within the same bounds, so a group that stays `Sum` / `Prod` cannot wrap.
+#[derive(Clone, Copy)]
+enum Headroom {
+    Sum {
+        low: i64,
+        high: i64,
+    },
+    Prod {
+        magnitude: i64,
+    },
+    /// Some world's result could leave `i64`.
+    Overflow,
+}
+
+impl Headroom {
+    /// The empty group's range for `op`; `None` for COUNT, MIN and MAX, which
+    /// are not checked.
+    fn of(op: AggOp) -> Option<Self> {
+        match op {
+            AggOp::Sum => Some(Headroom::Sum { low: 0, high: 0 }),
+            AggOp::Prod => Some(Headroom::Prod { magnitude: 1 }),
+            AggOp::Count | AggOp::Min | AggOp::Max => None,
+        }
+    }
+
+    /// Widen the range by the contribution of a value `v` whose annotation is
+    /// at most `multiplicity`.
+    fn push(&mut self, multiplicity: u64, v: i64) {
+        let next = match *self {
+            Headroom::Sum { low, high } => i64::try_from(multiplicity)
+                .ok()
+                .and_then(|m| m.checked_mul(v))
+                .and_then(|c| match c < 0 {
+                    true => low.checked_add(c).map(|low| Headroom::Sum { low, high }),
+                    false => high.checked_add(c).map(|high| Headroom::Sum { low, high }),
+                }),
+            Headroom::Prod { magnitude } if v.unsigned_abs() >= 2 && multiplicity > 0 => {
+                u32::try_from(multiplicity)
+                    .ok()
+                    .and_then(|m| v.checked_abs()?.checked_pow(m))
+                    .and_then(|factor| magnitude.checked_mul(factor))
+                    .map(|magnitude| Headroom::Prod { magnitude })
+            }
+            unchanged => Some(unchanged),
+        };
+        *self = next.unwrap_or(Headroom::Overflow);
+    }
+}
+
+/// The largest value `expr` takes in any world over `N`, saturating at
+/// `u64::MAX`: every variable at its largest support value and every
+/// conditional at 1, since sums and products are monotone in `N`.
+fn largest_multiplicity(expr: &SemiringExpr, vars: &VarTable) -> u64 {
+    let of = |value: &SemiringValue| match *value {
+        SemiringValue::Bool(b) => u64::from(b),
+        SemiringValue::Nat(n) => n,
+    };
+    match expr {
+        SemiringExpr::Var(v) => vars.dist(*v).max_value().map_or(0, of),
+        SemiringExpr::Const(c) => of(c),
+        SemiringExpr::Add(cs) => cs.iter().fold(0, |total, c| {
+            total.saturating_add(largest_multiplicity(c, vars))
+        }),
+        SemiringExpr::Mul(cs) => cs.iter().fold(1, |total, c| {
+            total.saturating_mul(largest_multiplicity(c, vars))
+        }),
+        SemiringExpr::CmpSS(..) | SemiringExpr::CmpMM(..) => 1,
     }
 }
 

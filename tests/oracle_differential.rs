@@ -1,8 +1,10 @@
 //! Differential testing against the brute-force world-enumeration oracle.
 //!
-//! `pvc_prob::oracle` computes aggregate distributions the dumbest possible
-//! way — enumerate all `2^n` worlds of a group's independent tuples and sum
-//! world probabilities per outcome. These tests pin the engine's entire
+//! `pvc_expr::oracle`, the workspace's one possible-world oracle, computes
+//! aggregate distributions the dumbest possible way: a group of independent
+//! tuples `xᵢ` with values `vᵢ` is the expression `Σ xᵢ ⊗ vᵢ` over the
+//! database's own variables, and enumerating all `2^n` worlds of it sums world
+//! probabilities per outcome (Eq. 3). These tests pin the engine's entire
 //! evaluation stack (rewriting, compilation, arena evaluation, the adaptive
 //! dense/sparse/FFT convolution kernel, threshold folds) against that ground
 //! truth, across:
@@ -28,8 +30,8 @@
 //! the CI `oracle-smoke` job runs two extra seeded rounds.
 
 use pvc_suite::core::SharedArtifacts;
+use pvc_suite::expr::oracle;
 use pvc_suite::prelude::*;
-use pvc_suite::prob::oracle;
 
 /// Deterministic pseudo-random stream (splitmix64) — no RNG dependency, stable
 /// across platforms, distinct per seed.
@@ -63,9 +65,13 @@ fn seeds() -> Vec<u64> {
     seeds
 }
 
+/// One tuple as the oracle sees it: its annotation (a presence variable of
+/// the database) and its column value.
+type OracleTuple = (SemiringExpr, i64);
+
 /// A single-group database of `n` independent tuples with values in
-/// `[lo, hi]`; returns the `(probability, value)` list the oracle needs.
-fn seeded_db(seed: u64, n: usize, lo: i64, hi: i64) -> (Database, Vec<(f64, i64)>) {
+/// `[lo, hi]`; returns the tuples the oracle needs.
+fn seeded_db(seed: u64, n: usize, lo: i64, hi: i64) -> (Database, Vec<OracleTuple>) {
     let mut mix = Mix(seed);
     let mut db = Database::new();
     db.create_table("T", Schema::new(["g", "v"]));
@@ -74,22 +80,34 @@ fn seeded_db(seed: u64, n: usize, lo: i64, hi: i64) -> (Database, Vec<(f64, i64)
     for _ in 0..n {
         let p = mix.prob();
         let v = mix.value(lo, hi);
-        t.push_independent(vec!["G".into(), v.into()], p, vars);
-        tuples.push((p, v));
+        let x = t.push_independent(vec!["G".into(), v.into()], p, vars);
+        tuples.push((x, v));
     }
     (db, tuples)
 }
 
-/// The oracle's view of the group for one operator: COUNT aggregates the
-/// constant 1 per tuple, everything else the column value.
-fn oracle_tuples(op: AggOp, tuples: &[(f64, i64)]) -> Vec<(f64, MonoidValue)> {
-    tuples
+/// The group's total aggregate distribution by enumeration: `Σ xᵢ ⊗ vᵢ` over
+/// the database's variables, where COUNT aggregates the constant 1 per tuple
+/// and everything else the column value. The world with no tuple present
+/// contributes the monoid identity (`SUM = 0`, `MIN = +∞`, …).
+fn enumerated(op: AggOp, vars: &VarTable, tuples: &[OracleTuple]) -> MonoidDist {
+    let terms = tuples
         .iter()
-        .map(|&(p, v)| {
-            let contributed = if op.is_count() { 1 } else { v };
-            (p, MonoidValue::Fin(contributed))
+        .map(|(x, v)| {
+            let contributed = if op.is_count() { 1 } else { *v };
+            (x.clone(), MonoidValue::Fin(contributed))
         })
-        .collect()
+        .collect();
+    let alpha = SemimoduleExpr::from_terms(op, terms);
+    oracle::semimodule_dist_by_enumeration(&alpha, vars, SemiringKind::Bool)
+}
+
+/// `P[agg θ c]` read off an enumerated distribution: the comparison mass the
+/// engine's threshold folds compute for a `HAVING`-style predicate.
+fn comparison_mass(dist: &MonoidDist, theta: CmpOp, c: i64) -> f64 {
+    dist.iter()
+        .filter(|(v, _)| theta.eval(*v, &MonoidValue::Fin(c)))
+        .fold(0.0, |sum, (_, p)| sum + p)
 }
 
 fn agg_query(op: AggOp) -> Query {
@@ -130,19 +148,23 @@ fn every_aggregate_matches_the_enumeration_oracle() {
                 AggOp::Count,
                 AggOp::Prod,
             ] {
-                // PROD over ten ~10^5-scale factors overflows i64 in engine
-                // and oracle alike; keep it to the small-value shape.
-                if op == AggOp::Prod && shape == "sparse" {
-                    continue;
-                }
                 let context = format!("seed={seed} shape={shape} op={op}");
                 let result = engine
                     .prepare(&agg_query(op))
                     .unwrap()
-                    .execute(&EvalOptions::default())
-                    .unwrap();
+                    .execute(&EvalOptions::default());
+                // PROD over ten ~10^5-scale factors would leave i64: the
+                // engine refuses it rather than wrap.
+                if op == AggOp::Prod && shape == "sparse" {
+                    assert!(
+                        matches!(result, Err(Error::AggregateOverflow { .. })),
+                        "{context}: {result:?}"
+                    );
+                    continue;
+                }
+                let result = result.unwrap();
                 assert_eq!(result.tuples.len(), 1, "{context}");
-                let expected = oracle::aggregate_by_enumeration(op, &oracle_tuples(op, &tuples));
+                let expected = enumerated(op, &engine.database().vars, &tuples);
                 assert_dist_close(
                     &result.tuples[0].aggregate_distributions["m"],
                     &expected,
@@ -167,7 +189,7 @@ fn fast_path_and_full_compilation_agree_with_the_oracle() {
         let engine = Engine::new(db);
         for op in [AggOp::Min, AggOp::Max, AggOp::Sum] {
             let prepared = engine.prepare(&agg_query(op)).unwrap();
-            let expected = oracle::aggregate_by_enumeration(op, &oracle_tuples(op, &tuples));
+            let expected = enumerated(op, &engine.database().vars, &tuples);
             for (label, options) in [
                 ("fast", EvalOptions::default()),
                 ("compiled", EvalOptions::default().without_fast_path()),
@@ -215,7 +237,7 @@ fn thread_counts_agree_bitwise_and_match_the_oracle() {
                         "seed={seed} op={op} threads={threads}: confidence bits"
                     );
                 }
-                let expected = oracle::aggregate_by_enumeration(op, &oracle_tuples(op, &tuples));
+                let expected = enumerated(op, &db.vars, &tuples);
                 assert_dist_close(
                     &reference.tuples[0].aggregate_distributions["m"],
                     &expected,
@@ -236,7 +258,7 @@ fn threshold_predicates_match_the_oracle_comparison_mass() {
             // Group-free aggregates follow the total-distribution semantics
             // (the empty world contributes the identity), so the predicate's
             // confidence is the oracle's comparison mass over *all* worlds.
-            let base = oracle::aggregate_by_enumeration(op, &oracle_tuples(op, &tuples));
+            let base = enumerated(op, &engine.database().vars, &tuples);
             for theta in [CmpOp::Le, CmpOp::Lt, CmpOp::Ge, CmpOp::Gt] {
                 for c in [1, 5, 40] {
                     let query = agg_query(op).select(Predicate::AggCmpConst("m".into(), theta, c));
@@ -245,14 +267,7 @@ fn threshold_predicates_match_the_oracle_comparison_mass() {
                         .unwrap()
                         .execute(&EvalOptions::default())
                         .unwrap();
-                    let probs = oracle::comparison_probabilities(&base, MonoidValue::Fin(c));
-                    let expected = match theta {
-                        CmpOp::Le => probs.le(),
-                        CmpOp::Lt => probs.lt,
-                        CmpOp::Ge => probs.ge(),
-                        CmpOp::Gt => probs.gt,
-                        _ => unreachable!(),
-                    };
+                    let expected = comparison_mass(&base, theta, c);
                     let got = result.tuples.first().map_or(0.0, |t| t.confidence);
                     assert!(
                         (got - expected).abs() < 1e-9,
@@ -305,7 +320,7 @@ fn grouped_queries_match_per_group_oracles() {
         let mut mix = Mix(seed.wrapping_mul(31).wrapping_add(5));
         let mut db = Database::new();
         db.create_table("T", Schema::new(["g", "v"]));
-        let mut groups: std::collections::BTreeMap<String, Vec<(f64, i64)>> =
+        let mut groups: std::collections::BTreeMap<String, Vec<OracleTuple>> =
             std::collections::BTreeMap::new();
         {
             let (t, vars) = db.table_and_vars_mut("T").unwrap();
@@ -313,8 +328,8 @@ fn grouped_queries_match_per_group_oracles() {
                 let g = format!("g{}", i % 3);
                 let p = mix.prob();
                 let v = mix.value(1, 8);
-                t.push_independent(vec![g.as_str().into(), v.into()], p, vars);
-                groups.entry(g).or_default().push((p, v));
+                let x = t.push_independent(vec![g.as_str().into(), v.into()], p, vars);
+                groups.entry(g).or_default().push((x, v));
             }
         }
         let engine = Engine::new(db);
@@ -329,10 +344,7 @@ fn grouped_queries_match_per_group_oracles() {
             let Value::Str(g) = &tuple.values[0] else {
                 panic!("group key must be text");
             };
-            let expected = oracle::aggregate_by_enumeration(
-                AggOp::Sum,
-                &oracle_tuples(AggOp::Sum, &groups[g.as_str()]),
-            );
+            let expected = enumerated(AggOp::Sum, &engine.database().vars, &groups[g.as_str()]);
             assert_dist_close(
                 &tuple.aggregate_distributions["m"],
                 &expected,
@@ -484,9 +496,7 @@ fn store_conditionals_equal_the_compiled_circuit_bit_for_bit() {
                             .semiring_distribution(&vars, kind)
                             .unwrap();
                         assert_eq!(bits(&routed), bits(&compiled), "{context}");
-                        let expected = pvc_suite::expr::oracle::semiring_dist_by_enumeration(
-                            &expr, &vars, kind,
-                        );
+                        let expected = oracle::semiring_dist_by_enumeration(&expr, &vars, kind);
                         assert!(routed.approx_eq(&expected, 1e-9), "{context}");
                         let counters = store.counters();
                         match shape {
@@ -599,9 +609,7 @@ fn store_aggregates_and_sums_equal_the_compiled_circuit_bit_for_bit() {
                         .monoid_distribution(&vars, kind)
                         .unwrap();
                     assert_eq!(bits(&folded), bits(&compiled), "{context}");
-                    let expected = pvc_suite::expr::oracle::semimodule_dist_by_enumeration(
-                        &alpha, &vars, kind,
-                    );
+                    let expected = oracle::semimodule_dist_by_enumeration(&alpha, &vars, kind);
                     assert!(folded.approx_eq(&expected, 1e-9), "{context}");
                     let whole =
                         store.counters().arena_misses == 1 && store.aggregate_entries() == 1;
@@ -625,8 +633,7 @@ fn store_aggregates_and_sums_equal_the_compiled_circuit_bit_for_bit() {
                         .semiring_distribution(&vars, kind)
                         .unwrap();
                     assert_eq!(bits(&folded), bits(&compiled), "{context}");
-                    let expected =
-                        pvc_suite::expr::oracle::semiring_dist_by_enumeration(&expr, &vars, kind);
+                    let expected = oracle::semiring_dist_by_enumeration(&expr, &vars, kind);
                     assert!(folded.approx_eq(&expected, 1e-9), "{context}");
                 }
             }
@@ -695,11 +702,8 @@ fn conditions_where_monomials_are_absorbed_match_enumeration() {
                         .semiring_distribution(&vars, SemiringKind::Bool)
                         .unwrap();
                     let got = pvc_suite::core::confidence_of(&dist);
-                    let expected = pvc_suite::expr::oracle::confidence_by_enumeration(
-                        &condition,
-                        &vars,
-                        SemiringKind::Bool,
-                    );
+                    let expected =
+                        oracle::confidence_by_enumeration(&condition, &vars, SemiringKind::Bool);
                     assert!(
                         (got - expected).abs() < 1e-9,
                         "seed={seed} {op} {theta:?} attempt {attempt}: {got} vs {expected}: {condition}"
