@@ -191,14 +191,19 @@ fn aggregating_a_string_column_is_a_type_error() {
 /// annotation's largest multiplicity.
 #[test]
 fn aggregates_that_could_leave_i64_are_refused() {
-    let engine = |kind: SemiringKind, rows: &[(i64, &[(u64, f64)])]| {
+    // One row per `(value, n)`: over `B` present at 0.5, over `N` with a
+    // multiplicity uniform on `0..=n`.
+    let engine = |kind: SemiringKind, rows: &[(i64, u64)]| {
         let mut db = Database::with_kind(kind);
         db.create_table("T", Schema::new(["v"]));
         let (t, vars) = db.table_and_vars_mut("T").unwrap();
-        for (i, &(v, dist)) in rows.iter().enumerate() {
+        for (i, &(v, n)) in rows.iter().enumerate() {
             let x = match kind {
                 SemiringKind::Bool => vars.boolean(format!("x{i}"), 0.5),
-                SemiringKind::Nat => vars.natural(format!("n{i}"), dist),
+                SemiringKind::Nat => {
+                    let uniform: Vec<_> = (0..=n).map(|k| (k, 1.0 / (n + 1) as f64)).collect();
+                    vars.natural(format!("n{i}"), &uniform)
+                }
             };
             t.try_push(vec![v.into()], SemiringExpr::Var(x)).unwrap();
         }
@@ -216,44 +221,32 @@ fn aggregates_that_could_leave_i64_are_refused() {
         );
         assert!(err.to_string().contains("64-bit"), "{err}");
     };
-    let coin: &[(u64, f64)] = &[];
     let half = i64::MAX / 2;
     for v in [half + 10, -(half + 10)] {
-        let e = engine(SemiringKind::Bool, &[(v, coin), (v, coin)]);
+        let e = engine(SemiringKind::Bool, &[(v, 1), (v, 1)]);
         refused(run(&e, AggOp::Sum), AggOp::Sum);
         for op in [AggOp::Count, AggOp::Min, AggOp::Max] {
             assert!(run(&e, op).is_ok(), "{op}");
         }
     }
     // Positive and negative contributions are bounded apart: each side fits.
-    let e = engine(
-        SemiringKind::Bool,
-        &[(half, coin), (half, coin), (-half, coin)],
-    );
+    let e = engine(SemiringKind::Bool, &[(half, 1), (half, 1), (-half, 1)]);
     let sum = run(&e, AggOp::Sum).unwrap();
     let top = MonoidValue::Fin(2 * half);
     assert!((sum.tuples[0].aggregate_distributions["m"].prob(&top) - 0.125).abs() < 1e-12);
-    let e = engine(SemiringKind::Bool, &[(1 << 40, coin), (1 << 40, coin)]);
+    let e = engine(SemiringKind::Bool, &[(1 << 40, 1), (1 << 40, 1)]);
     refused(run(&e, AggOp::Prod), AggOp::Prod);
-    let e = engine(
-        SemiringKind::Bool,
-        &[(1 << 40, coin), (-(1 << 20), coin), (1, coin)],
-    );
+    let e = engine(SemiringKind::Bool, &[(1 << 40, 1), (-(1 << 20), 1), (1, 1)]);
     assert!(run(&e, AggOp::Prod).is_ok());
     // Over N the multiplicity counts: 2 · 2^62 leaves i64 and 1 · 2^62 does
     // not; (2^31)^3 leaves it and (2^31)^2 does not.
-    let at_most = |n: u64| {
-        (0..=n)
-            .map(|k| (k, 1.0 / (n + 1) as f64))
-            .collect::<Vec<_>>()
-    };
     for (v, n, op, fits) in [
         (1i64 << 62, 2, AggOp::Sum, false),
         (1 << 62, 1, AggOp::Sum, true),
         (1 << 31, 3, AggOp::Prod, false),
         (1 << 31, 2, AggOp::Prod, true),
     ] {
-        let e = engine(SemiringKind::Nat, &[(v, &at_most(n))]);
+        let e = engine(SemiringKind::Nat, &[(v, n)]);
         match fits {
             true => assert!(run(&e, op).is_ok(), "{op} {v} × {n}"),
             false => refused(run(&e, op), op),
