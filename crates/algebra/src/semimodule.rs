@@ -31,13 +31,15 @@ impl AggOp {
                 other => *other,
             },
             AggOp::Prod => match m {
-                MonoidValue::Fin(v) => {
-                    let mut acc: i64 = 1;
-                    for _ in 0..n {
-                        acc *= v;
-                    }
-                    MonoidValue::Fin(acc)
-                }
+                MonoidValue::Fin(v) => MonoidValue::Fin(match v {
+                    // Closed forms: a multiplicity may reach 2^36 and more.
+                    -1 if n % 2 == 0 => 1,
+                    -1..=1 => *v,
+                    _ => u32::try_from(n)
+                        .ok()
+                        .and_then(|n| v.checked_pow(n))
+                        .expect("a product that leaves i64 (step I refuses one)"),
+                }),
                 other => *other,
             },
         }
@@ -105,6 +107,10 @@ mod tests {
     fn sum_semimodule_over_naturals() {
         let scalars = [0, 1, 2, 5].map(SemiringValue::Nat);
         check_all(AggOp::Sum, &scalars, &[Fin(0), Fin(1), Fin(7), Fin(-3)]);
+        // PROD acts on 1 and -1 in closed form, whatever the multiplicity.
+        let huge = SemiringValue::Nat(1 << 36);
+        let laws = check_semimodule_laws(AggOp::Prod, huge, scalars[1], Fin(1), Fin(-1));
+        assert_eq!(laws, Ok(()));
     }
 
     #[test]

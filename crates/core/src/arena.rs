@@ -38,7 +38,11 @@
 //!
 //! The engine's store ([`SharedArtifacts`](crate::cache::SharedArtifacts))
 //! evaluates each arena where the compiler emits it and keeps the distribution,
-//! not the circuit.
+//! not the circuit. Two things exist for it alone: a `Known` leaf carries a
+//! component distribution the store already held when the compiler reached
+//! the component, and a *marked* node (a component the store did not hold)
+//! has a copy of its value handed out as it is computed — the tap the store
+//! inserts from — while the chain carries the value itself on.
 //!
 //! # Empty sides of comparisons
 //!
@@ -94,6 +98,19 @@ pub struct DTreeArena {
     folds: Vec<(u32, Fold)>,
     /// Statically inferred sort per node.
     sorts: Vec<Sort>,
+    /// The distributions of the `Known` leaves, by slot.
+    known: Vec<Known>,
+    /// `(node, token)` of every marked node, ascending by node.
+    marks: Vec<(u32, u32)>,
+}
+
+/// The distribution a `Known` leaf carries: stored by the artifact store for
+/// an independent component, and entering the evaluation as the component's
+/// value.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Known {
+    Semiring(SemiringDist),
+    Monoid(MonoidDist),
 }
 
 /// One step of the explicit traversal stack: visit a node's children first
@@ -196,7 +213,7 @@ impl Val {
     }
 
     /// Extract a monoid distribution (dual of [`into_semiring`](Self::into_semiring)).
-    fn into_monoid(self, ctx: &'static str) -> Result<MonoidDist, DTreeError> {
+    pub(crate) fn into_monoid(self, ctx: &'static str) -> Result<MonoidDist, DTreeError> {
         match self {
             Val::M(d) => Ok(d),
             // Plain materialisation — callers that demote mid-chain record the
@@ -224,8 +241,8 @@ impl Val {
 /// Reusable buffers for one evaluation pass: the traversal stack, the typed value
 /// stack, and one convolution scratch buffer per sort. Nested evaluations (from
 /// threshold folds) share the buffers through base-offset discipline.
-#[derive(Default)]
-struct EvalScratch {
+#[derive(Debug, Default)]
+pub(crate) struct EvalScratch {
     work: Vec<Phase>,
     stack: Vec<Val>,
     s_pairs: Vec<(SemiringValue, f64)>,
@@ -241,6 +258,9 @@ struct EvalScratch {
     /// travel as [`Val::B`] and `∨`, `∧`, `[θ]` and `⊔` over them run on the
     /// two-cell kernel. Bit-identical either way; off, every value is a `Dist`.
     cells: bool,
+    /// `(token, value)` copies of the marked nodes' values, in evaluation
+    /// order.
+    tapped: Vec<(u32, Val)>,
     /// When set, `eval_from` tracks the value-stack high-water mark in
     /// `max_depth` (observed only when the metrics registry is enabled, so the
     /// disabled hot path pays one local branch per step).
@@ -264,15 +284,19 @@ impl DTreeArena {
             branches: Vec::new(),
             folds: Vec::new(),
             sorts: Vec::new(),
+            known: Vec::new(),
+            marks: Vec::new(),
         }
     }
 
-    /// Forget every node, keeping the four tables' allocations.
+    /// Forget every node, keeping the tables' allocations.
     pub(crate) fn clear(&mut self) {
         self.nodes.clear();
         self.branches.clear();
         self.folds.clear();
         self.sorts.clear();
+        self.known.clear();
+        self.marks.clear();
     }
 
     /// Append a node whose children (if any) are already in the arena and return
@@ -289,6 +313,10 @@ impl DTreeArena {
             ArenaNode::MConst(_) | ArenaNode::SumM { .. } | ArenaNode::Tensor { .. } => {
                 Sort::Monoid
             }
+            ArenaNode::Known(slot) => match self.known[slot as usize] {
+                Known::Semiring(_) => Sort::Semiring,
+                Known::Monoid(_) => Sort::Monoid,
+            },
             ArenaNode::Exclusive {
                 branches_start,
                 branches_len,
@@ -332,6 +360,20 @@ impl DTreeArena {
             branches_start,
             branches_len,
         })
+    }
+
+    /// Append a `Known` leaf carrying `value`.
+    pub(crate) fn push_known(&mut self, value: Known) -> u32 {
+        let slot = self.known.len() as u32;
+        self.known.push(value);
+        self.push(ArenaNode::Known(slot))
+    }
+
+    /// Mark the node at `idx`, the last one pushed: evaluation hands a copy of
+    /// its value out under `token`.
+    pub(crate) fn mark(&mut self, idx: u32, token: u32) {
+        debug_assert_eq!(idx as usize + 1, self.nodes.len(), "marks ascend");
+        self.marks.push((idx, token));
     }
 
     /// Number of nodes.
@@ -397,18 +439,7 @@ impl DTreeArena {
         table: &VarTable,
         kind: SemiringKind,
     ) -> Result<SemiringDist, DTreeError> {
-        Ok(self.semiring_distribution_by(table, kind)?.0)
-    }
-
-    /// [`semiring_distribution`](Self::semiring_distribution), and the form the
-    /// root value was computed in.
-    pub(crate) fn semiring_distribution_by(
-        &self,
-        table: &VarTable,
-        kind: SemiringKind,
-    ) -> Result<(SemiringDist, Interp), DTreeError> {
-        let (value, interp) = self.evaluate(table, kind)?;
-        Ok((value.into_semiring("root")?, interp))
+        self.evaluate(table, kind)?.0.into_semiring("root")
     }
 
     /// Evaluate and extract the root as a monoid distribution.
@@ -421,16 +452,35 @@ impl DTreeArena {
     }
 
     fn evaluate(&self, table: &VarTable, kind: SemiringKind) -> Result<(Val, Interp), DTreeError> {
-        let mut scratch = EvalScratch {
-            cells: kind == SemiringKind::Bool,
-            ..EvalScratch::default()
-        };
+        self.evaluate_tapped(table, kind, &mut EvalScratch::default(), &mut Vec::new())
+    }
+
+    /// Evaluate the root in `scratch`'s buffers, appending a `(token, value)`
+    /// copy of every marked node's value to `tapped`. The buffers are empty
+    /// again afterwards, whatever the outcome, and keep their room.
+    pub(crate) fn evaluate_tapped(
+        &self,
+        table: &VarTable,
+        kind: SemiringKind,
+        scratch: &mut EvalScratch,
+        tapped: &mut Vec<(u32, Val)>,
+    ) -> Result<(Val, Interp), DTreeError> {
+        scratch.cells = kind == SemiringKind::Bool;
         let depth_hist = &crate::obs::core_metrics().eval_stack_depth;
         scratch.track_depth = depth_hist.is_enabled();
+        scratch.max_depth = 0;
         let root = self.nodes.len() as u32 - 1;
-        let result = self.eval_from(root, table, kind, &mut scratch);
+        let result = self.eval_from(root, table, kind, scratch);
         if scratch.track_depth {
             depth_hist.record(scratch.max_depth as u64);
+        }
+        tapped.append(&mut scratch.tapped);
+        if result.is_err() {
+            // An aborted pass leaves operands behind.
+            scratch.work.clear();
+            scratch.stack.clear();
+            scratch.spine.clear();
+            scratch.additive.take();
         }
         result.map(|value| {
             let interp = match value {
@@ -461,23 +511,17 @@ impl DTreeArena {
                 scratch.max_depth = scratch.max_depth.max(scratch.stack.len());
             }
             let phase = scratch.work.pop().expect("work stack entry");
-            let i = match phase {
+            let (i, value) = match phase {
                 Phase::Expand(i) => {
-                    match self.nodes[i as usize] {
+                    let leaf = match self.nodes[i as usize] {
                         // Leaves evaluate immediately.
-                        ArenaNode::VarLeaf(v) => {
-                            let leaf = Val::leaf(table.dist(v), scratch.cells);
-                            scratch.stack.push(leaf);
-                            continue;
-                        }
-                        ArenaNode::SConst(s) => {
-                            scratch.stack.push(Val::constant(s, scratch.cells));
-                            continue;
-                        }
-                        ArenaNode::MConst(m) => {
-                            scratch.stack.push(Val::M(Dist::point(m)));
-                            continue;
-                        }
+                        ArenaNode::VarLeaf(v) => Val::leaf(table.dist(v), scratch.cells),
+                        ArenaNode::SConst(s) => Val::constant(s, scratch.cells),
+                        ArenaNode::MConst(m) => Val::M(Dist::point(m)),
+                        ArenaNode::Known(slot) => match &self.known[slot as usize] {
+                            Known::Semiring(d) => Val::semiring(d.clone(), scratch.cells),
+                            Known::Monoid(d) => Val::M(d.clone()),
+                        },
                         // A folded comparison handles its own subtree.
                         ArenaNode::Cmp { left, right, .. } => {
                             let Some(fold) = self.fold_of(i) else {
@@ -489,12 +533,11 @@ impl DTreeArena {
                             let (p_true, mass) = self.threshold(
                                 fold.child, fold.theta, fold.bound, table, kind, scratch,
                             )?;
-                            scratch.stack.push(if scratch.cells {
+                            if scratch.cells {
                                 Val::B(BoolCells::new(mass - p_true, p_true))
                             } else {
                                 Val::S(comparison_dist(kind, p_true, mass))
-                            });
-                            continue;
+                            }
                         }
                         ArenaNode::SumS { left, right }
                         | ArenaNode::Prod { left, right }
@@ -524,89 +567,103 @@ impl DTreeArena {
                             }
                             continue;
                         }
-                    }
+                    };
+                    (i, leaf)
                 }
-                Phase::Emit(i) => i,
-            };
-            let value = match self.nodes[i as usize] {
-                ArenaNode::SumS { .. } | ArenaNode::Prod { .. } => {
-                    let right = scratch.stack.pop().expect("⊕ / ⊙ right operand");
-                    let left = scratch.stack.pop().expect("⊕ / ⊙ left operand");
-                    let is_add = matches!(self.nodes[i as usize], ArenaNode::SumS { .. });
-                    combine_semiring(is_add, left, right, &mut scratch.s_pairs)?
-                }
-                ArenaNode::SumM { op, .. } => {
-                    let right = scratch.stack.pop().expect("⊕ right operand");
-                    let left = scratch.stack.pop().expect("⊕ left operand");
-                    match op {
-                        // SUM/COUNT: adaptive dense/sparse kernel, and a dense
-                        // operand stays dense across the node boundary.
-                        AggOp::Sum | AggOp::Count => {
-                            let to_chain = |v: Val| -> Result<ChainVal, DTreeError> {
-                                Ok(match v {
-                                    Val::MD(d) => ChainVal::Dense(d),
-                                    other => ChainVal::Sparse(other.into_monoid("⊕(semimodule)")?),
-                                })
-                            };
-                            let (ca, cb) = (to_chain(left)?, to_chain(right)?);
-                            scratch.additive.push(ca);
-                            scratch.additive.push(cb);
-                            match scratch.additive.take().expect("two operands were folded") {
-                                ChainVal::Dense(d) => Val::MD(d),
-                                ChainVal::Sparse(d) => Val::M(d),
+                Phase::Emit(i) => (
+                    i,
+                    match self.nodes[i as usize] {
+                        ArenaNode::SumS { .. } | ArenaNode::Prod { .. } => {
+                            let right = scratch.stack.pop().expect("⊕ / ⊙ right operand");
+                            let left = scratch.stack.pop().expect("⊕ / ⊙ left operand");
+                            let is_add = matches!(self.nodes[i as usize], ArenaNode::SumS { .. });
+                            combine_semiring(is_add, left, right, &mut scratch.s_pairs)?
+                        }
+                        ArenaNode::SumM { op, .. } => {
+                            let right = scratch.stack.pop().expect("⊕ right operand");
+                            let left = scratch.stack.pop().expect("⊕ left operand");
+                            match op {
+                                // SUM/COUNT: adaptive dense/sparse kernel, and a dense
+                                // operand stays dense across the node boundary.
+                                AggOp::Sum | AggOp::Count => {
+                                    let to_chain = |v: Val| -> Result<ChainVal, DTreeError> {
+                                        Ok(match v {
+                                            Val::MD(d) => ChainVal::Dense(d),
+                                            other => ChainVal::Sparse(
+                                                other.into_monoid("⊕(semimodule)")?,
+                                            ),
+                                        })
+                                    };
+                                    let (ca, cb) = (to_chain(left)?, to_chain(right)?);
+                                    scratch.additive.push(ca);
+                                    scratch.additive.push(cb);
+                                    match scratch.additive.take().expect("two operands were folded")
+                                    {
+                                        ChainVal::Dense(d) => Val::MD(d),
+                                        ChainVal::Sparse(d) => Val::M(d),
+                                    }
+                                }
+                                _ => {
+                                    let da = left.demote_monoid("⊕(semimodule)")?;
+                                    let db = right.demote_monoid("⊕(semimodule)")?;
+                                    Val::M(da.convolve_with_scratch(
+                                        &db,
+                                        |x, y| op.combine(x, y),
+                                        &mut scratch.m_pairs,
+                                    ))
+                                }
                             }
                         }
-                        _ => {
-                            let da = left.demote_monoid("⊕(semimodule)")?;
-                            let db = right.demote_monoid("⊕(semimodule)")?;
-                            Val::M(da.convolve_with_scratch(
-                                &db,
-                                |x, y| op.combine(x, y),
+                        ArenaNode::Tensor { op, .. } => {
+                            let value = scratch.stack.pop().expect("⊗ value operand");
+                            let scalar = scratch.stack.pop().expect("⊗ scalar operand");
+                            let ds = scalar.into_semiring("⊗ scalar")?;
+                            let dm = value.demote_monoid("⊗ value")?;
+                            Val::M(ds.convolve_with_scratch(
+                                &dm,
+                                |s, m| op.scalar_action(s, m),
                                 &mut scratch.m_pairs,
                             ))
                         }
-                    }
-                }
-                ArenaNode::Tensor { op, .. } => {
-                    let value = scratch.stack.pop().expect("⊗ value operand");
-                    let scalar = scratch.stack.pop().expect("⊗ scalar operand");
-                    let ds = scalar.into_semiring("⊗ scalar")?;
-                    let dm = value.demote_monoid("⊗ value")?;
-                    Val::M(ds.convolve_with_scratch(
-                        &dm,
-                        |s, m| op.scalar_action(s, m),
-                        &mut scratch.m_pairs,
-                    ))
-                }
-                ArenaNode::Cmp { theta, .. } => {
-                    let right = scratch.stack.pop().expect("[θ] right operand");
-                    let left = scratch.stack.pop().expect("[θ] left operand");
-                    let cells = scratch.cells;
-                    compare(theta, left, right, kind, cells, &mut scratch.s_pairs)?
-                }
-                ArenaNode::Exclusive {
-                    var,
-                    branches_start,
-                    branches_len,
-                } => {
-                    let n = branches_len as usize;
-                    let vals = scratch.stack.split_off(scratch.stack.len() - n);
-                    let var_dist = table.dist(var);
-                    let mut acc = Val::Empty;
-                    for (k, val) in vals.into_iter().enumerate() {
-                        let (value, _) = &self.branches[branches_start as usize + k];
-                        let weight = var_dist.prob(value);
-                        if weight <= 0.0 {
-                            continue;
+                        ArenaNode::Cmp { theta, .. } => {
+                            let right = scratch.stack.pop().expect("[θ] right operand");
+                            let left = scratch.stack.pop().expect("[θ] left operand");
+                            let cells = scratch.cells;
+                            compare(theta, left, right, kind, cells, &mut scratch.s_pairs)?
                         }
-                        acc = mix_scaled(acc, val, weight)?;
-                    }
-                    acc
-                }
-                ArenaNode::VarLeaf(_) | ArenaNode::SConst(_) | ArenaNode::MConst(_) => {
-                    unreachable!("leaves are evaluated during Expand")
-                }
+                        ArenaNode::Exclusive {
+                            var,
+                            branches_start,
+                            branches_len,
+                        } => {
+                            let n = branches_len as usize;
+                            let vals = scratch.stack.split_off(scratch.stack.len() - n);
+                            let var_dist = table.dist(var);
+                            let mut acc = Val::Empty;
+                            for (k, val) in vals.into_iter().enumerate() {
+                                let (value, _) = &self.branches[branches_start as usize + k];
+                                let weight = var_dist.prob(value);
+                                if weight <= 0.0 {
+                                    continue;
+                                }
+                                acc = mix_scaled(acc, val, weight)?;
+                            }
+                            acc
+                        }
+                        ArenaNode::VarLeaf(_)
+                        | ArenaNode::SConst(_)
+                        | ArenaNode::MConst(_)
+                        | ArenaNode::Known(_) => {
+                            unreachable!("leaves are evaluated during Expand")
+                        }
+                    },
+                ),
             };
+            if !self.marks.is_empty() {
+                if let Ok(at) = self.marks.binary_search_by_key(&i, |&(node, _)| node) {
+                    scratch.tapped.push((self.marks[at].1, value.clone()));
+                }
+            }
             scratch.stack.push(value);
         }
         if scratch.track_depth {
@@ -874,6 +931,10 @@ impl fmt::Display for DTreeArena {
                     }
                     ArenaNode::MConst(m) => {
                         write!(f, "{m}")?;
+                        continue;
+                    }
+                    ArenaNode::Known(slot) => {
+                        write!(f, "κ{slot}")?;
                         continue;
                     }
                     ArenaNode::SumS { left, right } => ("(", left, " ⊕ ".into(), right, ")"),
@@ -1179,6 +1240,35 @@ mod tests {
         assert!(!arena.is_empty());
         assert_eq!(arena.to_string(), "((v0 ⊙ v1) ⊕ ⊥)");
         assert_eq!(DTreeArena::from_tree(&arena), arena);
+    }
+
+    #[test]
+    fn known_leaves_carry_their_distribution_and_marked_values_are_tapped() {
+        let (vt, a, b, _) = table_abc(0.3, 0.5, 0.5);
+        let arena = built(|t| {
+            let (left, right) = (t.var(a), t.var(b));
+            let product = t.push(ArenaNode::Prod { left, right });
+            t.mark(product, 7);
+            let known = t.push_known(Known::Semiring(pvc_prob::make::bernoulli(0.25)));
+            t.push(ArenaNode::SumS {
+                left: product,
+                right: known,
+            })
+        });
+        assert_eq!(arena.to_string(), "((v0 ⊙ v1) ⊕ κ0)");
+        let (mut scratch, mut tapped) = (EvalScratch::default(), Vec::new());
+        let evaluated = arena.evaluate_tapped(&vt, SemiringKind::Bool, &mut scratch, &mut tapped);
+        let (root, _) = evaluated.unwrap();
+        let p_true = |value: Val| {
+            value
+                .into_semiring("test")
+                .unwrap()
+                .prob(&SemiringValue::Bool(true))
+        };
+        assert!((p_true(root) - (1.0 - 0.85 * 0.75)).abs() < 1e-12);
+        let [(token, product)]: [(u32, Val); 1] = tapped.try_into().unwrap();
+        assert_eq!(token, 7);
+        assert!((p_true(product) - 0.15).abs() < 1e-12);
     }
 
     #[test]

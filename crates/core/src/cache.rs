@@ -1,83 +1,71 @@
-//! The canonical compilation cache: bounded memoisation of d-tree compilation
-//! artifacts (semiring distributions / confidences and aggregate monoid
-//! distributions), keyed by the **canonical ids** of the hash-consed expression
-//! arena ([`pvc_expr::intern`]).
+//! The artifact store: bounded memoisation of the **distributions** d-tree
+//! compilation produces (semiring distributions and aggregate monoid
+//! distributions), keyed by the **canonical ids** of the hash-consed
+//! expression arena ([`pvc_expr::intern`]), which are canonical under
+//! commutative operand reordering — structurally equal provenance under
+//! different renderings shares one entry.
 //!
-//! Two pieces live here:
+//! [`SharedArtifacts`] is the store's one public face: an [`Interner`] and a
+//! bounded LRU map per sort (`CompilationCache`: [`CacheConfig`] bounds,
+//! [`CacheCounters`]) behind mutexes, shareable across worker threads and
+//! engines as `Arc<SharedArtifacts>`, and the cache-aware evaluator. On a miss
+//! it answers in one of two ways.
 //!
-//! * [`CompilationCache`] — an LRU store with configurable entry- and byte-bounds
-//!   ([`CacheConfig`]) and hit/miss/eviction/cross-scope counters
-//!   ([`CacheCounters`]). Keys are [`ExprId`] / [`AggExprId`], which are canonical
-//!   under commutative operand reordering, so structurally-equal provenance compiled
-//!   under *different renderings* shares one entry.
-//! * [`SharedArtifacts`] — the **thread-safe, `Arc`-shareable** pairing of an
-//!   [`Interner`] and a [`CompilationCache`] behind mutexes, and the cache-aware
-//!   evaluation driver: it consults the cache at every independent sub-d-tree
-//!   (the compiler's rule 2 split, and rule 5 for a conditional `[s θ c]`
-//!   against a constant — see `plan_semiring`), so a large annotation whose
-//!   independent components recur elsewhere reuses their distributions without
-//!   recompiling, and newly computed sub-distributions are inserted on the way
-//!   out. The split is the compiler's own: the store plans with the
-//!   compiler's [`Partitioner`] through the same [`Partitioner::split`] call —
-//!   which takes the interner's disjointness bit and, when it is set (a group
-//!   of tuple-independent rows), returns the operands in order with no
-//!   union–find — folds the components in its order, and
-//!   folds semiring values with the arena's own `⊕` / `⊙` / `[θ]` arms
-//!   (SUM / COUNT aggregates through the [`AdditiveFold`] the arena's `⊕`
-//!   uses), so its answer is the compiled circuit's, bit for bit.
-//!   It is **lock-granular**: locks are held only around intern / lookup /
-//!   insert operations, never across a d-tree compilation, so parallel tuple
-//!   workers share artifacts without serialising their compilations. One
-//!   `Arc<SharedArtifacts>` can also back several engines (multi-tenant
-//!   serving over one database).
+//! * **The leaf-list fold.** A sum or product of two or more distinct bare
+//!   variables (the interner's disjointness bit set), an aggregate whose terms
+//!   are all `x ⊗ m` over distinct variables, or `[s θ c]` over such a sum or
+//!   product with the constant `c` on either side, is folded here over the
+//!   variable table: the group confidences `[Σ Φ_t ≠ 0]` and the SUM / COUNT
+//!   aggregates over tuple-independent rows. The compiler would emit a
+//!   left-deep chain over the variables in order (rule 2, under one `[θ]` node
+//!   by rule 5); the fold takes the arena's own arms over the values its
+//!   leaves would carry (`combine_semiring` / `compare`, and for aggregates the
+//!   [`AdditiveFold`] of its SUM / COUNT `⊕`), so the answer is that circuit's,
+//!   bit for bit, without building it.
+//! * **Compilation.** Anything else is compiled whole by a compiler that
+//!   consults this store at every independent component it splits off on the
+//!   way (see [`crate::compile`]): a component the store holds enters the
+//!   arena as a `Known` leaf carrying its distribution; one it does not is
+//!   compiled in place and its root marked, and evaluating the arena hands
+//!   each marked value back for insertion. The compiler alone decides every
+//!   split; the store is the memo it consults.
 //!
-//! What is memoised: every independent component with **two or more variables or
-//! a non-variable coefficient**. A component that is a single bare variable `x`
-//! (or one aggregate term `x ⊗ m`) is a *leaf component*: its distribution is
-//! `P_x` (or `P_x` mapped through the scalar action), which the [`VarTable`]
-//! already holds — reading it is cheaper than the intern → lookup → compile →
-//! insert round trip a cache entry costs, so leaves are evaluated
-//! inline and leave no trace in the interner, the cache or the counters. The
-//! enclosing expression's own entry still carries every leaf's variable in its
+//! A component that is a single bare variable or constant is never looked up:
+//! its distribution is `P_x`, which the [`VarTable`] already holds, or a point.
+//! The enclosing expression's entry still carries every variable in its
 //! var-set, so [`SharedArtifacts::evict_touching`] is unaffected.
 //!
-//! What is not memoised: the compiled circuit. The paper compiles an
-//! expression into a d-tree and evaluates it once for its distribution (§5); a
-//! circuit is worth keeping only to evaluate it again under another
-//! interpretation, and every reader of this store asks for the distribution it
-//! already keeps under the same id. So a component with no further split is
-//! compiled in lent scratch, its arena is evaluated where it was emitted, and
-//! nothing but the distribution is inserted — an evicted distribution is
-//! recomputed by compiling again.
-//!
-//! Caching distributions (rather than bare confidences) is what makes sub-d-tree
-//! composition possible: independent sums/products combine cached distributions by
-//! convolution (Eqs. 4–7 of the paper) in time `O(|p_1|·|p_2|)`.
-//!
-//! The store's own id-keyed tables (the LRU slab index, `settled`'s visited
-//! set) hash with the interner's [`IdHasher`]: their keys are ids this program
-//! issued, so SipHash's protection buys nothing there.
+//! What is not memoised is the compiled circuit. The paper compiles an
+//! expression into a d-tree and evaluates it once for its distribution (§5),
+//! and every reader of this store asks for the distribution it already keeps
+//! under the same id, so an arena is evaluated where it was emitted and
+//! nothing but distributions is inserted — an evicted distribution is
+//! recomputed by compiling again. Caching distributions is what makes
+//! composition possible: independent components combine by convolution
+//! (Eqs. 4–7 of the paper).
 //!
 //! Correctness contract: cached artifacts are functions of (expression structure,
 //! variable distributions, ambient semiring). Callers must clear the cache whenever
 //! variable distributions change, and must bypass it when compilation is made
 //! observably fallible (node budgets) — the engine in `pvc-db` does both.
 
-use crate::arena::{Interp, Val};
-use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler};
+use crate::arena::{Known, Val};
+use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler, Lookup, Memo};
 use crate::node::DTreeError;
+use crate::obs::Counter;
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
-use pvc_expr::independence::{Hint, Partitioner};
-use pvc_expr::intern::{AggExprId, ExprId, IdHasher, ImportMemo, InternedExpr, Interner};
+use pvc_expr::intern::{AggExprId, ExprId, ImportMemo, InternedExpr, Interner};
 use pvc_expr::vars::sorted_disjoint;
-use pvc_expr::{SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
-use pvc_prob::{AdditiveFold, ChainVal, MonoidDist, SemiringDist};
-use std::collections::{HashMap, HashSet};
+use pvc_expr::{AggTerm, ResidualArena, SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
+use pvc_prob::{AdditiveFold, MonoidDist, SemiringDist};
+use std::cell::RefCell;
 use std::fmt;
-use std::hash::BuildHasherDefault;
 use std::sync::{Mutex, MutexGuard};
 
-/// Size bounds for the [`CompilationCache`]. **Each of the two distribution
+mod lru;
+
+pub(crate) use lru::Lru;
+/// Size bounds for the store's distribution cache. **Each of the two distribution
 /// maps** (semiring, aggregate) enforces both bounds independently — the
 /// worst-case total footprint is therefore `2 × max_bytes` / `2 × max_entries`;
 /// size a memory budget accordingly. The least-recently-used entry of a map is
@@ -112,196 +100,27 @@ pub struct CacheCounters {
     pub cross_scope_hits: u64,
     /// Entries evicted by the LRU bounds.
     pub evictions: u64,
-    /// Circuits compiled through the store: one per component with no further
-    /// independent split whose distribution had to be computed. (No arena is
-    /// kept, so every such component is a miss; the name predates that.)
+    /// Compilations through the store: one per root it does not fold itself,
+    /// its memoised components compiled in the same arena. (No arena is
+    /// kept, so every compilation is a miss; the name predates that.)
     pub arena_misses: u64,
 }
 
-/// A doubly-linked LRU map from `u32` canonical ids to artifacts.
-///
-/// Implemented over a slab (`Vec<Option<Entry>>` + free list) so that promotion and
-/// eviction are O(1) and no external crate is needed.
-#[derive(Debug)]
-struct Lru<V> {
-    /// Slot of each key: keys are interner ids, hashed with the interner's
-    /// [`IdHasher`].
-    map: HashMap<u32, usize, BuildHasherDefault<IdHasher>>,
-    slots: Vec<Option<LruEntry<V>>>,
-    free: Vec<usize>,
-    head: usize, // most recently used; NONE when empty
-    tail: usize, // least recently used; NONE when empty
-    bytes: usize,
-}
-
-#[derive(Debug)]
-struct LruEntry<V> {
-    key: u32,
-    value: V,
-    bytes: usize,
-    scope: u64,
-    prev: usize,
-    next: usize,
-}
-
-const NONE: usize = usize::MAX;
-
-impl<V> Lru<V> {
-    fn new() -> Self {
-        Lru {
-            map: HashMap::default(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NONE,
-            tail: NONE,
-            bytes: 0,
+impl CacheCounters {
+    /// Count one lookup under `scope` that found an entry inserted under
+    /// `found` (`None`: a miss), on `hit` or `miss` too.
+    fn count(&mut self, found: Option<u64>, scope: u64, hit: &Counter, miss: &Counter) {
+        match found {
+            Some(entry_scope) => {
+                self.hits += 1;
+                self.cross_scope_hits += u64::from(entry_scope != scope);
+                hit.inc();
+            }
+            None => {
+                self.misses += 1;
+                miss.inc();
+            }
         }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NONE;
-        self.tail = NONE;
-        self.bytes = 0;
-    }
-
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = {
-            let e = self.slots[slot].as_ref().expect("linked slot");
-            (e.prev, e.next)
-        };
-        if prev != NONE {
-            self.slots[prev].as_mut().expect("linked slot").next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NONE {
-            self.slots[next].as_mut().expect("linked slot").prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, slot: usize) {
-        {
-            let e = self.slots[slot].as_mut().expect("slot");
-            e.prev = NONE;
-            e.next = self.head;
-        }
-        if self.head != NONE {
-            self.slots[self.head].as_mut().expect("head slot").prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NONE {
-            self.tail = slot;
-        }
-    }
-
-    /// Look up and promote to most-recently-used. Returns the value and the scope
-    /// the entry was inserted under.
-    fn get(&mut self, key: u32) -> Option<(&V, u64)> {
-        let slot = *self.map.get(&key)?;
-        self.unlink(slot);
-        self.push_front(slot);
-        let e = self.slots[slot].as_ref().expect("slot");
-        Some((&e.value, e.scope))
-    }
-
-    /// Every entry as `(key, scope, value)`, least-recently-used first — the
-    /// order the snapshot codec replays inserts in, so restoring reproduces the
-    /// recency order. Does not promote.
-    fn entries_oldest_first(&self) -> Vec<(u32, u64, &V)> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut cur = self.tail;
-        while cur != NONE {
-            let e = self.slots[cur].as_ref().expect("linked slot");
-            out.push((e.key, e.scope, &e.value));
-            cur = e.prev;
-        }
-        out
-    }
-
-    /// Remove one entry by key, leaving the recency order of the others intact.
-    /// Returns true if the key was present.
-    fn remove(&mut self, key: u32) -> bool {
-        let Some(slot) = self.map.remove(&key) else {
-            return false;
-        };
-        self.unlink(slot);
-        let e = self.slots[slot].take().expect("mapped slot");
-        self.bytes -= e.bytes;
-        self.free.push(slot);
-        true
-    }
-
-    /// Insert or replace; evicts least-recently-used entries beyond the bounds.
-    /// Returns the number of evictions performed.
-    fn insert(
-        &mut self,
-        key: u32,
-        value: V,
-        bytes: usize,
-        scope: u64,
-        config: &CacheConfig,
-    ) -> u64 {
-        if let Some(&slot) = self.map.get(&key) {
-            self.unlink(slot);
-            let e = self.slots[slot].as_mut().expect("slot");
-            self.bytes = self.bytes - e.bytes + bytes;
-            e.value = value;
-            e.bytes = bytes;
-            e.scope = scope;
-            self.push_front(slot);
-        } else {
-            let slot = match self.free.pop() {
-                Some(s) => {
-                    self.slots[s] = Some(LruEntry {
-                        key,
-                        value,
-                        bytes,
-                        scope,
-                        prev: NONE,
-                        next: NONE,
-                    });
-                    s
-                }
-                None => {
-                    self.slots.push(Some(LruEntry {
-                        key,
-                        value,
-                        bytes,
-                        scope,
-                        prev: NONE,
-                        next: NONE,
-                    }));
-                    self.slots.len() - 1
-                }
-            };
-            self.map.insert(key, slot);
-            self.bytes += bytes;
-            self.push_front(slot);
-        }
-        let mut evictions = 0;
-        while self.len() > 1 && (self.len() > config.max_entries || self.bytes > config.max_bytes) {
-            let victim = self.tail;
-            self.unlink(victim);
-            let e = self.slots[victim].take().expect("tail slot");
-            self.map.remove(&e.key);
-            self.bytes -= e.bytes;
-            self.free.push(victim);
-            evictions += 1;
-        }
-        evictions
     }
 }
 
@@ -311,13 +130,14 @@ fn dist_bytes<T: Ord + Clone>(d: &pvc_prob::Dist<T>) -> usize {
     64 + d.support_size() * (std::mem::size_of::<T>() + std::mem::size_of::<f64>() + 32)
 }
 
-/// The bounded memo store for compilation artifacts. See the [module
-/// documentation](self).
+/// The bounded memo store behind [`SharedArtifacts`]: one LRU map per sort.
 #[derive(Debug)]
-pub struct CompilationCache {
-    config: CacheConfig,
-    semiring: Lru<SemiringDist>,
-    aggregate: Lru<MonoidDist>,
+pub(crate) struct CompilationCache {
+    pub(crate) config: CacheConfig,
+    /// Read by the snapshot codec in [`crate::persist`], least recently used
+    /// first.
+    pub(crate) semiring: Lru<SemiringDist>,
+    pub(crate) aggregate: Lru<MonoidDist>,
     counters: CacheCounters,
 }
 
@@ -329,7 +149,7 @@ impl Default for CompilationCache {
 
 impl CompilationCache {
     /// An empty cache with the given bounds.
-    pub fn new(config: CacheConfig) -> Self {
+    pub(crate) fn new(config: CacheConfig) -> Self {
         CompilationCache {
             config,
             semiring: Lru::new(),
@@ -338,138 +158,63 @@ impl CompilationCache {
         }
     }
 
-    /// The configured bounds.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
-    /// Counters since the last [`clear`](Self::clear).
-    pub fn counters(&self) -> CacheCounters {
-        self.counters
-    }
-
-    /// Number of cached semiring distributions.
-    pub fn semiring_entries(&self) -> usize {
-        self.semiring.len()
-    }
-
-    /// Number of cached aggregate distributions.
-    pub fn aggregate_entries(&self) -> usize {
-        self.aggregate.len()
-    }
-
-    /// Approximate payload bytes across both distribution maps.
-    pub fn bytes(&self) -> usize {
+    fn bytes(&self) -> usize {
         self.semiring.bytes() + self.aggregate.bytes()
     }
 
-    /// Drop every entry and reset the counters (used when the underlying variable
-    /// distributions change).
-    pub fn clear(&mut self) {
-        self.semiring.clear();
-        self.aggregate.clear();
-        self.counters = CacheCounters::default();
+    /// Drop every entry and reset the counters.
+    fn clear(&mut self) {
+        *self = CompilationCache::new(self.config);
     }
 
-    /// Export every cached distribution with its key and insertion scope, each
-    /// map in least-recently-used-first order — the save half of the snapshot
-    /// codec in [`crate::persist`]. Read-only: no promotions, no counter changes.
-    pub(crate) fn export(&self) -> CacheExport<'_> {
-        CacheExport {
-            semiring: self.semiring.entries_oldest_first(),
-            aggregate: self.aggregate.entries_oldest_first(),
-        }
-    }
-
-    /// Count one circuit compiled through the store (see
-    /// [`CacheCounters::arena_misses`]).
-    fn record_compilation(&mut self) {
-        self.counters.arena_misses += 1;
-        crate::obs::core_metrics().cache_arena_miss.inc();
-    }
-
-    /// Cached distribution of a semiring expression, promoting the entry. `scope`
-    /// identifies the caller's query; a hit against an entry from another scope is
-    /// counted as a cross-scope (cross-query) hit.
-    pub fn get_semiring(&mut self, id: ExprId, scope: u64) -> Option<SemiringDist> {
-        self.map_semiring(id, scope, SemiringDist::clone)
-    }
-
-    /// As [`get_semiring`](Self::get_semiring), but reduces the cached distribution
-    /// under the borrow — no clone. This is the warm path for callers that only
-    /// need a scalar (e.g. the tuple confidence).
-    pub fn map_semiring<R>(
+    /// Reduce the cached distribution of a semiring expression under the
+    /// borrow, promoting the entry. `scope` identifies the caller's query; a
+    /// hit against an entry from another scope is counted as a cross-scope
+    /// (cross-query) hit.
+    fn map_semiring<R>(
         &mut self,
         id: ExprId,
         scope: u64,
         f: impl FnOnce(&SemiringDist) -> R,
     ) -> Option<R> {
-        match self.semiring.get(id.0) {
-            Some((d, entry_scope)) => {
-                let r = f(d);
-                self.counters.hits += 1;
-                crate::obs::core_metrics().cache_semiring_hit.inc();
-                if entry_scope != scope {
-                    self.counters.cross_scope_hits += 1;
-                }
-                Some(r)
-            }
-            None => {
-                self.counters.misses += 1;
-                crate::obs::core_metrics().cache_semiring_miss.inc();
-                None
-            }
-        }
+        let found = self.semiring.get(id.0).map(|(d, entry)| (f(d), entry));
+        let metrics = crate::obs::core_metrics();
+        let [hit, miss] = [&metrics.cache_semiring_hit, &metrics.cache_semiring_miss];
+        self.counters
+            .count(found.as_ref().map(|f| f.1), scope, hit, miss);
+        found.map(|(r, _)| r)
     }
 
     /// Insert the distribution of a semiring expression.
-    pub fn insert_semiring(&mut self, id: ExprId, scope: u64, dist: &SemiringDist) {
-        let bytes = dist_bytes(dist);
-        let evicted = self
-            .semiring
-            .insert(id.0, dist.clone(), bytes, scope, &self.config);
+    pub(crate) fn insert_semiring(&mut self, id: ExprId, scope: u64, dist: SemiringDist) {
+        let bytes = dist_bytes(&dist);
+        let evicted = self.semiring.insert(id.0, dist, bytes, scope, &self.config);
         self.counters.evictions += evicted;
         crate::obs::core_metrics().cache_eviction.add(evicted);
     }
 
     /// Cached distribution of a semimodule (aggregate) expression.
-    pub fn get_aggregate(&mut self, id: AggExprId, scope: u64) -> Option<MonoidDist> {
-        match self.aggregate.get(id.0) {
-            Some((d, entry_scope)) => {
-                let d = d.clone();
-                self.counters.hits += 1;
-                crate::obs::core_metrics().cache_aggregate_hit.inc();
-                if entry_scope != scope {
-                    self.counters.cross_scope_hits += 1;
-                }
-                Some(d)
-            }
-            None => {
-                self.counters.misses += 1;
-                crate::obs::core_metrics().cache_aggregate_miss.inc();
-                None
-            }
-        }
+    fn get_aggregate(&mut self, id: AggExprId, scope: u64) -> Option<MonoidDist> {
+        let found = self
+            .aggregate
+            .get(id.0)
+            .map(|(d, entry)| (d.clone(), entry));
+        let metrics = crate::obs::core_metrics();
+        let [hit, miss] = [&metrics.cache_aggregate_hit, &metrics.cache_aggregate_miss];
+        self.counters
+            .count(found.as_ref().map(|f| f.1), scope, hit, miss);
+        found.map(|(d, _)| d)
     }
 
     /// Insert the distribution of a semimodule expression.
-    pub fn insert_aggregate(&mut self, id: AggExprId, scope: u64, dist: &MonoidDist) {
-        let bytes = dist_bytes(dist);
+    pub(crate) fn insert_aggregate(&mut self, id: AggExprId, scope: u64, dist: MonoidDist) {
+        let bytes = dist_bytes(&dist);
         let evicted = self
             .aggregate
-            .insert(id.0, dist.clone(), bytes, scope, &self.config);
+            .insert(id.0, dist, bytes, scope, &self.config);
         self.counters.evictions += evicted;
         crate::obs::core_metrics().cache_eviction.add(evicted);
     }
-}
-
-/// The borrowed artifact listing produced by [`CompilationCache::export`]:
-/// every map's entries as `(key, scope, value)` in least-recently-used-first
-/// order.
-#[derive(Debug)]
-pub(crate) struct CacheExport<'a> {
-    pub(crate) semiring: Vec<(u32, u64, &'a SemiringDist)>,
-    pub(crate) aggregate: Vec<(u32, u64, &'a MonoidDist)>,
 }
 
 /// Errors raised by the cache-aware evaluator: either compilation exceeded its node
@@ -505,58 +250,6 @@ impl From<DTreeError> for EvalError {
     }
 }
 
-/// One operand of the independence fold over an aggregate's components.
-enum FoldPart<'a> {
-    /// A leaf component `x ⊗ m`: `P_x` (read off the variable table) mapped
-    /// through the scalar action — what the arena's
-    /// `Tensor(VarLeaf(x), MConst(m))` yields, since a convolution with the
-    /// point distribution on `m` multiplies every probability by 1.0 and
-    /// coalesces in the same order.
-    Leaf(&'a SemiringDist, MonoidValue),
-    /// A memoised component's distribution.
-    Memo(MonoidDist),
-}
-
-/// Fold the distributions of pairwise-independent aggregate components into
-/// one. For the additive operators (SUM, COUNT) the fold runs through one
-/// [`AdditiveFold`]: the accumulator stays in offset-indexed dense form across
-/// the *whole* fold instead of round-tripping to sorted-vector form after every
-/// component, a leaf's cells go in without a distribution being built for
-/// them, every step reuses the accumulator's buffers, and the result
-/// materialises exactly once at the end (that final hand-off is the natural
-/// end of the chain, not a demotion — same convention as the arena's root
-/// hand-off). Bit-identical to the stepwise sparse fold below the FFT
-/// crossover; ε-close above it.
-fn fold_components<'a, E>(
-    op: AggOp,
-    parts: impl Iterator<Item = Result<FoldPart<'a>, E>>,
-) -> Result<MonoidDist, E> {
-    if matches!(op, AggOp::Sum | AggOp::Count) {
-        let mut fold = AdditiveFold::new();
-        for part in parts {
-            match part? {
-                FoldPart::Leaf(px, m) => {
-                    fold.push_cells(px.iter().map(|(s, p)| (op.scalar_action(s, &m), p)))
-                }
-                FoldPart::Memo(d) => fold.push(ChainVal::Sparse(d)),
-            }
-        }
-        return Ok(fold.take().expect("at least one component").into_dist());
-    }
-    let mut acc: Option<MonoidDist> = None;
-    for part in parts {
-        let d = match part? {
-            FoldPart::Leaf(px, m) => px.map(|s| op.scalar_action(s, &m)),
-            FoldPart::Memo(d) => d,
-        };
-        acc = Some(match acc {
-            None => d,
-            Some(a) => a.convolve(&d, |x, y| op.combine(x, y)),
-        });
-    }
-    Ok(acc.expect("at least one component"))
-}
-
 /// The total mass of non-`0_S` outcomes — the tuple-confidence reading of a
 /// semiring distribution; `+0.0` when every outcome is `0_S`.
 pub fn confidence_of(dist: &SemiringDist) -> f64 {
@@ -565,18 +258,18 @@ pub fn confidence_of(dist: &SemiringDist) -> f64 {
         .fold(0.0, |sum, (_, p)| sum + p)
 }
 
-/// A thread-safe compile-artifact store: one [`Interner`] and one
-/// [`CompilationCache`] behind mutexes, shareable across worker threads and across
+/// A thread-safe compile-artifact store: one [`Interner`] and one bounded
+/// distribution cache behind mutexes, shareable across worker threads and across
 /// engines via `Arc<SharedArtifacts>`.
 ///
 /// The evaluation entry points ([`evaluate_semiring`](Self::evaluate_semiring),
-/// [`evaluate_aggregate`](Self::evaluate_aggregate)) split on independence and
-/// memoise every non-leaf component (see the [module documentation](self)),
-/// taking each lock only
-/// around the individual intern / lookup / insert steps. The expensive part — d-tree
-/// compilation of a component with no further independent split, and the
-/// evaluation of the arena it emits — runs with **no lock held**, so concurrent
-/// workers only contend for microseconds at the cache boundary.
+/// [`evaluate_aggregate`](Self::evaluate_aggregate)) fold a leaf list or
+/// compile, memoising every non-leaf independent component the compiler
+/// splits off (see the [module documentation](self)), taking each lock only
+/// around the individual intern / lookup / insert steps. The expensive part —
+/// d-tree compilation and the evaluation of the arena it emits — runs with
+/// **no lock held**, so concurrent workers only contend for microseconds at
+/// the cache boundary.
 ///
 /// Concurrency semantics: two workers may race to compute the *same* canonical id;
 /// both compute the identical distribution (evaluation is a pure function of the
@@ -589,7 +282,7 @@ pub fn confidence_of(dist: &SemiringDist) -> f64 {
 /// atomically), so no lock cycle — and no deadlock — is possible.
 #[derive(Debug, Default)]
 pub struct SharedArtifacts {
-    interner: Mutex<Interning>,
+    interner: Mutex<Interner>,
     cache: Mutex<CompilationCache>,
     /// The compile-local tables of finished compilations, waiting for the next
     /// miss: a compilation takes one (or starts a new one) and gives it back, so
@@ -641,18 +334,21 @@ impl SharedArtifacts {
         }
     }
 
-    /// Run `f` on a compiler working in lent scratch (see the `scratch` field).
-    /// The lock is held to take the scratch and to give it back, not in between.
+    /// Run `f` on a compiler working in lent scratch (see the `scratch` field)
+    /// and consulting `memo`. The lock is held to take the scratch and to give
+    /// it back, not in between.
     fn with_compiler<R>(
         &self,
         vars: &VarTable,
         kind: SemiringKind,
         options: &CompileOptions,
+        memo: &StoreMemo<'_>,
         f: impl FnOnce(&mut Compiler<'_>) -> R,
     ) -> R {
         let lent = self.scratch().pop();
         let scratch = lent.unwrap_or_else(|| CompileScratch::new(kind));
-        let mut compiler = Compiler::with_scratch(vars, kind, options.clone(), scratch);
+        let compiler = Compiler::with_scratch(vars, kind, options.clone(), scratch);
+        let mut compiler = compiler.with_memo(memo);
         let result = f(&mut compiler);
         self.scratch().push(compiler.into_scratch());
         result
@@ -662,7 +358,7 @@ impl SharedArtifacts {
         self.scratch.lock().expect("compile-scratch mutex poisoned")
     }
 
-    fn interner(&self) -> MutexGuard<'_, Interning> {
+    fn interner(&self) -> MutexGuard<'_, Interner> {
         self.interner.lock().expect("interner mutex poisoned")
     }
 
@@ -682,9 +378,9 @@ impl SharedArtifacts {
     /// most one at a time, so no cycle — and no deadlock — is possible.
     pub fn clear(&self) {
         self.scratch().clear();
-        let mut interning = self.interner();
+        let mut interner = self.interner();
         let mut cache = self.cache();
-        *interning = Interning::default();
+        *interner = Interner::new();
         cache.clear();
     }
 
@@ -712,48 +408,31 @@ impl SharedArtifacts {
     /// scheduler compacts strictly between batches, when no worker holds an id.
     pub fn compact(&self) -> CompactionStats {
         self.scratch().clear();
-        let mut interning = self.interner();
-        let interner = &interning.interner;
+        let mut interner = self.interner();
         let mut cache = self.cache();
         let stats_before = (interner.len() + interner.agg_len(), cache.bytes());
-        let mut fresh_interner = Interner::new();
-        let mut fresh_cache = CompilationCache::new(cache.config);
-        fresh_cache.counters = cache.counters;
-        let config = cache.config;
-        let mut entries_kept = 0usize;
         // Re-insert oldest-first so the new maps reproduce the recency order —
         // the same replay discipline the snapshot codec uses. One memo across all
         // entries: what several of them share is copied once.
-        let mut memo = ImportMemo::default();
-        for (key, scope, dist) in cache.semiring.entries_oldest_first() {
-            let id = fresh_interner.import(interner, ExprId(key), &mut memo);
-            fresh_cache
-                .semiring
-                .insert(id.0, dist.clone(), dist_bytes(dist), scope, &config);
-            entries_kept += 1;
-        }
-        for (key, scope, dist) in cache.aggregate.entries_oldest_first() {
-            let id = fresh_interner.import_agg(interner, AggExprId(key), &mut memo);
-            fresh_cache
-                .aggregate
-                .insert(id.0, dist.clone(), dist_bytes(dist), scope, &config);
-            entries_kept += 1;
-        }
-        *interning = Interning {
-            interner: fresh_interner,
-            ..Interning::default()
-        };
-        *cache = fresh_cache;
+        let (mut fresh, mut memo) = (Interner::new(), ImportMemo::default());
+        let config = cache.config;
+        cache.semiring = cache.semiring.rekeyed(&config, |key| {
+            fresh.import(&interner, ExprId(key), &mut memo).0
+        });
+        cache.aggregate = cache.aggregate.rekeyed(&config, |key| {
+            fresh.import_agg(&interner, AggExprId(key), &mut memo).0
+        });
+        *interner = fresh;
         let generation = self
             .generation
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
             + 1;
         CompactionStats {
             interned_before: stats_before.0,
-            interned_after: interning.interner.len() + interning.interner.agg_len(),
+            interned_after: interner.len() + interner.agg_len(),
             bytes_before: stats_before.1,
             bytes_after: cache.bytes(),
-            entries_kept,
+            entries_kept: cache.semiring.len() + cache.aggregate.len(),
             generation,
         }
     }
@@ -777,37 +456,17 @@ impl SharedArtifacts {
     /// [`EvictionStats`], not through [`CacheCounters::evictions`] (which counts
     /// capacity evictions only).
     pub fn evict_touching(&self, touched: &VarSet) -> EvictionStats {
-        let interning = self.interner();
-        let interner = &interning.interner;
+        let interner = self.interner();
         let mut cache = self.cache();
-        let mut evicted = 0usize;
+        let mut evicted = 0;
         if !touched.is_empty() {
-            let keys: Vec<u32> = cache
+            let touches = |vars: &[Var]| !sorted_disjoint(vars, touched.as_slice());
+            evicted += cache
                 .semiring
-                .entries_oldest_first()
-                .into_iter()
-                .map(|(k, _, _)| k)
-                .collect();
-            for k in keys {
-                if !sorted_disjoint(interner.var_set(ExprId(k)), touched.as_slice())
-                    && cache.semiring.remove(k)
-                {
-                    evicted += 1;
-                }
-            }
-            let keys: Vec<u32> = cache
+                .remove_if(|key| touches(interner.var_set(ExprId(key))));
+            evicted += cache
                 .aggregate
-                .entries_oldest_first()
-                .into_iter()
-                .map(|(k, _, _)| k)
-                .collect();
-            for k in keys {
-                if !sorted_disjoint(interner.agg_var_set(AggExprId(k)), touched.as_slice())
-                    && cache.aggregate.remove(k)
-                {
-                    evicted += 1;
-                }
-            }
+                .remove_if(|key| touches(interner.agg_var_set(AggExprId(key))));
             crate::obs::core_metrics()
                 .cache_eviction
                 .add(evicted as u64);
@@ -818,12 +477,12 @@ impl SharedArtifacts {
 
     /// Intern a semiring expression into its canonical id.
     pub fn intern(&self, expr: &SemiringExpr) -> ExprId {
-        self.interner().interner.intern(expr)
+        self.interner().intern(expr)
     }
 
     /// Intern a semimodule expression into its canonical id.
     pub fn intern_semimodule(&self, expr: &SemimoduleExpr) -> AggExprId {
-        self.interner().interner.intern_semimodule(expr)
+        self.interner().intern_semimodule(expr)
     }
 
     /// Reduce the cached distribution of `id` under the lock (no clone), promoting
@@ -839,7 +498,7 @@ impl SharedArtifacts {
 
     /// Insert the distribution of a semiring expression.
     pub fn insert_semiring(&self, id: ExprId, scope: u64, dist: &SemiringDist) {
-        self.cache().insert_semiring(id, scope, dist);
+        self.cache().insert_semiring(id, scope, dist.clone());
     }
 
     /// Cached distribution of a semimodule expression, if present.
@@ -849,11 +508,11 @@ impl SharedArtifacts {
 
     /// Insert the distribution of a semimodule expression.
     pub fn insert_aggregate(&self, id: AggExprId, scope: u64, dist: &MonoidDist) {
-        self.cache().insert_aggregate(id, scope, dist);
+        self.cache().insert_aggregate(id, scope, dist.clone());
     }
 
     /// Get-or-compute the distribution of an interned semiring expression,
-    /// memoising every independent sub-d-tree along the way.
+    /// memoising every independent component the compiler splits off.
     pub fn evaluate_semiring(
         &self,
         id: ExprId,
@@ -863,20 +522,14 @@ impl SharedArtifacts {
         scope: u64,
     ) -> Result<SemiringDist, EvalError> {
         let span = crate::obs::span("subtree");
-        if let Some(d) = self.cache().get_semiring(id, scope) {
-            if let Some(s) = &span {
-                s.attr("cache", "hit".into());
-            }
-            return Ok(d);
-        }
-        if let Some(s) = &span {
-            s.attr("cache", "miss".into());
-        }
-        self.fill_semiring(id, vars, kind, options, scope)
+        let cached = self.map_semiring(id, scope, SemiringDist::clone);
+        record_held(&span, cached.is_some());
+        cached.map_or_else(|| self.fill_semiring(id, vars, kind, options, scope), Ok)
     }
 
     /// Compute the distribution of `id` (assuming the caller already observed a
     /// cache miss) and insert it — no second lookup, so the miss is counted once.
+    /// A leaf list is folded, anything else compiled.
     pub fn fill_semiring(
         &self,
         id: ExprId,
@@ -885,7 +538,15 @@ impl SharedArtifacts {
         options: &CompileOptions,
         scope: u64,
     ) -> Result<SemiringDist, EvalError> {
-        let dist = self.compute_semiring(id, vars, kind, options, scope)?;
+        let leaves = options
+            .independence
+            .then(|| leaf_list(&self.interner(), id));
+        let dist = match leaves.flatten() {
+            Some(list) => fold_leaf_list(list, vars, kind)?,
+            None => self
+                .compile(Root::Semiring(id), vars, kind, options, scope)?
+                .into_semiring("root")?,
+        };
         self.insert_semiring(id, scope, &dist);
         Ok(dist)
     }
@@ -900,16 +561,9 @@ impl SharedArtifacts {
         scope: u64,
     ) -> Result<MonoidDist, EvalError> {
         let span = crate::obs::span("subtree");
-        if let Some(d) = self.get_aggregate(id, scope) {
-            if let Some(s) = &span {
-                s.attr("cache", "hit".into());
-            }
-            return Ok(d);
-        }
-        if let Some(s) = &span {
-            s.attr("cache", "miss".into());
-        }
-        self.fill_aggregate(id, vars, kind, options, scope)
+        let cached = self.get_aggregate(id, scope);
+        record_held(&span, cached.is_some());
+        cached.map_or_else(|| self.fill_aggregate(id, vars, kind, options, scope), Ok)
     }
 
     /// As [`fill_semiring`](Self::fill_semiring), for semimodule expressions.
@@ -921,162 +575,84 @@ impl SharedArtifacts {
         options: &CompileOptions,
         scope: u64,
     ) -> Result<MonoidDist, EvalError> {
-        let dist = self.compute_aggregate(id, vars, kind, options, scope)?;
+        let leaves = options
+            .independence
+            .then(|| leaf_terms(&self.interner(), id));
+        let dist = match leaves.flatten() {
+            Some((op, leaves)) => fold_leaf_terms(op, &leaves, vars),
+            None => self
+                .compile(Root::Aggregate(id), vars, kind, options, scope)?
+                .into_monoid("root")?,
+        };
         self.insert_aggregate(id, scope, &dist);
         Ok(dist)
     }
 
-    fn compute_semiring(
+    /// Compile `root` whole with a compiler that consults this store, evaluate
+    /// the arena where it was emitted, and insert the values of the components
+    /// the store did not hold.
+    fn compile(
         &self,
-        id: ExprId,
+        root: Root,
         vars: &VarTable,
         kind: SemiringKind,
         options: &CompileOptions,
         scope: u64,
-    ) -> Result<SemiringDist, EvalError> {
-        // Plan an independent split under the interner lock (interning the
-        // non-leaf group ids); the evaluations below run unlocked.
-        let plan = match options.independence {
-            true => plan_semiring(&mut self.interner(), id),
-            false => None,
+    ) -> Result<Val, EvalError> {
+        let span = crate::obs::span("compile");
+        self.cache().counters.arena_misses += 1;
+        crate::obs::core_metrics().cache_arena_miss.inc();
+        let memo = StoreMemo {
+            store: self,
+            scope,
+            shared: RefCell::default(),
+            missed: RefCell::default(),
         };
-        if let Some(SemiringPlan {
-            is_add,
-            components,
-            compare,
-        }) = plan
-        {
-            // The arena's own arms, over the values it would carry: the
-            // chain `Compiler::compile_components` emits, evaluated in place.
-            let cells = kind == SemiringKind::Bool;
-            let _span = compare.is_some().then(|| fold_span(&components));
-            let mut pairs = Vec::new();
-            let mut acc: Option<Val> = None;
-            for component in components {
-                let part = match component {
-                    Component::Leaf { var, .. } => Val::leaf(vars.dist(var), cells),
-                    Component::Memo(gid) => Val::semiring(
-                        self.evaluate_semiring(gid, vars, kind, options, scope)?,
-                        cells,
-                    ),
-                };
-                acc = Some(match acc {
-                    None => part,
-                    Some(left) => crate::arena::combine_semiring(is_add, left, part, &mut pairs)?,
-                });
-            }
-            let side = acc.expect("at least two components");
-            let result = match compare {
-                None => side,
-                Some(Comparison {
-                    theta,
-                    constant,
-                    constant_left,
-                }) => {
-                    let constant = Val::constant(constant, cells);
-                    let (left, right) = match constant_left {
-                        true => (constant, side),
-                        false => (side, constant),
-                    };
-                    crate::arena::compare(theta, left, right, kind, cells, &mut pairs)?
+        let mut tapped = Vec::new();
+        let value = self.with_compiler(vars, kind, options, &memo, |compiler| {
+            let loaded = match root {
+                Root::Semiring(id) => Root::Semiring(compiler.load_semiring(&self.interner(), id)),
+                Root::Aggregate(id) => {
+                    Root::Aggregate(compiler.load_semimodule(&self.interner(), id))
                 }
             };
-            return Ok(result.into_semiring("root")?);
-        }
-        // No further split: copy the expression's DAG into lent compile scratch
-        // under the interner lock, compile it with no lock held, and evaluate
-        // the emitted arena where it lies.
-        let span = crate::obs::span("compile");
-        self.cache().record_compilation();
-        self.with_compiler(vars, kind, options, |compiler| {
-            let root = compiler.load_semiring(&self.interner().interner, id);
-            let arena = compiler.emit_loaded_semiring(root)?;
+            let nodes = match loaded {
+                Root::Semiring(root) => compiler.emit_loaded_semiring(root)?.len(),
+                Root::Aggregate(root) => compiler.emit_loaded_semimodule(root)?.len(),
+            };
             if let Some(s) = &span {
-                s.attr("nodes", arena.len().to_string());
+                s.attr("nodes", nodes.to_string());
             }
             drop(span);
             let span = crate::obs::span("evaluate");
-            let (dist, interp) = arena.semiring_distribution_by(vars, kind)?;
+            let (value, interp) = compiler.evaluate_emitted(&mut tapped)?;
             if let Some(s) = &span {
                 s.attr("interp", interp.as_str().into());
             }
-            Ok(dist)
-        })
-    }
-
-    fn compute_aggregate(
-        &self,
-        id: AggExprId,
-        vars: &VarTable,
-        kind: SemiringKind,
-        options: &CompileOptions,
-        scope: u64,
-    ) -> Result<MonoidDist, EvalError> {
-        let split = if options.independence {
-            let mut interning = self.interner();
-            let node = interning.interner.agg_node(id);
-            let (op, terms) = (node.op, node.terms.to_vec());
-            let disjoint = interning.interner.terms_disjoint(id);
-            independent_components(
-                &mut interning,
-                &terms,
-                disjoint,
-                |(coeff, _)| coeff,
-                |interner, group| interner.intern_agg(op, group),
-            )
-            .map(|parts| (op, terms, parts))
-        } else {
-            None
-        };
-        if let Some((op, terms, parts)) = split {
-            let _span = fold_span(&parts);
-            return fold_components(
-                op,
-                parts.into_iter().map(|part| match part {
-                    Component::Leaf { var, index } => {
-                        Ok(FoldPart::Leaf(vars.dist(var), terms[index].1))
-                    }
-                    Component::Memo(gid) => self
-                        .evaluate_aggregate(gid, vars, kind, options, scope)
-                        .map(FoldPart::Memo),
-                }),
-            );
-        }
-        let span = crate::obs::span("compile");
-        self.cache().record_compilation();
-        self.with_compiler(vars, kind, options, |compiler| {
-            let root = compiler.load_semimodule(&self.interner().interner, id);
-            let arena = compiler.emit_loaded_semimodule(root)?;
-            if let Some(s) = &span {
-                s.attr("nodes", arena.len().to_string());
-            }
-            drop(span);
-            let span = crate::obs::span("evaluate");
-            if let Some(s) = &span {
-                s.attr("interp", Interp::Dist.as_str().into());
-            }
-            Ok(arena.monoid_distribution(vars, kind)?)
-        })
+            Ok::<_, EvalError>(value)
+        })?;
+        memo.insert(tapped)?;
+        Ok(value)
     }
 
     /// Counters since the last clear.
     pub fn counters(&self) -> CacheCounters {
-        self.cache().counters()
+        self.cache().counters
     }
 
     /// The configured bounds.
     pub fn config(&self) -> CacheConfig {
-        self.cache().config()
+        self.cache().config
     }
 
     /// Number of cached semiring distributions.
     pub fn semiring_entries(&self) -> usize {
-        self.cache().semiring_entries()
+        self.cache().semiring.len()
     }
 
     /// Number of cached aggregate distributions.
     pub fn aggregate_entries(&self) -> usize {
-        self.cache().aggregate_entries()
+        self.cache().aggregate.len()
     }
 
     /// Approximate payload bytes across both distribution maps.
@@ -1086,8 +662,8 @@ impl SharedArtifacts {
 
     /// Distinct interned nodes (semiring + semimodule) in the arena.
     pub fn interned_nodes(&self) -> usize {
-        let interning = self.interner();
-        interning.interner.len() + interning.interner.agg_len()
+        let interner = self.interner();
+        interner.len() + interner.agg_len()
     }
 
     /// Serialise the whole store into snapshot bytes (see [`crate::persist`]),
@@ -1106,17 +682,16 @@ impl SharedArtifacts {
         table_fingerprints: &[(String, u64)],
         extra: Option<&[u8]>,
     ) -> (Vec<u8>, crate::persist::RestoreStats) {
-        let interning = self.interner();
-        let interner = &interning.interner;
+        let interner = self.interner();
         let cache = self.cache();
         let counts = crate::persist::RestoreStats {
             interned_exprs: interner.len(),
             interned_aggs: interner.agg_len(),
-            distributions: cache.semiring_entries() + cache.aggregate_entries(),
+            distributions: cache.semiring.len() + cache.aggregate.len(),
         };
         (
             crate::persist::encode_snapshot(
-                interner,
+                &interner,
                 &cache,
                 fingerprint,
                 table_fingerprints,
@@ -1143,9 +718,9 @@ impl SharedArtifacts {
         expected_fingerprint: u64,
     ) -> Result<crate::persist::RestoreStats, crate::persist::PersistError> {
         snapshot.verify_fingerprint(expected_fingerprint)?;
-        let mut interning = self.interner();
+        let mut interner = self.interner();
         let mut cache = self.cache();
-        snapshot.restore_into(&mut interning.interner, &mut cache)
+        snapshot.restore_into(&mut interner, &mut cache)
     }
 
     /// A fresh store rebuilt from a decoded snapshot, using the **snapshot's**
@@ -1164,208 +739,252 @@ impl SharedArtifacts {
     }
 }
 
-/// One independent component of a sum, product or aggregate, as planned under the
-/// interner lock.
-enum Component<I> {
-    /// A single bare variable `x` — item `index` of the split node is `x` itself,
-    /// or the aggregate term `x ⊗ m`: read off the [`VarTable`], never interned
-    /// or cached.
-    Leaf { var: Var, index: usize },
-    /// Anything else, memoised under its canonical id.
-    Memo(I),
+/// The store as the compiler's [`Memo`] during one compilation: a component
+/// is put into the shared interner (under its lock) and looked up (under the
+/// cache lock); the keys of the components it missed wait, by token, for the
+/// values the arena's tap hands back.
+struct StoreMemo<'s> {
+    store: &'s SharedArtifacts,
+    scope: u64,
+    /// The shared id each node of the compilation's arena was loaded from, by
+    /// arena id (`u32::MAX` for a node made after loading), read off the
+    /// arena at the first lookup; and what lookups imported of the others.
+    shared: RefCell<(Vec<u32>, ImportMemo)>,
+    missed: RefCell<Vec<Root>>,
 }
 
-/// What the store's interner lock guards: the interner, and the independence
-/// planner's tables, which read its var-sets and are used only under that
-/// lock. The tables hold room, not artifacts — a variable-indexed table as
-/// long as the largest variable id planned — and are freed with the interner
-/// by [`SharedArtifacts::clear`] and [`SharedArtifacts::compact`].
-#[derive(Debug, Default)]
-struct Interning {
-    interner: Interner,
-    planner: Partitioner,
+/// An expression of either sort: a root to compile, or a cache key.
+#[derive(Clone, Copy)]
+enum Root {
+    Semiring(ExprId),
+    Aggregate(AggExprId),
 }
 
-/// The `fold [components, leaves]` span around folding planned components.
-fn fold_span<I>(components: &[Component<I>]) -> Option<crate::obs::SpanGuard> {
-    let span = crate::obs::span("fold");
-    if let Some(s) = &span {
-        let leaves = components
-            .iter()
-            .filter(|part| matches!(part, Component::Leaf { .. }))
-            .count();
-        s.attr("components", components.len().to_string());
-        s.attr("leaves", leaves.to_string());
-    }
-    span
-}
-
-/// How the store answers a semiring expression without compiling it whole:
-/// fold `components` with `⊕` (or `⊙`), then apply `compare`, if any.
-struct SemiringPlan {
-    is_add: bool,
-    components: Vec<Component<ExprId>>,
-    compare: Option<Comparison>,
-}
-
-/// The `[· θ c]` around a folded side: `c` stands on the left if
-/// `constant_left`.
-struct Comparison {
-    theta: CmpOp,
-    constant: SemiringValue,
-    constant_left: bool,
-}
-
-/// Plan `id` for the store's own fold; `None` sends it to the compiler whole.
-///
-/// * A sum or product with two or more independent components folds them
-///   (rule 2 and the independent-product split).
-/// * A comparison `[s θ c]` with the constant `c` on either side, whose side
-///   `s` is such a sum or product, folds `s`'s components and applies `θ`
-///   once — the paper's rule 5 followed by rule 2, e.g. a group confidence
-///   `[Σ Φ_t ≠ 0]` over independent rows becomes one pass over its leaves.
-///
-/// Either fold is **the compiled circuit, evaluated in place**: the planner
-/// is the compiler's partitioner, so the components come in the order of the
-/// left-deep chain `Compiler::compile_components` emits; leaves enter as the
-/// arena's `VarLeaf` pushes them; a non-leaf component is a connected group
-/// the compiler compiles alone (its cached distribution is that
-/// compilation's); and the arena's own `⊕` / `⊙` / `[θ]` arms combine them.
-/// Where the compiler's `simplify` would first rewrite the side, the split it
-/// sees is another one, so a comparison folds only a side `simplify` leaves
-/// as it is (see [`settled`]). The side's own distribution is not cached, so
-/// no cached bits depend on which route reached an id first.
-///
-/// A comparison of aggregates (`CmpMM`) keeps the compiler: the arena's
-/// threshold walk computes `P[α θ c]` without `α`'s full distribution and
-/// sums in another order.
-fn plan_semiring(interning: &mut Interning, id: ExprId) -> Option<SemiringPlan> {
-    let interner = &interning.interner;
-    let (side, compare) = match interner.node(id) {
-        InternedExpr::Add(_) | InternedExpr::Mul(_) => (id, None),
-        InternedExpr::CmpSS(theta, lhs, rhs) => {
-            let (side, constant, constant_left) =
-                match (interner.as_const(lhs), interner.as_const(rhs)) {
-                    (None, Some(c)) => (lhs, c, false),
-                    (Some(c), None) => (rhs, c, true),
-                    _ => return None,
-                };
-            let compare = Comparison {
-                theta,
-                constant,
-                constant_left,
-            };
-            (side, Some(compare))
+impl StoreMemo<'_> {
+    /// Look up the component `intern` puts into the shared interner, given
+    /// the shared ids of its items, in a `subtree` span that says whether the
+    /// cache held it.
+    fn lookup(
+        &self,
+        work: &ResidualArena,
+        items: impl Iterator<Item = ExprId>,
+        intern: impl FnOnce(&mut Interner, &[ExprId]) -> Root,
+    ) -> Lookup {
+        let span = crate::obs::span("subtree");
+        let key = {
+            let (loaded, imports) = &mut *self.shared.borrow_mut();
+            if loaded.is_empty() {
+                loaded.resize(work.arena().len(), u32::MAX);
+                for (src, copy) in work.imported().copies() {
+                    loaded[copy.0 as usize] = src.0;
+                }
+            }
+            let mut interner = self.store.interner();
+            let items: Vec<ExprId> = items
+                .map(|item| match loaded.get(item.0 as usize) {
+                    Some(&src) if src != u32::MAX => ExprId(src),
+                    _ => interner.import(work.arena(), item, imports),
+                })
+                .collect();
+            intern(&mut interner, &items)
+        };
+        let mut cache = self.store.cache();
+        let known = match key {
+            Root::Semiring(id) => cache
+                .map_semiring(id, self.scope, SemiringDist::clone)
+                .map(Known::Semiring),
+            Root::Aggregate(id) => cache.get_aggregate(id, self.scope).map(Known::Monoid),
+        };
+        drop(cache);
+        record_held(&span, known.is_some());
+        match known {
+            Some(known) => Lookup::Known(known),
+            None => {
+                let mut missed = self.missed.borrow_mut();
+                missed.push(key);
+                Lookup::Miss(missed.len() as u32 - 1)
+            }
         }
-        _ => return None,
+    }
+
+    /// Insert the tapped values of the missed components.
+    fn insert(self, tapped: Vec<(u32, Val)>) -> Result<(), DTreeError> {
+        let missed = self.missed.into_inner();
+        let mut cache = self.store.cache();
+        for (token, value) in tapped {
+            match missed[token as usize] {
+                Root::Semiring(id) => {
+                    cache.insert_semiring(id, self.scope, value.into_semiring("component")?)
+                }
+                Root::Aggregate(id) => {
+                    cache.insert_aggregate(id, self.scope, value.into_monoid("component")?)
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Memo for StoreMemo<'_> {
+    fn semiring(&self, work: &ResidualArena, is_add: bool, group: &[ExprId]) -> Lookup {
+        self.lookup(work, group.iter().copied(), |interner, items| {
+            Root::Semiring(match is_add {
+                true => interner.intern_add(items),
+                false => interner.intern_mul(items),
+            })
+        })
+    }
+
+    fn aggregate(&self, work: &ResidualArena, op: AggOp, group: &[AggTerm]) -> Lookup {
+        let coeffs = group.iter().map(|&(coeff, _)| coeff);
+        self.lookup(work, coeffs, |interner, coeffs| {
+            let terms: Vec<AggTerm> = coeffs
+                .iter()
+                .zip(group)
+                .map(|(&c, &(_, m))| (c, m))
+                .collect();
+            Root::Aggregate(interner.intern_agg(op, &terms))
+        })
+    }
+}
+
+/// A semiring root the store folds itself (see the [module
+/// documentation](self)): the sum (`is_add`) or product of `leaves`, compared
+/// with a constant if `compare` says so — `(θ, c, c stands on the left)`.
+struct LeafList {
+    is_add: bool,
+    leaves: Vec<Var>,
+    compare: Option<(CmpOp, SemiringValue, bool)>,
+}
+
+/// `id` as a [`LeafList`], if it is one: a sum or product of two or more
+/// distinct bare variables, or `[s θ c]` over one with the constant `c` on
+/// either side. Such a root is what the compiler's `simplify` leaves as it is.
+fn leaf_list(interner: &Interner, id: ExprId) -> Option<LeafList> {
+    let (side, compare) = match interner.node(id) {
+        InternedExpr::CmpSS(theta, lhs, rhs) => {
+            match (interner.as_const(lhs), interner.as_const(rhs)) {
+                (None, Some(c)) => (lhs, Some((theta, c, false))),
+                (Some(c), None) => (rhs, Some((theta, c, true))),
+                _ => return None,
+            }
+        }
+        _ => (id, None),
     };
     let (is_add, children) = match interner.node(side) {
-        InternedExpr::Add(children) => (true, children.to_vec()),
-        InternedExpr::Mul(children) => (false, children.to_vec()),
+        InternedExpr::Add(children) => (true, children),
+        InternedExpr::Mul(children) => (false, children),
         _ => return None,
     };
-    if compare.is_some() && !settled(interner, side) {
+    if children.len() < 2 || !interner.children_disjoint(side) {
         return None;
     }
-    let disjoint = interner.children_disjoint(side);
-    let components = independent_components(
-        interning,
-        &children,
-        disjoint,
-        |c| c,
-        |interner, group| match is_add {
-            true => interner.intern_add(group),
-            false => interner.intern_mul(group),
-        },
-    )?;
-    Some(SemiringPlan {
+    let leaves = children
+        .iter()
+        .map(|&child| match interner.node(child) {
+            InternedExpr::Var(var) => Some(var),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    Some(LeafList {
         is_add,
-        components,
+        leaves,
         compare,
     })
 }
 
-/// True if the compiler's `simplify` leaves the DAG below `root` as it is:
-/// no sum or product that is empty, has a constant operand, or has an operand
-/// of its own operator (which `simplify` folds or splices), no comparison of
-/// two constants, and no comparison of aggregates (whose term normalisation
-/// this does not replay). On such a DAG the compiler splits exactly the
-/// children the store's planner sees.
-fn settled(interner: &Interner, root: ExprId) -> bool {
-    let mut seen = HashSet::<_, BuildHasherDefault<IdHasher>>::default();
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        let (is_add, children) = match interner.node(id) {
-            InternedExpr::Var(_) | InternedExpr::Const(_) => continue,
-            InternedExpr::CmpMM(..) => return false,
-            InternedExpr::CmpSS(_, lhs, rhs) => {
-                if interner.as_const(lhs).is_some() && interner.as_const(rhs).is_some() {
-                    return false;
-                }
-                stack.extend([lhs, rhs].into_iter().filter(|s| seen.insert(*s)));
-                continue;
-            }
-            InternedExpr::Add(children) => (true, children),
-            InternedExpr::Mul(children) => (false, children),
-        };
-        if children.is_empty() {
-            return false;
-        }
-        for &child in children {
-            match interner.node(child) {
-                InternedExpr::Var(_) => {}
-                InternedExpr::Const(_) => return false,
-                InternedExpr::Add(_) if is_add => return false,
-                InternedExpr::Mul(_) if !is_add => return false,
-                _ if seen.insert(child) => stack.push(child),
-                _ => {}
-            }
-        }
+/// The distribution of a [`LeafList`]: the arena's own arms over the values
+/// the compiled chain's `VarLeaf`s would carry.
+fn fold_leaf_list(
+    list: LeafList,
+    vars: &VarTable,
+    kind: SemiringKind,
+) -> Result<SemiringDist, DTreeError> {
+    let cells = kind == SemiringKind::Bool;
+    let _span = list.compare.is_some().then(|| fold_span(list.leaves.len()));
+    let mut pairs = Vec::new();
+    let mut side = Val::leaf(vars.dist(list.leaves[0]), cells);
+    for &var in &list.leaves[1..] {
+        let leaf = Val::leaf(vars.dist(var), cells);
+        side = crate::arena::combine_semiring(list.is_add, side, leaf, &mut pairs)?;
     }
-    true
+    let result = match list.compare {
+        None => side,
+        Some((theta, constant, constant_left)) => {
+            let constant = Val::constant(constant, cells);
+            let (left, right) = match constant_left {
+                true => (constant, side),
+                false => (side, constant),
+            };
+            crate::arena::compare(theta, left, right, kind, cells, &mut pairs)?
+        }
+    };
+    result.into_semiring("root")
 }
 
-/// Split `items` — the children of a sum or product, or the terms of an
-/// aggregate, `coeff` naming the semiring expression an item's variables come
-/// from — into groups of pairwise variable-disjoint items (connected components
-/// of the co-occurrence graph), interning every non-leaf group with
-/// `intern_group`; `None` when everything is one component. `disjoint` is the
-/// node's interner bit ([`Interner::children_disjoint`] /
-/// [`Interner::terms_disjoint`]): set, the split is the items in order with no
-/// union–find.
-///
-/// Components come in the order of the compiler's split (the one
-/// [`Partitioner`], through the same [`Partitioner::split`] call: smallest
-/// member first, members ascending), which every cached bit of a fold depends
-/// on.
-fn independent_components<T: Copy, I>(
-    interning: &mut Interning,
-    items: &[T],
-    disjoint: bool,
-    coeff: impl Fn(T) -> ExprId,
-    mut intern_group: impl FnMut(&mut Interner, &[T]) -> I,
-) -> Option<Vec<Component<I>>> {
-    let Interning { interner, planner } = interning;
-    let components = planner.split(items.len(), Hint::disjoint_if(disjoint), |i| {
-        interner.var_set(coeff(items[i]))
-    });
-    if components.len() <= 1 {
+/// The aggregate `id` as its operator and `(x, m)` leaves, if it is a leaf
+/// list: two or more terms `x ⊗ m` over distinct bare variables.
+fn leaf_terms(interner: &Interner, id: AggExprId) -> Option<(AggOp, Vec<(Var, MonoidValue)>)> {
+    let node = interner.agg_node(id);
+    if node.terms.len() < 2 || !interner.terms_disjoint(id) {
         return None;
     }
-    Some(
-        components
+    let leaves = node
+        .terms
+        .iter()
+        .map(|&(coeff, value)| match interner.node(coeff) {
+            InternedExpr::Var(var) => Some((var, value)),
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    Some((node.op, leaves))
+}
+
+/// The distribution of `Σ_op x ⊗ m` over the independent leaves: each leaf is
+/// `P_x` mapped through the scalar action — what the arena's
+/// `Tensor(VarLeaf(x), MConst(m))` yields, since a convolution with the point
+/// distribution on `m` multiplies every probability by 1.0 and coalesces in
+/// the same order. For SUM and COUNT the fold runs through one
+/// [`AdditiveFold`]: the accumulator stays in offset-indexed dense form across
+/// the whole fold, a leaf's cells go in without a distribution being built for
+/// them, and the result materialises once at the end — the arena's `⊕` chain,
+/// bit for bit. MIN and MAX convolve step by step.
+fn fold_leaf_terms(op: AggOp, leaves: &[(Var, MonoidValue)], vars: &VarTable) -> MonoidDist {
+    let _span = fold_span(leaves.len());
+    let leaf = |&(var, m): &(Var, MonoidValue)| {
+        vars.dist(var)
             .iter()
-            .map(|idxs| {
-                if let [index] = *idxs {
-                    if let InternedExpr::Var(var) = interner.node(coeff(items[index])) {
-                        return Component::Leaf { var, index };
-                    }
-                }
-                let group: Vec<T> = idxs.iter().map(|&i| items[i]).collect();
-                Component::Memo(intern_group(interner, &group))
-            })
-            .collect(),
-    )
+            .map(move |(s, p)| (op.scalar_action(s, &m), p))
+    };
+    if matches!(op, AggOp::Sum | AggOp::Count) {
+        let mut fold = AdditiveFold::new();
+        for term in leaves {
+            fold.push_cells(leaf(term));
+        }
+        return fold.take().expect("two or more leaves").into_dist();
+    }
+    leaves
+        .iter()
+        .map(|&(var, m)| vars.dist(var).map(|s| op.scalar_action(s, &m)))
+        .reduce(|acc, d| acc.convolve(&d, |x, y| op.combine(x, y)))
+        .expect("two or more leaves")
+}
+
+/// Say on a `subtree` span whether the cache `held` what it looked up.
+fn record_held(span: &Option<crate::obs::SpanGuard>, held: bool) {
+    if let Some(s) = span {
+        s.attr("cache", if held { "hit" } else { "miss" }.into());
+    }
+}
+
+/// The `fold [components, leaves]` span around a leaf-list fold.
+fn fold_span(leaves: usize) -> Option<crate::obs::SpanGuard> {
+    let span = crate::obs::span("fold");
+    if let Some(s) = &span {
+        s.attr("components", leaves.to_string());
+        s.attr("leaves", leaves.to_string());
+    }
+    span
 }
 
 #[cfg(test)]
@@ -1525,7 +1144,7 @@ mod tests {
             .map(|(k, _, _)| k)
             .collect();
         assert_eq!(keys, vec![1, 3]);
-        // A removed slot is recycled by the next insert.
+        // The next insert is the most recent entry.
         lru.insert(4, 40, 1, 0, &config);
         assert_eq!(lru.get(4).map(|(v, _)| *v), Some(40));
         assert_eq!(lru.get(1).map(|(v, _)| *v), Some(10));
@@ -1702,12 +1321,13 @@ mod tests {
         let expected = oracle::semimodule_dist_by_enumeration(&alpha, &vt, SemiringKind::Bool);
         assert!(dist.approx_eq(&expected, 1e-9));
         // Two distributions stored, the whole and the component; one circuit
-        // compiled, for the component.
+        // compiled, for the whole, the component compiled in place.
         assert_eq!(shared.aggregate_entries(), 2);
         assert_eq!(shared.counters().misses, 2);
         assert_eq!(shared.counters().arena_misses, 1);
         // Another query over the same component and a different leaf: the
-        // component's distribution is a hit, nothing is compiled.
+        // component's distribution is a hit, and the circuit compiled for the
+        // query is the leaf beside a `Known` leaf carrying it.
         let beta = SemimoduleExpr::from_terms(
             AggOp::Sum,
             [(v(xs[4]), Fin(1))].into_iter().chain(entangled).collect(),
@@ -1718,8 +1338,9 @@ mod tests {
         assert!(dist.approx_eq(&expected, 1e-9));
         let counters = shared.counters();
         assert_eq!((counters.hits, counters.cross_scope_hits), (1, 1));
-        assert_eq!(counters.arena_misses, 1);
+        assert_eq!(counters.arena_misses, 2);
         assert_eq!(shared.aggregate_entries(), 3);
+        assert_eq!(bits(&dist), bits(&compiled(&beta, &vt, SemiringKind::Bool)));
     }
 
     #[test]
@@ -1932,9 +1553,8 @@ mod tests {
     /// Every sum, product and aggregate of the store's interner carries the
     /// disjointness bit its items' partition gives.
     fn assert_bits_are_the_partition(store: &SharedArtifacts, what: &str) {
-        let interning = store.interner();
-        let it = &interning.interner;
-        let mut partitioner = Partitioner::default();
+        let it = &*store.interner();
+        let mut partitioner = pvc_expr::independence::Partitioner::default();
         for (i, node) in it.nodes().enumerate() {
             if let InternedExpr::Add(items) | InternedExpr::Mul(items) = node {
                 let parts = partitioner.components(items.len(), |k| it.var_set(items[k]));
@@ -1980,14 +1600,14 @@ mod tests {
             shared
                 .evaluate_semiring(id, &vt, SemiringKind::Bool, &options, 1)
                 .unwrap();
-            bits.push(shared.interner().interner.children_disjoint(id));
+            bits.push(shared.interner().children_disjoint(id));
         }
         for alpha in &aggs {
             let id = shared.intern_semimodule(alpha);
             shared
                 .evaluate_aggregate(id, &vt, SemiringKind::Bool, &options, 1)
                 .unwrap();
-            bits.push(shared.interner().interner.terms_disjoint(id));
+            bits.push(shared.interner().terms_disjoint(id));
         }
         assert!(bits.contains(&true) && bits.contains(&false), "{bits:?}");
         assert_bits_are_the_partition(&shared, "interned");
@@ -2001,11 +1621,11 @@ mod tests {
                 .iter()
                 .map(|e| {
                     let id = store.intern(e);
-                    store.interner().interner.children_disjoint(id)
+                    store.interner().children_disjoint(id)
                 })
                 .chain(aggs.iter().map(|alpha| {
                     let id = store.intern_semimodule(alpha);
-                    store.interner().interner.terms_disjoint(id)
+                    store.interner().terms_disjoint(id)
                 }))
                 .collect();
             assert_eq!(again, bits, "{what}");
@@ -2017,12 +1637,12 @@ mod tests {
         let mut interner = Interner::new();
         let mut cache = CompilationCache::default();
         let id = interner.intern(&(v(Var(0)) + v(Var(1))));
-        cache.insert_semiring(id, 1, &pvc_prob::make::bernoulli(0.5));
-        assert!(cache.get_semiring(id, 1).is_some());
-        assert!(cache.semiring_entries() > 0);
+        cache.insert_semiring(id, 1, pvc_prob::make::bernoulli(0.5));
+        assert!(cache.map_semiring(id, 1, |_| ()).is_some());
+        assert!(cache.semiring.len() > 0);
         cache.clear();
-        assert_eq!(cache.semiring_entries(), 0);
+        assert_eq!(cache.semiring.len(), 0);
         assert_eq!(cache.bytes(), 0);
-        assert_eq!(cache.counters(), CacheCounters::default());
+        assert_eq!(cache.counters, CacheCounters::default());
     }
 }

@@ -42,6 +42,15 @@
 //! coefficient mentions every variable of the list and none is
 //! variable-free), and rule 2 then skips its partition.
 //!
+//! A compiler lent by the artifact store (`Compiler::with_memo`) consults
+//! the store at each independent component of rule 2 that it reaches from the
+//! root through sum / product splits and `[s θ c]` splits alone — no `⊔`,
+//! factoring or comparison of aggregates on the way — and at the top-level
+//! components of an aggregate root. A bare variable or constant is not looked
+//! up. A component the store holds becomes a `Known` leaf carrying its
+//! distribution; any other is compiled in place and its root marked, so its
+//! value is handed back for insertion as the arena is evaluated.
+//!
 //! What comes out is the post-order [`DTreeArena`] the evaluator runs on, emitted
 //! node by node as the rules fire: children first, so a rule's node is pushed
 //! when its recursive calls return, and the arena's length *is* the number of
@@ -49,8 +58,8 @@
 //! `emit_*` entry points lend that arena out; the `compile_*` entry points
 //! return a copy to keep — one compile path either way.
 
-use crate::arena::DTreeArena;
-use crate::node::ArenaNode;
+use crate::arena::{DTreeArena, EvalScratch, Interp, Known, Val};
+use crate::node::{ArenaNode, DTreeError};
 use crate::prune::{verdict, Verdict};
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
 use pvc_expr::factor::{common_factor_vars, divide_by_vars};
@@ -216,6 +225,8 @@ pub(crate) struct CompileScratch {
     /// `(branch value, child)` entries of the `⊔` nodes still open, innermost
     /// last (see [`DTreeArena::push_exclusive`]).
     pending: Vec<(SemiringValue, u32)>,
+    /// The buffers of [`Compiler::evaluate_emitted`].
+    eval: EvalScratch,
 }
 
 impl CompileScratch {
@@ -230,8 +241,28 @@ impl CompileScratch {
             end_bufs: Vec::new(),
             out: DTreeArena::new(),
             pending: Vec::new(),
+            eval: EvalScratch::default(),
         }
     }
+}
+
+/// A store of component distributions the compiler consults (see the
+/// [module documentation](self)). A component is given as its item list in the
+/// compiler's own arena `work`.
+pub(crate) trait Memo {
+    /// The sum (`is_add`) or product of `group`.
+    fn semiring(&self, work: &ResidualArena, is_add: bool, group: &[ExprId]) -> Lookup;
+    /// The `op`-sum of the terms `group`.
+    fn aggregate(&self, work: &ResidualArena, op: AggOp, group: &[AggTerm]) -> Lookup;
+}
+
+/// What a [`Memo`] answers for one component.
+pub(crate) enum Lookup {
+    /// The stored distribution: the component is a `Known` leaf.
+    Known(Known),
+    /// Not stored: the component is compiled in place and its root marked with
+    /// this token.
+    Miss(u32),
 }
 
 /// The expression compiler (Algorithm 1).
@@ -239,6 +270,7 @@ pub struct Compiler<'a> {
     table: &'a VarTable,
     kind: SemiringKind,
     options: CompileOptions,
+    memo: Option<&'a dyn Memo>,
     /// The current (or last) compilation's counts, from zero at each `emit_*`.
     last: CompileStats,
     /// Every finished compilation's counts, summed.
@@ -270,10 +302,29 @@ impl<'a> Compiler<'a> {
             table,
             kind,
             options,
+            memo: None,
             last: CompileStats::default(),
             totals: CompileStats::default(),
             scratch,
         }
+    }
+
+    /// This compiler, consulting `memo` at the independent components it
+    /// splits off.
+    pub(crate) fn with_memo(mut self, memo: &'a dyn Memo) -> Self {
+        self.memo = Some(memo);
+        self
+    }
+
+    /// Evaluate the arena the last compilation emitted, in this compiler's
+    /// buffers, appending the values of its marked nodes to `tapped` (see
+    /// [`DTreeArena::evaluate_tapped`]).
+    pub(crate) fn evaluate_emitted(
+        &mut self,
+        tapped: &mut Vec<(u32, Val)>,
+    ) -> Result<(Val, Interp), DTreeError> {
+        let CompileScratch { out, eval, .. } = &mut self.scratch;
+        out.evaluate_tapped(self.table, self.kind, eval, tapped)
     }
 
     /// Give the tables up for the next compiler.
@@ -418,7 +469,7 @@ impl<'a> Compiler<'a> {
     ) -> Result<&DTreeArena, BudgetExceeded> {
         self.begin_emission();
         let root = self.scratch.work.simplify(root);
-        let emitted = self.compile_semiring_inner(root);
+        let emitted = self.compile_semiring_inner(root, self.memo.is_some());
         self.finish_emission(emitted)
     }
 
@@ -429,7 +480,7 @@ impl<'a> Compiler<'a> {
     ) -> Result<&DTreeArena, BudgetExceeded> {
         self.begin_emission();
         let root = self.scratch.work.simplify_agg(root);
-        let emitted = self.compile_agg(root);
+        let emitted = self.compile_agg(root, self.memo.is_some());
         self.finish_emission(emitted)
     }
 
@@ -461,7 +512,10 @@ impl<'a> Compiler<'a> {
         Ok(out)
     }
 
-    fn compile_semiring_inner(&mut self, id: ExprId) -> Result<u32, BudgetExceeded> {
+    /// Compile the semiring expression `id`. With `consult`, a memo the
+    /// compiler has is consulted at the components it splits off (see the
+    /// [module documentation](self)).
+    fn compile_semiring_inner(&mut self, id: ExprId, consult: bool) -> Result<u32, BudgetExceeded> {
         let arena = self.scratch.work.arena();
         match arena.node(id) {
             InternedExpr::Const(c) => self.emit(ArenaNode::SConst(c)),
@@ -469,14 +523,14 @@ impl<'a> Compiler<'a> {
             InternedExpr::Add(children) => {
                 let disjoint = arena.children_disjoint(id);
                 let list = filled(&mut self.scratch.id_bufs, children);
-                let sum = self.compile_sum(&list, disjoint)?;
+                let sum = self.compile_sum(&list, disjoint, consult)?;
                 recycle(&mut self.scratch.id_bufs, list);
                 Ok(sum)
             }
             InternedExpr::Mul(children) => {
                 let disjoint = arena.children_disjoint(id);
                 let list = filled(&mut self.scratch.id_bufs, children);
-                let product = self.compile_product(&list, disjoint)?;
+                let product = self.compile_product(&list, disjoint, consult)?;
                 recycle(&mut self.scratch.id_bufs, list);
                 Ok(product)
             }
@@ -485,8 +539,10 @@ impl<'a> Compiler<'a> {
                     && sorted_disjoint(arena.var_set(lhs), arena.var_set(rhs))
                 {
                     self.last.comparison_splits += 1;
-                    let left = self.compile_semiring_inner(lhs)?;
-                    let right = self.compile_semiring_inner(rhs)?;
+                    let constant = arena.as_const(lhs).or(arena.as_const(rhs));
+                    let consult = consult && constant.is_some(); // [s θ c] only
+                    let left = self.compile_semiring_inner(lhs, consult)?;
+                    let right = self.compile_semiring_inner(rhs, consult)?;
                     self.emit(ArenaNode::Cmp { theta, left, right })
                 } else {
                     self.shannon_semiring(id)
@@ -512,8 +568,8 @@ impl<'a> Compiler<'a> {
                         && sorted_disjoint(arena.agg_var_set(lhs), arena.agg_var_set(rhs)) =>
                     {
                         self.last.comparison_splits += 1;
-                        let left = self.compile_agg(lhs)?;
-                        let right = self.compile_agg(rhs)?;
+                        let left = self.compile_agg(lhs, false)?;
+                        let right = self.compile_agg(rhs, false)?;
                         self.emit(ArenaNode::Cmp { theta, left, right })
                     }
                     _ => self.shannon_semiring(id),
@@ -570,7 +626,7 @@ impl<'a> Compiler<'a> {
         };
         let (hint, var) = self.survey(terms, disjoint);
         if self.options.independence {
-            if let Some(left) = self.decompose_terms(op, terms, hint)? {
+            if let Some(left) = self.decompose_terms(op, terms, hint, false)? {
                 self.last.comparison_splits += 1;
                 let right = self.emit(ArenaNode::MConst(bound))?;
                 return self.emit(ArenaNode::Cmp { theta, left, right });
@@ -631,21 +687,31 @@ impl<'a> Compiler<'a> {
 
     /// Rule 2 + rule 3 on an n-ary semiring sum; `disjoint` if the children
     /// are known to be pairwise variable-disjoint (see
-    /// [`compile_components`](Self::compile_components)).
-    fn compile_sum(&mut self, children: &[ExprId], disjoint: bool) -> Result<u32, BudgetExceeded> {
+    /// [`compile_components`](Self::compile_components)), `consult` as for
+    /// [`compile_semiring_inner`](Self::compile_semiring_inner).
+    fn compile_sum(
+        &mut self,
+        children: &[ExprId],
+        disjoint: bool,
+        consult: bool,
+    ) -> Result<u32, BudgetExceeded> {
         if children.is_empty() {
             return self.emit(ArenaNode::SConst(self.kind.zero()));
         }
         if let [only] = children {
-            return self.compile_semiring_inner(*only);
+            return self.compile_semiring_inner(*only, consult);
         }
         if self.options.independence {
+            let memo = self.memo.filter(|_| consult);
             let split = self.compile_components(
                 children,
                 Hint::disjoint_if(disjoint),
                 |c| *c,
                 |compiler| &mut compiler.scratch.id_bufs,
-                |compiler, group| compiler.compile_sum(group, false),
+                memo.map(|memo| {
+                    move |work: &ResidualArena, group: &[ExprId]| memo.semiring(work, true, group)
+                }),
+                |compiler, group| compiler.compile_sum(group, false, consult),
                 |left, right| ArenaNode::SumS { left, right },
             )?;
             if let Some((groups, sum)) = split {
@@ -679,7 +745,7 @@ impl<'a> Compiler<'a> {
                     // `B`: x + x·y = x·(1 + y) = x.
                     let quotient = self.scratch.work.simplify(quotient);
                     let left = self.compile_var_product(&common)?;
-                    let right = self.compile_semiring_inner(quotient)?;
+                    let right = self.compile_semiring_inner(quotient, false)?;
                     return self.emit(ArenaNode::Prod { left, right });
                 }
             }
@@ -688,26 +754,31 @@ impl<'a> Compiler<'a> {
         self.shannon_semiring(sum)
     }
 
-    /// Independent-product split on an n-ary semiring product (`disjoint` as
-    /// for [`compile_sum`](Self::compile_sum)).
+    /// Independent-product split on an n-ary semiring product (`disjoint` and
+    /// `consult` as for [`compile_sum`](Self::compile_sum)).
     fn compile_product(
         &mut self,
         children: &[ExprId],
         disjoint: bool,
+        consult: bool,
     ) -> Result<u32, BudgetExceeded> {
         if children.is_empty() {
             return self.emit(ArenaNode::SConst(self.kind.one()));
         }
         if let [only] = children {
-            return self.compile_semiring_inner(*only);
+            return self.compile_semiring_inner(*only, consult);
         }
         if self.options.independence {
+            let memo = self.memo.filter(|_| consult);
             let split = self.compile_components(
                 children,
                 Hint::disjoint_if(disjoint),
                 |c| *c,
                 |compiler| &mut compiler.scratch.id_bufs,
-                |compiler, group| compiler.compile_product(group, false),
+                memo.map(|memo| {
+                    move |work: &ResidualArena, group: &[ExprId]| memo.semiring(work, false, group)
+                }),
+                |compiler, group| compiler.compile_product(group, false, consult),
                 |left, right| ArenaNode::Prod { left, right },
             )?;
             if let Some((groups, product)) = split {
@@ -738,11 +809,13 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn compile_agg(&mut self, id: AggExprId) -> Result<u32, BudgetExceeded> {
+    /// Compile the semimodule expression `id`. With `consult`, a memo the
+    /// compiler has is consulted at its top-level components.
+    fn compile_agg(&mut self, id: AggExprId, consult: bool) -> Result<u32, BudgetExceeded> {
         let arena = self.scratch.work.arena();
         let (node, disjoint) = (arena.agg_node(id), arena.terms_disjoint(id));
         let terms = filled(&mut self.scratch.term_bufs, node.terms);
-        let compiled = self.compile_terms(node.op, &terms, disjoint)?;
+        let compiled = self.compile_terms(node.op, &terms, disjoint, consult)?;
         recycle(&mut self.scratch.term_bufs, terms);
         Ok(compiled)
     }
@@ -750,24 +823,26 @@ impl<'a> Compiler<'a> {
     /// Compile the semimodule expression `Σ_op terms`. The list is normalised
     /// ([`ResidualArena::normalize_terms`]): at most one term has a constant
     /// coefficient, and no two terms share one. `disjoint` if the coefficients
-    /// are known to be pairwise variable-disjoint.
+    /// are known to be pairwise variable-disjoint; `consult` as for
+    /// [`compile_agg`](Self::compile_agg).
     fn compile_terms(
         &mut self,
         op: AggOp,
         terms: &[AggTerm],
         disjoint: bool,
+        consult: bool,
     ) -> Result<u32, BudgetExceeded> {
         // Rule 1: ground expressions fold to a monoid constant.
         if let Some(c) = self.ground(op, terms) {
             return self.emit(ArenaNode::MConst(c));
         }
         let (hint, var) = self.survey(terms, disjoint);
-        if let Some(root) = self.decompose_terms(op, terms, hint)? {
+        if let Some(root) = self.decompose_terms(op, terms, hint, consult)? {
             return Ok(root);
         }
         // Rule 6: mutually exclusive case split on the most frequent variable.
         self.shannon_expand(op, terms, var, |compiler, residual| {
-            compiler.compile_terms(op, residual, false)
+            compiler.compile_terms(op, residual, false, false)
         })
     }
 
@@ -800,21 +875,27 @@ impl<'a> Compiler<'a> {
 
     /// Rules 2–4 on the non-ground list `Σ_op terms` (`hint` from
     /// [`survey`](Self::survey)): the root of what they compile, or `None`,
-    /// having emitted nothing, if none applies and rule 6 is next.
+    /// having emitted nothing, if none applies and rule 6 is next. With
+    /// `consult`, a memo the compiler has is consulted at rule 2's components.
     fn decompose_terms(
         &mut self,
         op: AggOp,
         terms: &[AggTerm],
         hint: Hint,
+        consult: bool,
     ) -> Result<Option<u32>, BudgetExceeded> {
         // Rule 2: split the +op sum by independence of the terms' coefficients.
         if self.options.independence && terms.len() > 1 {
+            let memo = self.memo.filter(|_| consult);
             let split = self.compile_components(
                 terms,
                 hint,
                 |t| t.0,
                 |compiler| &mut compiler.scratch.term_bufs,
-                |compiler, group| compiler.compile_terms(op, group, false),
+                memo.map(|memo| {
+                    move |work: &ResidualArena, group: &[AggTerm]| memo.aggregate(work, op, group)
+                }),
+                |compiler, group| compiler.compile_terms(op, group, false, false),
                 |left, right| ArenaNode::SumM { op, left, right },
             )?;
             if let Some((groups, sum)) = split {
@@ -826,7 +907,7 @@ impl<'a> Compiler<'a> {
         // independent; a constant coefficient was rule 1's).
         if let [(coeff, value)] = terms {
             self.last.tensor_splits += 1;
-            let scalar = self.compile_semiring_inner(*coeff)?;
+            let scalar = self.compile_semiring_inner(*coeff, false)?;
             let value = self.emit(ArenaNode::MConst(*value))?;
             return self.emit(ArenaNode::Tensor { op, scalar, value }).map(Some);
         }
@@ -858,7 +939,7 @@ impl<'a> Compiler<'a> {
                     // constant 1_S now.
                     work.normalize_terms(op, &mut quotient, 0);
                     let scalar = self.compile_var_product(&common)?;
-                    let value = self.compile_terms(op, &quotient, false)?;
+                    let value = self.compile_terms(op, &quotient, false, false)?;
                     recycle(&mut self.scratch.term_bufs, quotient);
                     return self.emit(ArenaNode::Tensor { op, scalar, value }).map(Some);
                 }
@@ -877,13 +958,17 @@ impl<'a> Compiler<'a> {
     /// `None` if everything is one component. `hint` is what is known of the
     /// partition already — the interner's bit when `items` are a node's own
     /// children or terms, the connectivity certificate of a tally — and spares
-    /// the partitioner its union–find ([`Partitioner::split`]).
+    /// the partitioner its union–find ([`Partitioner::split`]). With `lookup`,
+    /// a component other than a bare variable or constant is looked up in the
+    /// memo first: a `Known` leaf if held, compiled and marked if not.
+    #[allow(clippy::too_many_arguments)]
     fn compile_components<T: Copy>(
         &mut self,
         items: &[T],
         hint: Hint,
         coeff: impl Fn(&T) -> ExprId,
         pool: fn(&mut Self) -> &mut Vec<Vec<T>>,
+        lookup: Option<impl Fn(&ResidualArena, &[T]) -> Lookup>,
         mut compile: impl FnMut(&mut Self, &[T]) -> Result<u32, BudgetExceeded>,
         combine: impl Fn(u32, u32) -> ArenaNode,
     ) -> Result<Option<(usize, u32)>, BudgetExceeded> {
@@ -906,7 +991,31 @@ impl<'a> Compiler<'a> {
         let mut chain = None;
         let mut start = 0;
         for &end in &ends {
-            let right = compile(self, &groups[start..end])?;
+            let group = &groups[start..end];
+            let work = &self.scratch.work;
+            // A bare variable or constant is not looked up: its distribution
+            // is read off the variable table or is a point.
+            let leaf = |item: &T| {
+                let node = work.arena().node(coeff(item));
+                matches!(node, InternedExpr::Var(_) | InternedExpr::Const(_))
+            };
+            let right = match &lookup {
+                Some(lookup) if !matches!(group, [item] if leaf(item)) => {
+                    match lookup(work, group) {
+                        Lookup::Known(known) => {
+                            let idx = self.scratch.out.push_known(known);
+                            self.check_budget()?;
+                            idx
+                        }
+                        Lookup::Miss(token) => {
+                            let root = compile(self, group)?;
+                            self.scratch.out.mark(root, token);
+                            root
+                        }
+                    }
+                }
+                _ => compile(self, group)?,
+            };
             chain = Some(match chain {
                 None => right,
                 Some(left) => self.emit(combine(left, right))?,
@@ -973,7 +1082,7 @@ impl<'a> Compiler<'a> {
         for (value, _) in table.dist(var).iter() {
             self.scratch.work.begin_branch(var, *value);
             let residual = self.scratch.work.substitute(id);
-            let child = self.compile_semiring_inner(residual)?;
+            let child = self.compile_semiring_inner(residual, false)?;
             self.scratch.pending.push((*value, child));
         }
         self.emit_exclusive(var, base)

@@ -53,8 +53,8 @@ mod prune;
 
 pub use arena::DTreeArena;
 pub use cache::{
-    confidence_of, CacheConfig, CacheCounters, CompactionStats, CompilationCache, EvalError,
-    EvictionStats, SharedArtifacts,
+    confidence_of, CacheConfig, CacheCounters, CompactionStats, EvalError, EvictionStats,
+    SharedArtifacts,
 };
 pub use compile::{BudgetExceeded, CompileOptions, CompileStats, Compiler};
 pub use joint::{joint_distribution, ratio_distribution};

@@ -27,6 +27,9 @@ pub(crate) enum ArenaNode {
     SConst(SemiringValue),
     /// Leaf: a monoid constant `m ∈ M` (distribution `{(m, 1)}`).
     MConst(MonoidValue),
+    /// Leaf: an independent component whose distribution the artifact store
+    /// already holds, at this slot of the arena's table of known values.
+    Known(u32),
     /// `⊕` over two independent *semiring* expressions (Eq. 4).
     SumS { left: u32, right: u32 },
     /// `⊕` over two independent *semimodule* expressions in the given monoid (Eq. 6).

@@ -1,6 +1,7 @@
 //! Persistent snapshots of compile artifacts: a versioned, length-prefixed,
 //! checksummed **binary format** for the hash-consed expression arena
-//! ([`Interner`]) and the bounded artifact cache ([`CompilationCache`]), so a
+//! ([`Interner`]) and the bounded distribution cache of the artifact store
+//! ([`SharedArtifacts`](crate::cache::SharedArtifacts)), so a
 //! serving engine can come back **warm** after a process restart instead of
 //! recompiling every d-tree from scratch.
 //!
@@ -35,7 +36,8 @@
 //! # Id remapping
 //!
 //! Interned ids are arena indices and therefore not stable across processes once
-//! the target arena already holds other expressions. [`Snapshot::restore_into`]
+//! the target arena already holds other expressions. Restoring
+//! ([`SharedArtifacts::restore_snapshot`](crate::cache::SharedArtifacts::restore_snapshot))
 //! replays each snapshot node through [`Interner::intern_node`], building a
 //! snapshot-id → live-id map, and rewrites every cache key through that map — so
 //! snapshots **compose with a live arena**: restoring into a non-empty store
@@ -628,15 +630,16 @@ fn take_interner(r: &mut Reader<'_>) -> Result<(Vec<RawExpr>, Vec<RawAgg>), Pers
 // ---------------------------------------------------------------------------
 
 fn put_cache(w: &mut Writer, cache: &CompilationCache) {
-    let export = cache.export();
-    w.put_u64(export.semiring.len() as u64);
-    for (key, scope, dist) in &export.semiring {
+    let semiring = cache.semiring.entries_oldest_first();
+    w.put_u64(semiring.len() as u64);
+    for (key, scope, dist) in &semiring {
         w.put_u32(*key);
         w.put_u64(*scope);
         put_dist(w, dist, put_semiring_value);
     }
-    w.put_u64(export.aggregate.len() as u64);
-    for (key, scope, dist) in &export.aggregate {
+    let aggregate = cache.aggregate.entries_oldest_first();
+    w.put_u64(aggregate.len() as u64);
+    for (key, scope, dist) in &aggregate {
         w.put_u32(*key);
         w.put_u64(*scope);
         put_dist(w, dist, put_monoid_value);
@@ -698,7 +701,7 @@ fn take_cache(
 /// diverged instead of rejecting the whole snapshot; `extra` is an opaque
 /// caller section (the engine's step-I rewrite cache) returned verbatim by
 /// [`Snapshot::extra`] on load.
-pub fn encode_snapshot(
+pub(crate) fn encode_snapshot(
     interner: &Interner,
     cache: &CompilationCache,
     fingerprint: u64,
@@ -709,7 +712,7 @@ pub fn encode_snapshot(
     w.buf.extend_from_slice(&MAGIC);
     w.put_u32(FORMAT_VERSION);
     w.put_u64(fingerprint);
-    let config = cache.config();
+    let config = cache.config;
     w.put_u64(config.max_entries as u64);
     w.put_u64(config.max_bytes as u64);
     w.put_u64(table_fingerprints.len() as u64);
@@ -732,7 +735,7 @@ pub fn encode_snapshot(
 }
 
 /// A decoded, validated snapshot, ready to be restored into a live interner +
-/// cache pair (see [`encode_snapshot`] and the [module docs](self)).
+/// cache pair (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Snapshot {
     fingerprint: u64,
@@ -744,7 +747,7 @@ pub struct Snapshot {
     extra: Option<Vec<u8>>,
 }
 
-/// What [`Snapshot::restore_into`] added to the target store.
+/// What a restore added to the target store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RestoreStats {
     /// Interned semiring nodes replayed (counting nodes already present).
@@ -758,7 +761,8 @@ pub struct RestoreStats {
 /// Parse and validate snapshot bytes: magic, version, checksum, structural
 /// sanity (child-before-parent ids, in-bounds cache keys). Returns a
 /// [`Snapshot`] that can be fingerprint-checked and restored; the target store
-/// is untouched until [`Snapshot::restore_into`].
+/// is untouched until it is restored
+/// ([`SharedArtifacts::restore_snapshot`](crate::cache::SharedArtifacts::restore_snapshot)).
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, PersistError> {
     if bytes.len() < MAGIC.len() + 4 + 8 {
         return Err(PersistError::Format(format!(
@@ -900,7 +904,7 @@ impl Snapshot {
     /// least-recently-used-first order, honouring the *target* cache's LRU
     /// bounds. Restoring into a freshly created pair reproduces the saved state
     /// exactly; restoring into a warm store merges.
-    pub fn restore_into(
+    pub(crate) fn restore_into(
         &self,
         interner: &mut Interner,
         cache: &mut CompilationCache,
@@ -956,12 +960,12 @@ impl Snapshot {
         };
         for (key, scope, dist) in &self.cache.semiring {
             let id = expr_map[*key as usize].expect("all expressions remapped");
-            cache.insert_semiring(id, *scope, dist);
+            cache.insert_semiring(id, *scope, dist.clone());
             stats.distributions += 1;
         }
         for (key, scope, dist) in &self.cache.aggregate {
             let id = agg_map[*key as usize].expect("all aggregates remapped");
-            cache.insert_aggregate(id, *scope, dist);
+            cache.insert_aggregate(id, *scope, dist.clone());
             stats.distributions += 1;
         }
         Ok(stats)

@@ -6,20 +6,18 @@
 //! what justifies the convolution rules at ⊕/⊙/⊗ nodes of a decomposition tree. The
 //! compiler's first rule splits a sum by the connected components of the *variable
 //! co-occurrence graph* over its summands. [`Partitioner`] computes that partition,
-//! and it is the only thing here that does: the compiler splits with it, the
-//! artifact store plans its folds with it, and [`all_independent`] counts its
-//! components. One partitioner means one component order — smallest member
-//! first, members ascending — so the store folds component distributions in the
-//! order the compiler chains them, and its answers are the compiled circuit's
-//! bits.
+//! and it is the only thing here that does: the compiler splits with it — for
+//! itself and for the artifact store, which it consults at the components — and
+//! [`all_independent`] counts its components. The component order — smallest
+//! member first, members ascending — is the order the compiler chains them in,
+//! so it is part of every compiled bit.
 //!
 //! A node's own operands often need no union–find at all: the interner records
 //! at intern time whether they are pairwise variable-disjoint
 //! ([`Interner::children_disjoint`](crate::Interner::children_disjoint)). For
 //! such items the partition is every item alone, in index order, and
-//! [`Partitioner::split`] returns exactly that without reading a variable. The
-//! compiler and the store both split a node through `split`, so the shortcut is
-//! one code path with one order, like the partitioner itself.
+//! [`Partitioner::split`] returns exactly that without reading a variable: the
+//! shortcut is one code path with one order, like the partitioner itself.
 //!
 //! Most lists that do need the union–find turn out to be one component, and
 //! often one item proves it: if some item mentions every variable of the list
@@ -139,8 +137,7 @@ pub fn all_independent(sets: &[VarSet]) -> bool {
 
 /// Reusable state of [`Partitioner::components`]. The compiler partitions a
 /// term list at every recursion level of a hard compilation, tens of items over
-/// a handful of variables each time, and the artifact store plans every sum
-/// and aggregate it evaluates, so nothing here is allocated per call and
+/// a handful of variables each time, so nothing here is allocated per call and
 /// nothing is sized by the number of variables that *exist*.
 #[derive(Debug, Default)]
 pub struct Partitioner {
@@ -288,8 +285,8 @@ impl Partitioner {
     /// alone, in index order; known-connected items — the connectivity
     /// certificate, read off a tally the caller made anyway — are one
     /// component, members in order. Either is exactly what `components` returns
-    /// for them, without a variable read. Every split of a node's own items,
-    /// the compiler's and the store's, comes through here.
+    /// for them, without a variable read. Every split of a node's own items
+    /// comes through here.
     pub fn split<'a>(
         &mut self,
         n: usize,
@@ -452,8 +449,7 @@ mod tests {
 
     #[test]
     fn labels_agree_with_connected_components() {
-        // One partitioner across every case, as the compiler and the store
-        // keep theirs.
+        // One partitioner across every case, as the compiler keeps its own.
         let mut partitioner = Partitioner::default();
         let cases: Vec<Vec<VarSet>> = vec![
             vec![],
@@ -490,8 +486,8 @@ mod tests {
     #[test]
     fn components_are_ordered_by_smallest_member() {
         // Items 0 and 3 share a variable and 1 and 2 stand alone: `{0, 3}`
-        // comes first. The compiler chains components in this order and the
-        // store folds them in it, so it is part of their bit-identity.
+        // comes first. The compiler chains components in this order, so it is
+        // part of every compiled bit.
         let shape = [vs(&[7]), vs(&[8]), vs(&[9]), vs(&[7])];
         assert_eq!(components(&shape), vec![vec![0, 3], vec![1], vec![2]]);
         let sets = [vs(&[1]), vs(&[2]), vs(&[1, 3]), vs(&[4])];
@@ -537,7 +533,7 @@ mod tests {
         // go variable-free items (which must stay components of their own),
         // copies of earlier sets, and a hub that misses one variable, so lists
         // on both sides of the certificate's line occur. Through `split`, as the
-        // compiler and the store call it, on one partitioner.
+        // compiler calls it, on one partitioner.
         let mut partitioner = Partitioner::default();
         for seed in seeds(0xCE27) {
             let mut rng = pvc_prob::SeededRng::seed_from_u64(seed);

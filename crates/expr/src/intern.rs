@@ -26,12 +26,12 @@
 //!   [`Interner::terms_disjoint`]). The union of those sets is built at intern
 //!   time anyway, and the sets are disjoint iff it is as long as they are
 //!   together, so the bit costs one comparison. It is the decomposability of
-//!   the node as a gate: the independence split of §5 (the compiler's rule 2,
-//!   the artifact store's plan) reads it instead of running a union–find over
-//!   the same variables. Being a function of the structure, it is recomputed by
-//!   every path that builds a node — [`Interner::intern_node`] (snapshot
-//!   replay), [`Interner::import`] (compaction, compile-local copies) — and is
-//!   not stored in snapshots.
+//!   the node as a gate: the independence split of §5 (the compiler's rule 2)
+//!   reads it instead of running a union–find over the same variables, and the
+//!   artifact store reads it to recognise a list of independent leaves. Being a
+//!   function of the structure, it is recomputed by every path that builds a
+//!   node — [`Interner::intern_node`] (snapshot replay), [`Interner::import`]
+//!   (compaction, compile-local copies) — and is not stored in snapshots.
 //!
 //! The canonical order sorts **precomputed keys**: each operand's hash, id and
 //! position are packed into one `u128` before the sort, so a comparison is one
@@ -40,13 +40,14 @@
 //! so every id and every compiled bit, is the one `(hash, id)` defines.
 //!
 //! The same type serves two roles. The **shared** arena only ever grows; it lives
-//! alongside a bounded `CompilationCache` (see `pvc-core`) which stores the
-//! expensive artifacts and can evict freely, while ids stay valid for the lifetime
-//! of the interner. A **compile-local** arena is the compiler's working
-//! representation: one root is [imported](Interner::import) from the shared arena
-//! (or interned from a tree), every residual of a Shannon expansion is interned
-//! beside it, and [`clear`](Interner::clear) empties it for the next compilation
-//! without giving its tables back. Both want the same thing from the storage: no
+//! alongside the bounded distribution cache of `SharedArtifacts` (see
+//! `pvc-core`), which stores the expensive artifacts and can evict freely, while
+//! ids stay valid for the lifetime of the interner. A **compile-local** arena is
+//! the compiler's working representation: one root is
+//! [imported](Interner::import) from the shared arena (or interned from a tree),
+//! every residual of a Shannon expansion is interned beside it, and
+//! [`clear`](Interner::clear) empties it for the next compilation without giving
+//! its tables back. Both want the same thing from the storage: no
 //! allocation per node. Children, semimodule terms and variable sets therefore
 //! live in flat pools that nodes point into, and the dedup index is one
 //! open-addressing table of ids probed by the canonical hash.
@@ -830,6 +831,11 @@ impl ImportMemo {
     pub fn clear(&mut self) {
         self.exprs.clear();
         self.aggs.clear();
+    }
+
+    /// Every semiring expression copied so far as `(source id, copy's id)`.
+    pub fn copies(&self) -> impl Iterator<Item = (ExprId, ExprId)> + '_ {
+        self.exprs.iter().map(|(&src, &copy)| (ExprId(src), copy))
     }
 }
 

@@ -32,9 +32,7 @@
 //!   rebuilds applies it — where `x ← ⊤` has just turned `x·y` into `y`, next
 //!   to a `y·z·w` — and only its product summands are checked, so a sum of
 //!   variables costs nothing more. [`simplify`](ResidualArena::simplify)
-//!   leaves it out: the root fold is also what the artifact store folds
-//!   (`pvc_core::cache`), and its components must be the compiler's, bit for
-//!   bit.
+//!   leaves it out.
 //! * **Equal coefficients merge** — `Φ⊗a +op Φ⊗b = Φ⊗(a +op b)`, the semimodule
 //!   axiom `s⊗(m₁+m₂) = s⊗m₁ + s⊗m₂`; every monoid, both semirings. With ids,
 //!   "equal" is `==`.
@@ -254,6 +252,12 @@ impl ResidualArena {
     /// [`import`](Self::import) for a semimodule expression.
     pub fn import_agg(&mut self, src: &Interner, id: AggExprId) -> AggExprId {
         self.arena.import_agg(src, id, &mut self.import_memo)
+    }
+
+    /// What [`import`](Self::import) and [`import_agg`](Self::import_agg)
+    /// have copied since the last [`reset`](Self::reset), by source id.
+    pub fn imported(&self) -> &ImportMemo {
+        &self.import_memo
     }
 
     /// Fold the constants of `id` and apply the laws throughout (no substitution).

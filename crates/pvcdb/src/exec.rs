@@ -847,7 +847,7 @@ impl Executor<'_> {
         };
         for agg in aggs {
             let mut expr = SemimoduleExpr::zero(agg.op);
-            let mut headroom = Headroom::of(agg.op);
+            let mut headroom = Headroom::of(agg.op, self.kind);
             for (&row, annotation) in rows.iter().zip(&annotations) {
                 let value = match &agg.column {
                     None => MonoidValue::Fin(1),
@@ -892,7 +892,8 @@ impl Executor<'_> {
 /// its annotation takes: a SUM lies between the sum of the negative and the sum
 /// of the positive contributions, and a PROD's magnitude is at most the product
 /// of its `|v| ≥ 2` factors, each to the power `mᵢ`. Every partial fold lies
-/// within the same bounds, so a group that stays `Sum` / `Prod` cannot wrap.
+/// within the same bounds, so a group that stays `Sum` / `Prod` cannot wrap. A
+/// COUNT over `N` is the SUM of its rows' 1s.
 #[derive(Clone, Copy)]
 enum Headroom {
     Sum {
@@ -907,11 +908,12 @@ enum Headroom {
 }
 
 impl Headroom {
-    /// The empty group's range for `op`; `None` for COUNT, MIN and MAX, which
-    /// are not checked.
-    fn of(op: AggOp) -> Option<Self> {
+    /// The empty group's range for `op` over `kind`; `None` for MIN and MAX,
+    /// and for COUNT over `B`, where a group has fewer than 2^63 rows.
+    fn of(op: AggOp, kind: SemiringKind) -> Option<Self> {
         match op {
             AggOp::Sum => Some(Headroom::Sum { low: 0, high: 0 }),
+            AggOp::Count if kind == SemiringKind::Nat => Some(Headroom::Sum { low: 0, high: 0 }),
             AggOp::Prod => Some(Headroom::Prod { magnitude: 1 }),
             AggOp::Count | AggOp::Min | AggOp::Max => None,
         }

@@ -370,9 +370,11 @@ fn verify_table_variables(table: &PvcTable, var_count: usize) -> Result<(), Pers
 // Database fingerprints (whole-database, per-table, per-partition)
 // ---------------------------------------------------------------------------
 
-/// Row-count granularity of partition fingerprints: tables are digested in
-/// fixed-size row chunks so a localised mutation of a large table re-hashes
-/// only the affected chunks (plus the cheap fold combining them).
+/// Row-count granularity of partition fingerprints: a table's content is
+/// digested as fixed-size row chunks whose digests are folded into the table's
+/// fingerprint. Nothing caches a chunk's digest, so every
+/// [`table_fingerprint`] call hashes every chunk again; the chunking only fixes
+/// the fingerprint's value, which a saved snapshot's stays comparable to.
 pub(crate) const PARTITION_ROWS: usize = 1024;
 
 /// The set of variables a table's annotations and aggregate cell values

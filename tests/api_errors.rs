@@ -188,11 +188,11 @@ fn aggregating_a_string_column_is_a_type_error() {
 /// A SUM or PROD that could leave `i64` in some world is refused at execution
 /// with a typed error, never wrapped; one that stays in range, and COUNT / MIN /
 /// MAX over the same values, run. Over `N` each value counts at its
-/// annotation's largest multiplicity.
+/// annotation's largest multiplicity, and so does each row of a COUNT.
 #[test]
 fn aggregates_that_could_leave_i64_are_refused() {
     // One row per `(value, n)`: over `B` present at 0.5, over `N` with a
-    // multiplicity uniform on `0..=n`.
+    // multiplicity uniform on `0..=n` (on `{0, n}` for a large `n`).
     let engine = |kind: SemiringKind, rows: &[(i64, u64)]| {
         let mut db = Database::with_kind(kind);
         db.create_table("T", Schema::new(["v"]));
@@ -201,7 +201,12 @@ fn aggregates_that_could_leave_i64_are_refused() {
             let x = match kind {
                 SemiringKind::Bool => vars.boolean(format!("x{i}"), 0.5),
                 SemiringKind::Nat => {
-                    let uniform: Vec<_> = (0..=n).map(|k| (k, 1.0 / (n + 1) as f64)).collect();
+                    let support: Vec<u64> = match n {
+                        0..=3 => (0..=n).collect(),
+                        _ => vec![0, n],
+                    };
+                    let p = 1.0 / support.len() as f64;
+                    let uniform: Vec<_> = support.into_iter().map(|k| (k, p)).collect();
                     vars.natural(format!("n{i}"), &uniform)
                 }
             };
@@ -215,8 +220,10 @@ fn aggregates_that_could_leave_i64_are_refused() {
     };
     let refused = |result: Result<QueryResult, Error>, op: AggOp| {
         let err = result.unwrap_err();
+        // COUNT counts rows, not the column's values.
+        let expected = if op == AggOp::Count { "*" } else { "v" };
         assert!(
-            matches!(err, Error::AggregateOverflow { op: o, ref column } if o == op && column == "v"),
+            matches!(err, Error::AggregateOverflow { op: o, ref column } if o == op && column == expected),
             "{err:?}"
         );
         assert!(err.to_string().contains("64-bit"), "{err}");
@@ -239,8 +246,9 @@ fn aggregates_that_could_leave_i64_are_refused() {
     let e = engine(SemiringKind::Bool, &[(1 << 40, 1), (-(1 << 20), 1), (1, 1)]);
     assert!(run(&e, AggOp::Prod).is_ok());
     // Over N the multiplicity counts: 2 · 2^62 leaves i64 and 1 · 2^62 does
-    // not; (2^31)^3 leaves it and (2^31)^2 does not.
+    // not; (2^31)^3 leaves it and (2^31)^2 does not; a COUNT of 2^63 leaves it.
     for (v, n, op, fits) in [
+        (1, 1 << 63, AggOp::Count, false),
         (1i64 << 62, 2, AggOp::Sum, false),
         (1 << 62, 1, AggOp::Sum, true),
         (1 << 31, 3, AggOp::Prod, false),
