@@ -191,8 +191,8 @@ fn bench_or_705() {
     };
     confidence("confidence/or-705", &condition, &vars);
     // Summands that share a variable in pairs, `xᵢ·y_{i/2}`: 353 two-member
-    // components, each memoised and compiled alone, folded in the compiler's
-    // (smallest-member) order.
+    // components of one circuit, chained in the compiler's (smallest-member)
+    // order.
     let mut shared_vars = VarTable::new();
     let pairs: Vec<SemiringExpr> = (0..353)
         .map(|k| SemiringExpr::Var(shared_vars.boolean("", 0.2 + 0.6 * (k % 89) as f64 / 89.0)))

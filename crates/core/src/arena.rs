@@ -38,11 +38,8 @@
 //!
 //! The engine's store ([`SharedArtifacts`](crate::cache::SharedArtifacts))
 //! evaluates each arena where the compiler emits it and keeps the distribution,
-//! not the circuit. Two things exist for it alone: a `Known` leaf carries a
-//! component distribution the store already held when the compiler reached
-//! the component, and a *marked* node (a component the store did not hold)
-//! has a copy of its value handed out as it is computed — the tap the store
-//! inserts from — while the chain carries the value itself on.
+//! not the circuit. Every leaf is a variable or a constant (Definition 7 of
+//! the paper): nothing of the store enters the arena.
 //!
 //! # Empty sides of comparisons
 //!
@@ -98,19 +95,6 @@ pub struct DTreeArena {
     folds: Vec<(u32, Fold)>,
     /// Statically inferred sort per node.
     sorts: Vec<Sort>,
-    /// The distributions of the `Known` leaves, by slot.
-    known: Vec<Known>,
-    /// `(node, token)` of every marked node, ascending by node.
-    marks: Vec<(u32, u32)>,
-}
-
-/// The distribution a `Known` leaf carries: stored by the artifact store for
-/// an independent component, and entering the evaluation as the component's
-/// value.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Known {
-    Semiring(SemiringDist),
-    Monoid(MonoidDist),
 }
 
 /// One step of the explicit traversal stack: visit a node's children first
@@ -258,9 +242,6 @@ pub(crate) struct EvalScratch {
     /// travel as [`Val::B`] and `∨`, `∧`, `[θ]` and `⊔` over them run on the
     /// two-cell kernel. Bit-identical either way; off, every value is a `Dist`.
     cells: bool,
-    /// `(token, value)` copies of the marked nodes' values, in evaluation
-    /// order.
-    tapped: Vec<(u32, Val)>,
     /// When set, `eval_from` tracks the value-stack high-water mark in
     /// `max_depth` (observed only when the metrics registry is enabled, so the
     /// disabled hot path pays one local branch per step).
@@ -284,8 +265,6 @@ impl DTreeArena {
             branches: Vec::new(),
             folds: Vec::new(),
             sorts: Vec::new(),
-            known: Vec::new(),
-            marks: Vec::new(),
         }
     }
 
@@ -295,8 +274,6 @@ impl DTreeArena {
         self.branches.clear();
         self.folds.clear();
         self.sorts.clear();
-        self.known.clear();
-        self.marks.clear();
     }
 
     /// Append a node whose children (if any) are already in the arena and return
@@ -313,10 +290,6 @@ impl DTreeArena {
             ArenaNode::MConst(_) | ArenaNode::SumM { .. } | ArenaNode::Tensor { .. } => {
                 Sort::Monoid
             }
-            ArenaNode::Known(slot) => match self.known[slot as usize] {
-                Known::Semiring(_) => Sort::Semiring,
-                Known::Monoid(_) => Sort::Monoid,
-            },
             ArenaNode::Exclusive {
                 branches_start,
                 branches_len,
@@ -360,20 +333,6 @@ impl DTreeArena {
             branches_start,
             branches_len,
         })
-    }
-
-    /// Append a `Known` leaf carrying `value`.
-    pub(crate) fn push_known(&mut self, value: Known) -> u32 {
-        let slot = self.known.len() as u32;
-        self.known.push(value);
-        self.push(ArenaNode::Known(slot))
-    }
-
-    /// Mark the node at `idx`, the last one pushed: evaluation hands a copy of
-    /// its value out under `token`.
-    pub(crate) fn mark(&mut self, idx: u32, token: u32) {
-        debug_assert_eq!(idx as usize + 1, self.nodes.len(), "marks ascend");
-        self.marks.push((idx, token));
     }
 
     /// Number of nodes.
@@ -452,18 +411,16 @@ impl DTreeArena {
     }
 
     fn evaluate(&self, table: &VarTable, kind: SemiringKind) -> Result<(Val, Interp), DTreeError> {
-        self.evaluate_tapped(table, kind, &mut EvalScratch::default(), &mut Vec::new())
+        self.evaluate_in(table, kind, &mut EvalScratch::default())
     }
 
-    /// Evaluate the root in `scratch`'s buffers, appending a `(token, value)`
-    /// copy of every marked node's value to `tapped`. The buffers are empty
-    /// again afterwards, whatever the outcome, and keep their room.
-    pub(crate) fn evaluate_tapped(
+    /// Evaluate the root in `scratch`'s buffers. The buffers are empty again
+    /// afterwards, whatever the outcome, and keep their room.
+    pub(crate) fn evaluate_in(
         &self,
         table: &VarTable,
         kind: SemiringKind,
         scratch: &mut EvalScratch,
-        tapped: &mut Vec<(u32, Val)>,
     ) -> Result<(Val, Interp), DTreeError> {
         scratch.cells = kind == SemiringKind::Bool;
         let depth_hist = &crate::obs::core_metrics().eval_stack_depth;
@@ -474,7 +431,6 @@ impl DTreeArena {
         if scratch.track_depth {
             depth_hist.record(scratch.max_depth as u64);
         }
-        tapped.append(&mut scratch.tapped);
         if result.is_err() {
             // An aborted pass leaves operands behind.
             scratch.work.clear();
@@ -511,17 +467,23 @@ impl DTreeArena {
                 scratch.max_depth = scratch.max_depth.max(scratch.stack.len());
             }
             let phase = scratch.work.pop().expect("work stack entry");
-            let (i, value) = match phase {
+            let i = match phase {
                 Phase::Expand(i) => {
-                    let leaf = match self.nodes[i as usize] {
+                    match self.nodes[i as usize] {
                         // Leaves evaluate immediately.
-                        ArenaNode::VarLeaf(v) => Val::leaf(table.dist(v), scratch.cells),
-                        ArenaNode::SConst(s) => Val::constant(s, scratch.cells),
-                        ArenaNode::MConst(m) => Val::M(Dist::point(m)),
-                        ArenaNode::Known(slot) => match &self.known[slot as usize] {
-                            Known::Semiring(d) => Val::semiring(d.clone(), scratch.cells),
-                            Known::Monoid(d) => Val::M(d.clone()),
-                        },
+                        ArenaNode::VarLeaf(v) => {
+                            let leaf = Val::leaf(table.dist(v), scratch.cells);
+                            scratch.stack.push(leaf);
+                            continue;
+                        }
+                        ArenaNode::SConst(s) => {
+                            scratch.stack.push(Val::constant(s, scratch.cells));
+                            continue;
+                        }
+                        ArenaNode::MConst(m) => {
+                            scratch.stack.push(Val::M(Dist::point(m)));
+                            continue;
+                        }
                         // A folded comparison handles its own subtree.
                         ArenaNode::Cmp { left, right, .. } => {
                             let Some(fold) = self.fold_of(i) else {
@@ -533,11 +495,12 @@ impl DTreeArena {
                             let (p_true, mass) = self.threshold(
                                 fold.child, fold.theta, fold.bound, table, kind, scratch,
                             )?;
-                            if scratch.cells {
+                            scratch.stack.push(if scratch.cells {
                                 Val::B(BoolCells::new(mass - p_true, p_true))
                             } else {
                                 Val::S(comparison_dist(kind, p_true, mass))
-                            }
+                            });
+                            continue;
                         }
                         ArenaNode::SumS { left, right }
                         | ArenaNode::Prod { left, right }
@@ -567,103 +530,89 @@ impl DTreeArena {
                             }
                             continue;
                         }
-                    };
-                    (i, leaf)
+                    }
                 }
-                Phase::Emit(i) => (
-                    i,
-                    match self.nodes[i as usize] {
-                        ArenaNode::SumS { .. } | ArenaNode::Prod { .. } => {
-                            let right = scratch.stack.pop().expect("⊕ / ⊙ right operand");
-                            let left = scratch.stack.pop().expect("⊕ / ⊙ left operand");
-                            let is_add = matches!(self.nodes[i as usize], ArenaNode::SumS { .. });
-                            combine_semiring(is_add, left, right, &mut scratch.s_pairs)?
-                        }
-                        ArenaNode::SumM { op, .. } => {
-                            let right = scratch.stack.pop().expect("⊕ right operand");
-                            let left = scratch.stack.pop().expect("⊕ left operand");
-                            match op {
-                                // SUM/COUNT: adaptive dense/sparse kernel, and a dense
-                                // operand stays dense across the node boundary.
-                                AggOp::Sum | AggOp::Count => {
-                                    let to_chain = |v: Val| -> Result<ChainVal, DTreeError> {
-                                        Ok(match v {
-                                            Val::MD(d) => ChainVal::Dense(d),
-                                            other => ChainVal::Sparse(
-                                                other.into_monoid("⊕(semimodule)")?,
-                                            ),
-                                        })
-                                    };
-                                    let (ca, cb) = (to_chain(left)?, to_chain(right)?);
-                                    scratch.additive.push(ca);
-                                    scratch.additive.push(cb);
-                                    match scratch.additive.take().expect("two operands were folded")
-                                    {
-                                        ChainVal::Dense(d) => Val::MD(d),
-                                        ChainVal::Sparse(d) => Val::M(d),
-                                    }
-                                }
-                                _ => {
-                                    let da = left.demote_monoid("⊕(semimodule)")?;
-                                    let db = right.demote_monoid("⊕(semimodule)")?;
-                                    Val::M(da.convolve_with_scratch(
-                                        &db,
-                                        |x, y| op.combine(x, y),
-                                        &mut scratch.m_pairs,
-                                    ))
-                                }
+                Phase::Emit(i) => i,
+            };
+            let value = match self.nodes[i as usize] {
+                ArenaNode::SumS { .. } | ArenaNode::Prod { .. } => {
+                    let right = scratch.stack.pop().expect("⊕ / ⊙ right operand");
+                    let left = scratch.stack.pop().expect("⊕ / ⊙ left operand");
+                    let is_add = matches!(self.nodes[i as usize], ArenaNode::SumS { .. });
+                    combine_semiring(is_add, left, right, &mut scratch.s_pairs)?
+                }
+                ArenaNode::SumM { op, .. } => {
+                    let right = scratch.stack.pop().expect("⊕ right operand");
+                    let left = scratch.stack.pop().expect("⊕ left operand");
+                    match op {
+                        // SUM/COUNT: adaptive dense/sparse kernel, and a dense
+                        // operand stays dense across the node boundary.
+                        AggOp::Sum | AggOp::Count => {
+                            let to_chain = |v: Val| -> Result<ChainVal, DTreeError> {
+                                Ok(match v {
+                                    Val::MD(d) => ChainVal::Dense(d),
+                                    other => ChainVal::Sparse(other.into_monoid("⊕(semimodule)")?),
+                                })
+                            };
+                            let (ca, cb) = (to_chain(left)?, to_chain(right)?);
+                            scratch.additive.push(ca);
+                            scratch.additive.push(cb);
+                            match scratch.additive.take().expect("two operands were folded") {
+                                ChainVal::Dense(d) => Val::MD(d),
+                                ChainVal::Sparse(d) => Val::M(d),
                             }
                         }
-                        ArenaNode::Tensor { op, .. } => {
-                            let value = scratch.stack.pop().expect("⊗ value operand");
-                            let scalar = scratch.stack.pop().expect("⊗ scalar operand");
-                            let ds = scalar.into_semiring("⊗ scalar")?;
-                            let dm = value.demote_monoid("⊗ value")?;
-                            Val::M(ds.convolve_with_scratch(
-                                &dm,
-                                |s, m| op.scalar_action(s, m),
+                        _ => {
+                            let da = left.demote_monoid("⊕(semimodule)")?;
+                            let db = right.demote_monoid("⊕(semimodule)")?;
+                            Val::M(da.convolve_with_scratch(
+                                &db,
+                                |x, y| op.combine(x, y),
                                 &mut scratch.m_pairs,
                             ))
                         }
-                        ArenaNode::Cmp { theta, .. } => {
-                            let right = scratch.stack.pop().expect("[θ] right operand");
-                            let left = scratch.stack.pop().expect("[θ] left operand");
-                            let cells = scratch.cells;
-                            compare(theta, left, right, kind, cells, &mut scratch.s_pairs)?
-                        }
-                        ArenaNode::Exclusive {
-                            var,
-                            branches_start,
-                            branches_len,
-                        } => {
-                            let n = branches_len as usize;
-                            let vals = scratch.stack.split_off(scratch.stack.len() - n);
-                            let var_dist = table.dist(var);
-                            let mut acc = Val::Empty;
-                            for (k, val) in vals.into_iter().enumerate() {
-                                let (value, _) = &self.branches[branches_start as usize + k];
-                                let weight = var_dist.prob(value);
-                                if weight <= 0.0 {
-                                    continue;
-                                }
-                                acc = mix_scaled(acc, val, weight)?;
-                            }
-                            acc
-                        }
-                        ArenaNode::VarLeaf(_)
-                        | ArenaNode::SConst(_)
-                        | ArenaNode::MConst(_)
-                        | ArenaNode::Known(_) => {
-                            unreachable!("leaves are evaluated during Expand")
-                        }
-                    },
-                ),
-            };
-            if !self.marks.is_empty() {
-                if let Ok(at) = self.marks.binary_search_by_key(&i, |&(node, _)| node) {
-                    scratch.tapped.push((self.marks[at].1, value.clone()));
+                    }
                 }
-            }
+                ArenaNode::Tensor { op, .. } => {
+                    let value = scratch.stack.pop().expect("⊗ value operand");
+                    let scalar = scratch.stack.pop().expect("⊗ scalar operand");
+                    let ds = scalar.into_semiring("⊗ scalar")?;
+                    let dm = value.demote_monoid("⊗ value")?;
+                    Val::M(ds.convolve_with_scratch(
+                        &dm,
+                        |s, m| op.scalar_action(s, m),
+                        &mut scratch.m_pairs,
+                    ))
+                }
+                ArenaNode::Cmp { theta, .. } => {
+                    let right = scratch.stack.pop().expect("[θ] right operand");
+                    let left = scratch.stack.pop().expect("[θ] left operand");
+                    let cells = scratch.cells;
+                    compare(theta, left, right, kind, cells, &mut scratch.s_pairs)?
+                }
+                ArenaNode::Exclusive {
+                    var,
+                    branches_start,
+                    branches_len,
+                } => {
+                    let n = branches_len as usize;
+                    let vals = scratch.stack.split_off(scratch.stack.len() - n);
+                    let var_dist = table.dist(var);
+                    let mut acc = Val::Empty;
+                    for (k, val) in vals.into_iter().enumerate() {
+                        let (value, _) = &self.branches[branches_start as usize + k];
+                        let weight = var_dist.prob(value);
+                        if weight <= 0.0 {
+                            continue;
+                        }
+                        acc = mix_scaled(acc, val, weight)?;
+                    }
+                    acc
+                }
+                ArenaNode::VarLeaf(_) | ArenaNode::SConst(_) | ArenaNode::MConst(_) => {
+                    unreachable!("leaves are evaluated during Expand")
+                }
+            };
             scratch.stack.push(value);
         }
         if scratch.track_depth {
@@ -931,10 +880,6 @@ impl fmt::Display for DTreeArena {
                     }
                     ArenaNode::MConst(m) => {
                         write!(f, "{m}")?;
-                        continue;
-                    }
-                    ArenaNode::Known(slot) => {
-                        write!(f, "κ{slot}")?;
                         continue;
                     }
                     ArenaNode::SumS { left, right } => ("(", left, " ⊕ ".into(), right, ")"),
@@ -1240,35 +1185,6 @@ mod tests {
         assert!(!arena.is_empty());
         assert_eq!(arena.to_string(), "((v0 ⊙ v1) ⊕ ⊥)");
         assert_eq!(DTreeArena::from_tree(&arena), arena);
-    }
-
-    #[test]
-    fn known_leaves_carry_their_distribution_and_marked_values_are_tapped() {
-        let (vt, a, b, _) = table_abc(0.3, 0.5, 0.5);
-        let arena = built(|t| {
-            let (left, right) = (t.var(a), t.var(b));
-            let product = t.push(ArenaNode::Prod { left, right });
-            t.mark(product, 7);
-            let known = t.push_known(Known::Semiring(pvc_prob::make::bernoulli(0.25)));
-            t.push(ArenaNode::SumS {
-                left: product,
-                right: known,
-            })
-        });
-        assert_eq!(arena.to_string(), "((v0 ⊙ v1) ⊕ κ0)");
-        let (mut scratch, mut tapped) = (EvalScratch::default(), Vec::new());
-        let evaluated = arena.evaluate_tapped(&vt, SemiringKind::Bool, &mut scratch, &mut tapped);
-        let (root, _) = evaluated.unwrap();
-        let p_true = |value: Val| {
-            value
-                .into_semiring("test")
-                .unwrap()
-                .prob(&SemiringValue::Bool(true))
-        };
-        assert!((p_true(root) - (1.0 - 0.85 * 0.75)).abs() < 1e-12);
-        let [(token, product)]: [(u32, Val); 1] = tapped.try_into().unwrap();
-        assert_eq!(token, 7);
-        assert!((p_true(product) - 0.15).abs() < 1e-12);
     }
 
     #[test]

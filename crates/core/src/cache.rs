@@ -22,43 +22,39 @@
 //!   leaves would carry (`combine_semiring` / `compare`, and for aggregates the
 //!   [`AdditiveFold`] of its SUM / COUNT `⊕`), so the answer is that circuit's,
 //!   bit for bit, without building it.
-//! * **Compilation.** Anything else is compiled whole by a compiler that
-//!   consults this store at every independent component it splits off on the
-//!   way (see [`crate::compile`]): a component the store holds enters the
-//!   arena as a `Known` leaf carrying its distribution; one it does not is
-//!   compiled in place and its root marked, and evaluating the arena hands
-//!   each marked value back for insertion. The compiler alone decides every
-//!   split; the store is the memo it consults.
+//! * **Compilation.** Anything else is compiled whole by a plain compiler in
+//!   scratch the store lends it (see [`crate::compile`]), and the arena it
+//!   emits is evaluated where it lies. The compiler alone decides every split
+//!   and never consults the store.
 //!
-//! A component that is a single bare variable or constant is never looked up:
-//! its distribution is `P_x`, which the [`VarTable`] already holds, or a point.
-//! The enclosing expression's entry still carries every variable in its
-//! var-set, so [`SharedArtifacts::evict_touching`] is unaffected.
+//! Either way a miss inserts exactly one entry, the root's: no component of a
+//! root is looked up or stored on its own. Looking components up across
+//! queries served no hit on any benchmark workload (`docs/ARCHITECTURE.md`);
+//! component caching belongs inside one compilation. An entry carries every
+//! variable of its expression's var-set, so
+//! [`SharedArtifacts::evict_touching`] finds it through any of them.
 //!
 //! What is not memoised is the compiled circuit. The paper compiles an
 //! expression into a d-tree and evaluates it once for its distribution (§5),
 //! and every reader of this store asks for the distribution it already keeps
 //! under the same id, so an arena is evaluated where it was emitted and
 //! nothing but distributions is inserted — an evicted distribution is
-//! recomputed by compiling again. Caching distributions is what makes
-//! composition possible: independent components combine by convolution
-//! (Eqs. 4–7 of the paper).
+//! recomputed by compiling again.
 //!
 //! Correctness contract: cached artifacts are functions of (expression structure,
 //! variable distributions, ambient semiring). Callers must clear the cache whenever
 //! variable distributions change, and must bypass it when compilation is made
 //! observably fallible (node budgets) — the engine in `pvc-db` does both.
 
-use crate::arena::{Known, Val};
-use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler, Lookup, Memo};
+use crate::arena::Val;
+use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler};
 use crate::node::DTreeError;
 use crate::obs::Counter;
 use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringKind, SemiringValue};
 use pvc_expr::intern::{AggExprId, ExprId, ImportMemo, InternedExpr, Interner};
 use pvc_expr::vars::sorted_disjoint;
-use pvc_expr::{AggTerm, ResidualArena, SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
+use pvc_expr::{SemimoduleExpr, SemiringExpr, Var, VarSet, VarTable};
 use pvc_prob::{AdditiveFold, MonoidDist, SemiringDist};
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard};
 
@@ -100,9 +96,9 @@ pub struct CacheCounters {
     pub cross_scope_hits: u64,
     /// Entries evicted by the LRU bounds.
     pub evictions: u64,
-    /// Compilations through the store: one per root it does not fold itself,
-    /// its memoised components compiled in the same arena. (No arena is
-    /// kept, so every compilation is a miss; the name predates that.)
+    /// Compilations through the store: one per root it does not fold itself.
+    /// (No arena is kept, so every compilation is a miss; the name predates
+    /// that.)
     pub arena_misses: u64,
 }
 
@@ -264,12 +260,11 @@ pub fn confidence_of(dist: &SemiringDist) -> f64 {
 ///
 /// The evaluation entry points ([`evaluate_semiring`](Self::evaluate_semiring),
 /// [`evaluate_aggregate`](Self::evaluate_aggregate)) fold a leaf list or
-/// compile, memoising every non-leaf independent component the compiler
-/// splits off (see the [module documentation](self)), taking each lock only
-/// around the individual intern / lookup / insert steps. The expensive part —
-/// d-tree compilation and the evaluation of the arena it emits — runs with
-/// **no lock held**, so concurrent workers only contend for microseconds at
-/// the cache boundary.
+/// compile the root, and insert the root's distribution (see the [module
+/// documentation](self)), taking each lock only around the individual
+/// intern / lookup / insert steps. The expensive part — d-tree compilation
+/// and the evaluation of the arena it emits — runs with **no lock held**, so
+/// concurrent workers only contend for microseconds at the cache boundary.
 ///
 /// Concurrency semantics: two workers may race to compute the *same* canonical id;
 /// both compute the identical distribution (evaluation is a pure function of the
@@ -334,21 +329,19 @@ impl SharedArtifacts {
         }
     }
 
-    /// Run `f` on a compiler working in lent scratch (see the `scratch` field)
-    /// and consulting `memo`. The lock is held to take the scratch and to give
-    /// it back, not in between.
+    /// Run `f` on a compiler working in lent scratch (see the `scratch`
+    /// field). The lock is held to take the scratch and to give it back, not
+    /// in between.
     fn with_compiler<R>(
         &self,
         vars: &VarTable,
         kind: SemiringKind,
         options: &CompileOptions,
-        memo: &StoreMemo<'_>,
         f: impl FnOnce(&mut Compiler<'_>) -> R,
     ) -> R {
         let lent = self.scratch().pop();
         let scratch = lent.unwrap_or_else(|| CompileScratch::new(kind));
-        let compiler = Compiler::with_scratch(vars, kind, options.clone(), scratch);
-        let mut compiler = compiler.with_memo(memo);
+        let mut compiler = Compiler::with_scratch(vars, kind, options.clone(), scratch);
         let result = f(&mut compiler);
         self.scratch().push(compiler.into_scratch());
         result
@@ -511,8 +504,7 @@ impl SharedArtifacts {
         self.cache().insert_aggregate(id, scope, dist.clone());
     }
 
-    /// Get-or-compute the distribution of an interned semiring expression,
-    /// memoising every independent component the compiler splits off.
+    /// Get-or-compute the distribution of an interned semiring expression.
     pub fn evaluate_semiring(
         &self,
         id: ExprId,
@@ -521,9 +513,7 @@ impl SharedArtifacts {
         options: &CompileOptions,
         scope: u64,
     ) -> Result<SemiringDist, EvalError> {
-        let span = crate::obs::span("subtree");
         let cached = self.map_semiring(id, scope, SemiringDist::clone);
-        record_held(&span, cached.is_some());
         cached.map_or_else(|| self.fill_semiring(id, vars, kind, options, scope), Ok)
     }
 
@@ -544,7 +534,7 @@ impl SharedArtifacts {
         let dist = match leaves.flatten() {
             Some(list) => fold_leaf_list(list, vars, kind)?,
             None => self
-                .compile(Root::Semiring(id), vars, kind, options, scope)?
+                .compile(Root::Semiring(id), vars, kind, options)?
                 .into_semiring("root")?,
         };
         self.insert_semiring(id, scope, &dist);
@@ -560,9 +550,7 @@ impl SharedArtifacts {
         options: &CompileOptions,
         scope: u64,
     ) -> Result<MonoidDist, EvalError> {
-        let span = crate::obs::span("subtree");
         let cached = self.get_aggregate(id, scope);
-        record_held(&span, cached.is_some());
         cached.map_or_else(|| self.fill_aggregate(id, vars, kind, options, scope), Ok)
     }
 
@@ -581,58 +569,49 @@ impl SharedArtifacts {
         let dist = match leaves.flatten() {
             Some((op, leaves)) => fold_leaf_terms(op, &leaves, vars),
             None => self
-                .compile(Root::Aggregate(id), vars, kind, options, scope)?
+                .compile(Root::Aggregate(id), vars, kind, options)?
                 .into_monoid("root")?,
         };
         self.insert_aggregate(id, scope, &dist);
         Ok(dist)
     }
 
-    /// Compile `root` whole with a compiler that consults this store, evaluate
-    /// the arena where it was emitted, and insert the values of the components
-    /// the store did not hold.
+    /// Compile `root` whole with a lent compiler and evaluate the arena where
+    /// it was emitted: the `subtree` span of one root the store compiles.
     fn compile(
         &self,
         root: Root,
         vars: &VarTable,
         kind: SemiringKind,
         options: &CompileOptions,
-        scope: u64,
     ) -> Result<Val, EvalError> {
+        let _subtree = crate::obs::span("subtree");
         let span = crate::obs::span("compile");
         self.cache().counters.arena_misses += 1;
         crate::obs::core_metrics().cache_arena_miss.inc();
-        let memo = StoreMemo {
-            store: self,
-            scope,
-            shared: RefCell::default(),
-            missed: RefCell::default(),
-        };
-        let mut tapped = Vec::new();
-        let value = self.with_compiler(vars, kind, options, &memo, |compiler| {
-            let loaded = match root {
-                Root::Semiring(id) => Root::Semiring(compiler.load_semiring(&self.interner(), id)),
-                Root::Aggregate(id) => {
-                    Root::Aggregate(compiler.load_semimodule(&self.interner(), id))
+        self.with_compiler(vars, kind, options, |compiler| {
+            // The interner's lock is held for the load alone.
+            let nodes = match root {
+                Root::Semiring(id) => {
+                    let loaded = compiler.load_semiring(&self.interner(), id);
+                    compiler.emit_loaded_semiring(loaded)?.len()
                 }
-            };
-            let nodes = match loaded {
-                Root::Semiring(root) => compiler.emit_loaded_semiring(root)?.len(),
-                Root::Aggregate(root) => compiler.emit_loaded_semimodule(root)?.len(),
+                Root::Aggregate(id) => {
+                    let loaded = compiler.load_semimodule(&self.interner(), id);
+                    compiler.emit_loaded_semimodule(loaded)?.len()
+                }
             };
             if let Some(s) = &span {
                 s.attr("nodes", nodes.to_string());
             }
             drop(span);
             let span = crate::obs::span("evaluate");
-            let (value, interp) = compiler.evaluate_emitted(&mut tapped)?;
+            let (value, interp) = compiler.evaluate_emitted()?;
             if let Some(s) = &span {
                 s.attr("interp", interp.as_str().into());
             }
-            Ok::<_, EvalError>(value)
-        })?;
-        memo.insert(tapped)?;
-        Ok(value)
+            Ok(value)
+        })
     }
 
     /// Counters since the last clear.
@@ -739,113 +718,11 @@ impl SharedArtifacts {
     }
 }
 
-/// The store as the compiler's [`Memo`] during one compilation: a component
-/// is put into the shared interner (under its lock) and looked up (under the
-/// cache lock); the keys of the components it missed wait, by token, for the
-/// values the arena's tap hands back.
-struct StoreMemo<'s> {
-    store: &'s SharedArtifacts,
-    scope: u64,
-    /// The shared id each node of the compilation's arena was loaded from, by
-    /// arena id (`u32::MAX` for a node made after loading), read off the
-    /// arena at the first lookup; and what lookups imported of the others.
-    shared: RefCell<(Vec<u32>, ImportMemo)>,
-    missed: RefCell<Vec<Root>>,
-}
-
-/// An expression of either sort: a root to compile, or a cache key.
+/// A root the store compiles, of either sort.
 #[derive(Clone, Copy)]
 enum Root {
     Semiring(ExprId),
     Aggregate(AggExprId),
-}
-
-impl StoreMemo<'_> {
-    /// Look up the component `intern` puts into the shared interner, given
-    /// the shared ids of its items, in a `subtree` span that says whether the
-    /// cache held it.
-    fn lookup(
-        &self,
-        work: &ResidualArena,
-        items: impl Iterator<Item = ExprId>,
-        intern: impl FnOnce(&mut Interner, &[ExprId]) -> Root,
-    ) -> Lookup {
-        let span = crate::obs::span("subtree");
-        let key = {
-            let (loaded, imports) = &mut *self.shared.borrow_mut();
-            if loaded.is_empty() {
-                loaded.resize(work.arena().len(), u32::MAX);
-                for (src, copy) in work.imported().copies() {
-                    loaded[copy.0 as usize] = src.0;
-                }
-            }
-            let mut interner = self.store.interner();
-            let items: Vec<ExprId> = items
-                .map(|item| match loaded.get(item.0 as usize) {
-                    Some(&src) if src != u32::MAX => ExprId(src),
-                    _ => interner.import(work.arena(), item, imports),
-                })
-                .collect();
-            intern(&mut interner, &items)
-        };
-        let mut cache = self.store.cache();
-        let known = match key {
-            Root::Semiring(id) => cache
-                .map_semiring(id, self.scope, SemiringDist::clone)
-                .map(Known::Semiring),
-            Root::Aggregate(id) => cache.get_aggregate(id, self.scope).map(Known::Monoid),
-        };
-        drop(cache);
-        record_held(&span, known.is_some());
-        match known {
-            Some(known) => Lookup::Known(known),
-            None => {
-                let mut missed = self.missed.borrow_mut();
-                missed.push(key);
-                Lookup::Miss(missed.len() as u32 - 1)
-            }
-        }
-    }
-
-    /// Insert the tapped values of the missed components.
-    fn insert(self, tapped: Vec<(u32, Val)>) -> Result<(), DTreeError> {
-        let missed = self.missed.into_inner();
-        let mut cache = self.store.cache();
-        for (token, value) in tapped {
-            match missed[token as usize] {
-                Root::Semiring(id) => {
-                    cache.insert_semiring(id, self.scope, value.into_semiring("component")?)
-                }
-                Root::Aggregate(id) => {
-                    cache.insert_aggregate(id, self.scope, value.into_monoid("component")?)
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Memo for StoreMemo<'_> {
-    fn semiring(&self, work: &ResidualArena, is_add: bool, group: &[ExprId]) -> Lookup {
-        self.lookup(work, group.iter().copied(), |interner, items| {
-            Root::Semiring(match is_add {
-                true => interner.intern_add(items),
-                false => interner.intern_mul(items),
-            })
-        })
-    }
-
-    fn aggregate(&self, work: &ResidualArena, op: AggOp, group: &[AggTerm]) -> Lookup {
-        let coeffs = group.iter().map(|&(coeff, _)| coeff);
-        self.lookup(work, coeffs, |interner, coeffs| {
-            let terms: Vec<AggTerm> = coeffs
-                .iter()
-                .zip(group)
-                .map(|(&c, &(_, m))| (c, m))
-                .collect();
-            Root::Aggregate(interner.intern_agg(op, &terms))
-        })
-    }
 }
 
 /// A semiring root the store folds itself (see the [module
@@ -970,13 +847,6 @@ fn fold_leaf_terms(op: AggOp, leaves: &[(Var, MonoidValue)], vars: &VarTable) ->
         .expect("two or more leaves")
 }
 
-/// Say on a `subtree` span whether the cache `held` what it looked up.
-fn record_held(span: &Option<crate::obs::SpanGuard>, held: bool) {
-    if let Some(s) = span {
-        s.attr("cache", if held { "hit" } else { "miss" }.into());
-    }
-}
-
 /// The `fold [components, leaves]` span around a leaf-list fold.
 fn fold_span(leaves: usize) -> Option<crate::obs::SpanGuard> {
     let span = crate::obs::span("fold");
@@ -1039,9 +909,10 @@ mod tests {
         let oracle_dist = oracle::semiring_dist_by_enumeration(&expr, &vt, SemiringKind::Bool);
         assert!(dist.approx_eq(&oracle_dist, 1e-9));
         let misses_after_first = shared.counters().misses;
-        // Sub-d-tree memoisation happened: the independent halves are cached
-        // beside the whole.
-        assert!(shared.semiring_entries() >= 3);
+        // The compiled root leaves exactly one entry, its own: its
+        // independent halves are not stored beside it.
+        assert_eq!(shared.semiring_entries(), 1);
+        assert_eq!(misses_after_first, 1);
         // Second evaluation under another scope: pure hit, counted as cross-scope.
         let again = sem(&shared, id, &vt, 2);
         assert_eq!(again, dist);
@@ -1051,22 +922,28 @@ mod tests {
     }
 
     #[test]
-    fn independent_components_are_memoised_individually() {
+    fn a_root_sharing_a_component_gets_the_same_bits_on_a_warm_store() {
         let (vt, xs) = setup();
-        // a·b + c·d : two independent summand groups.
-        let left = v(xs[0]) * v(xs[1]);
-        let right = v(xs[2]) * v(xs[3]);
-        let whole = left.clone() + right.clone();
-        let shared = SharedArtifacts::default();
-        let whole_id = shared.intern(&whole);
-        sem(&shared, whole_id, &vt, 1);
-        // The groups were cached on the way: evaluating just `a·b` now hits.
-        let hits_before = shared.counters().hits;
-        let left_id = shared.intern(&left);
-        let d = sem(&shared, left_id, &vt, 1);
-        let oracle_dist = oracle::semiring_dist_by_enumeration(&left, &vt, SemiringKind::Bool);
-        assert!(d.approx_eq(&oracle_dist, 1e-9));
-        assert!(shared.counters().hits > hits_before);
+        // x0·(x1 + x2) is an independent component of both roots.
+        let component = v(xs[0]) * (v(xs[1]) + v(xs[2]));
+        let first = component.clone() + v(xs[3]) * v(xs[4]);
+        let second = component + v(xs[5]);
+        let warm = SharedArtifacts::default();
+        let first_id = warm.intern(&first);
+        sem(&warm, first_id, &vt, 1);
+        let second_id = warm.intern(&second);
+        let on_warm = sem(&warm, second_id, &vt, 2);
+        let fresh = SharedArtifacts::default();
+        let fresh_id = fresh.intern(&second);
+        assert_eq!(bits(&on_warm), bits(&sem(&fresh, fresh_id, &vt, 1)));
+        let expected = oracle::semiring_dist_by_enumeration(&second, &vt, SemiringKind::Bool);
+        assert!(on_warm.approx_eq(&expected, 1e-9));
+        // One entry per compiled root, and nothing of the first root serves
+        // the second.
+        let counters = warm.counters();
+        assert_eq!((counters.hits, counters.misses), (0, 2));
+        assert_eq!(counters.arena_misses, 2);
+        assert_eq!(warm.semiring_entries(), 2);
     }
 
     #[test]
@@ -1300,7 +1177,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_aggregate_memoises_only_its_non_leaf_component() {
+    fn a_mixed_aggregate_leaves_one_entry_and_a_warm_store_keeps_the_bits() {
         let (vt, xs) = setup();
         let shared = SharedArtifacts::default();
         // x2·x3 ⊗ 5 and x3 ⊗ 7 share x3: one two-variable component among leaves.
@@ -1320,27 +1197,29 @@ mod tests {
         );
         let expected = oracle::semimodule_dist_by_enumeration(&alpha, &vt, SemiringKind::Bool);
         assert!(dist.approx_eq(&expected, 1e-9));
-        // Two distributions stored, the whole and the component; one circuit
-        // compiled, for the whole, the component compiled in place.
-        assert_eq!(shared.aggregate_entries(), 2);
-        assert_eq!(shared.counters().misses, 2);
+        // One circuit compiled for the whole root, one entry: the root's.
+        assert_eq!(shared.aggregate_entries(), 1);
+        assert_eq!(shared.counters().misses, 1);
         assert_eq!(shared.counters().arena_misses, 1);
-        // Another query over the same component and a different leaf: the
-        // component's distribution is a hit, and the circuit compiled for the
-        // query is the leaf beside a `Known` leaf carrying it.
+        // Another query over the same component and a different leaf gets the
+        // bits a fresh store computes, and leaves its own single entry.
         let beta = SemimoduleExpr::from_terms(
             AggOp::Sum,
             [(v(xs[4]), Fin(1))].into_iter().chain(entangled).collect(),
         );
         let bid = shared.intern_semimodule(&beta);
         let dist = agg(&shared, bid, &vt, SemiringKind::Bool, 2);
+        let fresh = SharedArtifacts::default();
+        let fresh_id = fresh.intern_semimodule(&beta);
+        let cold = agg(&fresh, fresh_id, &vt, SemiringKind::Bool, 1);
+        assert_eq!(bits(&dist), bits(&cold));
+        assert_eq!(bits(&dist), bits(&compiled(&beta, &vt, SemiringKind::Bool)));
         let expected = oracle::semimodule_dist_by_enumeration(&beta, &vt, SemiringKind::Bool);
         assert!(dist.approx_eq(&expected, 1e-9));
         let counters = shared.counters();
-        assert_eq!((counters.hits, counters.cross_scope_hits), (1, 1));
+        assert_eq!((counters.hits, counters.misses), (0, 2));
         assert_eq!(counters.arena_misses, 2);
-        assert_eq!(shared.aggregate_entries(), 3);
-        assert_eq!(bits(&dist), bits(&compiled(&beta, &vt, SemiringKind::Bool)));
+        assert_eq!(shared.aggregate_entries(), 2);
     }
 
     #[test]

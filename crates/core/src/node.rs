@@ -4,10 +4,12 @@
 //! A d-tree is a tree whose inner nodes are `⊕` (independent sum), `⊙` (independent
 //! product), `⊗` (independent scalar action), `[θ]` (comparison of independent
 //! expressions) and `⊔_x` (exhaustive, mutually exclusive case split on the value of a
-//! variable), and whose leaves are variables or constants. The probability
-//! distribution of a d-tree is computed bottom-up in one pass, using convolution at
-//! the first four node kinds (Eqs. 4–9) and weighted mixing at `⊔` nodes (Eq. 10) —
-//! in time `O(Π_i |p_i|)` over the node distributions (Theorem 2).
+//! variable), and whose leaves are variables or constants — the three leaf kinds
+//! of `ArenaNode`, and no other: no leaf carries a distribution computed
+//! elsewhere. The probability distribution of a d-tree is computed bottom-up in
+//! one pass, using convolution at the first four node kinds (Eqs. 4–9) and
+//! weighted mixing at `⊔` nodes (Eq. 10) — in time `O(Π_i |p_i|)` over the node
+//! distributions (Theorem 2).
 //!
 //! A d-tree is stored as a [`DTreeArena`](crate::arena::DTreeArena): its nodes in
 //! post-order, children referenced by index, which is the form the compiler emits
@@ -27,9 +29,6 @@ pub(crate) enum ArenaNode {
     SConst(SemiringValue),
     /// Leaf: a monoid constant `m ∈ M` (distribution `{(m, 1)}`).
     MConst(MonoidValue),
-    /// Leaf: an independent component whose distribution the artifact store
-    /// already holds, at this slot of the arena's table of known values.
-    Known(u32),
     /// `⊕` over two independent *semiring* expressions (Eq. 4).
     SumS { left: u32, right: u32 },
     /// `⊕` over two independent *semimodule* expressions in the given monoid (Eq. 6).

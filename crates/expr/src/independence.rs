@@ -6,9 +6,9 @@
 //! what justifies the convolution rules at ⊕/⊙/⊗ nodes of a decomposition tree. The
 //! compiler's first rule splits a sum by the connected components of the *variable
 //! co-occurrence graph* over its summands. [`Partitioner`] computes that partition,
-//! and it is the only thing here that does: the compiler splits with it — for
-//! itself and for the artifact store, which it consults at the components — and
-//! [`all_independent`] counts its components. The component order — smallest
+//! and it is the only thing here that does: the compiler splits with it — also
+//! for the roots the artifact store compiles — and [`all_independent`] counts
+//! its components. The component order — smallest
 //! member first, members ascending — is the order the compiler chains them in,
 //! so it is part of every compiled bit.
 //!

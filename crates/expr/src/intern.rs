@@ -832,11 +832,6 @@ impl ImportMemo {
         self.exprs.clear();
         self.aggs.clear();
     }
-
-    /// Every semiring expression copied so far as `(source id, copy's id)`.
-    pub fn copies(&self) -> impl Iterator<Item = (ExprId, ExprId)> + '_ {
-        self.exprs.iter().map(|(&src, &copy)| (ExprId(src), copy))
-    }
 }
 
 /// Hasher for arena ids — small integers this program handed out itself, so one

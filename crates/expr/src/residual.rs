@@ -254,12 +254,6 @@ impl ResidualArena {
         self.arena.import_agg(src, id, &mut self.import_memo)
     }
 
-    /// What [`import`](Self::import) and [`import_agg`](Self::import_agg)
-    /// have copied since the last [`reset`](Self::reset), by source id.
-    pub fn imported(&self) -> &ImportMemo {
-        &self.import_memo
-    }
-
     /// Fold the constants of `id` and apply the laws throughout (no substitution).
     pub fn simplify(&mut self, id: ExprId) -> ExprId {
         self.target = None;

@@ -43,8 +43,9 @@ pub struct EvalOptions {
     pub threads: usize,
     /// Collect a per-query [`ExecutionProfile`](pvc_core::obs::ExecutionProfile)
     /// on the returned [`QueryResult`](crate::QueryResult): a span tree covering
-    /// the rewrite and the per-tuple evaluation, with cache outcomes per independent sub-d-tree and
-    /// the kernel path taken per tuple. Off by default; results are bit-identical
+    /// the rewrite and the per-tuple evaluation, with the path that answered each
+    /// annotation and aggregate (cache, fast path, fold or compilation) and the
+    /// kernel path taken per tuple. Off by default; results are bit-identical
     /// either way, and the profile's [`shape`](pvc_core::obs::ExecutionProfile::shape) is
     /// deterministic across runs and thread counts (given identical cache state).
     pub profile: bool,

@@ -121,7 +121,7 @@ impl StepTwo<'_> {
                 if let Some((arts, id)) = store {
                     // The fast path only runs over the Boolean semiring, so the
                     // confidence determines the full distribution — cache it so later
-                    // lookups (and sub-d-tree composition) can reuse it.
+                    // lookups can reuse it.
                     let dist: SemiringDist = Dist::from_pairs([
                         (SemiringValue::Bool(true), p),
                         (SemiringValue::Bool(false), 1.0 - p),
@@ -194,9 +194,8 @@ fn record_path(span: &Option<obs::SpanGuard>, path: &str) {
 }
 
 /// The path of an answer that was computed rather than found: `compile` when a
-/// d-tree was compiled for it or for one of its independent components —
-/// always, without an artifact store — and `fold` when the store answered by
-/// folding leaf and cached components alone.
+/// d-tree was compiled for it — always, without an artifact store — and `fold`
+/// when the store folded it as a leaf list.
 fn record_computed_path(span: &Option<obs::SpanGuard>, through_store: bool) {
     if let Some(s) = span {
         let folded = through_store && !s.enclosed("compile");

@@ -21,6 +21,11 @@ pub struct ProbTuple {
     /// The data values of the tuple (aggregation columns show their expressions).
     pub values: Vec<Value>,
     /// The probability that the tuple is present (annotation ≠ `0_S`).
+    ///
+    /// Its absolute error is at most the mass the `PROB_EPS` (1e-9) drop rule
+    /// removed while computing it; its relative error below 1e-9 is
+    /// unbounded — a tuple whose exact confidence is at or below `PROB_EPS`
+    /// may read 0.0 (see "The numerics contract" in `docs/ARCHITECTURE.md`).
     pub confidence: f64,
     /// For every aggregation column: the exact distribution of the aggregate value.
     /// Empty when the result was requested confidence-only

@@ -48,9 +48,7 @@
 //!   reordering, so `x·(y + z)` and `(z + y)·x` share one identity;
 //! * **canonical compilation cache** ([`core::cache`]) — distributions and
 //!   confidences are memoised under those ids in an LRU store with configurable
-//!   entry/byte bounds (`CacheConfig`), and the cache is consulted at every
-//!   *independent sub-d-tree*, so recurring components of large annotations are
-//!   reused even inside otherwise-new expressions;
+//!   entry/byte bounds (`CacheConfig`), one entry per expression computed;
 //! * **engine integration** — [`db::Engine`] owns one arena + cache pair; repeated
 //!   executions and *structurally equal queries under different renderings* hit the
 //!   same entries. [`db::CacheStats`] reports entries, bytes, hits, misses,

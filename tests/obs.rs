@@ -5,8 +5,8 @@
 //! * **deterministic profiles** — `ExecutionProfile::shape()` is identical
 //!   across repeated warm runs and across `threads = 1` vs `threads = 4`;
 //! * **coverage** — a Q2-shaped query's profile covers the rewrite, the
-//!   evaluation and every tuple's confidence/compile path, with per-sub-d-tree
-//!   cache outcomes on a cold run; a group SUM's profile attributes its time to
+//!   evaluation and every tuple's confidence/compile path, with each compiled
+//!   root's node count on a cold run; a group SUM's profile attributes its time to
 //!   the independence `fold` and the arena's `evaluate` pass, not to a
 //!   compilation that never ran;
 //! * **bounded tracing** — a tiny span ring drops oldest spans, never panics;
@@ -170,15 +170,14 @@ fn cold_q2_profile_covers_rewrite_compile_and_evaluate() {
     assert!(shape.contains("kernel_dense="), "{shape}");
     assert!(shape.contains("aggregate"), "{shape}");
     assert!(shape.contains("path="), "{shape}");
-    // The cold run compiled at least one sub-d-tree, recording its node count
-    // per independent sub-d-tree.
+    // The cold run compiled at least one root, recording its node count.
     assert!(shape.contains("compile"), "{shape}");
     assert!(shape.contains("nodes="), "{shape}");
     // render() adds durations on top of the same tree.
     assert!(render.contains("query"), "{render}");
     assert!(render.contains("ms)"), "{render}");
 
-    // A second, warm execution observes cache hits on the same sub-d-trees.
+    // A second, warm execution observes cache hits on the same roots.
     let warm = prepared
         .execute(&EvalOptions::default().with_profile())
         .unwrap();
