@@ -41,10 +41,15 @@
 //! nothing but distributions is inserted — an evicted distribution is
 //! recomputed by compiling again.
 //!
+//! A miss under a node budget ([`CompileOptions::node_budget`]) is always
+//! compiled, never folded, so the budget bounds every root as it bounds a plain
+//! compilation; the fold gives the compiled chain's bits, so no answer moves.
+//!
 //! Correctness contract: cached artifacts are functions of (expression structure,
 //! variable distributions, ambient semiring). Callers must clear the cache whenever
-//! variable distributions change, and must bypass it when compilation is made
-//! observably fallible (node budgets) — the engine in `pvc-db` does both.
+//! variable distributions change, and must not let an entry computed without a
+//! node budget (or under another one) answer a budgeted lookup — the engine in
+//! `pvc-db` does both, giving each budgeted execution a private store.
 
 use crate::arena::Val;
 use crate::compile::{BudgetExceeded, CompileOptions, CompileScratch, Compiler};
@@ -519,7 +524,8 @@ impl SharedArtifacts {
 
     /// Compute the distribution of `id` (assuming the caller already observed a
     /// cache miss) and insert it — no second lookup, so the miss is counted once.
-    /// A leaf list is folded, anything else compiled.
+    /// A leaf list is folded, anything else compiled; under a node budget every
+    /// root is compiled, so the budget bounds the chain a fold would stand for.
     pub fn fill_semiring(
         &self,
         id: ExprId,
@@ -528,9 +534,7 @@ impl SharedArtifacts {
         options: &CompileOptions,
         scope: u64,
     ) -> Result<SemiringDist, EvalError> {
-        let leaves = options
-            .independence
-            .then(|| leaf_list(&self.interner(), id));
+        let leaves = folds(options).then(|| leaf_list(&self.interner(), id));
         let dist = match leaves.flatten() {
             Some(list) => fold_leaf_list(list, vars, kind)?,
             None => self
@@ -563,9 +567,7 @@ impl SharedArtifacts {
         options: &CompileOptions,
         scope: u64,
     ) -> Result<MonoidDist, EvalError> {
-        let leaves = options
-            .independence
-            .then(|| leaf_terms(&self.interner(), id));
+        let leaves = folds(options).then(|| leaf_terms(&self.interner(), id));
         let dist = match leaves.flatten() {
             Some((op, leaves)) => fold_leaf_terms(op, &leaves, vars),
             None => self
@@ -716,6 +718,13 @@ impl SharedArtifacts {
         let stats = store.restore_snapshot(snapshot, expected_fingerprint)?;
         Ok((store, stats))
     }
+}
+
+/// Whether a miss under `options` may fold a leaf list: only with rule 2 on,
+/// whose chain the fold reproduces, and without a node budget, which only the
+/// compiler can enforce.
+fn folds(options: &CompileOptions) -> bool {
+    options.independence && options.node_budget.is_none()
 }
 
 /// A root the store compiles, of either sort.

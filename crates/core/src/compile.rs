@@ -402,17 +402,6 @@ impl<'a> Compiler<'a> {
         self.emit_loaded_semiring(root)
     }
 
-    /// Compile an interned semimodule expression into an arena (lent as by
-    /// [`emit_semiring`](Self::emit_semiring)).
-    pub fn emit_semimodule_id(
-        &mut self,
-        interner: &Interner,
-        id: AggExprId,
-    ) -> Result<&DTreeArena, BudgetExceeded> {
-        let root = self.load_semimodule(interner, id);
-        self.emit_loaded_semimodule(root)
-    }
-
     /// The half of [`emit_semiring_id`](Self::emit_semiring_id) that reads
     /// `interner`, for callers that hold it under a lock.
     pub(crate) fn load_semiring(&mut self, interner: &Interner, id: ExprId) -> ExprId {
@@ -420,8 +409,8 @@ impl<'a> Compiler<'a> {
         self.scratch.work.import(interner, id)
     }
 
-    /// The half of [`emit_semimodule_id`](Self::emit_semimodule_id) that reads
-    /// `interner`.
+    /// As [`load_semiring`](Self::load_semiring), for an interned semimodule
+    /// expression.
     pub(crate) fn load_semimodule(&mut self, interner: &Interner, id: AggExprId) -> AggExprId {
         self.scratch.work.reset();
         self.scratch.work.import_agg(interner, id)

@@ -114,6 +114,14 @@ struct Caches {
 }
 
 impl Caches {
+    /// Empty caches over `artifacts`, the rewrite cache under the same bounds.
+    fn new(artifacts: Arc<SharedArtifacts>) -> Self {
+        Caches {
+            rewrites: Mutex::new(RewriteCache::new(artifacts.config())),
+            artifacts,
+        }
+    }
+
     fn rewrites(&self) -> std::sync::MutexGuard<'_, RewriteCache> {
         self.rewrites.lock().expect("rewrite cache lock poisoned")
     }
@@ -168,10 +176,7 @@ impl Engine {
     pub fn with_shared_artifacts(db: Database, artifacts: Arc<SharedArtifacts>) -> Self {
         Engine {
             db: Arc::new(db),
-            caches: Caches {
-                rewrites: Mutex::new(RewriteCache::new(artifacts.config())),
-                artifacts,
-            },
+            caches: Caches::new(artifacts),
             delta_totals: DeltaTotals::default(),
             snapshot_totals: Mutex::default(),
             wal: None,
@@ -249,9 +254,10 @@ impl Engine {
         })
     }
 
-    /// One-shot evaluation without an engine (no caching): validate, rewrite,
-    /// compute probabilities. Prefer [`Engine::prepare`] for anything executed
-    /// more than once.
+    /// One-shot evaluation without an engine: validate, rewrite, compute
+    /// probabilities — the pipeline of [`PreparedQuery::execute`] on caches of
+    /// its own (default bounds), dropped on return. Prefer [`Engine::prepare`]
+    /// for anything executed more than once.
     ///
     /// [`EvalOptions::threads`] is honoured; parallel workers need owning handles,
     /// so the database is cloned once — but only when the execution actually runs
@@ -264,7 +270,8 @@ impl Engine {
     ) -> Result<QueryResult, Error> {
         let plan = plan_query(db, query)?;
         let share = || Arc::new(db.clone());
-        execute_pipeline(db, &share, query, &plan, options, None)
+        let caches = Caches::new(Arc::new(SharedArtifacts::new(CacheConfig::default())));
+        execute_pipeline(db, &share, query, &plan, options, &caches)
     }
 }
 
@@ -302,7 +309,7 @@ impl PreparedQuery<'_> {
     pub fn execute(&self, options: &EvalOptions) -> Result<QueryResult, Error> {
         let engine = self.engine;
         let share = || Arc::clone(&engine.db);
-        let caches = Some(&engine.caches);
+        let caches = &engine.caches;
         execute_pipeline(&engine.db, &share, &self.query, &self.plan, options, caches)
     }
 
@@ -343,7 +350,7 @@ impl PreparedQuery<'_> {
     /// ```
     pub fn execute_streaming(&self, options: &EvalOptions) -> Result<TupleStream, Error> {
         let engine = self.engine;
-        let caches = Some(&engine.caches);
+        let caches = &engine.caches;
         let (_query_span, step) = step_one(&engine.db, &self.query, &self.plan, options, caches)?;
         // Workers run per-tuple spans; the coordinator-level evaluate span is
         // counted here once (the stream outlives this call).
@@ -363,12 +370,13 @@ struct Rewritten {
     rewrite_time: Duration,
     /// Whether this execution may use the §6 read-once fast paths.
     try_fast: bool,
-    /// The artifact store this execution should use: `None` when a node budget
-    /// makes compilation observably fallible (cached successes computed without —
-    /// or with a different — budget must not mask the error), the engine's shared
-    /// store otherwise. Every other option only changes *how* the exact result is
-    /// computed, never the result.
-    artifacts: Option<Arc<SharedArtifacts>>,
+    /// The artifact store that answers every confidence and aggregate of this
+    /// execution: the engine's shared store, or — under a node budget, which makes
+    /// compilation observably fallible — a fresh store with the same bounds,
+    /// private to this execution, so no success cached without that budget (or
+    /// under another one) can mask the error. Every other option only changes
+    /// *how* the exact result is computed, never the result.
+    artifacts: Arc<SharedArtifacts>,
     /// Resolved worker count: at least 1, at most one per result tuple.
     threads: usize,
 }
@@ -382,14 +390,14 @@ fn step_one(
     query: &Query,
     plan: &Plan,
     options: &EvalOptions,
-    caches: Option<&Caches>,
+    caches: &Caches,
 ) -> Result<(Option<obs::SpanGuard>, Rewritten), Error> {
     let query_span = obs::span("query");
     let rewrite_span = obs::span("rewrite");
     let start = Instant::now();
     let key = query.structural_key();
     let scope = fnv64(&key);
-    let cached = caches.and_then(|c| c.rewrites().get(&key));
+    let cached = caches.rewrites().get(&key);
     let table = match cached {
         Some(table) => table,
         None => {
@@ -397,10 +405,9 @@ fn step_one(
             table.schema = plan.schema.clone();
             table.name = "result".to_string();
             let table = Arc::new(table);
-            if let Some(c) = caches {
-                c.rewrites()
-                    .insert(key, Arc::clone(&table), plan.base_tables.clone());
-            }
+            caches
+                .rewrites()
+                .insert(key, Arc::clone(&table), plan.base_tables.clone());
             table
         }
     };
@@ -416,8 +423,8 @@ fn step_one(
             && plan.strategy.is_tractable()
             && db.kind == SemiringKind::Bool,
         artifacts: match options.compile.node_budget {
-            Some(_) => None,
-            None => caches.map(|c| Arc::clone(&c.artifacts)),
+            Some(_) => Arc::new(SharedArtifacts::new(caches.artifacts.config())),
+            None => Arc::clone(&caches.artifacts),
         },
         threads: resolve_threads(options.threads, table.tuples.len()),
         table,
@@ -463,7 +470,7 @@ fn build_profile(
     }
 }
 
-/// Steps I+II with optional caching, materialising the whole result. Step II runs
+/// Steps I+II over `caches`, materialising the whole result. Step II runs
 /// inline in the calling thread when one worker is asked for — no thread, no
 /// channel, so cheap executions pay no hand-off — and as a drained [`TupleStream`]
 /// otherwise; both feed one epilogue. `share` hands out the owning handle to `db`
@@ -475,7 +482,7 @@ fn execute_pipeline(
     query: &Query,
     plan: &Plan,
     options: &EvalOptions,
-    caches: Option<&Caches>,
+    caches: &Caches,
 ) -> Result<QueryResult, Error> {
     let (_query_span, step) = step_one(db, query, plan, options, caches)?;
     let (scope, rewrite_time, threads) = (step.scope, step.rewrite_time, step.threads);

@@ -91,6 +91,13 @@ impl EvalOptions {
     }
 
     /// Set a d-tree node budget; compilation beyond it returns [`Error::Compile`].
+    ///
+    /// A budgeted execution answers through a fresh artifact store with the
+    /// engine's bounds, private to it and dropped when it ends, so no
+    /// distribution cached without this budget (or under another one) hides
+    /// the error; that store compiles every root, never folding a leaf list
+    /// the budget would have to bound. The engine's own store is neither read
+    /// nor filled; the step-I rewrite cache is shared as usual.
     pub fn with_node_budget(mut self, budget: usize) -> Self {
         self.compile.node_budget = Some(budget);
         self

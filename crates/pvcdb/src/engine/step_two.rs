@@ -1,7 +1,7 @@
 //! Step II for one result tuple (§5): its confidence and the distribution of each
 //! of its aggregation attributes, each through the same three stages — canonical
-//! cache, §6 closed form, d-tree compilation — behind one borrowed [`StepTwo`]
-//! context per execution.
+//! cache, §6 closed form, the artifact store's fold or compilation — behind one
+//! borrowed [`StepTwo`] context per execution.
 
 use super::options::EvalOptions;
 use super::Rewritten;
@@ -10,7 +10,7 @@ use crate::error::Error;
 use crate::prob_eval::ProbTuple;
 use crate::value::Value;
 use pvc_algebra::{AggOp, MonoidValue, SemiringKind, SemiringValue};
-use pvc_core::{confidence_of, obs, Compiler};
+use pvc_core::{confidence_of, obs};
 use pvc_expr::{SemimoduleExpr, SemiringExpr, VarTable};
 use pvc_prob::{Dist, MonoidDist, SemiringDist};
 use std::collections::BTreeMap;
@@ -99,88 +99,69 @@ impl StepTwo<'_> {
     }
 
     /// The confidence of one annotation: canonical cache, then read-once fast path,
-    /// then compilation — through the store, or directly when there is none.
+    /// then the store's fold or compilation.
     fn confidence(&self, annotation: &SemiringExpr) -> Result<f64, Error> {
         let span = obs::span("confidence");
-        let (db, scope) = (self.db, self.step.scope);
-        let store = self.step.artifacts.as_deref().map(|arts| {
+        let (db, scope, arts) = (self.db, self.step.scope, &self.step.artifacts);
+        let id = {
             let _intern_span = obs::span("intern");
-            (arts, arts.intern(annotation))
-        });
-        if let Some((arts, id)) = store {
-            // Warm path: reduce the cached distribution to its confidence under the
-            // lock — no per-tuple clone.
-            if let Some(p) = arts.map_semiring(id, scope, confidence_of) {
-                record_path(&span, "cache");
-                return Ok(p);
-            }
+            arts.intern(annotation)
+        };
+        // Warm path: reduce the cached distribution to its confidence under the
+        // lock — no per-tuple clone.
+        if let Some(p) = arts.map_semiring(id, scope, confidence_of) {
+            record_path(&span, "cache");
+            return Ok(p);
         }
         if self.step.try_fast {
             if let Some(p) = read_once_confidence(annotation, &db.vars) {
                 self.counters.fast_path_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some((arts, id)) = store {
-                    // The fast path only runs over the Boolean semiring, so the
-                    // confidence determines the full distribution — cache it so later
-                    // lookups can reuse it.
-                    let dist: SemiringDist = Dist::from_pairs([
-                        (SemiringValue::Bool(true), p),
-                        (SemiringValue::Bool(false), 1.0 - p),
-                    ]);
-                    arts.insert_semiring(id, scope, &dist);
-                }
+                // The fast path only runs over the Boolean semiring, so the
+                // confidence determines the full distribution — cache it so later
+                // lookups can reuse it.
+                let dist: SemiringDist = Dist::from_pairs([
+                    (SemiringValue::Bool(true), p),
+                    (SemiringValue::Bool(false), 1.0 - p),
+                ]);
+                arts.insert_semiring(id, scope, &dist);
                 record_path(&span, "fast");
                 return Ok(p);
             }
         }
+        // The lookup above already recorded the miss; fill without re-checking.
         let compile = &self.options.compile;
-        let dist = match store {
-            // The lookup above already recorded the miss; fill without re-checking.
-            Some((arts, id)) => arts.fill_semiring(id, &db.vars, db.kind, compile, scope)?,
-            None => Compiler::with_options(&db.vars, db.kind, compile.clone())
-                .emit_semiring(annotation)?
-                .semiring_distribution(&db.vars, db.kind)?,
-        };
-        record_computed_path(&span, store.is_some());
+        let dist = arts.fill_semiring(id, &db.vars, db.kind, compile, scope)?;
+        record_computed_path(&span);
         Ok(confidence_of(&dist))
     }
 
     /// The exact distribution of one aggregate: canonical cache, then the MIN/MAX
-    /// read-once closed form, then compilation — through the store, or directly when
-    /// there is none.
+    /// read-once closed form, then the store's fold or compilation.
     fn aggregate(&self, expr: &SemimoduleExpr) -> Result<MonoidDist, Error> {
         let span = obs::span("aggregate");
-        let (db, scope) = (self.db, self.step.scope);
-        let store = self.step.artifacts.as_deref().map(|arts| {
+        let (db, scope, arts) = (self.db, self.step.scope, &self.step.artifacts);
+        let id = {
             let _intern_span = obs::span("intern");
-            (arts, arts.intern_semimodule(expr))
-        });
-        if let Some((arts, id)) = store {
-            if let Some(d) = arts.get_aggregate(id, scope) {
-                record_path(&span, "cache");
-                return Ok(d);
-            }
+            arts.intern_semimodule(expr)
+        };
+        if let Some(d) = arts.get_aggregate(id, scope) {
+            record_path(&span, "cache");
+            return Ok(d);
         }
         if self.step.try_fast {
             if let Some(d) = min_max_read_once_distribution(expr, &db.vars) {
                 self.counters
                     .agg_fast_path_hits
                     .fetch_add(1, Ordering::Relaxed);
-                if let Some((arts, id)) = store {
-                    arts.insert_aggregate(id, scope, &d);
-                }
+                arts.insert_aggregate(id, scope, &d);
                 record_path(&span, "fast");
                 return Ok(d);
             }
         }
+        // The lookup above already recorded the miss; fill without re-checking.
         let compile = &self.options.compile;
-        let dist = match store {
-            // The lookup above already recorded the miss; fill without re-checking.
-            Some((arts, id)) => arts.fill_aggregate(id, &db.vars, db.kind, compile, scope)?,
-            None => Compiler::with_options(&db.vars, db.kind, compile.clone())
-                .emit_semimodule(expr)?
-                .monoid_distribution(&db.vars, db.kind)?,
-        };
-        record_computed_path(&span, store.is_some());
+        let dist = arts.fill_aggregate(id, &db.vars, db.kind, compile, scope)?;
+        record_computed_path(&span);
         Ok(dist)
     }
 }
@@ -193,13 +174,17 @@ fn record_path(span: &Option<obs::SpanGuard>, path: &str) {
     }
 }
 
-/// The path of an answer that was computed rather than found: `compile` when a
-/// d-tree was compiled for it — always, without an artifact store — and `fold`
-/// when the store folded it as a leaf list.
-fn record_computed_path(span: &Option<obs::SpanGuard>, through_store: bool) {
+/// The path of an answer the store computed rather than found: `compile` when it
+/// compiled a d-tree for it (always under a node budget), `fold` when it folded
+/// it as a leaf list.
+fn record_computed_path(span: &Option<obs::SpanGuard>) {
     if let Some(s) = span {
-        let folded = through_store && !s.enclosed("compile");
-        s.attr("path", if folded { "fold" } else { "compile" }.into());
+        let path = if s.enclosed("compile") {
+            "compile"
+        } else {
+            "fold"
+        };
+        s.attr("path", path.into());
     }
 }
 
@@ -315,11 +300,13 @@ fn distinct_variables<'a>(exprs: impl IntoIterator<Item = &'a SemiringExpr>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
+    use crate::engine::{CacheStats, Engine};
     use crate::exec::tests::{figure1_db, paper_q1};
     use crate::query::{AggSpec, Predicate, Query};
+    use crate::schema::Schema;
     use crate::tractable::QueryClass;
     use pvc_algebra::CmpOp;
+    use pvc_core::Compiler;
     use pvc_expr::oracle;
     use pvc_prob::SeededRng;
 
@@ -407,6 +394,50 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, Error::Compile(_)));
+    }
+
+    #[test]
+    fn a_budget_compiles_leaf_lists_in_a_private_store() {
+        // TPC-H Q1's shape: COUNT per group over independent rows. Every root —
+        // a group confidence [Σ xᵢ ≠ 0], a COUNT over its rows — is a leaf list
+        // the store folds without compiling; under a budget below a group's
+        // chain the compiler runs instead and fails, on a cold engine and a
+        // warm one, and a budgeted execution leaves the engine's store as it
+        // found it.
+        let mut db = Database::new();
+        db.create_table("L", Schema::new(["g", "v"]));
+        let (rows, vars) = db.table_and_vars_mut("L").unwrap();
+        for i in 0..24i64 {
+            rows.push_independent(vec![(i % 3).into(), i.into()], 0.5, vars);
+        }
+        let engine = Engine::new(db);
+        let q = Query::table("L").group_agg(["g"], vec![AggSpec::count("c")]);
+        let prepared = engine.prepare(&q).unwrap();
+        let budgeted = EvalOptions::default().with_node_budget(4);
+        let artifacts = |s: CacheStats| {
+            let counts = (s.confidences, s.aggregates, s.interned, s.bytes);
+            (counts, s.hits, s.misses, s.arena_misses)
+        };
+        let err = prepared.execute(&budgeted).unwrap_err();
+        assert!(matches!(err, Error::Compile(_)), "cold: {err}");
+        assert_eq!(
+            artifacts(engine.cache_stats()),
+            artifacts(CacheStats::default())
+        );
+        let unbudgeted = prepared.execute(&EvalOptions::default()).unwrap();
+        assert_eq!(unbudgeted.tuples.len(), 3);
+        let warm = engine.cache_stats();
+        assert_eq!(warm.confidences + warm.aggregates, 6);
+        assert_eq!(warm.arena_misses, 0, "every root was folded");
+        let err = prepared.execute(&budgeted).unwrap_err();
+        assert!(matches!(err, Error::Compile(_)), "warm: {err}");
+        let unbounded = EvalOptions::default().with_node_budget(usize::MAX);
+        let compiled = prepared.execute(&unbounded).unwrap();
+        assert_eq!(engine.cache_stats(), warm);
+        for (a, b) in compiled.tuples.iter().zip(&unbudgeted.tuples) {
+            assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
+            assert_eq!(a.aggregate_distributions, b.aggregate_distributions);
+        }
     }
 
     #[test]

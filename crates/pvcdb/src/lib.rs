@@ -19,9 +19,9 @@
 //! * [`Error`] — the single error enum of every fallible entry point;
 //! * [`exec::try_evaluate`] — step I of query evaluation: the rewriting `⟦·⟧` of
 //!   Fig. 4, computing result tuples together with their annotations;
-//! * [`prob_eval`] — step II helpers: compiling every annotation and aggregate into a
-//!   decomposition tree (via `pvc-core`) and computing exact tuple confidences and
-//!   aggregate distributions;
+//! * [`prob_eval`] — the result types of step II: per-tuple confidences and
+//!   aggregate distributions, which the engine computes by compiling annotations
+//!   and aggregates into decomposition trees (via `pvc-core`);
 //! * [`tractable`] — the syntactic tractability classes `Q_ind` / `Q_hie` of §6.
 //!
 //! ```
@@ -64,7 +64,7 @@ pub use engine::{
 };
 pub use error::Error;
 pub use exec::try_evaluate;
-pub use prob_eval::{try_tuple_confidences, ProbTuple, QueryResult};
+pub use prob_eval::{ProbTuple, QueryResult};
 // Re-exported so engine users can bound/share the caches (and inspect snapshot
 // failures) without depending on `pvc-core`.
 pub use pvc_core::{CacheConfig, Durability, PersistError, SharedArtifacts, Storage};

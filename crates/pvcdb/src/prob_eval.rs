@@ -1,16 +1,8 @@
-//! Query evaluation, step II: probability computation for the tuples produced by the
-//! rewriting (§5 of the paper), by compiling every annotation and semimodule
-//! expression into a decomposition tree.
-//!
-//! The functions here are one-shot conveniences; the [`crate::Engine`] runs the same
-//! pipeline with compile-artifact caching and the tractable fast path of §6, and is
-//! the preferred entry point for repeated execution.
+//! The result types of query evaluation, step II (§5 of the paper): one
+//! [`ProbTuple`] per answer tuple and the [`QueryResult`] that carries them.
+//! [`crate::Engine`] computes them.
 
-use crate::database::Database;
-use crate::error::Error;
-use crate::relation::PvcTable;
 use crate::value::Value;
-use pvc_core::{confidence_of, Compiler};
 use pvc_prob::MonoidDist;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -76,24 +68,10 @@ impl QueryResult {
     }
 }
 
-/// Compute only the per-tuple confidences of an already-evaluated pvc-table. This is
-/// the `P(·)` phase measured separately in Experiment F.
-pub fn try_tuple_confidences(db: &Database, table: &PvcTable) -> Result<Vec<f64>, Error> {
-    let mut compiler = Compiler::new(&db.vars, db.kind);
-    table
-        .tuples
-        .iter()
-        .map(|t| {
-            let arena = compiler.emit_semiring(&t.annotation)?;
-            let dist = arena.semiring_distribution(&db.vars, db.kind)?;
-            Ok(confidence_of(&dist))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::Database;
     use crate::engine::{Engine, EvalOptions};
     use crate::exec::tests::{figure1_db, paper_q1};
     use crate::exec::try_evaluate;
@@ -179,14 +157,5 @@ mod tests {
         assert!(result.rewrite_time > Duration::ZERO);
         assert!(result.probability_time > Duration::ZERO);
         assert_eq!(result.columns, vec!["shop", "price"]);
-    }
-
-    #[test]
-    fn tuple_confidences_helper() {
-        let db = figure1_db();
-        let table = try_evaluate(&db, &paper_q1()).unwrap();
-        let confs = try_tuple_confidences(&db, &table).unwrap();
-        assert_eq!(confs.len(), table.len());
-        assert!(confs.iter().all(|p| *p > 0.0 && *p <= 1.0));
     }
 }

@@ -36,6 +36,14 @@ const EXPR_MUL: u8 = 3;
 const EXPR_CMP_SS: u8 = 4;
 const EXPR_CMP_MM: u8 = 5;
 
+/// The deepest expression the decoders accept, in nesting levels: a variable
+/// or a constant is one level, and each `+`, `·`, comparison and semimodule
+/// adds one. Step I builds at most 7 for any query of the workspace's tests.
+/// The decoders recurse once per level, and a debug build exhausts a 2 MB
+/// thread's stack near 2 000 of them, so a deeper expression — which only
+/// damaged or crafted bytes hold — is refused as malformed instead.
+const MAX_EXPR_DEPTH: usize = 256;
+
 fn put_semiring_expr(w: &mut Writer, expr: &SemiringExpr) {
     match expr {
         SemiringExpr::Var(v) => {
@@ -75,7 +83,13 @@ fn put_semiring_expr(w: &mut Writer, expr: &SemiringExpr) {
     }
 }
 
-fn take_semiring_expr(r: &mut Reader<'_>) -> Result<SemiringExpr, PersistError> {
+/// Decode an expression at nesting level `depth` (1 at the root).
+fn take_semiring_expr(r: &mut Reader<'_>, depth: usize) -> Result<SemiringExpr, PersistError> {
+    if depth > MAX_EXPR_DEPTH {
+        return Err(PersistError::Format(format!(
+            "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+        )));
+    }
     Ok(match r.take_u8()? {
         EXPR_VAR => SemiringExpr::Var(Var(r.take_u32()?)),
         EXPR_CONST => SemiringExpr::Const(take_semiring_value(r)?),
@@ -83,7 +97,7 @@ fn take_semiring_expr(r: &mut Reader<'_>) -> Result<SemiringExpr, PersistError> 
             let n = r.take_count(1)?;
             let mut children = Vec::with_capacity(n);
             for _ in 0..n {
-                children.push(take_semiring_expr(r)?);
+                children.push(take_semiring_expr(r, depth + 1)?);
             }
             if tag == EXPR_ADD {
                 SemiringExpr::Add(children)
@@ -93,14 +107,14 @@ fn take_semiring_expr(r: &mut Reader<'_>) -> Result<SemiringExpr, PersistError> 
         }
         EXPR_CMP_SS => {
             let op = take_cmp_op(r)?;
-            let a = take_semiring_expr(r)?;
-            let b = take_semiring_expr(r)?;
+            let a = take_semiring_expr(r, depth + 1)?;
+            let b = take_semiring_expr(r, depth + 1)?;
             SemiringExpr::CmpSS(op, Box::new(a), Box::new(b))
         }
         EXPR_CMP_MM => {
             let op = take_cmp_op(r)?;
-            let a = take_semimodule_expr(r)?;
-            let b = take_semimodule_expr(r)?;
+            let a = take_semimodule_expr(r, depth + 1)?;
+            let b = take_semimodule_expr(r, depth + 1)?;
             SemiringExpr::CmpMM(op, Box::new(a), Box::new(b))
         }
         t => {
@@ -120,12 +134,14 @@ fn put_semimodule_expr(w: &mut Writer, expr: &SemimoduleExpr) {
     }
 }
 
-fn take_semimodule_expr(r: &mut Reader<'_>) -> Result<SemimoduleExpr, PersistError> {
+/// Decode a semimodule expression at nesting level `depth` (see
+/// [`take_semiring_expr`]).
+fn take_semimodule_expr(r: &mut Reader<'_>, depth: usize) -> Result<SemimoduleExpr, PersistError> {
     let op = take_agg_op(r)?;
     let n = r.take_count(2)?;
     let mut terms = Vec::with_capacity(n);
     for _ in 0..n {
-        let coeff = take_semiring_expr(r)?;
+        let coeff = take_semiring_expr(r, depth + 1)?;
         let value = take_monoid_value(r)?;
         terms.push(SmTerm::new(coeff, value));
     }
@@ -157,7 +173,7 @@ pub(crate) fn take_value(r: &mut Reader<'_>) -> Result<Value, PersistError> {
     Ok(match r.take_u8()? {
         0 => Value::Str(r.take_str()?.to_string()),
         1 => Value::Int(r.take_i64()?),
-        2 => Value::Agg(take_semimodule_expr(r)?),
+        2 => Value::Agg(take_semimodule_expr(r, 1)?),
         t => return Err(PersistError::Format(format!("bad cell-value tag {t}"))),
     })
 }
@@ -199,7 +215,7 @@ fn take_table(r: &mut Reader<'_>) -> Result<PvcTable, PersistError> {
         for _ in 0..table.schema.arity() {
             values.push(take_value(r)?);
         }
-        let annotation = take_semiring_expr(r)?;
+        let annotation = take_semiring_expr(r, 1)?;
         table
             .tuples
             .push(crate::relation::Tuple::new(values, annotation));
@@ -483,6 +499,7 @@ mod tests {
     use super::*;
     use pvc_algebra::{AggOp, CmpOp, MonoidValue, SemiringValue};
     use pvc_expr::VarTable;
+    use pvc_prob::SeededRng;
 
     fn sample_table() -> PvcTable {
         let mut vars = VarTable::new();
@@ -508,11 +525,21 @@ mod tests {
         table
             .try_push(vec!["M&S".into(), agg.into()], annotation)
             .unwrap();
+        // A group annotation `[x + y ≠ 0]` reaches the last expression tag.
+        let present = SemiringExpr::cmp_ss(
+            CmpOp::Ne,
+            SemiringExpr::Var(x) + SemiringExpr::Var(y),
+            SemiringExpr::Const(SemiringValue::Bool(false)),
+        );
+        let empty = SemimoduleExpr::from_terms(AggOp::Sum, Vec::new());
+        table
+            .try_push(vec!["Gap".into(), empty.into()], present)
+            .unwrap();
         table
     }
 
-    #[test]
-    fn rewrites_roundtrip_exactly() {
+    /// A rewrite cache of the sample table and an empty one.
+    fn sample_rewrites() -> RewriteMap {
         let mut rewrites = BTreeMap::new();
         rewrites.insert(
             vec![1u8, 2, 3],
@@ -525,6 +552,180 @@ mod tests {
                 Vec::new(),
             ),
         );
+        rewrites
+    }
+
+    /// A journal of one delta of each kind; the insert carries every cell tag.
+    fn sample_journal() -> Vec<(u64, crate::engine::Delta)> {
+        let agg = sample_table().tuples[0].values[1].clone();
+        let values = vec!["M&S".into(), Value::Int(-4), agg];
+        let delta = crate::engine::Delta::new()
+            .insert("S", values, 0.25)
+            .delete("S", 3)
+            .set_probability("S", 1, 0.75);
+        vec![(7, delta), (9, crate::engine::Delta::new())]
+    }
+
+    /// A decoder under fuzzing, its output dropped.
+    type Decode = fn(&[u8]) -> Result<(), PersistError>;
+
+    /// The engine's two codecs the fuzzers drive, each with a sample encoding
+    /// and its decoder.
+    fn codecs() -> [(&'static str, Vec<u8>, Decode); 2] {
+        [
+            ("rewrites", encode_rewrites(&sample_rewrites()), |bytes| {
+                decode_rewrites(bytes, 2).map(drop)
+            }),
+            ("journal", encode_journal(&sample_journal()), |bytes| {
+                decode_journal(bytes).map(drop)
+            }),
+        ]
+    }
+
+    /// Seeds of the random-bytes fuzzer: one fixed, plus `PVC_ORACLE_SEED`
+    /// when it is set.
+    fn fuzz_seeds() -> Vec<u64> {
+        let mut seeds = vec![0x5eed_c0de];
+        if let Ok(extra) = std::env::var("PVC_ORACLE_SEED") {
+            seeds.push(extra.parse().expect("PVC_ORACLE_SEED must be a u64"));
+        }
+        seeds
+    }
+
+    #[test]
+    fn fuzz_every_single_bit_flip_decodes_or_is_refused() {
+        // The sections carry no checksum of their own (the snapshot's covers
+        // them), so a flip in a value may decode to another value; whatever it
+        // hits, the decoder answers or refuses, and never panics.
+        for (name, bytes, decode) in codecs() {
+            decode(&bytes).unwrap_or_else(|e| panic!("{name}: pristine bytes refused: {e}"));
+            let mut refused = 0;
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                refused += usize::from(decode(&flipped).is_err());
+            }
+            assert!(refused > 0, "{name}: no flip was refused");
+        }
+    }
+
+    #[test]
+    fn fuzz_every_truncation_is_refused() {
+        for (name, bytes, decode) in codecs() {
+            for cut in 0..bytes.len() {
+                assert!(
+                    matches!(decode(&bytes[..cut]), Err(PersistError::Format(_))),
+                    "{name}: the first {cut} of {} bytes decoded",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fuzz_random_bytes_are_refused_without_panicking() {
+        // Noise on its own, a valid prefix followed by noise, and valid bytes
+        // with a few overwritten: every input decodes or is refused, none
+        // panics, and noise on its own is always refused.
+        for seed in fuzz_seeds() {
+            let mut rng = SeededRng::seed_from_u64(seed);
+            for (name, bytes, decode) in codecs() {
+                for trial in 0..300 {
+                    let len = rng.gen_range(0..512usize);
+                    let noise: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    let refused = decode(&noise).is_err();
+                    assert!(refused, "{name} seed {seed} trial {trial}: noise decoded");
+                    let mut spliced = bytes[..rng.gen_range(0..bytes.len())].to_vec();
+                    spliced.extend_from_slice(&noise[..len.min(64)]);
+                    let _ = decode(&spliced);
+                    let mut overwritten = bytes.clone();
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        let at = rng.gen_range(0..bytes.len());
+                        overwritten[at] = rng.next_u64() as u8;
+                    }
+                    let _ = decode(&overwritten);
+                }
+            }
+        }
+    }
+
+    /// A rewrite section of one single-tuple table whose annotation is
+    /// `levels` nested one-child sums over `x0`, and a journal of one insert
+    /// whose aggregate cell has it as a coefficient (`levels + 1` deep), both
+    /// written byte by byte: the encoder would recurse as deep as the decoder.
+    fn nested(levels: usize) -> (Vec<u8>, Vec<u8>) {
+        let expr = |w: &mut Writer| {
+            for _ in 1..levels {
+                w.put_u8(EXPR_ADD);
+                w.put_u64(1);
+            }
+            w.put_u8(EXPR_VAR);
+            w.put_u32(0);
+        };
+        let mut rewrites = Writer::new();
+        rewrites.put_u64(1);
+        rewrites.put_bytes(b"key");
+        rewrites.put_u64(0);
+        rewrites.put_str("result");
+        rewrites.put_u64(0);
+        rewrites.put_u64(1);
+        expr(&mut rewrites);
+        let mut delta = Writer::new();
+        delta.put_u64(1);
+        delta.put_str("S");
+        delta.put_u8(0); // an insert
+        delta.put_f64(0.5);
+        delta.put_u64(1);
+        delta.put_u8(2); // an aggregate cell
+        put_agg_op(&mut delta, AggOp::Sum);
+        delta.put_u64(1);
+        expr(&mut delta);
+        put_monoid_value(&mut delta, &MonoidValue::Fin(1));
+        let mut journal = Writer::new();
+        journal.put_u64(1);
+        journal.put_u64(1);
+        journal.put_bytes(&delta.into_bytes());
+        (rewrites.into_bytes(), journal.into_bytes())
+    }
+
+    #[test]
+    fn expressions_nested_past_the_bound_are_refused_on_a_small_stack() {
+        // Decoded level by level without a bound, 10 000 levels (about 90 KB)
+        // overflow a 2 MB thread's stack and abort the process, also in a
+        // release build; the bound turns them into a typed error.
+        let decoded = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut results = Vec::new();
+                for levels in [MAX_EXPR_DEPTH - 1, MAX_EXPR_DEPTH, 10_000] {
+                    let (rewrites, journal) = nested(levels);
+                    if levels == 10_000 {
+                        assert!((80_000..100_000).contains(&rewrites.len()));
+                    }
+                    let rewrites = decode_rewrites(&rewrites, 1).map(drop);
+                    results.push((levels, rewrites, decode_journal(&journal).map(drop)));
+                }
+                results
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        for (levels, rewrites, journal) in decoded {
+            // The journal's coefficient sits one level below its aggregate.
+            assert_eq!(rewrites.is_ok(), levels <= MAX_EXPR_DEPTH, "{levels}");
+            assert_eq!(journal.is_ok(), levels < MAX_EXPR_DEPTH, "{levels}");
+            for refused in [rewrites, journal].into_iter().filter_map(Result::err) {
+                let PersistError::Format(message) = refused else {
+                    panic!("{levels} levels: {refused}");
+                };
+                assert!(message.contains("deeper"), "{levels} levels: {message}");
+            }
+        }
+    }
+
+    #[test]
+    fn rewrites_roundtrip_exactly() {
+        let rewrites = sample_rewrites();
         let bytes = encode_rewrites(&rewrites);
         let back = decode_rewrites(&bytes, 2).unwrap();
         assert_eq!(back.len(), 2);

@@ -102,9 +102,9 @@ pub struct ServeConfig {
     pub batch_max: usize,
     /// Optional per-request d-tree node budget. A query exceeding it fails with
     /// a typed compile error instead of monopolising the pool. Note the engine
-    /// disables the shared artifact cache for budgeted executions (a cached
-    /// unbudgeted success must not mask the budget error), so this trades cache
-    /// locality for worst-case latency bounds.
+    /// answers each budgeted execution through a private artifact store of its
+    /// own, not the tenant's (a cached unbudgeted success must not mask the
+    /// budget error), so this trades cache reuse for worst-case latency bounds.
     pub compile_budget: Option<usize>,
     /// Compact every tenant's artifact store after this many batches
     /// (`0` = never). Compaction only runs for tenants with no in-flight

@@ -112,10 +112,10 @@ pub mod prelude {
         DTreeArena, ExecutionProfile,
     };
     pub use pvc_db::{
-        classify, try_evaluate, try_tuple_confidences, AggSpec, CacheConfig, CacheStats, Database,
-        Delta, DeltaStats, DeltaTotals, Engine, EngineStats, Error, EvalOptions, PersistError,
-        Plan, Predicate, PreparedQuery, ProbTuple, PvcTable, Query, QueryClass, QueryResult,
-        Schema, SharedArtifacts, SnapshotStats, SnapshotTotals, Strategy, TupleStream, Value,
+        classify, try_evaluate, AggSpec, CacheConfig, CacheStats, Database, Delta, DeltaStats,
+        DeltaTotals, Engine, EngineStats, Error, EvalOptions, PersistError, Plan, Predicate,
+        PreparedQuery, ProbTuple, PvcTable, Query, QueryClass, QueryResult, Schema,
+        SharedArtifacts, SnapshotStats, SnapshotTotals, Strategy, TupleStream, Value,
     };
     pub use pvc_expr::{Interner, SemimoduleExpr, SemiringExpr, Var, VarTable};
     pub use pvc_prob::{Dist, MonoidDist, SemiringDist};

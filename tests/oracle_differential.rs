@@ -13,9 +13,10 @@
 //! * dense-friendly (small contiguous values) and sparse-forcing (scattered
 //!   values) data shapes;
 //! * fast-path and full-compilation execution;
-//! * thread counts 1 vs 4, which must agree **bit-for-bit** — evaluation
-//!   per tuple is single-threaded and kernel-path selection (including the
-//!   FFT crossover) is a pure function of operand shapes;
+//! * thread counts 1 vs 4, `Engine::execute_once` and a budgeted execution
+//!   (every root compiled, none folded), which must agree **bit-for-bit** —
+//!   evaluation per tuple is single-threaded and kernel-path selection
+//!   (including the FFT crossover) is a pure function of operand shapes;
 //! * one-sided aggregate threshold predicates, whose confidences must match
 //!   the oracle's comparison mass over present worlds;
 //! * the artifact store's answers — a conditional `[s θ c]`, an aggregate, a
@@ -223,24 +224,38 @@ fn thread_counts_agree_bitwise_and_match_the_oracle() {
                 let reference = prepared
                     .execute(&EvalOptions::default().with_threads(1))
                     .unwrap();
-                // Cold engine per thread count: identical results, bit for bit.
-                for threads in [2, 4] {
+                // Cold engine per thread count, `execute_once`'s caches of its
+                // own, and an execution under a budget (a private store, every
+                // root compiled): identical results, bit for bit.
+                let cold = |options: &EvalOptions| {
                     let engine = Engine::new(db.clone());
-                    let result = engine
-                        .prepare(&agg_query(op))
-                        .unwrap()
-                        .execute(&EvalOptions::default().with_threads(threads))
-                        .unwrap();
-                    assert_eq!(
-                        reference.tuples[0].aggregate_distributions,
-                        result.tuples[0].aggregate_distributions,
-                        "seed={seed} op={op} threads={threads}: distributions must be identical"
-                    );
-                    assert_eq!(
-                        reference.tuples[0].confidence.to_bits(),
-                        result.tuples[0].confidence.to_bits(),
-                        "seed={seed} op={op} threads={threads}: confidence bits"
-                    );
+                    let prepared = engine.prepare(&agg_query(op)).unwrap();
+                    prepared.execute(options).unwrap()
+                };
+                for route in ["threads=2", "threads=4", "execute_once", "budget=MAX"] {
+                    let options = EvalOptions::default();
+                    let result = match route {
+                        "threads=2" => cold(&options.with_threads(2)),
+                        "threads=4" => cold(&options.with_threads(4)),
+                        "execute_once" => {
+                            Engine::execute_once(&db, &agg_query(op), &options).unwrap()
+                        }
+                        _ => prepared
+                            .execute(&options.with_node_budget(usize::MAX))
+                            .unwrap(),
+                    };
+                    assert_eq!(result.tuples.len(), reference.tuples.len());
+                    for (want, got) in reference.tuples.iter().zip(&result.tuples) {
+                        assert_eq!(
+                            want.aggregate_distributions, got.aggregate_distributions,
+                            "seed={seed} op={op} {route}: distributions must be identical"
+                        );
+                        assert_eq!(
+                            want.confidence.to_bits(),
+                            got.confidence.to_bits(),
+                            "seed={seed} op={op} {route}: confidence bits"
+                        );
+                    }
                 }
                 let expected = enumerated(op, &db.vars, &tuples);
                 assert_dist_close(

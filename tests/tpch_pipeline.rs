@@ -38,8 +38,8 @@ fn q1_confidences_match_enumeration_on_tiny_instance() {
     let query = q1(2_000);
     let table = try_evaluate(&db, &query).unwrap();
     assert!(!table.is_empty());
-    let confidences = try_tuple_confidences(&db, &table).unwrap();
-    for (tuple, confidence) in table.iter().zip(confidences) {
+    for tuple in table.iter() {
+        let confidence = confidence(&tuple.annotation, &db.vars, db.kind);
         // Only enumerate when the annotation is small enough for the oracle.
         if tuple.annotation.vars().len() <= 16 {
             let expected = oracle::confidence_by_enumeration(&tuple.annotation, &db.vars, db.kind);
@@ -84,10 +84,10 @@ fn q2_answers_are_minimum_cost_offers() {
     // higher cost have probability 0 (their conditional annotation is false).
     let det = deterministic_copy(&db);
     let det_result = try_evaluate(&det, &query).unwrap();
-    let confidences = try_tuple_confidences(&det, &det_result).unwrap();
     let partsupp = db.table_or_err("partsupp").unwrap();
     let mut certain_answers = 0usize;
-    for (t, confidence) in det_result.iter().zip(confidences) {
+    for t in det_result.iter() {
+        let confidence = confidence(&t.annotation, &det.vars, det.kind);
         let part = t.values[1].as_int().unwrap();
         let cost = t.values[2].as_int().unwrap();
         let min_cost = partsupp
@@ -128,8 +128,9 @@ fn q0_rewrite_and_probability_phases_all_run() {
     // The deterministic run produces the same groups as the probabilistic one.
     assert_eq!(det_table.len(), prob_result.tuples.len());
     // On the deterministic copy every group is certainly non-empty.
-    let det_confidences = try_tuple_confidences(&det, &det_table).unwrap();
-    assert!(det_confidences.iter().all(|p| (p - 1.0).abs() < 1e-9));
+    assert!(det_table
+        .iter()
+        .all(|t| (confidence(&t.annotation, &det.vars, det.kind) - 1.0).abs() < 1e-9));
 }
 
 #[test]
