@@ -9,7 +9,10 @@ use pvc_bench::bench_case;
 use pvc_core::{confidence_of, CacheConfig, CompileOptions, Compiler, SharedArtifacts, WorkerPool};
 use pvc_db::{Database, Engine, EvalOptions, Query, Schema};
 use pvc_expr::{SemimoduleExpr, SemiringExpr, VarTable};
-use pvc_prob::{convolve_additive_chained, AdditiveFold, ChainVal, Dist, MonoidDist, SeededRng};
+use pvc_prob::{
+    convolve_additive_chained, fft_would_run, AdditiveFold, ChainVal, DenseDist, Dist, MonoidDist,
+    SeededRng,
+};
 use pvc_workload::{ExprGenParams, ExprGenerator};
 
 fn bench_convolution() {
@@ -72,6 +75,61 @@ fn bench_additive_fold() {
             }
             std::hint::black_box(fold.take().map(ChainVal::into_dist));
         });
+    }
+}
+
+/// The spectral kernel beside the exact loop at transform lengths
+/// N = 2^10 … 2^16, on the two shapes that reach it: wide × wide (two N/2-cell
+/// operands) and a SUM accumulator against one `{0, 200}` row (N − 200 cells
+/// and 201). The spectral side runs in one warm [`AdditiveFold`] (its
+/// transform buffers and twiddle table already grown, as in a fold) and is
+/// printed per `N·log₂N`; the exact loop (`DenseDist::convolve_add_exact`)
+/// per multiply-add it performs. Their ratio is what the dispatcher's
+/// `FFT_COST_FACTOR` stands for.
+fn bench_spectral_ladder() {
+    let mut rng = SeededRng::seed_from_u64(20120827);
+    let mut spread = |cells: usize| -> DenseDist {
+        let weights: Vec<f64> = (0..cells).map(|_| 0.05 + rng.next_f64()).collect();
+        let total: f64 = weights.iter().sum();
+        let dist = Dist::from_pairs(
+            (0..cells as i64).map(|v| (MonoidValue::Fin(v), weights[v as usize] / total)),
+        );
+        DenseDist::from_dist(&dist).expect("finite support")
+    };
+    let row = Dist::two_point(MonoidValue::Fin(0), 0.7, MonoidValue::Fin(200), 0.3);
+    let row = DenseDist::from_dist(&row).expect("finite support");
+    for log2n in 10..=16 {
+        let n = 1usize << log2n;
+        for (shape, a, b, products) in [
+            ("wide", spread(n / 2), spread(n / 2), (n / 2) * (n / 2)),
+            ("two-point", spread(n - 200), row.clone(), 2 * (n - 200)),
+        ] {
+            assert!(fft_would_run(a.len(), b.len()), "{shape} at 2^{log2n}");
+            let butterflies = n * log2n;
+            let mut fold = AdditiveFold::new();
+            let spectral = bench_case(
+                &format!("spectral/{shape}/2^{log2n}"),
+                ((1 << 24) / butterflies).clamp(3, 200),
+                || {
+                    fold.push(ChainVal::Dense(a.clone()));
+                    fold.push(ChainVal::Dense(b.clone()));
+                    std::hint::black_box(fold.take());
+                },
+            );
+            let exact = bench_case(
+                &format!("exact/{shape}/2^{log2n}"),
+                ((1 << 26) / products).clamp(3, 200),
+                || {
+                    std::hint::black_box(a.convolve_add_exact(&b));
+                },
+            );
+            println!(
+                "{:<48} {:.3} ns per N·log₂N, exact loop {:.3} ns per product",
+                "",
+                spectral.mean_seconds * 1e9 / butterflies as f64,
+                exact.mean_seconds * 1e9 / products as f64
+            );
+        }
     }
 }
 
@@ -246,6 +304,7 @@ fn main() {
     bench_or_705();
     bench_convolution();
     bench_additive_fold();
+    bench_spectral_ladder();
     bench_read_once_compilation();
     bench_compile_conditions();
     bench_min_aggregate_distribution();

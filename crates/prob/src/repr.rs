@@ -16,7 +16,8 @@
 //! is a step of an [`AdditiveFold`]: an accumulator that owns its value and every
 //! buffer a step needs (spare output cells, the cells a sparse operand is
 //! densified into, a leaf operand's cell buffer, the sparse kernel's candidate
-//! pairs), so a step moves its operands in and allocates nothing.
+//! pairs, the spectral kernel's transform buffers and twiddle table), so a step
+//! moves its operands in and allocates nothing once the buffers have grown.
 //! [`convolve_additive_chained`] is the same step for callers that hold the value
 //! themselves. Inside, exactly one function chooses the kernel (`choose_kernel`)
 //! and exactly one contains the dense multiply-accumulate loop
@@ -60,7 +61,11 @@
 //!
 //! Past the crossover where the direct dense loop's `O(|p|·|q|)` products exceed
 //! `O(N log N)` butterfly work ([`fft_would_run`]), the dispatcher
-//! switches to the spectral kernel of the internal `fft` module. Spectral results
+//! switches to the spectral kernel of the internal `fft` module: one packed
+//! forward transform of both operands, one half-length inverse of the real
+//! product, twiddles read from a table (see that module). It runs in the
+//! transform buffers of the fold's `fft::Spectral` and writes its cells into the
+//! fold's spare output buffer, as the exact loop does. Spectral results
 //! carry rounding error, so they pass an explicit **accuracy policy** before
 //! being accepted:
 //!
@@ -79,6 +84,7 @@
 //! differential oracle asserts both regimes).
 
 use crate::dist::{Dist, PROB_EPS};
+use crate::fft::Spectral;
 use crate::values::MonoidDist;
 use pvc_algebra::MonoidValue;
 
@@ -225,29 +231,36 @@ impl DenseDist {
     /// bits).
     pub fn convolve_add(&self, other: &DenseDist) -> DenseDist {
         let kernel = choose_kernel(self.profile(), other.profile());
-        self.convolve_by(kernel, other, Vec::new())
+        self.convolve_by(kernel, other, Vec::new(), &mut Spectral::default())
     }
 
     /// Direct-index additive convolution: `out[i + j] += self[i] · other[j]`,
     /// bit-identical to the sparse generate–sort–coalesce kernel (see
     /// `multiply_accumulate` for the accumulation-order argument).
     pub fn convolve_add_exact(&self, other: &DenseDist) -> DenseDist {
-        self.convolve_by(Kernel::Exact, other, Vec::new())
+        self.convolve_by(Kernel::Exact, other, Vec::new(), &mut Spectral::default())
     }
 
-    /// Run the chosen dense kernel, writing exact output into the recycled
-    /// buffer `out`. A spectral attempt rejected by the accuracy policy falls
-    /// back to the exact loop (counted in `kernel.conv.fft_fallbacks`).
-    fn convolve_by(&self, kernel: Kernel, other: &DenseDist, out: Vec<f64>) -> DenseDist {
+    /// Run the chosen dense kernel, writing its output into the recycled
+    /// buffer `out`; the spectral kernel transforms in `spectral`'s buffers.
+    /// A spectral attempt rejected by the accuracy policy falls back to the
+    /// exact loop (counted in `kernel.conv.fft_fallbacks`).
+    fn convolve_by(
+        &self,
+        kernel: Kernel,
+        other: &DenseDist,
+        mut out: Vec<f64>,
+        spectral: &mut Spectral,
+    ) -> DenseDist {
         if self.probs.is_empty() || other.probs.is_empty() {
             return DenseDist::empty();
         }
         if kernel == Kernel::Fft {
-            if let Some(out) = self.convolve_add_fft(other) {
-                crate::stats::record_fft(true);
-                return out;
+            let accepted = self.convolve_add_fft(other, &mut out, spectral);
+            crate::stats::record_fft(accepted);
+            if accepted {
+                return Self::finish(self.offset + other.offset, out);
             }
-            crate::stats::record_fft(false);
         }
         self.convolve_exact_into(other.offset, &other.probs, other.support, out)
     }
@@ -266,16 +279,24 @@ impl DenseDist {
         Self::trimmed(self.offset + offset, out, support)
     }
 
-    /// The spectral convolution attempt: `None` when the transform is
-    /// oversized or the result violates the accuracy policy (the caller then
-    /// runs the exact kernel).
-    fn convolve_add_fft(&self, other: &DenseDist) -> Option<DenseDist> {
-        let mut cells = crate::fft::convolve(&self.probs, &other.probs)?;
+    /// The spectral convolution attempt: the raw cells of `self ∗ other`
+    /// into `out`, clamped and renormalised by the accuracy policy. `false`
+    /// when the transform is oversized or the result violates the policy
+    /// (the caller then runs the exact kernel into `out`).
+    fn convolve_add_fft(
+        &self,
+        other: &DenseDist,
+        out: &mut Vec<f64>,
+        spectral: &mut Spectral,
+    ) -> bool {
+        if !spectral.convolve(&self.probs, &other.probs, out) {
+            return false;
+        }
         let target = self.total_mass() * other.total_mass();
         let mut sum = 0.0;
-        for p in cells.iter_mut() {
+        for p in out.iter_mut() {
             if !p.is_finite() || *p < -FFT_NEGATIVE_TOLERANCE {
-                return None;
+                return false;
             }
             if *p < 0.0 {
                 *p = 0.0;
@@ -285,13 +306,13 @@ impl DenseDist {
         // `sum` is a sum of finite non-negative cells, so comparing against
         // zero directly is NaN-safe here.
         if sum <= 0.0 || (sum - target).abs() > FFT_RELATIVE_EPS * target {
-            return None;
+            return false;
         }
         let scale = target / sum;
-        for p in cells.iter_mut() {
+        for p in out.iter_mut() {
             *p *= scale;
         }
-        Some(Self::finish(self.offset + other.offset, cells))
+        true
     }
 
     /// Scale every cell by `factor`, applying the sparse kernel's drop rule
@@ -657,14 +678,17 @@ impl ChainVal {
 /// * the **cell buffer** [`push_cells`](Self::push_cells) gathers a leaf
 ///   operand's cells in — a consumed sparse operand hands its entry vector
 ///   back here;
-/// * the sparse kernel's **candidate-pair scratch**.
+/// * the sparse kernel's **candidate-pair scratch**;
+/// * the spectral kernel's **transform buffers and twiddle table**
+///   (`fft::Spectral`): grown to the fold's longest transform (at most
+///   `2²²` points) and reused by every later one, so a fold builds each
+///   twiddle once.
 ///
 /// Operands are moved in and consumed; every step goes through the one
 /// dispatcher (`choose_kernel`, with its `record_conv` accounting) and the one
-/// dense loop nest (`multiply_accumulate`). The spectral branch allocates its
-/// own transform buffers. A leaf of at most three cells against a dense
-/// accumulator builds no operand at all: its cells are coalesced on the stack
-/// and handed to the loop nest as they are.
+/// dense loop nest (`multiply_accumulate`). A leaf of at most three cells
+/// against a dense accumulator builds no operand at all: its cells are
+/// coalesced on the stack and handed to the loop nest as they are.
 ///
 /// Below the FFT crossover a fold is bit-identical to materialising every
 /// operand and folding with `acc.convolve(&d, |x, y| x.saturating_add(y))`;
@@ -681,6 +705,7 @@ pub struct AdditiveFold {
     operand: Vec<f64>,
     cells: Vec<(MonoidValue, f64)>,
     pairs: Vec<(MonoidValue, f64)>,
+    spectral: Spectral,
 }
 
 impl AdditiveFold {
@@ -773,7 +798,12 @@ impl AdditiveFold {
                 dense
             }
         };
-        let out = da.convolve_by(kernel, &db, std::mem::take(&mut self.spare));
+        let out = da.convolve_by(
+            kernel,
+            &db,
+            std::mem::take(&mut self.spare),
+            &mut self.spectral,
+        );
         self.spare = da.probs;
         self.operand = db.probs;
         #[cfg(debug_assertions)]
@@ -910,7 +940,8 @@ impl ShortLeaf {
 /// One step of an additive (SUM / COUNT) convolution with adaptive
 /// representation choice — [`AdditiveFold`]'s step for callers that thread the
 /// value themselves: same dispatcher, same loop nest, same accounting, but no
-/// buffer survives the call except the sparse kernel's `scratch`. An eligible
+/// buffer survives the call except the sparse kernel's `scratch` (a spectral
+/// step builds its twiddle table afresh, in `O(N)`). An eligible
 /// result stays dense for the next node instead of being materialised sparse,
 /// and operands may still be dense from the previous node.
 pub fn convolve_additive_chained(

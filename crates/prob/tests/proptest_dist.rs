@@ -354,6 +354,73 @@ fn adaptive_convolution_agrees_with_exact_across_the_fft_cutoff() {
     assert!(took_fft, "no shape reached the FFT path — cutoff drifted?");
 }
 
+/// `{0: 1 − p, v: p}` in dense form: one row of a group SUM.
+fn two_point_dense(v: i64, p: f64) -> DenseDist {
+    let d = Dist::from_pairs([(MonoidValue::Fin(0), 1.0 - p), (MonoidValue::Fin(v), p)]);
+    DenseDist::from_dist(&d).expect("finite non-empty support")
+}
+
+/// The largest per-cell `|spectral − exact|` of `a ∗ b`, where the
+/// dispatcher must choose the spectral kernel and the accuracy policy must
+/// accept its result (a fallback would give the exact bits: error 0).
+fn spectral_error(a: &DenseDist, b: &DenseDist) -> f64 {
+    assert!(fft_would_run(a.len(), b.len()), "{} × {}", a.len(), b.len());
+    let spectral = a.convolve_add(b);
+    let exact = a.convolve_add_exact(b);
+    let cells = |d: &DenseDist| {
+        let mut cells = vec![0.0; exact.len()];
+        for (v, p) in d.iter() {
+            cells[(v - exact.offset()) as usize] = p;
+        }
+        cells
+    };
+    let error = cells(&spectral)
+        .iter()
+        .zip(cells(&exact))
+        .map(|(s, e)| (s - e).abs())
+        .fold(0.0, f64::max);
+    assert!(error > 0.0, "the spectral kernel did not run");
+    error
+}
+
+/// The spectral kernel at the transform lengths `sum_kernel` runs (N = 4 096
+/// … 16 384: accumulators of 2 000 – 10 000 cells against `{0, v}` rows) and
+/// one wide × wide pair at N = 32 768, held per shape to the per-cell error
+/// the previous kernel reached on it (a recurrence for the twiddles and a
+/// full-length inverse), which it may not exceed.
+#[test]
+fn spectral_error_at_the_lengths_that_run_is_no_worse_than_before() {
+    // (accumulator cells, the other operand: `{0, v}` or `dense_span` cells,
+    // the previous kernel's largest per-cell error)
+    const SHAPES: [(usize, Operand, f64); 6] = [
+        (2_000, Operand::TwoPoint(200), 1.02e-15),
+        (3_800, Operand::TwoPoint(120), 1.18e-16),
+        (6_000, Operand::TwoPoint(150), 2.51e-15),
+        (7_900, Operand::TwoPoint(110), 2.26e-15),
+        (10_000, Operand::TwoPoint(200), 6.94e-16),
+        (9_000, Operand::Wide(8_000), 2.94e-17),
+    ];
+    #[derive(Clone, Copy)]
+    enum Operand {
+        TwoPoint(i64),
+        Wide(usize),
+    }
+    let mut rng = SeededRng::seed_from_u64(0xD3);
+    for (cells, operand, before) in SHAPES {
+        let acc = dense_span(&mut rng, cells);
+        let other = match operand {
+            Operand::TwoPoint(v) => two_point_dense(v, 0.1 + 0.8 * rng.next_f64()),
+            Operand::Wide(len) => dense_span(&mut rng, len),
+        };
+        let error = spectral_error(&acc, &other);
+        assert!(
+            error <= before,
+            "{cells} × {} cells: per-cell error {error:e}, previously {before:e}",
+            other.len()
+        );
+    }
+}
+
 #[test]
 fn chunked_kernel_conserves_mass_and_stays_finite() {
     let mut rng = SeededRng::seed_from_u64(0xD2);

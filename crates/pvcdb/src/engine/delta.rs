@@ -128,7 +128,7 @@ pub struct DeltaStats {
     /// variables of deleted tuples; inserts only create fresh variables and
     /// touch nothing).
     pub touched_vars: usize,
-    /// Artifact-cache entries (distributions + compiled arenas) evicted because
+    /// Artifact-cache entries (cached distributions) evicted because
     /// their variable set intersected the delta.
     pub evicted_artifacts: usize,
     /// Artifact-cache entries kept (disjoint variable sets).
@@ -143,11 +143,11 @@ impl Engine {
     /// Apply a typed batch of mutations — inserts, deletes, probability updates
     /// (see [`Delta`]) — and invalidate **only** what the delta can have touched:
     ///
-    /// * artifact-cache entries (cached distributions and compiled d-tree
-    ///   arenas) are evicted iff their interned variable set intersects the
-    ///   delta's touched variables (`set_probability` targets and the variables
-    ///   of deleted tuples; inserts create only fresh variables and touch
-    ///   nothing), via
+    /// * artifact-cache entries (cached distributions: the store keeps no
+    ///   compiled arena) are evicted iff their interned variable set
+    ///   intersects the delta's touched variables (`set_probability` targets
+    ///   and the variables of deleted tuples; inserts create only fresh
+    ///   variables and touch nothing), via
     ///   [`SharedArtifacts::evict_touching`](pvc_core::SharedArtifacts::evict_touching);
     /// * step-I rewrites are evicted iff one of their base tables was mutated
     ///   (a rewrite depends on table *content*, so any mutation of a base table

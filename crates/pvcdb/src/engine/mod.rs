@@ -106,8 +106,11 @@ use stream::spawn_stream;
 struct Caches {
     /// Step-I rewrites, keyed by [`Query::structural_key`], LRU-bounded. Behind a
     /// `Mutex` (reads refresh recency, so even lookups write); held only for
-    /// map operations, never across a rewrite computation.
-    rewrites: Mutex<RewriteCache>,
+    /// map operations, never across a rewrite computation. `None` for a
+    /// one-shot pipeline ([`Engine::execute_once`]): its caches are dropped on
+    /// return, so no entry would be read, and an insert charges the rewrite
+    /// with a serialisation of every annotation and aggregate cell.
+    rewrites: Option<Mutex<RewriteCache>>,
     /// The thread-safe artifact store, shared with every worker thread (and
     /// possibly with other engines, see [`Engine::with_shared_artifacts`]).
     artifacts: Arc<SharedArtifacts>,
@@ -117,13 +120,30 @@ impl Caches {
     /// Empty caches over `artifacts`, the rewrite cache under the same bounds.
     fn new(artifacts: Arc<SharedArtifacts>) -> Self {
         Caches {
-            rewrites: Mutex::new(RewriteCache::new(artifacts.config())),
+            rewrites: Some(Mutex::new(RewriteCache::new(artifacts.config()))),
             artifacts,
         }
     }
 
+    /// The caches of one pipeline run: a store of their own and no rewrite
+    /// cache.
+    fn one_shot() -> Self {
+        Caches {
+            rewrites: None,
+            artifacts: Arc::new(SharedArtifacts::new(CacheConfig::default())),
+        }
+    }
+
+    /// The rewrite cache, `None` for [`one_shot`](Self::one_shot) caches.
+    fn rewrite_cache(&self) -> Option<std::sync::MutexGuard<'_, RewriteCache>> {
+        let rewrites = self.rewrites.as_ref()?;
+        Some(rewrites.lock().expect("rewrite cache lock poisoned"))
+    }
+
+    /// An engine's rewrite cache (engines never hold one-shot caches).
     fn rewrites(&self) -> std::sync::MutexGuard<'_, RewriteCache> {
-        self.rewrites.lock().expect("rewrite cache lock poisoned")
+        self.rewrite_cache()
+            .expect("an engine's caches keep a rewrite cache")
     }
 }
 
@@ -255,9 +275,10 @@ impl Engine {
     }
 
     /// One-shot evaluation without an engine: validate, rewrite, compute
-    /// probabilities — the pipeline of [`PreparedQuery::execute`] on caches of
-    /// its own (default bounds), dropped on return. Prefer [`Engine::prepare`]
-    /// for anything executed more than once.
+    /// probabilities — the pipeline of [`PreparedQuery::execute`] on an
+    /// artifact store of its own (default bounds), dropped on return; the
+    /// step-I rewrite is not cached at all. Prefer [`Engine::prepare`] for
+    /// anything executed more than once.
     ///
     /// [`EvalOptions::threads`] is honoured; parallel workers need owning handles,
     /// so the database is cloned once — but only when the execution actually runs
@@ -270,8 +291,7 @@ impl Engine {
     ) -> Result<QueryResult, Error> {
         let plan = plan_query(db, query)?;
         let share = || Arc::new(db.clone());
-        let caches = Caches::new(Arc::new(SharedArtifacts::new(CacheConfig::default())));
-        execute_pipeline(db, &share, query, &plan, options, &caches)
+        execute_pipeline(db, &share, query, &plan, options, &Caches::one_shot())
     }
 }
 
@@ -397,7 +417,7 @@ fn step_one(
     let start = Instant::now();
     let key = query.structural_key();
     let scope = fnv64(&key);
-    let cached = caches.rewrites().get(&key);
+    let cached = caches.rewrite_cache().and_then(|mut r| r.get(&key));
     let table = match cached {
         Some(table) => table,
         None => {
@@ -405,9 +425,9 @@ fn step_one(
             table.schema = plan.schema.clone();
             table.name = "result".to_string();
             let table = Arc::new(table);
-            caches
-                .rewrites()
-                .insert(key, Arc::clone(&table), plan.base_tables.clone());
+            if let Some(mut rewrites) = caches.rewrite_cache() {
+                rewrites.insert(key, Arc::clone(&table), plan.base_tables.clone());
+            }
             table
         }
     };
@@ -703,6 +723,28 @@ mod tests {
             "engine B should not recompute"
         );
         assert!(stats.hits > 0);
+    }
+
+    #[test]
+    fn a_one_shot_pipeline_caches_no_rewrite_and_answers_like_an_engine() {
+        let db = figure1_db();
+        let (query, options) = (paper_q1(), EvalOptions::default());
+        let plan = plan_query(&db, &query).unwrap();
+        let share = || Arc::new(db.clone());
+        let caches = Caches::one_shot();
+        let once = execute_pipeline(&db, &share, &query, &plan, &options, &caches).unwrap();
+        assert!(caches.rewrite_cache().is_none());
+        // The pipeline still answered through its store.
+        assert!(caches.artifacts.counters().misses > 0);
+        let engine = Engine::new(figure1_db());
+        let cold = engine.prepare(&query).unwrap().execute(&options).unwrap();
+        assert_eq!(engine.cache_stats().rewrites, 1);
+        let bits = |r: &QueryResult| -> Vec<u64> {
+            r.tuples.iter().map(|t| t.confidence.to_bits()).collect()
+        };
+        assert_eq!(bits(&once), bits(&cold));
+        let public = Engine::execute_once(&db, &query, &options).unwrap();
+        assert_eq!(bits(&public), bits(&cold));
     }
 
     #[test]

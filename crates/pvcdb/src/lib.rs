@@ -14,8 +14,8 @@
 //!   tractable queries;
 //! * [`Engine::save_artifacts`] / [`Engine::with_artifacts_from`] — persistent
 //!   compile-artifact snapshots: a restarted process reloads the interned
-//!   expressions, cached distributions, compiled d-tree arenas and step-I
-//!   rewrites and answers its first query warm (see `docs/SNAPSHOT_FORMAT.md`);
+//!   expressions, cached distributions and step-I rewrites and answers its
+//!   first query warm (see `docs/SNAPSHOT_FORMAT.md`);
 //! * [`Error`] — the single error enum of every fallible entry point;
 //! * [`exec::try_evaluate`] — step I of query evaluation: the rewriting `⟦·⟧` of
 //!   Fig. 4, computing result tuples together with their annotations;

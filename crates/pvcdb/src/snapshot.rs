@@ -3,8 +3,9 @@
 //! cache** (the `⟦·⟧` result tables keyed by [`Query::structural_key`]), which
 //! rides in the snapshot's opaque *extra* section.
 //!
-//! The artifact sections themselves (interned expressions, cached distributions
-//! and compiled d-tree arenas) are handled by [`pvc_core::persist`]; this module
+//! The artifact sections themselves (interned expressions and cached
+//! distributions; no compiled arena is stored) are handled by
+//! [`pvc_core::persist`]; this module
 //! only adds what `pvc-core` cannot know about: relational tables. See
 //! `docs/SNAPSHOT_FORMAT.md` for the full layout and the compatibility policy,
 //! and [`Engine::save_artifacts`](crate::Engine::save_artifacts) /

@@ -110,7 +110,8 @@ fn scattered_sums_take_the_sparse_kernel_and_metrics_stay_observational() {
 
 use pvc_suite::core::persist::fnv64;
 use pvc_suite::core::{Compiler, DTreeArena};
-use pvc_suite::prob::SeededRng;
+use pvc_suite::expr::InternedExpr;
+use pvc_suite::prob::{DenseDist, SeededRng};
 use pvc_suite::tpch::{generate, q1, TpchConfig};
 
 /// The bytes a digest is taken over (FNV-1a, `persist::fnv64`), as
@@ -174,23 +175,34 @@ fn engine_digest(db: Database, queries: &[Query], threads: usize) -> u64 {
 /// independent rows, amounts `1..=200` and probabilities `0.1..0.9` evenly
 /// spread, order and pairing decided by the seed.
 fn sales_db(rng: &mut SeededRng, groups: usize, rows: usize) -> Database {
+    let groups: Vec<Vec<(i64, f64)>> = (0..groups).map(|_| sales_rows(rng, rows)).collect();
+    sales_table(&groups)
+}
+
+/// One group of [`sales_db`]: `(amount, probability)` rows.
+fn sales_rows(rng: &mut SeededRng, rows: usize) -> Vec<(i64, f64)> {
     fn shuffle<T>(rng: &mut SeededRng, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             items.swap(i, rng.gen_range(0..=i));
         }
     }
+    let last = (rows - 1) as i64;
+    let mut amounts: Vec<i64> = (0..rows as i64).map(|k| 1 + k * 199 / last).collect();
+    let mut probabilities: Vec<f64> = (0..rows)
+        .map(|k| 0.1 + 0.8 * (k as f64 + 0.5) / rows as f64)
+        .collect();
+    shuffle(rng, &mut amounts);
+    shuffle(rng, &mut probabilities);
+    amounts.into_iter().zip(probabilities).collect()
+}
+
+/// The `sales` table holding `groups[g]` as region `g`'s independent rows.
+fn sales_table(groups: &[Vec<(i64, f64)>]) -> Database {
     let mut db = Database::new();
     db.create_table("sales", Schema::new(["region", "amount"]));
     let (table, vars) = db.table_and_vars_mut("sales").unwrap();
-    for group in 0..groups {
-        let last = (rows - 1) as i64;
-        let mut amounts: Vec<i64> = (0..rows as i64).map(|k| 1 + k * 199 / last).collect();
-        let mut probabilities: Vec<f64> = (0..rows)
-            .map(|k| 0.1 + 0.8 * (k as f64 + 0.5) / rows as f64)
-            .collect();
-        shuffle(rng, &mut amounts);
-        shuffle(rng, &mut probabilities);
-        for (amount, p) in amounts.into_iter().zip(probabilities) {
+    for (group, rows) in groups.iter().enumerate() {
+        for &(amount, p) in rows {
             table.push_independent(
                 vec![format!("region{group}").into(), amount.into()],
                 p,
@@ -234,8 +246,8 @@ fn group_sum_and_count_bits_are_those_recorded_before_the_fold_rewrite() {
     const RECORDED: [(AggOp, u64, u64); 2] = [
         (
             AggOp::Sum,
-            14_938_368_294_811_345_099,
-            9_342_637_924_010_755_232,
+            13_840_612_192_226_753_823,
+            17_882_817_782_754_673_460,
         ),
         (
             AggOp::Count,
@@ -272,4 +284,62 @@ fn group_sum_and_count_bits_are_those_recorded_before_the_fold_rewrite() {
         }
         assert_eq!(h.finish(), arena_bits, "{op}, compiled route");
     }
+}
+
+#[test]
+fn a_hundred_row_sum_runs_the_spectral_kernel_within_its_bound() {
+    // The largest per-cell |engine − exact| the previous spectral kernel (a
+    // twiddle recurrence, a full-length inverse) reached on this group.
+    const BOUND: f64 = 1.83e-15;
+    let _guard = COUNTERS.lock().unwrap();
+    let rows = sales_rows(&mut SeededRng::seed_from_u64(1), 100);
+    let db = sales_table(&[rows]);
+    // The fold the store runs, in its order (the interner's canonical order
+    // of the group's `x ⊗ amount` terms), with the exact loop at every step.
+    let table = try_evaluate(&db, &sales_query(AggOp::Sum)).unwrap();
+    let agg = table
+        .iter()
+        .find_map(|t| t.values.iter().find_map(Value::as_agg))
+        .unwrap();
+    let mut interner = Interner::new();
+    let id = interner.intern_semimodule(agg);
+    let exact = interner
+        .agg_node(id)
+        .terms
+        .iter()
+        .map(|&(coeff, amount)| {
+            let InternedExpr::Var(var) = interner.node(coeff) else {
+                panic!("a group SUM term is a variable times its amount")
+            };
+            let row = db
+                .vars
+                .dist(var)
+                .map(|s| AggOp::Sum.scalar_action(s, &amount));
+            DenseDist::from_dist(&row).unwrap()
+        })
+        .reduce(|acc, row| acc.convolve_add_exact(&row))
+        .unwrap()
+        .to_dist();
+    obs::reset();
+    obs::set_metrics_enabled(true);
+    let result = Engine::new(db)
+        .prepare(&sales_query(AggOp::Sum))
+        .unwrap()
+        .execute(&EvalOptions::default())
+        .unwrap();
+    obs::set_metrics_enabled(false);
+    let snapshot = obs::snapshot();
+    assert!(snapshot.counters["kernel.conv.fft"] > 0);
+    assert_eq!(snapshot.counters["kernel.fft.fallbacks"], 0);
+    let spectral = &result.tuples[0].aggregate_distributions["total"];
+    let values: std::collections::BTreeSet<_> = spectral
+        .iter()
+        .chain(exact.iter())
+        .map(|(v, _)| *v)
+        .collect();
+    let error = values
+        .iter()
+        .map(|v| (spectral.prob(v) - exact.prob(v)).abs())
+        .fold(0.0, f64::max);
+    assert!(error <= BOUND, "per-cell error {error:e}, bound {BOUND:e}");
 }
